@@ -6,12 +6,17 @@
 // connect as clients and drive admission, frame ingest, stats polling and
 // eviction over the wire; all detection runs here, on the shard workers.
 //
-// Crash safety: with --checkpoint <dir> every shard periodically writes
-// `<dir>/fleet.<shard>.nckp` and admissions/evictions checkpoint
+// Crash safety: with --checkpoint <dir> every shard writes its streaming
+// state to `<dir>/fleet.<shard>.nckp` after each drain round, and each
+// session's spec (reference signals, configs, thresholds, policy) once, at
+// admission, to `<dir>/fleet.<shard>.nckp.s<id>.spec`; the state file
+// names each spec by size and CRC.  Admissions and evictions checkpoint
 // synchronously.  After a SIGKILL, relaunching with --resume restores the
-// whole fleet; clients re-connect, read each channel's frames_fed offset
-// from POLL_STATS and resume their streams — final verdicts are bitwise
-// identical to an uninterrupted run (the CI fleet-daemon job pins this).
+// whole fleet from those files (and deletes the tmp and spec files the
+// crash orphaned); clients re-connect, read each channel's frames_fed
+// offset from POLL_STATS and resume their streams — final verdicts are
+// bitwise identical to an uninterrupted run (the CI fleet-daemon job pins
+// this).
 //
 // Baseline adaptation: with --baseline-dir <dir> each shard keeps a
 // per-device baseline registry (printer-model x sensor-profile) and
@@ -178,7 +183,9 @@ int main(int argc, char** argv) {
                 << ": " << e.what() << "\n";
       return 2;
     }
-    std::cout << "resumed " << fleet->sessions() << " sessions across "
+    const engine::FleetStats restored = fleet->stats();
+    std::cout << "resumed " << restored.sessions << " sessions ("
+              << restored.sessions - restored.evicted << " live) across "
               << shards << " shards from " << checkpoint_dir << "\n";
   } else {
     fleet = std::make_unique<engine::ShardedFleet>(fopts);
@@ -219,7 +226,8 @@ int main(int argc, char** argv) {
     fleet->checkpoint_all();
   }
   const engine::FleetStats stats = fleet->stats();
-  std::cout << "shutdown: " << stats.sessions << " sessions, "
+  std::cout << "shutdown: " << stats.sessions << " sessions ("
+            << stats.sessions - stats.evicted << " live), "
             << stats.windows << " windows, " << stats.shed_frames
             << " shed, " << stats.rejected_frames << " rejected\n";
   std::cout << "transport: " << sstats.connections_accepted << " accepted, "

@@ -747,8 +747,9 @@ int main(int argc, char** argv) {
 
   engine::MonitorEngine eng(opts);
   if (resume) {
-    // The checkpoint is self-contained (specs + streaming state), so no
-    // recalibration is needed: restore and pick the streams back up.
+    // The checkpoint and its spec files hold the specs and the streaming
+    // state, so no recalibration is needed: restore and pick the streams
+    // back up.
     try {
       eng =
           engine::MonitorEngine::restore(checkpoint_dir + "/fleet.nckp", opts);

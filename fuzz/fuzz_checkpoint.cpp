@@ -7,11 +7,13 @@
 // else: no crashes, no OOM from length-field-driven allocations, no
 // partial restores.
 //
-// The input is fuzzed through two entry points:
+// The input is fuzzed through three entry points:
 //   1. unframe_checkpoint — the container framing (magic/version/CRC).
 //   2. MonitorEngine::restore_from_bytes — the structural parser,
 //      deliberately bypassing the CRC gate so the deep session/channel
 //      decoding gets fuzzed rather than just the checksum.
+//   3. decode_session_spec — the payload of a per-session spec file, the
+//      one part of a checkpoint restore(path) reads from beside it.
 //
 // Build: cmake -DNSYNC_BUILD_FUZZERS=ON (requires Clang; see
 // fuzz/CMakeLists.txt).  Run: ./fuzz/fuzz_checkpoint -max_total_time=60
@@ -20,6 +22,7 @@
 #include <span>
 
 #include "engine/monitor_engine.hpp"
+#include "engine/session_codec.hpp"
 #include "signal/checkpoint.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -39,6 +42,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const auto payload = engine.serialize();
     (void)engine.snapshots();
     (void)nsync::engine::MonitorEngine::restore_from_bytes(payload);
+  } catch (const nsync::signal::CheckpointError&) {
+    // Expected for malformed input.
+  }
+
+  try {
+    const nsync::engine::SessionSpec spec =
+        nsync::engine::decode_session_spec(bytes);
+    // Round-trip: an accepted spec re-encodes to bytes that decode again.
+    nsync::signal::ByteWriter w;
+    nsync::engine::save_session_spec(w, spec);
+    (void)nsync::engine::decode_session_spec(w.data());
   } catch (const nsync::signal::CheckpointError&) {
     // Expected for malformed input.
   }

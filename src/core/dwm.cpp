@@ -48,6 +48,10 @@ void DwmParams::validate() const {
 }
 
 DwmSynchronizer::DwmSynchronizer(Signal reference, DwmParams params)
+    : DwmSynchronizer(std::move(reference), params, /*fingerprint=*/true) {}
+
+DwmSynchronizer::DwmSynchronizer(Signal reference, DwmParams params,
+                                 bool fingerprint)
     : reference_(std::move(reference)),
       observed_(reference_.channels(), reference_.sample_rate()),
       params_(params) {
@@ -55,6 +59,11 @@ DwmSynchronizer::DwmSynchronizer(Signal reference, DwmParams params)
   if (reference_.frames() < params_.n_win + 1) {
     throw std::invalid_argument(
         "DwmSynchronizer: reference shorter than one window");
+  }
+  if (fingerprint) {
+    reference_crc_ = nsync::signal::crc32(
+        reference_.data(),
+        reference_.frames() * reference_.channels() * sizeof(double));
   }
 }
 
@@ -167,9 +176,7 @@ void DwmSynchronizer::save_state(nsync::signal::ByteWriter& w) const {
   w.pod<std::uint64_t>(reference_.frames());
   w.pod<std::uint64_t>(reference_.channels());
   w.pod<double>(reference_.sample_rate());
-  w.pod<std::uint32_t>(nsync::signal::crc32(
-      reference_.data(),
-      reference_.frames() * reference_.channels() * sizeof(double)));
+  w.pod<std::uint32_t>(reference_crc_);
   // Parameter fingerprint.
   w.pod<std::uint64_t>(params_.n_win);
   w.pod<std::uint64_t>(params_.n_hop);
@@ -197,10 +204,7 @@ void DwmSynchronizer::restore_state(nsync::signal::ByteReader& r) {
   if (ref_frames != reference_.frames() ||
       ref_channels != reference_.channels() ||
       ref_rate != reference_.sample_rate() ||
-      ref_crc != nsync::signal::crc32(reference_.data(),
-                                      reference_.frames() *
-                                          reference_.channels() *
-                                          sizeof(double))) {
+      ref_crc != reference_crc_) {
     throw CheckpointError(CheckpointErrorKind::kMismatch,
                           "DwmSynchronizer: checkpoint was taken against a "
                           "different reference signal");
@@ -256,7 +260,8 @@ void DwmSynchronizer::restore_state(nsync::signal::ByteReader& r) {
 
 DwmResult DwmSynchronizer::align(const SignalView& a, const SignalView& b,
                                  const DwmParams& params) {
-  DwmSynchronizer sync(b.to_signal(), params);
+  // One-shot and never checkpointed: skip the reference fingerprint.
+  DwmSynchronizer sync(b.to_signal(), params, /*fingerprint=*/false);
   sync.push(a);
   return sync.result();
 }

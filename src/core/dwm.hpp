@@ -134,6 +134,11 @@ class DwmSynchronizer {
                                        const DwmParams& params);
 
  private:
+  /// `fingerprint` false skips the reference CRC (save_state then writes a
+  /// meaningless fingerprint): for align()'s one-shot runs only.
+  DwmSynchronizer(nsync::signal::Signal reference, DwmParams params,
+                  bool fingerprint);
+
   bool process_next_window();
 
   nsync::signal::Signal reference_;          // b
@@ -143,6 +148,9 @@ class DwmSynchronizer {
   TdeWorkspace tde_ws_;           // reused by every window's TDEB call
   double h_disp_low_prev_ = 0.0;  // h_disp_low[i-1], seeded with 0
   bool reference_exhausted_ = false;
+  // CRC-32 of the reference samples, computed once at construction (the
+  // reference never changes) so save_state stays O(streaming state).
+  std::uint32_t reference_crc_ = 0;
 };
 
 }  // namespace nsync::core

@@ -108,6 +108,7 @@ BaselineRegistry& BaselineRegistry::operator=(const BaselineRegistry& other) {
   const std::scoped_lock lock(mu_);
   policy_ = other.policy_;
   baselines_ = std::move(copy);
+  ++generation_;
   return *this;
 }
 
@@ -123,6 +124,7 @@ core::Thresholds BaselineRegistry::resolve(const std::string& model,
   if (inserted) {
     it->second.anchor = trained;
     it->second.current = trained;
+    ++generation_;
   }
   return it->second.current;
 }
@@ -137,6 +139,7 @@ bool BaselineRegistry::fold(const std::string& model,
     throw std::out_of_range("BaselineRegistry::fold: unknown baseline " +
                             model + "/" + profile);
   }
+  ++generation_;
   if (!eligible || !maxima_ok(maxima)) {
     ++it->second.frozen;
     return false;
@@ -195,6 +198,11 @@ std::vector<std::pair<std::string, std::string>> BaselineRegistry::keys()
 std::size_t BaselineRegistry::size() const {
   const std::scoped_lock lock(mu_);
   return baselines_.size();
+}
+
+std::uint64_t BaselineRegistry::generation() const {
+  const std::scoped_lock lock(mu_);
+  return generation_;
 }
 
 void BaselineRegistry::save_state(ByteWriter& w) const {
@@ -287,6 +295,7 @@ void BaselineRegistry::restore_state(ByteReader& r) {
 
   const std::scoped_lock lock(mu_);
   baselines_ = std::move(loaded);
+  ++generation_;
 }
 
 void BaselineRegistry::save(const std::string& path) const {

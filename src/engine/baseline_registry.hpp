@@ -130,6 +130,10 @@ class BaselineRegistry {
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> keys() const;
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] const AdaptationPolicy& policy() const { return policy_; }
+  /// Bumped by every call that changes the serialized state (a first-
+  /// contact resolve, any fold, restore_state, assignment), so callers can
+  /// tell whether an exported copy is stale without comparing bytes.
+  [[nodiscard]] std::uint64_t generation() const;
 
   /// Serializes the registry as an "NBRG" section (id, length, payload
   /// with its own format version) through the checkpoint codec.
@@ -157,6 +161,7 @@ class BaselineRegistry {
   // std::map: sorted iteration makes serialization byte-stable across
   // insertion orders, which the bitwise crash-replay tests rely on.
   std::map<Key, DeviceBaseline> baselines_;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace nsync::engine

@@ -167,6 +167,10 @@ struct RequestVisitor {
       // session state (spec, offsets, verdicts) wins over the re-sent
       // spec — that is exactly what makes the resync exactly-once.
       if (const auto existing = fleet.find_live_session(a.spec.name)) {
+        // The client reads its resume offsets next: make every frame this
+        // server acknowledged before the reconnect count in them, or the
+        // client sees a rollback that never happened.
+        fleet.settle(*existing);
         wire::AddSessionOk ok;
         ok.session = *existing;
         ok.shard = fleet.shard_of(*existing);

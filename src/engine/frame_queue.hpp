@@ -32,6 +32,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -50,15 +52,21 @@ enum class OverflowPolicy : std::uint8_t {
 [[nodiscard]] std::string overflow_policy_name(OverflowPolicy p);
 
 /// One enqueued unit of work for a shard worker: a batch of frames for
-/// one channel of one (shard-local) session, or an eviction command that
-/// must stay ordered relative to the feeds around it.
+/// one channel of one (shard-local) session, or a control command that
+/// must stay ordered relative to the feeds around it — an eviction, or a
+/// barrier that tells its waiter when everything queued before it has
+/// been applied.
 struct FrameBatch {
-  enum class Kind : std::uint8_t { kFeed, kEvict };
+  enum class Kind : std::uint8_t { kFeed, kEvict, kBarrier };
   Kind kind = Kind::kFeed;
   std::size_t session = 0;  ///< shard-local session id
   std::string channel;
   nsync::signal::Signal frames;  ///< owned copy (kFeed only)
   std::chrono::steady_clock::time_point enqueued_at;
+  /// kBarrier only: set once the batches queued before it are applied.
+  /// A barrier dropped unapplied (backlog discarded at a shard failure)
+  /// breaks the promise instead, which releases its waiter too.
+  std::shared_ptr<std::promise<void>> reached;
 };
 
 struct FrameQueueStats {

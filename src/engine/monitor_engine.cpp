@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <stdexcept>
@@ -41,6 +43,7 @@ MonitorEngine::MonitorEngine(MonitorEngineOptions options)
       // copy embedded in the payload.
       registry_ = std::make_unique<BaselineRegistry>(
           BaselineRegistry::load(path, options_.baseline.policy));
+      exported_generation_ = registry_->generation();  // the file is current
     } else {
       registry_ = std::make_unique<BaselineRegistry>(options_.baseline.policy);
     }
@@ -195,7 +198,7 @@ void MonitorEngine::maybe_checkpoint(std::size_t windows) {
                               windows_since_checkpoint_ >=
                                   options_.checkpoint_every_windows;
   if (!poll_trigger && !window_trigger) return;
-  checkpoint(checkpoint_path());
+  checkpoint_locked(checkpoint_path());
   polls_since_checkpoint_ = 0;
   windows_since_checkpoint_ = 0;
   ++checkpoints_written_;
@@ -314,12 +317,43 @@ std::vector<SessionSnapshot> MonitorEngine::snapshots() const {
 
 namespace {
 
-// Checkpoint section ids (outer structure of the fleet payload).
-constexpr std::uint32_t kSecFleet = 0x544C4601;    // "\x01FLT"
+// Checkpoint section ids (outer structure of the fleet payload).  The
+// fleet section id carries the payload layout version: "\x01FLT" payloads
+// stored each channel's spec inline, "\x02FLT" ones reference specs by
+// SpecRef and keep the bytes in spec files or the trailing spec table.
+constexpr std::uint32_t kSecFleetV1 = 0x544C4601;  // "\x01FLT"
+constexpr std::uint32_t kSecFleet = 0x544C4602;    // "\x02FLT"
 constexpr std::uint32_t kSecSession = 0x53455301;  // "\x01SES"
 constexpr std::uint32_t kSecChannel = 0x43484E01;  // "\x01CHN"
+constexpr std::uint32_t kSecSpecTable = 0x42545301;  // "\x01STB"
+constexpr std::uint32_t kSecSpec = 0x43505301;       // "\x01SPC"
+
+// Where the specs of a payload live (the byte after the registry).
+constexpr std::uint8_t kSpecsInFiles = 0;
+constexpr std::uint8_t kSpecsInTable = 1;
 
 }  // namespace
+
+void MonitorEngine::encode_spec(nsync::signal::ByteWriter& w,
+                                const Session& s) {
+  // Field for field what save_session_spec writes for the admitted spec
+  // (the policy slot always holds the effective policy), built from the
+  // live monitors instead of a SessionSpec copy.
+  const std::size_t begin = w.data().size();
+  w.str(s.name);
+  w.str(s.model);
+  save_fusion_policy(w, *s.policy);
+  w.pod<std::uint64_t>(s.channels.size());
+  for (const auto& c : s.channels) {
+    save_channel_spec(w, c.name, SignalView(c.monitor.reference()),
+                      c.monitor.config(), c.monitor.thresholds());
+  }
+  if (!s.spec_ref) {
+    const auto bytes = w.data().subspan(begin);
+    s.spec_ref = SpecRef{bytes.size(),
+                         nsync::signal::crc32(bytes.data(), bytes.size())};
+  }
+}
 
 void MonitorEngine::save_session(nsync::signal::ByteWriter& w,
                                  const Session& s) {
@@ -332,22 +366,16 @@ void MonitorEngine::save_session(nsync::signal::ByteWriter& w,
     w.end_section(tok);
     return;
   }
-  w.str(s.model);
-  // The policy slot keeps the legacy encoding (bare rule u32) for voting
-  // sessions, so pre-policy checkpoints and their byte-parity tests are
-  // untouched; weighted sessions write the versioned policy section, which
-  // is how learned weights replay bitwise after a crash.
-  save_fusion_policy(w, *s.policy);
+  // The spec is referenced, not stored: restore finds its bytes (spec file
+  // or spec table) and rejects any whose size or CRC differ.
+  w.pod<std::uint64_t>(s.spec_ref->bytes);
+  w.pod<std::uint32_t>(s.spec_ref->crc);
   w.pod<std::uint64_t>(s.frames_fed);
   w.pod<std::uint8_t>(s.intrusion ? 1 : 0);
   w.pod<std::int64_t>(s.first_alarm_window);
   w.pod<std::uint64_t>(s.channels.size());
   for (const auto& c : s.channels) {
     const std::size_t ctok = w.begin_section(kSecChannel);
-    // Full spec first, so restore() can rebuild the channel from the file
-    // alone before applying the dynamic state.
-    save_channel_spec(w, c.name, SignalView(c.monitor.reference()),
-                      c.monitor.config(), c.monitor.thresholds());
     c.monitor.save_state(w);
     c.staging.save_state(w);
     w.end_section(ctok);
@@ -355,31 +383,101 @@ void MonitorEngine::save_session(nsync::signal::ByteWriter& w,
   w.end_section(tok);
 }
 
-std::vector<std::uint8_t> MonitorEngine::serialize() const {
-  nsync::signal::ByteWriter w;
-  const std::size_t tok = w.begin_section(kSecFleet);
-  w.pod<std::uint64_t>(sessions_.size());
-  for (const auto& s : sessions_) {
-    const std::scoped_lock lock(s->mu);
-    save_session(w, *s);
-  }
+void MonitorEngine::save_registry(nsync::signal::ByteWriter& w) const {
   // The adapted baseline state rides inside the same payload as the
   // session state: one atomic file, so a crash can never split "session
   // evicted" from "its print folded into the baseline".
   w.pod<std::uint8_t>(registry_ ? 1 : 0);
   if (registry_) registry_->save_state(w);
+}
+
+std::vector<std::uint8_t> MonitorEngine::serialize() const {
+  nsync::signal::ByteWriter w;
+  nsync::signal::ByteWriter table;
+  const std::size_t tok = w.begin_section(kSecFleet);
+  w.pod<std::uint64_t>(sessions_.size());
+  const std::size_t table_tok = table.begin_section(kSecSpecTable);
+  for (const auto& s : sessions_) {
+    const std::scoped_lock lock(s->mu);
+    if (!s->evicted) {
+      const std::size_t spec_tok = table.begin_section(kSecSpec);
+      encode_spec(table, *s);
+      table.end_section(spec_tok);
+    }
+    save_session(w, *s);
+  }
+  table.end_section(table_tok);
+  save_registry(w);
+  // The spec table: one section per live session, in session order.
+  w.pod<std::uint8_t>(kSpecsInTable);
+  w.bytes(table.data().data(), table.data().size());
   w.end_section(tok);
   return w.take();
 }
 
+std::string MonitorEngine::spec_path(const std::string& checkpoint_path,
+                                     std::size_t session) {
+  return checkpoint_path + ".s" + std::to_string(session) + ".spec";
+}
+
 void MonitorEngine::checkpoint(const std::string& path) const {
-  const std::vector<std::uint8_t> payload = serialize();
-  nsync::signal::write_checkpoint_file(path, payload);
-  // Operator-visible export of the adapted per-device state.  Written
-  // after the fleet checkpoint on purpose: the .nbrg is a convenience
-  // copy — the authoritative state is inside the .nckp above.
+  const std::scoped_lock lock(checkpoint_mu_);
+  checkpoint_locked(path);
+}
+
+void MonitorEngine::checkpoint_locked(const std::string& path) const {
+  nsync::signal::ByteWriter w;
+  const std::size_t tok = w.begin_section(kSecFleet);
+  w.pod<std::uint64_t>(sessions_.size());
+  // Sessions written as tombstones whose spec file is still on disk.
+  std::vector<std::size_t> tombstoned;
+  for (std::size_t id = 0; id < sessions_.size(); ++id) {
+    const Session& s = *sessions_[id];
+    const std::scoped_lock lock(s.mu);
+    if (s.evicted) {
+      if (s.spec_file == spec_path(path, id)) tombstoned.push_back(id);
+    } else {
+      // Spec once: written before the state that references it, so the
+      // state file on disk never names a spec file that is not there.
+      const std::string spec = spec_path(path, id);
+      if (s.spec_file != spec) {
+        nsync::signal::ByteWriter sw;
+        encode_spec(sw, s);
+        nsync::signal::write_checkpoint_file(spec, sw.data());
+        s.spec_file = spec;
+      }
+    }
+    save_session(w, s);
+  }
+  save_registry(w);
+  w.pod<std::uint8_t>(kSpecsInFiles);
+  w.end_section(tok);
+  nsync::signal::write_checkpoint_file(path, w.data());
+  // The tombstones are durable now; only from here on may an evicted
+  // session's spec file go (a crash before this point restores a state
+  // that still references it).  A session evicted after it was written
+  // above keeps its file until the next checkpoint records the tombstone.
+  for (const std::size_t id : tombstoned) {
+    const Session& s = *sessions_[id];
+    const std::scoped_lock lock(s.mu);
+    std::error_code ec;
+    std::filesystem::remove(s.spec_file, ec);
+    s.spec_file.clear();
+  }
+  export_baselines();
+}
+
+void MonitorEngine::export_baselines() const {
+  // Operator-visible export of the adapted per-device state, written after
+  // the fleet checkpoint on purpose: the .nbrg is a convenience copy — the
+  // authoritative state is inside the .nckp.  Rewritten only when the
+  // registry changed since the last export (a fold, a first contact).
   const std::string bpath = baseline_path();
-  if (registry_ && !bpath.empty()) registry_->save(bpath);
+  if (!registry_ || bpath.empty()) return;
+  const std::uint64_t generation = registry_->generation();
+  if (generation == exported_generation_) return;
+  registry_->save(bpath);
+  exported_generation_ = generation;
 }
 
 std::string MonitorEngine::checkpoint_path() const {
@@ -392,8 +490,9 @@ std::string MonitorEngine::baseline_path() const {
   return options_.baseline.dir + "/" + options_.baseline.filename;
 }
 
-MonitorEngine MonitorEngine::restore_from_bytes(
-    std::span<const std::uint8_t> payload, MonitorEngineOptions options) {
+MonitorEngine MonitorEngine::restore_payload(
+    std::span<const std::uint8_t> payload, MonitorEngineOptions options,
+    const std::string* checkpoint_path) {
   using nsync::signal::ByteReader;
   using nsync::signal::CheckpointError;
   using nsync::signal::CheckpointErrorKind;
@@ -401,7 +500,28 @@ MonitorEngine MonitorEngine::restore_from_bytes(
   // Restored sessions arm their serialized thresholds verbatim; resolving
   // them against the registry would change the replayed verdicts.
   engine.resolve_on_admission_ = false;
+  // A session's state section, parsed ahead of its spec (the spec bytes
+  // come after every session: table at the payload end, or a file).
+  struct PendingSession {
+    std::string name;
+    bool evicted = false;
+    SpecRef ref;
+    std::uint64_t frames_fed = 0;
+    bool intrusion = false;
+    std::int64_t first_alarm_window = -1;
+    std::vector<ByteReader> channels;  // each positioned at its state
+  };
   try {
+    std::uint32_t top_id = 0;
+    if (payload.size() >= sizeof(top_id)) {
+      std::memcpy(&top_id, payload.data(), sizeof(top_id));
+    }
+    if (top_id == kSecFleetV1) {
+      throw CheckpointError(CheckpointErrorKind::kBadVersion,
+                            "MonitorEngine checkpoint: fleet layout 1 (specs "
+                            "inline per channel) predates spec files; this "
+                            "build reads layout 2");
+    }
     ByteReader top(payload);
     ByteReader fleet = top.section(kSecFleet);
     top.finish();
@@ -412,72 +532,51 @@ MonitorEngine MonitorEngine::restore_from_bytes(
                             "count " +
                                 std::to_string(n_sessions));
     }
+    std::vector<PendingSession> pending;
+    pending.reserve(n_sessions);
+    std::size_t live = 0;
     for (std::uint64_t i = 0; i < n_sessions; ++i) {
       ByteReader sr = fleet.section(kSecSession);
-      SessionSpec spec;
-      spec.name = sr.str();
+      PendingSession& p = pending.emplace_back();
+      p.name = sr.str();
       const auto evicted = sr.pod<std::uint8_t>();
       if (evicted > 1) {
         throw CheckpointError(CheckpointErrorKind::kCorrupt,
                               "MonitorEngine checkpoint: bad eviction flag "
                               "in session '" +
-                                  spec.name + "'");
+                                  p.name + "'");
       }
-      if (evicted == 1) {
+      p.evicted = evicted == 1;
+      if (p.evicted) {
         sr.finish();
-        auto tomb = std::make_unique<Session>();
-        tomb->name = std::move(spec.name);
-        tomb->evicted = true;
-        engine.sessions_.push_back(std::move(tomb));
         continue;
       }
-      spec.model = sr.str();
-      spec.policy = load_fusion_policy(sr);
-      if (const auto* voting =
-              dynamic_cast<const core::VotingPolicy*>(spec.policy.get())) {
-        spec.rule = voting->rule();
-      }
-      const auto frames_fed = sr.pod<std::uint64_t>();
+      ++live;
+      p.ref.bytes = sr.pod<std::uint64_t>();
+      p.ref.crc = sr.pod<std::uint32_t>();
+      p.frames_fed = sr.pod<std::uint64_t>();
       const auto intrusion = sr.pod<std::uint8_t>();
-      const auto first_alarm = sr.pod<std::int64_t>();
-      if (intrusion > 1 || first_alarm < -1 ||
-          (intrusion == 0 && first_alarm != -1)) {
+      p.first_alarm_window = sr.pod<std::int64_t>();
+      if (intrusion > 1 || p.first_alarm_window < -1 ||
+          (intrusion == 0 && p.first_alarm_window != -1)) {
         throw CheckpointError(CheckpointErrorKind::kCorrupt,
                               "MonitorEngine checkpoint: inconsistent fused "
                               "verdict in session '" +
-                                  spec.name + "'");
+                                  p.name + "'");
       }
+      p.intrusion = intrusion != 0;
       const auto n_channels = sr.pod<std::uint64_t>();
       if (n_channels == 0 || n_channels > sr.remaining()) {
         throw CheckpointError(CheckpointErrorKind::kCorrupt,
                               "MonitorEngine checkpoint: implausible channel "
                               "count in session '" +
-                                  spec.name + "'");
+                                  p.name + "'");
       }
-      // Two passes over the channel sections: the spec fields rebuild the
-      // monitors (add_session), after which the saved sub-readers replay
-      // the dynamic state into them.
-      std::vector<ByteReader> state_readers;
-      state_readers.reserve(n_channels);
-      spec.channels.reserve(n_channels);
+      p.channels.reserve(n_channels);
       for (std::uint64_t j = 0; j < n_channels; ++j) {
-        ByteReader cr = sr.section(kSecChannel);
-        spec.channels.push_back(load_channel_spec(cr));
-        state_readers.push_back(cr);  // positioned at the dynamic state
+        p.channels.push_back(sr.section(kSecChannel));
       }
       sr.finish();
-      const std::size_t id = engine.add_session(std::move(spec));
-      Session& s = *engine.sessions_[id];
-      s.frames_fed = frames_fed;
-      s.intrusion = intrusion != 0;
-      s.first_alarm_window = first_alarm;
-      for (std::uint64_t j = 0; j < n_channels; ++j) {
-        Channel& c = s.channels[j];
-        ByteReader& cr = state_readers[j];
-        c.monitor.restore_state(cr);
-        c.staging.restore_state(cr);
-        cr.finish();
-      }
     }
     const auto has_registry = fleet.pod<std::uint8_t>();
     if (has_registry > 1) {
@@ -495,7 +594,76 @@ MonitorEngine MonitorEngine::restore_from_bytes(
       // overrides any .nbrg file the constructor bootstrapped from.
       engine.registry_->restore_state(fleet);
     }
+    const auto specs_at = fleet.pod<std::uint8_t>();
+    std::vector<ByteReader> table;
+    if (specs_at == kSpecsInTable) {
+      ByteReader tr = fleet.section(kSecSpecTable);
+      table.reserve(live);
+      for (std::size_t k = 0; k < live; ++k) {
+        table.push_back(tr.section(kSecSpec));
+      }
+      tr.finish();
+    } else if (specs_at != kSpecsInFiles) {
+      throw CheckpointError(CheckpointErrorKind::kCorrupt,
+                            "MonitorEngine checkpoint: bad spec-table flag");
+    } else if (checkpoint_path == nullptr && live > 0) {
+      throw CheckpointError(CheckpointErrorKind::kIo,
+                            "MonitorEngine checkpoint: specs live in spec "
+                            "files; restore(path) reads them");
+    }
     fleet.finish();
+
+    std::size_t next_spec = 0;
+    for (std::size_t id = 0; id < pending.size(); ++id) {
+      PendingSession& p = pending[id];
+      if (p.evicted) {
+        auto tomb = std::make_unique<Session>();
+        tomb->name = std::move(p.name);
+        tomb->evicted = true;
+        engine.sessions_.push_back(std::move(tomb));
+        continue;
+      }
+      std::vector<std::uint8_t> file_bytes;
+      std::span<const std::uint8_t> spec_bytes;
+      std::string spec_file;
+      if (specs_at == kSpecsInTable) {
+        ByteReader& entry = table[next_spec++];
+        spec_bytes = entry.bytes(entry.remaining());
+        if (spec_bytes.size() != p.ref.bytes ||
+            nsync::signal::crc32(spec_bytes.data(), spec_bytes.size()) !=
+                p.ref.crc) {
+          throw CheckpointError(CheckpointErrorKind::kMismatch,
+                                "MonitorEngine checkpoint: spec table entry "
+                                "of session '" +
+                                    p.name + "' is not the referenced spec");
+        }
+      } else {
+        spec_file = spec_path(*checkpoint_path, id);
+        file_bytes = nsync::signal::read_checkpoint_file(spec_file, p.ref.bytes,
+                                                         p.ref.crc);
+        spec_bytes = file_bytes;
+      }
+      SessionSpec spec = decode_session_spec(spec_bytes);
+      if (spec.name != p.name || spec.channels.size() != p.channels.size()) {
+        throw CheckpointError(CheckpointErrorKind::kMismatch,
+                              "MonitorEngine checkpoint: spec of session '" +
+                                  p.name + "' does not match its state");
+      }
+      const std::size_t sid = engine.add_session(std::move(spec));
+      Session& s = *engine.sessions_[sid];
+      s.frames_fed = p.frames_fed;
+      s.intrusion = p.intrusion;
+      s.first_alarm_window = p.first_alarm_window;
+      s.spec_ref = p.ref;
+      s.spec_file = std::move(spec_file);
+      for (std::size_t j = 0; j < p.channels.size(); ++j) {
+        Channel& c = s.channels[j];
+        ByteReader& cr = p.channels[j];
+        c.monitor.restore_state(cr);
+        c.staging.restore_state(cr);
+        cr.finish();
+      }
+    }
   } catch (const CheckpointError&) {
     throw;
   } catch (const std::exception& e) {
@@ -508,11 +676,46 @@ MonitorEngine MonitorEngine::restore_from_bytes(
   return engine;
 }
 
+MonitorEngine MonitorEngine::restore_from_bytes(
+    std::span<const std::uint8_t> payload, MonitorEngineOptions options) {
+  return restore_payload(payload, std::move(options), nullptr);
+}
+
 MonitorEngine MonitorEngine::restore(const std::string& path,
                                      MonitorEngineOptions options) {
   const std::vector<std::uint8_t> payload =
       nsync::signal::read_checkpoint_file(path);
-  return restore_from_bytes(payload, std::move(options));
+  MonitorEngine engine = restore_payload(payload, std::move(options), &path);
+  engine.remove_orphans(path);
+  return engine;
+}
+
+void MonitorEngine::remove_orphans(const std::string& path) const {
+  namespace fs = std::filesystem;
+  nsync::signal::remove_stale_tmp_files(path);
+  const std::string bpath = baseline_path();
+  if (!bpath.empty()) nsync::signal::remove_stale_tmp_files(bpath);
+  // Spec files the restored checkpoint does not reference: a session whose
+  // spec was written but whose admitting checkpoint never landed, or an
+  // evicted one whose file the crash kept from being deleted.
+  const fs::path target(path);
+  const std::string prefix = target.filename().string() + ".s";
+  std::error_code ec;
+  for (fs::directory_iterator it(
+           target.has_parent_path() ? target.parent_path() : fs::path("."), ec),
+       end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (!name.starts_with(prefix) || !name.ends_with(".spec")) continue;
+    const char* first = name.data() + prefix.size();
+    const char* last = name.data() + name.size() - 5;  // ".spec"
+    std::size_t id = 0;
+    const auto [parsed_to, err] = std::from_chars(first, last, id);
+    if (first == last || err != std::errc() || parsed_to != last) continue;
+    if (id < sessions_.size() && !sessions_[id]->evicted) continue;
+    std::error_code rm_ec;
+    fs::remove(it->path(), rm_ec);
+  }
 }
 
 }  // namespace nsync::engine

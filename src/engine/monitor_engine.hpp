@@ -22,8 +22,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -128,10 +130,10 @@ struct BaselineOptions {
   /// fused verdict and all-healthy channels).
   bool adaptive = false;
   /// When non-empty: construction bootstraps the registry from
-  /// `<dir>/<filename>` if that file exists, and every checkpoint() also
-  /// exports the registry there (atomic NCKP container).  The
-  /// authoritative crash-consistent copy always lives inside the fleet
-  /// checkpoint payload itself.
+  /// `<dir>/<filename>` if that file exists, and checkpoint() exports the
+  /// registry there (atomic NCKP container) whenever it changed since the
+  /// last export.  The authoritative crash-consistent copy always lives
+  /// inside the fleet checkpoint payload itself.
   std::string dir;
   std::string filename = "baselines.nbrg";
   AdaptationPolicy policy;
@@ -185,7 +187,8 @@ class MonitorEngine {
         resolve_on_admission_(other.resolve_on_admission_),
         polls_since_checkpoint_(other.polls_since_checkpoint_),
         windows_since_checkpoint_(other.windows_since_checkpoint_),
-        checkpoints_written_(other.checkpoints_written_) {}
+        checkpoints_written_(other.checkpoints_written_),
+        exported_generation_(other.exported_generation_) {}
   MonitorEngine& operator=(MonitorEngine&& other) noexcept {
     options_ = std::move(other.options_);
     sessions_ = std::move(other.sessions_);
@@ -194,6 +197,7 @@ class MonitorEngine {
     polls_since_checkpoint_ = other.polls_since_checkpoint_;
     windows_since_checkpoint_ = other.windows_since_checkpoint_;
     checkpoints_written_ = other.checkpoints_written_;
+    exported_generation_ = other.exported_generation_;
     return *this;
   }
 
@@ -236,35 +240,60 @@ class MonitorEngine {
 
   // --- Crash-safe checkpointing -------------------------------------------
   //
-  // A checkpoint is self-contained: it stores every session's full spec
-  // (names, reference signals, configs, thresholds) plus all streaming
-  // state (synchronizer rings, detection cores, health machines, staging
-  // buffers, fused verdicts), so restore() rebuilds the entire fleet from
-  // the file alone.  The bitwise-recovery property (tests/
-  // test_checkpoint.cpp): kill the process at any point, restore the last
-  // checkpoint, replay the frames fed since, and every detection, health
-  // state, fused verdict and first_alarm_window is identical to a run
-  // that never stopped.
+  // A checkpoint splits each session into its spec — name, model,
+  // reference signals, configs, resolved thresholds, effective fusion
+  // policy; immutable from admission on and ~94 % of the bytes for raw
+  // channels — and its streaming state (synchronizer rings, detection
+  // cores, health machines, staging buffers, fused verdict).  The state
+  // section names its spec by byte size + CRC-32 only; the spec bytes
+  // (save_session_spec encoding) live either
+  //   * in spec files beside the checkpoint, spec_path(path, id), each
+  //     written atomically once, the first time checkpoint(path) sees the
+  //     session — so a periodic checkpoint costs O(streaming state); or
+  //   * in a table at the end of the payload (serialize()), which keeps
+  //     the in-memory form self-contained.
+  // The bitwise-recovery property (tests/test_checkpoint.cpp): kill the
+  // process at any point, restore the last checkpoint, replay the frames
+  // fed since, and every detection, health state, fused verdict and
+  // first_alarm_window is identical to a run that never stopped.
 
-  /// Serializes the whole fleet into a checkpoint payload (unframed).
-  /// Takes each session's lock in turn; may run concurrently with feed().
+  /// Serializes the whole fleet, spec table included, into a checkpoint
+  /// payload (unframed).  Takes each session's lock in turn; may run
+  /// concurrently with feed().
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
 
-  /// serialize() + container framing + atomic file replacement.  A crash
-  /// mid-write leaves the previous checkpoint at `path` intact.  Throws
-  /// CheckpointError(kIo) on filesystem failure.
+  /// Atomically replaces `path` with the fleet's streaming state, after
+  /// first writing the spec file of every live session not yet written
+  /// for `path`.  Spec files of evicted sessions are deleted only once the
+  /// checkpoint holding their tombstone is durable.  A crash at any point
+  /// leaves a restorable set of files.  Throws CheckpointError(kIo) on
+  /// filesystem failure.  One engine per `path`: spec files are keyed by
+  /// session id.  Calls serialize with each other and with the periodic
+  /// policy's writes.
   void checkpoint(const std::string& path) const;
 
-  /// Rebuilds a fleet from a checkpoint payload.  Throws CheckpointError
-  /// (kTruncated/kCorrupt/kMismatch) on malformed input; never applies a
-  /// partial restore (the engine is built fresh or not at all).
+  /// Rebuilds a fleet from a serialize() payload.  Throws CheckpointError
+  /// (kTruncated/kCorrupt/kMismatch, kBadVersion for the pre-spec-file
+  /// layout) on malformed input; never applies a partial restore (the
+  /// engine is built fresh or not at all).  A payload whose specs live in
+  /// spec files (a checkpoint() file's) needs restore(path): kIo.
   [[nodiscard]] static MonitorEngine restore_from_bytes(
       std::span<const std::uint8_t> payload, MonitorEngineOptions options = {});
 
   /// Reads, validates and restores a checkpoint file written by
-  /// checkpoint().  Adds kIo/kBadMagic/kBadVersion to the error set.
+  /// checkpoint(), reading each live session's spec file.  Adds
+  /// kIo/kBadMagic/kBadVersion to the error set: kIo for a missing spec
+  /// file, kMismatch for one whose size or CRC is not the referenced one.
+  /// After a successful restore, deletes what crashes left beside `path`:
+  /// other processes' tmp files and spec files the checkpoint does not
+  /// reference.
   [[nodiscard]] static MonitorEngine restore(const std::string& path,
                                              MonitorEngineOptions options = {});
+
+  /// File holding session `session`'s spec for the checkpoint at
+  /// `checkpoint_path` (`<checkpoint_path>.s<session>.spec`).
+  [[nodiscard]] static std::string spec_path(const std::string& checkpoint_path,
+                                             std::size_t session);
 
   /// Where the periodic policy writes its checkpoint
   /// (`<checkpoint_dir>/fleet.nckp`); empty when the policy is disabled.
@@ -296,6 +325,13 @@ class MonitorEngine {
     Channel(std::string channel_name, const ChannelSpec& spec);
   };
 
+  /// Byte size + CRC-32 of a session's encoded spec: how a checkpoint
+  /// names the spec it was taken against.
+  struct SpecRef {
+    std::uint64_t bytes = 0;
+    std::uint32_t crc = 0;
+  };
+
   struct Session {
     std::string name;
     std::string model;  ///< registry key prefix; empty = not adaptive
@@ -309,6 +345,13 @@ class MonitorEngine {
     bool intrusion = false;
     std::ptrdiff_t first_alarm_window = -1;
     bool evicted = false;
+    // Checkpoint bookkeeping, guarded by mu.  Mutable: checkpoint() and
+    // serialize() are const (they change no fleet state) but remember what
+    // they computed and wrote.  spec_ref is set once — the spec never
+    // changes after admission; spec_file is the spec file last written
+    // for this session (empty once an evicted session's file is deleted).
+    mutable std::optional<SpecRef> spec_ref;
+    mutable std::string spec_file;
   };
 
   Session& session_at(std::size_t id);
@@ -321,7 +364,27 @@ class MonitorEngine {
   /// the fused verdict.  Caller must hold s.mu.
   std::size_t drain_locked(Session& s);
   static SessionSnapshot snapshot_locked(const Session& s);
+  /// Appends the session's spec in save_session_spec encoding to `w` and
+  /// records its SpecRef if not yet known.  Caller must hold s.mu; the
+  /// session must be live.
+  static void encode_spec(nsync::signal::ByteWriter& w, const Session& s);
+  /// Streaming state + SpecRef (or the tombstone).  Caller must hold s.mu.
   static void save_session(nsync::signal::ByteWriter& w, const Session& s);
+  /// Registry + spec-table flag: the common tail of both payload forms.
+  void save_registry(nsync::signal::ByteWriter& w) const;
+  /// Shared by restore() and restore_from_bytes(): `checkpoint_path` is
+  /// where spec files are looked up when the payload has no spec table
+  /// (nullptr: none may be looked up).
+  [[nodiscard]] static MonitorEngine restore_payload(
+      std::span<const std::uint8_t> payload, MonitorEngineOptions options,
+      const std::string* checkpoint_path);
+  /// restore() cleanup: stale tmp files and unreferenced spec files.
+  void remove_orphans(const std::string& path) const;
+  /// checkpoint() body.  Caller must hold checkpoint_mu_.
+  void checkpoint_locked(const std::string& path) const;
+  /// Exports the registry to baseline_path() if it changed since the last
+  /// export.  Caller must hold checkpoint_mu_.
+  void export_baselines() const;
   /// Fires the periodic checkpoint policy after a poll that processed
   /// `windows` windows.
   void maybe_checkpoint(std::size_t windows);
@@ -338,13 +401,19 @@ class MonitorEngine {
   // would arm newer thresholds than the original run and break bitwise
   // verdict replay.  Cleared for the duration of the restore loop.
   bool resolve_on_admission_ = true;
-  // Serializes the periodic checkpoint policy: concurrent poll() calls
-  // are allowed, so the trigger counters and the checkpoint write itself
-  // need their own lock (per-session mutexes don't cover them).
+  // Serializes checkpoint writes and the periodic policy: concurrent
+  // poll()/checkpoint() calls are allowed, so the trigger counters and the
+  // write itself need their own lock (per-session mutexes don't cover
+  // them).  One writer at a time also keeps a stale state file from
+  // landing after a newer one deleted an evicted session's spec file.
   mutable std::mutex checkpoint_mu_;
   std::size_t polls_since_checkpoint_ = 0;
   std::size_t windows_since_checkpoint_ = 0;
   std::size_t checkpoints_written_ = 0;
+  // Registry generation last exported to baseline_path(); max = never.
+  // Guarded by checkpoint_mu_.
+  mutable std::uint64_t exported_generation_ =
+      std::numeric_limits<std::uint64_t>::max();
 };
 
 }  // namespace nsync::engine

@@ -243,4 +243,11 @@ SessionSpec load_session_spec(ByteReader& r) {
   return spec;
 }
 
+SessionSpec decode_session_spec(std::span<const std::uint8_t> bytes) {
+  ByteReader r(bytes);
+  SessionSpec spec = load_session_spec(r);
+  r.finish();
+  return spec;
+}
+
 }  // namespace nsync::engine

@@ -1,15 +1,16 @@
 // Binary codec for session/channel specifications, shared by the two
 // places a SessionSpec crosses a byte boundary:
 //
-//   * checkpoints — MonitorEngine::serialize() stores every channel's full
-//     spec so restore() can rebuild the fleet from the file alone, and
+//   * checkpoints — MonitorEngine stores each admitted session's spec once
+//     (a spec file beside the checkpoint, or the in-payload spec table of
+//     serialize()) so restore() can rebuild the monitors, and
 //   * the frame-ingest wire protocol — ADD_SESSION carries the same spec
 //     from a client to the fleet daemon.
 //
 // Both sides reuse the signal/checkpoint ByteWriter/ByteReader primitives,
-// so a spec encoded for the wire is byte-identical to the spec section of
-// a checkpoint and every validation rule (enum ranges, bounds-checked
-// counts) is written exactly once.  All loaders throw
+// so a spec encoded for the wire is byte-identical to a checkpoint's spec
+// bytes and every validation rule (enum ranges, bounds-checked counts) is
+// written exactly once.  All loaders throw
 // signal::CheckpointError (kCorrupt/kTruncated) on malformed input and
 // never partially construct a spec.
 #ifndef NSYNC_ENGINE_SESSION_CODEC_HPP
@@ -17,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/fusion.hpp"
@@ -77,6 +79,10 @@ void save_fusion_policy(nsync::signal::ByteWriter& w,
 /// remaining bytes and rejects zero channels.
 void save_session_spec(nsync::signal::ByteWriter& w, const SessionSpec& spec);
 [[nodiscard]] SessionSpec load_session_spec(nsync::signal::ByteReader& r);
+/// load_session_spec over a whole buffer (a checkpoint spec file's
+/// payload): trailing bytes are kCorrupt.
+[[nodiscard]] SessionSpec decode_session_spec(
+    std::span<const std::uint8_t> bytes);
 
 }  // namespace nsync::engine
 

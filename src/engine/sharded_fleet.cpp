@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -94,9 +96,13 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options)
 }
 
 void ShardedFleet::start_workers() {
-  if (options_.shards == 0) return;  // inline mode: no queues, no threads
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard* s = shards_[i].get();
+    {
+      const std::scoped_lock lock(s->mu);
+      publish_all(*s);
+    }
+    if (options_.shards == 0) continue;  // inline mode: no queues, no threads
     s->queue = std::make_unique<FrameQueue>(options_.queue_capacity_frames,
                                             options_.overflow);
     s->worker = std::thread([this, i, s] { worker_loop(i, *s); });
@@ -136,9 +142,13 @@ void ShardedFleet::worker_loop(std::size_t index, Shard& shard) {
 void ShardedFleet::process_batches(std::size_t index, Shard& shard,
                                    const std::vector<FrameBatch>& batches) {
   bool evicted_any = false;
+  std::vector<std::size_t> touched;
+  touched.reserve(batches.size());
   const std::scoped_lock lock(shard.mu);
   for (const auto& b : batches) {
+    if (b.kind == FrameBatch::Kind::kBarrier) continue;  // after publish
     if (options_.worker_fault_hook) options_.worker_fault_hook(index, b);
+    touched.push_back(b.session);
     if (b.kind == FrameBatch::Kind::kEvict) {
       shard.engine->evict_session(b.session);
       evicted_any = true;
@@ -151,31 +161,84 @@ void ShardedFleet::process_batches(std::size_t index, Shard& shard,
       // race with eviction (frames queued before the evict command of
       // a re-used... never: ids are not reused) or a bug.  Either
       // way: count it, keep the shard alive.
-      ++shard.feed_errors;
+      ++shard.counters.feed_errors;
     }
   }
-  shard.windows += shard.engine->poll_inline();
-  ++shard.polls;
-  shard.batches += batches.size();
+  const std::size_t periodic_before = shard.engine->checkpoints_written();
+  shard.counters.windows += shard.engine->poll_inline();
+  ++shard.counters.polls;
+  shard.counters.batches += batches.size();
   // Make eviction durable on the spot instead of waiting for the
   // next periodic trigger: a restore must not resurrect a session
-  // the caller was told is gone.
-  if (evicted_any && !options_.checkpoint_dir.empty()) {
+  // the caller was told is gone.  A periodic checkpoint this round
+  // already holds the tombstone.
+  if (evicted_any && !options_.checkpoint_dir.empty() &&
+      shard.engine->checkpoints_written() == periodic_before) {
     shard.engine->checkpoint(shard.engine->checkpoint_path());
+    ++shard.counters.explicit_checkpoints;
   }
   const auto now = std::chrono::steady_clock::now();
   for (const auto& b : batches) {
     if (b.kind == FrameBatch::Kind::kFeed) {
-      shard.latency.record(now - b.enqueued_at);
+      shard.counters.latency.record(now - b.enqueued_at);
     }
   }
+  // Only the sessions this round fed or evicted changed.
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  publish(shard, touched);
+  for (const auto& b : batches) {
+    if (b.kind == FrameBatch::Kind::kBarrier) b.reached->set_value();
+  }
+}
+
+void ShardedFleet::publish(Shard& shard, std::span<const std::size_t> touched) {
+  std::vector<std::pair<std::size_t, SessionSnapshot>> snaps;
+  snaps.reserve(touched.size());
+  for (const std::size_t local : touched) {
+    snaps.emplace_back(local, shard.engine->snapshot(local));
+  }
+  // The registry changes only at admission (first-contact resolve) and
+  // eviction (fold); copy it only then.
+  std::optional<std::vector<ShardBaselineEntry>> baselines;
+  const BaselineRegistry* reg = shard.engine->baseline_registry();
+  if (reg != nullptr && reg->generation() != shard.baselines_generation) {
+    shard.baselines_generation = reg->generation();
+    baselines.emplace();
+    for (const auto& [model, profile] : reg->keys()) {
+      baselines->push_back({model, profile, reg->baseline(model, profile)});
+    }
+  }
+  const std::scoped_lock lock(shard.view_mu);
+  for (auto& [local, snap] : snaps) {
+    if (snap.evicted) {
+      shard.view.sessions.erase(local);
+    } else {
+      shard.view.sessions.insert_or_assign(local, std::move(snap));
+    }
+  }
+  shard.view.counters = shard.counters;
+  shard.view.checkpoints_written = shard.engine->checkpoints_written();
+  if (baselines) shard.view.baselines = std::move(*baselines);
+}
+
+void ShardedFleet::publish_all(Shard& shard) {
+  std::vector<std::size_t> all(shard.engine->sessions());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  // A new engine restarts its registry's generation count.
+  shard.baselines_generation = std::numeric_limits<std::uint64_t>::max();
+  {
+    const std::scoped_lock lock(shard.view_mu);
+    shard.view.sessions.clear();
+  }
+  publish(shard, all);
 }
 
 bool ShardedFleet::supervise_failure(std::size_t index, Shard& shard,
                                      const std::string& what) {
   {
-    const std::scoped_lock lock(shard.mu);
-    shard.failure_reason = what;
+    const std::scoped_lock lock(shard.view_mu);
+    shard.view.failure_reason = what;
   }
   shard.failed.store(true, std::memory_order_release);
   // The backlog queued behind the failure is contiguous with the *failed*
@@ -189,11 +252,15 @@ bool ShardedFleet::supervise_failure(std::size_t index, Shard& shard,
                                 options_.supervision.max_restarts;
   if (want_restart) {
     try {
+      // Under the shard lock: an admission must not write its spec and
+      // state between the restore's read and the restored engine taking
+      // over (the restore would delete that spec file as unreferenced).
+      const std::scoped_lock lock(shard.mu);
       MonitorEngine restored = MonitorEngine::restore(
           options_.checkpoint_dir + "/" + shard_checkpoint_filename(index),
           engine_options(index));
-      const std::scoped_lock lock(shard.mu);
       *shard.engine = std::move(restored);
+      publish_all(shard);
       shard.restarts.fetch_add(1, std::memory_order_relaxed);
       shard.failed.store(false, std::memory_order_release);
       return true;
@@ -223,8 +290,15 @@ std::size_t ShardedFleet::add_session(SessionSpec spec) {
   for (const auto& c : spec.channels) {
     info.channels.push_back({c.name, c.reference.channels()});
   }
-  const std::unique_lock registry_lock(registry_mu_);
-  const std::size_t id = registry_.size();
+  // Admissions serialize among themselves; the registry lock is taken only
+  // to read the next id and to publish the entry, so feeds and snapshots
+  // never wait behind an admission's shard round and checkpoint.
+  const std::scoped_lock admission_lock(admission_mu_);
+  std::size_t id = 0;
+  {
+    const std::shared_lock lock(registry_mu_);
+    id = registry_.size();
+  }
   const std::size_t S = effective_shards();
   info.shard = id % S;
   info.local = id / S;
@@ -241,8 +315,11 @@ std::size_t ShardedFleet::add_session(SessionSpec spec) {
     // right after the caller learns its id.
     if (!options_.checkpoint_dir.empty()) {
       shard.engine->checkpoint(shard.engine->checkpoint_path());
+      ++shard.counters.explicit_checkpoints;
     }
+    publish(shard, std::span(&local, 1));
   }
+  const std::unique_lock registry_lock(registry_mu_);
   registry_.push_back(std::move(info));
   return id;
 }
@@ -262,7 +339,9 @@ bool ShardedFleet::evict_session(std::size_t session) {
     shard.engine->evict_session(info.local);
     if (!options_.checkpoint_dir.empty()) {
       shard.engine->checkpoint(shard.engine->checkpoint_path());
+      ++shard.counters.explicit_checkpoints;
     }
+    publish(shard, std::span(&info.local, 1));
     return true;
   }
   FrameBatch evict;
@@ -281,6 +360,25 @@ std::optional<std::size_t> ShardedFleet::find_live_session(
     if (!info.evicted && info.name == name) return i - 1;
   }
   return std::nullopt;
+}
+
+void ShardedFleet::settle(std::size_t session) {
+  if (options_.shards == 0) return;  // inline feeds apply synchronously
+  Shard& shard = *shards_[shard_of(session)];
+  FrameBatch barrier;
+  barrier.kind = FrameBatch::Kind::kBarrier;
+  barrier.reached = std::make_shared<std::promise<void>>();
+  std::future<void> reached = barrier.reached->get_future();
+  barrier.enqueued_at = std::chrono::steady_clock::now();
+  // A closed (or kReject-overloaded) queue refuses the barrier: nothing
+  // more will be applied from it, or the caller sees the overload anyway.
+  if (!shard.queue->push(std::move(barrier)).accepted) return;
+  try {
+    reached.get();
+  } catch (const std::future_error&) {
+    // Dropped with a discarded backlog: what was queued before it will
+    // never be applied, which settles it too.
+  }
 }
 
 std::size_t ShardedFleet::sessions() const {
@@ -343,6 +441,7 @@ FeedResult ShardedFleet::feed(std::size_t session, const std::string& channel,
   if (options_.shards == 0) {
     const std::scoped_lock lock(shard.mu);
     shard.engine->feed(local, channel, frames);
+    publish(shard, std::span(&local, 1));
     result.accepted_frames = frames.frames();
     return result;
   }
@@ -378,8 +477,9 @@ void ShardedFleet::flush() {
       shard->queue->wait_idle();
     } else {
       const std::scoped_lock lock(shard->mu);
-      shard->windows += shard->engine->poll_inline();
-      ++shard->polls;
+      shard->counters.windows += shard->engine->poll_inline();
+      ++shard->counters.polls;
+      publish_all(*shard);
     }
   }
 }
@@ -407,8 +507,8 @@ SessionSnapshot ShardedFleet::snapshot(std::size_t session) const {
     local = info.local;
   }
   const Shard& shard = *shards_[shard_idx];
-  const std::scoped_lock lock(shard.mu);
-  return shard.engine->snapshot(local);
+  const std::scoped_lock lock(shard.view_mu);
+  return shard.view.sessions.at(local);
 }
 
 std::vector<SessionSnapshot> ShardedFleet::snapshots() const {
@@ -439,19 +539,22 @@ FleetStats ShardedFleet::stats() const {
     s.restarts = shard.restarts.load(std::memory_order_relaxed);
     s.discarded_frames = shard.discarded_frames.load(std::memory_order_relaxed);
     if (s.failed) ++out.failed_shards;
+    ShardCounters c;
     {
-      const std::scoped_lock lock(shard.mu);
-      s.failure_reason = shard.failure_reason;
-      s.batches = shard.batches;
-      s.polls = shard.polls;
-      s.windows = shard.windows;
-      s.feed_errors = shard.feed_errors;
-      s.checkpoints_written = shard.engine->checkpoints_written();
-      s.latency_samples = shard.latency.count();
-      s.p50_feed_to_verdict_us = shard.latency.quantile_us(0.50);
-      s.p99_feed_to_verdict_us = shard.latency.quantile_us(0.99);
-      merged.merge(shard.latency);
+      const std::scoped_lock lock(shard.view_mu);
+      s.failure_reason = shard.view.failure_reason;
+      c = shard.view.counters;
+      s.checkpoints_written = shard.view.checkpoints_written;
     }
+    s.batches = c.batches;
+    s.polls = c.polls;
+    s.windows = c.windows;
+    s.feed_errors = c.feed_errors;
+    s.checkpoint_writes = s.checkpoints_written + c.explicit_checkpoints;
+    s.latency_samples = c.latency.count();
+    s.p50_feed_to_verdict_us = c.latency.quantile_us(0.50);
+    s.p99_feed_to_verdict_us = c.latency.quantile_us(0.99);
+    merged.merge(c.latency);
     out.windows += s.windows;
     out.shed_frames += s.queue.shed_frames;
     out.rejected_frames += s.queue.rejected_frames;
@@ -481,12 +584,9 @@ std::vector<ShardBaselines> ShardedFleet::baselines() const {
     const Shard& shard = *shards_[i];
     ShardBaselines sb;
     sb.shard = i;
-    const std::scoped_lock lock(shard.mu);
-    const BaselineRegistry* reg = shard.engine->baseline_registry();
-    if (reg != nullptr) {
-      for (const auto& [model, profile] : reg->keys()) {
-        sb.entries.push_back({model, profile, reg->baseline(model, profile)});
-      }
+    {
+      const std::scoped_lock lock(shard.view_mu);
+      sb.entries = shard.view.baselines;
     }
     out.push_back(std::move(sb));
   }
@@ -508,6 +608,8 @@ void ShardedFleet::checkpoint_all() const {
   for (const auto& shard : shards_) {
     const std::scoped_lock lock(shard->mu);
     shard->engine->checkpoint(shard->engine->checkpoint_path());
+    ++shard->counters.explicit_checkpoints;
+    publish(*shard, {});
   }
 }
 

@@ -30,10 +30,15 @@
 // frame is accounted in per-shard stats.  Past saturation the fleet
 // degrades by policy, never by unbounded memory growth.
 //
+// Observation: snapshot(), stats() and baselines() read a per-shard view
+// the worker republishes after every round, never the engine itself, so a
+// POLL_STATS does not wait behind a long drain + checkpoint round.
+//
 // Crash safety: each shard's engine periodically checkpoints its own
-// sessions to `<dir>/fleet.<shard>.nckp` (the PR-5 atomic container), and
-// add_session() checkpoints the target shard synchronously so admission is
-// durable.  restore() reloads all N files and replays bitwise-identical
+// sessions' streaming state to `<dir>/fleet.<shard>.nckp` (the atomic
+// NCKP container), next to one spec file per live session written once at
+// admission, and add_session() checkpoints the target shard synchronously
+// so admission is durable.  restore() reloads all N files and replays bitwise-identical
 // verdicts once the feeder resumes each channel at its recorded
 // frames_fed offset.
 #ifndef NSYNC_ENGINE_SHARDED_FLEET_HPP
@@ -45,10 +50,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,7 +114,10 @@ struct ShardStats {
   std::uint64_t restarts = 0;     ///< restart-from-checkpoint recoveries
   std::uint64_t discarded_frames = 0;  ///< backlog dropped at failure
   std::string failure_reason;     ///< what() of the escaped exception
-  std::uint64_t checkpoints_written = 0;
+  std::uint64_t checkpoints_written = 0;  ///< by the periodic policy
+  /// Every shard checkpoint written: the periodic ones plus the
+  /// synchronous admission, eviction and checkpoint_all() ones.
+  std::uint64_t checkpoint_writes = 0;
   std::uint64_t latency_samples = 0;
   double p50_feed_to_verdict_us = 0.0;
   double p99_feed_to_verdict_us = 0.0;
@@ -213,6 +223,13 @@ class ShardedFleet {
   [[nodiscard]] std::optional<std::size_t> find_live_session(
       const std::string& name) const;
 
+  /// Returns once the session's shard worker has applied and published
+  /// every batch queued before this call, so a snapshot taken afterwards
+  /// counts every frame whose feed() was accepted before it.  No-op in
+  /// inline mode.  The wire layer calls it when a reconnecting client
+  /// re-attaches, before the client reads its resume offsets.
+  void settle(std::size_t session);
+
   /// Ids ever issued (including evicted sessions).
   [[nodiscard]] std::size_t sessions() const;
 
@@ -258,23 +275,45 @@ class ShardedFleet {
       const std::string& dir, ShardedFleetOptions options);
 
  private:
+  /// Worker-side counters of one shard.
+  struct ShardCounters {
+    std::uint64_t batches = 0;
+    std::uint64_t polls = 0;
+    std::uint64_t windows = 0;
+    std::uint64_t feed_errors = 0;
+    std::uint64_t explicit_checkpoints = 0;  // outside the periodic policy
+    LatencyHistogram latency;
+  };
+
+  /// A shard as observers see it: snapshot(), stats() and baselines() read
+  /// only this.  Republished at the end of every worker round and by every
+  /// operation that changes the engine outside one (admission; feed,
+  /// evict and flush in inline mode), so readers never wait for a round to
+  /// finish: a reading linearizes at the end of the last completed round,
+  /// the state they would have seen by locking the shard between rounds.
+  struct ShardView {
+    std::map<std::size_t, SessionSnapshot> sessions;  // live, by local id
+    ShardCounters counters;
+    std::uint64_t checkpoints_written = 0;
+    std::vector<ShardBaselineEntry> baselines;
+    std::string failure_reason;
+  };
+
   struct Shard {
     std::unique_ptr<MonitorEngine> engine;  // engine ops serialize on mu
     mutable std::mutex mu;
     std::unique_ptr<FrameQueue> queue;  // null in inline mode
     std::thread worker;
-    // Worker-side counters, guarded by mu.
-    std::uint64_t batches = 0;
-    std::uint64_t polls = 0;
-    std::uint64_t windows = 0;
-    std::uint64_t feed_errors = 0;
-    LatencyHistogram latency;
+    ShardCounters counters;  // guarded by mu
+    // Registry generation the view's baselines were copied at (mu).
+    std::uint64_t baselines_generation = 0;
     // Supervision state.  `failed` is atomic so the feed hot path can
-    // check it without taking mu; failure_reason is guarded by mu.
+    // check it without taking mu; the failure reason lives in the view.
     std::atomic<bool> failed{false};
     std::atomic<std::uint64_t> restarts{0};
     std::atomic<std::uint64_t> discarded_frames{0};
-    std::string failure_reason;
+    mutable std::mutex view_mu;
+    ShardView view;  // guarded by view_mu
   };
 
   struct ChannelInfo {
@@ -306,14 +345,22 @@ class ShardedFleet {
   /// and drained so flush() can never hang on the dead worker).
   bool supervise_failure(std::size_t index, Shard& shard,
                          const std::string& what);
+  /// Republishes shard.view: the snapshots of the `touched` local
+  /// sessions, the counters, and the baselines if the registry changed.
+  /// Caller holds shard.mu.
+  static void publish(Shard& shard, std::span<const std::size_t> touched);
+  /// publish() of every session, replacing the view's session set (after
+  /// the engine was built or replaced).  Caller holds shard.mu.
+  static void publish_all(Shard& shard);
   [[nodiscard]] std::size_t effective_shards() const {
     return options_.shards == 0 ? 1 : options_.shards;
   }
 
   ShardedFleetOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::mutex admission_mu_;  // serializes add_session (id order)
   mutable std::shared_mutex registry_mu_;
-  std::vector<SessionInfo> registry_;
+  std::vector<SessionInfo> registry_;  // grows only under admission_mu_
 };
 
 }  // namespace nsync::engine

@@ -10,6 +10,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <string_view>
 
 namespace nsync::signal {
 
@@ -22,7 +24,9 @@ constexpr std::array<char, 4> kMagic = {'N', 'C', 'K', 'P'};
 // v2: RealtimeMonitor serializes the benign-baseline accumulator and fleet
 // payloads carry the baseline-registry section; v1 files predate per-device
 // adaptation and are rejected rather than restored with a silently empty
-// baseline.
+// baseline.  Payload layouts version themselves below the container (the
+// fleet payload through its section id, NBRG through its format field), so
+// a payload change does not orphan every other kind of NCKP file.
 constexpr std::uint32_t kVersion = 2;
 // Header: magic + u32 version + u64 payload length; footer: u32 CRC.
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
@@ -46,24 +50,54 @@ std::string checkpoint_error_kind_name(CheckpointErrorKind k) {
   return "checkpoint error";
 }
 
-std::uint32_t crc32(const void* data, std::size_t bytes) {
-  // Table-driven reflected CRC-32 (polynomial 0xEDB88320).  The table is
-  // built once on first use; thread-safe via static-local init.
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+namespace {
+
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// Slice-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320):
+// t[0] is the classic byte table; t[k][i] is the CRC of byte i followed by
+// k zero bytes, so eight input bytes fold into the state with eight
+// independent lookups instead of a serial chain of eight.
+const CrcTables& crc_tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t i = 0; i < 256; ++i) {
+      for (std::size_t k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
+  return tables;
+}
+
+}  // namespace
+
+std::uint32_t crc32(const void* data, std::size_t bytes) {
+  const CrcTables& t = crc_tables();
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; bytes >= 8; p += 8, bytes -= 8) {
+    // memcpy: no alignment requirement on `data`; little-endian host
+    // (asserted above), so byte 0 lands in the low bits of `lo`.
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    std::memcpy(&lo, p, sizeof(lo));
+    std::memcpy(&hi, p + 4, sizeof(hi));
+    lo ^= crc;
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; bytes > 0; ++p, --bytes) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -130,7 +164,11 @@ std::vector<double> ByteReader::f64_array() {
                               " elements exceeds remaining bytes");
   }
   std::vector<double> out(static_cast<std::size_t>(count));
-  std::memcpy(out.data(), data_.data() + pos_, out.size() * sizeof(double));
+  // memcpy from/to a null pointer is undefined even for zero bytes, and an
+  // empty vector's data() may be null.
+  if (!out.empty()) {
+    std::memcpy(out.data(), data_.data() + pos_, out.size() * sizeof(double));
+  }
   pos_ += out.size() * sizeof(double);
   return out;
 }
@@ -327,7 +365,9 @@ void write_checkpoint_file(const std::string& path,
   atomic_write_file(path, file);
 }
 
-std::vector<std::uint8_t> read_checkpoint_file(const std::string& path) {
+namespace {
+
+[[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     throw CheckpointError(CheckpointErrorKind::kIo,
@@ -345,8 +385,74 @@ std::vector<std::uint8_t> read_checkpoint_file(const std::string& path) {
     throw CheckpointError(CheckpointErrorKind::kIo,
                           "read of '" + path + "' failed");
   }
+  return bytes;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> read_checkpoint_file(const std::string& path) {
+  const std::vector<std::uint8_t> bytes = read_file(path);
   const std::span<const std::uint8_t> payload = unframe_checkpoint(bytes);
   return {payload.begin(), payload.end()};
+}
+
+std::vector<std::uint8_t> read_checkpoint_file(const std::string& path,
+                                               std::uint64_t payload_bytes,
+                                               std::uint32_t payload_crc) {
+  const std::vector<std::uint8_t> bytes = read_file(path);
+  // The reference is checked before the framing, so any edit to the
+  // payload reads as "not the file the referrer wrote" (kMismatch), not
+  // as generic corruption.
+  // Subtraction form: `payload_bytes` comes from the referring file and
+  // must not be able to wrap the size check.
+  if (bytes.size() < kHeaderBytes + kFooterBytes ||
+      payload_bytes != bytes.size() - kHeaderBytes - kFooterBytes ||
+      crc32(bytes.data() + kHeaderBytes, static_cast<std::size_t>(
+                                             payload_bytes)) != payload_crc) {
+    throw CheckpointError(CheckpointErrorKind::kMismatch,
+                          "'" + path + "' is not the file its checkpoint "
+                          "references (size or CRC differs)");
+  }
+  const std::span<const std::uint8_t> payload = unframe_checkpoint(bytes);
+  return {payload.begin(), payload.end()};
+}
+
+std::size_t remove_stale_tmp_files(const std::string& path) {
+  namespace fs = std::filesystem;
+  const fs::path target(path);
+  const std::string base = target.filename().string();
+  const fs::path dir =
+      target.has_parent_path() ? target.parent_path() : fs::path(".");
+  const std::string own_pid = std::to_string(::getpid());
+  const auto digits = [](std::string_view s) {
+    return !s.empty() && s.find_first_not_of("0123456789") == s.npos;
+  };
+  std::size_t removed = 0;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    // "<name>.<pid>.<n>.tmp", as atomic_write_file names its tmp files.
+    const std::string name = it->path().filename().string();
+    std::string_view rest(name);
+    if (!rest.ends_with(".tmp")) continue;
+    rest.remove_suffix(4);
+    const std::size_t seq_dot = rest.rfind('.');
+    if (seq_dot == rest.npos || !digits(rest.substr(seq_dot + 1))) continue;
+    const std::string_view head = rest.substr(0, seq_dot);
+    const std::size_t pid_dot = head.rfind('.');
+    if (pid_dot == head.npos || !digits(head.substr(pid_dot + 1))) continue;
+    const std::string_view pid = head.substr(pid_dot + 1);
+    const std::string_view written = head.substr(0, pid_dot);
+    const bool ours =
+        written == base ||
+        (written.size() > base.size() && written.starts_with(base) &&
+         written[base.size()] == '.');
+    // A tmp file of this process may belong to a write still in flight.
+    if (!ours || pid == own_pid) continue;
+    std::error_code rm_ec;
+    if (fs::remove(it->path(), rm_ec)) ++removed;
+  }
+  return removed;
 }
 
 }  // namespace nsync::signal

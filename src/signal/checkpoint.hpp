@@ -21,7 +21,8 @@
 //     is ever partially applied.
 //   * Atomic file replacement — write to a unique "<path>.<pid>.<n>.tmp",
 //     fsync, rename over `path`.  A crash mid-write leaves the previous
-//     checkpoint loadable, and concurrent writers never share a tmp file.
+//     checkpoint loadable, and concurrent writers never share a tmp file;
+//     remove_stale_tmp_files() reclaims the tmp files such crashes leave.
 //
 // Every failure mode throws CheckpointError with a machine-readable kind;
 // no other exception type escapes the loaders (fuzz/fuzz_checkpoint pins
@@ -127,6 +128,14 @@ class ByteReader {
     return value;
   }
 
+  /// The next `n` raw bytes, as a view into the underlying buffer.
+  [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t n) {
+    require(n);
+    const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
   [[nodiscard]] std::vector<double> f64_array();
   [[nodiscard]] std::vector<std::uint8_t> u8_array();
   [[nodiscard]] std::string str();
@@ -177,6 +186,23 @@ void write_checkpoint_file(const std::string& path,
 /// Reads `path`, validates the container, returns a copy of the payload.
 [[nodiscard]] std::vector<std::uint8_t> read_checkpoint_file(
     const std::string& path);
+
+/// read_checkpoint_file for a file another checkpoint refers to by the
+/// size and CRC-32 of its payload.  Throws kMismatch when the file's
+/// payload is not exactly that one (checked before the framing, so an
+/// edited payload is a mismatch, not corruption), kIo when unreadable,
+/// and the framing errors otherwise.
+[[nodiscard]] std::vector<std::uint8_t> read_checkpoint_file(
+    const std::string& path, std::uint64_t payload_bytes,
+    std::uint32_t payload_crc);
+
+/// Deletes the leftovers of atomic_write_file calls that died mid-write
+/// (a SIGKILL between create and rename): files in the directory of
+/// `path` named "<name>.<pid>.<n>.tmp" where <name> is `path`'s file name
+/// or starts with it plus "." (files written beside it), and <pid> is not
+/// this process (whose writes may still be in flight).  Best-effort:
+/// filesystem errors are ignored.  Returns the number of files removed.
+std::size_t remove_stale_tmp_files(const std::string& path);
 
 }  // namespace nsync::signal
 

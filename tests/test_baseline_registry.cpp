@@ -6,6 +6,8 @@
 // moves the baseline, benign feature maxima are chunking-invariant, and
 // adapted thresholds survive a serialize/restore cycle bitwise.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstddef>
@@ -330,6 +332,53 @@ TEST(BaselineRegistryCodec, PolicyMismatchRejected) {
   }
 }
 
+TEST(BaselineRegistryCodec, LayoutOneFileWrittenByHandStillLoads) {
+  // An .nbrg exported before fleet checkpoints moved their specs into
+  // spec files: NCKP container v2 around an NBRG format-1 section, spelled
+  // out field by field so neither layout can drift silently.
+  const AdaptationPolicy p = eager_policy();
+  ByteWriter section;
+  section.pod<std::uint32_t>(0x4752424E);  // "NBRG"
+  ByteWriter body;
+  body.pod<std::uint32_t>(1);  // format version
+  body.pod<std::uint64_t>(p.history);
+  body.pod<std::uint64_t>(p.min_prints);
+  body.pod<double>(p.max_step);
+  body.pod<double>(p.max_drift);
+  body.pod<double>(p.r);
+  body.pod<std::uint64_t>(1);  // one baseline
+  body.str("mk3");
+  body.str("acc");
+  for (const double v : {1.0, 2.0, 3.0, 1.25, 2.5, 3.75}) body.pod<double>(v);
+  body.pod<std::uint64_t>(2);  // prints
+  body.pod<std::uint64_t>(1);  // frozen
+  body.pod<std::uint64_t>(1);  // recent ring
+  for (const double v : {1.1, 2.1, 3.1}) body.pod<double>(v);
+  section.pod<std::uint64_t>(body.data().size());
+  section.bytes(body.data().data(), body.data().size());
+
+  ByteWriter file;
+  file.bytes("NCKP", 4);
+  file.pod<std::uint32_t>(2);
+  file.pod<std::uint64_t>(section.data().size());
+  file.bytes(section.data().data(), section.data().size());
+  file.pod<std::uint32_t>(
+      nsync::signal::crc32(section.data().data(), section.data().size()));
+  const std::string path = ::testing::TempDir() + "registry_layout1.nbrg";
+  nsync::signal::atomic_write_file(path, file.data());
+
+  const BaselineRegistry loaded = BaselineRegistry::load(path, p);
+  ASSERT_TRUE(loaded.contains("mk3", "acc"));
+  const DeviceBaseline b = loaded.baseline("mk3", "acc");
+  EXPECT_EQ(b.anchor.h_c, 2.0);
+  EXPECT_EQ(b.current.v_c, 3.75);
+  EXPECT_EQ(b.prints, 2u);
+  EXPECT_EQ(b.frozen, 1u);
+  ASSERT_EQ(b.recent.size(), 1u);
+  EXPECT_EQ(b.recent[0].c_max, 1.1);
+  std::filesystem::remove(path);
+}
+
 // ---------------------------------------------------------------------------
 // Engine-level guarantees
 
@@ -496,6 +545,55 @@ TEST(BaselineRegistryEngine, AdaptedThresholdsSurviveSerializeRestore) {
   EXPECT_EQ(ta.c_c, tb.c_c);
   EXPECT_EQ(ta.h_c, tb.h_c);
   EXPECT_EQ(ta.v_c, tb.v_c);
+}
+
+ino_t inode_of(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
+
+TEST(BaselineRegistryEngine, ExportIsRewrittenOnlyWhenTheRegistryChanged) {
+  EngineRig rig;
+  const std::string root = ::testing::TempDir() + "nbrg-export-" +
+                           std::to_string(::getpid());
+  std::filesystem::create_directories(root + "/ckpt");
+  std::filesystem::create_directories(root + "/base");
+  MonitorEngineOptions opts;
+  opts.checkpoint_dir = root + "/ckpt";
+  opts.checkpoint_every_polls = 1;
+  opts.baseline.adaptive = true;
+  opts.baseline.policy = eager_policy();
+  opts.baseline.dir = root + "/base";
+  MonitorEngine eng(opts);
+  const std::string bpath = eng.baseline_path();
+
+  // First contact seeds the baseline: the first checkpoint exports it.
+  const Signal obs = benign_observation(rig.reference, 900);
+  const std::size_t id = eng.add_session(rig.spec("p0"));
+  eng.feed(id, "acc", obs.view().slice(0, 200));
+  eng.poll();
+  ASSERT_TRUE(std::filesystem::exists(bpath));
+  const ino_t seeded = inode_of(bpath);
+
+  // Polls without a fold checkpoint the fleet but leave the export alone
+  // (an atomic rewrite would show up as a new inode).
+  eng.feed(id, "acc", obs.view().slice(200, 400));
+  eng.poll();
+  eng.poll();
+  EXPECT_EQ(eng.checkpoints_written(), 3u);
+  EXPECT_EQ(inode_of(bpath), seeded);
+
+  // The end-of-print fold changes the registry: the next checkpoint
+  // exports it, and the file matches the registry.
+  eng.feed(id, "acc", obs.view().slice(400, obs.frames()));
+  eng.evict_session(id);
+  eng.poll();
+  EXPECT_NE(inode_of(bpath), seeded);
+  expect_same(BaselineRegistry::load(bpath, opts.baseline.policy),
+              *eng.baseline_registry());
+  EXPECT_EQ(eng.baseline_registry()->baseline("mk3", "acc").prints, 1u);
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // frames fed since, and every detection, health state, fused verdict and
 // first_alarm_window is bitwise identical to a run that never stopped.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -13,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,8 +26,10 @@
 #include "core/nsync.hpp"
 #include "engine/monitor_engine.hpp"
 #include "engine/session_codec.hpp"
+#include "eval/setup.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sensors/fault_injector.hpp"
+#include "sensors/side_channel.hpp"
 #include "signal/checkpoint.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
@@ -66,6 +71,29 @@ TEST(Crc32, MatchesKnownVector) {
   const char* s = "123456789";
   EXPECT_EQ(nsync::signal::crc32(s, 9), 0xCBF43926u);
   EXPECT_EQ(nsync::signal::crc32(s, 0), 0x00000000u);
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseReference) {
+  // Every length 0..4097 at every start offset mod 8: the slice-by-8 loop,
+  // its byte tail and unaligned loads against the bit-at-a-time definition
+  // (whose running state yields every prefix CRC in one pass).
+  constexpr std::size_t kMaxLen = 4097;
+  Rng rng(2024);
+  std::vector<std::uint8_t> buf(kMaxLen + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::uint8_t* p = buf.data() + offset;
+    std::uint32_t state = 0xFFFFFFFFu;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(nsync::signal::crc32(p, len), state ^ 0xFFFFFFFFu)
+          << "offset " << offset << ", length " << len;
+      if (len == kMaxLen) break;
+      state ^= p[len];
+      for (int k = 0; k < 8; ++k) {
+        state = (state & 1u) ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+      }
+    }
+  }
 }
 
 TEST(ByteCodec, PodArrayStringSignalRoundTrip) {
@@ -1131,6 +1159,273 @@ TEST_F(CheckpointFleetTest, RestoreRejectsMissingAndForeignFiles) {
     EXPECT_EQ(e.kind(), CheckpointErrorKind::kBadMagic);
   }
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Spec-once checkpoints: spec files, references, failure taxonomy, cleanup
+
+ino_t inode_of(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void put_file(const std::string& path, std::span<const std::uint8_t> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The kind restore(path) fails with (the test fails if it succeeds).
+CheckpointErrorKind restore_error(const std::string& path) {
+  try {
+    (void)MonitorEngine::restore(path);
+  } catch (const CheckpointError& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << "restore of " << path << " succeeded";
+  return CheckpointErrorKind::kIo;
+}
+
+/// A fresh directory under the test temp dir, removed on scope exit.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& tag)
+      : path_(temp_path("spec-" + tag + "-" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  [[nodiscard]] std::string file(const std::string& name) const {
+    return path_ + "/" + name;
+  }
+
+ private:
+  std::string path_;
+};
+
+TEST_F(CheckpointFleetTest, SpecFilesAreWrittenOnceAndRestoreBitwise) {
+  const ScratchDir dir("once");
+  const std::string path = dir.file("fleet.nckp");
+  MonitorEngine eng = make_engine();
+  feed_rounds(eng, 113, 0, 3);
+  eng.checkpoint(path);
+  const std::string s0 = MonitorEngine::spec_path(path, 0);
+  const std::string s1 = MonitorEngine::spec_path(path, 1);
+  ASSERT_EQ(s0, path + ".s0.spec");
+  const ino_t spec0 = inode_of(s0);
+  const ino_t spec1 = inode_of(s1);
+  const ino_t state = inode_of(path);
+
+  // Later checkpoints rewrite the state file (a new inode per atomic
+  // replace) but never the specs.
+  feed_rounds(eng, 113, 3, 6);
+  eng.checkpoint(path);
+  EXPECT_NE(inode_of(path), state);
+  EXPECT_EQ(inode_of(s0), spec0);
+  EXPECT_EQ(inode_of(s1), spec1);
+
+  // State file + spec files restore to exactly the in-memory form, and
+  // the restored engine's next checkpoint does not rewrite them either.
+  MonitorEngine revived = MonitorEngine::restore(path);
+  EXPECT_TRUE(revived.serialize() == eng.serialize());
+  revived.checkpoint(path);
+  EXPECT_EQ(inode_of(s0), spec0);
+
+  // A checkpoint() payload names its specs; restore_from_bytes has no
+  // directory to read them from.
+  const std::vector<std::uint8_t> payload =
+      nsync::signal::read_checkpoint_file(path);
+  try {
+    (void)MonitorEngine::restore_from_bytes(payload);
+    FAIL() << "spec-file payload restored from bytes";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointErrorKind::kIo);
+  }
+}
+
+TEST_F(CheckpointFleetTest, StateFileDoesNotGrowWithReferenceLength) {
+  // Two fleets that differ only in reference length (the longer reference
+  // extends the shorter one) and see the same frames: their state files
+  // are byte-for-byte the same size, their self-contained forms are not.
+  const ScratchDir dir("size");
+  const Signal longer = make_reference(4 * reference_.frames(), 77);
+  std::vector<std::uintmax_t> state_bytes;
+  std::vector<std::size_t> payload_bytes;
+  for (const Signal* ref : {static_cast<const Signal*>(&reference_), &longer}) {
+    MonitorEngine eng;
+    for (const char* name : {"benign-print", "tampered-print"}) {
+      SessionSpec spec = make_session(name);
+      for (auto& c : spec.channels) c.reference = *ref;
+      eng.add_session(std::move(spec));
+    }
+    feed_rounds(eng, 113, 0, 4);
+    const std::string path =
+        dir.file("fleet-" + std::to_string(ref->frames()) + ".nckp");
+    eng.checkpoint(path);
+    state_bytes.push_back(std::filesystem::file_size(path));
+    payload_bytes.push_back(eng.serialize().size());
+  }
+  EXPECT_EQ(state_bytes[0], state_bytes[1]);
+  EXPECT_LT(payload_bytes[0], payload_bytes[1]);
+}
+
+TEST_F(CheckpointFleetTest, SpecFileFailuresAreTyped) {
+  const ScratchDir dir("taxonomy");
+  const std::string path = dir.file("fleet.nckp");
+  MonitorEngine eng = make_engine();
+  feed_rounds(eng, 113, 0, 3);
+  eng.checkpoint(path);
+  const std::string s0 = MonitorEngine::spec_path(path, 0);
+  const std::string s1 = MonitorEngine::spec_path(path, 1);
+  const std::vector<std::uint8_t> original = file_bytes(s1);
+
+  // Missing spec file: kIo.
+  std::filesystem::remove(s1);
+  EXPECT_EQ(restore_error(path), CheckpointErrorKind::kIo);
+
+  // Edited spec file (one payload byte — the container header is 16
+  // bytes): kMismatch, not corruption.
+  std::vector<std::uint8_t> edited = original;
+  edited[16 + edited.size() / 2] ^= 0x01;
+  put_file(s1, edited);
+  EXPECT_EQ(restore_error(path), CheckpointErrorKind::kMismatch);
+
+  // Another session's intact spec file in its place: kMismatch.
+  put_file(s1, file_bytes(s0));
+  EXPECT_EQ(restore_error(path), CheckpointErrorKind::kMismatch);
+
+  // Failed restores delete nothing; with the right file back it restores.
+  EXPECT_TRUE(std::filesystem::exists(s0));
+  put_file(s1, original);
+  MonitorEngine revived = MonitorEngine::restore(path);
+  EXPECT_TRUE(revived.serialize() == eng.serialize());
+}
+
+TEST_F(CheckpointFleetTest, PreSpecFileFleetLayoutIsBadVersion) {
+  // A fleet payload from before spec files (section "\x01FLT", specs
+  // inline): an empty fleet without a registry, framed as it was written.
+  ByteWriter w;
+  const std::size_t tok = w.begin_section(0x544C4601);
+  w.pod<std::uint64_t>(0);  // sessions
+  w.pod<std::uint8_t>(0);   // no registry
+  w.end_section(tok);
+  const ScratchDir dir("layout1");
+  const std::string path = dir.file("fleet.nckp");
+  nsync::signal::write_checkpoint_file(path, w.data());
+  EXPECT_EQ(restore_error(path), CheckpointErrorKind::kBadVersion);
+  try {
+    (void)MonitorEngine::restore_from_bytes(w.data());
+    FAIL() << "layout-1 payload restored";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointErrorKind::kBadVersion);
+  }
+}
+
+TEST_F(CheckpointFleetTest, RestoreRemovesWhatCrashesLeftBehind) {
+  const ScratchDir dir("cleanup");
+  const std::string path = dir.file("fleet.nckp");
+  MonitorEngine eng = make_engine();
+  feed_rounds(eng, 113, 0, 3);
+  eng.checkpoint(path);
+  const std::string s0 = MonitorEngine::spec_path(path, 0);
+  const std::string s1 = MonitorEngine::spec_path(path, 1);
+  const std::vector<std::uint8_t> spec1 = file_bytes(s1);
+
+  // Eviction keeps the spec file until the tombstone is durable.
+  eng.evict_session(1);
+  EXPECT_TRUE(std::filesystem::exists(s1));
+  eng.checkpoint(path);
+  EXPECT_FALSE(std::filesystem::exists(s1));
+
+  // Crash window 1: tombstone durable, spec file not yet deleted.
+  put_file(s1, spec1);
+  // Crash window 2: a new session's spec written, its state not yet.
+  const std::string s2 = MonitorEngine::spec_path(path, 2);
+  put_file(s2, spec1);
+  // SIGKILLs mid-write by another process, of the state and of a spec.
+  const std::string stale_state = path + ".999999999.0.tmp";
+  const std::string stale_spec = s0 + ".999999999.1.tmp";
+  // A write of this process may be in flight; other targets are not ours.
+  const std::string own = path + "." + std::to_string(::getpid()) + ".7.tmp";
+  const std::string foreign = dir.file("other.nckp.999999999.0.tmp");
+  for (const std::string* f : {&stale_state, &stale_spec, &own, &foreign}) {
+    put_file(*f, spec1);
+  }
+
+  MonitorEngine revived = MonitorEngine::restore(path);
+  EXPECT_TRUE(revived.snapshot(1).evicted);
+  EXPECT_TRUE(std::filesystem::exists(s0));
+  EXPECT_FALSE(std::filesystem::exists(s1));
+  EXPECT_FALSE(std::filesystem::exists(s2));
+  EXPECT_FALSE(std::filesystem::exists(stale_state));
+  EXPECT_FALSE(std::filesystem::exists(stale_spec));
+  EXPECT_TRUE(std::filesystem::exists(own));
+  EXPECT_TRUE(std::filesystem::exists(foreign));
+}
+
+TEST(SpecOnceCheckpoint, PeriodicCheckpointOfPrintChurnSessionsIsSmall) {
+  // print_churn-shaped sessions: raw MAG + ACC + AUD at the evaluation
+  // rates with ~19 s references and RM3 DWM parameters, streamed in 1 s
+  // blocks with a checkpoint after every poll.  The per-round state file
+  // must stay within 10 % of the self-contained form.
+  using nsync::sensors::SideChannel;
+  constexpr double kSeconds = 19.0;
+  const std::string dir = temp_path("spec-churn-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  MonitorEngineOptions opts;
+  opts.checkpoint_dir = dir;
+  opts.checkpoint_every_polls = 1;
+  MonitorEngine eng(opts);
+  std::vector<Signal> refs;
+  SessionSpec spec;
+  for (const SideChannel ch :
+       {SideChannel::kMag, SideChannel::kAcc, SideChannel::kAud}) {
+    const double rate = nsync::eval::eval_channel_rate(ch);
+    Rng rng(static_cast<std::uint64_t>(rate));
+    const auto frames = static_cast<std::size_t>(kSeconds * rate);
+    Signal ref(frames, nsync::sensors::side_channel_components(ch), rate);
+    for (std::size_t n = 0; n < frames; ++n) {
+      for (std::size_t c = 0; c < ref.channels(); ++c) ref(n, c) = rng.normal();
+    }
+    ChannelSpec c;
+    c.name = nsync::sensors::side_channel_name(ch);
+    c.reference = ref;
+    c.config.sync = SyncMethod::kDwm;
+    c.config.dwm =
+        nsync::eval::dwm_params_for(nsync::eval::PrinterKind::kRm3, rate);
+    c.thresholds = Thresholds{1e9, 1e9, 1e9};
+    spec.channels.push_back(std::move(c));
+    refs.push_back(std::move(ref));
+  }
+  for (const char* name : {"rm3-0", "rm3-1"}) {
+    spec.name = name;
+    eng.add_session(spec);
+  }
+  for (std::size_t second = 0; second < 4; ++second) {
+    for (std::size_t s = 0; s < 2; ++s) {
+      for (std::size_t c = 0; c < refs.size(); ++c) {
+        const auto block = static_cast<std::size_t>(refs[c].sample_rate());
+        eng.feed(s, spec.channels[c].name,
+                 SignalView(refs[c]).slice(second * block, (second + 1) * block));
+      }
+    }
+    (void)eng.poll_inline();
+  }
+  ASSERT_EQ(eng.checkpoints_written(), 4u);
+  const std::uintmax_t state = std::filesystem::file_size(eng.checkpoint_path());
+  const std::size_t self_contained = eng.serialize().size();
+  EXPECT_LE(static_cast<double>(state), 0.10 * static_cast<double>(self_contained))
+      << state << " state bytes vs " << self_contained << " self-contained";
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -637,6 +637,132 @@ TEST(ShardedFleet, RestoreRejectsMissingAndInconsistentShardFiles) {
   }
 }
 
+TEST(ShardedFleet, SwappedShardFilesWithEqualCountsAreMismatch) {
+  // Two sessions per shard: the round-robin counts cannot tell the files
+  // apart, but each state file names its specs by size and CRC, and the
+  // spec files beside `fleet.0.nckp` are shard 0's.
+  const Fixture fx(4, /*attack_session=*/99);
+  TempDir dir("swap");
+  ShardedFleetOptions opts;
+  opts.shards = 2;
+  opts.checkpoint_dir = dir.str();
+  {
+    ShardedFleet fleet(opts);
+    for (std::size_t s = 0; s < 4; ++s) fleet.add_session(fx.spec(s));
+    fleet.flush();
+  }
+  const std::string f0 = dir.str() + "/fleet.0.nckp";
+  const std::string f1 = dir.str() + "/fleet.1.nckp";
+  std::filesystem::rename(f0, dir.str() + "/swap");
+  std::filesystem::rename(f1, f0);
+  std::filesystem::rename(dir.str() + "/swap", f1);
+  try {
+    (void)ShardedFleet::restore(dir.str(), opts);
+    FAIL() << "restore with swapped shard files must throw";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointErrorKind::kMismatch);
+  }
+}
+
+TEST(ShardedFleet, EvictionRoundWritesOneCheckpoint) {
+  // A round that applies an EVICT makes the tombstone durable with exactly
+  // one shard checkpoint, whether or not the periodic policy fires.
+  const Fixture fx(2, /*attack_session=*/99);
+  for (const std::size_t every : {std::size_t{1}, std::size_t{0}}) {
+    SCOPED_TRACE("checkpoint_every_polls " + std::to_string(every));
+    TempDir dir("evict-once");
+    ShardedFleetOptions opts;
+    opts.shards = 1;
+    opts.checkpoint_dir = dir.str();
+    opts.checkpoint_every_polls = every;
+    ShardedFleet fleet(opts);
+    fleet.add_session(fx.spec(0));
+    fleet.add_session(fx.spec(1));
+    ASSERT_EQ(fleet.feed(0, "ACC", SignalView(fx.streams[0][0]).slice(0, kChunk))
+                  .status,
+              FeedStatus::kOk);
+    fleet.flush();
+    const std::uint64_t before = fleet.stats().per_shard[0].checkpoint_writes;
+    ASSERT_TRUE(fleet.evict_session(1));
+    fleet.flush();
+    EXPECT_EQ(fleet.stats().per_shard[0].checkpoint_writes, before + 1);
+    const std::unique_ptr<ShardedFleet> restored =
+        ShardedFleet::restore(dir.str(), opts);
+    EXPECT_TRUE(restored->snapshot(1).evicted);
+  }
+}
+
+TEST(ShardedFleet, SettleWaitsForFramesAcceptedBeforeIt) {
+  // A slow worker: every batch takes 20 ms to apply.  settle() returns
+  // only once the frames accepted before it are applied, so the snapshot
+  // right after it counts them all (what a re-attaching client reads its
+  // resume offsets from).
+  const Fixture fx(1, /*attack_session=*/99);
+  ShardedFleetOptions opts;
+  opts.shards = 1;
+  opts.worker_fault_hook = [](std::size_t, const engine::FrameBatch&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  ShardedFleet fleet(opts);
+  fleet.add_session(fx.spec(0));
+  std::size_t fed = 0;
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_EQ(fleet.feed(0, "ACC",
+                         SignalView(fx.streams[0][0]).slice(fed, fed + kChunk))
+                  .status,
+              FeedStatus::kOk);
+    fed += kChunk;
+  }
+  fleet.settle(0);
+  EXPECT_EQ(fleet.snapshot(0).frames_fed, fed);
+
+  // A barrier behind a batch that kills the worker is dropped with the
+  // backlog (or refused by the closed queue): settle() returns, not hangs.
+  ShardedFleetOptions failing;
+  failing.shards = 1;
+  failing.worker_fault_hook = [](std::size_t, const engine::FrameBatch&) {
+    throw std::runtime_error("injected worker fault");
+  };
+  ShardedFleet broken(failing);
+  broken.add_session(fx.spec(0));
+  ASSERT_EQ(
+      broken.feed(0, "ACC", SignalView(fx.streams[0][0]).slice(0, kChunk))
+          .status,
+      FeedStatus::kOk);
+  broken.settle(0);
+  EXPECT_EQ(broken.stats().failed_shards, 1u);
+}
+
+TEST(ShardedFleet, ResumedDirectoryHoldsOneSpecFilePerLiveSession) {
+  const Fixture fx(3, /*attack_session=*/99);
+  TempDir dir("specs");
+  ShardedFleetOptions opts;
+  opts.shards = 2;
+  opts.checkpoint_dir = dir.str();
+  {
+    ShardedFleet fleet(opts);
+    for (std::size_t s = 0; s < 3; ++s) fleet.add_session(fx.spec(s));
+    fleet.evict_session(1);
+    fleet.flush();
+  }
+  // What a SIGKILL during another daemon's write leaves behind.
+  std::ofstream(dir.str() + "/fleet.1.nckp.999999999.0.tmp") << "torn";
+  std::ofstream(dir.str() + "/fleet.0.nckp.s5.spec") << "orphan";
+  const std::unique_ptr<ShardedFleet> restored =
+      ShardedFleet::restore(dir.str(), opts);
+  const engine::FleetStats st = restored->stats();
+  std::size_t specs = 0;
+  std::size_t tmps = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir.str())) {
+    const std::string ext = e.path().extension().string();
+    specs += ext == ".spec" ? 1 : 0;
+    tmps += ext == ".tmp" ? 1 : 0;
+  }
+  EXPECT_EQ(specs, st.sessions - st.evicted);
+  EXPECT_EQ(specs, 2u);
+  EXPECT_EQ(tmps, 0u);
+}
+
 // --- Fusion policies across shards ------------------------------------------
 
 TEST(ShardedFleet, FusionOverrideReplacesAdmittedSpecPolicies) {
