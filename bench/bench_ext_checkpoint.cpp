@@ -34,7 +34,6 @@
 #include "core/nsync.hpp"
 #include "engine/monitor_engine.hpp"
 #include "eval/table.hpp"
-#include "runtime/thread_pool.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 
@@ -150,15 +149,10 @@ int main(int argc, char** argv) {
       dir = next();
     } else if (arg == "--json") {
       json_path = next();
-    } else if (arg == "--threads") {
-      // Accepted for run_benches.sh uniformity; poll() runs on the shared
-      // pool, so the worker count shapes the streamed-halfway setup only.
-      nsync::runtime::set_worker_count(
-          static_cast<std::size_t>(std::stoul(next())));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--sessions a,b,c] [--frames n] [--reps n]"
-                   " [--dir path] [--json path] [--threads n]\n";
+                   " [--dir path] [--json path]\n";
       return 0;
     } else {
       std::cerr << "unknown flag " << arg << "\n";
@@ -214,7 +208,7 @@ int main(int argc, char** argv) {
                  signal::SignalView(sig).slice(0, sig.frames() / 2));
       }
     }
-    windows += eng.poll();
+    windows += eng.poll_inline();
 
     Result r;
     r.sessions = n_sessions;

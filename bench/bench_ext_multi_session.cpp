@@ -1,16 +1,16 @@
 // Extension experiment (beyond the paper): multi-session fleet throughput
-// — single MonitorEngine vs the sharded multi-core fleet.
+// across ShardedFleet shard counts.
 //
 // Simulates a fleet of concurrent print-monitoring sessions — each with
 // two side channels streaming frames in acquisition-sized chunks — and
 // measures aggregate windows/sec as the session count and the shard count
-// vary.  Shard count 0 is the in-process baseline (one MonitorEngine,
-// poll() on the shared pool); shard counts >= 1 run the ShardedFleet,
-// where each shard owns a private engine on a dedicated worker thread fed
-// through a bounded MPSC queue.  Per-session verdicts are bitwise
-// identical across all shard counts (pinned by tests/
+// vary.  Every row runs the same ShardedFleet loop: shard count 0 is the
+// inline path (one engine, no threads, no queues; flush() drains), shard
+// counts >= 1 give each shard a private engine on a dedicated worker
+// thread fed through a bounded MPSC queue.  Per-session verdicts are
+// bitwise identical across all shard counts (pinned by tests/
 // test_sharded_fleet.cpp), so the sweep measures pure scheduling.
-// Sharded rows also report the fleet's p50/p99 feed→verdict latency from
+// Worker rows also report the fleet's p50/p99 feed→verdict latency from
 // the per-shard log2 histograms.
 //
 // A second section drives the fleet past its load-shed threshold: a small
@@ -19,8 +19,7 @@
 //
 // Flags: --sessions a,b,c  session counts to sweep (default 1,8,32)
 //        --shards a,b,c    shard counts to sweep (default 0,1,2,4;
-//                          0 = unsharded MonitorEngine baseline)
-//        --threads n       thread-pool size for the baseline (default auto)
+//                          0 = inline, no worker threads)
 //        --frames n        observed frames per channel (default 12288)
 //        --chunk n         frames per feed() call (default 256)
 //        --no-saturation   skip the load-shed section
@@ -39,10 +38,8 @@
 #include <vector>
 
 #include "core/nsync.hpp"
-#include "engine/monitor_engine.hpp"
 #include "engine/sharded_fleet.hpp"
 #include "eval/table.hpp"
-#include "runtime/thread_pool.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 
@@ -130,11 +127,11 @@ engine::SessionSpec make_spec(const Fixture& fx, std::size_t s) {
 }
 
 struct Result {
-  std::size_t shards = 0;  ///< 0 = unsharded MonitorEngine baseline
+  std::size_t shards = 0;  ///< 0 = inline, no worker threads
   std::size_t sessions = 0;
   std::size_t windows = 0;
   double seconds = 0.0;
-  double p50_us = 0.0;  ///< feed→verdict latency (sharded rows only)
+  double p50_us = 0.0;  ///< feed→verdict latency (worker rows only)
   double p99_us = 0.0;
   std::uint64_t shed_frames = 0;
   std::size_t alarms = 0;
@@ -143,45 +140,8 @@ struct Result {
   }
 };
 
-/// Unsharded baseline: feed + poll on one MonitorEngine.
-Result run_baseline(const Fixture& fx,
-                    const std::vector<std::vector<Signal>>& streams,
-                    std::size_t chunk) {
-  const std::size_t n_sessions = streams.size();
-  engine::MonitorEngine eng;
-  for (std::size_t s = 0; s < n_sessions; ++s) eng.add_session(make_spec(fx, s));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t windows = 0;
-  bool more = true;
-  for (std::size_t off = 0; more; off += chunk) {
-    more = false;
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      for (std::size_t c = 0; c < fx.channel_names.size(); ++c) {
-        const Signal& sig = streams[s][c];
-        if (off >= sig.frames()) continue;
-        const std::size_t hi = std::min(off + chunk, sig.frames());
-        windows += eng.feed(s, fx.channel_names[c],
-                            signal::SignalView(sig).slice(off, hi));
-        if (hi < sig.frames()) more = true;
-      }
-    }
-    windows += eng.poll();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-
-  Result r;
-  r.sessions = n_sessions;
-  r.windows = windows;
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  for (const auto& snap : eng.snapshots()) {
-    if (snap.intrusion) ++r.alarms;
-  }
-  return r;
-}
-
-/// Sharded fleet: feed from this thread, process on the shard workers,
-/// flush() as the barrier.  Options beyond the shard count let the
+/// Feed from this thread, process on the shard workers (inline at shard
+/// count 0), flush() as the barrier.  Options beyond the shard count let the
 /// saturation section shrink the queue and switch the overflow policy.
 Result run_sharded(const Fixture& fx,
                    const std::vector<std::vector<Signal>>& streams,
@@ -235,8 +195,7 @@ std::vector<std::size_t> parse_list(const std::string& s) {
   return out;
 }
 
-void emit_json(const std::string& path, std::size_t pool,
-               std::size_t frames_per_channel, std::size_t chunk,
+void emit_json(const std::string& path, std::size_t frames_per_channel, std::size_t chunk,
                const std::vector<Result>& scaling,
                const std::vector<Result>& saturation) {
   const auto emit = [](std::ofstream& out, const std::vector<Result>& rs) {
@@ -251,8 +210,7 @@ void emit_json(const std::string& path, std::size_t pool,
     }
   };
   std::ofstream out(path);
-  out << "{\n  \"benchmark\": \"fleet\",\n  \"threads\": " << pool
-      << ",\n  \"hardware_concurrency\": "
+  out << "{\n  \"benchmark\": \"fleet\",\n  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency()
       << ",\n  \"frames_per_channel\": " << frames_per_channel
       << ",\n  \"chunk\": " << chunk << ",\n  \"scaling\": [\n";
@@ -268,7 +226,6 @@ void emit_json(const std::string& path, std::size_t pool,
 int main(int argc, char** argv) {
   std::vector<std::size_t> session_counts = {1, 8, 32};
   std::vector<std::size_t> shard_counts = {0, 1, 2, 4};
-  std::size_t threads = 0;
   std::size_t frames_per_channel = 12288;
   std::size_t chunk = 256;
   bool saturation_section = true;
@@ -287,8 +244,6 @@ int main(int argc, char** argv) {
       session_counts = parse_list(next());
     } else if (arg == "--shards") {
       shard_counts = parse_list(next());
-    } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(std::stoul(next()));
     } else if (arg == "--frames") {
       frames_per_channel = static_cast<std::size_t>(std::stoul(next()));
     } else if (arg == "--chunk") {
@@ -299,7 +254,7 @@ int main(int argc, char** argv) {
       json_path = next();
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
-                << " [--sessions a,b,c] [--shards a,b,c] [--threads n]"
+                << " [--sessions a,b,c] [--shards a,b,c]"
                    " [--frames n] [--chunk n] [--no-saturation]"
                    " [--json path]\n";
       return 0;
@@ -308,11 +263,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (threads > 0) runtime::set_worker_count(threads);
-  const std::size_t pool = runtime::worker_count();
-
   std::cout << "EXTENSION: sharded fleet multi-session throughput\n"
-            << "(pool=" << pool << " threads, hardware_concurrency="
+            << "(hardware_concurrency="
             << std::thread::hardware_concurrency() << ", "
             << frames_per_channel << " frames/channel, chunk=" << chunk
             << ")\n\n";
@@ -359,17 +311,12 @@ int main(int argc, char** argv) {
     }
     for (std::size_t n_shards : shard_counts) {
       if (n_shards > n_sessions) continue;  // idle shards measure nothing
-      Result r;
-      if (n_shards == 0) {
-        r = run_baseline(fx, streams, chunk);
-      } else {
-        engine::ShardedFleetOptions fopts;
-        fopts.shards = n_shards;
-        r = run_sharded(fx, streams, chunk, fopts);
-      }
+      engine::ShardedFleetOptions fopts;
+      fopts.shards = n_shards;
+      const Result r = run_sharded(fx, streams, chunk, fopts);
       scaling.push_back(r);
       table.add_row(
-          {n_shards == 0 ? "base" : std::to_string(n_shards),
+          {n_shards == 0 ? "inline" : std::to_string(n_shards),
            std::to_string(r.sessions), std::to_string(r.windows),
            eval::fmt(r.seconds, 3), eval::fmt(r.windows_per_sec(), 0),
            n_shards == 0 ? "-" : eval::fmt(r.p50_us, 0),
@@ -378,8 +325,8 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  std::cout << "\n(benign streams: Alarms should be 0; \"base\" is the\n"
-               " unsharded MonitorEngine; aggregate windows/sec should\n"
+  std::cout << "\n(benign streams: Alarms should be 0; \"inline\" is the\n"
+               " fleet without worker threads; aggregate windows/sec should\n"
                " grow with shard count until the physical core count is\n"
                " reached — on a single-core host all rows are flat)\n";
 
@@ -420,7 +367,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    emit_json(json_path, pool, frames_per_channel, chunk, scaling, saturation);
+    emit_json(json_path, frames_per_channel, chunk, scaling, saturation);
   }
   return 0;
 }

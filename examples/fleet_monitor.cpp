@@ -3,13 +3,13 @@
 //
 // Each session simulates one concurrent print job with two side channels
 // (accelerometer-like and audio-like pseudo signals).  Most sessions
-// stream benign observations; one streams a tampered print.  Three modes:
+// stream benign observations; one streams a tampered print.  Two modes:
 //
-//   * default (--shards 0): the original single MonitorEngine path —
-//     frames via feed(), window processing in poll() on the shared pool.
-//   * --shards N (N >= 1): a ShardedFleet partitions the sessions across
-//     N worker shards, each with a private engine and a bounded frame
-//     queue.  Verdicts are bitwise identical to the unsharded path.
+//   * in process (default): a ShardedFleet partitions the sessions across
+//     `--shards N` worker shards, each with a private engine and a bounded
+//     frame queue; `--shards 0`, the default count, runs the same fleet
+//     inline, without worker threads.  Verdicts are bitwise identical at
+//     any shard count.
 //   * --connect <uds-path>: client mode — the same dataset is replayed
 //     over the NSFP wire protocol to a running fleet_daemon through
 //     ResilientWireClient; sessions are admitted with ADD_SESSION (the
@@ -22,16 +22,14 @@
 //     double-counted.  Without --retry, a refused connection or a mid-run
 //     disconnect exits with code 3 (transport failure) and a clear
 //     message; daemon-side typed errors keep exiting with code 2.
-//   * --listen <uds-path>: serve an (initially empty) fleet over a socket
-//     — a minimal in-example daemon; see fleet_daemon for the real one.
 //
-// Crash-safe operation: with `--checkpoint <dir>` the engine atomically
-// writes `<dir>/fleet.nckp` (`fleet.<shard>.nckp` per shard when sharded)
-// after every poll round.  If the process dies (power cut, OOM kill,
-// SIGKILL), relaunching with `--resume` restores the fleet from the
-// checkpoint and resumes each channel's stream exactly where it left off —
-// the final verdicts are identical to a run that was never interrupted
-// (the CI crash-recovery job pins this).
+// Crash-safe operation: with `--checkpoint <dir>` the fleet atomically
+// writes `<dir>/fleet.<shard>.nckp` (`fleet.0.nckp` inline) after every
+// feed round.  If the process dies (power cut, OOM kill, SIGKILL),
+// relaunching with `--resume` restores the fleet from the checkpoint and
+// resumes each channel's stream exactly where it left off — the final
+// verdicts are identical to a run that was never interrupted (the CI
+// crash-recovery job pins this).
 //
 // Drift adaptation: with `--rounds R --baseline-dir <dir>` the example
 // switches to print-at-a-time operation.  Each round admits every printer
@@ -53,13 +51,11 @@
 //
 //   ./fleet_monitor [sessions] [attack_session]
 //                   [--shards N] [--connect <uds> [--retry N]]
-//                   [--listen <uds>]
 //                   [--checkpoint <dir>] [--resume] [--pace-ms <n>]
 //                   [--fusion any|majority|all|weighted]
 //                   [--rounds R --baseline-dir <dir> [--model <name>]]
 #include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -71,7 +67,6 @@
 
 #include "core/fusion.hpp"
 #include "core/nsync.hpp"
-#include "engine/fleet_server.hpp"
 #include "engine/monitor_engine.hpp"
 #include "engine/resilient_client.hpp"
 #include "engine/sharded_fleet.hpp"
@@ -176,9 +171,6 @@ void print_verdict(const engine::wire::StatsSession& s) {
   std::cout << "\n";
 }
 
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
-
 struct Dataset {
   std::vector<std::string> channels;
   std::vector<Signal> references;
@@ -279,6 +271,88 @@ engine::SessionSpec make_spec(
   return spec;
 }
 
+/// A fresh fleet, or with `resume` the one checkpointed in
+/// fopts.checkpoint_dir; null after reporting why it cannot be restored.
+std::unique_ptr<engine::ShardedFleet> open_fleet(
+    const engine::ShardedFleetOptions& fopts, bool resume) {
+  if (!resume) return std::make_unique<engine::ShardedFleet>(fopts);
+  try {
+    return engine::ShardedFleet::restore(fopts.checkpoint_dir, fopts);
+  } catch (const nsync::signal::CheckpointError& e) {
+    std::cerr << "fleet_monitor: cannot resume from " << fopts.checkpoint_dir
+              << ": " << e.what() << "\n";
+    return nullptr;
+  }
+}
+
+/// In-process mode: stream every session through the fleet in chunk-sized
+/// feed rounds, draining after each round as an acquisition loop would.
+int run_stream(std::size_t n_sessions, std::size_t attack_session,
+               const engine::ShardedFleetOptions& fopts, bool resume,
+               long pace_ms, const std::string& fusion) {
+  constexpr std::size_t kChunk = 256;
+  const std::unique_ptr<engine::ShardedFleet> fleet = open_fleet(fopts, resume);
+  if (!fleet) return 2;
+  Dataset d;  // thresholds filled only on the fresh (non-resume) path
+  if (resume) {
+    if (fleet->sessions() != n_sessions) {
+      std::cerr << "fleet_monitor: checkpoint holds " << fleet->sessions()
+                << " sessions but " << n_sessions << " were requested\n";
+      return 2;
+    }
+    // The checkpoint and its spec files hold the specs and the streaming
+    // state, so no recalibration is needed: pick the streams back up.
+    d = build_dataset(n_sessions, attack_session, /*calibrate=*/false);
+    std::cout << "resumed " << fleet->sessions() << " sessions across "
+              << fopts.shards << " shards from " << fopts.checkpoint_dir
+              << "\n";
+  } else {
+    d = build_dataset(n_sessions, attack_session, /*calibrate=*/true);
+    const auto policy = make_policy(fusion, d);
+    for (std::size_t s = 0; s < n_sessions; ++s) {
+      fleet->add_session(make_spec(d, s, "", policy));
+    }
+  }
+  // Each channel resumes at its recorded frames_fed (0 on a fresh run).
+  std::vector<std::vector<std::size_t>> offsets(
+      n_sessions, std::vector<std::size_t>(d.channels.size(), 0));
+  for (std::size_t s = 0; s < n_sessions; ++s) {
+    for (const auto& ch : fleet->snapshot(s).channels) {
+      for (std::size_t c = 0; c < d.channels.size(); ++c) {
+        if (d.channels[c] == ch.name) offsets[s][c] = ch.frames_fed;
+      }
+    }
+  }
+  std::cout << "fleet: " << n_sessions << " sessions x " << d.channels.size()
+            << " channels on " << fopts.shards << " shards; session "
+            << attack_session << " streams a tampered print\n\n";
+  bool more = true;
+  while (more) {
+    more = false;
+    for (std::size_t s = 0; s < n_sessions; ++s) {
+      for (std::size_t c = 0; c < d.channels.size(); ++c) {
+        const Signal& sig = d.streams[s][c];
+        const std::size_t off = offsets[s][c];
+        if (off >= sig.frames()) continue;
+        const std::size_t hi = std::min(off + kChunk, sig.frames());
+        fleet->feed(s, d.channels[c], signal::SignalView(sig).slice(off, hi));
+        offsets[s][c] = hi;
+        if (hi < sig.frames()) more = true;
+      }
+    }
+    fleet->flush();
+    if (pace_ms > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(pace_ms));
+    }
+  }
+  const engine::FleetStats stats = fleet->stats();
+  std::cout << "windows: " << stats.windows << ", p50 feed->verdict "
+            << stats.p50_feed_to_verdict_us << " us, p99 "
+            << stats.p99_feed_to_verdict_us << " us\n";
+  for (const auto& snap : fleet->snapshots()) print_verdict(snap);
+  return 0;
+}
+
 /// Adaptive rounds mode (--rounds R with --baseline-dir): print-at-a-time
 /// operation with per-device baseline adaptation between prints.  Every
 /// quantity is a deterministic function of (sessions, attack, round), so a
@@ -286,31 +360,17 @@ engine::SessionSpec make_spec(
 /// bitwise identically — the CI crash-recovery job diffs the union of the
 /// verdict lines and the final hexfloat registry dump against a clean run.
 int run_rounds(std::size_t n_sessions, std::size_t attack_session,
-               std::size_t rounds, std::size_t shards,
+               std::size_t rounds, engine::ShardedFleetOptions fopts,
                const std::string& model, const std::string& baseline_dir,
-               const std::string& checkpoint_dir, bool resume,
-               const std::string& fusion) {
+               bool resume, const std::string& fusion) {
   constexpr std::size_t kChunk = 256;
-  engine::ShardedFleetOptions fopts;
-  fopts.shards = shards == 0 ? 1 : shards;
   std::filesystem::create_directories(baseline_dir);
   fopts.baseline.adaptive = true;
   fopts.baseline.dir = baseline_dir;
   fopts.baseline.policy.r = 0.55;  // match the calibration margin below
-  if (!checkpoint_dir.empty()) {
-    std::filesystem::create_directories(checkpoint_dir);
-    fopts.checkpoint_dir = checkpoint_dir;
-    fopts.checkpoint_every_polls = 1;
-  }
-  std::unique_ptr<engine::ShardedFleet> fleet;
+  const std::unique_ptr<engine::ShardedFleet> fleet = open_fleet(fopts, resume);
+  if (!fleet) return 2;
   if (resume) {
-    try {
-      fleet = engine::ShardedFleet::restore(checkpoint_dir, fopts);
-    } catch (const nsync::signal::CheckpointError& e) {
-      std::cerr << "fleet_monitor: cannot resume from " << checkpoint_dir
-                << ": " << e.what() << "\n";
-      return 2;
-    }
     if (fleet->sessions() > rounds * n_sessions) {
       std::cerr << "fleet_monitor: checkpoint holds " << fleet->sessions()
                 << " prints but only " << rounds * n_sessions
@@ -318,9 +378,8 @@ int run_rounds(std::size_t n_sessions, std::size_t attack_session,
       return 2;
     }
     std::cout << "resumed adaptation at print " << fleet->sessions() << "/"
-              << rounds * n_sessions << " from " << checkpoint_dir << "\n";
-  } else {
-    fleet = std::make_unique<engine::ShardedFleet>(fopts);
+              << rounds * n_sessions << " from " << fopts.checkpoint_dir
+              << "\n";
   }
   // Calibration is deterministic, so a resumed run recomputes the same
   // trained (factory) thresholds for the prints it still has to admit;
@@ -536,7 +595,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> positional;
   std::string checkpoint_dir;
   std::string connect_path;
-  std::string listen_path;
   std::string baseline_dir;
   std::string model = "mk3";
   std::string fusion = "any";
@@ -567,12 +625,9 @@ int main(int argc, char** argv) {
       connect_path = argv[++i];
     } else if (arg == "--retry" && i + 1 < argc) {
       retries = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--listen" && i + 1 < argc) {
-      listen_path = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: fleet_monitor [sessions] [attack_session]"
                 << " [--shards N] [--connect <uds> [--retry N]]"
-                << " [--listen <uds>]"
                 << " [--checkpoint <dir>] [--resume] [--pace-ms <n>]"
                 << " [--fusion any|majority|all|weighted]"
                 << " [--rounds R --baseline-dir <dir> [--model <name>]]\n";
@@ -610,227 +665,22 @@ int main(int argc, char** argv) {
       positional.size() > 1
           ? static_cast<std::size_t>(std::stoul(positional[1]))
           : 1;
-  constexpr std::size_t kChunk = 256;
 
   if (!connect_path.empty()) {
     return run_client(connect_path, n_sessions, attack_session, pace_ms,
                       fusion, retries);
   }
 
-  if (rounds > 0) {
-    return run_rounds(n_sessions, attack_session, rounds, shards, model,
-                      baseline_dir, checkpoint_dir, resume, fusion);
-  }
-
-  if (!listen_path.empty()) {
-    // Minimal in-example daemon: an empty sharded fleet served over a
-    // socket until SIGINT/SIGTERM.  fleet_daemon is the full-featured one.
-    engine::ShardedFleetOptions fopts;
-    fopts.shards = shards == 0 ? 1 : shards;
-    if (!checkpoint_dir.empty()) {
-      std::filesystem::create_directories(checkpoint_dir);
-      fopts.checkpoint_dir = checkpoint_dir;
-    }
-    if (!baseline_dir.empty()) {
-      // Clients opt a session into adaptation by sending a non-empty
-      // model key in its ADD_SESSION spec.
-      std::filesystem::create_directories(baseline_dir);
-      fopts.baseline.adaptive = true;
-      fopts.baseline.dir = baseline_dir;
-    }
-    std::unique_ptr<engine::ShardedFleet> fleet =
-        resume ? engine::ShardedFleet::restore(checkpoint_dir, fopts)
-               : std::make_unique<engine::ShardedFleet>(fopts);
-    engine::FleetServerOptions sopts;
-    sopts.uds_path = listen_path;
-    engine::FleetServer server(*fleet, sopts);
-    server.start();
-    std::cout << "listening on " << listen_path << " (" << fopts.shards
-              << " shards)" << std::endl;
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
-    while (g_stop == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    server.stop();
-    return 0;
-  }
-
-  Dataset d;  // thresholds filled only on the fresh (non-resume) path
-
-  if (shards > 0) {
-    // Sharded in-process path: same sessions, N worker shards.
-    engine::ShardedFleetOptions fopts;
-    fopts.shards = shards;
-    if (!checkpoint_dir.empty()) {
-      std::filesystem::create_directories(checkpoint_dir);
-      fopts.checkpoint_dir = checkpoint_dir;
-      fopts.checkpoint_every_polls = 1;
-    }
-    std::unique_ptr<engine::ShardedFleet> fleet;
-    if (resume) {
-      try {
-        fleet = engine::ShardedFleet::restore(checkpoint_dir, fopts);
-      } catch (const nsync::signal::CheckpointError& e) {
-        std::cerr << "fleet_monitor: cannot resume from " << checkpoint_dir
-                  << ": " << e.what() << "\n";
-        return 2;
-      }
-      if (fleet->sessions() != n_sessions) {
-        std::cerr << "fleet_monitor: checkpoint holds " << fleet->sessions()
-                  << " sessions but " << n_sessions << " were requested\n";
-        return 2;
-      }
-      d = build_dataset(n_sessions, attack_session, /*calibrate=*/false);
-      std::cout << "resumed " << fleet->sessions() << " sessions across "
-                << shards << " shards from " << checkpoint_dir << "\n";
-    } else {
-      d = build_dataset(n_sessions, attack_session, /*calibrate=*/true);
-      fleet = std::make_unique<engine::ShardedFleet>(fopts);
-      const auto policy = make_policy(fusion, d);
-      for (std::size_t s = 0; s < n_sessions; ++s) {
-        fleet->add_session(make_spec(d, s, "", policy));
-      }
-    }
-    std::vector<std::vector<std::size_t>> offsets(
-        n_sessions, std::vector<std::size_t>(d.channels.size(), 0));
-    if (resume) {
-      for (std::size_t s = 0; s < n_sessions; ++s) {
-        const engine::SessionSnapshot snap = fleet->snapshot(s);
-        for (const auto& ch : snap.channels) {
-          for (std::size_t c = 0; c < d.channels.size(); ++c) {
-            if (d.channels[c] == ch.name) offsets[s][c] = ch.frames_fed;
-          }
-        }
-      }
-    }
-    std::cout << "fleet: " << n_sessions << " sessions x "
-              << d.channels.size() << " channels on " << shards
-              << " shards; session " << attack_session
-              << " streams a tampered print\n\n";
-    bool more = true;
-    while (more) {
-      more = false;
-      for (std::size_t s = 0; s < n_sessions; ++s) {
-        for (std::size_t c = 0; c < d.channels.size(); ++c) {
-          const Signal& sig = d.streams[s][c];
-          const std::size_t off = offsets[s][c];
-          if (off >= sig.frames()) continue;
-          const std::size_t hi = std::min(off + kChunk, sig.frames());
-          fleet->feed(s, d.channels[c],
-                      signal::SignalView(sig).slice(off, hi));
-          offsets[s][c] = hi;
-          if (hi < sig.frames()) more = true;
-        }
-      }
-      if (pace_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(pace_ms));
-      }
-    }
-    fleet->flush();
-    const engine::FleetStats stats = fleet->stats();
-    std::cout << "windows: " << stats.windows << ", p50 feed->verdict "
-              << stats.p50_feed_to_verdict_us << " us, p99 "
-              << stats.p99_feed_to_verdict_us << " us\n";
-    for (const auto& snap : fleet->snapshots()) print_verdict(snap);
-    return 0;
-  }
-
-  // --- Original single-engine path (--shards 0) ---------------------------
-
-  engine::MonitorEngineOptions opts;
+  engine::ShardedFleetOptions fopts;
+  fopts.shards = shards;
   if (!checkpoint_dir.empty()) {
     std::filesystem::create_directories(checkpoint_dir);
-    opts.checkpoint_dir = checkpoint_dir;
-    opts.checkpoint_every_polls = 1;  // one atomic checkpoint per round
+    fopts.checkpoint_dir = checkpoint_dir;  // written every drain round
   }
-
-  engine::MonitorEngine eng(opts);
-  if (resume) {
-    // The checkpoint and its spec files hold the specs and the streaming
-    // state, so no recalibration is needed: restore and pick the streams
-    // back up.
-    try {
-      eng =
-          engine::MonitorEngine::restore(checkpoint_dir + "/fleet.nckp", opts);
-    } catch (const nsync::signal::CheckpointError& e) {
-      std::cerr << "fleet_monitor: cannot resume from " << checkpoint_dir
-                << "/fleet.nckp: " << e.what() << "\n";
-      return 2;
-    }
-    if (eng.sessions() != n_sessions) {
-      std::cerr << "fleet_monitor: checkpoint holds " << eng.sessions()
-                << " sessions but " << n_sessions << " were requested\n";
-      return 2;
-    }
-    d = build_dataset(n_sessions, attack_session, /*calibrate=*/false);
-    std::cout << "resumed " << eng.sessions() << " sessions from "
-              << checkpoint_dir << "/fleet.nckp\n";
-  } else {
-    d = build_dataset(n_sessions, attack_session, /*calibrate=*/true);
-    const auto policy = make_policy(fusion, d);
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      eng.add_session(make_spec(d, s, "", policy));
-    }
+  if (rounds > 0) {
+    return run_rounds(n_sessions, attack_session, rounds, fopts, model,
+                      baseline_dir, resume, fusion);
   }
-
-  std::vector<std::vector<std::size_t>> offsets(
-      n_sessions, std::vector<std::size_t>(d.channels.size(), 0));
-  for (std::size_t s = 0; s < n_sessions && resume; ++s) {
-    const engine::SessionSnapshot snap = eng.snapshot(s);
-    for (const auto& ch : snap.channels) {
-      for (std::size_t c = 0; c < d.channels.size(); ++c) {
-        if (d.channels[c] == ch.name) offsets[s][c] = ch.frames_fed;
-      }
-    }
-  }
-  std::cout << "fleet: " << n_sessions << " sessions x " << d.channels.size()
-            << " channels; session " << attack_session
-            << " streams a tampered print\n\n";
-
-  // Stream the fleet: interleave chunk-sized feeds across every session
-  // and poll after each round, as an acquisition loop would.
-  bool more = true;
-  while (more) {
-    more = false;
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      for (std::size_t c = 0; c < d.channels.size(); ++c) {
-        const Signal& sig = d.streams[s][c];
-        const std::size_t off = offsets[s][c];
-        if (off >= sig.frames()) continue;
-        const std::size_t hi = std::min(off + kChunk, sig.frames());
-        eng.feed(s, d.channels[c], signal::SignalView(sig).slice(off, hi));
-        offsets[s][c] = hi;
-        if (hi < sig.frames()) more = true;
-      }
-    }
-    eng.poll();
-    if (pace_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(pace_ms));
-    }
-  }
-  if (!checkpoint_dir.empty()) {
-    std::cout << "checkpoints written: " << eng.checkpoints_written() << "\n";
-  }
-
-  for (const auto& snap : eng.snapshots()) {
-    std::cout << snap.name << ": "
-              << (snap.intrusion ? "INTRUSION" : "benign");
-    if (snap.intrusion) {
-      std::cout << " (first alarm at window " << snap.first_alarm_window
-                << ")";
-    }
-    std::cout << " — " << snap.windows << " windows, "
-              << snap.online_channels << "/" << snap.channels.size()
-              << " channels online\n";
-    for (const auto& ch : snap.channels) {
-      std::cout << "    " << ch.name << ": "
-                << (ch.detection.intrusion ? "alarm" : "ok") << " ("
-                << health_name(ch.health) << ", " << ch.windows
-                << " windows)\n";
-    }
-  }
-
-  for (const auto& snap : eng.snapshots()) print_verdict(snap);
-  return 0;
+  return run_stream(n_sessions, attack_session, fopts, resume, pace_ms,
+                    fusion);
 }

@@ -46,8 +46,13 @@ for b in "$@"; do
   if [ "$b" = "bench_ext_resilience" ]; then
     EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_resilience.json}"
   fi
+  # The fleet benches run no thread-pool work and take no --threads.
+  BENCH_THREAD_FLAGS="$THREAD_FLAGS"
+  case "$b" in
+    bench_ext_multi_session|bench_ext_checkpoint) BENCH_THREAD_FLAGS="" ;;
+  esac
   # shellcheck disable=SC2086  # THREAD_FLAGS/EXTRA_FLAGS intentionally split
-  NSYNC_THREADS="${NSYNC_THREADS:-}" ./build/bench/"$b" $THREAD_FLAGS \
+  NSYNC_THREADS="${NSYNC_THREADS:-}" ./build/bench/"$b" $BENCH_THREAD_FLAGS \
     $EXTRA_FLAGS 2>&1
   echo
 done

@@ -97,13 +97,15 @@ void ChaosProxy::start() {
 void ChaosProxy::stop() {
   if (listen_fd_ < 0 && !accept_thread_.joinable()) return;
   stopping_.store(true);
+  // shutdown() wakes the blocked accept(); the fd is closed and cleared
+  // only after the accept thread, which reads listen_fd_, has joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  kill_active();
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  kill_active();
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::unique_ptr<Link>> links;
   {
     const std::lock_guard<std::mutex> lock(links_mu_);

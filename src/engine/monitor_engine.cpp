@@ -1,7 +1,6 @@
 #include "engine/monitor_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <cstring>
 #include <filesystem>
@@ -10,7 +9,6 @@
 #include <utility>
 
 #include "engine/session_codec.hpp"
-#include "runtime/thread_pool.hpp"
 #include "signal/checkpoint.hpp"
 
 namespace nsync::engine {
@@ -64,21 +62,21 @@ std::size_t MonitorEngine::add_session(SessionSpec spec) {
       c.thresholds = registry_->resolve(spec.model, c.name, c.thresholds);
     }
   }
-  auto s = std::make_unique<Session>();
-  s->name = std::move(spec.name);
-  s->model = std::move(spec.model);
-  s->policy = spec.policy
-                  ? std::move(spec.policy)
-                  : std::make_shared<const core::VotingPolicy>(spec.rule);
-  s->channels.reserve(spec.channels.size());
+  Session s;
+  s.name = std::move(spec.name);
+  s.model = std::move(spec.model);
+  s.policy = spec.policy
+                 ? std::move(spec.policy)
+                 : std::make_shared<const core::VotingPolicy>(spec.rule);
+  s.channels.reserve(spec.channels.size());
   for (auto& c : spec.channels) {
-    for (const auto& existing : s->channels) {
+    for (const auto& existing : s.channels) {
       if (existing.name == c.name) {
         throw std::invalid_argument(
             "MonitorEngine::add_session: duplicate channel '" + c.name + "'");
       }
     }
-    s->channels.emplace_back(c.name, c);
+    s.channels.emplace_back(c.name, c);
   }
   sessions_.push_back(std::move(s));
   return sessions_.size() - 1;
@@ -90,7 +88,7 @@ MonitorEngine::Session& MonitorEngine::session_at(std::size_t id) {
                             " (" + std::to_string(sessions_.size()) +
                             " sessions registered)");
   }
-  return *sessions_[id];
+  return sessions_[id];
 }
 
 const MonitorEngine::Session& MonitorEngine::session_at(std::size_t id) const {
@@ -99,14 +97,13 @@ const MonitorEngine::Session& MonitorEngine::session_at(std::size_t id) const {
                             " (" + std::to_string(sessions_.size()) +
                             " sessions registered)");
   }
-  return *sessions_[id];
+  return sessions_[id];
 }
 
 std::size_t MonitorEngine::feed(std::size_t session,
                                 const std::string& channel,
                                 const SignalView& frames) {
   Session& s = session_at(session);
-  const std::scoped_lock lock(s.mu);
   Channel* target = nullptr;
   for (auto& c : s.channels) {
     if (c.name == channel) {
@@ -128,12 +125,12 @@ std::size_t MonitorEngine::feed(std::size_t session,
   s.frames_fed += frames.frames();
   if (options_.max_pending_frames > 0 &&
       target->staging.retained_frames() >= options_.max_pending_frames) {
-    return drain_locked(s);
+    return drain(s);
   }
   return 0;
 }
 
-std::size_t MonitorEngine::drain_locked(Session& s) {
+std::size_t MonitorEngine::drain(Session& s) {
   std::size_t windows = 0;
   for (auto& c : s.channels) {
     const std::size_t begin = c.staging.start();
@@ -148,7 +145,7 @@ std::size_t MonitorEngine::drain_locked(Session& s) {
     // health-aware fusion as the batch FusionIds: offline channels neither
     // alarm nor count toward the denominator (nor the weighted mean).  The
     // verdict and its alarm window latch.
-    const core::FusedVerdict v = s.policy->evaluate(channel_scores_locked(s));
+    const core::FusedVerdict v = s.policy->evaluate(channel_scores(s));
     if (v.intrusion) {
       s.intrusion = true;
       s.first_alarm_window = v.first_alarm_window;
@@ -157,7 +154,7 @@ std::size_t MonitorEngine::drain_locked(Session& s) {
   return windows;
 }
 
-std::vector<core::ChannelScore> MonitorEngine::channel_scores_locked(
+std::vector<core::ChannelScore> MonitorEngine::channel_scores(
     const Session& s) {
   std::vector<core::ChannelScore> scores;
   scores.reserve(s.channels.size());
@@ -171,65 +168,24 @@ std::vector<core::ChannelScore> MonitorEngine::channel_scores_locked(
   return scores;
 }
 
-std::size_t MonitorEngine::poll() {
-  std::atomic<std::size_t> total{0};
-  nsync::runtime::parallel_for(0, sessions_.size(), [&](std::size_t i) {
-    Session& s = *sessions_[i];
-    const std::scoped_lock lock(s.mu);
-    total.fetch_add(drain_locked(s), std::memory_order_relaxed);
-  });
-  const std::size_t windows = total.load(std::memory_order_relaxed);
-  maybe_checkpoint(windows);
-  return windows;
-}
-
-void MonitorEngine::maybe_checkpoint(std::size_t windows) {
-  if (options_.checkpoint_dir.empty()) return;
-  // poll() may be called from several threads at once (the class contract
-  // only promises per-session serialization), so the policy counters and
-  // the write are guarded by the engine-level checkpoint mutex.
-  const std::scoped_lock lock(checkpoint_mu_);
-  ++polls_since_checkpoint_;
-  windows_since_checkpoint_ += windows;
-  const bool poll_trigger = options_.checkpoint_every_polls > 0 &&
-                            polls_since_checkpoint_ >=
-                                options_.checkpoint_every_polls;
-  const bool window_trigger = options_.checkpoint_every_windows > 0 &&
-                              windows_since_checkpoint_ >=
-                                  options_.checkpoint_every_windows;
-  if (!poll_trigger && !window_trigger) return;
-  checkpoint_locked(checkpoint_path());
-  polls_since_checkpoint_ = 0;
-  windows_since_checkpoint_ = 0;
-  ++checkpoints_written_;
-}
-
 std::size_t MonitorEngine::poll_inline() {
   std::size_t windows = 0;
-  for (auto& sp : sessions_) {
-    Session& s = *sp;
-    const std::scoped_lock lock(s.mu);
-    windows += drain_locked(s);
-  }
-  maybe_checkpoint(windows);
+  for (Session& s : sessions_) windows += drain(s);
   return windows;
 }
 
 std::size_t MonitorEngine::poll_session(std::size_t session) {
-  Session& s = session_at(session);
-  const std::scoped_lock lock(s.mu);
-  return drain_locked(s);
+  return drain(session_at(session));
 }
 
-void MonitorEngine::evict_session(std::size_t session) {
+std::size_t MonitorEngine::evict_session(std::size_t session) {
   Session& s = session_at(session);
-  const std::scoped_lock lock(s.mu);
-  if (s.evicted) return;
+  if (s.evicted) return 0;
   // Drain whatever is still staged so the end-of-print fold below sees
   // the whole fed stream.  This makes the folded maxima a pure function
   // of the frames fed before the eviction, independent of batch/drain
   // timing — required for deterministic crash replay of adapted state.
-  drain_locked(s);
+  const std::size_t windows = drain(s);
   // End-of-print baseline fold, gated on the session-level anti-poisoning
   // rule: only a benign fused verdict with every channel healthy may
   // update the device baseline.  Ineligible prints are counted as frozen.
@@ -255,9 +211,10 @@ void MonitorEngine::evict_session(std::size_t session) {
   s.first_alarm_window = -1;
   s.policy.reset();
   s.evicted = true;
+  return windows;
 }
 
-SessionSnapshot MonitorEngine::snapshot_locked(const Session& s) {
+SessionSnapshot MonitorEngine::make_snapshot(const Session& s) {
   SessionSnapshot out;
   out.name = s.name;
   out.evicted = s.evicted;
@@ -271,7 +228,7 @@ SessionSnapshot MonitorEngine::snapshot_locked(const Session& s) {
   core::FusedVerdict v;
   if (s.policy) {
     out.policy = s.policy->name();
-    v = s.policy->evaluate(channel_scores_locked(s));
+    v = s.policy->evaluate(channel_scores(s));
     out.fused_score = v.score;
     out.alarming_channels = v.alarming_channels;
     out.online_channels = v.online_channels;
@@ -301,17 +258,13 @@ SessionSnapshot MonitorEngine::snapshot_locked(const Session& s) {
 }
 
 SessionSnapshot MonitorEngine::snapshot(std::size_t session) const {
-  const Session& s = session_at(session);
-  const std::scoped_lock lock(s.mu);
-  return snapshot_locked(s);
+  return make_snapshot(session_at(session));
 }
 
 std::vector<SessionSnapshot> MonitorEngine::snapshots() const {
   std::vector<SessionSnapshot> out;
   out.reserve(sessions_.size());
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    out.push_back(snapshot(i));
-  }
+  for (const Session& s : sessions_) out.push_back(make_snapshot(s));
   return out;
 }
 
@@ -397,14 +350,13 @@ std::vector<std::uint8_t> MonitorEngine::serialize() const {
   const std::size_t tok = w.begin_section(kSecFleet);
   w.pod<std::uint64_t>(sessions_.size());
   const std::size_t table_tok = table.begin_section(kSecSpecTable);
-  for (const auto& s : sessions_) {
-    const std::scoped_lock lock(s->mu);
-    if (!s->evicted) {
+  for (const Session& s : sessions_) {
+    if (!s.evicted) {
       const std::size_t spec_tok = table.begin_section(kSecSpec);
-      encode_spec(table, *s);
+      encode_spec(table, s);
       table.end_section(spec_tok);
     }
-    save_session(w, *s);
+    save_session(w, s);
   }
   table.end_section(table_tok);
   save_registry(w);
@@ -421,19 +373,13 @@ std::string MonitorEngine::spec_path(const std::string& checkpoint_path,
 }
 
 void MonitorEngine::checkpoint(const std::string& path) const {
-  const std::scoped_lock lock(checkpoint_mu_);
-  checkpoint_locked(path);
-}
-
-void MonitorEngine::checkpoint_locked(const std::string& path) const {
   nsync::signal::ByteWriter w;
   const std::size_t tok = w.begin_section(kSecFleet);
   w.pod<std::uint64_t>(sessions_.size());
   // Sessions written as tombstones whose spec file is still on disk.
   std::vector<std::size_t> tombstoned;
   for (std::size_t id = 0; id < sessions_.size(); ++id) {
-    const Session& s = *sessions_[id];
-    const std::scoped_lock lock(s.mu);
+    const Session& s = sessions_[id];
     if (s.evicted) {
       if (s.spec_file == spec_path(path, id)) tombstoned.push_back(id);
     } else {
@@ -455,11 +401,9 @@ void MonitorEngine::checkpoint_locked(const std::string& path) const {
   nsync::signal::write_checkpoint_file(path, w.data());
   // The tombstones are durable now; only from here on may an evicted
   // session's spec file go (a crash before this point restores a state
-  // that still references it).  A session evicted after it was written
-  // above keeps its file until the next checkpoint records the tombstone.
+  // that still references it).
   for (const std::size_t id : tombstoned) {
-    const Session& s = *sessions_[id];
-    const std::scoped_lock lock(s.mu);
+    const Session& s = sessions_[id];
     std::error_code ec;
     std::filesystem::remove(s.spec_file, ec);
     s.spec_file.clear();
@@ -478,11 +422,6 @@ void MonitorEngine::export_baselines() const {
   if (generation == exported_generation_) return;
   registry_->save(bpath);
   exported_generation_ = generation;
-}
-
-std::string MonitorEngine::checkpoint_path() const {
-  if (options_.checkpoint_dir.empty()) return {};
-  return options_.checkpoint_dir + "/" + options_.checkpoint_filename;
 }
 
 std::string MonitorEngine::baseline_path() const {
@@ -617,10 +556,9 @@ MonitorEngine MonitorEngine::restore_payload(
     for (std::size_t id = 0; id < pending.size(); ++id) {
       PendingSession& p = pending[id];
       if (p.evicted) {
-        auto tomb = std::make_unique<Session>();
-        tomb->name = std::move(p.name);
-        tomb->evicted = true;
-        engine.sessions_.push_back(std::move(tomb));
+        Session& tomb = engine.sessions_.emplace_back();
+        tomb.name = std::move(p.name);
+        tomb.evicted = true;
         continue;
       }
       std::vector<std::uint8_t> file_bytes;
@@ -650,7 +588,7 @@ MonitorEngine MonitorEngine::restore_payload(
                                   p.name + "' does not match its state");
       }
       const std::size_t sid = engine.add_session(std::move(spec));
-      Session& s = *engine.sessions_[sid];
+      Session& s = engine.sessions_[sid];
       s.frames_fed = p.frames_fed;
       s.intrusion = p.intrusion;
       s.first_alarm_window = p.first_alarm_window;
@@ -712,7 +650,7 @@ void MonitorEngine::remove_orphans(const std::string& path) const {
     std::size_t id = 0;
     const auto [parsed_to, err] = std::from_chars(first, last, id);
     if (first == last || err != std::errc() || parsed_to != last) continue;
-    if (id < sessions_.size() && !sessions_[id]->evicted) continue;
+    if (id < sessions_.size() && !sessions_[id].evicted) continue;
     std::error_code rm_ec;
     fs::remove(it->path(), rm_ec);
   }

@@ -1,22 +1,24 @@
 // Multi-session monitoring engine — the fleet layer on top of the
 // streaming detection stack.
 //
-// One MonitorEngine serves N concurrent print-monitoring sessions.  A
-// session is one print job: per-channel reference signals + NSYNC configs
-// + learned thresholds, one RealtimeMonitor per side channel, and a
-// health-aware fusion rule over the per-channel verdicts (the same vote as
-// the batch FusionIds, via core::fused_intrusion).
+// One MonitorEngine serves N print-monitoring sessions.  A session is one
+// print job: per-channel reference signals + NSYNC configs + learned
+// thresholds, one RealtimeMonitor per side channel, and a health-aware
+// fusion rule over the per-channel verdicts (the same vote as the batch
+// FusionIds, via core::fused_intrusion).
 //
 // Frames arrive via feed(), which only appends to a per-channel staging
-// ring buffer — cheap enough to call from an acquisition callback.  The
-// actual window processing happens in poll(), which drains every session's
-// staged frames through its monitors, scheduling sessions on the shared
-// nsync_runtime thread pool (one task per session; each session is
-// internally sequential, so per-session results are bitwise identical at
-// any worker count).  Memory stays bounded: the monitors' synchronizer
-// buffers are rings, and a session whose staging exceeds
-// Options::max_pending_frames is drained inline by feed() itself instead
-// of growing without limit.
+// ring buffer.  The window processing happens in poll_inline(), which
+// drains every session's staged frames through its monitors on the calling
+// thread, one session after another (poll_session() drains one).  Memory
+// stays bounded: the monitors' synchronizer buffers are rings, and a
+// session whose staging exceeds Options::max_pending_frames is drained
+// inline by feed() itself instead of growing without limit.
+//
+// The engine is a plain single-owner container: it holds no locks and
+// starts no threads.  ShardedFleet (engine/sharded_fleet.hpp) runs one
+// engine per shard and owns the threads, the locking and the checkpoint
+// schedule.
 #ifndef NSYNC_ENGINE_MONITOR_ENGINE_HPP
 #define NSYNC_ENGINE_MONITOR_ENGINE_HPP
 
@@ -24,7 +26,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -91,7 +92,7 @@ struct ChannelSnapshot {
   std::size_t width = 0;           ///< samples per frame (signal channels)
   double sample_rate = 0.0;        ///< frames per second
   std::size_t windows = 0;         ///< windows processed so far
-  std::size_t pending_frames = 0;  ///< staged frames awaiting poll()
+  std::size_t pending_frames = 0;  ///< staged frames awaiting a drain
   /// Total frames ever fed to this channel (processed + pending).  After a
   /// restore this tells the feeder where to resume its stream.
   std::size_t frames_fed = 0;
@@ -146,60 +147,17 @@ struct MonitorEngineOptions {
   /// even when the caller never polls.  0 disables the backstop.
   std::size_t max_pending_frames = 65536;
 
-  /// When non-empty, poll() periodically writes an atomic checkpoint of
-  /// the whole fleet to `<checkpoint_dir>/fleet.nckp` (see
-  /// checkpoint_path()).  The directory must already exist.
-  std::string checkpoint_dir;
-  /// Checkpoint after this many poll() calls (counting from the previous
-  /// checkpoint).  0 disables the poll-count trigger.
-  std::size_t checkpoint_every_polls = 1;
-  /// Additionally checkpoint once this many windows have been processed
-  /// since the previous checkpoint (fires at the first poll() that crosses
-  /// the total).  0 disables the window-count trigger.
-  std::size_t checkpoint_every_windows = 0;
-  /// File name the periodic policy writes inside checkpoint_dir.  The
-  /// sharded fleet gives each shard's engine its own name
-  /// ("fleet.<shard>.nckp") so N shards checkpoint into one directory
-  /// without clobbering each other.
-  std::string checkpoint_filename = "fleet.nckp";
-
   /// Per-device baseline adaptation (off by default).
   BaselineOptions baseline;
 };
 
-/// N concurrent streaming sessions over the shared thread pool.
+/// N streaming sessions, drained on the calling thread.
 ///
-/// Thread safety: add_session must not run concurrently with feed/poll/
-/// snapshot (register the fleet first).  After that, feed() calls for
-/// *different* sessions may run concurrently; feed() for one session,
-/// poll() and snapshot() serialize internally on per-session mutexes.
+/// Thread safety: one owner drives the engine, and the owner serializes
+/// access.
 class MonitorEngine {
  public:
   explicit MonitorEngine(MonitorEngineOptions options = {});
-
-  // Movable (restore() builds the fleet into a local and returns it); the
-  // checkpoint mutex is not moved — the destination gets a fresh one, and
-  // moving an engine with concurrent users is a caller error regardless.
-  MonitorEngine(MonitorEngine&& other) noexcept
-      : options_(std::move(other.options_)),
-        sessions_(std::move(other.sessions_)),
-        registry_(std::move(other.registry_)),
-        resolve_on_admission_(other.resolve_on_admission_),
-        polls_since_checkpoint_(other.polls_since_checkpoint_),
-        windows_since_checkpoint_(other.windows_since_checkpoint_),
-        checkpoints_written_(other.checkpoints_written_),
-        exported_generation_(other.exported_generation_) {}
-  MonitorEngine& operator=(MonitorEngine&& other) noexcept {
-    options_ = std::move(other.options_);
-    sessions_ = std::move(other.sessions_);
-    registry_ = std::move(other.registry_);
-    resolve_on_admission_ = other.resolve_on_admission_;
-    polls_since_checkpoint_ = other.polls_since_checkpoint_;
-    windows_since_checkpoint_ = other.windows_since_checkpoint_;
-    checkpoints_written_ = other.checkpoints_written_;
-    exported_generation_ = other.exported_generation_;
-    return *this;
-  }
 
   /// Registers a session and returns its id (dense, starting at 0).
   /// Throws std::invalid_argument on an empty or invalid spec.
@@ -213,27 +171,21 @@ class MonitorEngine {
   std::size_t feed(std::size_t session, const std::string& channel,
                    const nsync::signal::SignalView& frames);
 
-  /// Drains every session's staged frames through its monitors, running
-  /// sessions in parallel on the global thread pool.  Returns the total
+  /// Drains every session's staged frames through its monitors, one
+  /// session after another on the calling thread.  Returns the total
   /// number of windows processed across the fleet.
-  std::size_t poll();
-
-  /// poll(), but every session is drained sequentially on the calling
-  /// thread — no global-pool tasks are enqueued.  This is what each
-  /// ShardedFleet worker uses: with one engine per shard worker, routing
-  /// the drains through the shared pool would serialize the shards on the
-  /// pool's queue instead of running them on their own cores.  Fires the
-  /// same periodic checkpoint policy as poll().
   std::size_t poll_inline();
 
-  /// Drains one session only (inline, on the calling thread).
+  /// Drains one session only.
   std::size_t poll_session(std::size_t session);
 
   /// Releases a session's monitors, staging buffers and reference signals,
   /// leaving a named tombstone so session ids stay stable (they are never
-  /// reused).  Evicted sessions are skipped by poll() and serialized as
+  /// reused).  Evicted sessions are skipped by poll_inline() and serialized as
   /// stubs; feeding one throws std::invalid_argument.  Idempotent.
-  void evict_session(std::size_t session);
+  /// Returns the number of windows its final drain processed (0 when the
+  /// session was already evicted).
+  std::size_t evict_session(std::size_t session);
 
   [[nodiscard]] SessionSnapshot snapshot(std::size_t session) const;
   [[nodiscard]] std::vector<SessionSnapshot> snapshots() const;
@@ -258,8 +210,7 @@ class MonitorEngine {
   // first_alarm_window is identical to a run that never stopped.
 
   /// Serializes the whole fleet, spec table included, into a checkpoint
-  /// payload (unframed).  Takes each session's lock in turn; may run
-  /// concurrently with feed().
+  /// payload (unframed).
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
 
   /// Atomically replaces `path` with the fleet's streaming state, after
@@ -268,8 +219,7 @@ class MonitorEngine {
   /// checkpoint holding their tombstone is durable.  A crash at any point
   /// leaves a restorable set of files.  Throws CheckpointError(kIo) on
   /// filesystem failure.  One engine per `path`: spec files are keyed by
-  /// session id.  Calls serialize with each other and with the periodic
-  /// policy's writes.
+  /// session id.
   void checkpoint(const std::string& path) const;
 
   /// Rebuilds a fleet from a serialize() payload.  Throws CheckpointError
@@ -295,20 +245,10 @@ class MonitorEngine {
   [[nodiscard]] static std::string spec_path(const std::string& checkpoint_path,
                                              std::size_t session);
 
-  /// Where the periodic policy writes its checkpoint
-  /// (`<checkpoint_dir>/fleet.nckp`); empty when the policy is disabled.
-  [[nodiscard]] std::string checkpoint_path() const;
-
   /// Where checkpoint() exports the registry
   /// (`<baseline.dir>/<baseline.filename>`); empty when adaptation is off
   /// or no baseline dir is configured.
   [[nodiscard]] std::string baseline_path() const;
-
-  /// Checkpoints written by the periodic policy so far.
-  [[nodiscard]] std::size_t checkpoints_written() const {
-    const std::scoped_lock lock(checkpoint_mu_);
-    return checkpoints_written_;
-  }
 
   /// The per-device baseline registry, or nullptr when the engine runs
   /// with fixed thresholds (options.baseline.adaptive == false).
@@ -339,13 +279,12 @@ class MonitorEngine {
     /// spec policy becomes VotingPolicy(spec.rule)), cleared on eviction
     /// with the rest of the dynamic state.
     std::shared_ptr<const core::FusionPolicy> policy;
-    mutable std::mutex mu;
     std::vector<Channel> channels;
     std::size_t frames_fed = 0;
     bool intrusion = false;
     std::ptrdiff_t first_alarm_window = -1;
     bool evicted = false;
-    // Checkpoint bookkeeping, guarded by mu.  Mutable: checkpoint() and
+    // Checkpoint bookkeeping.  Mutable: checkpoint() and
     // serialize() are const (they change no fleet state) but remember what
     // they computed and wrote.  spec_ref is set once — the spec never
     // changes after admission; spec_file is the spec file last written
@@ -357,18 +296,17 @@ class MonitorEngine {
   Session& session_at(std::size_t id);
   [[nodiscard]] const Session& session_at(std::size_t id) const;
   /// Per-channel score vector for the session's policy (latched alarm
-  /// bits + live normalized OCC margins).  Caller must hold s.mu.
-  [[nodiscard]] static std::vector<core::ChannelScore> channel_scores_locked(
+  /// bits + live normalized OCC margins).
+  [[nodiscard]] static std::vector<core::ChannelScore> channel_scores(
       const Session& s);
   /// Pushes all staged frames of `s` through its monitors and refreshes
-  /// the fused verdict.  Caller must hold s.mu.
-  std::size_t drain_locked(Session& s);
-  static SessionSnapshot snapshot_locked(const Session& s);
+  /// the fused verdict.
+  static std::size_t drain(Session& s);
+  static SessionSnapshot make_snapshot(const Session& s);
   /// Appends the session's spec in save_session_spec encoding to `w` and
-  /// records its SpecRef if not yet known.  Caller must hold s.mu; the
-  /// session must be live.
+  /// records its SpecRef if not yet known.  The session must be live.
   static void encode_spec(nsync::signal::ByteWriter& w, const Session& s);
-  /// Streaming state + SpecRef (or the tombstone).  Caller must hold s.mu.
+  /// Streaming state + SpecRef (or the tombstone).
   static void save_session(nsync::signal::ByteWriter& w, const Session& s);
   /// Registry + spec-table flag: the common tail of both payload forms.
   void save_registry(nsync::signal::ByteWriter& w) const;
@@ -380,38 +318,20 @@ class MonitorEngine {
       const std::string* checkpoint_path);
   /// restore() cleanup: stale tmp files and unreferenced spec files.
   void remove_orphans(const std::string& path) const;
-  /// checkpoint() body.  Caller must hold checkpoint_mu_.
-  void checkpoint_locked(const std::string& path) const;
   /// Exports the registry to baseline_path() if it changed since the last
-  /// export.  Caller must hold checkpoint_mu_.
+  /// export.
   void export_baselines() const;
-  /// Fires the periodic checkpoint policy after a poll that processed
-  /// `windows` windows.
-  void maybe_checkpoint(std::size_t windows);
 
   MonitorEngineOptions options_;
-  // unique_ptr keeps Session addresses (and their mutexes) stable while
-  // the vector grows.
-  std::vector<std::unique_ptr<Session>> sessions_;
-  // Present iff options_.baseline.adaptive; BaselineRegistry locks
-  // internally, so resolve/fold/serialize may run under session mutexes.
+  std::vector<Session> sessions_;
+  // Present iff options_.baseline.adaptive.
   std::unique_ptr<BaselineRegistry> registry_;
   // restore_from_bytes() admits sessions with their *serialized* (already
   // resolved) thresholds; re-resolving them against the restored registry
   // would arm newer thresholds than the original run and break bitwise
   // verdict replay.  Cleared for the duration of the restore loop.
   bool resolve_on_admission_ = true;
-  // Serializes checkpoint writes and the periodic policy: concurrent
-  // poll()/checkpoint() calls are allowed, so the trigger counters and the
-  // write itself need their own lock (per-session mutexes don't cover
-  // them).  One writer at a time also keeps a stale state file from
-  // landing after a newer one deleted an evicted session's spec file.
-  mutable std::mutex checkpoint_mu_;
-  std::size_t polls_since_checkpoint_ = 0;
-  std::size_t windows_since_checkpoint_ = 0;
-  std::size_t checkpoints_written_ = 0;
   // Registry generation last exported to baseline_path(); max = never.
-  // Guarded by checkpoint_mu_.
   mutable std::uint64_t exported_generation_ =
       std::numeric_limits<std::uint64_t>::max();
 };

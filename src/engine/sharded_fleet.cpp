@@ -71,10 +71,6 @@ std::string feed_status_name(FeedStatus s) {
 MonitorEngineOptions ShardedFleet::engine_options(std::size_t shard) const {
   MonitorEngineOptions opts;
   opts.max_pending_frames = options_.max_pending_frames;
-  opts.checkpoint_dir = options_.checkpoint_dir;
-  opts.checkpoint_every_polls = options_.checkpoint_every_polls;
-  opts.checkpoint_every_windows = options_.checkpoint_every_windows;
-  opts.checkpoint_filename = shard_checkpoint_filename(shard);
   opts.baseline = options_.baseline;
   if (opts.baseline.adaptive) {
     opts.baseline.filename =
@@ -142,6 +138,7 @@ void ShardedFleet::worker_loop(std::size_t index, Shard& shard) {
 void ShardedFleet::process_batches(std::size_t index, Shard& shard,
                                    const std::vector<FrameBatch>& batches) {
   bool evicted_any = false;
+  std::size_t windows = 0;
   std::vector<std::size_t> touched;
   touched.reserve(batches.size());
   const std::scoped_lock lock(shard.mu);
@@ -150,12 +147,13 @@ void ShardedFleet::process_batches(std::size_t index, Shard& shard,
     if (options_.worker_fault_hook) options_.worker_fault_hook(index, b);
     touched.push_back(b.session);
     if (b.kind == FrameBatch::Kind::kEvict) {
-      shard.engine->evict_session(b.session);
+      windows += shard.engine->evict_session(b.session);
       evicted_any = true;
       continue;
     }
     try {
-      shard.engine->feed(b.session, b.channel, b.frames.view());
+      // Non-zero when the max_pending_frames backstop drained inline.
+      windows += shard.engine->feed(b.session, b.channel, b.frames.view());
     } catch (const std::exception&) {
       // feed() validated at ingest; an engine-side failure here is a
       // race with eviction (frames queued before the evict command of
@@ -164,19 +162,13 @@ void ShardedFleet::process_batches(std::size_t index, Shard& shard,
       ++shard.counters.feed_errors;
     }
   }
-  const std::size_t periodic_before = shard.engine->checkpoints_written();
-  shard.counters.windows += shard.engine->poll_inline();
+  shard.counters.windows += windows + shard.engine->poll_inline();
   ++shard.counters.polls;
   shard.counters.batches += batches.size();
-  // Make eviction durable on the spot instead of waiting for the
-  // next periodic trigger: a restore must not resurrect a session
-  // the caller was told is gone.  A periodic checkpoint this round
-  // already holds the tombstone.
-  if (evicted_any && !options_.checkpoint_dir.empty() &&
-      shard.engine->checkpoints_written() == periodic_before) {
-    shard.engine->checkpoint(shard.engine->checkpoint_path());
-    ++shard.counters.explicit_checkpoints;
-  }
+  // Make eviction durable on the spot instead of waiting for the next
+  // periodic write: a restore must not resurrect a session the caller was
+  // told is gone.
+  checkpoint_shard(index, shard, /*polled=*/true, /*durable=*/evicted_any);
   const auto now = std::chrono::steady_clock::now();
   for (const auto& b : batches) {
     if (b.kind == FrameBatch::Kind::kFeed) {
@@ -218,7 +210,6 @@ void ShardedFleet::publish(Shard& shard, std::span<const std::size_t> touched) {
     }
   }
   shard.view.counters = shard.counters;
-  shard.view.checkpoints_written = shard.engine->checkpoints_written();
   if (baselines) shard.view.baselines = std::move(*baselines);
 }
 
@@ -232,6 +223,21 @@ void ShardedFleet::publish_all(Shard& shard) {
     shard.view.sessions.clear();
   }
   publish(shard, all);
+}
+
+void ShardedFleet::checkpoint_shard(std::size_t index, Shard& shard,
+                                    bool polled, bool durable) const {
+  if (options_.checkpoint_dir.empty()) return;
+  if (polled) ++shard.polls_since_write;
+  const bool periodic = polled && options_.checkpoint_every_polls > 0 &&
+                        shard.polls_since_write >=
+                            options_.checkpoint_every_polls;
+  if (!periodic && !durable) return;
+  shard.engine->checkpoint(options_.checkpoint_dir + "/" +
+                           shard_checkpoint_filename(index));
+  shard.polls_since_write = 0;
+  ++shard.counters.checkpoint_writes;
+  if (periodic) ++shard.counters.checkpoints_written;
 }
 
 bool ShardedFleet::supervise_failure(std::size_t index, Shard& shard,
@@ -260,6 +266,7 @@ bool ShardedFleet::supervise_failure(std::size_t index, Shard& shard,
           options_.checkpoint_dir + "/" + shard_checkpoint_filename(index),
           engine_options(index));
       *shard.engine = std::move(restored);
+      shard.polls_since_write = 0;
       publish_all(shard);
       shard.restarts.fetch_add(1, std::memory_order_relaxed);
       shard.failed.store(false, std::memory_order_release);
@@ -313,10 +320,7 @@ std::size_t ShardedFleet::add_session(SessionSpec spec) {
     }
     // Durable admission: the session must survive a crash that happens
     // right after the caller learns its id.
-    if (!options_.checkpoint_dir.empty()) {
-      shard.engine->checkpoint(shard.engine->checkpoint_path());
-      ++shard.counters.explicit_checkpoints;
-    }
+    checkpoint_shard(info.shard, shard, /*polled=*/false, /*durable=*/true);
     publish(shard, std::span(&local, 1));
   }
   const std::unique_lock registry_lock(registry_mu_);
@@ -336,11 +340,8 @@ bool ShardedFleet::evict_session(std::size_t session) {
   Shard& shard = *shards_[info.shard];
   if (options_.shards == 0) {
     const std::scoped_lock lock(shard.mu);
-    shard.engine->evict_session(info.local);
-    if (!options_.checkpoint_dir.empty()) {
-      shard.engine->checkpoint(shard.engine->checkpoint_path());
-      ++shard.counters.explicit_checkpoints;
-    }
+    shard.counters.windows += shard.engine->evict_session(info.local);
+    checkpoint_shard(info.shard, shard, /*polled=*/false, /*durable=*/true);
     publish(shard, std::span(&info.local, 1));
     return true;
   }
@@ -440,7 +441,7 @@ FeedResult ShardedFleet::feed(std::size_t session, const std::string& channel,
 
   if (options_.shards == 0) {
     const std::scoped_lock lock(shard.mu);
-    shard.engine->feed(local, channel, frames);
+    shard.counters.windows += shard.engine->feed(local, channel, frames);
     publish(shard, std::span(&local, 1));
     result.accepted_frames = frames.frames();
     return result;
@@ -472,14 +473,16 @@ FeedResult ShardedFleet::feed(std::size_t session, const std::string& channel,
 }
 
 void ShardedFleet::flush() {
-  for (auto& shard : shards_) {
-    if (shard->queue) {
-      shard->queue->wait_idle();
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    Shard& shard = *shards_[i];
+    if (shard.queue) {
+      shard.queue->wait_idle();
     } else {
-      const std::scoped_lock lock(shard->mu);
-      shard->counters.windows += shard->engine->poll_inline();
-      ++shard->counters.polls;
-      publish_all(*shard);
+      const std::scoped_lock lock(shard.mu);
+      shard.counters.windows += shard.engine->poll_inline();
+      ++shard.counters.polls;
+      checkpoint_shard(i, shard, /*polled=*/true, /*durable=*/false);
+      publish_all(shard);
     }
   }
 }
@@ -544,13 +547,13 @@ FleetStats ShardedFleet::stats() const {
       const std::scoped_lock lock(shard.view_mu);
       s.failure_reason = shard.view.failure_reason;
       c = shard.view.counters;
-      s.checkpoints_written = shard.view.checkpoints_written;
     }
     s.batches = c.batches;
     s.polls = c.polls;
     s.windows = c.windows;
     s.feed_errors = c.feed_errors;
-    s.checkpoint_writes = s.checkpoints_written + c.explicit_checkpoints;
+    s.checkpoints_written = c.checkpoints_written;
+    s.checkpoint_writes = c.checkpoint_writes;
     s.latency_samples = c.latency.count();
     s.p50_feed_to_verdict_us = c.latency.quantile_us(0.50);
     s.p99_feed_to_verdict_us = c.latency.quantile_us(0.99);
@@ -605,11 +608,11 @@ void ShardedFleet::checkpoint_all() const {
     throw std::logic_error(
         "ShardedFleet::checkpoint_all: no checkpoint_dir configured");
   }
-  for (const auto& shard : shards_) {
-    const std::scoped_lock lock(shard->mu);
-    shard->engine->checkpoint(shard->engine->checkpoint_path());
-    ++shard->counters.explicit_checkpoints;
-    publish(*shard, {});
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    Shard& shard = *shards_[i];
+    const std::scoped_lock lock(shard.mu);
+    checkpoint_shard(i, shard, /*polled=*/false, /*durable=*/true);
+    publish(shard, {});
   }
 }
 

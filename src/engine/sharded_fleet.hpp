@@ -1,15 +1,17 @@
-// ShardedFleet — the multi-core fleet layer.
+// ShardedFleet — the multi-core fleet layer, and the only owner of
+// threads, locking and checkpoint scheduling.
 //
-// MonitorEngine::poll() drains every session on one thread pool, which in
-// practice pins the whole fleet's window processing near one core's
-// throughput once feed() itself becomes cheap (bench_ext_multi_session was
-// flat at ~29k windows/s from 1 to 64 sessions).  ShardedFleet partitions
-// the fleet across N shards; each shard owns a *private* MonitorEngine and
-// a dedicated worker thread, fed through a bounded MPSC FrameQueue:
+// A MonitorEngine is a single-owner container with no locks.  ShardedFleet
+// partitions the fleet across N shards; each shard owns a *private*
+// MonitorEngine behind its own mutex and a dedicated worker thread, fed
+// through a bounded MPSC FrameQueue:
 //
 //   ingest threads ──► FrameQueue[shard 0] ──► worker 0 ──► MonitorEngine 0
 //          (feed)  ──► FrameQueue[shard 1] ──► worker 1 ──► MonitorEngine 1
 //                       ...                                 ...
+//
+// shards = 0 is the inline path: one engine, no threads, no queues; feed()
+// applies directly and flush() drains.
 //
 // Sessions are assigned round-robin by global id: session g lives on shard
 // g % N at local id g / N.  The mapping is stable for the life of the id
@@ -19,8 +21,8 @@
 //
 // Determinism: one session's frames are processed by exactly one worker in
 // feed order (the queue is FIFO and a session never migrates), and window
-// processing per session is the same sequential DetectionCore pipeline the
-// unsharded engine runs.  With the kBlock overflow policy (no shedding),
+// processing per session is the same sequential DetectionCore pipeline a
+// lone MonitorEngine runs.  With the kBlock overflow policy (no shedding),
 // per-session verdicts are therefore bitwise identical at any shard count,
 // including against a plain MonitorEngine — pinned by
 // tests/test_sharded_fleet.cpp.
@@ -34,13 +36,13 @@
 // the worker republishes after every round, never the engine itself, so a
 // POLL_STATS does not wait behind a long drain + checkpoint round.
 //
-// Crash safety: each shard's engine periodically checkpoints its own
-// sessions' streaming state to `<dir>/fleet.<shard>.nckp` (the atomic
+// Crash safety: every checkpoint_every_polls drain rounds a shard writes
+// its engine's streaming state to `<dir>/fleet.<shard>.nckp` (the atomic
 // NCKP container), next to one spec file per live session written once at
-// admission, and add_session() checkpoints the target shard synchronously
-// so admission is durable.  restore() reloads all N files and replays bitwise-identical
-// verdicts once the feeder resumes each channel at its recorded
-// frames_fed offset.
+// admission.  Admission, eviction and checkpoint_all() write the affected
+// shards synchronously, so an acknowledged change is durable.  restore()
+// reloads all N files and replays bitwise-identical verdicts once the
+// feeder resumes each channel at its recorded frames_fed offset.
 #ifndef NSYNC_ENGINE_SHARDED_FLEET_HPP
 #define NSYNC_ENGINE_SHARDED_FLEET_HPP
 
@@ -150,10 +152,12 @@ struct ShardedFleetOptions {
   std::size_t max_pending_frames = 65536;
   /// When non-empty, shard i periodically checkpoints to
   /// `<checkpoint_dir>/fleet.<i>.nckp`, and add_session/evict become
-  /// durable (synchronous checkpoint of the affected shard).
+  /// durable (synchronous checkpoint of the affected shard).  The
+  /// directory must already exist.
   std::string checkpoint_dir;
+  /// Periodic write after this many drain rounds of a shard (counting from
+  /// its previous write of any kind).  0 disables the periodic policy.
   std::size_t checkpoint_every_polls = 1;
-  std::size_t checkpoint_every_windows = 0;
   /// Per-device baseline adaptation, forwarded to every shard engine.
   /// Each shard owns a private registry (sessions never migrate, so a
   /// device's baseline evolves deterministically within its shard) and
@@ -281,7 +285,8 @@ class ShardedFleet {
     std::uint64_t polls = 0;
     std::uint64_t windows = 0;
     std::uint64_t feed_errors = 0;
-    std::uint64_t explicit_checkpoints = 0;  // outside the periodic policy
+    std::uint64_t checkpoints_written = 0;  // periodic writes
+    std::uint64_t checkpoint_writes = 0;    // every write
     LatencyHistogram latency;
   };
 
@@ -294,7 +299,6 @@ class ShardedFleet {
   struct ShardView {
     std::map<std::size_t, SessionSnapshot> sessions;  // live, by local id
     ShardCounters counters;
-    std::uint64_t checkpoints_written = 0;
     std::vector<ShardBaselineEntry> baselines;
     std::string failure_reason;
   };
@@ -305,6 +309,7 @@ class ShardedFleet {
     std::unique_ptr<FrameQueue> queue;  // null in inline mode
     std::thread worker;
     ShardCounters counters;  // guarded by mu
+    std::size_t polls_since_write = 0;  // guarded by mu
     // Registry generation the view's baselines were copied at (mu).
     std::uint64_t baselines_generation = 0;
     // Supervision state.  `failed` is atomic so the feed hot path can
@@ -339,6 +344,13 @@ class ShardedFleet {
   void worker_loop(std::size_t index, Shard& shard);
   void process_batches(std::size_t index, Shard& shard,
                        const std::vector<FrameBatch>& batches);
+  /// The one place shard checkpoints are decided.  `polled`: a drain round
+  /// just ran and counts toward the periodic policy; `durable`: the caller
+  /// needs the shard on disk now (admission, eviction, checkpoint_all()).
+  /// Writes at most once.  No-op without a checkpoint_dir.  Caller holds
+  /// shard.mu.
+  void checkpoint_shard(std::size_t index, Shard& shard, bool polled,
+                        bool durable) const;
   /// Handles an exception that escaped batch processing.  Returns true
   /// when the shard was restarted from its checkpoint and the worker loop
   /// should continue; false when the failure is permanent (queue closed

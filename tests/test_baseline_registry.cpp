@@ -559,9 +559,8 @@ TEST(BaselineRegistryEngine, ExportIsRewrittenOnlyWhenTheRegistryChanged) {
                            std::to_string(::getpid());
   std::filesystem::create_directories(root + "/ckpt");
   std::filesystem::create_directories(root + "/base");
+  const std::string ckpt = root + "/ckpt/fleet.nckp";
   MonitorEngineOptions opts;
-  opts.checkpoint_dir = root + "/ckpt";
-  opts.checkpoint_every_polls = 1;
   opts.baseline.adaptive = true;
   opts.baseline.policy = eager_policy();
   opts.baseline.dir = root + "/base";
@@ -572,23 +571,26 @@ TEST(BaselineRegistryEngine, ExportIsRewrittenOnlyWhenTheRegistryChanged) {
   const Signal obs = benign_observation(rig.reference, 900);
   const std::size_t id = eng.add_session(rig.spec("p0"));
   eng.feed(id, "acc", obs.view().slice(0, 200));
-  eng.poll();
+  eng.poll_inline();
+  eng.checkpoint(ckpt);
   ASSERT_TRUE(std::filesystem::exists(bpath));
   const ino_t seeded = inode_of(bpath);
 
   // Polls without a fold checkpoint the fleet but leave the export alone
   // (an atomic rewrite would show up as a new inode).
   eng.feed(id, "acc", obs.view().slice(200, 400));
-  eng.poll();
-  eng.poll();
-  EXPECT_EQ(eng.checkpoints_written(), 3u);
+  for (int round = 0; round < 2; ++round) {
+    eng.poll_inline();
+    eng.checkpoint(ckpt);
+  }
   EXPECT_EQ(inode_of(bpath), seeded);
 
   // The end-of-print fold changes the registry: the next checkpoint
   // exports it, and the file matches the registry.
   eng.feed(id, "acc", obs.view().slice(400, obs.frames()));
   eng.evict_session(id);
-  eng.poll();
+  eng.poll_inline();
+  eng.checkpoint(ckpt);
   EXPECT_NE(inode_of(bpath), seeded);
   expect_same(BaselineRegistry::load(bpath, opts.baseline.policy),
               *eng.baseline_registry());

@@ -26,6 +26,7 @@
 #include "core/nsync.hpp"
 #include "engine/monitor_engine.hpp"
 #include "engine/session_codec.hpp"
+#include "engine/sharded_fleet.hpp"
 #include "eval/setup.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sensors/fault_injector.hpp"
@@ -48,9 +49,10 @@ using nsync::core::SyncMethod;
 using nsync::core::Thresholds;
 using nsync::engine::ChannelSpec;
 using nsync::engine::MonitorEngine;
-using nsync::engine::MonitorEngineOptions;
 using nsync::engine::SessionSnapshot;
 using nsync::engine::SessionSpec;
+using nsync::engine::ShardedFleet;
+using nsync::engine::ShardedFleetOptions;
 using nsync::signal::ByteReader;
 using nsync::signal::ByteWriter;
 using nsync::signal::CheckpointError;
@@ -715,8 +717,8 @@ class CheckpointFleetTest : public ::testing::Test {
     return spec;
   }
 
-  MonitorEngine make_engine(MonitorEngineOptions opts = {}) const {
-    MonitorEngine eng(opts);
+  MonitorEngine make_engine() const {
+    MonitorEngine eng;
     eng.add_session(make_session("benign-print"));
     eng.add_session(make_session("tampered-print"));
     return eng;
@@ -737,7 +739,7 @@ class CheckpointFleetTest : public ::testing::Test {
           eng.feed(s, kNames[c], SignalView(sig).slice(lo, hi));
         }
       }
-      eng.poll();
+      eng.poll_inline();
     }
   }
 
@@ -1074,35 +1076,75 @@ TEST_F(CheckpointFleetTest, WeightedSessionKillAndRestoreReplaysBitwise) {
 // Periodic policy, corruption, misuse
 
 TEST_F(CheckpointFleetTest, PeriodicPolicyWritesAndRotatesAtomically) {
-  MonitorEngineOptions opts;
-  opts.checkpoint_dir = ::testing::TempDir() + "fleet-policy";
-  std::filesystem::create_directories(opts.checkpoint_dir);
-  opts.checkpoint_every_polls = 3;
-  MonitorEngine eng = make_engine(opts);
-  ASSERT_EQ(eng.checkpoint_path(), opts.checkpoint_dir + "/fleet.nckp");
+  // The fleet owns the periodic policy: a shard writes its checkpoint on
+  // every third drain round, and the files on disk always form a
+  // complete, loadable checkpoint set.
+  static const char* kNames[] = {"ACC", "AUD"};
+  constexpr std::size_t kChunk = 113;
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ShardedFleetOptions opts;
+    opts.shards = shards;
+    opts.checkpoint_dir = temp_path("fleet-policy-" + std::to_string(shards));
+    std::filesystem::create_directories(opts.checkpoint_dir);
+    opts.checkpoint_every_polls = 3;
+    ShardedFleet fleet(opts);
+    fleet.add_session(make_session("benign-print"));
+    fleet.add_session(make_session("tampered-print"));
+    // Round k feeds chunk k of every channel, then drains it.
+    const auto feed_fleet_rounds = [&](std::size_t from, std::size_t to) {
+      for (std::size_t k = from; k < to; ++k) {
+        for (std::size_t s = 0; s < streams_.size(); ++s) {
+          for (std::size_t c = 0; c < 2; ++c) {
+            const SignalView sig(streams_[s][c]);
+            ASSERT_LT((k + 1) * kChunk, sig.frames());
+            ASSERT_EQ(fleet.feed(s, kNames[c],
+                                 sig.slice(k * kChunk, (k + 1) * kChunk))
+                          .status,
+                      engine::FeedStatus::kOk);
+          }
+        }
+        fleet.flush();
+      }
+    };
+    // Every shard's periodic writes so far, after checking each against
+    // its drain rounds (a worker may split one round's batches in two).
+    const auto periodic_writes = [&](std::size_t rounds) {
+      std::uint64_t written = 0;
+      for (const auto& st : fleet.stats().per_shard) {
+        EXPECT_GE(st.polls, rounds);
+        EXPECT_EQ(st.checkpoints_written, st.polls / 3);
+        // Plus one synchronous write per admission.
+        EXPECT_EQ(st.checkpoint_writes, st.checkpoints_written + st.sessions);
+        written += st.checkpoints_written;
+      }
+      return written;
+    };
 
-  const std::size_t chunk = 113;
-  feed_rounds(eng, chunk, 0, 2);
-  EXPECT_EQ(eng.checkpoints_written(), 0u);  // 2 polls < every 3
-  feed_rounds(eng, chunk, 2, 3);
-  EXPECT_EQ(eng.checkpoints_written(), 1u);
-  feed_rounds(eng, chunk, 3, 9);
-  EXPECT_EQ(eng.checkpoints_written(), 3u);
+    feed_fleet_rounds(0, 2);
+    if (shards == 0) {
+      EXPECT_EQ(periodic_writes(2), 0u);  // 2 polls < every 3
+    } else {
+      (void)periodic_writes(2);
+    }
+    feed_fleet_rounds(2, 3);
+    if (shards == 0) {
+      EXPECT_EQ(periodic_writes(3), 1u);
+    } else {
+      EXPECT_GE(periodic_writes(3), 2u);  // each shard polled >= 3 times
+    }
+    feed_fleet_rounds(3, 9);
+    if (shards == 0) {
+      EXPECT_EQ(periodic_writes(9), 3u);
+    } else {
+      EXPECT_GE(periodic_writes(9), 6u);
+    }
 
-  // The file on disk is always a complete, loadable checkpoint.
-  MonitorEngine restored = MonitorEngine::restore(eng.checkpoint_path());
-  EXPECT_EQ(restored.sessions(), eng.sessions());
-
-  // Window-count trigger.
-  MonitorEngineOptions wopts;
-  wopts.checkpoint_dir = opts.checkpoint_dir;
-  wopts.checkpoint_every_polls = 0;
-  wopts.checkpoint_every_windows = 10;
-  MonitorEngine weng = make_engine(wopts);
-  feed_rounds(weng, 1200, 0, 1);  // the whole print in one round
-  EXPECT_EQ(weng.checkpoints_written(), 1u);
-
-  std::filesystem::remove_all(opts.checkpoint_dir);
+    const std::unique_ptr<ShardedFleet> restored =
+        ShardedFleet::restore(opts.checkpoint_dir, opts);
+    EXPECT_EQ(restored->sessions(), fleet.sessions());
+    std::filesystem::remove_all(opts.checkpoint_dir);
+  }
 }
 
 TEST_F(CheckpointFleetTest, CorruptedCheckpointNeverPartiallyRestores) {
@@ -1381,10 +1423,8 @@ TEST(SpecOnceCheckpoint, PeriodicCheckpointOfPrintChurnSessionsIsSmall) {
   constexpr double kSeconds = 19.0;
   const std::string dir = temp_path("spec-churn-" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
-  MonitorEngineOptions opts;
-  opts.checkpoint_dir = dir;
-  opts.checkpoint_every_polls = 1;
-  MonitorEngine eng(opts);
+  const std::string path = dir + "/fleet.nckp";
+  MonitorEngine eng;
   std::vector<Signal> refs;
   SessionSpec spec;
   for (const SideChannel ch :
@@ -1419,9 +1459,9 @@ TEST(SpecOnceCheckpoint, PeriodicCheckpointOfPrintChurnSessionsIsSmall) {
       }
     }
     (void)eng.poll_inline();
+    eng.checkpoint(path);
   }
-  ASSERT_EQ(eng.checkpoints_written(), 4u);
-  const std::uintmax_t state = std::filesystem::file_size(eng.checkpoint_path());
+  const std::uintmax_t state = std::filesystem::file_size(path);
   const std::size_t self_contained = eng.serialize().size();
   EXPECT_LE(static_cast<double>(state), 0.10 * static_cast<double>(self_contained))
       << state << " state bytes vs " << self_contained << " self-contained";

@@ -11,7 +11,6 @@
 
 #include "core/nsync.hpp"
 #include "engine/monitor_engine.hpp"
-#include "runtime/thread_pool.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 
@@ -178,7 +177,7 @@ TEST_F(MonitorEngineTest, SessionMatchesStandaloneMonitorsBitwise) {
       eng.feed(0, "AUD", SignalView(aud).slice(off, hi));
       ref_aud.push(SignalView(aud).slice(off, hi));
     }
-    eng.poll();
+    eng.poll_inline();
   }
 
   const SessionSnapshot snap = eng.snapshot(0);
@@ -209,8 +208,8 @@ TEST_F(MonitorEngineTest, SessionMatchesStandaloneMonitorsBitwise) {
 }
 
 TEST_F(MonitorEngineTest, ManySessionsIndependentAndParallelSafe) {
-  // 8 sessions, one malicious, drained by parallel poll(): verdicts must
-  // be per-session and identical at any worker count.
+  // 8 sessions, one malicious, drained together by poll_inline():
+  // verdicts must stay per-session.
   constexpr std::size_t kSessions = 8;
   constexpr std::size_t kMalicious = 3;
   MonitorEngine eng;
@@ -242,7 +241,7 @@ TEST_F(MonitorEngineTest, ManySessionsIndependentAndParallelSafe) {
       eng.feed(s, "AUD", chunk);
       if (hi < streams[s].frames()) more = true;
     }
-    eng.poll();
+    eng.poll_inline();
   }
   for (std::size_t s = 0; s < kSessions; ++s) {
     const SessionSnapshot snap = eng.snapshot(s);
@@ -261,7 +260,7 @@ TEST_F(MonitorEngineTest, MaxPendingBackstopDrainsInline) {
   MonitorEngine eng(opts);
   eng.add_session(make_session("bounded"));
   const Signal obs = benign_observation(reference_, 60);
-  // Feed a large chunk without ever calling poll(): the backstop must
+  // Feed a large chunk without ever polling: the backstop must
   // process windows inline and keep staging below the cap.
   std::size_t windows = 0;
   constexpr std::size_t kChunk = 128;
@@ -287,7 +286,7 @@ TEST_F(MonitorEngineTest, AllFusionRulesLatch) {
     const Signal bad = malicious_observation(reference_, 90);
     eng.feed(0, "ACC", bad);
     eng.feed(0, "AUD", bad);
-    eng.poll();
+    eng.poll_inline();
     // Both channels see the same tampered stream, so every rule fires.
     EXPECT_TRUE(eng.snapshot(0).intrusion)
         << core::fusion_rule_name(rule);

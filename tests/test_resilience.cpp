@@ -203,7 +203,7 @@ std::vector<Verdict> run_monitor_engine(const Fixture& fx) {
         if (hi < sig.frames()) more = true;
       }
     }
-    eng.poll();
+    eng.poll_inline();
   }
   std::vector<Verdict> out;
   for (const auto& snap : eng.snapshots()) out.push_back(to_verdict(snap));

@@ -219,7 +219,7 @@ std::vector<Verdict> run_monitor_engine(const Fixture& fx) {
   for (std::size_t s = 0; s < fx.sessions(); ++s) eng.add_session(fx.spec(s));
   replay(fx, [&](std::size_t s, const std::string& ch, const SignalView& v) {
     eng.feed(s, ch, v);
-    eng.poll();
+    eng.poll_inline();
   });
   std::vector<Verdict> out;
   for (const auto& snap : eng.snapshots()) out.push_back(to_verdict(snap));
@@ -692,6 +692,35 @@ TEST(ShardedFleet, EvictionRoundWritesOneCheckpoint) {
   }
 }
 
+TEST(ShardedFleet, BackstopWindowsAreCounted) {
+  // A feed past max_pending_frames is drained inside the engine's feed();
+  // those windows count toward the stats like the ones a poll processes.
+  const Fixture fx(2, /*attack_session=*/99);
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedFleetOptions opts;
+    opts.shards = shards;
+    opts.max_pending_frames = 256;
+    ShardedFleet fleet(opts);
+    for (std::size_t s = 0; s < fx.sessions(); ++s) {
+      fleet.add_session(fx.spec(s));
+      for (std::size_t c = 0; c < fx.channels.size(); ++c) {
+        ASSERT_EQ(fleet.feed(s, fx.channels[c],
+                             SignalView(fx.streams[s][c]).slice(0, 1200))
+                      .status,
+                  FeedStatus::kOk);
+      }
+    }
+    fleet.flush();
+    std::uint64_t windows = 0;
+    for (std::size_t s = 0; s < fx.sessions(); ++s) {
+      for (const auto& c : fleet.snapshot(s).channels) windows += c.windows;
+    }
+    EXPECT_GT(windows, 0u);
+    EXPECT_EQ(fleet.stats().windows, windows);
+  }
+}
+
 TEST(ShardedFleet, SettleWaitsForFramesAcceptedBeforeIt) {
   // A slow worker: every batch takes 20 ms to apply.  settle() returns
   // only once the frames accepted before it are applied, so the snapshot
@@ -809,7 +838,7 @@ TEST(ShardedFleet, WeightedSessionsAreShardInvariant) {
   }
   replay(fx, [&](std::size_t s, const std::string& ch, const SignalView& v) {
     eng.feed(s, ch, v);
-    eng.poll();
+    eng.poll_inline();
   });
   const std::vector<engine::SessionSnapshot> baseline = eng.snapshots();
   EXPECT_EQ(baseline[0].policy, "weighted");

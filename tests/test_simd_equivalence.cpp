@@ -528,9 +528,9 @@ class SimdFleetTest : public ::testing::Test {
         eng.feed(0, ch, SignalView(benign).slice(lo, hi));
         eng.feed(1, ch, SignalView(malicious).slice(lo, hi));
       }
-      eng.poll();
+      eng.poll_inline();
     }
-    eng.poll();
+    eng.poll_inline();
   }
 
   NsyncConfig cfg_;
