@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/tde.hpp"
+#include "dsp/reference/reference.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/xcorr.hpp"
 #include "eval/options.hpp"

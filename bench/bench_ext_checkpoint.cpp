@@ -229,8 +229,12 @@ int main(int argc, char** argv) {
                    eval::fmt(static_cast<double>(r.bytes) / 1024.0, 1),
                    eval::fmt(r.serialize_ms, 3), eval::fmt(r.write_ms, 3),
                    eval::fmt(r.restore_ms, 3)});
+    // checkpoint() writes each session's spec file beside the state file.
+    std::remove(path.c_str());
+    for (std::size_t s = 0; s < n_sessions; ++s) {
+      std::remove(engine::MonitorEngine::spec_path(path, s).c_str());
+    }
   }
-  std::remove(path.c_str());
   table.print(std::cout);
   std::cout << "\n(Write ms is the full atomic protocol — serialize, CRC,\n"
                " tmp file, fsync, rename — i.e. the per-poll overhead of\n"

@@ -28,6 +28,7 @@
 #include "core/tde.hpp"
 #include "dsp/batched_fft.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/reference/reference.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/stft.hpp"
 #include "dsp/xcorr.hpp"

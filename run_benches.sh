@@ -8,10 +8,11 @@
 # size used for the committed outputs is visible in the invocation.
 #
 # NSYNC_SIMD passthrough: the dispatch layer honors it directly
-# ("scalar"/"avx2"/"neon"); echoing it here makes the backend used for a
-# committed capture visible at the top of the output.  bench_micro also
-# records the resolved backend in its JSON context (`simd_isa`), which is
-# how BENCH_micro_scalar.json and BENCH_micro.json are told apart.
+# ("scalar"/"avx2"; an unknown name keeps the best backend); echoing it
+# here makes the backend used for a committed capture visible at the top
+# of the output.  bench_micro also records the resolved backend in its
+# JSON context (`simd_isa`), which is how BENCH_micro_scalar.json and
+# BENCH_micro.json are told apart.
 set -u
 THREAD_FLAGS=""
 if [ -n "${NSYNC_THREADS:-}" ]; then

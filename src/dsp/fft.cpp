@@ -360,40 +360,6 @@ void fft_radix2(std::span<Complex> data, bool inverse) {
                reinterpret_cast<double*>(data.data()));
 }
 
-void fft_radix2_uncached(std::span<Complex> data, bool inverse) {
-  const std::size_t n = data.size();
-  if (n == 0) return;
-  if (!is_power_of_two(n)) {
-    throw std::invalid_argument(
-        "fft_radix2_uncached: size must be a power of two");
-  }
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  const double sign = inverse ? 1.0 : -1.0;
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang = sign * 2.0 * kPi / static_cast<double>(len);
-    const Complex wlen(std::cos(ang), std::sin(ang));
-    for (std::size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Complex u = data[i + k];
-        const Complex v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-  if (inverse) {
-    for (auto& x : data) x /= static_cast<double>(n);
-  }
-}
-
 std::vector<Complex> fft(std::span<const Complex> input) {
   std::vector<Complex> data(input.begin(), input.end());
   if (data.empty()) return data;
@@ -572,31 +538,6 @@ std::vector<double> cross_correlate_valid(std::span<const double> x,
   thread_local CorrelationWorkspace ws;
   std::vector<double> out(x.size() - y.size() + 1);
   cross_correlate_valid_into(x, y, out, ws);
-  return out;
-}
-
-std::vector<double> cross_correlate_valid_complex(std::span<const double> x,
-                                                  std::span<const double> y) {
-  if (y.empty() || x.size() < y.size()) {
-    throw std::invalid_argument(
-        "cross_correlate_valid_complex: need x.size() >= y.size() >= 1");
-  }
-  const std::size_t nx = x.size();
-  const std::size_t ny = y.size();
-  const std::size_t n_out = nx - ny + 1;
-  const std::size_t m = next_power_of_two(nx + ny);
-  std::vector<Complex> fx(m, Complex(0.0, 0.0));
-  std::vector<Complex> fy(m, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < nx; ++i) fx[i] = Complex(x[i], 0.0);
-  for (std::size_t i = 0; i < ny; ++i) fy[i] = Complex(y[ny - 1 - i], 0.0);
-  fft_radix2(fx);
-  fft_radix2(fy);
-  for (std::size_t i = 0; i < m; ++i) fx[i] *= fy[i];
-  fft_radix2(fx, /*inverse=*/true);
-  std::vector<double> out(n_out);
-  for (std::size_t k = 0; k < n_out; ++k) {
-    out[k] = fx[k + ny - 1].real();
-  }
   return out;
 }
 

@@ -17,12 +17,14 @@
 // allocation once their buffers have grown to steady-state size.
 //
 // The butterfly, pack/untangle, and bin-product inner loops run through
-// the runtime-dispatched SIMD kernel table (dsp/simd/simd.hpp): AVX2 or
-// NEON when the host supports it, with a scalar fallback that is always
-// built.  All backends are bitwise-identical for these kernels (the
-// vector lanes evaluate the exact scalar formulas in parallel), so
+// the runtime-dispatched SIMD kernel table (dsp/simd/simd.hpp): AVX2 on
+// x86-64 hosts that support it, the always-built scalar backend
+// everywhere else.  Both backends are bitwise-identical for these kernels
+// (the vector lanes evaluate the exact scalar formulas in parallel), so
 // results do not depend on the machine the binary lands on.  Batched
-// many-channel transforms live in dsp/batched_fft.hpp.
+// many-channel transforms live in dsp/batched_fft.hpp; the uncached and
+// full-complex reference transforms the tests compare against live in
+// dsp/reference/reference.hpp, outside the production library.
 #ifndef NSYNC_DSP_FFT_HPP
 #define NSYNC_DSP_FFT_HPP
 
@@ -44,11 +46,6 @@ using Complex = std::complex<double>;
 /// In-place forward FFT; `data.size()` must be a power of two.  Uses the
 /// cached plan for that size (creating it on first use).
 void fft_radix2(std::span<Complex> data, bool inverse = false);
-
-/// Reference radix-2 FFT that recomputes its twiddle factors on every
-/// call (the pre-cache implementation).  Kept for the cache-equivalence
-/// tests and the BM_FftUncached micro-bench; prefer fft_radix2.
-void fft_radix2_uncached(std::span<Complex> data, bool inverse = false);
 
 /// Forward DFT of arbitrary length (radix-2 when possible, Bluestein
 /// otherwise).  Returns a new vector of the same length.
@@ -101,12 +98,6 @@ void cross_correlate_valid_into(std::span<const double> x,
                                 std::span<const double> y,
                                 std::span<double> out,
                                 CorrelationWorkspace& ws);
-
-/// Pre-rfft reference implementation using two full-size complex FFTs.
-/// Kept for the rfft equivalence tests and the bench_ablation_tde_speed
-/// ablation; prefer cross_correlate_valid.
-[[nodiscard]] std::vector<double> cross_correlate_valid_complex(
-    std::span<const double> x, std::span<const double> y);
 
 /// Counters for the process-wide FFT plan cache (all sizes since start
 /// or the last fft_plan_cache_clear()).

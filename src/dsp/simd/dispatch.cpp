@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "dsp/simd/kernels.hpp"
 
@@ -18,7 +19,7 @@ namespace {
   ns::radix2_pass, ns::radix2_pass_batch, ns::divide2, ns::cmul_inplace, \
       ns::cmul_split_inplace, ns::cmul_rows_broadcast, ns::rfft_untangle, \
       ns::irfft_untangle, ns::rfft_untangle_batch, ns::irfft_untangle_batch, \
-      ns::deinterleave, ns::interleave, ns::subtract_scalar, ns::mul_arrays, \
+      ns::deinterleave, ns::interleave, ns::subtract_scalar,            \
       ns::mul_rows_broadcast_real, ns::add_arrays, ns::scale,           \
       ns::normalize_windows, ns::normalize_windows_strided,             \
       ns::clamp_weight_argmax, ns::channel_sums, ns::center_rows,       \
@@ -30,38 +31,29 @@ const Ops kScalarOps{Isa::kScalar, "scalar", NSYNC_SIMD_OPS_ENTRIES(scalar)};
 #if defined(NSYNC_SIMD_HAVE_AVX2)
 const Ops kAvx2Ops{Isa::kAvx2, "avx2", NSYNC_SIMD_OPS_ENTRIES(avx2)};
 #endif
-#if defined(NSYNC_SIMD_HAVE_NEON)
-const Ops kNeonOps{Isa::kNeon, "neon", NSYNC_SIMD_OPS_ENTRIES(neon)};
-#endif
 
 #undef NSYNC_SIMD_OPS_ENTRIES
 
-const Ops* table_for(Isa isa) {
-  switch (isa) {
+// Callers only pass ISAs that backend_available() accepted, so a backend
+// that is not compiled in never reaches the scalar fallback here.
+const Ops* table_for([[maybe_unused]] Isa isa) {
 #if defined(NSYNC_SIMD_HAVE_AVX2)
-    case Isa::kAvx2:
-      return &kAvx2Ops;
+  if (isa == Isa::kAvx2) return &kAvx2Ops;
 #endif
-#if defined(NSYNC_SIMD_HAVE_NEON)
-    case Isa::kNeon:
-      return &kNeonOps;
-#endif
-    default:
-      return &kScalarOps;
-  }
+  return &kScalarOps;
 }
 
-Isa parse_isa_name(const char* s) {
+std::optional<Isa> parse_isa_name(const char* s) {
+  if (std::strcmp(s, "scalar") == 0) return Isa::kScalar;
   if (std::strcmp(s, "avx2") == 0) return Isa::kAvx2;
-  if (std::strcmp(s, "neon") == 0) return Isa::kNeon;
-  return Isa::kScalar;
+  return std::nullopt;
 }
 
 Isa initial_isa() {
   Isa isa = best_supported_isa();
   if (const char* env = std::getenv("NSYNC_SIMD")) {
-    const Isa wanted = parse_isa_name(env);
-    if (backend_available(wanted)) isa = wanted;
+    const std::optional<Isa> wanted = parse_isa_name(env);
+    if (wanted && backend_available(*wanted)) isa = *wanted;
   }
   return isa;
 }
@@ -77,35 +69,32 @@ const Ops& ops() { return *active_slot().load(std::memory_order_acquire); }
 
 Isa active_isa() { return ops().isa; }
 
-const char* isa_name(Isa isa) { return table_for(isa)->name; }
+const char* isa_name(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar:
+      return "scalar";
+    case Isa::kAvx2:
+      return "avx2";
+  }
+  return "unknown";
+}
 
 Isa best_supported_isa() {
-#if defined(NSYNC_SIMD_HAVE_AVX2)
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-#endif
-#if defined(NSYNC_SIMD_HAVE_NEON)
-  // NEON is baseline on aarch64; the backend is only compiled in when the
-  // target guarantees it.
-  return Isa::kNeon;
-#endif
-  return Isa::kScalar;
+  return backend_available(Isa::kAvx2) ? Isa::kAvx2 : Isa::kScalar;
 }
 
 bool backend_available(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return true;
-#if defined(NSYNC_SIMD_HAVE_AVX2)
     case Isa::kAvx2:
+#if defined(NSYNC_SIMD_HAVE_AVX2)
       return __builtin_cpu_supports("avx2");
-#endif
-#if defined(NSYNC_SIMD_HAVE_NEON)
-    case Isa::kNeon:
-      return true;
-#endif
-    default:
+#else
       return false;
+#endif
   }
+  return false;
 }
 
 bool set_backend(Isa isa) {
@@ -115,7 +104,7 @@ bool set_backend(Isa isa) {
 }
 
 bool built_with_simd() {
-#if defined(NSYNC_SIMD_HAVE_AVX2) || defined(NSYNC_SIMD_HAVE_NEON)
+#if defined(NSYNC_SIMD_HAVE_AVX2)
   return true;
 #else
   return false;

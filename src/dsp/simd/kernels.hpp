@@ -9,8 +9,8 @@
 // simd.hpp (bitwise for lane-parallel kernels, bounded-ULP for
 // reassociating reductions).
 //
-// The signature list is kept in one macro so the three backends cannot
-// drift apart.
+// The signature list is kept in one macro so the backends cannot drift
+// apart.
 #ifndef NSYNC_DSP_SIMD_KERNELS_HPP
 #define NSYNC_DSP_SIMD_KERNELS_HPP
 
@@ -51,8 +51,6 @@
                   double* xy);                                               \
   void subtract_scalar(const double* src, double mu, double* dst,            \
                        std::size_t n);                                       \
-  void mul_arrays(const double* a, const double* b, double* dst,             \
-                  std::size_t n);                                            \
   void mul_rows_broadcast_real(const double* src, std::size_t rows,          \
                                std::size_t lanes, const double* w,           \
                                double* dst);                                 \
@@ -96,12 +94,6 @@ NSYNC_SIMD_DECLARE_KERNELS
 namespace avx2 {
 NSYNC_SIMD_DECLARE_KERNELS
 }  // namespace avx2
-#endif
-
-#if defined(NSYNC_SIMD_HAVE_NEON)
-namespace neon {
-NSYNC_SIMD_DECLARE_KERNELS
-}  // namespace neon
 #endif
 
 }  // namespace nsync::dsp::simd

@@ -604,16 +604,6 @@ void subtract_scalar(const double* src, double mu, double* dst,
   for (; i < n; ++i) dst[i] = src[i] - mu;
 }
 
-void mul_arrays(const double* a, const double* b, double* dst,
-                std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        dst + i, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] * b[i];
-}
-
 void mul_rows_broadcast_real(const double* src, std::size_t rows,
                              std::size_t lanes, const double* w, double* dst) {
   for (std::size_t k = 0; k < rows; ++k) {

@@ -215,11 +215,6 @@ void subtract_scalar(const double* src, double mu, double* dst,
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] - mu;
 }
 
-void mul_arrays(const double* a, const double* b, double* dst,
-                std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] * b[i];
-}
-
 void mul_rows_broadcast_real(const double* src, std::size_t rows,
                              std::size_t lanes, const double* w, double* dst) {
   for (std::size_t k = 0; k < rows; ++k) {

@@ -2,16 +2,16 @@
 //
 // Every arithmetic-dense inner loop of the rfft → cross-correlation →
 // sliding-Pearson → TDEB chain is routed through a table of function
-// pointers (`Ops`) resolved once at startup: an AVX2 backend on x86-64,
-// a NEON backend on aarch64, and a portable scalar backend that is always
-// built and is the reference implementation for both.
+// pointers (`Ops`) resolved once at startup: an AVX2 backend on x86-64
+// hosts that support it, and a portable scalar backend that is always
+// built, runs everywhere else, and is the reference implementation.
 //
 // Equivalence contract (pinned by tests/test_simd_equivalence.cpp, see
 // DESIGN.md "SIMD dispatch layer" for the per-kernel table):
 //
 //  * "bitwise" kernels are lane-parallel only — each output element is
 //    computed with exactly the scalar backend's operation sequence, no
-//    FMA contraction and no reassociation — so vector and scalar
+//    FMA contraction and no reassociation — so the AVX2 and scalar
 //    backends produce bit-identical results.  This covers the radix-2
 //    butterfly passes, the rfft/irfft untangling epilogues, complex bin
 //    products, centered copies, window normalization, the batched
@@ -23,10 +23,11 @@
 //    centered energy and the 1-D prefix-sum scan.
 //
 // Backend selection: the best compiled-in backend the host supports,
-// overridable with the NSYNC_SIMD environment variable
-// ("scalar"/"avx2"/"neon"; ignored when unavailable) or at runtime with
-// set_backend() (tests, ablations).  All selection state is atomic; the
-// kernels themselves are stateless and thread-safe.
+// overridable with the NSYNC_SIMD environment variable ("scalar" or
+// "avx2"; an unknown or unavailable name is ignored and the best backend
+// stays) or at runtime with set_backend() (tests, ablations).  All
+// selection state is atomic; the kernels themselves are stateless and
+// thread-safe.
 #ifndef NSYNC_DSP_SIMD_SIMD_HPP
 #define NSYNC_DSP_SIMD_SIMD_HPP
 
@@ -42,7 +43,7 @@ namespace nsync::dsp::simd {
 /// relative to its raw energy `sumsq` cannot support correlation and
 /// scores 0.  Written as !(var > eps) so a NaN from non-finite input
 /// routes into the degenerate branch instead of slipping past a
-/// `var <= eps` comparison.  The vector backends of normalize_windows
+/// `var <= eps` comparison.  The AVX2 backend of normalize_windows
 /// implement exactly this predicate lane-wise (max_pd operand order
 /// matches std::max's NaN semantics), so the guard cannot drift between
 /// the scalar and SIMD paths again.
@@ -52,7 +53,7 @@ namespace nsync::dsp::simd {
 
 using Complex = std::complex<double>;
 
-enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Isa { kScalar = 0, kAvx2 = 1 };
 
 /// Kernel table for one backend.  All pointers are always valid.
 struct Ops {
@@ -131,10 +132,6 @@ struct Ops {
   void (*subtract_scalar)(const double* src, double mu, double* dst,
                           std::size_t n);
 
-  /// dst[i] = a[i] * b[i] (window-coefficient multiply).
-  void (*mul_arrays)(const double* a, const double* b, double* dst,
-                     std::size_t n);
-
   /// Row k (of `lanes` elements) of dst = row k of src * w[k], k < rows
   /// (the STFT window multiply applied to all channels/columns at once).
   void (*mul_rows_broadcast_real)(const double* src, std::size_t rows,
@@ -196,7 +193,7 @@ struct Ops {
 
   // --- ULP-bounded kernels (reassociating reductions) ------------------
 
-  /// sum(x[0..n)).  Vector backends use 4 partial accumulators.
+  /// sum(x[0..n)).  The AVX2 backend uses 4 partial accumulators.
   double (*sum)(const double* x, std::size_t n);
 
   /// sum((x[i]-mu)^2).
@@ -213,7 +210,7 @@ struct Ops {
                              double* du2, double* dv2);
 
   /// 1-D prefix sums ps[0] = 0, ps[i+1] = ps[i] + x[i] (and squares).
-  /// Vector backends use an in-register inclusive scan (reassociates).
+  /// The AVX2 backend uses an in-register inclusive scan (reassociates).
   void (*prefix_sums)(const double* x, double* ps, double* ps2,
                       std::size_t n);
 };
@@ -224,7 +221,8 @@ const Ops& ops();
 /// ISA of the active backend.
 Isa active_isa();
 
-/// Human-readable name ("scalar", "avx2", "neon").
+/// Human-readable name ("scalar", "avx2"), whether or not that backend is
+/// compiled into this binary.
 const char* isa_name(Isa isa);
 
 /// Best backend compiled into this binary that the host can execute —
@@ -239,8 +237,8 @@ bool backend_available(Isa isa);
 /// A/B comparisons should not run transforms concurrently with a switch.
 bool set_backend(Isa isa);
 
-/// True when any vector backend was compiled in (NSYNC_ENABLE_SIMD=ON
-/// and the toolchain/arch supports one).
+/// True when the AVX2 backend was compiled in (NSYNC_ENABLE_SIMD=ON on an
+/// x86-64 target).
 bool built_with_simd();
 
 }  // namespace nsync::dsp::simd

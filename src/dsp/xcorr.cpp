@@ -21,39 +21,6 @@ void check_sizes(std::span<const double> x, std::span<const double> y,
   }
 }
 
-// Reference-path epilogue: given the raw correlation numerator over the
-// centered signals, normalize each window by its standard deviation
-// (from prefix sums) and the template norm.  The production path uses
-// the dispatched simd::ops().normalize_windows kernel, whose scalar body
-// is this exact loop (shared guard: simd::degenerate_variance).
-//
-// Degenerate windows score 0, matching the stats::pearson convention: a
-// flat window (var <= 0 up to rounding) has an undefined correlation, and
-// a window containing NaN/Inf would otherwise slip past a `var <= eps`
-// comparison (NaN compares false) and emit a non-finite score that
-// poisons every downstream TDEB/DWM result.  The guard is therefore
-// written as !(var > eps), which routes NaN into the degenerate branch,
-// and the quotient is checked once more because a non-finite input
-// contaminates the whole FFT numerator.
-template <typename NumAt>
-void normalize_windows_ref(std::span<const double> ps,
-                           std::span<const double> ps2, std::size_t ny,
-                           double y_norm, NumAt num_at,
-                           std::span<double> out) {
-  const double ny_d = static_cast<double>(ny);
-  for (std::size_t n = 0; n < out.size(); ++n) {
-    const double s1 = ps[n + ny] - ps[n];
-    const double s2 = ps2[n + ny] - ps2[n];
-    const double var = s2 - s1 * s1 / ny_d;
-    if (simd::degenerate_variance(var, s2)) {
-      out[n] = 0.0;  // flat (or non-finite) window
-    } else {
-      const double r = num_at(n) / (std::sqrt(var) * y_norm);
-      out[n] = std::isfinite(r) ? r : 0.0;
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<double> sliding_pearson_naive(std::span<const double> x,
@@ -138,43 +105,6 @@ void sliding_pearson_fft_into(std::span<const double> x,
   k.prefix_sums(ws.xc.data(), ws.ps.data(), ws.ps2.data(), ws.xc.size());
   k.normalize_windows(ws.ps.data(), ws.ps2.data(), ny, y_norm, ws.num.data(),
                       out.data(), n_out);
-}
-
-std::vector<double> sliding_pearson_fft_complex(std::span<const double> x,
-                                                std::span<const double> y) {
-  check_sizes(x, y, "sliding_pearson_fft_complex");
-  const std::size_t ny = y.size();
-  const std::size_t n_out = x.size() - ny + 1;
-
-  const double mu_y = nsync::signal::mean(y);
-  std::vector<double> yc(ny);
-  double y_energy = 0.0;
-  for (std::size_t i = 0; i < ny; ++i) {
-    yc[i] = y[i] - mu_y;
-    y_energy += yc[i] * yc[i];
-  }
-  const double y_norm = std::sqrt(y_energy);
-
-  std::vector<double> out(n_out, 0.0);
-  // Same degenerate-template convention as the rfft path: constant or
-  // non-finite template scores 0 everywhere.
-  if (!(y_norm > 0.0) || !std::isfinite(y_norm)) return out;
-
-  const double mu_x = nsync::signal::mean(x);
-  std::vector<double> xc(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) xc[i] = x[i] - mu_x;
-
-  const auto num = cross_correlate_valid_complex(xc, yc);
-
-  std::vector<double> ps(xc.size() + 1, 0.0);
-  std::vector<double> ps2(xc.size() + 1, 0.0);
-  for (std::size_t i = 0; i < xc.size(); ++i) {
-    ps[i + 1] = ps[i] + xc[i];
-    ps2[i + 1] = ps2[i] + xc[i] * xc[i];
-  }
-  normalize_windows_ref(ps, ps2, ny, y_norm,
-                        [&](std::size_t n) { return num[n]; }, out);
-  return out;
 }
 
 }  // namespace nsync::dsp

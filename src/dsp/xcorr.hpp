@@ -1,12 +1,12 @@
 // Sliding normalized correlation ("the sliding method", Section V-B).
 //
-// Three implementations with identical output are provided: a direct
-// O(Nx * Ny) evaluation, an rfft + prefix-sum path (the default inside
-// TDE), and a pre-rfft complex-FFT reference.  The naive and complex
-// variants serve as references for testing and as ablation targets
-// (bench_ablation_tde_speed).  The *_into entry points write into
-// caller-owned buffers and perform no heap allocation once their
-// workspace has reached steady-state size.
+// Two implementations with identical output are provided: a direct
+// O(Nx * Ny) evaluation (TdeOptions::use_fft = false) and an rfft +
+// prefix-sum path (the default inside TDE).  The pre-rfft complex-FFT
+// reference that the tests and bench_ablation_tde_speed compare against
+// lives in dsp/reference/reference.hpp, outside the production library.
+// The *_into entry points write into caller-owned buffers and perform no
+// heap allocation once their workspace has reached steady-state size.
 //
 // The fft path's centering, prefix-sum, and window-normalization passes
 // run through the runtime-dispatched SIMD kernels (dsp/simd/simd.hpp).
@@ -66,12 +66,6 @@ void sliding_pearson_fft_into(std::span<const double> x,
 void sliding_pearson_naive_into(std::span<const double> x,
                                 std::span<const double> y,
                                 std::span<double> out);
-
-/// Pre-rfft reference: the numerator comes from the full-size complex-FFT
-/// cross-correlation.  Kept for the rfft equivalence tests and the
-/// bench_ablation_tde_speed ablation.
-[[nodiscard]] std::vector<double> sliding_pearson_fft_complex(
-    std::span<const double> x, std::span<const double> y);
 
 }  // namespace nsync::dsp
 

@@ -437,12 +437,12 @@ void FleetServer::accept_loop() {
       for (;;) {
         const auto now = std::chrono::steady_clock::now();
         if (now >= drain_deadline) break;
-        pollfd pfd{fd, POLLIN, 0};
+        pollfd drain_pfd{fd, POLLIN, 0};
         const int left = static_cast<int>(
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 drain_deadline - now)
                 .count());
-        if (::poll(&pfd, 1, std::max(left, 1)) <= 0) break;
+        if (::poll(&drain_pfd, 1, std::max(left, 1)) <= 0) break;
         if (::read(fd, scratch, sizeof scratch) <= 0) break;
       }
       ::close(fd);

@@ -15,6 +15,7 @@
 #include "core/fusion.hpp"
 #include "core/health.hpp"
 #include "core/nsync.hpp"
+#include "dsp/reference/reference.hpp"
 #include "dsp/xcorr.hpp"
 #include "gcode/parser.hpp"
 #include "sensors/daq.hpp"

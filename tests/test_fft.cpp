@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "dsp/fft.hpp"
+#include "dsp/reference/reference.hpp"
 #include "runtime/thread_pool.hpp"
 #include "signal/rng.hpp"
 

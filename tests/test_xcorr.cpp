@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "dsp/reference/reference.hpp"
 #include "dsp/xcorr.hpp"
 #include "signal/rng.hpp"
 
