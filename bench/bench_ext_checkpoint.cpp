@@ -18,6 +18,10 @@
 //        --reps n          timing repetitions, min is reported (default 5)
 //        --dir path        where the checkpoint file is written (default .)
 //        --json path       machine-readable results (BENCH_checkpoint.json)
+//        --context k=v     extra provenance for the JSON context block
+//                          (repeatable; run_benches.sh passes git_sha and
+//                          build_type).  hardware_concurrency, simd_isa
+//                          and reps are always recorded.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -29,9 +33,12 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/nsync.hpp"
+#include "dsp/simd/simd.hpp"
 #include "engine/monitor_engine.hpp"
 #include "eval/table.hpp"
 #include "signal/rng.hpp"
@@ -129,6 +136,7 @@ int main(int argc, char** argv) {
   std::size_t reps = 5;
   std::string dir = ".";
   std::string json_path;
+  std::vector<std::pair<std::string, std::string>> context;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -149,10 +157,21 @@ int main(int argc, char** argv) {
       dir = next();
     } else if (arg == "--json") {
       json_path = next();
+    } else if (arg == "--context") {
+      const std::string kv = next();
+      const auto eq = kv.find('=');
+      if (eq == std::string::npos || eq == 0 ||
+          kv.find_first_of("\"\\") != std::string::npos) {
+        std::cerr << "--context needs key=value without quotes or "
+                     "backslashes, got '"
+                  << kv << "'\n";
+        return 2;
+      }
+      context.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--sessions a,b,c] [--frames n] [--reps n]"
-                   " [--dir path] [--json path]\n";
+                   " [--dir path] [--json path] [--context key=value]...\n";
       return 0;
     } else {
       std::cerr << "unknown flag " << arg << "\n";
@@ -242,8 +261,16 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    out << "{\n  \"benchmark\": \"checkpoint\",\n  \"frames_per_channel\": "
-        << frames_per_channel << ",\n  \"results\": [\n";
+    out << "{\n  \"benchmark\": \"checkpoint\",\n  \"context\": {";
+    for (const auto& [key, value] : context) {
+      out << "\"" << key << "\": \"" << value << "\", ";
+    }
+    out << "\"hardware_concurrency\": " << std::thread::hardware_concurrency()
+        << ", \"simd_isa\": \""
+        << dsp::simd::isa_name(dsp::simd::active_isa())
+        << "\", \"reps\": " << reps << ", \"statistic\": \"min\"},\n"
+        << "  \"frames_per_channel\": " << frames_per_channel
+        << ",\n  \"results\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       const Result& r = results[i];
       out << "    {\"sessions\": " << r.sessions

@@ -160,7 +160,7 @@ void BM_CrossCorrelateRfft(benchmark::State& state) {
   }
   // Two forward rffts + one inverse on the padded size, plus the bin
   // product (6 flops per complex multiply).
-  const std::size_t m = dsp::next_power_of_two(x.size() + y.size());
+  const std::size_t m = dsp::correlation_fft_size(x.size());
   set_roofline(state, 3.0 * rfft_flops(m) + 6.0 * static_cast<double>(m / 2 + 1),
                static_cast<double>((x.size() + y.size() + out.size()) * 8));
 }
@@ -212,7 +212,7 @@ void BM_SlidingPearsonFft(benchmark::State& state) {
   }
   // Correlation transforms + centering (2 flops/sample), prefix sums
   // (3 flops/sample) and the normalization epilogue (~8 flops/window).
-  const std::size_t m = dsp::next_power_of_two(x.size() + y.size());
+  const std::size_t m = dsp::correlation_fft_size(x.size());
   const std::size_t n_out = x.size() - y.size() + 1;
   set_roofline(state,
                3.0 * rfft_flops(m) + 6.0 * static_cast<double>(m / 2 + 1) +
@@ -233,7 +233,7 @@ void BM_SlidingPearsonFftInto(benchmark::State& state) {
     dsp::sliding_pearson_fft_into(x, y, out, ws);
     benchmark::DoNotOptimize(out);
   }
-  const std::size_t m = dsp::next_power_of_two(x.size() + y.size());
+  const std::size_t m = dsp::correlation_fft_size(x.size());
   set_roofline(state,
                3.0 * rfft_flops(m) + 6.0 * static_cast<double>(m / 2 + 1) +
                    5.0 * static_cast<double>(x.size()) +

@@ -13,7 +13,17 @@
 # of the output.  bench_micro also records the resolved backend in its
 # JSON context (`simd_isa`), which is how BENCH_micro_scalar.json and
 # BENCH_micro.json are told apart.
+#
+# Provenance: bench_micro and bench_ext_checkpoint also get the git SHA
+# of the checkout (suffixed -dirty when the tree has uncommitted changes)
+# and the CMake build type of ./build in their JSON context.
 set -u
+GIT_SHA=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+if ! git diff --quiet HEAD 2>/dev/null; then
+  GIT_SHA="${GIT_SHA}-dirty"
+fi
+BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt 2>/dev/null)
+BUILD_TYPE=${BUILD_TYPE:-unknown}
 THREAD_FLAGS=""
 if [ -n "${NSYNC_THREADS:-}" ]; then
   THREAD_FLAGS="--threads ${NSYNC_THREADS}"
@@ -31,12 +41,16 @@ for b in "$@"; do
   EXTRA_FLAGS=""
   if [ "$b" = "bench_micro" ]; then
     EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_micro.json}"
+    EXTRA_FLAGS="$EXTRA_FLAGS --benchmark_context=git_sha=${GIT_SHA}"
+    EXTRA_FLAGS="$EXTRA_FLAGS --benchmark_context=build_type=${BUILD_TYPE}"
   fi
   if [ "$b" = "bench_ext_multi_session" ]; then
     EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_fleet.json}"
   fi
   if [ "$b" = "bench_ext_checkpoint" ]; then
     EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_checkpoint.json}"
+    EXTRA_FLAGS="$EXTRA_FLAGS --context git_sha=${GIT_SHA}"
+    EXTRA_FLAGS="$EXTRA_FLAGS --context build_type=${BUILD_TYPE}"
   fi
   if [ "$b" = "bench_ext_drift" ]; then
     EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_drift.json}"

@@ -328,6 +328,8 @@ void DetectionCore::reserve(std::size_t n_windows) {
   features_.v_dist_f.reserve(n_windows);
   v_dist_.reserve(n_windows);
   valid_.reserve(n_windows);
+  dist_ws_.u.reserve(dwm_.n_win);
+  dist_ws_.v.reserve(dwm_.n_win);
 }
 
 }  // namespace nsync::core

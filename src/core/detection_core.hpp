@@ -118,8 +118,9 @@ class DetectionCore {
   /// the window regardless of `valid`.
   bool step_scored(double h_disp, double v_dist, bool valid);
 
-  /// Pre-allocates every per-window array for `n_windows` windows so a
-  /// steady-state step performs no heap allocation.
+  /// Pre-allocates every per-window array for `n_windows` windows, and the
+  /// distance scratch for one window, so no step performs a heap
+  /// allocation.
   void reserve(std::size_t n_windows);
 
   /// Windows consumed so far.

@@ -94,6 +94,10 @@ void DwmSynchronizer::reserve_windows(std::size_t n_windows) {
   result_.h_dist.reserve(n_windows);
   result_.valid.reserve(n_windows);
   observed_.reserve_frames(2 * (params_.n_win + params_.n_hop));
+  // Every unclamped window runs TDEB on the n_win + 2 n_ext extended
+  // reference window against the n_win observed one.
+  tde_ws_.reserve(params_.n_win + 2 * params_.n_ext, params_.n_win,
+                  reference_.channels(), params_.tde);
 }
 
 bool DwmSynchronizer::process_next_window() {

@@ -89,9 +89,10 @@ class DwmSynchronizer {
   /// the next push.
   std::size_t push(const nsync::signal::SignalView& frames);
 
-  /// Pre-allocates the result arrays for `n_windows` windows and the
-  /// observed buffer for the corresponding retained span, so a
-  /// steady-state window step performs no heap allocation at all.
+  /// Pre-allocates the result arrays for `n_windows` windows, the
+  /// observed buffer for the corresponding retained span and the TDEB
+  /// workspace for the unclamped window shape, so no window step after
+  /// this — the first included — performs a heap allocation.
   void reserve_windows(std::size_t n_windows);
 
   /// True when the reference has been exhausted: the next window of `a`

@@ -77,16 +77,32 @@ void tally_channel(const ChannelScore& c, FusedVerdict& v) {
   }
 }
 
+/// Resets `v` to an empty verdict with one zero-weight contribution per
+/// channel, reusing the storage `v.channels` already holds.
+void reset_verdict(std::span<const ChannelScore> channels, FusedVerdict& v) {
+  v.intrusion = false;
+  v.score = 0.0;
+  v.alarming_channels = 0;
+  v.online_channels = 0;
+  v.first_alarm_window = -1;
+  v.channels.resize(channels.size());
+  for (std::size_t i = 0; i < channels.size(); ++i) {
+    const ChannelScore& c = channels[i];
+    ChannelContribution& out = v.channels[i];
+    out.name = c.name;
+    out.score = c.score;
+    out.weight = 0.0;
+    out.alarm = c.alarm;
+    out.health = c.health;
+  }
+}
+
 }  // namespace
 
-FusedVerdict VotingPolicy::evaluate(
-    std::span<const ChannelScore> channels) const {
-  FusedVerdict v;
-  v.channels.reserve(channels.size());
-  for (const ChannelScore& c : channels) {
-    tally_channel(c, v);
-    v.channels.push_back({c.name, c.score, 0.0, c.alarm, c.health});
-  }
+void VotingPolicy::evaluate_into(std::span<const ChannelScore> channels,
+                                 FusedVerdict& v) const {
+  reset_verdict(channels, v);
+  for (const ChannelScore& c : channels) tally_channel(c, v);
   if (v.online_channels > 0) {
     // Every online channel holds an equal vote.
     const double w = 1.0 / static_cast<double>(v.online_channels);
@@ -97,7 +113,6 @@ FusedVerdict VotingPolicy::evaluate(
               static_cast<double>(v.online_channels);
   }
   v.intrusion = fused_intrusion(rule_, v.alarming_channels, v.online_channels);
-  return v;
 }
 
 void WeightedPolicyConfig::validate() const {
@@ -136,16 +151,15 @@ WeightedPolicy::WeightedPolicy(
   }
 }
 
-FusedVerdict WeightedPolicy::evaluate(
-    std::span<const ChannelScore> channels) const {
-  FusedVerdict v;
-  v.channels.reserve(channels.size());
+void WeightedPolicy::evaluate_into(std::span<const ChannelScore> channels,
+                                   FusedVerdict& v) const {
+  reset_verdict(channels, v);
   double weight_sum = 0.0;
   double vote_sum = 0.0;
   double margin_sum = 0.0;
-  for (const ChannelScore& c : channels) {
+  for (std::size_t i = 0; i < channels.size(); ++i) {
+    const ChannelScore& c = channels[i];
     tally_channel(c, v);
-    ChannelContribution contrib{c.name, c.score, 0.0, c.alarm, c.health};
     if (c.health != ChannelHealth::kOffline) {
       double w = 1.0;
       if (trained_) {
@@ -161,12 +175,11 @@ FusedVerdict WeightedPolicy::evaluate(
         }
       }
       if (c.health == ChannelHealth::kDegraded) w *= config_.degraded_weight;
-      contrib.weight = w;
+      v.channels[i].weight = w;
       weight_sum += w;
       if (c.alarm) vote_sum += w;
       margin_sum += w * std::min(c.score, config_.score_cap);
     }
-    v.channels.push_back(std::move(contrib));
   }
   if (weight_sum > 0.0) {
     // Renormalize the surviving (online, possibly degraded) weights so
@@ -177,7 +190,6 @@ FusedVerdict WeightedPolicy::evaluate(
                   config_.score_cap;
   }
   v.intrusion = v.score > config_.threshold;
-  return v;
 }
 
 void WeightedPolicy::fit(std::span<const std::string> channel_names,

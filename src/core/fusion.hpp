@@ -152,8 +152,21 @@ class FusionPolicy {
   [[nodiscard]] virtual FusionPolicyKind kind() const = 0;
   /// Human-readable identity for telemetry ("any", "weighted", ...).
   [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual FusedVerdict evaluate(
-      std::span<const ChannelScore> channels) const = 0;
+
+  /// Fuses `channels` into `out`, overwriting every field.  `out.channels`
+  /// is resized in place, so a caller that keeps one verdict as scratch
+  /// evaluates without touching the heap once it has seen as many
+  /// channels (and channel-name lengths) before.
+  virtual void evaluate_into(std::span<const ChannelScore> channels,
+                             FusedVerdict& out) const = 0;
+
+  /// evaluate_into() on a fresh verdict.
+  [[nodiscard]] FusedVerdict evaluate(
+      std::span<const ChannelScore> channels) const {
+    FusedVerdict v;
+    evaluate_into(channels, v);
+    return v;
+  }
 
   /// Learns from benign calibration: `benign_scores[run][k]` is channel
   /// `channel_names[k]`'s anomaly score on calibration run `run`.  The
@@ -177,8 +190,8 @@ class VotingPolicy final : public FusionPolicy {
   [[nodiscard]] std::string name() const override {
     return fusion_rule_name(rule_);
   }
-  [[nodiscard]] FusedVerdict evaluate(
-      std::span<const ChannelScore> channels) const override;
+  void evaluate_into(std::span<const ChannelScore> channels,
+                     FusedVerdict& out) const override;
 
  private:
   FusionRule rule_;
@@ -253,8 +266,8 @@ class WeightedPolicy final : public FusionPolicy {
     return FusionPolicyKind::kWeighted;
   }
   [[nodiscard]] std::string name() const override { return "weighted"; }
-  [[nodiscard]] FusedVerdict evaluate(
-      std::span<const ChannelScore> channels) const override;
+  void evaluate_into(std::span<const ChannelScore> channels,
+                     FusedVerdict& out) const override;
   /// Requires >= 2 calibration runs (a spread needs two points) and one
   /// score column per channel name; throws std::invalid_argument.
   void fit(std::span<const std::string> channel_names,

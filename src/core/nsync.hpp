@@ -126,7 +126,8 @@ class RealtimeMonitor {
   std::size_t push(const nsync::signal::SignalView& frames);
 
   /// Pre-allocates synchronizer and core storage for `n_windows` windows so
-  /// a steady-state window step performs no heap allocation.
+  /// no window step after this — the first included — performs a heap
+  /// allocation.
   void reserve_windows(std::size_t n_windows);
 
   [[nodiscard]] const Detection& detection() const {

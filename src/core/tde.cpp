@@ -38,17 +38,28 @@ std::span<const double> channel_span(const SignalView& s, std::size_t c,
   return buf;
 }
 
+/// Keeps `ws`'s batched plan at m points and C lanes, rebuilding it only
+/// when either changes.
+void fit_batched_plan(TdeWorkspace& ws, std::size_t m, std::size_t C) {
+  if (!ws.batched.plan || ws.batched.plan->size() != m ||
+      ws.batched.plan->lanes() != C) {
+    ws.batched.plan = std::make_unique<nsync::dsp::BatchedRfftPlan>(m, C);
+  }
+}
+
 // All channels of the FFT sliding correlation through one batched plan.
 //
 // This mirrors sliding_pearson_fft_into channel by channel — same
-// centering, same padded correlation, same prefix-sum normalization,
-// same degenerate-template early-out — but runs every transform as one
-// lane-interleaved BatchedRfftPlan pass and every pre/post pass as a
-// row-wise dispatched kernel.  The per-channel operation sequence is
-// identical to the sequential scalar path (the row kernels accumulate
-// each channel's reductions sequentially across frames), so the result
-// is bitwise equal to looping sliding_pearson_fft_into under the scalar
-// backend — which is what the per-channel loop used to produce.
+// centering, same correlation padded to dsp::correlation_fft_size(nx)
+// (sized from nx alone: its circular wrap reaches only discarded lags),
+// same prefix-sum normalization, same degenerate-template early-out —
+// but runs every transform as one lane-interleaved BatchedRfftPlan pass
+// and every pre/post pass as a row-wise dispatched kernel.  The
+// per-channel operation sequence is identical to the sequential scalar
+// path (the row kernels accumulate each channel's reductions
+// sequentially across frames), so the result is bitwise equal to looping
+// sliding_pearson_fft_into under the scalar backend — which is what the
+// per-channel loop used to produce.
 void similarity_scores_batched(const SignalView& x, const SignalView& y,
                                TdeWorkspace& ws) {
   const auto& k = simd::ops();
@@ -66,11 +77,9 @@ void similarity_scores_batched(const SignalView& x, const SignalView& y,
   for (auto& v : ws.mu_x) v /= static_cast<double>(nx);
   for (auto& v : ws.mu_y) v /= static_cast<double>(ny);
 
-  const std::size_t m = nsync::dsp::next_power_of_two(nx + ny);
+  const std::size_t m = nsync::dsp::correlation_fft_size(nx);
   const std::size_t bins = m / 2 + 1;
-  if (!ws.batched.plan || ws.batched.plan->size() != m || ws.batched.plan->lanes() != C) {
-    ws.batched.plan = std::make_unique<nsync::dsp::BatchedRfftPlan>(m, C);
-  }
+  fit_batched_plan(ws, m, C);
 
   // Zero-padded, centered x; zero-padded, centered, time-reversed y with
   // the per-channel template energy fused into the reversal pass.
@@ -147,6 +156,35 @@ std::span<const double> similarity_scores_into(const SignalView& x,
   const double inv_c = 1.0 / static_cast<double>(x.channels());
   for (auto& v : ws.scores) v *= inv_c;
   return ws.scores;
+}
+
+void TdeWorkspace::reserve(std::size_t nx, std::size_t ny,
+                           std::size_t channels, const TdeOptions& opts) {
+  const std::size_t n_out = nx - ny + 1;
+  scores.reserve(n_out);
+  chan_scores.reserve(n_out);
+  bias_w.reserve(n_out);
+  if (opts.use_fft && channels > 1) {
+    const std::size_t m = nsync::dsp::correlation_fft_size(nx);
+    const std::size_t bins = m / 2 + 1;
+    fit_batched_plan(*this, m, channels);
+    mu_x.reserve(channels);
+    mu_y.reserve(channels);
+    y_energy.reserve(channels);
+    x_pad.reserve(m * channels);
+    y_pad.reserve(m * channels);
+    ps.reserve((nx + 1) * channels);
+    ps2.reserve((nx + 1) * channels);
+    for (auto* spec : {&spec_x_re, &spec_x_im, &spec_y_re, &spec_y_im}) {
+      spec->reserve(bins * channels);
+    }
+    return;
+  }
+  if (channels > 1) {
+    x_chan.reserve(nx);
+    y_chan.reserve(ny);
+  }
+  if (opts.use_fft) pearson.reserve(nx, ny);
 }
 
 std::vector<double> similarity_scores(const SignalView& x, const SignalView& y,

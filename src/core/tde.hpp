@@ -83,6 +83,13 @@ struct TdeWorkspace {
   std::vector<double> bias_w;
   double bias_center = 0.0;
   double bias_sigma = 0.0;
+
+  /// Reserves the buffers (and builds the plans) that TDE and TDEB of an
+  /// nx-frame x against an ny-frame template, both with `channels`
+  /// channels, use under `opts`, so the first call of that shape
+  /// allocates nothing.  Requires nx >= ny >= 2.
+  void reserve(std::size_t nx, std::size_t ny, std::size_t channels,
+               const TdeOptions& opts);
 };
 
 /// Similarity array s[n] = f(x[n : n+Ny], y), n = 0 .. Nx - Ny (Eq. 1).

@@ -335,6 +335,10 @@ std::size_t next_power_of_two(std::size_t n) {
   return p;
 }
 
+std::size_t correlation_fft_size(std::size_t nx) {
+  return next_power_of_two(std::max<std::size_t>(nx, 2));
+}
+
 void fft_radix2(std::span<Complex> data, bool inverse) {
   const std::size_t n = data.size();
   if (n == 0) return;
@@ -496,15 +500,15 @@ void cross_correlate_valid_into(std::span<const double> x,
         "cross_correlate_valid_into: out.size() must be "
         "x.size() - y.size() + 1");
   }
-  const std::size_t m = next_power_of_two(nx + ny);
+  const std::size_t m = correlation_fft_size(nx);
   const std::size_t h = m / 2;
   const auto plan = plan_cache().rfft(m);
   ws.x_pad.resize(m);
   ws.y_pad.resize(m);
   ws.spec_x.resize(h + 1);
   ws.spec_y.resize(h + 1);
-  ws.half_re.resize(std::max<std::size_t>(h, 1));
-  ws.half_im.resize(std::max<std::size_t>(h, 1));
+  ws.half_re.resize(h);
+  ws.half_im.resize(h);
   // Touch each pad element exactly once: copy the data region, zero only
   // the padding tail (assign() would memset the whole buffer and then
   // rewrite the front, costing an extra pass over 2*m doubles per call).
@@ -525,6 +529,17 @@ void cross_correlate_valid_into(std::span<const double> x,
   for (std::size_t k = 0; k < n_out; ++k) {
     out[k] = ws.x_pad[k + ny - 1];
   }
+}
+
+void CorrelationWorkspace::reserve(std::size_t nx) {
+  const std::size_t m = correlation_fft_size(nx);
+  x_pad.reserve(m);
+  y_pad.reserve(m);
+  spec_x.reserve(m / 2 + 1);
+  spec_y.reserve(m / 2 + 1);
+  half_re.reserve(m / 2);
+  half_im.reserve(m / 2);
+  (void)plan_cache().rfft(m);
 }
 
 std::vector<double> cross_correlate_valid(std::span<const double> x,

@@ -70,9 +70,23 @@ void fft_radix2(std::span<Complex> data, bool inverse = false);
 /// Magnitudes of rfft(input).
 [[nodiscard]] std::vector<double> rfft_magnitude(std::span<const double> input);
 
+/// Transform size of the valid-lag correlation of an nx-sample x with any
+/// template y (ny <= nx): next_power_of_two(max(nx, 2)).
+///
+/// A length-m circular correlation folds linear-convolution index k + m
+/// onto k.  Lag n reads index n + ny - 1 >= ny - 1, and a non-zero index
+/// k + m needs k + m <= nx + ny - 2, i.e. k < ny - 1 once m >= nx: only
+/// the discarded lags alias, so m >= nx is exact where the textbook
+/// nx + ny padding is often twice as long.  The floor of 2 keeps the
+/// half-size real transform non-empty for nx = ny = 1.  The size depends
+/// on nx alone, never on a workspace's history, so a freshly restored
+/// workspace computes bitwise the same scores as a long-running one.
+[[nodiscard]] std::size_t correlation_fft_size(std::size_t nx);
+
 /// Reusable scratch for the zero-allocation real-FFT correlation path.
-/// Buffers grow to the padded transform size on first use and are reused
-/// afterwards; a default-constructed workspace is valid for any input.
+/// Buffers are resized to correlation_fft_size(x.size()) on every call
+/// (no allocation once at capacity); a default-constructed workspace is
+/// valid for any input.
 struct CorrelationWorkspace {
   std::vector<double> x_pad;    ///< zero-padded x (and irfft output)
   std::vector<double> y_pad;    ///< zero-padded, time-reversed y
@@ -80,13 +94,20 @@ struct CorrelationWorkspace {
   std::vector<Complex> spec_y;   ///< rfft(y_pad)
   std::vector<double> half_re;   ///< half-size staging plane (real)
   std::vector<double> half_im;   ///< half-size staging plane (imag)
+
+  /// Reserves every buffer for an nx-sample x and builds the FFT plan of
+  /// correlation_fft_size(nx), so the first call with that nx allocates
+  /// nothing either.
+  void reserve(std::size_t nx);
 };
 
 /// Linear cross-correlation of x with y via FFT zero-padding:
 ///   out[k] = sum_n x[n + k] * y[n],  k = 0 .. x.size() - y.size()
 /// Requires x.size() >= y.size().  This is the unnormalized numerator used
 /// by the fast sliding-correlation TDE path.  Runs on the real-FFT
-/// kernels (two rfft + one irfft at half the complex transform size).
+/// kernels (two rfft + one irfft) at m = correlation_fft_size(x.size()):
+/// the circular wrap of a transform that short lands only on lags outside
+/// the valid range, so every returned lag is the linear correlation.
 [[nodiscard]] std::vector<double> cross_correlate_valid(
     std::span<const double> x, std::span<const double> y);
 

@@ -25,6 +25,8 @@ namespace nsync::dsp {
 void fft_radix2_uncached(std::span<Complex> data, bool inverse = false);
 
 /// Pre-rfft cross_correlate_valid using two full-size complex FFTs.
+/// Pads to next_power_of_two(nx + ny), the full linear convolution, so
+/// it stays independent of the production correlation_fft_size(nx).
 /// Requires x.size() >= y.size() >= 1.
 [[nodiscard]] std::vector<double> cross_correlate_valid_complex(
     std::span<const double> x, std::span<const double> y);

@@ -57,6 +57,15 @@ std::vector<double> sliding_pearson_fft(std::span<const double> x,
   return out;
 }
 
+void SlidingPearsonWorkspace::reserve(std::size_t nx, std::size_t ny) {
+  yc.reserve(ny);
+  xc.reserve(nx);
+  num.reserve(nx - ny + 1);
+  ps.reserve(nx + 1);
+  ps2.reserve(nx + 1);
+  corr.reserve(nx);
+}
+
 void sliding_pearson_fft_into(std::span<const double> x,
                               std::span<const double> y,
                               std::span<double> out,

@@ -34,6 +34,10 @@ struct SlidingPearsonWorkspace {
   std::vector<double> ps;   ///< prefix sums of xc
   std::vector<double> ps2;  ///< prefix sums of xc^2
   CorrelationWorkspace corr;
+
+  /// Reserves every buffer for an nx-sample x and an ny-sample template,
+  /// so the first sliding_pearson_fft_into of that shape allocates nothing.
+  void reserve(std::size_t nx, std::size_t ny);
 };
 
 /// s[n] = pearson(x[n : n+Ny], y) for n = 0 .. Nx-Ny  (Eq. 1 with Eq. 3).

@@ -21,13 +21,16 @@ MonitorEngine::Channel::Channel(std::string channel_name,
       monitor(spec.reference, spec.config, spec.thresholds),
       staging(spec.reference.channels(), spec.reference.sample_rate()) {
   // Size everything for the full print up front: the reference bounds how
-  // many windows DWM can ever produce, so the steady-state feed/poll loop
-  // allocates nothing.
+  // many windows DWM can ever produce, so the feed/poll loop allocates
+  // nothing from the first window on.  Staging gets room for one window
+  // plus one hop, so feeds of up to that many frames between drains never
+  // grow it.
   const auto& dwm = spec.config.dwm;
   if (spec.reference.frames() >= dwm.n_win) {
     monitor.reserve_windows((spec.reference.frames() - dwm.n_win) / dwm.n_hop +
                             1);
   }
+  staging.reserve_frames(dwm.n_win + dwm.n_hop);
 }
 
 MonitorEngine::MonitorEngine(MonitorEngineOptions options)
@@ -78,6 +81,8 @@ std::size_t MonitorEngine::add_session(SessionSpec spec) {
     }
     s.channels.emplace_back(c.name, c);
   }
+  scores_.reserve(s.channels.size());
+  verdict_.channels.reserve(s.channels.size());
   sessions_.push_back(std::move(s));
   return sessions_.size() - 1;
 }
@@ -144,28 +149,31 @@ std::size_t MonitorEngine::drain(Session& s) {
     // Refresh the fused verdict through the session's policy — the same
     // health-aware fusion as the batch FusionIds: offline channels neither
     // alarm nor count toward the denominator (nor the weighted mean).  The
-    // verdict and its alarm window latch.
-    const core::FusedVerdict v = s.policy->evaluate(channel_scores(s));
-    if (v.intrusion) {
+    // verdict and its alarm window latch.  Scores and verdict are engine
+    // scratch, sized at admission, so a drain allocates nothing.
+    channel_scores(s, scores_);
+    s.policy->evaluate_into(scores_, verdict_);
+    if (verdict_.intrusion) {
       s.intrusion = true;
-      s.first_alarm_window = v.first_alarm_window;
+      s.first_alarm_window = verdict_.first_alarm_window;
     }
   }
   return windows;
 }
 
-std::vector<core::ChannelScore> MonitorEngine::channel_scores(
-    const Session& s) {
-  std::vector<core::ChannelScore> scores;
-  scores.reserve(s.channels.size());
-  for (const auto& c : s.channels) {
-    scores.push_back(
-        {c.name,
-         core::channel_score(c.monitor.features(), c.monitor.thresholds()),
-         c.monitor.intrusion(), c.monitor.detection().first_alarm_window,
-         c.monitor.health()});
+void MonitorEngine::channel_scores(const Session& s,
+                                   std::vector<core::ChannelScore>& out) {
+  out.resize(s.channels.size());
+  for (std::size_t i = 0; i < s.channels.size(); ++i) {
+    const Channel& c = s.channels[i];
+    core::ChannelScore& score = out[i];
+    score.name = c.name;
+    score.score =
+        core::channel_score(c.monitor.features(), c.monitor.thresholds());
+    score.alarm = c.monitor.intrusion();
+    score.first_alarm_window = c.monitor.detection().first_alarm_window;
+    score.health = c.monitor.health();
   }
-  return scores;
 }
 
 std::size_t MonitorEngine::poll_inline() {
@@ -228,7 +236,9 @@ SessionSnapshot MonitorEngine::make_snapshot(const Session& s) {
   core::FusedVerdict v;
   if (s.policy) {
     out.policy = s.policy->name();
-    v = s.policy->evaluate(channel_scores(s));
+    std::vector<core::ChannelScore> scores;
+    channel_scores(s, scores);
+    s.policy->evaluate_into(scores, v);
     out.fused_score = v.score;
     out.alarming_channels = v.alarming_channels;
     out.online_channels = v.online_channels;

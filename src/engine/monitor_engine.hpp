@@ -295,13 +295,14 @@ class MonitorEngine {
 
   Session& session_at(std::size_t id);
   [[nodiscard]] const Session& session_at(std::size_t id) const;
-  /// Per-channel score vector for the session's policy (latched alarm
-  /// bits + live normalized OCC margins).
-  [[nodiscard]] static std::vector<core::ChannelScore> channel_scores(
-      const Session& s);
+  /// Fills `out` with the per-channel score vector for the session's
+  /// policy (latched alarm bits + live normalized OCC margins), reusing
+  /// its storage.
+  static void channel_scores(const Session& s,
+                             std::vector<core::ChannelScore>& out);
   /// Pushes all staged frames of `s` through its monitors and refreshes
   /// the fused verdict.
-  static std::size_t drain(Session& s);
+  std::size_t drain(Session& s);
   static SessionSnapshot make_snapshot(const Session& s);
   /// Appends the session's spec in save_session_spec encoding to `w` and
   /// records its SpecRef if not yet known.  The session must be live.
@@ -334,6 +335,10 @@ class MonitorEngine {
   // Registry generation last exported to baseline_path(); max = never.
   mutable std::uint64_t exported_generation_ =
       std::numeric_limits<std::uint64_t>::max();
+  // drain() scratch: the score vector and fused verdict of the session
+  // being drained, kept across drains so the warm path allocates nothing.
+  std::vector<core::ChannelScore> scores_;
+  core::FusedVerdict verdict_;
 };
 
 }  // namespace nsync::engine

@@ -1,7 +1,10 @@
 // Verifies the zero-allocation claim for the streaming DWM hot path: once
 // a synchronizer is warmed up (FFT plans built, workspaces at steady-state
 // size, results reserved), pushing one hop of frames — which scores one
-// full TDEB window — must not touch the heap.
+// full TDEB window — must not touch the heap.  One layer up, a
+// MonitorEngine sizes everything at admission, so no feed or drain
+// allocates from the first window on: staging, monitors and the fused
+// verdict refresh.
 //
 // The check replaces the global allocation functions with counting
 // versions; counting is enabled only around the measured pushes, so the
@@ -11,11 +14,15 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "core/dwm.hpp"
+#include "core/fusion.hpp"
 #include "core/nsync.hpp"
+#include "engine/monitor_engine.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 
@@ -159,6 +166,72 @@ TEST(AllocHotPath, WarmRealtimeMonitorWindowPushIsAllocationFree) {
     EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
         << "round " << round;
   }
+}
+
+/// Admits a two-channel session under `policy`, then checks that feeding
+/// one hop per channel plus poll_session() allocates nothing, from the
+/// first window on.
+void expect_engine_drains_are_allocation_free(
+    std::shared_ptr<const FusionPolicy> policy) {
+  NsyncConfig cfg;
+  cfg.sync = SyncMethod::kDwm;
+  cfg.dwm.n_win = 256;
+  cfg.dwm.n_hop = 128;
+  cfg.dwm.n_ext = 64;
+  cfg.dwm.n_sigma = 32.0;
+  Thresholds t;
+  t.c_c = 1e9;  // never latch: a latched session skips the fusion refresh
+  t.h_c = 1e9;
+  t.v_c = 1e9;
+
+  // One multichannel and one single-channel stream, so both TDE paths
+  // (batched and per-channel) run in the measured drains.
+  const std::vector<std::string> names{"ACC", "AUD"};
+  const std::vector<std::size_t> widths{2, 1};
+  engine::SessionSpec spec;
+  spec.name = "printer";
+  spec.policy = std::move(policy);
+  std::vector<Signal> observed;
+  for (std::size_t c = 0; c < names.size(); ++c) {
+    spec.channels.push_back({names[c], smoothed_noise(8000, widths[c], 5 + c),
+                             cfg, t});
+    observed.push_back(smoothed_noise(4000, widths[c], 7 + c));
+  }
+  engine::MonitorEngine eng;
+  const std::size_t id = eng.add_session(std::move(spec));
+
+  std::size_t windows = 0;
+  for (std::size_t round = 0; round < 12; ++round) {
+    const std::size_t pos = round * cfg.dwm.n_hop;
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_relaxed);
+    for (std::size_t c = 0; c < names.size(); ++c) {
+      (void)eng.feed(id, names[c],
+                     SignalView(observed[c]).slice(pos, pos + cfg.dwm.n_hop));
+    }
+    const std::size_t done = eng.poll_session(id);
+    g_counting.store(false, std::memory_order_relaxed);
+    windows += done;
+    // One window per channel per hop once the first window is complete.
+    if (round >= 1) EXPECT_EQ(done, names.size()) << "round " << round;
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
+        << "round " << round;
+  }
+  EXPECT_EQ(windows, 11 * names.size());
+  EXPECT_FALSE(eng.snapshot(id).intrusion);
+}
+
+TEST(AllocHotPath, EngineDrainUnderVotingIsAllocationFree) {
+  expect_engine_drains_are_allocation_free(
+      std::make_shared<const VotingPolicy>(FusionRule::kMajority));
+}
+
+TEST(AllocHotPath, EngineDrainUnderWeightedIsAllocationFree) {
+  expect_engine_drains_are_allocation_free(
+      std::make_shared<const WeightedPolicy>(
+          WeightedPolicyConfig{},
+          std::vector<std::pair<std::string, double>>{{"ACC", 0.6},
+                                                      {"AUD", 0.4}}));
 }
 
 }  // namespace

@@ -272,6 +272,46 @@ TEST(CrossCorrelateValid, WorkspaceReuseAcrossShapesIsClean) {
 }
 
 // --------------------------------------------------------------------------
+// Transform size: valid-lag correlation pads to correlation_fft_size(nx),
+// not nx + ny.  A circular wrap of that size folds only onto discarded
+// lags, so shapes at and around a power of two must still match a direct
+// sum exactly (to rounding), and the workspace must really run that size.
+// --------------------------------------------------------------------------
+
+TEST(CorrelationFftSize, IsNextPowerOfTwoOfNxWithAFloorOfTwo) {
+  EXPECT_EQ(correlation_fft_size(1), 2u);
+  EXPECT_EQ(correlation_fft_size(2), 2u);
+  EXPECT_EQ(correlation_fft_size(3), 4u);
+  EXPECT_EQ(correlation_fft_size(1024), 1024u);
+  EXPECT_EQ(correlation_fft_size(1025), 2048u);
+}
+
+TEST(CrossCorrelateValid, ExactAtTransformWrapBoundaries) {
+  // k = 1 includes nx = ny = 1, which runs on the size-2 floor.
+  CorrelationWorkspace ws;
+  for (const std::size_t k : {1u, 3u, 5u, 7u}) {
+    const std::size_t p = std::size_t{1} << k;
+    for (const std::size_t nx : {p - 1, p, p + 1}) {
+      for (const std::size_t ny : {std::size_t{1}, std::size_t{2}, nx / 2, nx}) {
+        if (ny < 1 || ny > nx) continue;
+        const auto x = random_real(nx, 81 + nx);
+        const auto y = random_real(ny, 82 + ny);
+        std::vector<double> out(nx - ny + 1);
+        cross_correlate_valid_into(x, y, out, ws);
+        EXPECT_EQ(ws.x_pad.size(), correlation_fft_size(nx))
+            << "nx " << nx << " ny " << ny;
+        for (std::size_t lag = 0; lag < out.size(); ++lag) {
+          double acc = 0.0;
+          for (std::size_t i = 0; i < ny; ++i) acc += x[lag + i] * y[i];
+          EXPECT_NEAR(out[lag], acc, 1e-9)
+              << "nx " << nx << " ny " << ny << " lag " << lag;
+        }
+      }
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
 // Plan cache: cached transforms must agree with the uncached reference
 // implementation (the table-lookup twiddles differ from the recurrence
 // only by accumulated rounding, so compare with a tight tolerance).

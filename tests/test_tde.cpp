@@ -7,7 +7,11 @@
 #include <numbers>
 #include <vector>
 
+#include "core/dwm.hpp"
 #include "core/tde.hpp"
+#include "dsp/fft.hpp"
+#include "eval/setup.hpp"
+#include "sensors/side_channel.hpp"
 #include "signal/rng.hpp"
 #include "signal/stats.hpp"
 
@@ -207,6 +211,99 @@ TEST(TdeWorkspaceTier, FusedValidatesLikeStaged) {
   const Signal y = random_signal(20, 2, 9);
   EXPECT_THROW(estimate_delay_biased(x, y, 10.0, 0.0, {}, ws),
                std::invalid_argument);
+}
+
+// --------------------------------------------------------------------------
+// The batched multichannel path pads to dsp::correlation_fft_size(nx), not
+// nx + ny.  Shapes at and around a power of two must still match a direct
+// channel-averaged Pearson sum, and the plan must really run that size.
+// --------------------------------------------------------------------------
+
+/// Channel-averaged Pearson similarity of every placement, summed directly.
+std::vector<double> brute_force_similarity(const Signal& x, const Signal& y) {
+  const std::size_t ny = y.frames();
+  std::vector<double> out(x.frames() - ny + 1, 0.0);
+  for (std::size_t n = 0; n < out.size(); ++n) {
+    for (std::size_t c = 0; c < x.channels(); ++c) {
+      double mx = 0.0;
+      double my = 0.0;
+      for (std::size_t i = 0; i < ny; ++i) {
+        mx += x(n + i, c);
+        my += y(i, c);
+      }
+      mx /= static_cast<double>(ny);
+      my /= static_cast<double>(ny);
+      double sxy = 0.0;
+      double sxx = 0.0;
+      double syy = 0.0;
+      for (std::size_t i = 0; i < ny; ++i) {
+        const double dx = x(n + i, c) - mx;
+        const double dy = y(i, c) - my;
+        sxy += dx * dy;
+        sxx += dx * dx;
+        syy += dy * dy;
+      }
+      out[n] += sxy / std::sqrt(sxx * syy);
+    }
+    out[n] /= static_cast<double>(x.channels());
+  }
+  return out;
+}
+
+TEST(TdeCorrelationSize, BatchedScoresExactAtTransformWrapBoundaries) {
+  TdeWorkspace ws;
+  for (const std::size_t k : {2u, 4u, 6u}) {
+    const std::size_t p = std::size_t{1} << k;
+    for (const std::size_t nx : {p - 1, p, p + 1}) {
+      for (const std::size_t ny : {std::size_t{2}, nx / 2, nx}) {
+        if (ny < 2 || ny > nx) continue;
+        const Signal x = random_signal(nx, 3, 101 + nx);
+        const Signal y = random_signal(ny, 3, 102 + ny);
+        const auto fast = similarity_scores_into(x, y, {}, ws);
+        ASSERT_TRUE(ws.batched.plan);
+        EXPECT_EQ(ws.batched.plan->size(), dsp::correlation_fft_size(nx))
+            << "nx " << nx << " ny " << ny;
+        const auto direct = brute_force_similarity(x, y);
+        ASSERT_EQ(fast.size(), direct.size());
+        for (std::size_t n = 0; n < direct.size(); ++n) {
+          EXPECT_NEAR(fast[n], direct[n], 1e-9)
+              << "nx " << nx << " ny " << ny << " lag " << n;
+        }
+        // The allocating tier runs the same size.
+        const auto staged = similarity_scores(x, y);
+        for (std::size_t n = 0; n < direct.size(); ++n) {
+          EXPECT_NEAR(staged[n], direct[n], 1e-9)
+              << "nx " << nx << " ny " << ny << " lag " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(TdeCorrelationSize, DwmWindowsOfEveryTable4RateUseTheNxSize) {
+  // One DWM TDEB window searches an n_win template across the extended
+  // window of n_win + 2 n_ext reference frames.  Both TDE paths (single
+  // channel and batched) must transform at next_power_of_two of that.
+  TdeWorkspace ws;
+  for (const eval::PrinterKind printer :
+       {eval::PrinterKind::kUm3, eval::PrinterKind::kRm3}) {
+    for (const sensors::SideChannel ch : sensors::all_side_channels()) {
+      const double rate = eval::eval_channel_rate(ch);
+      const DwmParams p = eval::dwm_params_for(printer, rate);
+      const std::size_t nx = p.n_win + 2 * p.n_ext;
+      const std::size_t m = dsp::next_power_of_two(nx);
+      for (const std::size_t channels : {1u, 2u}) {
+        const Signal x = random_signal(nx, channels, 7);
+        const Signal y = random_signal(p.n_win, channels, 8);
+        (void)similarity_scores_into(x, y, {}, ws);
+        const std::size_t used = channels == 1
+                                     ? ws.pearson.corr.x_pad.size()
+                                     : ws.batched.plan->size();
+        EXPECT_EQ(used, m) << eval::printer_name(printer) << " rate " << rate
+                           << " channels " << channels;
+      }
+    }
+  }
 }
 
 TEST(Tdeb, NegativeScoreShiftKeepsArgmaxMeaningful) {
