@@ -7,14 +7,13 @@
 //   naive        O(Nx * Ny) direct dot products,
 //   complex FFT  full complex transforms + prefix-sum normalization
 //                (the pre-rfft implementation, allocating),
-//   rfft seq     real-input half-size transforms, one channel at a time
-//                on a reusable workspace (the pre-batching production
-//                path),
-//   batched      all channels through one lane-interleaved BatchedRfftPlan
-//                with row-dispatched pre/post passes and the fused
+//   rfft         real-input half-size transforms, one channel at a time
+//                on a reusable workspace, with the fused
 //                clamp+bias+argmax epilogue (the production DWM path,
 //                allocation-free), timed under the scalar backend and
 //                under the best SIMD backend the host supports.
+// Shapes: the 6-channel windows of a UM3 ACC+AUD roster, and the
+// 2-channel AUD windows of UM3 at 4 kHz and RM3.
 // All variants return identical delay estimates; only the cost differs.
 #include <chrono>
 #include <cmath>
@@ -25,7 +24,6 @@
 #include "core/tde.hpp"
 #include "dsp/reference/reference.hpp"
 #include "dsp/simd/simd.hpp"
-#include "dsp/xcorr.hpp"
 #include "eval/options.hpp"
 #include "eval/table.hpp"
 #include "signal/rng.hpp"
@@ -73,35 +71,6 @@ std::size_t tdeb_complex_fft(const signal::SignalView& x,
   return best;
 }
 
-// TDEB via the pre-batching production path: per-channel rfft sliding
-// correlation on a reusable workspace, averaged, then the fused
-// clamp + bias + argmax epilogue.
-std::size_t tdeb_rfft_sequential(const signal::SignalView& x,
-                                 const signal::SignalView& y, double center,
-                                 double sigma, core::TdeWorkspace& ws) {
-  const std::size_t n_out = x.frames() - y.frames() + 1;
-  ws.scores.assign(n_out, 0.0);
-  ws.chan_scores.resize(n_out);
-  ws.x_chan.resize(x.frames());
-  ws.y_chan.resize(y.frames());
-  for (std::size_t c = 0; c < x.channels(); ++c) {
-    x.channel_into(c, ws.x_chan);
-    y.channel_into(c, ws.y_chan);
-    dsp::sliding_pearson_fft_into(ws.x_chan, ws.y_chan, ws.chan_scores,
-                                  ws.pearson);
-    for (std::size_t n = 0; n < n_out; ++n) ws.scores[n] += ws.chan_scores[n];
-  }
-  const double inv_c = 1.0 / static_cast<double>(x.channels());
-  for (auto& s : ws.scores) s *= inv_c;
-  ws.bias_w.resize(n_out);
-  for (std::size_t j = 0; j < n_out; ++j) {
-    const double d = (static_cast<double>(j) - center) / sigma;
-    ws.bias_w[j] = std::exp(-0.5 * d * d);
-  }
-  return dsp::simd::ops().clamp_weight_argmax(ws.scores.data(),
-                                              ws.bias_w.data(), n_out);
-}
-
 // Per-call microseconds: repeat until ~100 ms of wall time accumulates.
 template <typename F>
 double time_us(F&& f) {
@@ -137,23 +106,24 @@ int main(int argc, char** argv) {
   std::cout << "ABLATION: TDE implementation speed (one TDEB evaluation)\n"
             << "naive vs complex-FFT vs rfft-fused sliding correlation;\n"
             << "shapes follow the DWM search (x = extended reference\n"
-            << "window, y = observed window, 6 channels).\n\n";
+            << "window, y = observed window).\n\n";
 
   namespace simd = nsync::dsp::simd;
   const simd::Isa best = simd::best_supported_isa();
   std::cout << "dispatch: best backend = " << simd::isa_name(best) << "\n\n";
 
-  AsciiTable table({"n_win", "n_ext", "naive (us)", "complex FFT (us)",
-                    "rfft seq (us)", "batched scalar (us)",
-                    "batched simd (us)", "simd speedup", "total speedup"});
+  AsciiTable table({"n_win", "n_ext", "ch", "naive (us)", "complex FFT (us)",
+                    "rfft scalar (us)", "rfft simd (us)", "simd speedup",
+                    "total speedup"});
   struct Shape {
-    std::size_t n_win, n_ext;
+    std::size_t n_win, n_ext, channels;
   };
-  for (const Shape shape : {Shape{400, 100}, Shape{1600, 400},
-                            Shape{6400, 1600}}) {
-    const std::size_t channels = 6;
-    const auto x = random_signal(shape.n_win + 2 * shape.n_ext, channels, 7);
-    const auto y = random_signal(shape.n_win, channels, 8);
+  for (const Shape shape :
+       {Shape{400, 100, 6}, Shape{1600, 400, 6}, Shape{6400, 1600, 6},
+        Shape{16000, 8000, 2}, Shape{4000, 400, 2}}) {
+    const auto x = random_signal(shape.n_win + 2 * shape.n_ext,
+                                 shape.channels, 7);
+    const auto y = random_signal(shape.n_win, shape.channels, 8);
     const double center = static_cast<double>(shape.n_ext);
     const double sigma = 0.5 * static_cast<double>(shape.n_ext);
 
@@ -166,33 +136,26 @@ int main(int argc, char** argv) {
     });
     const double t_complex = time_us(
         [&] { (void)tdeb_complex_fft(x, y, center, sigma); });
-    const double t_seq = time_us([&] {
-      auto j = tdeb_rfft_sequential(x, y, center, sigma, ws);
-      (void)j;
-    });
     simd::set_backend(simd::Isa::kScalar);
-    const double t_batched_scalar = time_us([&] {
+    const double t_scalar = time_us([&] {
       auto j = core::estimate_delay_biased(x, y, center, sigma, {}, ws);
       (void)j;
     });
     simd::set_backend(best);
-    const double t_batched_simd = time_us([&] {
+    const double t_simd = time_us([&] {
       auto j = core::estimate_delay_biased(x, y, center, sigma, {}, ws);
       (void)j;
     });
 
     table.add_row({std::to_string(shape.n_win), std::to_string(shape.n_ext),
-                   fmt(t_naive, 1), fmt(t_complex, 1), fmt(t_seq, 1),
-                   fmt(t_batched_scalar, 1), fmt(t_batched_simd, 1),
-                   fmt(t_batched_scalar / t_batched_simd, 1) + "x",
-                   fmt(t_naive / t_batched_simd, 1) + "x"});
+                   std::to_string(shape.channels), fmt(t_naive, 1),
+                   fmt(t_complex, 1), fmt(t_scalar, 1), fmt(t_simd, 1),
+                   fmt(t_scalar / t_simd, 1) + "x",
+                   fmt(t_naive / t_simd, 1) + "x"});
   }
   table.print(std::cout);
-  std::cout << "\n(simd speedup isolates the vector backend at fixed\n"
-            << "batching; total speedup is the production path vs the naive\n"
-            << "seed.  On AVX2 hosts the batched plan runs near parity with\n"
-            << "the sequential rfft path -- its win is on scalar hosts and\n"
-            << "in plan/workspace reuse -- so the per-core gain comes from\n"
-            << "the dispatched kernels, not the batching alone.)\n";
+  std::cout << "\n(simd speedup isolates the vector backend on the same\n"
+            << "per-channel rfft path; total speedup is the production path\n"
+            << "vs the naive seed.)\n";
   return 0;
 }

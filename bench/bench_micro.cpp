@@ -8,6 +8,11 @@
 // shorthand for --benchmark_out=<path> --benchmark_out_format=json, used
 // by run_benches.sh to emit BENCH_micro.json.
 //
+// Every case also reports `mad`, the median absolute deviation of its
+// repetitions, next to google-benchmark's mean/median/stddev/cv
+// aggregates (run with --benchmark_repetitions=N, N >= 2, as
+// run_benches.sh does).
+//
 // The SIMD-dispatched kernels (rfft, cross-correlation, sliding Pearson,
 // the TDEB epilogue, batched transforms) report roofline counters:
 // `flops` (flop/s, from an analytic per-iteration flop model) and
@@ -16,6 +21,7 @@
 // backend (`simd_isa`) so scalar and vector runs are distinguishable.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -61,6 +67,26 @@ signal::Signal random_signal(std::size_t frames, std::size_t channels,
   return s;
 }
 
+double median_of(std::vector<double> x) {
+  std::sort(x.begin(), x.end());
+  const std::size_t mid = x.size() / 2;
+  return x.size() % 2 == 1 ? x[mid] : 0.5 * (x[mid - 1] + x[mid]);
+}
+
+/// Median absolute deviation of the repetition times: median(|t - median|).
+double median_abs_deviation(const std::vector<double>& v) {
+  if (v.empty()) return 0.0;
+  const double m = median_of(v);
+  std::vector<double> dev;
+  dev.reserve(v.size());
+  for (const double t : v) dev.push_back(std::abs(t - m));
+  return median_of(std::move(dev));
+}
+
+// BENCHMARK plus the `mad` aggregate.
+#define NSYNC_BENCHMARK(fn) \
+  BENCHMARK(fn)->ComputeStatistics("mad", median_abs_deviation)
+
 /// Attaches roofline counters: `flops` (flop/s) from an analytic flop
 /// model of the kernel and bytes/s from its unavoidable memory traffic.
 /// Both are approximate (plan-table loads and scratch spills are not
@@ -95,7 +121,7 @@ void BM_FftRadix2(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_FftRadix2)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+NSYNC_BENCHMARK(BM_FftRadix2)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_FftCached(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -110,7 +136,7 @@ void BM_FftCached(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_FftCached)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+NSYNC_BENCHMARK(BM_FftCached)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_FftUncached(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -125,7 +151,7 @@ void BM_FftUncached(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_FftUncached)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+NSYNC_BENCHMARK(BM_FftUncached)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_Rfft(benchmark::State& state) {
   // Real-input transform on the same sizes as BM_FftCached: the half-size
@@ -145,7 +171,12 @@ void BM_Rfft(benchmark::State& state) {
   set_roofline(state, rfft_flops(n),
                static_cast<double>(n * 8 + (n / 2 + 1) * 16));
 }
-BENCHMARK(BM_Rfft)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+NSYNC_BENCHMARK(BM_Rfft)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Arg(32768);
 
 void BM_CrossCorrelateRfft(benchmark::State& state) {
   // The correlation kernel under TDE, on its workspace (zero-alloc) path.
@@ -164,7 +195,7 @@ void BM_CrossCorrelateRfft(benchmark::State& state) {
   set_roofline(state, 3.0 * rfft_flops(m) + 6.0 * static_cast<double>(m / 2 + 1),
                static_cast<double>((x.size() + y.size() + out.size()) * 8));
 }
-BENCHMARK(BM_CrossCorrelateRfft)->Arg(1024)->Arg(4096)->Arg(16384);
+NSYNC_BENCHMARK(BM_CrossCorrelateRfft)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_CrossCorrelateComplex(benchmark::State& state) {
   // Pre-rfft implementation (full complex FFTs, allocating) for reference.
@@ -176,7 +207,7 @@ void BM_CrossCorrelateComplex(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_CrossCorrelateComplex)->Arg(1024)->Arg(4096)->Arg(16384);
+NSYNC_BENCHMARK(BM_CrossCorrelateComplex)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_FftBluestein(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -189,7 +220,7 @@ void BM_FftBluestein(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_FftBluestein)->Arg(1000)->Arg(4095);
+NSYNC_BENCHMARK(BM_FftBluestein)->Arg(1000)->Arg(4095);
 
 void BM_SlidingPearsonNaive(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -200,7 +231,7 @@ void BM_SlidingPearsonNaive(benchmark::State& state) {
     benchmark::DoNotOptimize(s);
   }
 }
-BENCHMARK(BM_SlidingPearsonNaive)->Arg(1024)->Arg(4096)->Arg(16384);
+NSYNC_BENCHMARK(BM_SlidingPearsonNaive)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_SlidingPearsonFft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -220,7 +251,7 @@ void BM_SlidingPearsonFft(benchmark::State& state) {
                    8.0 * static_cast<double>(n_out),
                static_cast<double>((x.size() * 3 + n_out) * 8));
 }
-BENCHMARK(BM_SlidingPearsonFft)->Arg(1024)->Arg(4096)->Arg(16384);
+NSYNC_BENCHMARK(BM_SlidingPearsonFft)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_SlidingPearsonFftInto(benchmark::State& state) {
   // Workspace (allocation-free) variant: what the TDE loop actually runs.
@@ -240,11 +271,12 @@ void BM_SlidingPearsonFftInto(benchmark::State& state) {
                    8.0 * static_cast<double>(out.size()),
                static_cast<double>((x.size() * 3 + out.size()) * 8));
 }
-BENCHMARK(BM_SlidingPearsonFftInto)->Arg(1024)->Arg(4096)->Arg(16384);
+NSYNC_BENCHMARK(BM_SlidingPearsonFftInto)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_BatchedRfft(benchmark::State& state) {
-  // All-channels-in-one-plan transform (the DWM multichannel TDE path),
-  // 6 lanes like a UM3 ACC+AUD roster, lane-interleaved input.
+  // All-channels-in-one-plan forward transform (the multi-channel STFT
+  // column path), 6 lanes like a UM3 ACC+AUD roster, lane-interleaved
+  // input.  Compare per lane against BM_Rfft at the same size.
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t lanes = 6;
   const auto x = random_series(n * lanes, 9);
@@ -261,7 +293,7 @@ void BM_BatchedRfft(benchmark::State& state) {
   set_roofline(state, static_cast<double>(lanes) * rfft_flops(n),
                static_cast<double>(lanes * (n * 8 + (n / 2 + 1) * 16)));
 }
-BENCHMARK(BM_BatchedRfft)->Arg(1024)->Arg(4096)->Arg(16384);
+NSYNC_BENCHMARK(BM_BatchedRfft)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_TdebEpilogue(benchmark::State& state) {
   // The fused clamp + Gaussian-bias + argmax pass over a score array
@@ -282,19 +314,29 @@ void BM_TdebEpilogue(benchmark::State& state) {
   set_roofline(state, 3.0 * static_cast<double>(n),
                static_cast<double>(n * 16));
 }
-BENCHMARK(BM_TdebEpilogue)->Arg(801)->Arg(4096)->Arg(16384);
+NSYNC_BENCHMARK(BM_TdebEpilogue)->Arg(801)->Arg(4096)->Arg(16384);
 
 void BM_DwmWindowStep(benchmark::State& state) {
-  // One TDEB evaluation with UM3-at-400Hz-like dimensions.
-  const auto b = random_signal(4096, 6, 3);
-  const auto a = random_signal(1600, 6, 4);
+  // One TDEB evaluation: an nx-frame extended reference window against an
+  // ny-frame observed window, centered bias.  Shapes: UM3 at 400 Hz with
+  // six channels, and the two-channel AUD windows of UM3 (4 kHz) and RM3.
+  const auto nx = static_cast<std::size_t>(state.range(0));
+  const auto ny = static_cast<std::size_t>(state.range(1));
+  const auto channels = static_cast<std::size_t>(state.range(2));
+  const auto b = random_signal(nx, channels, 3);
+  const auto a = random_signal(ny, channels, 4);
+  const double center = 0.5 * static_cast<double>(nx - ny);
   for (auto _ : state) {
-    auto j = core::estimate_delay_biased(b, signal::SignalView(a), 800.0,
-                                         400.0);
+    auto j = core::estimate_delay_biased(b, signal::SignalView(a), center,
+                                         0.5 * center);
     benchmark::DoNotOptimize(j);
   }
 }
-BENCHMARK(BM_DwmWindowStep);
+NSYNC_BENCHMARK(BM_DwmWindowStep)
+    ->ArgNames({"nx", "ny", "ch"})
+    ->Args({4096, 1600, 6})
+    ->Args({32000, 16000, 2})
+    ->Args({4800, 4000, 2});
 
 void BM_DwmWindow(benchmark::State& state) {
   // Steady-state cost of one streaming DWM window: a warmed synchronizer
@@ -330,7 +372,7 @@ void BM_DwmWindow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DwmWindow);
+NSYNC_BENCHMARK(BM_DwmWindow);
 
 void BM_Spectrogram(benchmark::State& state) {
   const auto s = random_signal(static_cast<std::size_t>(state.range(0)), 2,
@@ -343,7 +385,7 @@ void BM_Spectrogram(benchmark::State& state) {
     benchmark::DoNotOptimize(sp);
   }
 }
-BENCHMARK(BM_Spectrogram)->Arg(8192)->Arg(32768);
+NSYNC_BENCHMARK(BM_Spectrogram)->Arg(8192)->Arg(32768);
 
 void BM_FastDtw(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -354,7 +396,7 @@ void BM_FastDtw(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK(BM_FastDtw)->Arg(256)->Arg(1024)->Arg(4096);
+NSYNC_BENCHMARK(BM_FastDtw)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_DwmAlign(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -370,7 +412,7 @@ void BM_DwmAlign(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK(BM_DwmAlign)->Arg(1024)->Arg(4096);
+NSYNC_BENCHMARK(BM_DwmAlign)->Arg(1024)->Arg(4096);
 
 void BM_DatasetParallel(benchmark::State& state) {
   // End-to-end tiny-roster generation (26 simulated processes, ACC+AUD
@@ -387,7 +429,7 @@ void BM_DatasetParallel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   runtime::set_worker_count(0);  // restore automatic sizing
 }
-BENCHMARK(BM_DatasetParallel)
+NSYNC_BENCHMARK(BM_DatasetParallel)
     ->ArgName("threads")
     ->Arg(1)
     ->Arg(2)

@@ -17,7 +17,12 @@
 # Provenance: bench_micro and bench_ext_checkpoint also get the git SHA
 # of the checkout (suffixed -dirty when the tree has uncommitted changes)
 # and the CMake build type of ./build in their JSON context.
+#
+# Spread: bench_micro runs every case MICRO_REPS times and reports only
+# the aggregates (mean, median, stddev, cv and bench_micro's own `mad`,
+# the median absolute deviation), with `reps` in its JSON context.
 set -u
+MICRO_REPS=5
 GIT_SHA=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 if ! git diff --quiet HEAD 2>/dev/null; then
   GIT_SHA="${GIT_SHA}-dirty"
@@ -43,6 +48,9 @@ for b in "$@"; do
     EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_micro.json}"
     EXTRA_FLAGS="$EXTRA_FLAGS --benchmark_context=git_sha=${GIT_SHA}"
     EXTRA_FLAGS="$EXTRA_FLAGS --benchmark_context=build_type=${BUILD_TYPE}"
+    EXTRA_FLAGS="$EXTRA_FLAGS --benchmark_context=reps=${MICRO_REPS}"
+    EXTRA_FLAGS="$EXTRA_FLAGS --benchmark_repetitions=${MICRO_REPS}"
+    EXTRA_FLAGS="$EXTRA_FLAGS --benchmark_report_aggregates_only=true"
   fi
   if [ "$b" = "bench_ext_multi_session" ]; then
     EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_fleet.json}"

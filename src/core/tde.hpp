@@ -7,6 +7,13 @@
 // an expected delay, biasing the estimate toward continuity when the window
 // content is periodic or noisy.
 //
+// Every channel count runs the same correlation: each channel goes
+// through dsp::sliding_pearson_fft_into (two single-lane rffts and one
+// irfft at dsp::correlation_fft_size(nx)) on the workspace's per-channel
+// scratch, and the channel scores are summed in channel order and scaled
+// by 1/C.  A multichannel score is therefore bitwise the channel average
+// of sliding_pearson_fft under every SIMD backend.
+//
 // Two tiers of API are provided.  The allocating functions return fresh
 // vectors and are convenient for tests and ablations.  The TdeWorkspace
 // overloads thread reusable scratch through dsp::xcorr so that the DWM
@@ -19,11 +26,9 @@
 #define NSYNC_CORE_TDE_HPP
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "dsp/batched_fft.hpp"
 #include "dsp/xcorr.hpp"
 #include "signal/signal.hpp"
 
@@ -47,47 +52,18 @@ struct TdeWorkspace {
   std::vector<double> scores;       ///< channel-averaged similarity
   nsync::dsp::SlidingPearsonWorkspace pearson;
 
-  // Batched multichannel FFT path (channels > 1): all channels run
-  // through one lane-interleaved BatchedRfftPlan instead of a per-channel
-  // transform loop.  The plan is rebuilt only when the padded size or
-  // channel count changes, so the DWM steady state (fixed window shape)
-  // allocates nothing here.  The cache wrapper copies as empty so the
-  // workspace stays copyable (the plan is keyed scratch, rebuilt on
-  // demand).
-  struct BatchedPlanCache {
-    std::unique_ptr<nsync::dsp::BatchedRfftPlan> plan;
-    BatchedPlanCache() = default;
-    BatchedPlanCache(const BatchedPlanCache&) noexcept {}
-    BatchedPlanCache& operator=(const BatchedPlanCache&) noexcept {
-      return *this;
-    }
-    BatchedPlanCache(BatchedPlanCache&&) noexcept = default;
-    BatchedPlanCache& operator=(BatchedPlanCache&&) noexcept = default;
-    ~BatchedPlanCache() = default;
-  };
-  BatchedPlanCache batched;
-  std::vector<double> mu_x;       ///< per-channel means of x
-  std::vector<double> mu_y;       ///< per-channel means of y
-  std::vector<double> y_energy;   ///< per-channel centered template energy
-  std::vector<double> x_pad;      ///< centered x, lane-interleaved, padded
-  std::vector<double> y_pad;      ///< centered reversed y, padded
-  std::vector<double> spec_x_re;  ///< batched spectra (split planes)
-  std::vector<double> spec_x_im;
-  std::vector<double> spec_y_re;
-  std::vector<double> spec_y_im;
-  std::vector<double> ps;   ///< per-channel prefix sums (row-interleaved)
-  std::vector<double> ps2;  ///< per-channel prefix sums of squares
-
   // TDEB Gaussian weight cache: reused verbatim while (center, sigma,
   // n_out) are unchanged (static callers); recomputed otherwise.
   std::vector<double> bias_w;
   double bias_center = 0.0;
   double bias_sigma = 0.0;
 
-  /// Reserves the buffers (and builds the plans) that TDE and TDEB of an
-  /// nx-frame x against an ny-frame template, both with `channels`
+  /// Reserves the buffers (and builds the FFT plan) that TDE and TDEB of
+  /// an nx-frame x against an ny-frame template, both with `channels`
   /// channels, use under `opts`, so the first call of that shape
-  /// allocates nothing.  Requires nx >= ny >= 2.
+  /// allocates nothing.  The per-channel scratch is shared by every
+  /// channel, so the reservation does not grow with `channels`.
+  /// Requires nx >= ny >= 2.
   void reserve(std::size_t nx, std::size_t ny, std::size_t channels,
                const TdeOptions& opts);
 };

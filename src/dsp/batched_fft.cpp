@@ -65,10 +65,6 @@ BatchedRfftPlan::BatchedRfftPlan(BatchedRfftPlan&&) noexcept = default;
 BatchedRfftPlan& BatchedRfftPlan::operator=(BatchedRfftPlan&&) noexcept =
     default;
 
-bool BatchedRfftPlan::supports_inverse() const {
-  return mode_ == Mode::kPow2 || mode_ == Mode::kOne;
-}
-
 // Packs channel-major input (lane l at x + l * in_stride) into the split
 // work planes: the half-size complex trick's z_k = x_{2k} + i * x_{2k+1}
 // for even n, a zero-imaginary copy for odd n.  Bluestein modes zero the
@@ -198,58 +194,6 @@ void BatchedRfftPlan::forward_interleaved(const double* x, double* spec_re,
   }
   pack_interleaved(x);
   forward_core(spec_re, spec_im);
-}
-
-// Untangle + half-size inverse transform into the work planes.
-void BatchedRfftPlan::inverse_core(const double* spec_re,
-                                   const double* spec_im) {
-  simd::ops().irfft_untangle_batch(spec_re, spec_im, tw_re_.data(),
-                                   tw_im_.data(), h_, lanes_, work_re_.data(),
-                                   work_im_.data());
-  if (h_ > 1) {
-    detail::run_radix2_split_batch(work_re_.data(), work_im_.data(), lanes_,
-                                   *half_plan_, /*inverse=*/true);
-  }
-}
-
-void BatchedRfftPlan::inverse(const double* spec_re, const double* spec_im,
-                              double* out, std::size_t out_stride) {
-  if (!supports_inverse()) {
-    throw std::logic_error(
-        "BatchedRfftPlan::inverse: only power-of-two lengths");
-  }
-  if (mode_ == Mode::kOne) {
-    for (std::size_t l = 0; l < lanes_; ++l) out[l * out_stride] = spec_re[l];
-    return;
-  }
-  inverse_core(spec_re, spec_im);
-  for (std::size_t k = 0; k < h_; ++k) {
-    const double* wr = work_re_.data() + k * lanes_;
-    const double* wi = work_im_.data() + k * lanes_;
-    for (std::size_t l = 0; l < lanes_; ++l) {
-      out[l * out_stride + 2 * k] = wr[l];
-      out[l * out_stride + 2 * k + 1] = wi[l];
-    }
-  }
-}
-
-void BatchedRfftPlan::inverse_interleaved(const double* spec_re,
-                                          const double* spec_im,
-                                          double* out) {
-  if (!supports_inverse()) {
-    throw std::logic_error(
-        "BatchedRfftPlan::inverse_interleaved: only power-of-two lengths");
-  }
-  if (mode_ == Mode::kOne) {
-    std::copy_n(spec_re, lanes_, out);
-    return;
-  }
-  inverse_core(spec_re, spec_im);
-  for (std::size_t k = 0; k < h_; ++k) {
-    std::copy_n(work_re_.data() + k * lanes_, lanes_, out + 2 * k * lanes_);
-    std::copy_n(work_im_.data() + k * lanes_, lanes_,
-                out + (2 * k + 1) * lanes_);
-  }
 }
 
 }  // namespace nsync::dsp

@@ -1,25 +1,24 @@
-// Batched real FFT: all channels through one plan.
+// Batched forward real FFT: all channels through one plan.
 //
 // A BatchedRfftPlan transforms `lanes` equal-length real signals at once
 // by storing them lane-interleaved — element k of lane l lives at
 // [k * lanes + l] — so every butterfly, chirp multiply, and untangle step
 // is a contiguous vector operation across lanes instead of a strided
 // walk.  The per-lane arithmetic is the exact operation sequence of the
-// single-signal rfft()/irfft() paths in fft.cpp (same cached twiddle and
-// Bluestein plans, same formulas), so batched results are bitwise equal,
-// lane for lane, to running rfft() on each channel separately — under
-// every SIMD backend.
+// single-signal rfft() path in fft.cpp (same cached twiddle and Bluestein
+// plans, same formulas), so batched spectra are bitwise equal, lane for
+// lane, to running rfft() on each channel separately — under every SIMD
+// backend.
 //
-// This is the throughput workhorse for the fleet pipeline: multi-channel
-// spectrogram columns (stft.cpp / streaming_stft.cpp) and the
-// multi-channel TDE cross-correlation (core/tde.cpp) push all channels
-// through one plan rather than looping transforms per channel.
+// Its users are the multi-channel spectrogram columns (stft.cpp /
+// streaming_stft.cpp), whose frame lengths are often not powers of two.
+// The TDE correlation does not use it: that path runs every channel
+// through the single-lane rfft/irfft (core/tde.cpp), which is faster per
+// lane at the power-of-two correlation sizes on AVX2 hosts.
 //
 // Forward transforms support every length (power-of-two half-trick, even
-// Bluestein, odd Bluestein); the inverse is implemented for power-of-two
-// lengths only — the one shape the correlation path needs (padded sizes
-// are always powers of two).  All scratch is allocated in the
-// constructor; forward()/inverse() perform no heap allocation.
+// Bluestein, odd Bluestein); there is no inverse.  All scratch is
+// allocated in the constructor; forward() performs no heap allocation.
 #ifndef NSYNC_DSP_BATCHED_FFT_HPP
 #define NSYNC_DSP_BATCHED_FFT_HPP
 
@@ -49,9 +48,6 @@ class BatchedRfftPlan {
   [[nodiscard]] std::size_t lanes() const { return lanes_; }
   /// Number of spectrum rows per lane: floor(n/2) + 1.
   [[nodiscard]] std::size_t bins() const { return n_ / 2 + 1; }
-  /// True when inverse() is available (power-of-two n).
-  [[nodiscard]] bool supports_inverse() const;
-
   /// Forward transform of all lanes.  Lane l reads n doubles starting at
   /// x + l * in_stride (in_stride >= n).  Writes the lane-interleaved
   /// split spectrum: bin k of lane l at spec_re/spec_im[k * lanes + l],
@@ -66,25 +62,12 @@ class BatchedRfftPlan {
   void forward_interleaved(const double* x, double* spec_re,
                            double* spec_im);
 
-  /// Inverse transform (power-of-two n only; throws std::logic_error
-  /// otherwise).  Reads a lane-interleaved split spectrum as produced by
-  /// forward() and writes lane l's n real samples at
-  /// out + l * out_stride.  Includes the 1/n normalization.
-  void inverse(const double* spec_re, const double* spec_im, double* out,
-               std::size_t out_stride);
-
-  /// Inverse writing lane-interleaved output: sample k of lane l at
-  /// out[k * lanes + l].
-  void inverse_interleaved(const double* spec_re, const double* spec_im,
-                           double* out);
-
  private:
   enum class Mode { kOne, kPow2, kEvenBluestein, kOddBluestein };
 
   void pack_strided(const double* x, std::size_t in_stride);
   void pack_interleaved(const double* x);
   void forward_core(double* spec_re, double* spec_im);
-  void inverse_core(const double* spec_re, const double* spec_im);
   void run_bluestein(std::size_t data_rows,
                      const detail::BluesteinPlan& bplan,
                      const detail::Radix2Plan& conv_plan);

@@ -232,6 +232,33 @@ std::vector<Complex> bluestein(std::span<const Complex> input, bool inverse) {
   return out;
 }
 
+// The butterfly stages of run_radix2_split (and the inverse's 1/n), for
+// planes that already hold their input in bit-reversed order.
+void run_radix2_passes(double* re, double* im, const Radix2Plan& plan,
+                       bool inverse) {
+  const std::size_t n = plan.n;
+  const auto& k = simd::ops();
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    k.radix2_pass(re, im, n, len, plan.stage_twr(len), plan.stage_twi(len),
+                  inverse);
+  }
+  if (inverse) k.divide2(re, im, n, static_cast<double>(n));
+}
+
+// re[i] = xy[2 * bitrev[i]], im[i] = xy[2 * bitrev[i] + 1]: the even/odd
+// deinterleave of the real-FFT pack, landing directly in the bit-reversed
+// order the butterfly stages read.  Pure data movement, so the transform
+// stays bitwise equal to deinterleave + run_radix2_split.
+void gather_pairs_bitrev(const double* xy, const Radix2Plan& plan, double* re,
+                         double* im) {
+  const std::size_t* bitrev = plan.bitrev.data();
+  for (std::size_t i = 0; i < plan.n; ++i) {
+    const double* pair = xy + 2 * bitrev[i];
+    re[i] = pair[0];
+    im[i] = pair[1];
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -259,12 +286,7 @@ void run_radix2_split(double* re, double* im, const Radix2Plan& plan,
       std::swap(im[i], im[j]);
     }
   }
-  const auto& k = simd::ops();
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    k.radix2_pass(re, im, n, len, plan.stage_twr(len), plan.stage_twi(len),
-                  inverse);
-  }
-  if (inverse) k.divide2(re, im, n, static_cast<double>(n));
+  run_radix2_passes(re, im, plan, inverse);
 }
 
 void run_radix2_split_batch(double* re, double* im, std::size_t lanes,
@@ -297,21 +319,24 @@ void run_radix2_split_batch(double* re, double* im, std::size_t lanes,
 //   E[k] = (X[k] + conj(X[h-k])) / 2
 //   O[k] = conj(w^k) * (X[k] - conj(X[h-k])) / 2
 //   Z[k] = E[k] + i*O[k],  z = IDFT_h(Z),  x[2k] = Re z, x[2k+1] = Im z.
-// Both passes are O(n) around one half-size complex FFT.  The pack and
-// the k = 1 .. h-1 untangle run through the dispatched SIMD kernels.
+// Both passes are O(n) around one half-size complex FFT.  The pack
+// gathers straight into bit-reversed order (the only permutation the
+// radix-2 DIT stages need), so no separate in-place swap pass runs; the
+// inverse untangle stores interleaved pairs into `out` first so that the
+// same single gather feeds its butterflies.  The k = 1 .. h-1 untangles
+// run through the dispatched SIMD kernels.
 // ---------------------------------------------------------------------------
 
 // x.size() must equal the (power-of-two) plan size n; writes n/2+1 bins.
 void rfft_pow2_split(std::span<const double> x, std::span<Complex> out,
                      double* half_re, double* half_im, const RfftPlan& plan) {
   const std::size_t h = x.size() / 2;
-  const auto& k = simd::ops();
-  k.deinterleave(x.data(), h, half_re, half_im);
-  if (h > 1) run_radix2_split(half_re, half_im, *plan.half, /*inverse=*/false);
+  gather_pairs_bitrev(x.data(), *plan.half, half_re, half_im);
+  if (h > 1) run_radix2_passes(half_re, half_im, *plan.half, /*inverse=*/false);
   out[0] = Complex(half_re[0] + half_im[0], 0.0);
   out[h] = Complex(half_re[0] - half_im[0], 0.0);
-  k.rfft_untangle(half_re, half_im, plan.tw_re.data(), plan.tw_im.data(), h,
-                  out.data());
+  simd::ops().rfft_untangle(half_re, half_im, plan.tw_re.data(),
+                            plan.tw_im.data(), h, out.data());
 }
 
 // bins.size() must be n/2+1 for the (power-of-two) plan size n = out.size().
@@ -320,8 +345,9 @@ void irfft_pow2_split(std::span<const Complex> bins, std::span<double> out,
   const std::size_t h = out.size() / 2;
   const auto& k = simd::ops();
   k.irfft_untangle(bins.data(), plan.tw_re.data(), plan.tw_im.data(), h,
-                   half_re, half_im);
-  if (h > 1) run_radix2_split(half_re, half_im, *plan.half, /*inverse=*/true);
+                   out.data());
+  gather_pairs_bitrev(out.data(), *plan.half, half_re, half_im);
+  if (h > 1) run_radix2_passes(half_re, half_im, *plan.half, /*inverse=*/true);
   k.interleave(half_re, half_im, h, out.data());
 }
 
@@ -502,7 +528,8 @@ void cross_correlate_valid_into(std::span<const double> x,
   }
   const std::size_t m = correlation_fft_size(nx);
   const std::size_t h = m / 2;
-  const auto plan = plan_cache().rfft(m);
+  if (!ws.plan || ws.plan->n != m) ws.plan = plan_cache().rfft(m);
+  const RfftPlan& plan = *ws.plan;
   ws.x_pad.resize(m);
   ws.y_pad.resize(m);
   ws.spec_x.resize(h + 1);
@@ -520,12 +547,12 @@ void cross_correlate_valid_into(std::span<const double> x,
   std::fill(ws.y_pad.begin() + static_cast<std::ptrdiff_t>(ny), ws.y_pad.end(),
             0.0);
   detail::rfft_pow2_split(ws.x_pad, ws.spec_x, ws.half_re.data(),
-                          ws.half_im.data(), *plan);
+                          ws.half_im.data(), plan);
   detail::rfft_pow2_split(ws.y_pad, ws.spec_y, ws.half_re.data(),
-                          ws.half_im.data(), *plan);
+                          ws.half_im.data(), plan);
   simd::ops().cmul_inplace(ws.spec_x.data(), ws.spec_y.data(), h + 1);
   detail::irfft_pow2_split(ws.spec_x, ws.x_pad, ws.half_re.data(),
-                           ws.half_im.data(), *plan);
+                           ws.half_im.data(), plan);
   for (std::size_t k = 0; k < n_out; ++k) {
     out[k] = ws.x_pad[k + ny - 1];
   }
@@ -539,7 +566,7 @@ void CorrelationWorkspace::reserve(std::size_t nx) {
   spec_y.reserve(m / 2 + 1);
   half_re.reserve(m / 2);
   half_im.reserve(m / 2);
-  (void)plan_cache().rfft(m);
+  if (!plan || plan->n != m) plan = plan_cache().rfft(m);
 }
 
 std::vector<double> cross_correlate_valid(std::span<const double> x,

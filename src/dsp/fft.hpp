@@ -5,8 +5,13 @@
 // (rfft/irfft) that exploit conjugate symmetry via the half-size complex
 // trick: a length-N real FFT runs as one length-N/2 complex FFT plus an
 // O(N) untangling pass, roughly halving the work of the complex path.
-// The N/2+1 non-negative-frequency bins feed the spectrogram pipeline
-// (Table III of the paper) and the fast TDE cross-correlation.
+// For power-of-two N the pack gathers the even/odd sample pairs straight
+// into bit-reversed order, so the half-size transform runs only its
+// butterfly stages (no separate in-place permutation pass); irfft does
+// the same gather after its untangle.  The N/2+1 non-negative-frequency
+// bins feed the spectrogram pipeline (Table III of the paper) and the
+// fast TDE cross-correlation, which runs every channel through these
+// single-lane transforms.
 //
 // All entry points share a process-wide, thread-safe plan cache: radix-2
 // twiddle factors and bit-reversal permutations are computed once per
@@ -14,15 +19,20 @@
 // the Bluestein chirp plus the FFT of its convolution kernel once per
 // (size, direction).  Every function here is safe to call concurrently
 // from multiple threads, and the workspace entry points perform no heap
-// allocation once their buffers have grown to steady-state size.
+// allocation once their buffers have grown to steady-state size.  A
+// CorrelationWorkspace also holds the plan of its last transform size,
+// so the per-window, per-channel TDE correlation takes neither the
+// cache's lock nor a reference count (shard threads would contend on
+// both).
 //
-// The butterfly, pack/untangle, and bin-product inner loops run through
+// The butterfly, untangle, and bin-product inner loops run through
 // the runtime-dispatched SIMD kernel table (dsp/simd/simd.hpp): AVX2 on
 // x86-64 hosts that support it, the always-built scalar backend
 // everywhere else.  Both backends are bitwise-identical for these kernels
 // (the vector lanes evaluate the exact scalar formulas in parallel), so
 // results do not depend on the machine the binary lands on.  Batched
-// many-channel transforms live in dsp/batched_fft.hpp; the uncached and
+// many-channel forward transforms (the STFT's) live in
+// dsp/batched_fft.hpp; the uncached and
 // full-complex reference transforms the tests compare against live in
 // dsp/reference/reference.hpp, outside the production library.
 #ifndef NSYNC_DSP_FFT_HPP
@@ -30,6 +40,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -83,6 +94,10 @@ void fft_radix2(std::span<Complex> data, bool inverse = false);
 /// workspace computes bitwise the same scores as a long-running one.
 [[nodiscard]] std::size_t correlation_fft_size(std::size_t nx);
 
+namespace detail {
+struct RfftPlan;
+}  // namespace detail
+
 /// Reusable scratch for the zero-allocation real-FFT correlation path.
 /// Buffers are resized to correlation_fft_size(x.size()) on every call
 /// (no allocation once at capacity); a default-constructed workspace is
@@ -94,10 +109,13 @@ struct CorrelationWorkspace {
   std::vector<Complex> spec_y;   ///< rfft(y_pad)
   std::vector<double> half_re;   ///< half-size staging plane (real)
   std::vector<double> half_im;   ///< half-size staging plane (imag)
+  /// Plan of the last transform size; refetched from the shared cache
+  /// only when the size changes.
+  std::shared_ptr<const detail::RfftPlan> plan;
 
-  /// Reserves every buffer for an nx-sample x and builds the FFT plan of
-  /// correlation_fft_size(nx), so the first call with that nx allocates
-  /// nothing either.
+  /// Reserves every buffer for an nx-sample x and fetches (building if
+  /// needed) the FFT plan of correlation_fft_size(nx), so the first call
+  /// with that nx allocates nothing either.
   void reserve(std::size_t nx);
 };
 

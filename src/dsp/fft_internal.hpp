@@ -10,7 +10,8 @@
 // the bitwise contract against the pre-split implementation hinges on
 // reading the exact same twiddle bits.
 //
-// Not part of the installed public API; include only from src/dsp.
+// Not part of the installed public API; include only from src/dsp and
+// from white-box tests.
 #ifndef NSYNC_DSP_FFT_INTERNAL_HPP
 #define NSYNC_DSP_FFT_INTERNAL_HPP
 
@@ -67,9 +68,11 @@ std::shared_ptr<const BluesteinPlan> get_bluestein_plan(std::size_t n,
                                                         bool inverse);
 
 /// In-place radix-2 FFT over split planes of plan.n complex elements
-/// (bit-reversal, butterfly stages through the SIMD dispatch table, and
-/// the 1/n scaling when inverse).  Bitwise identical to the historical
-/// interleaved std::complex implementation.
+/// (bit-reversal swap pass, butterfly stages through the SIMD dispatch
+/// table, and the 1/n scaling when inverse).  Bitwise identical to the
+/// historical interleaved std::complex implementation.  The complex fft()
+/// and Bluestein paths use it; rfft/irfft fold the permutation into
+/// their pack instead and run only the butterfly stages.
 void run_radix2_split(double* re, double* im, const Radix2Plan& plan,
                       bool inverse);
 
@@ -80,13 +83,16 @@ void run_radix2_split_batch(double* re, double* im, std::size_t lanes,
                             const Radix2Plan& plan, bool inverse);
 
 /// Forward real FFT for the (power-of-two) plan size n = x.size():
-/// half-size pack, complex transform in the split half planes (each
-/// plan.n/2 doubles), and the untangling epilogue into n/2+1 bins.
+/// half-size pack gathered in bit-reversed order, the butterfly stages in
+/// the split half planes (each plan.n/2 doubles), and the untangling
+/// epilogue into n/2+1 bins.
 void rfft_pow2_split(std::span<const double> x, std::span<Complex> out,
                      double* half_re, double* half_im, const RfftPlan& plan);
 
 /// Inverse counterpart: n/2+1 bins -> length-n real signal (includes the
 /// 1/n normalization via the half transform's 1/(n/2) and the 0.5s).
+/// `out` doubles as the untangle's interleaved staging, so `bins` must
+/// not alias it.
 void irfft_pow2_split(std::span<const Complex> bins, std::span<double> out,
                       double* half_re, double* half_im, const RfftPlan& plan);
 

@@ -15,16 +15,13 @@ namespace nsync::dsp::simd {
 namespace {
 
 // Field order must match struct Ops exactly.
-#define NSYNC_SIMD_OPS_ENTRIES(ns)                                      \
-  ns::radix2_pass, ns::radix2_pass_batch, ns::divide2, ns::cmul_inplace, \
+#define NSYNC_SIMD_OPS_ENTRIES(ns)                                       \
+  ns::radix2_pass, ns::radix2_pass_batch, ns::divide2, ns::cmul_inplace,  \
       ns::cmul_split_inplace, ns::cmul_rows_broadcast, ns::rfft_untangle, \
-      ns::irfft_untangle, ns::rfft_untangle_batch, ns::irfft_untangle_batch, \
-      ns::deinterleave, ns::interleave, ns::subtract_scalar,            \
-      ns::mul_rows_broadcast_real, ns::add_arrays, ns::scale,           \
-      ns::normalize_windows, ns::normalize_windows_strided,             \
-      ns::clamp_weight_argmax, ns::channel_sums, ns::center_rows,       \
-      ns::center_rows_reversed_energy, ns::prefix_sums_rows, ns::sum,   \
-      ns::centered_energy, ns::subtract_scalar_energy,                  \
+      ns::irfft_untangle, ns::rfft_untangle_batch, ns::deinterleave,      \
+      ns::interleave, ns::subtract_scalar, ns::mul_rows_broadcast_real,   \
+      ns::normalize_windows, ns::clamp_weight_argmax, ns::channel_sums,   \
+      ns::sum, ns::centered_energy, ns::subtract_scalar_energy,           \
       ns::pearson_accumulate, ns::prefix_sums
 
 const Ops kScalarOps{Isa::kScalar, "scalar", NSYNC_SIMD_OPS_ENTRIES(scalar)};

@@ -35,16 +35,11 @@
                      const double* twr, const double* twi, std::size_t h,    \
                      Complex* out);                                          \
   void irfft_untangle(const Complex* bins, const double* twr,                \
-                      const double* twi, std::size_t h, double* out_re,      \
-                      double* out_im);                                       \
+                      const double* twi, std::size_t h, double* out);        \
   void rfft_untangle_batch(const double* hre, const double* him,             \
                            const double* twr, const double* twi,             \
                            std::size_t h, std::size_t lanes,                 \
                            double* out_re, double* out_im);                  \
-  void irfft_untangle_batch(const double* br, const double* bi,              \
-                            const double* twr, const double* twi,            \
-                            std::size_t h, std::size_t lanes,                \
-                            double* out_re, double* out_im);                 \
   void deinterleave(const double* xy, std::size_t n, double* re,             \
                     double* im);                                             \
   void interleave(const double* re, const double* im, std::size_t n,         \
@@ -54,26 +49,13 @@
   void mul_rows_broadcast_real(const double* src, std::size_t rows,          \
                                std::size_t lanes, const double* w,           \
                                double* dst);                                 \
-  void add_arrays(double* dst, const double* src, std::size_t n);            \
-  void scale(double* x, double s, std::size_t n);                            \
   void normalize_windows(const double* ps, const double* ps2,                \
                          std::size_t ny, double y_norm, const double* num,   \
                          double* out, std::size_t n_out);                    \
-  void normalize_windows_strided(const double* ps, const double* ps2,        \
-                                 std::size_t stride, std::size_t ny,         \
-                                 double y_norm, const double* num,           \
-                                 double* out, std::size_t n_out);            \
   std::size_t clamp_weight_argmax(const double* scores, const double* w,     \
                                   std::size_t n);                            \
   void channel_sums(const double* data, std::size_t frames,                  \
                     std::size_t channels, double* sums);                     \
-  void center_rows(const double* src, std::size_t frames,                    \
-                   std::size_t channels, const double* mu, double* dst);     \
-  void center_rows_reversed_energy(const double* src, std::size_t frames,    \
-                                   std::size_t channels, const double* mu,   \
-                                   double* dst, double* energy);             \
-  void prefix_sums_rows(const double* x, double* ps, double* ps2,            \
-                        std::size_t frames, std::size_t channels);           \
   double sum(const double* x, std::size_t n);                                \
   double centered_energy(const double* x, double mu, std::size_t n);         \
   double subtract_scalar_energy(const double* src, double mu, double* dst,   \

@@ -362,7 +362,7 @@ void rfft_untangle(const double* hre, const double* him, const double* twr,
 }
 
 void irfft_untangle(const Complex* bins, const double* twr, const double* twi,
-                    std::size_t h, double* out_re, double* out_im) {
+                    std::size_t h, double* out) {
   const __m256d halfc = _mm256_set1_pd(0.5);
   const __m256d zero = _mm256_setzero_pd();
   const __m256d one = _mm256_set1_pd(1.0);
@@ -387,14 +387,16 @@ void irfft_untangle(const Complex* bins, const double* twr, const double* twi,
     const __m256d odd_i =
         _mm256_add_pd(_mm256_mul_pd(wr, ii), _mm256_mul_pd(nti, ir));
     // half = even + (0,1) * odd, kept as the literal scalar formula.
-    _mm256_storeu_pd(
-        out_re + k,
-        _mm256_add_pd(er, _mm256_sub_pd(_mm256_mul_pd(zero, odd_r),
-                                        _mm256_mul_pd(one, odd_i))));
-    _mm256_storeu_pd(
-        out_im + k,
-        _mm256_add_pd(ei, _mm256_add_pd(_mm256_mul_pd(zero, odd_i),
-                                        _mm256_mul_pd(one, odd_r))));
+    const __m256d h_re = _mm256_add_pd(
+        er, _mm256_sub_pd(_mm256_mul_pd(zero, odd_r),
+                          _mm256_mul_pd(one, odd_i)));
+    const __m256d h_im = _mm256_add_pd(
+        ei, _mm256_add_pd(_mm256_mul_pd(zero, odd_i),
+                          _mm256_mul_pd(one, odd_r)));
+    __m256d lo, hi;
+    join_pairs(h_re, h_im, lo, hi);
+    _mm256_storeu_pd(out + 2 * k, lo);
+    _mm256_storeu_pd(out + 2 * k + 4, hi);
   }
   for (; k < h; ++k) {
     const double er = 0.5 * (bins[k].real() + bins[h - k].real());
@@ -404,8 +406,8 @@ void irfft_untangle(const Complex* bins, const double* twr, const double* twi,
     const double nti = -twi[k];
     const double odd_r = twr[k] * ir - nti * ii;
     const double odd_i = twr[k] * ii + nti * ir;
-    out_re[k] = er + (0.0 * odd_r - 1.0 * odd_i);
-    out_im[k] = ei + (0.0 * odd_i + 1.0 * odd_r);
+    out[2 * k] = er + (0.0 * odd_r - 1.0 * odd_i);
+    out[2 * k + 1] = ei + (0.0 * odd_i + 1.0 * odd_r);
   }
 }
 
@@ -487,83 +489,6 @@ void rfft_untangle_batch(const double* hre, const double* him,
   }
 }
 
-void irfft_untangle_batch(const double* br, const double* bi,
-                          const double* twr, const double* twi, std::size_t h,
-                          std::size_t lanes, double* out_re, double* out_im) {
-  const __m256d halfc = _mm256_set1_pd(0.5);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  for (std::size_t k = 0; k < h; ++k) {
-    const double* xr = br + k * lanes;
-    const double* xi = bi + k * lanes;
-    const double* cr = br + (h - k) * lanes;
-    const double* ci = bi + (h - k) * lanes;
-    double* orow = out_re + k * lanes;
-    double* irow = out_im + k * lanes;
-    const double nti_s = -twi[k];
-    const __m256d wr = _mm256_set1_pd(twr[k]);
-    const __m256d nti = _mm256_set1_pd(nti_s);
-    std::size_t l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-      const __m256d xrv = _mm256_loadu_pd(xr + l);
-      const __m256d xiv = _mm256_loadu_pd(xi + l);
-      const __m256d crv = _mm256_loadu_pd(cr + l);
-      const __m256d civ = _mm256_loadu_pd(ci + l);
-      const __m256d er = _mm256_mul_pd(halfc, _mm256_add_pd(xrv, crv));
-      const __m256d ei = _mm256_mul_pd(halfc, _mm256_sub_pd(xiv, civ));
-      const __m256d ir = _mm256_mul_pd(halfc, _mm256_sub_pd(xrv, crv));
-      const __m256d ii = _mm256_mul_pd(halfc, _mm256_add_pd(xiv, civ));
-      const __m256d odd_r =
-          _mm256_sub_pd(_mm256_mul_pd(wr, ir), _mm256_mul_pd(nti, ii));
-      const __m256d odd_i =
-          _mm256_add_pd(_mm256_mul_pd(wr, ii), _mm256_mul_pd(nti, ir));
-      _mm256_storeu_pd(
-          orow + l,
-          _mm256_add_pd(er, _mm256_sub_pd(_mm256_mul_pd(zero, odd_r),
-                                          _mm256_mul_pd(one, odd_i))));
-      _mm256_storeu_pd(
-          irow + l,
-          _mm256_add_pd(ei, _mm256_add_pd(_mm256_mul_pd(zero, odd_i),
-                                          _mm256_mul_pd(one, odd_r))));
-    }
-    for (; l + 2 <= lanes; l += 2) {
-      const __m128d half2 = _mm256_castpd256_pd128(halfc);
-      const __m128d zero2 = _mm256_castpd256_pd128(zero);
-      const __m128d one2 = _mm256_castpd256_pd128(one);
-      const __m128d wr2 = _mm256_castpd256_pd128(wr);
-      const __m128d nti2 = _mm256_castpd256_pd128(nti);
-      const __m128d xrv = _mm_loadu_pd(xr + l);
-      const __m128d xiv = _mm_loadu_pd(xi + l);
-      const __m128d crv = _mm_loadu_pd(cr + l);
-      const __m128d civ = _mm_loadu_pd(ci + l);
-      const __m128d er = _mm_mul_pd(half2, _mm_add_pd(xrv, crv));
-      const __m128d ei = _mm_mul_pd(half2, _mm_sub_pd(xiv, civ));
-      const __m128d ir = _mm_mul_pd(half2, _mm_sub_pd(xrv, crv));
-      const __m128d ii = _mm_mul_pd(half2, _mm_add_pd(xiv, civ));
-      const __m128d odd_r =
-          _mm_sub_pd(_mm_mul_pd(wr2, ir), _mm_mul_pd(nti2, ii));
-      const __m128d odd_i =
-          _mm_add_pd(_mm_mul_pd(wr2, ii), _mm_mul_pd(nti2, ir));
-      _mm_storeu_pd(orow + l,
-                    _mm_add_pd(er, _mm_sub_pd(_mm_mul_pd(zero2, odd_r),
-                                              _mm_mul_pd(one2, odd_i))));
-      _mm_storeu_pd(irow + l,
-                    _mm_add_pd(ei, _mm_add_pd(_mm_mul_pd(zero2, odd_i),
-                                              _mm_mul_pd(one2, odd_r))));
-    }
-    for (; l < lanes; ++l) {
-      const double er = 0.5 * (xr[l] + cr[l]);
-      const double ei = 0.5 * (xi[l] - ci[l]);
-      const double ir = 0.5 * (xr[l] - cr[l]);
-      const double ii = 0.5 * (xi[l] + ci[l]);
-      const double odd_r = twr[k] * ir - nti_s * ii;
-      const double odd_i = twr[k] * ii + nti_s * ir;
-      orow[l] = er + (0.0 * odd_r - 1.0 * odd_i);
-      irow[l] = ei + (0.0 * odd_i + 1.0 * odd_r);
-    }
-  }
-}
-
 void deinterleave(const double* xy, std::size_t n, double* re, double* im) {
   std::size_t k = 0;
   for (; k + 4 <= n; k += 4) {
@@ -623,24 +548,6 @@ void mul_rows_broadcast_real(const double* src, std::size_t rows,
   }
 }
 
-void add_arrays(double* dst, const double* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(_mm256_loadu_pd(dst + i),
-                                            _mm256_loadu_pd(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
-void scale(double* x, double s, std::size_t n) {
-  const __m256d sv = _mm256_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), sv));
-  }
-  for (; i < n; ++i) x[i] *= s;
-}
-
 void normalize_windows(const double* ps, const double* ps2, std::size_t ny,
                        double y_norm, const double* num, double* out,
                        std::size_t n_out) {
@@ -684,19 +591,6 @@ void normalize_windows(const double* ps, const double* ps2, std::size_t ny,
       out[n] = std::isfinite(r) ? r : 0.0;
     }
   }
-}
-
-void normalize_windows_strided(const double* ps, const double* ps2,
-                               std::size_t stride, std::size_t ny,
-                               double y_norm, const double* num, double* out,
-                               std::size_t n_out) {
-  // The strided epilogue reads one value per channel-interleaved row;
-  // contiguous vector loads don't apply and gathers don't pay for
-  // themselves at the strides the batched TDE uses (stride == channel
-  // count, a handful).  The batched win is in the FFT; keep this loop
-  // scalar and trivially bitwise.
-  scalar::normalize_windows_strided(ps, ps2, stride, ny, y_norm, num, out,
-                                    n_out);
 }
 
 std::size_t clamp_weight_argmax(const double* scores, const double* w,
@@ -768,124 +662,6 @@ void channel_sums(const double* data, std::size_t frames,
     double acc = 0.0;
     for (std::size_t nf = 0; nf < frames; ++nf) acc += data[nf * channels + c];
     sums[c] = acc;
-  }
-}
-
-void center_rows(const double* src, std::size_t frames, std::size_t channels,
-                 const double* mu, double* dst) {
-  if (channels == 1) {
-    subtract_scalar(src, mu[0], dst, frames);
-    return;
-  }
-  if (channels == 2) {
-    // Flatten: two frames per 256-bit op against the broadcast mu pair.
-    const __m256d m2 = _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(mu));
-    const std::size_t total = frames * 2;
-    std::size_t i = 0;
-    for (; i + 4 <= total; i += 4) {
-      _mm256_storeu_pd(dst + i, _mm256_sub_pd(_mm256_loadu_pd(src + i), m2));
-    }
-    for (; i + 2 <= total; i += 2) {
-      _mm_storeu_pd(dst + i, _mm_sub_pd(_mm_loadu_pd(src + i),
-                                        _mm_loadu_pd(mu)));
-    }
-    return;
-  }
-  for (std::size_t nf = 0; nf < frames; ++nf) {
-    const double* s = src + nf * channels;
-    double* d = dst + nf * channels;
-    std::size_t c = 0;
-    for (; c + 4 <= channels; c += 4) {
-      _mm256_storeu_pd(d + c, _mm256_sub_pd(_mm256_loadu_pd(s + c),
-                                            _mm256_loadu_pd(mu + c)));
-    }
-    for (; c < channels; ++c) d[c] = s[c] - mu[c];
-  }
-}
-
-void center_rows_reversed_energy(const double* src, std::size_t frames,
-                                 std::size_t channels, const double* mu,
-                                 double* dst, double* energy) {
-  // Channel-chunked so each channel's energy accumulates sequentially in
-  // ascending frame order — bitwise equal to the scalar loop.  An SSE
-  // pair covers the 2-channel fleet case without reassociating.
-  std::size_t c = 0;
-  for (; c + 4 <= channels; c += 4) {
-    const __m256d m = _mm256_loadu_pd(mu + c);
-    __m256d acc = _mm256_loadu_pd(energy + c);
-    for (std::size_t nf = 0; nf < frames; ++nf) {
-      const __m256d d =
-          _mm256_sub_pd(_mm256_loadu_pd(src + nf * channels + c), m);
-      _mm256_storeu_pd(dst + (frames - 1 - nf) * channels + c, d);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-    }
-    _mm256_storeu_pd(energy + c, acc);
-  }
-  if (c + 2 <= channels) {
-    const __m128d m = _mm_loadu_pd(mu + c);
-    __m128d acc = _mm_loadu_pd(energy + c);
-    for (std::size_t nf = 0; nf < frames; ++nf) {
-      const __m128d d = _mm_sub_pd(_mm_loadu_pd(src + nf * channels + c), m);
-      _mm_storeu_pd(dst + (frames - 1 - nf) * channels + c, d);
-      acc = _mm_add_pd(acc, _mm_mul_pd(d, d));
-    }
-    _mm_storeu_pd(energy + c, acc);
-    c += 2;
-  }
-  for (; c < channels; ++c) {
-    const double m = mu[c];
-    double acc = energy[c];
-    for (std::size_t nf = 0; nf < frames; ++nf) {
-      const double x = src[nf * channels + c] - m;
-      dst[(frames - 1 - nf) * channels + c] = x;
-      acc += x * x;
-    }
-    energy[c] = acc;
-  }
-}
-
-void prefix_sums_rows(const double* x, double* ps, double* ps2,
-                      std::size_t frames, std::size_t channels) {
-  std::size_t c = 0;
-  for (; c + 4 <= channels; c += 4) {
-    __m256d run = _mm256_setzero_pd();
-    __m256d run2 = _mm256_setzero_pd();
-    _mm256_storeu_pd(ps + c, run);
-    _mm256_storeu_pd(ps2 + c, run2);
-    for (std::size_t nf = 0; nf < frames; ++nf) {
-      const __m256d v = _mm256_loadu_pd(x + nf * channels + c);
-      run = _mm256_add_pd(run, v);
-      run2 = _mm256_add_pd(run2, _mm256_mul_pd(v, v));
-      _mm256_storeu_pd(ps + (nf + 1) * channels + c, run);
-      _mm256_storeu_pd(ps2 + (nf + 1) * channels + c, run2);
-    }
-  }
-  if (c + 2 <= channels) {
-    __m128d run = _mm_setzero_pd();
-    __m128d run2 = _mm_setzero_pd();
-    _mm_storeu_pd(ps + c, run);
-    _mm_storeu_pd(ps2 + c, run2);
-    for (std::size_t nf = 0; nf < frames; ++nf) {
-      const __m128d v = _mm_loadu_pd(x + nf * channels + c);
-      run = _mm_add_pd(run, v);
-      run2 = _mm_add_pd(run2, _mm_mul_pd(v, v));
-      _mm_storeu_pd(ps + (nf + 1) * channels + c, run);
-      _mm_storeu_pd(ps2 + (nf + 1) * channels + c, run2);
-    }
-    c += 2;
-  }
-  for (; c < channels; ++c) {
-    double run = 0.0;
-    double run2 = 0.0;
-    ps[c] = 0.0;
-    ps2[c] = 0.0;
-    for (std::size_t nf = 0; nf < frames; ++nf) {
-      const double v = x[nf * channels + c];
-      run += v;
-      run2 += v * v;
-      ps[(nf + 1) * channels + c] = run;
-      ps2[(nf + 1) * channels + c] = run2;
-    }
   }
 }
 

@@ -129,7 +129,7 @@ void rfft_untangle(const double* hre, const double* him, const double* twr,
 }
 
 void irfft_untangle(const Complex* bins, const double* twr, const double* twi,
-                    std::size_t h, double* out_re, double* out_im) {
+                    std::size_t h, double* out) {
   for (std::size_t k = 0; k < h; ++k) {
     // even = 0.5 * (x_k + conj(x_{h-k}))
     const double er = 0.5 * (bins[k].real() + bins[h - k].real());
@@ -141,8 +141,8 @@ void irfft_untangle(const Complex* bins, const double* twr, const double* twi,
     const double odd_r = twr[k] * ir - nti * ii;
     const double odd_i = twr[k] * ii + nti * ir;
     // half = even + (0, 1) * odd
-    out_re[k] = er + (0.0 * odd_r - 1.0 * odd_i);
-    out_im[k] = ei + (0.0 * odd_i + 1.0 * odd_r);
+    out[2 * k] = er + (0.0 * odd_r - 1.0 * odd_i);
+    out[2 * k + 1] = ei + (0.0 * odd_i + 1.0 * odd_r);
   }
 }
 
@@ -167,30 +167,6 @@ void rfft_untangle_batch(const double* hre, const double* him,
       const double odd_i = 0.0 * di + (-0.5) * dr;
       orow[l] = er + (twr[k] * odd_r - twi[k] * odd_i);
       irow[l] = ei + (twr[k] * odd_i + twi[k] * odd_r);
-    }
-  }
-}
-
-void irfft_untangle_batch(const double* br, const double* bi,
-                          const double* twr, const double* twi, std::size_t h,
-                          std::size_t lanes, double* out_re, double* out_im) {
-  for (std::size_t k = 0; k < h; ++k) {
-    const double* xr = br + k * lanes;
-    const double* xi = bi + k * lanes;
-    const double* cr = br + (h - k) * lanes;
-    const double* ci = bi + (h - k) * lanes;
-    double* orow = out_re + k * lanes;
-    double* irow = out_im + k * lanes;
-    const double nti = -twi[k];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const double er = 0.5 * (xr[l] + cr[l]);
-      const double ei = 0.5 * (xi[l] - ci[l]);
-      const double ir = 0.5 * (xr[l] - cr[l]);
-      const double ii = 0.5 * (xi[l] + ci[l]);
-      const double odd_r = twr[k] * ir - nti * ii;
-      const double odd_i = twr[k] * ii + nti * ir;
-      orow[l] = er + (0.0 * odd_r - 1.0 * odd_i);
-      irow[l] = ei + (0.0 * odd_i + 1.0 * odd_r);
     }
   }
 }
@@ -225,14 +201,6 @@ void mul_rows_broadcast_real(const double* src, std::size_t rows,
   }
 }
 
-void add_arrays(double* dst, const double* src, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
-}
-
-void scale(double* x, double s, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= s;
-}
-
 void normalize_windows(const double* ps, const double* ps2, std::size_t ny,
                        double y_norm, const double* num, double* out,
                        std::size_t n_out) {
@@ -245,24 +213,6 @@ void normalize_windows(const double* ps, const double* ps2, std::size_t ny,
       out[n] = 0.0;  // flat (or non-finite) window
     } else {
       const double r = num[n] / (std::sqrt(var) * y_norm);
-      out[n] = std::isfinite(r) ? r : 0.0;
-    }
-  }
-}
-
-void normalize_windows_strided(const double* ps, const double* ps2,
-                               std::size_t stride, std::size_t ny,
-                               double y_norm, const double* num, double* out,
-                               std::size_t n_out) {
-  const double ny_d = static_cast<double>(ny);
-  for (std::size_t n = 0; n < n_out; ++n) {
-    const double s1 = ps[(n + ny) * stride] - ps[n * stride];
-    const double s2 = ps2[(n + ny) * stride] - ps2[n * stride];
-    const double var = s2 - s1 * s1 / ny_d;
-    if (degenerate_variance(var, s2)) {
-      out[n] = 0.0;
-    } else {
-      const double r = num[n * stride] / (std::sqrt(var) * y_norm);
       out[n] = std::isfinite(r) ? r : 0.0;
     }
   }
@@ -289,48 +239,6 @@ void channel_sums(const double* data, std::size_t frames,
   for (std::size_t nf = 0; nf < frames; ++nf) {
     const double* row = data + nf * channels;
     for (std::size_t c = 0; c < channels; ++c) sums[c] += row[c];
-  }
-}
-
-void center_rows(const double* src, std::size_t frames, std::size_t channels,
-                 const double* mu, double* dst) {
-  for (std::size_t nf = 0; nf < frames; ++nf) {
-    const double* s = src + nf * channels;
-    double* d = dst + nf * channels;
-    for (std::size_t c = 0; c < channels; ++c) d[c] = s[c] - mu[c];
-  }
-}
-
-void center_rows_reversed_energy(const double* src, std::size_t frames,
-                                 std::size_t channels, const double* mu,
-                                 double* dst, double* energy) {
-  for (std::size_t nf = 0; nf < frames; ++nf) {
-    const double* s = src + nf * channels;
-    double* d = dst + (frames - 1 - nf) * channels;
-    for (std::size_t c = 0; c < channels; ++c) {
-      const double x = s[c] - mu[c];
-      d[c] = x;
-      energy[c] += x * x;
-    }
-  }
-}
-
-void prefix_sums_rows(const double* x, double* ps, double* ps2,
-                      std::size_t frames, std::size_t channels) {
-  for (std::size_t c = 0; c < channels; ++c) {
-    ps[c] = 0.0;
-    ps2[c] = 0.0;
-  }
-  for (std::size_t nf = 0; nf < frames; ++nf) {
-    const double* row = x + nf * channels;
-    const double* p = ps + nf * channels;
-    const double* p2 = ps2 + nf * channels;
-    double* q = ps + (nf + 1) * channels;
-    double* q2 = ps2 + (nf + 1) * channels;
-    for (std::size_t c = 0; c < channels; ++c) {
-      q[c] = p[c] + row[c];
-      q2[c] = p2[c] + row[c] * row[c];
-    }
   }
 }
 

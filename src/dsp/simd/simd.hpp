@@ -100,11 +100,11 @@ struct Ops {
                         const double* twr, const double* twi, std::size_t h,
                         Complex* out);
 
-  /// Inverse epilogue, natural order k = 0 .. h-1 (bins has h+1 entries):
+  /// Inverse epilogue, natural order k = 0 .. h-1 (bins has h+1 entries),
+  /// stored as interleaved pairs out[2k] = Re half[k], out[2k+1] = Im:
   ///   half[k] = 0.5*(x_k + conj(x_{h-k})) + i * conj(tw_k)*(0.5*(x_k - conj(x_{h-k})))
   void (*irfft_untangle)(const Complex* bins, const double* twr,
-                         const double* twi, std::size_t h, double* out_re,
-                         double* out_im);
+                         const double* twi, std::size_t h, double* out);
 
   /// Batched rfft untangle over lane-interleaved rows, k = 1 .. h-1.
   void (*rfft_untangle_batch)(const double* hre, const double* him,
@@ -112,15 +112,7 @@ struct Ops {
                               std::size_t h, std::size_t lanes,
                               double* out_re, double* out_im);
 
-  /// Batched irfft untangle over lane-interleaved rows, k = 0 .. h-1
-  /// (bin rows br/bi have h+1 rows).
-  void (*irfft_untangle_batch)(const double* br, const double* bi,
-                               const double* twr, const double* twi,
-                               std::size_t h, std::size_t lanes,
-                               double* out_re, double* out_im);
-
-  /// re[k] = xy[2k], im[k] = xy[2k+1] (complex AoS -> split, and the
-  /// even/odd packing of the real-FFT half-size trick).
+  /// re[k] = xy[2k], im[k] = xy[2k+1] (complex AoS -> split).
   void (*deinterleave)(const double* xy, std::size_t n, double* re,
                        double* im);
 
@@ -138,12 +130,6 @@ struct Ops {
                                   std::size_t lanes, const double* w,
                                   double* dst);
 
-  /// dst[i] += src[i] (per-channel score accumulation).
-  void (*add_arrays)(double* dst, const double* src, std::size_t n);
-
-  /// x[i] *= s.
-  void (*scale)(double* x, double s, std::size_t n);
-
   /// Sliding-Pearson normalization epilogue over contiguous prefix sums:
   /// for each window n, var from (ps, ps2), degenerate guard, then
   /// out[n] = num[n] / (sqrt(var) * y_norm) with non-finite results
@@ -151,14 +137,6 @@ struct Ops {
   void (*normalize_windows)(const double* ps, const double* ps2,
                             std::size_t ny, double y_norm, const double* num,
                             double* out, std::size_t n_out);
-
-  /// Strided variant for the batched (channel-interleaved) TDE path: the
-  /// window-n inputs live at ps[n*stride], num[n*stride]; out is
-  /// contiguous.  Pointers are pre-offset to the channel.
-  void (*normalize_windows_strided)(const double* ps, const double* ps2,
-                                    std::size_t stride, std::size_t ny,
-                                    double y_norm, const double* num,
-                                    double* out, std::size_t n_out);
 
   /// Fused TDEB epilogue: argmax_j of max(scores[j], 0) * w[j], strict
   /// greater-than so the first occurrence of the maximum wins (identical
@@ -172,24 +150,6 @@ struct Ops {
   /// per-channel sum).
   void (*channel_sums)(const double* data, std::size_t frames,
                        std::size_t channels, double* sums);
-
-  /// dst row k = src row k - mu (per channel), rows in ascending order.
-  void (*center_rows)(const double* src, std::size_t frames,
-                      std::size_t channels, const double* mu, double* dst);
-
-  /// dst row (frames-1-k) = src row k - mu, and energy[c] += d*d in
-  /// ascending-k order per channel (bitwise equal to the sequential
-  /// center + energy loop of the unbatched path).  energy must be
-  /// zero-initialized by the caller.
-  void (*center_rows_reversed_energy)(const double* src, std::size_t frames,
-                                      std::size_t channels, const double* mu,
-                                      double* dst, double* energy);
-
-  /// Row-parallel prefix sums: ps row 0 = 0, ps row k+1 = ps row k +
-  /// x row k (and ps2 with squares).  Sequential in k per channel, so
-  /// bitwise equal to the scalar per-channel prefix sums.
-  void (*prefix_sums_rows)(const double* x, double* ps, double* ps2,
-                           std::size_t frames, std::size_t channels);
 
   // --- ULP-bounded kernels (reassociating reductions) ------------------
 

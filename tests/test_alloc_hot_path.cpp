@@ -101,31 +101,37 @@ TEST(AllocHotPath, WarmDwmWindowPushIsAllocationFree) {
   p.n_hop = 128;
   p.n_ext = 64;
   p.n_sigma = 32.0;
-  const Signal reference = smoothed_noise(8000, 2, 1);
-  const Signal observed = smoothed_noise(4000, 2, 2);
+  // Every channel count runs the per-channel correlation on one shared
+  // scratch set, so 1, 2 (an AUD pair) and 6 (a UM3 ACC+AUD roster)
+  // channels must all be allocation-free.
+  for (const std::size_t channels :
+       {std::size_t{1}, std::size_t{2}, std::size_t{6}}) {
+    const Signal reference = smoothed_noise(8000, channels, 1);
+    const Signal observed = smoothed_noise(4000, channels, 2);
 
-  DwmSynchronizer sync(reference, p);
-  sync.reserve_windows(64);
-  // Warm-up: several windows so the first-window edge effects (clamped
-  // extended reference, cold FFT plans, workspace growth) are behind us.
-  std::size_t pos = 0;
-  while (sync.windows() < 4) {
-    sync.push(SignalView(observed).slice(pos, pos + p.n_hop));
-    pos += p.n_hop;
-  }
+    DwmSynchronizer sync(reference, p);
+    sync.reserve_windows(64);
+    // Warm-up: several windows so the first-window edge effects (clamped
+    // extended reference, cold FFT plans, workspace growth) are behind us.
+    std::size_t pos = 0;
+    while (sync.windows() < 4) {
+      sync.push(SignalView(observed).slice(pos, pos + p.n_hop));
+      pos += p.n_hop;
+    }
 
-  // Steady state: each hop-sized push scores exactly one TDEB window and
-  // must perform zero heap allocations.
-  for (int round = 0; round < 8; ++round) {
-    const SignalView chunk = SignalView(observed).slice(pos, pos + p.n_hop);
-    pos += p.n_hop;
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-    const std::size_t done = sync.push(chunk);
-    g_counting.store(false, std::memory_order_relaxed);
-    EXPECT_EQ(done, 1u) << "round " << round;
-    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
-        << "round " << round;
+    // Steady state: each hop-sized push scores exactly one TDEB window and
+    // must perform zero heap allocations.
+    for (int round = 0; round < 8; ++round) {
+      const SignalView chunk = SignalView(observed).slice(pos, pos + p.n_hop);
+      pos += p.n_hop;
+      g_allocations.store(0, std::memory_order_relaxed);
+      g_counting.store(true, std::memory_order_relaxed);
+      const std::size_t done = sync.push(chunk);
+      g_counting.store(false, std::memory_order_relaxed);
+      EXPECT_EQ(done, 1u) << "channels " << channels << " round " << round;
+      EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
+          << "channels " << channels << " round " << round;
+    }
   }
 }
 
@@ -184,8 +190,9 @@ void expect_engine_drains_are_allocation_free(
   t.h_c = 1e9;
   t.v_c = 1e9;
 
-  // One multichannel and one single-channel stream, so both TDE paths
-  // (batched and per-channel) run in the measured drains.
+  // One multichannel and one single-channel stream, so both the strided
+  // channel copy and the contiguous single-channel view run in the
+  // measured drains.
   const std::vector<std::string> names{"ACC", "AUD"};
   const std::vector<std::size_t> widths{2, 1};
   engine::SessionSpec spec;

@@ -215,6 +215,30 @@ TEST(CrossCorrelateValid, MatchesBruteForce) {
   }
 }
 
+TEST(CrossCorrelateValid, WorkspaceHoldsItsPlanAcrossCalls) {
+  // The per-window correlation must not go back to the shared plan cache
+  // (a lock plus a reference count that shard threads contend on) while
+  // its transform size stays the same; a new size refetches.
+  fft_plan_cache_clear();
+  const auto x = random_real(100, 31);
+  const auto y = random_real(20, 32);
+  CorrelationWorkspace ws;
+  std::vector<double> out(x.size() - y.size() + 1);
+  cross_correlate_valid_into(x, y, out, ws);
+  const auto after_first = fft_plan_cache_stats();
+  for (int i = 0; i < 3; ++i) cross_correlate_valid_into(x, y, out, ws);
+  const auto after_repeat = fft_plan_cache_stats();
+  EXPECT_EQ(after_repeat.hits, after_first.hits);
+  EXPECT_EQ(after_repeat.misses, after_first.misses);
+  EXPECT_EQ(cross_correlate_valid(x, y), out);
+
+  const auto x_long = random_real(300, 33);
+  std::vector<double> out_long(x_long.size() - y.size() + 1);
+  cross_correlate_valid_into(x_long, y, out_long, ws);
+  EXPECT_EQ(fft_plan_cache_stats().rfft_plans, 2u);
+  EXPECT_EQ(cross_correlate_valid(x_long, y), out_long);
+}
+
 TEST(CrossCorrelateValid, FindsEmbeddedTemplate) {
   nsync::signal::Rng rng(10);
   std::vector<double> y(16);

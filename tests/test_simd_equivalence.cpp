@@ -33,6 +33,7 @@
 #include "core/tde.hpp"
 #include "dsp/batched_fft.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/fft_internal.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/xcorr.hpp"
 #include "engine/monitor_engine.hpp"
@@ -287,85 +288,101 @@ TEST(SimdBatched, ForwardMatchesPerLaneRfftBitwise) {
   }
 }
 
-TEST(SimdBatched, InverseMatchesPerLaneIrfftBitwise) {
+TEST(SimdBitwise, MultichannelTdeIsChannelAverageOfSlidingPearson) {
+  // Every channel count runs the single-lane sliding_pearson_fft per
+  // channel, so multichannel scores are bitwise the channel average of
+  // sliding_pearson_fft (summed in channel order, then scaled by 1/C) —
+  // under every backend, through both API tiers.
   BackendGuard guard;
-  const auto backends = available_backends();
-  const std::size_t lanes = 4;
-  for (const std::size_t n : {std::size_t{8}, std::size_t{64},
-                              std::size_t{128}}) {
-    for (const simd::Isa isa : backends) {
+  Rng rng(77);
+  for (const std::size_t C : {std::size_t{2}, std::size_t{3}, std::size_t{6}}) {
+    Signal x(300, C, 100.0);
+    Signal y(48, C, 100.0);
+    for (std::size_t n = 0; n < x.frames(); ++n)
+      for (std::size_t c = 0; c < C; ++c) x(n, c) = rng.normal();
+    for (std::size_t n = 0; n < y.frames(); ++n)
+      for (std::size_t c = 0; c < C; ++c)
+        y(n, c) = x(n + 91, c) + 0.05 * rng.normal();
+    const std::size_t n_out = x.frames() - y.frames() + 1;
+    for (const simd::Isa isa : available_backends()) {
       ASSERT_TRUE(simd::set_backend(isa));
-      BatchedRfftPlan plan(n, lanes);
-      ASSERT_TRUE(plan.supports_inverse());
-      const std::size_t bins = plan.bins();
-      std::vector<double> sre(bins * lanes);
-      std::vector<double> sim(bins * lanes);
-      std::vector<std::vector<Complex>> lane_bins(lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        lane_bins[l] = nsync::dsp::rfft(random_vector(n, 0xE00 + n + l));
-        for (std::size_t k = 0; k < bins; ++k) {
-          sre[k * lanes + l] = lane_bins[l][k].real();
-          sim[k * lanes + l] = lane_bins[l][k].imag();
-        }
+      std::vector<double> avg(n_out, 0.0);
+      for (std::size_t c = 0; c < C; ++c) {
+        const std::vector<double> s =
+            nsync::dsp::sliding_pearson_fft(x.channel(c), y.channel(c));
+        for (std::size_t n = 0; n < n_out; ++n) avg[n] += s[n];
       }
-      std::vector<double> out(n * lanes);
-      plan.inverse(sre.data(), sim.data(), out.data(), n);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::vector<double> ref = nsync::dsp::irfft(lane_bins[l], n);
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(out[l * n + i], ref[i])
-              << "n=" << n << " l=" << l << " i=" << i << " "
-              << simd::isa_name(isa);
-        }
+      for (auto& v : avg) v *= 1.0 / static_cast<double>(C);
+
+      const std::vector<double> staged =
+          nsync::core::similarity_scores(SignalView(x), SignalView(y));
+      TdeWorkspace ws;
+      const auto fused = nsync::core::similarity_scores_into(
+          SignalView(x), SignalView(y), TdeOptions{}, ws);
+      ASSERT_EQ(staged.size(), n_out);
+      ASSERT_EQ(fused.size(), n_out);
+      for (std::size_t n = 0; n < n_out; ++n) {
+        EXPECT_EQ(staged[n], avg[n])
+            << "C=" << C << " n=" << n << " " << simd::isa_name(isa);
+        EXPECT_EQ(fused[n], avg[n])
+            << "C=" << C << " n=" << n << " " << simd::isa_name(isa);
       }
     }
   }
 }
 
-TEST(SimdBatched, InverseThrowsForNonPow2) {
-  BatchedRfftPlan plan(20, 2);
-  EXPECT_FALSE(plan.supports_inverse());
-  std::vector<double> sre(plan.bins() * 2), sim(plan.bins() * 2), out(40);
-  EXPECT_THROW(plan.inverse(sre.data(), sim.data(), out.data(), 20),
-               std::logic_error);
-}
-
-TEST(SimdBatched, MultichannelTdeMatchesSequentialScalarBitwise) {
-  // The batched TDE path claims bitwise equality with the historical
-  // sequential per-channel loop *under the scalar backend* (vector
-  // backends reassociate the 1-D reductions of the sequential path, so
-  // cross-path comparison there is ULP-level, covered below).
+TEST(SimdBitwise, RfftIrfftMatchUnfusedCompositionAllPow2) {
+  // rfft/irfft gather their half planes straight into bit-reversed order
+  // instead of deinterleaving and then running run_radix2_split's in-place
+  // swap pass.  That is data movement only: both must stay bitwise equal
+  // to the unfused composition for every power of two up to 2^16.
   BackendGuard guard;
-  ASSERT_TRUE(simd::set_backend(simd::Isa::kScalar));
-  Rng rng(77);
-  const std::size_t C = 3;
-  Signal x(300, C, 100.0);
-  Signal y(48, C, 100.0);
-  for (std::size_t n = 0; n < x.frames(); ++n)
-    for (std::size_t c = 0; c < C; ++c) x(n, c) = rng.normal();
-  for (std::size_t n = 0; n < y.frames(); ++n)
-    for (std::size_t c = 0; c < C; ++c) y(n, c) = x(n + 91, c) + 0.05 * rng.normal();
+  for (const simd::Isa isa : available_backends()) {
+    ASSERT_TRUE(simd::set_backend(isa));
+    const auto& k = simd::ops();
+    for (std::size_t n = 2; n <= (std::size_t{1} << 16); n <<= 1) {
+      const std::size_t h = n / 2;
+      const auto plan = nsync::dsp::detail::get_rfft_plan(n);
+      const std::vector<double> x = random_vector(n, 0xF00 + n);
+      std::vector<double> re(h), im(h);
 
-  // Batched path (channels > 1, use_fft).
-  const std::vector<double> batched =
-      nsync::core::similarity_scores(SignalView(x), SignalView(y));
+      // Forward: deinterleave, run_radix2_split, untangle.
+      k.deinterleave(x.data(), h, re.data(), im.data());
+      if (h > 1) {
+        nsync::dsp::detail::run_radix2_split(re.data(), im.data(),
+                                             *plan->half, /*inverse=*/false);
+      }
+      std::vector<Complex> bins_ref(h + 1);
+      bins_ref[0] = Complex(re[0] + im[0], 0.0);
+      bins_ref[h] = Complex(re[0] - im[0], 0.0);
+      k.rfft_untangle(re.data(), im.data(), plan->tw_re.data(),
+                      plan->tw_im.data(), h, bins_ref.data());
+      const std::vector<Complex> bins = nsync::dsp::rfft(x);
+      ASSERT_EQ(bins.size(), h + 1);
+      for (std::size_t i = 0; i <= h; ++i) {
+        EXPECT_EQ(bins[i].real(), bins_ref[i].real())
+            << "rfft n=" << n << " k=" << i << " " << simd::isa_name(isa);
+        EXPECT_EQ(bins[i].imag(), bins_ref[i].imag())
+            << "rfft n=" << n << " k=" << i << " " << simd::isa_name(isa);
+      }
 
-  // Sequential reference: per-channel sliding_pearson_fft, averaged —
-  // exactly what similarity_scores used to run.
-  const std::size_t n_out = x.frames() - y.frames() + 1;
-  std::vector<double> seq(n_out, 0.0);
-  std::vector<double> xc(x.frames()), yc(y.frames());
-  for (std::size_t c = 0; c < C; ++c) {
-    for (std::size_t n = 0; n < x.frames(); ++n) xc[n] = x(n, c);
-    for (std::size_t n = 0; n < y.frames(); ++n) yc[n] = y(n, c);
-    const std::vector<double> s = nsync::dsp::sliding_pearson_fft(xc, yc);
-    for (std::size_t n = 0; n < n_out; ++n) seq[n] += s[n];
-  }
-  for (auto& v : seq) v *= 1.0 / static_cast<double>(C);
-
-  ASSERT_EQ(batched.size(), seq.size());
-  for (std::size_t n = 0; n < n_out; ++n) {
-    EXPECT_EQ(batched[n], seq[n]) << "n=" << n;
+      // Inverse: untangle, deinterleave, run_radix2_split, interleave.
+      std::vector<double> pairs(n), out_ref(n);
+      k.irfft_untangle(bins_ref.data(), plan->tw_re.data(),
+                       plan->tw_im.data(), h, pairs.data());
+      k.deinterleave(pairs.data(), h, re.data(), im.data());
+      if (h > 1) {
+        nsync::dsp::detail::run_radix2_split(re.data(), im.data(),
+                                             *plan->half, /*inverse=*/true);
+      }
+      k.interleave(re.data(), im.data(), h, out_ref.data());
+      const std::vector<double> out = nsync::dsp::irfft(bins_ref, n);
+      ASSERT_EQ(out.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[i], out_ref[i])
+            << "irfft n=" << n << " i=" << i << " " << simd::isa_name(isa);
+      }
+    }
   }
 }
 

@@ -214,9 +214,10 @@ TEST(TdeWorkspaceTier, FusedValidatesLikeStaged) {
 }
 
 // --------------------------------------------------------------------------
-// The batched multichannel path pads to dsp::correlation_fft_size(nx), not
-// nx + ny.  Shapes at and around a power of two must still match a direct
-// channel-averaged Pearson sum, and the plan must really run that size.
+// The multichannel ("batched" over channels) scores pad each channel's
+// correlation to dsp::correlation_fft_size(nx), not nx + ny.  Shapes at and
+// around a power of two must still match a direct channel-averaged Pearson
+// sum, and the per-channel scratch must really run that size.
 // --------------------------------------------------------------------------
 
 /// Channel-averaged Pearson similarity of every placement, summed directly.
@@ -260,8 +261,7 @@ TEST(TdeCorrelationSize, BatchedScoresExactAtTransformWrapBoundaries) {
         const Signal x = random_signal(nx, 3, 101 + nx);
         const Signal y = random_signal(ny, 3, 102 + ny);
         const auto fast = similarity_scores_into(x, y, {}, ws);
-        ASSERT_TRUE(ws.batched.plan);
-        EXPECT_EQ(ws.batched.plan->size(), dsp::correlation_fft_size(nx))
+        EXPECT_EQ(ws.pearson.corr.x_pad.size(), dsp::correlation_fft_size(nx))
             << "nx " << nx << " ny " << ny;
         const auto direct = brute_force_similarity(x, y);
         ASSERT_EQ(fast.size(), direct.size());
@@ -282,8 +282,8 @@ TEST(TdeCorrelationSize, BatchedScoresExactAtTransformWrapBoundaries) {
 
 TEST(TdeCorrelationSize, DwmWindowsOfEveryTable4RateUseTheNxSize) {
   // One DWM TDEB window searches an n_win template across the extended
-  // window of n_win + 2 n_ext reference frames.  Both TDE paths (single
-  // channel and batched) must transform at next_power_of_two of that.
+  // window of n_win + 2 n_ext reference frames.  Every channel count must
+  // transform at next_power_of_two of that.
   TdeWorkspace ws;
   for (const eval::PrinterKind printer :
        {eval::PrinterKind::kUm3, eval::PrinterKind::kRm3}) {
@@ -296,10 +296,7 @@ TEST(TdeCorrelationSize, DwmWindowsOfEveryTable4RateUseTheNxSize) {
         const Signal x = random_signal(nx, channels, 7);
         const Signal y = random_signal(p.n_win, channels, 8);
         (void)similarity_scores_into(x, y, {}, ws);
-        const std::size_t used = channels == 1
-                                     ? ws.pearson.corr.x_pad.size()
-                                     : ws.batched.plan->size();
-        EXPECT_EQ(used, m) << eval::printer_name(printer) << " rate " << rate
+        EXPECT_EQ(ws.pearson.corr.x_pad.size(), m) << eval::printer_name(printer) << " rate " << rate
                            << " channels " << channels;
       }
     }
