@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "core/nsync.hpp"
-#include "engine/chaos_proxy.hpp"
+#include "engine/chaos/chaos_proxy.hpp"
 #include "engine/fleet_server.hpp"
 #include "engine/resilient_client.hpp"
 #include "engine/sharded_fleet.hpp"

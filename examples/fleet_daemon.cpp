@@ -52,12 +52,14 @@
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "core/fusion.hpp"
 #include "engine/fleet_server.hpp"
 #include "engine/sharded_fleet.hpp"
+#include "eval/options.hpp"
 #include "signal/checkpoint.hpp"
 
 using namespace nsync;
@@ -86,46 +88,63 @@ int main(int argc, char** argv) {
   std::uint32_t write_timeout_ms = 0;
   std::size_t max_conns = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--listen" && i + 1 < argc) {
-      uds_path = argv[++i];
-    } else if (arg == "--tcp" && i + 1 < argc) {
-      tcp_port = static_cast<std::uint16_t>(std::stoul(argv[++i]));
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--checkpoint" && i + 1 < argc) {
-      checkpoint_dir = argv[++i];
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--baseline-dir" && i + 1 < argc) {
-      baseline_dir = argv[++i];
-    } else if (arg == "--policy" && i + 1 < argc) {
-      policy = argv[++i];
-    } else if (arg == "--fusion" && i + 1 < argc) {
-      fusion = argv[++i];
-    } else if (arg == "--queue-frames" && i + 1 < argc) {
-      queue_frames = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
-      idle_timeout_ms = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-    } else if (arg == "--write-timeout-ms" && i + 1 < argc) {
-      write_timeout_ms = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-    } else if (arg == "--max-conns" && i + 1 < argc) {
-      max_conns = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: fleet_daemon --listen <uds-path> [--tcp <port>]"
-                << " [--shards N] [--checkpoint <dir>] [--resume]"
-                << " [--baseline-dir <dir>]"
-                << " [--policy block|drop-oldest|reject] [--queue-frames N]"
-                << " [--fusion any|majority|all|weighted]"
-                << " [--idle-timeout-ms N] [--write-timeout-ms N]"
-                << " [--max-conns N]\n";
-      return 0;
-    } else {
-      std::cerr << "fleet_daemon: unknown argument " << arg
-                << " (see --help)\n";
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      // The value of `arg` as a number no larger than `max`, so an
+      // out-of-range value is refused instead of wrapping into the field.
+      const auto number = [&](std::uint64_t max) {
+        const char* v = i + 1 < argc ? argv[++i] : nullptr;
+        const std::uint64_t n = eval::parse_u64(arg, v);
+        if (n > max) {
+          throw std::invalid_argument(arg + ": " + v +
+                                      " is out of range (max " +
+                                      std::to_string(max) + ")");
+        }
+        return n;
+      };
+      if (arg == "--listen" && i + 1 < argc) {
+        uds_path = argv[++i];
+      } else if (arg == "--tcp") {
+        tcp_port = static_cast<std::uint16_t>(number(UINT16_MAX));
+      } else if (arg == "--shards") {
+        shards = number(SIZE_MAX);
+      } else if (arg == "--checkpoint" && i + 1 < argc) {
+        checkpoint_dir = argv[++i];
+      } else if (arg == "--resume") {
+        resume = true;
+      } else if (arg == "--baseline-dir" && i + 1 < argc) {
+        baseline_dir = argv[++i];
+      } else if (arg == "--policy" && i + 1 < argc) {
+        policy = argv[++i];
+      } else if (arg == "--fusion" && i + 1 < argc) {
+        fusion = argv[++i];
+      } else if (arg == "--queue-frames") {
+        queue_frames = number(SIZE_MAX);
+      } else if (arg == "--idle-timeout-ms") {
+        idle_timeout_ms = static_cast<std::uint32_t>(number(UINT32_MAX));
+      } else if (arg == "--write-timeout-ms") {
+        write_timeout_ms = static_cast<std::uint32_t>(number(UINT32_MAX));
+      } else if (arg == "--max-conns") {
+        max_conns = number(SIZE_MAX);
+      } else if (arg == "--help" || arg == "-h") {
+        std::cout << "usage: fleet_daemon --listen <uds-path> [--tcp <port>]"
+                  << " [--shards N] [--checkpoint <dir>] [--resume]"
+                  << " [--baseline-dir <dir>]"
+                  << " [--policy block|drop-oldest|reject] [--queue-frames N]"
+                  << " [--fusion any|majority|all|weighted]"
+                  << " [--idle-timeout-ms N] [--write-timeout-ms N]"
+                  << " [--max-conns N]\n";
+        return 0;
+      } else {
+        std::cerr << "fleet_daemon: unknown argument " << arg
+                  << " (see --help)\n";
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "fleet_daemon: " << e.what() << "\n";
+    return 2;
   }
   if (uds_path.empty() && tcp_port == 0) {
     std::cerr << "fleet_daemon: --listen <uds-path> or --tcp <port> is "

@@ -25,8 +25,8 @@
 // stream — both are the deployment the daemon documents.  When the server
 // *lost* frames (restart restored an older checkpoint), feed() reports
 // `rewound` with the authoritative cursor and the caller re-feeds from
-// there, which is the same contract fleet_monitor already implements for
-// `--resume`.
+// there, which is the same contract fleet_monitor implements against a
+// `--resume`d daemon.
 //
 // One client drives one logical stream set from one thread; the class is
 // not thread-safe.

@@ -1,5 +1,6 @@
 #include "eval/options.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
@@ -8,23 +9,21 @@
 
 namespace nsync::eval {
 
-namespace {
-
 std::uint64_t parse_u64(std::string_view flag, const char* value) {
   if (value == nullptr) {
     throw std::invalid_argument(std::string(flag) + ": missing value");
   }
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(value, &end, 10);
-  // strtoull silently wraps a leading '-' to a huge value; reject it.
-  if (value[0] == '-' || end == value || *end != '\0') {
+  // strtoull skips leading blanks, silently wraps a leading '-' to a huge
+  // value and saturates on overflow; accept only plain in-range digits.
+  if (value[0] < '0' || value[0] > '9' || *end != '\0' || errno == ERANGE) {
     throw std::invalid_argument(std::string(flag) + ": bad number '" +
                                 value + "'");
   }
   return v;
 }
-
-}  // namespace
 
 CliOptions CliOptions::parse(int argc, const char* const* argv) {
   CliOptions opt;

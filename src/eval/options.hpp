@@ -2,12 +2,22 @@
 #ifndef NSYNC_EVAL_OPTIONS_HPP
 #define NSYNC_EVAL_OPTIONS_HPP
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "eval/setup.hpp"
 
 namespace nsync::eval {
+
+/// Parses `value` as a base-10 unsigned integer for `flag`.  Throws
+/// std::invalid_argument ("<flag>: missing value" for a null value,
+/// "<flag>: bad number '<value>'" unless the value is plain digits that
+/// fit in 64 bits).  Shared by the bench options below and the fleet
+/// examples.
+[[nodiscard]] std::uint64_t parse_u64(std::string_view flag,
+                                      const char* value);
 
 struct CliOptions {
   EvalScale scale = EvalScale::quick();

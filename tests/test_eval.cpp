@@ -1,7 +1,9 @@
 // Tests for the evaluation harness: metrics, CLI options, setups, tables.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
 
 #include "eval/metrics.hpp"
 #include "eval/options.hpp"
@@ -91,6 +93,22 @@ TEST(Options, ErrorsAndHelp) {
   const char* help[] = {"prog", "--help"};
   EXPECT_TRUE(CliOptions::parse(2, help).help);
   EXPECT_NE(CliOptions::usage("prog").find("usage"), std::string::npos);
+}
+
+TEST(Options, ParseU64AcceptsOnlyPlainInRangeDigits) {
+  EXPECT_EQ(parse_u64("--n", "0"), 0u);
+  EXPECT_EQ(parse_u64("--n", "18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "abc", "12x", "-1", "+1", " 1",
+                          "18446744073709551616"}) {
+    EXPECT_THROW((void)parse_u64("--n", bad), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW((void)parse_u64("--n", nullptr), std::invalid_argument);
+  try {
+    (void)parse_u64("--shards", "abc");
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--shards: bad number 'abc'");
+  }
 }
 
 TEST(Setup, PrinterNamesAndTransforms) {

@@ -23,7 +23,7 @@
 
 #include "core/fusion.hpp"
 #include "core/nsync.hpp"
-#include "engine/chaos_proxy.hpp"
+#include "engine/chaos/chaos_proxy.hpp"
 #include "engine/fleet_server.hpp"
 #include "engine/frame_queue.hpp"
 #include "engine/monitor_engine.hpp"

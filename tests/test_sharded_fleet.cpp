@@ -7,7 +7,8 @@
 // on a plain MonitorEngine, the inline shards=0 path, or 1/2/8 worker
 // shards — sharding is pure scheduling.  The recovery matrix then pins
 // the same property across a simulated crash at 25/50/75% of the stream
-// for each shard count.
+// for each shard count, and the adaptive-rounds test across kill images
+// taken while per-device baselines adapt between prints.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -16,6 +17,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -868,5 +871,270 @@ TEST(ShardedFleet, WeightedSessionsAreShardInvariant) {
         EXPECT_EQ(got[s].channels[c].weight, baseline[s].channels[c].weight);
       }
     }
+  }
+}
+
+// --- Adaptive rounds across kill points -------------------------------------
+
+namespace {
+
+constexpr std::size_t kRoundPrinters = 3;
+constexpr std::size_t kRounds = 4;
+constexpr std::size_t kAttackedPrinter = 1;
+// Feed passes before the mid-stream flush: about half of a kFrames print.
+constexpr std::size_t kMidStreamPasses = kFrames / kChunk / 2;
+
+/// Moves on the first fold (as in test_baseline_registry.cpp), with a
+/// re-learning margin wide enough that benign maxima pull the target above
+/// the factory calibration, so the baselines visibly adapt.
+engine::AdaptationPolicy eager_policy() {
+  engine::AdaptationPolicy p;
+  p.history = 4;
+  p.min_prints = 1;
+  p.max_step = 0.10;
+  p.max_drift = 0.5;
+  p.r = 8.0;
+  return p;
+}
+
+ShardedFleetOptions rounds_options(const std::string& checkpoint_dir,
+                                   const std::string& baseline_dir) {
+  ShardedFleetOptions opts;
+  opts.shards = 2;
+  opts.checkpoint_dir = checkpoint_dir;
+  opts.baseline.adaptive = true;
+  opts.baseline.dir = baseline_dir;
+  opts.baseline.policy = eager_policy();
+  return opts;
+}
+
+/// Every print of every round, [round][printer][channel], seeded by round
+/// so each print is distinct but reproducible.
+std::vector<std::vector<std::vector<Signal>>> round_prints(const Fixture& fx) {
+  std::vector<std::vector<std::vector<Signal>>> prints(kRounds);
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    prints[r].resize(kRoundPrinters);
+    for (std::size_t s = 0; s < kRoundPrinters; ++s) {
+      for (std::size_t c = 0; c < fx.channels.size(); ++c) {
+        const std::uint64_t seed = 900 + 10000 * r + 3 * s + c;
+        prints[r][s].push_back(
+            s == kAttackedPrinter
+                ? malicious_observation(fx.references[c], seed)
+                : benign_observation(fx.references[c], seed));
+      }
+    }
+  }
+  return prints;
+}
+
+/// Where drive_rounds() hands out a disk image: right after the mid-stream
+/// flush(), and right after the flush() that follows a round's evictions.
+enum class RoundPoint { kMidStream, kEvicted };
+
+/// A print's verdict trail plus the thresholds it was armed with, which
+/// the registry resolved at its admission.
+struct PrintVerdict {
+  Verdict verdict;
+  std::vector<double> thresholds;  // c, h, v per channel
+
+  bool operator==(const PrintVerdict&) const = default;
+};
+
+/// Print-at-a-time operation, as an acquisition host runs it: round r
+/// admits printer s as print id r * kRoundPrinters + s (model "mk3"),
+/// streams every print, flush()es, records the verdicts, evicts in id order
+/// (folding each print into its shard's registry) and flush()es so the next
+/// round resolves against the updated baselines.  On a restored fleet it
+/// skips the prints evicted before the kill, resumes the live ones at their
+/// frames_fed and admits the rest.  Returns the verdicts it recorded, by id.
+std::map<std::size_t, PrintVerdict> drive_rounds(
+    ShardedFleet& fleet, const Fixture& fx,
+    const std::vector<std::vector<std::vector<Signal>>>& prints,
+    const std::function<void(std::size_t, RoundPoint)>& on_image = {}) {
+  std::map<std::size_t, PrintVerdict> out;
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    std::vector<std::size_t> live;
+    std::vector<std::vector<std::size_t>> offsets(
+        kRoundPrinters, std::vector<std::size_t>(fx.channels.size(), 0));
+    for (std::size_t s = 0; s < kRoundPrinters; ++s) {
+      const std::size_t id = r * kRoundPrinters + s;
+      if (id < fleet.sessions()) {
+        const engine::SessionSnapshot snap = fleet.snapshot(id);
+        if (snap.evicted) continue;  // reported and folded before the kill
+        for (const auto& ch : snap.channels) {
+          for (std::size_t c = 0; c < fx.channels.size(); ++c) {
+            if (fx.channels[c] == ch.name) offsets[s][c] = ch.frames_fed;
+          }
+        }
+      } else {
+        engine::SessionSpec spec = fx.spec(s);
+        spec.name = "printer-" + std::to_string(s) + "-print-" +
+                    std::to_string(r);
+        spec.model = "mk3";
+        // The fixture's v margin fits its own seeds; the per-round prints
+        // spread wider, and a doubled margin keeps most of them benign, so
+        // they fold into the baseline instead of freezing.
+        for (auto& ch : spec.channels) ch.thresholds.v_c *= 2.0;
+        EXPECT_EQ(fleet.add_session(std::move(spec)), id);
+      }
+      live.push_back(s);
+    }
+    bool more = true;
+    for (std::size_t pass = 0; more; ++pass) {
+      more = false;
+      for (const std::size_t s : live) {
+        for (std::size_t c = 0; c < fx.channels.size(); ++c) {
+          const Signal& sig = prints[r][s][c];
+          const std::size_t off = offsets[s][c];
+          if (off >= sig.frames()) continue;
+          const std::size_t hi = std::min(off + kChunk, sig.frames());
+          EXPECT_EQ(fleet
+                        .feed(r * kRoundPrinters + s, fx.channels[c],
+                              SignalView(sig).slice(off, hi))
+                        .status,
+                    FeedStatus::kOk);
+          offsets[s][c] = hi;
+          if (hi < sig.frames()) more = true;
+        }
+      }
+      if (pass + 1 == kMidStreamPasses) {
+        fleet.flush();
+        if (on_image) on_image(r, RoundPoint::kMidStream);
+      }
+    }
+    fleet.flush();
+    for (const std::size_t s : live) {
+      const std::size_t id = r * kRoundPrinters + s;
+      const engine::SessionSnapshot snap = fleet.snapshot(id);
+      PrintVerdict& v = out[id];
+      v.verdict = to_verdict(snap);
+      for (const auto& ch : snap.channels) {
+        v.thresholds.insert(v.thresholds.end(), {ch.thresholds.c_c,
+                                                 ch.thresholds.h_c,
+                                                 ch.thresholds.v_c});
+      }
+    }
+    for (const std::size_t s : live) {
+      fleet.evict_session(r * kRoundPrinters + s);
+    }
+    fleet.flush();
+    if (on_image) on_image(r, RoundPoint::kEvicted);
+  }
+  return out;
+}
+
+/// One registry entry, flattened for exact comparison.
+struct BaselineRow {
+  std::size_t shard = 0;
+  std::string key;  // model/profile
+  double anchor_c = 0.0, anchor_h = 0.0, anchor_v = 0.0;
+  double c = 0.0, h = 0.0, v = 0.0;
+  std::uint64_t prints = 0;
+  std::uint64_t frozen = 0;
+
+  bool operator==(const BaselineRow&) const = default;
+};
+
+std::vector<BaselineRow> baseline_rows(const ShardedFleet& fleet) {
+  std::vector<BaselineRow> rows;
+  for (const auto& sh : fleet.baselines()) {
+    for (const auto& e : sh.entries) {
+      const engine::DeviceBaseline& b = e.baseline;
+      rows.push_back({sh.shard, e.model + "/" + e.profile, b.anchor.c_c,
+                      b.anchor.h_c, b.anchor.v_c, b.current.c_c,
+                      b.current.h_c, b.current.v_c, b.prints, b.frozen});
+    }
+  }
+  return rows;
+}
+
+}  // namespace
+
+TEST(ShardedFleet, AdaptiveRoundsRecoverBitwiseAcrossKillPoints) {
+  const Fixture fx(kRoundPrinters, kAttackedPrinter);
+  const auto prints = round_prints(fx);
+  const auto copy_into = [](const std::string& from, const TempDir& to) {
+    std::filesystem::copy(from, to.str(),
+                          std::filesystem::copy_options::recursive);
+  };
+
+  // The uninterrupted run.  Each kill image is a copy of the checkpoint
+  // and baseline directories right after a flush(): the disk image a
+  // SIGKILL at that instant leaves.
+  TempDir ckpt("rounds_ckpt"), base("rounds_base");
+  TempDir mid_ckpt("mid_ckpt"), mid_base("mid_base");
+  TempDir r2_ckpt("r2_ckpt"), r2_base("r2_base"), r3_ckpt("r3_ckpt");
+  std::map<std::size_t, PrintVerdict> clean;
+  std::vector<BaselineRow> clean_rows;
+  {
+    ShardedFleet fleet(rounds_options(ckpt.str(), base.str()));
+    clean = drive_rounds(fleet, fx, prints, [&](std::size_t r, RoundPoint p) {
+      if (r == 1 && p == RoundPoint::kMidStream) {
+        copy_into(ckpt.str(), mid_ckpt);
+        copy_into(base.str(), mid_base);
+      } else if (r == 1 && p == RoundPoint::kEvicted) {
+        copy_into(ckpt.str(), r2_ckpt);
+        copy_into(base.str(), r2_base);
+      } else if (r == 2 && p == RoundPoint::kEvicted) {
+        copy_into(ckpt.str(), r3_ckpt);
+      }
+    });
+    clean_rows = baseline_rows(fleet);
+  }
+
+  // Not vacuous: the attacked printer alarms every round and, like any
+  // alarmed print, is frozen out of the baselines, while the benign prints
+  // fold in and move at least one baseline off its factory anchor.
+  ASSERT_EQ(clean.size(), kRounds * kRoundPrinters);
+  std::size_t alarmed = 0;
+  for (const auto& [id, v] : clean) {
+    if (id % kRoundPrinters == kAttackedPrinter) {
+      EXPECT_TRUE(v.verdict.intrusion) << v.verdict.name;
+    }
+    alarmed += v.verdict.intrusion ? 1 : 0;
+  }
+  ASSERT_FALSE(clean_rows.empty());
+  std::uint64_t folded = 0, frozen = 0;
+  bool adapted = false;
+  for (const BaselineRow& row : clean_rows) {
+    folded += row.prints;
+    frozen += row.frozen;
+    adapted = adapted || row.c != row.anchor_c || row.h != row.anchor_h ||
+              row.v != row.anchor_v;
+  }
+  EXPECT_EQ(frozen, alarmed * fx.channels.size());
+  EXPECT_EQ(folded, (clean.size() - alarmed) * fx.channels.size());
+  EXPECT_TRUE(adapted) << "no baseline moved off its anchor";
+
+  struct Image {
+    const char* what;
+    const TempDir& ckpt;
+    const TempDir& base;
+    std::size_t first_replayed;  // prints evicted before the kill
+  };
+  const Image images[] = {
+      {"mid-stream in round 2", mid_ckpt, mid_base, 1 * kRoundPrinters},
+      {"after round 2's evictions", r2_ckpt, r2_base, 2 * kRoundPrinters},
+      // A crash between round 3's state write and its baseline export
+      // leaves round 2's .nbrg next to round 3's checkpoint; restore must
+      // follow the checkpoint.
+      {"round 3 state with round 2's export", r3_ckpt, r2_base,
+       3 * kRoundPrinters},
+  };
+  for (const Image& image : images) {
+    SCOPED_TRACE(image.what);
+    TempDir ck("resume_ckpt"), bd("resume_base");
+    copy_into(image.ckpt.str(), ck);
+    copy_into(image.base.str(), bd);
+    const std::unique_ptr<ShardedFleet> fleet =
+        ShardedFleet::restore(ck.str(), rounds_options(ck.str(), bd.str()));
+    const std::map<std::size_t, PrintVerdict> resumed =
+        drive_rounds(*fleet, fx, prints);
+    ASSERT_EQ(resumed.size(), clean.size() - image.first_replayed);
+    EXPECT_EQ(resumed.begin()->first, image.first_replayed);
+    for (const auto& [id, v] : resumed) {
+      EXPECT_EQ(v, clean.at(id)) << "print " << id;
+    }
+    EXPECT_EQ(baseline_rows(*fleet), clean_rows);
   }
 }
