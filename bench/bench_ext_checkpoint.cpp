@@ -15,7 +15,9 @@
 //
 // Flags: --sessions a,b,c  session counts to sweep (default 1,8,32)
 //        --frames n        observed frames per channel (default 6144)
-//        --reps n          timing repetitions, min is reported (default 5)
+//        --reps n          timing repetitions (>= 1); the median and the
+//                          median absolute deviation are reported
+//                          (default 5)
 //        --dir path        where the checkpoint file is written (default .)
 //        --json path       machine-readable results (BENCH_checkpoint.json)
 //        --context k=v     extra provenance for the JSON context block
@@ -32,6 +34,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -40,6 +43,7 @@
 #include "core/nsync.hpp"
 #include "dsp/simd/simd.hpp"
 #include "engine/monitor_engine.hpp"
+#include "eval/options.hpp"
 #include "eval/table.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
@@ -101,31 +105,47 @@ std::vector<std::size_t> parse_list(const std::string& s) {
   std::stringstream ss(s);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    out.push_back(static_cast<std::size_t>(std::stoul(tok)));
+    out.push_back(
+        static_cast<std::size_t>(eval::parse_u64("--sessions", tok.c_str())));
   }
   return out;
 }
 
+double median_of(std::vector<double> x) {
+  std::sort(x.begin(), x.end());
+  const std::size_t mid = x.size() / 2;
+  return x.size() % 2 == 1 ? x[mid] : 0.5 * (x[mid - 1] + x[mid]);
+}
+
+/// Median and median absolute deviation of `reps` (>= 1) timed runs.
+struct Timing {
+  double median_ms = 0.0;
+  double mad_ms = 0.0;
+};
+
 template <typename F>
-double time_min_ms(std::size_t reps, F&& op) {
-  double best = 1e300;
+Timing time_ms(std::size_t reps, F&& op) {
+  std::vector<double> ms;
   for (std::size_t i = 0; i < reps; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     op();
     const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double, std::milli>(t1 - t0).count());
+    ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
-  return best;
+  Timing t;
+  t.median_ms = median_of(ms);
+  for (double& v : ms) v = std::abs(v - t.median_ms);
+  t.mad_ms = median_of(std::move(ms));
+  return t;
 }
 
 struct Result {
   std::size_t sessions = 0;
   std::size_t windows = 0;
   std::size_t bytes = 0;
-  double serialize_ms = 0.0;
-  double write_ms = 0.0;
-  double restore_ms = 0.0;
+  Timing serialize;
+  Timing write;
+  Timing restore;
 };
 
 }  // namespace
@@ -138,50 +158,61 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::vector<std::pair<std::string, std::string>> context;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--sessions") {
-      session_counts = parse_list(next());
-    } else if (arg == "--frames") {
-      frames_per_channel = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--reps") {
-      reps = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--dir") {
-      dir = next();
-    } else if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--context") {
-      const std::string kv = next();
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0 ||
-          kv.find_first_of("\"\\") != std::string::npos) {
-        std::cerr << "--context needs key=value without quotes or "
-                     "backslashes, got '"
-                  << kv << "'\n";
+  // Malformed numbers (eval::parse_u64 throws) and --reps 0 exit 2.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> std::string {
+        if (i + 1 >= argc) {
+          std::cerr << arg << " needs a value\n";
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      auto number = [&]() -> std::size_t {
+        return static_cast<std::size_t>(
+            eval::parse_u64(arg, i + 1 < argc ? argv[++i] : nullptr));
+      };
+      if (arg == "--sessions") {
+        session_counts = parse_list(next());
+      } else if (arg == "--frames") {
+        frames_per_channel = number();
+      } else if (arg == "--reps") {
+        reps = number();
+        if (reps == 0) throw std::invalid_argument("--reps must be >= 1");
+      } else if (arg == "--dir") {
+        dir = next();
+      } else if (arg == "--json") {
+        json_path = next();
+      } else if (arg == "--context") {
+        const std::string kv = next();
+        const auto eq = kv.find('=');
+        if (eq == std::string::npos || eq == 0 ||
+            kv.find_first_of("\"\\") != std::string::npos) {
+          std::cerr << "--context needs key=value without quotes or "
+                       "backslashes, got '"
+                    << kv << "'\n";
+          return 2;
+        }
+        context.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
+      } else if (arg == "--help" || arg == "-h") {
+        std::cout << "usage: " << argv[0]
+                  << " [--sessions a,b,c] [--frames n] [--reps n]"
+                     " [--dir path] [--json path] [--context key=value]...\n";
+        return 0;
+      } else {
+        std::cerr << "unknown flag " << arg << "\n";
         return 2;
       }
-      context.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--sessions a,b,c] [--frames n] [--reps n]"
-                   " [--dir path] [--json path] [--context key=value]...\n";
-      return 0;
-    } else {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 2;
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
   }
 
   std::cout << "EXTENSION: MonitorEngine checkpoint/restore cost\n"
             << "(" << frames_per_channel << " frames/channel, fleet streamed"
-            << " halfway, min of " << reps << " reps)\n\n";
+            << " halfway, median of " << reps << " reps)\n\n";
 
   const core::NsyncConfig cfg = dwm_config();
   const std::vector<std::string> channel_names = {"ACC", "AUD"};
@@ -233,12 +264,12 @@ int main(int argc, char** argv) {
     r.sessions = n_sessions;
     r.windows = windows;
     std::vector<std::uint8_t> payload;
-    r.serialize_ms = time_min_ms(reps, [&] { payload = eng.serialize(); });
+    r.serialize = time_ms(reps, [&] { payload = eng.serialize(); });
     r.bytes = payload.size();
-    r.write_ms = time_min_ms(reps, [&] { eng.checkpoint(path); });
+    r.write = time_ms(reps, [&] { eng.checkpoint(path); });
     engine::MonitorEngine restored;
-    r.restore_ms =
-        time_min_ms(reps, [&] { restored = engine::MonitorEngine::restore(path); });
+    r.restore =
+        time_ms(reps, [&] { restored = engine::MonitorEngine::restore(path); });
     if (restored.sessions() != n_sessions) {
       std::cerr << "restore mismatch: " << restored.sessions() << " sessions\n";
       return 1;
@@ -246,8 +277,9 @@ int main(int argc, char** argv) {
     results.push_back(r);
     table.add_row({std::to_string(r.sessions), std::to_string(r.windows),
                    eval::fmt(static_cast<double>(r.bytes) / 1024.0, 1),
-                   eval::fmt(r.serialize_ms, 3), eval::fmt(r.write_ms, 3),
-                   eval::fmt(r.restore_ms, 3)});
+                   eval::fmt(r.serialize.median_ms, 3),
+                   eval::fmt(r.write.median_ms, 3),
+                   eval::fmt(r.restore.median_ms, 3)});
     // checkpoint() writes each session's spec file beside the state file.
     std::remove(path.c_str());
     for (std::size_t s = 0; s < n_sessions; ++s) {
@@ -268,16 +300,19 @@ int main(int argc, char** argv) {
     out << "\"hardware_concurrency\": " << std::thread::hardware_concurrency()
         << ", \"simd_isa\": \""
         << dsp::simd::isa_name(dsp::simd::active_isa())
-        << "\", \"reps\": " << reps << ", \"statistic\": \"min\"},\n"
+        << "\", \"reps\": " << reps << ", \"statistic\": \"median\"},\n"
         << "  \"frames_per_channel\": " << frames_per_channel
         << ",\n  \"results\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       const Result& r = results[i];
       out << "    {\"sessions\": " << r.sessions
           << ", \"windows\": " << r.windows << ", \"bytes\": " << r.bytes
-          << ", \"serialize_ms\": " << r.serialize_ms
-          << ", \"write_ms\": " << r.write_ms
-          << ", \"restore_ms\": " << r.restore_ms << "}"
+          << ", \"serialize_ms\": " << r.serialize.median_ms
+          << ", \"serialize_ms_mad\": " << r.serialize.mad_ms
+          << ", \"write_ms\": " << r.write.median_ms
+          << ", \"write_ms_mad\": " << r.write.mad_ms
+          << ", \"restore_ms\": " << r.restore.median_ms
+          << ", \"restore_ms_mad\": " << r.restore.mad_ms << "}"
           << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

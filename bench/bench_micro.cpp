@@ -1,7 +1,7 @@
 // google-benchmark micro benchmarks for the hot paths: FFT (cached vs
 // uncached plans, complex vs real-input), sliding correlation (naive vs
 // FFT — the TDE ablation), one DWM window step, the steady-state DWM
-// streaming loop, spectrogram columns, FastDTW, and end-to-end dataset
+// streaming loop, Table III spectrograms, FastDTW, and end-to-end dataset
 // generation across runtime pool sizes.
 //
 // Accepts `--json <path>` in addition to the standard benchmark flags:
@@ -14,11 +14,11 @@
 // run_benches.sh does).
 //
 // The SIMD-dispatched kernels (rfft, cross-correlation, sliding Pearson,
-// the TDEB epilogue, batched transforms) report roofline counters:
-// `flops` (flop/s, from an analytic per-iteration flop model) and
-// bytes_per_second, so BENCH_micro.json can be compared against the
-// host's peak directly.  The JSON context carries the resolved dispatch
-// backend (`simd_isa`) so scalar and vector runs are distinguishable.
+// the TDEB epilogue) report roofline counters: `flops` (flop/s, from an
+// analytic per-iteration flop model) and bytes_per_second, so
+// BENCH_micro.json can be compared against the host's peak directly.
+// The JSON context carries the resolved dispatch backend (`simd_isa`) so
+// scalar and vector runs are distinguishable.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -32,7 +32,6 @@
 #include "core/dtw.hpp"
 #include "core/dwm.hpp"
 #include "core/tde.hpp"
-#include "dsp/batched_fft.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/reference/reference.hpp"
 #include "dsp/simd/simd.hpp"
@@ -273,28 +272,6 @@ void BM_SlidingPearsonFftInto(benchmark::State& state) {
 }
 NSYNC_BENCHMARK(BM_SlidingPearsonFftInto)->Arg(1024)->Arg(4096)->Arg(16384);
 
-void BM_BatchedRfft(benchmark::State& state) {
-  // All-channels-in-one-plan forward transform (the multi-channel STFT
-  // column path), 6 lanes like a UM3 ACC+AUD roster, lane-interleaved
-  // input.  Compare per lane against BM_Rfft at the same size.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t lanes = 6;
-  const auto x = random_series(n * lanes, 9);
-  dsp::BatchedRfftPlan plan(n, lanes);
-  std::vector<double> sre(plan.bins() * lanes);
-  std::vector<double> sim(plan.bins() * lanes);
-  for (auto _ : state) {
-    plan.forward_interleaved(x.data(), sre.data(), sim.data());
-    benchmark::DoNotOptimize(sre);
-    benchmark::DoNotOptimize(sim);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(n * lanes));
-  set_roofline(state, static_cast<double>(lanes) * rfft_flops(n),
-               static_cast<double>(lanes * (n * 8 + (n / 2 + 1) * 16)));
-}
-NSYNC_BENCHMARK(BM_BatchedRfft)->Arg(1024)->Arg(4096)->Arg(16384);
-
 void BM_TdebEpilogue(benchmark::State& state) {
   // The fused clamp + Gaussian-bias + argmax pass over a score array
   // (one call per DWM window).
@@ -374,18 +351,35 @@ void BM_DwmWindow(benchmark::State& state) {
 }
 NSYNC_BENCHMARK(BM_DwmWindow);
 
-void BM_Spectrogram(benchmark::State& state) {
-  const auto s = random_signal(static_cast<std::size_t>(state.range(0)), 2,
-                               7);
-  dsp::StftConfig cfg;
-  cfg.delta_f = 20.0;
-  cfg.delta_t = 1.0 / 80.0;
+void BM_Spectrogram(benchmark::State& state, sensors::SideChannel ch,
+                    std::size_t channels) {
+  // The Table III STFT of 30 s of signal at the evaluation rate: every
+  // channel of every column through the cached single-lane rfft.
+  const double fs = eval::eval_channel_rate(ch);
+  auto s = random_signal(static_cast<std::size_t>(30.0 * fs), channels, 7);
+  s.set_sample_rate(fs);
+  const dsp::StftConfig cfg = eval::table3_stft(ch);
+  const std::size_t n_win = dsp::stft_window_samples(cfg, fs);
+  const std::size_t columns =
+      (s.frames() - n_win) / dsp::stft_hop_samples(cfg, fs) + 1;
   for (auto _ : state) {
     auto sp = dsp::spectrogram(s, cfg);
     benchmark::DoNotOptimize(sp);
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(columns * channels));
 }
-NSYNC_BENCHMARK(BM_Spectrogram)->Arg(8192)->Arg(32768);
+// ACC 400 Hz x6 and EPT 4 kHz x1 run 20- and 33-point windows one channel
+// at a time; AUD 4 kHz x2 is the largest share of offline_analyze's STFT.
+BENCHMARK_CAPTURE(BM_Spectrogram, ACC_400Hz_x6, sensors::SideChannel::kAcc, 6)
+    ->ComputeStatistics("mad", median_abs_deviation)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Spectrogram, AUD_4kHz_x2, sensors::SideChannel::kAud, 2)
+    ->ComputeStatistics("mad", median_abs_deviation)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Spectrogram, EPT_4kHz_x1, sensors::SideChannel::kEpt, 1)
+    ->ComputeStatistics("mad", median_abs_deviation)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FastDtw(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -33,8 +33,9 @@ using detail::RfftPlan;
 // twiddle tables copied out of the full forward table
 // w_n^k = exp(-2*pi*i*k/n) (see fft_internal.hpp for why they are copied
 // rather than recomputed).  Bluestein plans hold the chirp and the FFT of
-// the convolution kernel per (n, direction), split.  Plans are immutable
-// once built, published via shared_ptr, and looked up under a
+// the convolution kernel per (n, direction), split.  Real-FFT plans exist
+// for every n and reference one of the two (see RfftPlan).  Plans are
+// immutable once built, published via shared_ptr, and looked up under a
 // shared_mutex, so any number of threads can transform concurrently.
 // The butterfly/untangle/bin-product inner loops all run through the
 // runtime-dispatched SIMD kernel table (dsp/simd/simd.hpp); every scalar
@@ -123,14 +124,22 @@ class PlanCache {
     misses_.fetch_add(1, std::memory_order_relaxed);
     auto plan = std::make_shared<RfftPlan>();
     plan->n = n;
-    plan->half = radix2(n / 2);
-    plan->tw_re.resize(n / 2);
-    plan->tw_im.resize(n / 2);
-    for (std::size_t k = 0; k < n / 2; ++k) {
-      const double ang = -2.0 * kPi * static_cast<double>(k) /
-                         static_cast<double>(n);
-      plan->tw_re[k] = std::cos(ang);
-      plan->tw_im[k] = std::sin(ang);
+    if (n % 2 == 0 && is_power_of_two(n)) {
+      plan->half = radix2(n / 2);
+    } else {
+      // Even n = 2 * odd runs an odd-length Bluestein half transform,
+      // odd n one of full length.
+      plan->bluestein = bluestein(n % 2 == 0 ? n / 2 : n, /*inverse=*/false);
+    }
+    if (n % 2 == 0) {
+      plan->tw_re.resize(n / 2);
+      plan->tw_im.resize(n / 2);
+      for (std::size_t k = 0; k < n / 2; ++k) {
+        const double ang = -2.0 * kPi * static_cast<double>(k) /
+                           static_cast<double>(n);
+        plan->tw_re[k] = std::cos(ang);
+        plan->tw_im[k] = std::sin(ang);
+      }
     }
     std::unique_lock<std::shared_mutex> lock(mu_);
     const auto [it, inserted] = rfft_.emplace(n, std::move(plan));
@@ -174,6 +183,7 @@ class PlanCache {
       plan->chirp_im[k] = std::sin(ang);
     }
     plan->m = next_power_of_two(2 * n - 1);
+    plan->conv = radix2(plan->m);
     plan->kernel_re.assign(plan->m, 0.0);
     plan->kernel_im.assign(plan->m, 0.0);
     plan->kernel_re[0] = plan->chirp_re[0];
@@ -183,7 +193,7 @@ class PlanCache {
       plan->kernel_im[k] = plan->kernel_im[plan->m - k] = -plan->chirp_im[k];
     }
     detail::run_radix2_split(plan->kernel_re.data(), plan->kernel_im.data(),
-                             *radix2(plan->m), /*inverse=*/false);
+                             *plan->conv, /*inverse=*/false);
     return plan;
   }
 
@@ -204,11 +214,25 @@ PlanCache& plan_cache() {
 // Bluestein's algorithm: expresses a length-N DFT as a convolution, which
 // is evaluated with a power-of-two FFT.  Handles any N.  The chirp and the
 // kernel FFT come from the plan cache; only the data-dependent convolution
-// runs per call, in per-thread split scratch planes.
+// runs per call.  `re`/`im` hold the input in their first plan.n entries
+// and zeros up to plan.m, and receive the transform in the same entries.
+void bluestein_convolve(double* re, double* im, const BluesteinPlan& plan) {
+  const auto& k = simd::ops();
+  k.cmul_split_inplace(re, im, plan.chirp_re.data(), plan.chirp_im.data(),
+                       plan.n);
+  detail::run_radix2_split(re, im, *plan.conv, /*inverse=*/false);
+  k.cmul_split_inplace(re, im, plan.kernel_re.data(), plan.kernel_im.data(),
+                       plan.m);
+  detail::run_radix2_split(re, im, *plan.conv,
+                           /*inverse=*/true);  // includes 1/m
+  k.cmul_split_inplace(re, im, plan.chirp_re.data(), plan.chirp_im.data(),
+                       plan.n);
+}
+
+// Complex Bluestein transform in per-thread split scratch planes.
 std::vector<Complex> bluestein(std::span<const Complex> input, bool inverse) {
   const std::size_t n = input.size();
   const auto plan = plan_cache().bluestein(n, inverse);
-  const auto radix2 = plan_cache().radix2(plan->m);
   const auto& k = simd::ops();
   thread_local std::vector<double> sre;
   thread_local std::vector<double> sim;
@@ -216,16 +240,7 @@ std::vector<Complex> bluestein(std::span<const Complex> input, bool inverse) {
   sim.assign(plan->m, 0.0);
   k.deinterleave(reinterpret_cast<const double*>(input.data()), n, sre.data(),
                  sim.data());
-  k.cmul_split_inplace(sre.data(), sim.data(), plan->chirp_re.data(),
-                       plan->chirp_im.data(), n);
-  detail::run_radix2_split(sre.data(), sim.data(), *radix2,
-                           /*inverse=*/false);
-  k.cmul_split_inplace(sre.data(), sim.data(), plan->kernel_re.data(),
-                       plan->kernel_im.data(), plan->m);
-  detail::run_radix2_split(sre.data(), sim.data(), *radix2,
-                           /*inverse=*/true);  // includes 1/m
-  k.cmul_split_inplace(sre.data(), sim.data(), plan->chirp_re.data(),
-                       plan->chirp_im.data(), n);
+  bluestein_convolve(sre.data(), sim.data(), *plan);
   std::vector<Complex> out(n);
   k.interleave(sre.data(), sim.data(), n,
                reinterpret_cast<double*>(out.data()));
@@ -263,17 +278,8 @@ void gather_pairs_bitrev(const double* xy, const Radix2Plan& plan, double* re,
 
 namespace detail {
 
-std::shared_ptr<const Radix2Plan> get_radix2_plan(std::size_t n) {
-  return plan_cache().radix2(n);
-}
-
 std::shared_ptr<const RfftPlan> get_rfft_plan(std::size_t n) {
   return plan_cache().rfft(n);
-}
-
-std::shared_ptr<const BluesteinPlan> get_bluestein_plan(std::size_t n,
-                                                        bool inverse) {
-  return plan_cache().bluestein(n, inverse);
 }
 
 void run_radix2_split(double* re, double* im, const Radix2Plan& plan,
@@ -287,24 +293,6 @@ void run_radix2_split(double* re, double* im, const Radix2Plan& plan,
     }
   }
   run_radix2_passes(re, im, plan, inverse);
-}
-
-void run_radix2_split_batch(double* re, double* im, std::size_t lanes,
-                            const Radix2Plan& plan, bool inverse) {
-  const std::size_t n = plan.n;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = plan.bitrev[i];
-    if (i < j) {
-      std::swap_ranges(re + i * lanes, re + (i + 1) * lanes, re + j * lanes);
-      std::swap_ranges(im + i * lanes, im + (i + 1) * lanes, im + j * lanes);
-    }
-  }
-  const auto& k = simd::ops();
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    k.radix2_pass_batch(re, im, n, lanes, len, plan.stage_twr(len),
-                        plan.stage_twi(len), inverse);
-  }
-  if (inverse) k.divide2(re, im, n * lanes, static_cast<double>(n));
 }
 
 // ---------------------------------------------------------------------------
@@ -337,6 +325,37 @@ void rfft_pow2_split(std::span<const double> x, std::span<Complex> out,
   out[h] = Complex(half_re[0] - half_im[0], 0.0);
   simd::ops().rfft_untangle(half_re, half_im, plan.tw_re.data(),
                             plan.tw_im.data(), h, out.data());
+}
+
+// x.size() must equal the plan size n; writes n/2+1 bins.  The even
+// non-power-of-two pack is a plain deinterleave: the packed complex
+// z_k = x_2k + i*x_2k+1 already sits interleaved in x.
+void rfft_split(std::span<const double> x, std::span<Complex> out, double* re,
+                double* im, const RfftPlan& plan) {
+  if (plan.half) {
+    rfft_pow2_split(x, out, re, im, plan);
+    return;
+  }
+  const BluesteinPlan& bp = *plan.bluestein;
+  const auto& k = simd::ops();
+  const bool even = x.size() % 2 == 0;
+  if (even) {
+    k.deinterleave(x.data(), bp.n, re, im);
+  } else {
+    std::copy(x.begin(), x.end(), re);
+    std::fill_n(im, bp.n, 0.0);
+  }
+  std::fill(re + bp.n, re + bp.m, 0.0);
+  std::fill(im + bp.n, im + bp.m, 0.0);
+  bluestein_convolve(re, im, bp);
+  if (!even) {
+    k.interleave(re, im, out.size(), reinterpret_cast<double*>(out.data()));
+    return;
+  }
+  const std::size_t h = bp.n;
+  out[0] = Complex(re[0] + im[0], 0.0);
+  out[h] = Complex(re[0] - im[0], 0.0);
+  k.rfft_untangle(re, im, plan.tw_re.data(), plan.tw_im.data(), h, out.data());
 }
 
 // bins.size() must be n/2+1 for the (power-of-two) plan size n = out.size().
@@ -419,42 +438,13 @@ std::vector<Complex> rfft(std::span<const double> input) {
     out[0] = Complex(0.0, 0.0);
     return out;
   }
-  if (n % 2 == 0 && is_power_of_two(n)) {
-    const auto plan = plan_cache().rfft(n);
-    thread_local std::vector<double> half_re;
-    thread_local std::vector<double> half_im;
-    half_re.resize(std::max<std::size_t>(n / 2, 1));
-    half_im.resize(std::max<std::size_t>(n / 2, 1));
-    detail::rfft_pow2_split(input, out, half_re.data(), half_im.data(),
-                            *plan);
-    return out;
-  }
-  if (n % 2 == 0) {
-    // Half-size trick with a Bluestein (or radix-2) half transform.
-    const std::size_t h = n / 2;
-    std::vector<Complex> packed(h);
-    for (std::size_t k = 0; k < h; ++k) {
-      packed[k] = Complex(input[2 * k], input[2 * k + 1]);
-    }
-    const auto z = fft(packed);
-    out[0] = Complex(z[0].real() + z[0].imag(), 0.0);
-    out[h] = Complex(z[0].real() - z[0].imag(), 0.0);
-    for (std::size_t k = 1; k < h; ++k) {
-      const Complex zc = std::conj(z[h - k]);
-      const Complex even = 0.5 * (z[k] + zc);
-      const Complex odd = Complex(0.0, -0.5) * (z[k] - zc);
-      const double ang = -2.0 * kPi * static_cast<double>(k) /
-                         static_cast<double>(n);
-      out[k] = even + Complex(std::cos(ang), std::sin(ang)) * odd;
-    }
-    return out;
-  }
-  // Odd length: no pairing is possible; use the complex transform.
-  std::vector<Complex> data(n);
-  for (std::size_t i = 0; i < n; ++i) data[i] = Complex(input[i], 0.0);
-  auto full = fft(data);
-  full.resize(n / 2 + 1);
-  return full;
+  const auto plan = plan_cache().rfft(n);
+  thread_local std::vector<double> re;
+  thread_local std::vector<double> im;
+  re.resize(plan->plane_size());
+  im.resize(plan->plane_size());
+  detail::rfft_split(input, out, re.data(), im.data(), *plan);
+  return out;
 }
 
 std::vector<double> irfft(std::span<const Complex> bins, std::size_t n) {

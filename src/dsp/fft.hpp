@@ -8,18 +8,20 @@
 // For power-of-two N the pack gathers the even/odd sample pairs straight
 // into bit-reversed order, so the half-size transform runs only its
 // butterfly stages (no separate in-place permutation pass); irfft does
-// the same gather after its untangle.  The N/2+1 non-negative-frequency
-// bins feed the spectrogram pipeline (Table III of the paper) and the
-// fast TDE cross-correlation, which runs every channel through these
-// single-lane transforms.
+// the same gather after its untangle.  Other even N run the same trick
+// with a Bluestein half transform, and odd N one N-point Bluestein
+// transform.  The N/2+1 non-negative-frequency bins feed the spectrogram
+// pipeline (Table III of the paper) and the fast TDE cross-correlation;
+// both run every channel through this one single-lane forward transform.
 //
 // All entry points share a process-wide, thread-safe plan cache: radix-2
 // twiddle factors and bit-reversal permutations are computed once per
-// size, real-FFT untangling twiddles once per (power-of-two) size, and
-// the Bluestein chirp plus the FFT of its convolution kernel once per
-// (size, direction).  Every function here is safe to call concurrently
-// from multiple threads, and the workspace entry points perform no heap
-// allocation once their buffers have grown to steady-state size.  A
+// size, real-FFT untangling twiddles once per even size (power of two or
+// not), and the Bluestein chirp plus the FFT of its convolution kernel
+// once per (size, direction).  Every function here is safe to call
+// concurrently from multiple threads, and the workspace entry points
+// perform no heap allocation once their buffers have grown to
+// steady-state size.  A
 // CorrelationWorkspace also holds the plan of its last transform size,
 // so the per-window, per-channel TDE correlation takes neither the
 // cache's lock nor a reference count (shard threads would contend on
@@ -30,11 +32,10 @@
 // x86-64 hosts that support it, the always-built scalar backend
 // everywhere else.  Both backends are bitwise-identical for these kernels
 // (the vector lanes evaluate the exact scalar formulas in parallel), so
-// results do not depend on the machine the binary lands on.  Batched
-// many-channel forward transforms (the STFT's) live in
-// dsp/batched_fft.hpp; the uncached and
-// full-complex reference transforms the tests compare against live in
-// dsp/reference/reference.hpp, outside the production library.
+// results do not depend on the machine the binary lands on.  The
+// uncached, unplanned and full-complex reference transforms the tests
+// compare against live in dsp/reference/reference.hpp, outside the
+// production library.
 #ifndef NSYNC_DSP_FFT_HPP
 #define NSYNC_DSP_FFT_HPP
 
@@ -67,8 +68,9 @@ void fft_radix2(std::span<Complex> data, bool inverse = false);
 
 /// Forward DFT of a real sequence; returns bins 0 .. N/2 (inclusive),
 /// i.e. floor(N/2)+1 complex values.  Even lengths use the half-size
-/// complex trick (one N/2-point FFT + untangle); odd lengths fall back to
-/// the complex transform.
+/// complex trick (one N/2-point FFT + untangle); odd lengths run the
+/// N-point Bluestein transform of the zero-imaginary signal.  Every length
+/// has a cached plan.
 [[nodiscard]] std::vector<Complex> rfft(std::span<const double> input);
 
 /// Inverse of rfft: reconstructs the length-n real sequence from its
@@ -142,7 +144,9 @@ void cross_correlate_valid_into(std::span<const double> x,
 /// or the last fft_plan_cache_clear()).
 struct FftCacheStats {
   std::size_t radix2_plans = 0;     ///< distinct radix-2 sizes planned
-  std::size_t rfft_plans = 0;       ///< distinct real-FFT sizes planned
+  /// Distinct real-FFT sizes planned (any n; each also plans its radix-2
+  /// half or its Bluestein stage).
+  std::size_t rfft_plans = 0;
   std::size_t bluestein_plans = 0;  ///< distinct (size, direction) pairs
   std::size_t hits = 0;             ///< lookups served from the cache
   std::size_t misses = 0;           ///< lookups that had to build a plan

@@ -1,9 +1,9 @@
 // Internal FFT plan structures and split-plane runners.
 //
-// Shared between fft.cpp (the public scalar entry points) and
-// batched_fft.cpp (BatchedRfftPlan) so both read the same cached plans.
-// Plans store twiddles in split re/im arrays — the layout the SIMD
-// kernels consume — with the per-stage tables COPIED from the full
+// Shared between fft.cpp (the public entry points) and the spectrogram
+// (stft.cpp), which runs rfft_split on planes it owns.  Plans store
+// twiddles in split re/im arrays — the layout the SIMD kernels consume —
+// with the per-stage tables COPIED from the full
 // w_n^k = exp(-2*pi*i*k/n) table rather than recomputed per stage:
 // cos(-2*pi*k/len) can differ in the last bit from the full-table entry
 // at k*stride because the two argument reductions round differently, and
@@ -42,30 +42,41 @@ struct Radix2Plan {
   }
 };
 
-/// Real-FFT plan for an even power-of-two size n: the half-size complex
-/// plan plus the untangling twiddles w_n^k, k < n/2, in split layout.
-struct RfftPlan {
-  std::size_t n = 0;
-  std::shared_ptr<const Radix2Plan> half;
-  std::vector<double> tw_re;
-  std::vector<double> tw_im;
-};
-
 /// Bluestein plan (chirp + FFT of the convolution kernel) in split layout.
 struct BluesteinPlan {
   std::size_t n = 0;
   std::size_t m = 0;  ///< power-of-two convolution length
+  std::shared_ptr<const Radix2Plan> conv;  ///< radix-2 plan of size m
   std::vector<double> chirp_re;
   std::vector<double> chirp_im;
   std::vector<double> kernel_re;
   std::vector<double> kernel_im;
 };
 
-/// Cached plan lookups (thread-safe, build-once).
-std::shared_ptr<const Radix2Plan> get_radix2_plan(std::size_t n);
+/// Real-FFT plan for any size n >= 1.  Exactly one of `half` and
+/// `bluestein` is set:
+///  * power-of-two n: `half` is the n/2-point radix-2 plan;
+///  * even n otherwise: `bluestein` is the n/2-point Bluestein plan (the
+///    half-size complex trick with a chirp-Z half transform);
+///  * odd n: `bluestein` is the n-point Bluestein plan of the zero-imaginary
+///    signal.
+/// Even sizes also hold the untangling twiddles w_n^k, k < n/2, in split
+/// layout.
+struct RfftPlan {
+  std::size_t n = 0;
+  std::shared_ptr<const Radix2Plan> half;
+  std::shared_ptr<const BluesteinPlan> bluestein;
+  std::vector<double> tw_re;
+  std::vector<double> tw_im;
+
+  /// Doubles each split plane handed to rfft_split must hold.
+  [[nodiscard]] std::size_t plane_size() const {
+    return half ? n / 2 : bluestein->m;
+  }
+};
+
+/// Cached real-FFT plan lookup (thread-safe, build-once).
 std::shared_ptr<const RfftPlan> get_rfft_plan(std::size_t n);
-std::shared_ptr<const BluesteinPlan> get_bluestein_plan(std::size_t n,
-                                                        bool inverse);
 
 /// In-place radix-2 FFT over split planes of plan.n complex elements
 /// (bit-reversal swap pass, butterfly stages through the SIMD dispatch
@@ -76,12 +87,6 @@ std::shared_ptr<const BluesteinPlan> get_bluestein_plan(std::size_t n,
 void run_radix2_split(double* re, double* im, const Radix2Plan& plan,
                       bool inverse);
 
-/// Batched variant over lane-interleaved rows: element k of lane l lives
-/// at [k * lanes + l].  Lanes are fully independent, and each lane's
-/// arithmetic is identical to run_radix2_split's.
-void run_radix2_split_batch(double* re, double* im, std::size_t lanes,
-                            const Radix2Plan& plan, bool inverse);
-
 /// Forward real FFT for the (power-of-two) plan size n = x.size():
 /// half-size pack gathered in bit-reversed order, the butterfly stages in
 /// the split half planes (each plan.n/2 doubles), and the untangling
@@ -89,10 +94,19 @@ void run_radix2_split_batch(double* re, double* im, std::size_t lanes,
 void rfft_pow2_split(std::span<const double> x, std::span<Complex> out,
                      double* half_re, double* half_im, const RfftPlan& plan);
 
-/// Inverse counterpart: n/2+1 bins -> length-n real signal (includes the
-/// 1/n normalization via the half transform's 1/(n/2) and the 0.5s).
-/// `out` doubles as the untangle's interleaved staging, so `bins` must
-/// not alias it.
+/// Forward real FFT of any plan size n = x.size() into floor(n/2)+1 bins.
+/// `re`/`im` are caller-owned scratch planes of plan.plane_size() doubles
+/// each.  Power-of-two plans run rfft_pow2_split; the others run the
+/// Bluestein convolution on the packed (even) or zero-imaginary (odd)
+/// signal, then the even sizes untangle.  Bitwise equal to the complex
+/// fft() route through the same plans.  Allocates nothing.
+void rfft_split(std::span<const double> x, std::span<Complex> out, double* re,
+                double* im, const RfftPlan& plan);
+
+/// Inverse of rfft_pow2_split (power-of-two plans only): n/2+1 bins ->
+/// length-n real signal (includes the 1/n normalization via the half
+/// transform's 1/(n/2) and the 0.5s).  `out` doubles as the untangle's
+/// interleaved staging, so `bins` must not alias it.
 void irfft_pow2_split(std::span<const Complex> bins, std::span<double> out,
                       double* half_re, double* half_im, const RfftPlan& plan);
 

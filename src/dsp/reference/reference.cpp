@@ -94,6 +94,38 @@ void fft_radix2_uncached(std::span<Complex> data, bool inverse) {
   }
 }
 
+std::vector<Complex> rfft_unplanned(std::span<const double> x) {
+  const std::size_t n = x.size();
+  std::vector<Complex> out(n / 2 + 1);
+  if (n == 0) return out;
+  if (n % 2 == 0) {
+    // Half-size trick with a complex (radix-2 or Bluestein) half transform.
+    const std::size_t h = n / 2;
+    std::vector<Complex> packed(h);
+    for (std::size_t k = 0; k < h; ++k) {
+      packed[k] = Complex(x[2 * k], x[2 * k + 1]);
+    }
+    const auto z = fft(packed);
+    out[0] = Complex(z[0].real() + z[0].imag(), 0.0);
+    out[h] = Complex(z[0].real() - z[0].imag(), 0.0);
+    for (std::size_t k = 1; k < h; ++k) {
+      const Complex zc = std::conj(z[h - k]);
+      const Complex even = 0.5 * (z[k] + zc);
+      const Complex odd = Complex(0.0, -0.5) * (z[k] - zc);
+      const double ang = -2.0 * kPi * static_cast<double>(k) /
+                         static_cast<double>(n);
+      out[k] = even + Complex(std::cos(ang), std::sin(ang)) * odd;
+    }
+    return out;
+  }
+  // Odd length: no pairing is possible; use the complex transform.
+  std::vector<Complex> data(n);
+  for (std::size_t i = 0; i < n; ++i) data[i] = Complex(x[i], 0.0);
+  auto full = fft(data);
+  full.resize(n / 2 + 1);
+  return full;
+}
+
 std::vector<double> cross_correlate_valid_complex(std::span<const double> x,
                                                   std::span<const double> y) {
   if (y.empty() || x.size() < y.size()) {

@@ -15,13 +15,12 @@ namespace nsync::dsp::simd {
 namespace {
 
 // Field order must match struct Ops exactly.
-#define NSYNC_SIMD_OPS_ENTRIES(ns)                                       \
-  ns::radix2_pass, ns::radix2_pass_batch, ns::divide2, ns::cmul_inplace,  \
-      ns::cmul_split_inplace, ns::cmul_rows_broadcast, ns::rfft_untangle, \
-      ns::irfft_untangle, ns::rfft_untangle_batch, ns::deinterleave,      \
-      ns::interleave, ns::subtract_scalar, ns::mul_rows_broadcast_real,   \
-      ns::normalize_windows, ns::clamp_weight_argmax, ns::channel_sums,   \
-      ns::sum, ns::centered_energy, ns::subtract_scalar_energy,           \
+#define NSYNC_SIMD_OPS_ENTRIES(ns)                                        \
+  ns::radix2_pass, ns::divide2, ns::cmul_inplace, ns::cmul_split_inplace,  \
+      ns::rfft_untangle, ns::irfft_untangle, ns::deinterleave,             \
+      ns::interleave, ns::subtract_scalar, ns::normalize_windows,          \
+      ns::clamp_weight_argmax, ns::channel_sums, ns::sum,                  \
+      ns::centered_energy, ns::subtract_scalar_energy,                     \
       ns::pearson_accumulate, ns::prefix_sums
 
 const Ops kScalarOps{Isa::kScalar, "scalar", NSYNC_SIMD_OPS_ENTRIES(scalar)};

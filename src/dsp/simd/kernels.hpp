@@ -20,35 +20,21 @@
 #define NSYNC_SIMD_DECLARE_KERNELS                                           \
   void radix2_pass(double* re, double* im, std::size_t n, std::size_t len,   \
                    const double* twr, const double* twi, bool inverse);      \
-  void radix2_pass_batch(double* re, double* im, std::size_t n,              \
-                         std::size_t lanes, std::size_t len,                 \
-                         const double* twr, const double* twi,               \
-                         bool inverse);                                      \
   void divide2(double* re, double* im, std::size_t n, double d);             \
   void cmul_inplace(Complex* a, const Complex* b, std::size_t n);            \
   void cmul_split_inplace(double* ar, double* ai, const double* br,          \
                           const double* bi, std::size_t n);                  \
-  void cmul_rows_broadcast(double* re, double* im, std::size_t rows,         \
-                           std::size_t lanes, const double* wr,              \
-                           const double* wi);                                \
   void rfft_untangle(const double* hre, const double* him,                   \
                      const double* twr, const double* twi, std::size_t h,    \
                      Complex* out);                                          \
   void irfft_untangle(const Complex* bins, const double* twr,                \
                       const double* twi, std::size_t h, double* out);        \
-  void rfft_untangle_batch(const double* hre, const double* him,             \
-                           const double* twr, const double* twi,             \
-                           std::size_t h, std::size_t lanes,                 \
-                           double* out_re, double* out_im);                  \
   void deinterleave(const double* xy, std::size_t n, double* re,             \
                     double* im);                                             \
   void interleave(const double* re, const double* im, std::size_t n,         \
                   double* xy);                                               \
   void subtract_scalar(const double* src, double mu, double* dst,            \
                        std::size_t n);                                       \
-  void mul_rows_broadcast_real(const double* src, std::size_t rows,          \
-                               std::size_t lanes, const double* w,           \
-                               double* dst);                                 \
   void normalize_windows(const double* ps, const double* ps2,                \
                          std::size_t ny, double y_norm, const double* num,   \
                          double* out, std::size_t n_out);                    \

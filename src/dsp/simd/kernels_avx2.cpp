@@ -155,69 +155,6 @@ void radix2_pass(double* re, double* im, std::size_t n, std::size_t len,
   }
 }
 
-void radix2_pass_batch(double* re, double* im, std::size_t n,
-                       std::size_t lanes, std::size_t len, const double* twr,
-                       const double* twi, bool inverse) {
-  const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < n; i += len) {
-    for (std::size_t k = 0; k < half; ++k) {
-      const double wr_s = twr[k];
-      const double wi_s = inverse ? -twi[k] : twi[k];
-      const __m256d wr = _mm256_set1_pd(wr_s);
-      const __m256d wi = _mm256_set1_pd(wi_s);
-      double* ure = re + (i + k) * lanes;
-      double* uim = im + (i + k) * lanes;
-      double* vre = re + (i + k + half) * lanes;
-      double* vim = im + (i + k + half) * lanes;
-      std::size_t l = 0;
-      for (; l + 4 <= lanes; l += 4) {
-        const __m256d vr = _mm256_loadu_pd(vre + l);
-        const __m256d vi = _mm256_loadu_pd(vim + l);
-        const __m256d tr =
-            _mm256_sub_pd(_mm256_mul_pd(vr, wr), _mm256_mul_pd(vi, wi));
-        const __m256d ti =
-            _mm256_add_pd(_mm256_mul_pd(vr, wi), _mm256_mul_pd(vi, wr));
-        const __m256d ur = _mm256_loadu_pd(ure + l);
-        const __m256d ui = _mm256_loadu_pd(uim + l);
-        _mm256_storeu_pd(ure + l, _mm256_add_pd(ur, tr));
-        _mm256_storeu_pd(uim + l, _mm256_add_pd(ui, ti));
-        _mm256_storeu_pd(vre + l, _mm256_sub_pd(ur, tr));
-        _mm256_storeu_pd(vim + l, _mm256_sub_pd(ui, ti));
-      }
-      // 2-wide step: with channel counts like 6 the scalar tail would
-      // otherwise cost as much as the vector body.
-      for (; l + 2 <= lanes; l += 2) {
-        const __m128d wr2 = _mm256_castpd256_pd128(wr);
-        const __m128d wi2 = _mm256_castpd256_pd128(wi);
-        const __m128d vr = _mm_loadu_pd(vre + l);
-        const __m128d vi = _mm_loadu_pd(vim + l);
-        const __m128d tr =
-            _mm_sub_pd(_mm_mul_pd(vr, wr2), _mm_mul_pd(vi, wi2));
-        const __m128d ti =
-            _mm_add_pd(_mm_mul_pd(vr, wi2), _mm_mul_pd(vi, wr2));
-        const __m128d ur = _mm_loadu_pd(ure + l);
-        const __m128d ui = _mm_loadu_pd(uim + l);
-        _mm_storeu_pd(ure + l, _mm_add_pd(ur, tr));
-        _mm_storeu_pd(uim + l, _mm_add_pd(ui, ti));
-        _mm_storeu_pd(vre + l, _mm_sub_pd(ur, tr));
-        _mm_storeu_pd(vim + l, _mm_sub_pd(ui, ti));
-      }
-      for (; l < lanes; ++l) {
-        const double vr = vre[l];
-        const double vi = vim[l];
-        const double tr = vr * wr_s - vi * wi_s;
-        const double ti = vr * wi_s + vi * wr_s;
-        const double ur = ure[l];
-        const double ui = uim[l];
-        ure[l] = ur + tr;
-        uim[l] = ui + ti;
-        vre[l] = ur - tr;
-        vim[l] = ui - ti;
-      }
-    }
-  }
-}
-
 void divide2(double* re, double* im, std::size_t n, double d) {
   const __m256d dv = _mm256_set1_pd(d);
   for (double* p : {re, im}) {
@@ -273,44 +210,6 @@ void cmul_split_inplace(double* ar, double* ai, const double* br,
     const double xi = ai[i];
     ar[i] = xr * br[i] - xi * bi[i];
     ai[i] = xr * bi[i] + xi * br[i];
-  }
-}
-
-void cmul_rows_broadcast(double* re, double* im, std::size_t rows,
-                         std::size_t lanes, const double* wr,
-                         const double* wi) {
-  for (std::size_t k = 0; k < rows; ++k) {
-    const double cr_s = wr[k];
-    const double ci_s = wi[k];
-    const __m256d cr = _mm256_set1_pd(cr_s);
-    const __m256d ci = _mm256_set1_pd(ci_s);
-    double* rre = re + k * lanes;
-    double* rim = im + k * lanes;
-    std::size_t l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-      const __m256d xr = _mm256_loadu_pd(rre + l);
-      const __m256d xi = _mm256_loadu_pd(rim + l);
-      _mm256_storeu_pd(
-          rre + l, _mm256_sub_pd(_mm256_mul_pd(xr, cr), _mm256_mul_pd(xi, ci)));
-      _mm256_storeu_pd(
-          rim + l, _mm256_add_pd(_mm256_mul_pd(xr, ci), _mm256_mul_pd(xi, cr)));
-    }
-    for (; l + 2 <= lanes; l += 2) {
-      const __m128d cr2 = _mm256_castpd256_pd128(cr);
-      const __m128d ci2 = _mm256_castpd256_pd128(ci);
-      const __m128d xr = _mm_loadu_pd(rre + l);
-      const __m128d xi = _mm_loadu_pd(rim + l);
-      _mm_storeu_pd(rre + l,
-                    _mm_sub_pd(_mm_mul_pd(xr, cr2), _mm_mul_pd(xi, ci2)));
-      _mm_storeu_pd(rim + l,
-                    _mm_add_pd(_mm_mul_pd(xr, ci2), _mm_mul_pd(xi, cr2)));
-    }
-    for (; l < lanes; ++l) {
-      const double xr = rre[l];
-      const double xi = rim[l];
-      rre[l] = xr * cr_s - xi * ci_s;
-      rim[l] = xr * ci_s + xi * cr_s;
-    }
   }
 }
 
@@ -411,84 +310,6 @@ void irfft_untangle(const Complex* bins, const double* twr, const double* twi,
   }
 }
 
-void rfft_untangle_batch(const double* hre, const double* him,
-                         const double* twr, const double* twi, std::size_t h,
-                         std::size_t lanes, double* out_re, double* out_im) {
-  const __m256d halfc = _mm256_set1_pd(0.5);
-  const __m256d neghalf = _mm256_set1_pd(-0.5);
-  const __m256d zero = _mm256_setzero_pd();
-  for (std::size_t k = 1; k < h; ++k) {
-    const double* zr = hre + k * lanes;
-    const double* zi = him + k * lanes;
-    const double* cr = hre + (h - k) * lanes;
-    const double* ci = him + (h - k) * lanes;
-    double* orow = out_re + k * lanes;
-    double* irow = out_im + k * lanes;
-    const __m256d wr = _mm256_set1_pd(twr[k]);
-    const __m256d wi = _mm256_set1_pd(twi[k]);
-    std::size_t l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-      const __m256d zrv = _mm256_loadu_pd(zr + l);
-      const __m256d ziv = _mm256_loadu_pd(zi + l);
-      const __m256d crv = _mm256_loadu_pd(cr + l);
-      const __m256d civ = _mm256_loadu_pd(ci + l);
-      const __m256d er = _mm256_mul_pd(halfc, _mm256_add_pd(zrv, crv));
-      const __m256d ei = _mm256_mul_pd(halfc, _mm256_sub_pd(ziv, civ));
-      const __m256d dr = _mm256_sub_pd(zrv, crv);
-      const __m256d di = _mm256_add_pd(ziv, civ);
-      const __m256d odd_r =
-          _mm256_sub_pd(_mm256_mul_pd(zero, dr), _mm256_mul_pd(neghalf, di));
-      const __m256d odd_i =
-          _mm256_add_pd(_mm256_mul_pd(zero, di), _mm256_mul_pd(neghalf, dr));
-      _mm256_storeu_pd(
-          orow + l,
-          _mm256_add_pd(er, _mm256_sub_pd(_mm256_mul_pd(wr, odd_r),
-                                          _mm256_mul_pd(wi, odd_i))));
-      _mm256_storeu_pd(
-          irow + l,
-          _mm256_add_pd(ei, _mm256_add_pd(_mm256_mul_pd(wr, odd_i),
-                                          _mm256_mul_pd(wi, odd_r))));
-    }
-    for (; l + 2 <= lanes; l += 2) {
-      const __m128d half2 = _mm256_castpd256_pd128(halfc);
-      const __m128d nhalf2 = _mm256_castpd256_pd128(neghalf);
-      const __m128d zero2 = _mm256_castpd256_pd128(zero);
-      const __m128d wr2 = _mm256_castpd256_pd128(wr);
-      const __m128d wi2 = _mm256_castpd256_pd128(wi);
-      const __m128d zrv = _mm_loadu_pd(zr + l);
-      const __m128d ziv = _mm_loadu_pd(zi + l);
-      const __m128d crv = _mm_loadu_pd(cr + l);
-      const __m128d civ = _mm_loadu_pd(ci + l);
-      const __m128d er = _mm_mul_pd(half2, _mm_add_pd(zrv, crv));
-      const __m128d ei = _mm_mul_pd(half2, _mm_sub_pd(ziv, civ));
-      const __m128d dr = _mm_sub_pd(zrv, crv);
-      const __m128d di = _mm_add_pd(ziv, civ);
-      const __m128d odd_r =
-          _mm_sub_pd(_mm_mul_pd(zero2, dr), _mm_mul_pd(nhalf2, di));
-      const __m128d odd_i =
-          _mm_add_pd(_mm_mul_pd(zero2, di), _mm_mul_pd(nhalf2, dr));
-      _mm_storeu_pd(orow + l,
-                    _mm_add_pd(er, _mm_sub_pd(_mm_mul_pd(wr2, odd_r),
-                                              _mm_mul_pd(wi2, odd_i))));
-      _mm_storeu_pd(irow + l,
-                    _mm_add_pd(ei, _mm_add_pd(_mm_mul_pd(wr2, odd_i),
-                                              _mm_mul_pd(wi2, odd_r))));
-    }
-    for (; l < lanes; ++l) {
-      const double sr = zr[l] + cr[l];
-      const double si = zi[l] - ci[l];
-      const double er = 0.5 * sr;
-      const double ei = 0.5 * si;
-      const double dr = zr[l] - cr[l];
-      const double di = zi[l] + ci[l];
-      const double odd_r = 0.0 * dr - (-0.5) * di;
-      const double odd_i = 0.0 * di + (-0.5) * dr;
-      orow[l] = er + (twr[k] * odd_r - twi[k] * odd_i);
-      irow[l] = ei + (twr[k] * odd_i + twi[k] * odd_r);
-    }
-  }
-}
-
 void deinterleave(const double* xy, std::size_t n, double* re, double* im) {
   std::size_t k = 0;
   for (; k + 4 <= n; k += 4) {
@@ -527,25 +348,6 @@ void subtract_scalar(const double* src, double mu, double* dst,
     _mm256_storeu_pd(dst + i, _mm256_sub_pd(_mm256_loadu_pd(src + i), mv));
   }
   for (; i < n; ++i) dst[i] = src[i] - mu;
-}
-
-void mul_rows_broadcast_real(const double* src, std::size_t rows,
-                             std::size_t lanes, const double* w, double* dst) {
-  for (std::size_t k = 0; k < rows; ++k) {
-    const double c_s = w[k];
-    const __m256d c = _mm256_set1_pd(c_s);
-    const double* s = src + k * lanes;
-    double* d = dst + k * lanes;
-    std::size_t l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-      _mm256_storeu_pd(d + l, _mm256_mul_pd(_mm256_loadu_pd(s + l), c));
-    }
-    for (; l + 2 <= lanes; l += 2) {
-      _mm_storeu_pd(d + l, _mm_mul_pd(_mm_loadu_pd(s + l),
-                                      _mm256_castpd256_pd128(c)));
-    }
-    for (; l < lanes; ++l) d[l] = s[l] * c_s;
-  }
 }
 
 void normalize_windows(const double* ps, const double* ps2, std::size_t ny,

@@ -39,34 +39,6 @@ void radix2_pass(double* re, double* im, std::size_t n, std::size_t len,
   }
 }
 
-void radix2_pass_batch(double* re, double* im, std::size_t n,
-                       std::size_t lanes, std::size_t len, const double* twr,
-                       const double* twi, bool inverse) {
-  const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < n; i += len) {
-    for (std::size_t k = 0; k < half; ++k) {
-      const double wr = twr[k];
-      const double wi = inverse ? -twi[k] : twi[k];
-      double* ure = re + (i + k) * lanes;
-      double* uim = im + (i + k) * lanes;
-      double* vre = re + (i + k + half) * lanes;
-      double* vim = im + (i + k + half) * lanes;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const double vr = vre[l];
-        const double vi = vim[l];
-        const double tr = vr * wr - vi * wi;
-        const double ti = vr * wi + vi * wr;
-        const double ur = ure[l];
-        const double ui = uim[l];
-        ure[l] = ur + tr;
-        uim[l] = ui + ti;
-        vre[l] = ur - tr;
-        vim[l] = ui - ti;
-      }
-    }
-  }
-}
-
 void divide2(double* re, double* im, std::size_t n, double d) {
   for (std::size_t i = 0; i < n; ++i) re[i] /= d;
   for (std::size_t i = 0; i < n; ++i) im[i] /= d;
@@ -89,23 +61,6 @@ void cmul_split_inplace(double* ar, double* ai, const double* br,
     const double xi = ai[i];
     ar[i] = xr * br[i] - xi * bi[i];
     ai[i] = xr * bi[i] + xi * br[i];
-  }
-}
-
-void cmul_rows_broadcast(double* re, double* im, std::size_t rows,
-                         std::size_t lanes, const double* wr,
-                         const double* wi) {
-  for (std::size_t k = 0; k < rows; ++k) {
-    const double cr = wr[k];
-    const double ci = wi[k];
-    double* rre = re + k * lanes;
-    double* rim = im + k * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const double xr = rre[l];
-      const double xi = rim[l];
-      rre[l] = xr * cr - xi * ci;
-      rim[l] = xr * ci + xi * cr;
-    }
   }
 }
 
@@ -146,31 +101,6 @@ void irfft_untangle(const Complex* bins, const double* twr, const double* twi,
   }
 }
 
-void rfft_untangle_batch(const double* hre, const double* him,
-                         const double* twr, const double* twi, std::size_t h,
-                         std::size_t lanes, double* out_re, double* out_im) {
-  for (std::size_t k = 1; k < h; ++k) {
-    const double* zr = hre + k * lanes;
-    const double* zi = him + k * lanes;
-    const double* cr = hre + (h - k) * lanes;
-    const double* ci = him + (h - k) * lanes;
-    double* orow = out_re + k * lanes;
-    double* irow = out_im + k * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const double sr = zr[l] + cr[l];
-      const double si = zi[l] - ci[l];
-      const double er = 0.5 * sr;
-      const double ei = 0.5 * si;
-      const double dr = zr[l] - cr[l];
-      const double di = zi[l] + ci[l];
-      const double odd_r = 0.0 * dr - (-0.5) * di;
-      const double odd_i = 0.0 * di + (-0.5) * dr;
-      orow[l] = er + (twr[k] * odd_r - twi[k] * odd_i);
-      irow[l] = ei + (twr[k] * odd_i + twi[k] * odd_r);
-    }
-  }
-}
-
 void deinterleave(const double* xy, std::size_t n, double* re, double* im) {
   for (std::size_t k = 0; k < n; ++k) {
     re[k] = xy[2 * k];
@@ -189,16 +119,6 @@ void interleave(const double* re, const double* im, std::size_t n,
 void subtract_scalar(const double* src, double mu, double* dst,
                      std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] - mu;
-}
-
-void mul_rows_broadcast_real(const double* src, std::size_t rows,
-                             std::size_t lanes, const double* w, double* dst) {
-  for (std::size_t k = 0; k < rows; ++k) {
-    const double c = w[k];
-    const double* s = src + k * lanes;
-    double* d = dst + k * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) d[l] = s[l] * c;
-  }
 }
 
 void normalize_windows(const double* ps, const double* ps2, std::size_t ny,

@@ -1,10 +1,12 @@
 // Runtime CPU-dispatched SIMD kernels for the DSP hot loops.
 //
 // Every arithmetic-dense inner loop of the rfft → cross-correlation →
-// sliding-Pearson → TDEB chain is routed through a table of function
-// pointers (`Ops`) resolved once at startup: an AVX2 backend on x86-64
-// hosts that support it, and a portable scalar backend that is always
-// built, runs everywhere else, and is the reference implementation.
+// sliding-Pearson → TDEB chain, and of the spectrogram's per-channel
+// rfft, is routed through a table of function pointers (`Ops`) resolved
+// once at startup: an AVX2 backend on x86-64 hosts that support it, and
+// a portable scalar backend that is always built, runs everywhere else,
+// and is the reference implementation.  All transforms are single-lane
+// (one signal per call), so no kernel here interleaves lanes.
 //
 // Equivalence contract (pinned by tests/test_simd_equivalence.cpp, see
 // DESIGN.md "SIMD dispatch layer" for the per-kernel table):
@@ -14,8 +16,9 @@
 //    FMA contraction and no reassociation — so the AVX2 and scalar
 //    backends produce bit-identical results.  This covers the radix-2
 //    butterfly passes, the rfft/irfft untangling epilogues, complex bin
-//    products, centered copies, window normalization, the batched
-//    row-parallel kernels and the TDEB clamp+bias+argmax epilogue.
+//    products (the Bluestein chirp and kernel multiplies among them),
+//    (de)interleaves, centered copies, window normalization, per-channel
+//    sums and the TDEB clamp+bias+argmax epilogue.
 //  * "ULP-bounded" kernels reassociate a reduction (vector partial
 //    accumulators, vectorized prefix scan).  Their divergence from the
 //    scalar backend is bounded by standard summation-error analysis:
@@ -68,13 +71,6 @@ struct Ops {
   void (*radix2_pass)(double* re, double* im, std::size_t n, std::size_t len,
                       const double* twr, const double* twi, bool inverse);
 
-  /// Batched variant: element (k, lane) of each of `lanes` independent
-  /// transforms lives at [k * lanes + lane].  Lanes never interact.
-  void (*radix2_pass_batch)(double* re, double* im, std::size_t n,
-                            std::size_t lanes, std::size_t len,
-                            const double* twr, const double* twi,
-                            bool inverse);
-
   /// x[i] /= d for both planes (the inverse-FFT 1/n normalization;
   /// division, not multiplication by the reciprocal, to match the scalar
   /// path bit for bit).
@@ -86,12 +82,6 @@ struct Ops {
   /// Split-layout bin product: (ar,ai)[i] *= (br,bi)[i].
   void (*cmul_split_inplace)(double* ar, double* ai, const double* br,
                              const double* bi, std::size_t n);
-
-  /// Row k (of `lanes` elements) of split data *= (wr[k], wi[k]), for
-  /// k < rows (Bluestein chirp/kernel multiplies).
-  void (*cmul_rows_broadcast)(double* re, double* im, std::size_t rows,
-                              std::size_t lanes, const double* wr,
-                              const double* wi);
 
   /// Real-FFT untangling epilogue, bins k = 1 .. h-1 (caller handles the
   /// purely real k = 0 and k = h bins):
@@ -106,12 +96,6 @@ struct Ops {
   void (*irfft_untangle)(const Complex* bins, const double* twr,
                          const double* twi, std::size_t h, double* out);
 
-  /// Batched rfft untangle over lane-interleaved rows, k = 1 .. h-1.
-  void (*rfft_untangle_batch)(const double* hre, const double* him,
-                              const double* twr, const double* twi,
-                              std::size_t h, std::size_t lanes,
-                              double* out_re, double* out_im);
-
   /// re[k] = xy[2k], im[k] = xy[2k+1] (complex AoS -> split).
   void (*deinterleave)(const double* xy, std::size_t n, double* re,
                        double* im);
@@ -123,12 +107,6 @@ struct Ops {
   /// dst[i] = src[i] - mu (centered copy).
   void (*subtract_scalar)(const double* src, double mu, double* dst,
                           std::size_t n);
-
-  /// Row k (of `lanes` elements) of dst = row k of src * w[k], k < rows
-  /// (the STFT window multiply applied to all channels/columns at once).
-  void (*mul_rows_broadcast_real)(const double* src, std::size_t rows,
-                                  std::size_t lanes, const double* w,
-                                  double* dst);
 
   /// Sliding-Pearson normalization epilogue over contiguous prefix sums:
   /// for each window n, var from (ps, ps2), degenerate guard, then

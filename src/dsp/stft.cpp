@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
-#include "dsp/batched_fft.hpp"
-#include "dsp/fft.hpp"
-#include "dsp/simd/simd.hpp"
+#include "dsp/fft_internal.hpp"
 
 namespace nsync::dsp {
 
@@ -34,75 +31,51 @@ std::size_t stft_bins(const StftConfig& cfg, double fs) {
   return stft_window_samples(cfg, fs) / 2 + 1;
 }
 
+namespace detail {
+
+StftColumn::StftColumn(const StftConfig& cfg, std::size_t n_win,
+                       std::size_t channels)
+    : channels_(channels),
+      log_magnitude_(cfg.log_magnitude),
+      plan_(get_rfft_plan(n_win)),
+      window_(cached_window(cfg.window, n_win)),
+      frame_(n_win),
+      re_(plan_->plane_size()),
+      im_(plan_->plane_size()),
+      bins_(n_win / 2 + 1) {}
+
+void StftColumn::compute(const double* block, double* row) {
+  const std::size_t n_win = frame_.size();
+  const std::size_t n_bins = bins_.size();
+  const double* window = window_->data();
+  for (std::size_t c = 0; c < channels_; ++c) {
+    for (std::size_t i = 0; i < n_win; ++i) {
+      frame_[i] = block[i * channels_ + c] * window[i];
+    }
+    rfft_split(frame_, bins_, re_.data(), im_.data(), *plan_);
+    double* out = row + c * n_bins;
+    for (std::size_t k = 0; k < n_bins; ++k) {
+      const double m = std::abs(bins_[k]);
+      out[k] = log_magnitude_ ? std::log1p(m) : m;
+    }
+  }
+}
+
+}  // namespace detail
+
 Signal spectrogram(const SignalView& s, const StftConfig& cfg) {
   const std::size_t n_win = stft_window_samples(cfg, s.sample_rate());
   const std::size_t n_hop = stft_hop_samples(cfg, s.sample_rate());
-  const std::size_t bins = n_win / 2 + 1;
   if (s.frames() < n_win) {
     throw std::invalid_argument(
         "spectrogram: signal shorter than one analysis window");
   }
   const std::size_t columns = (s.frames() - n_win) / n_hop + 1;
-  const auto window_ptr = cached_window(cfg.window, n_win);
-  const auto& window = *window_ptr;
-
-  Signal out(columns, bins * s.channels(), 1.0 / cfg.delta_t);
-  // Every transform below is a BatchedRfftPlan pass, which is bitwise
-  // equal per lane to rfft_magnitude on the same samples (same cached
-  // plans, same per-lane operation sequence), so the output matches the
-  // historical per-channel/per-column loop exactly.
-  if (s.channels() > 1) {
-    // Multichannel: one batched transform per column, all channels as
-    // lanes.  The interleaved frame block is already lane-interleaved,
-    // so windowing is a single row-broadcast multiply and the transform
-    // packs with plain row copies.
-    const std::size_t C = s.channels();
-    BatchedRfftPlan plan(n_win, C);
-    std::vector<double> winbuf(n_win * C);
-    std::vector<double> spec_re(bins * C);
-    std::vector<double> spec_im(bins * C);
-    for (std::size_t col = 0; col < columns; ++col) {
-      nsync::dsp::simd::ops().mul_rows_broadcast_real(
-          s.data() + col * n_hop * C, n_win, C, window.data(), winbuf.data());
-      plan.forward_interleaved(winbuf.data(), spec_re.data(), spec_im.data());
-      for (std::size_t c = 0; c < C; ++c) {
-        for (std::size_t k = 0; k < bins; ++k) {
-          const double m =
-              std::abs(Complex(spec_re[k * C + c], spec_im[k * C + c]));
-          out(col, c * bins + k) = cfg.log_magnitude ? std::log1p(m) : m;
-        }
-      }
-    }
-    return out;
-  }
-  // Single channel: batch hop-shifted columns as lanes instead (groups
-  // of up to 8 plus a remainder group), gathering the windowed samples
-  // into the lane-interleaved layout.
-  const double* data = s.data();
-  std::size_t group = std::min<std::size_t>(8, columns);
-  auto plan = std::make_unique<BatchedRfftPlan>(n_win, group);
-  std::vector<double> winbuf(n_win * group);
-  std::vector<double> spec_re(bins * group);
-  std::vector<double> spec_im(bins * group);
-  for (std::size_t col = 0; col < columns; col += group) {
-    if (columns - col < group) {
-      group = columns - col;  // remainder group gets its own plan
-      plan = std::make_unique<BatchedRfftPlan>(n_win, group);
-    }
-    for (std::size_t i = 0; i < n_win; ++i) {
-      double* row = winbuf.data() + i * group;
-      for (std::size_t j = 0; j < group; ++j) {
-        row[j] = data[(col + j) * n_hop + i] * window[i];
-      }
-    }
-    plan->forward_interleaved(winbuf.data(), spec_re.data(), spec_im.data());
-    for (std::size_t j = 0; j < group; ++j) {
-      for (std::size_t k = 0; k < bins; ++k) {
-        const double m = std::abs(
-            Complex(spec_re[k * group + j], spec_im[k * group + j]));
-        out(col + j, k) = cfg.log_magnitude ? std::log1p(m) : m;
-      }
-    }
+  const std::size_t C = s.channels();
+  Signal out(columns, (n_win / 2 + 1) * C, 1.0 / cfg.delta_t);
+  detail::StftColumn column(cfg, n_win, C);
+  for (std::size_t col = 0; col < columns; ++col) {
+    column.compute(s.data() + col * n_hop * C, out.frame(col).data());
   }
   return out;
 }

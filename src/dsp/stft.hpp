@@ -7,7 +7,10 @@
 #define NSYNC_DSP_STFT_HPP
 
 #include <cstddef>
+#include <memory>
+#include <vector>
 
+#include "dsp/fft.hpp"
 #include "dsp/windows.hpp"
 #include "signal/signal.hpp"
 
@@ -44,6 +47,34 @@ struct StftConfig {
 /// Throws std::invalid_argument when the signal is shorter than one window.
 [[nodiscard]] nsync::signal::Signal spectrogram(
     const nsync::signal::SignalView& s, const StftConfig& cfg);
+
+namespace detail {
+
+/// The spectrogram column routine shared by spectrogram() and
+/// StreamingStft: windows each channel of an n_win-frame interleaved block,
+/// runs it through the cached single-lane rfft, and writes its bin
+/// magnitudes (log1p'd when configured).  Owns the plan, the window and
+/// every scratch buffer, so compute() allocates nothing.
+class StftColumn {
+ public:
+  StftColumn(const StftConfig& cfg, std::size_t n_win, std::size_t channels);
+
+  /// `block` holds n_win frames of `channels` interleaved samples; writes
+  /// channels * bins values to `row`, bin k of channel c at c * bins + k.
+  void compute(const double* block, double* row);
+
+ private:
+  std::size_t channels_;
+  bool log_magnitude_;
+  std::shared_ptr<const RfftPlan> plan_;
+  std::shared_ptr<const std::vector<double>> window_;
+  std::vector<double> frame_;  ///< one windowed channel
+  std::vector<double> re_;     ///< split FFT planes
+  std::vector<double> im_;
+  std::vector<Complex> bins_;
+};
+
+}  // namespace detail
 
 }  // namespace nsync::dsp
 

@@ -1,10 +1,6 @@
 #include "dsp/streaming_stft.hpp"
 
-#include <cmath>
 #include <stdexcept>
-
-#include "dsp/fft.hpp"
-#include "dsp/simd/simd.hpp"
 
 namespace nsync::dsp {
 
@@ -13,20 +9,14 @@ using nsync::signal::SignalView;
 
 StreamingStft::StreamingStft(const StftConfig& config, double input_rate,
                              std::size_t input_channels)
-    : config_(config),
-      channels_(input_channels),
+    : channels_(input_channels),
       n_win_(stft_window_samples(config, input_rate)),
       n_hop_(stft_hop_samples(config, input_rate)),
       bins_(n_win_ / 2 + 1),
-      window_(cached_window(config.window, n_win_)),
       input_buffer_(input_channels, input_rate),
       output_(Signal::empty(input_channels * (n_win_ / 2 + 1),
                             1.0 / config.delta_t)),
-      batched_(n_win_,
-               input_channels == 0 ? 1 : input_channels),  // checked below
-      winbuf_(n_win_ * input_channels),
-      spec_re_(bins_ * input_channels),
-      spec_im_(bins_ * input_channels),
+      column_(config, n_win_, input_channels),
       row_(input_channels * bins_) {
   if (input_channels == 0) {
     throw std::invalid_argument("StreamingStft: need at least one channel");
@@ -47,23 +37,9 @@ std::size_t StreamingStft::push(const SignalView& frames) {
 bool StreamingStft::emit_next_column() {
   if (next_start_ + n_win_ > input_buffer_.end()) return false;
   const auto win = input_buffer_.view(next_start_, next_start_ + n_win_);
-  // All channels through one batched transform (channels as lanes): the
-  // interleaved window block is windowed with a single row-broadcast
-  // multiply and packs into the plan with contiguous row copies.  The
-  // per-lane arithmetic is identical to rfft_magnitude per channel, so
-  // columns stay byte-identical to the offline spectrogram().  Scratch
-  // lives in the members — no allocation per column.
-  nsync::dsp::simd::ops().mul_rows_broadcast_real(
-      win.data(), n_win_, channels_, window_->data(), winbuf_.data());
-  batched_.forward_interleaved(winbuf_.data(), spec_re_.data(),
-                               spec_im_.data());
-  for (std::size_t c = 0; c < channels_; ++c) {
-    for (std::size_t k = 0; k < bins_; ++k) {
-      const double m = std::abs(Complex(spec_re_[k * channels_ + c],
-                                        spec_im_[k * channels_ + c]));
-      row_[c * bins_ + k] = config_.log_magnitude ? std::log1p(m) : m;
-    }
-  }
+  // The same column routine as the offline spectrogram(), so columns are
+  // byte-identical to it.
+  column_.compute(win.data(), row_.data());
   output_.append_frame(row_);
   next_start_ += n_hop_;
   return true;

@@ -9,10 +9,8 @@
 #define NSYNC_DSP_STREAMING_STFT_HPP
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "dsp/batched_fft.hpp"
 #include "dsp/stft.hpp"
 #include "signal/ring_buffer.hpp"
 #include "signal/signal.hpp"
@@ -45,24 +43,19 @@ class StreamingStft {
  private:
   bool emit_next_column();
 
-  StftConfig config_;
   std::size_t channels_;
   std::size_t n_win_;
   std::size_t n_hop_;
   std::size_t bins_;
-  std::shared_ptr<const std::vector<double>> window_;
   // Raw frames before next_start_ belong to already-emitted columns and
   // are dropped, so buffering stays O(n_win + chunk) over a long stream.
   nsync::signal::FrameRingBuffer input_buffer_;
   nsync::signal::Signal output_;
   std::size_t next_start_ = 0;  // raw index of the next column's window
-  // One batched transform per column (channels as lanes) with all
-  // scratch owned here, so a steady-state column emit allocates nothing.
-  BatchedRfftPlan batched_;
-  std::vector<double> winbuf_;   ///< windowed frames, lane-interleaved
-  std::vector<double> spec_re_;  ///< split spectrum planes
-  std::vector<double> spec_im_;
-  std::vector<double> row_;      ///< assembled output column
+  // The offline spectrogram's column routine, with all scratch owned
+  // here, so a steady-state column emit allocates nothing.
+  detail::StftColumn column_;
+  std::vector<double> row_;  ///< assembled output column
 };
 
 }  // namespace nsync::dsp

@@ -4,7 +4,8 @@
 // full TDEB window — must not touch the heap.  One layer up, a
 // MonitorEngine sizes everything at admission, so no feed or drain
 // allocates from the first window on: staging, monitors and the fused
-// verdict refresh.
+// verdict refresh.  The offline spectrogram likewise allocates only its
+// output and per-call scratch, never per column.
 //
 // The check replaces the global allocation functions with counting
 // versions; counting is enabled only around the measured pushes, so the
@@ -22,6 +23,7 @@
 #include "core/dwm.hpp"
 #include "core/fusion.hpp"
 #include "core/nsync.hpp"
+#include "dsp/stft.hpp"
 #include "engine/monitor_engine.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
@@ -239,6 +241,55 @@ TEST(AllocHotPath, EngineDrainUnderWeightedIsAllocationFree) {
           WeightedPolicyConfig{},
           std::vector<std::pair<std::string, double>>{{"ACC", 0.6},
                                                       {"AUD", 0.4}}));
+}
+
+/// Heap allocations made by one spectrogram() call.
+std::size_t spectrogram_allocations(const Signal& s,
+                                    const dsp::StftConfig& cfg) {
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  const Signal spec = dsp::spectrogram(s, cfg);
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_GT(spec.frames(), 0u);
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+TEST(AllocHotPath, SpectrogramAllocatesNothingPerColumn) {
+  // A 1000-column spectrogram must make exactly as many allocations as a
+  // 100-column one of the same geometry: the output signal and the
+  // column routine's scratch, nothing per column or per channel.
+  struct Geometry {
+    double fs;
+    double delta_f;
+    double delta_t;
+    std::size_t channels;
+  };
+  const Geometry geometries[] = {
+      {400.0, 20.0, 1.0 / 80.0, 1},     // n_win 20, hop 5
+      {4000.0, 120.0, 1.0 / 240.0, 2},  // n_win 33, hop 17
+      {1024.0, 16.0, 1.0 / 64.0, 3},    // n_win 64, hop 16
+  };
+  for (const Geometry& g : geometries) {
+    dsp::StftConfig cfg;
+    cfg.delta_f = g.delta_f;
+    cfg.delta_t = g.delta_t;
+    const std::size_t n_win = dsp::stft_window_samples(cfg, g.fs);
+    const std::size_t n_hop = dsp::stft_hop_samples(cfg, g.fs);
+    auto input = [&](std::size_t columns, std::uint64_t seed) {
+      Signal s = smoothed_noise((columns - 1) * n_hop + n_win, g.channels,
+                                seed);
+      s.set_sample_rate(g.fs);
+      return s;
+    };
+    const Signal short_input = input(100, 11);
+    const Signal long_input = input(1000, 12);
+    (void)dsp::spectrogram(short_input, cfg);  // build the cached plans
+    const std::size_t short_allocs =
+        spectrogram_allocations(short_input, cfg);
+    const std::size_t long_allocs = spectrogram_allocations(long_input, cfg);
+    EXPECT_EQ(long_allocs, short_allocs)
+        << "n_win " << n_win << " channels " << g.channels;
+  }
 }
 
 }  // namespace

@@ -6,11 +6,13 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
 #include "dsp/fft.hpp"
 #include "dsp/reference/reference.hpp"
+#include "dsp/simd/simd.hpp"
 #include "runtime/thread_pool.hpp"
 #include "signal/rng.hpp"
 
@@ -185,6 +187,27 @@ TEST(Rfft, IrfftRejectsWrongBinCount) {
   std::vector<Complex> bins(5);
   EXPECT_THROW(irfft(bins, 16), std::invalid_argument);
   EXPECT_EQ(irfft(bins, 0).size(), 0u);
+}
+
+TEST(Rfft, PlannedMatchesUnplannedReferenceBitwise) {
+  // Every length has a cached real-FFT plan (radix-2 half, Bluestein half
+  // or odd Bluestein), and each must reproduce the complex-fft() route it
+  // replaced bit for bit, under every backend the host can run.
+  const simd::Isa saved = simd::active_isa();
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+    if (!simd::set_backend(isa)) continue;
+    for (std::size_t n = 1; n <= 1100; ++n) {
+      const auto x = random_real(n, 7000 + n);
+      const std::vector<Complex> planned = rfft(x);
+      const std::vector<Complex> reference = rfft_unplanned(x);
+      ASSERT_EQ(planned.size(), reference.size()) << "n=" << n;
+      EXPECT_EQ(std::memcmp(planned.data(), reference.data(),
+                            planned.size() * sizeof(Complex)),
+                0)
+          << "n=" << n << " isa=" << simd::isa_name(isa);
+    }
+  }
+  simd::set_backend(saved);
 }
 
 TEST(Rfft, PlanCacheCountsRealPlansSeparately) {

@@ -2,10 +2,9 @@
 // contract (see DESIGN.md "SIMD dispatch layer").
 //
 //  * Bitwise claims: the radix-2/rfft/irfft pipeline, the cross-correlation
-//    bin product, the batched (lane-interleaved) transforms and the TDEB
-//    epilogue produce bit-identical results under every compiled-in
-//    backend, across a size sweep covering all three planner modes (pow2,
-//    even-Bluestein, odd-Bluestein).
+//    bin product and the TDEB epilogue produce bit-identical results under
+//    every compiled-in backend, across a size sweep covering all three
+//    planner modes (pow2, even-Bluestein, odd-Bluestein).
 //  * ULP-bounded claims: kernels that reassociate a reduction (sum,
 //    centered energy, prefix sums) may differ from the scalar backend by
 //    at most the standard summation bound |a-b| <= 2*n*eps*sum|terms|,
@@ -31,7 +30,6 @@
 
 #include "core/nsync.hpp"
 #include "core/tde.hpp"
-#include "dsp/batched_fft.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fft_internal.hpp"
 #include "dsp/simd/simd.hpp"
@@ -52,7 +50,6 @@ using nsync::core::SyncMethod;
 using nsync::core::TdeOptions;
 using nsync::core::TdeWorkspace;
 using nsync::core::Thresholds;
-using nsync::dsp::BatchedRfftPlan;
 using nsync::dsp::Complex;
 using nsync::engine::ChannelSpec;
 using nsync::engine::MonitorEngine;
@@ -233,58 +230,6 @@ TEST(SimdBitwise, TdebEpilogueSameArgmaxAcrossBackends) {
                                                  100.0, 12.0, TdeOptions{}, ws),
               ref)
         << simd::isa_name(isa);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched transforms
-
-TEST(SimdBatched, ForwardMatchesPerLaneRfftBitwise) {
-  BackendGuard guard;
-  const auto backends = available_backends();
-  const std::size_t lanes = 3;
-  for (const std::size_t n : kSweepSizes) {
-    std::vector<std::vector<double>> lane_data;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      lane_data.push_back(random_vector(n, 0xB000 + n * 8 + l));
-    }
-    for (const simd::Isa isa : backends) {
-      ASSERT_TRUE(simd::set_backend(isa));
-      BatchedRfftPlan plan(n, lanes);
-      const std::size_t bins = plan.bins();
-      // Strided pack: lane l starts at x + l * n.
-      std::vector<double> packed(n * lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        std::copy(lane_data[l].begin(), lane_data[l].end(),
-                  packed.begin() + l * n);
-      }
-      std::vector<double> sre(bins * lanes);
-      std::vector<double> sim(bins * lanes);
-      plan.forward(packed.data(), n, sre.data(), sim.data());
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::vector<Complex> ref = nsync::dsp::rfft(lane_data[l]);
-        for (std::size_t k = 0; k < bins; ++k) {
-          EXPECT_EQ(sre[k * lanes + l], ref[k].real())
-              << "n=" << n << " l=" << l << " k=" << k << " "
-              << simd::isa_name(isa);
-          EXPECT_EQ(sim[k * lanes + l], ref[k].imag())
-              << "n=" << n << " l=" << l << " k=" << k << " "
-              << simd::isa_name(isa);
-        }
-      }
-      // Interleaved pack produces the same spectra.
-      std::vector<double> inter(n * lanes);
-      for (std::size_t k = 0; k < n; ++k) {
-        for (std::size_t l = 0; l < lanes; ++l) {
-          inter[k * lanes + l] = lane_data[l][k];
-        }
-      }
-      std::vector<double> sre2(bins * lanes);
-      std::vector<double> sim2(bins * lanes);
-      plan.forward_interleaved(inter.data(), sre2.data(), sim2.data());
-      EXPECT_EQ(sre2, sre) << "n=" << n << " " << simd::isa_name(isa);
-      EXPECT_EQ(sim2, sim) << "n=" << n << " " << simd::isa_name(isa);
-    }
   }
 }
 

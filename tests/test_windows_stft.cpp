@@ -2,10 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
+#include <utility>
+#include <vector>
 
+#include "dsp/reference/reference.hpp"
+#include "dsp/simd/simd.hpp"
 #include "dsp/stft.hpp"
 #include "dsp/windows.hpp"
+#include "eval/setup.hpp"
+#include "signal/rng.hpp"
 #include "signal/signal.hpp"
 
 namespace nsync::dsp {
@@ -151,6 +159,84 @@ TEST(Stft, LogMagnitudeCompresses) {
   EXPECT_GT(max_lin, 100.0);
   EXPECT_LT(max_log, 12.0);
   EXPECT_NEAR(max_log, std::log1p(max_lin), 1e-9);
+}
+
+/// The spectrogram one column and one channel at a time through
+/// rfft_unplanned, the complex-fft() route the planned rfft replaced.
+nsync::signal::Signal reference_spectrogram(const nsync::signal::Signal& s,
+                                            const StftConfig& cfg) {
+  const std::size_t n_win = stft_window_samples(cfg, s.sample_rate());
+  const std::size_t n_hop = stft_hop_samples(cfg, s.sample_rate());
+  const std::size_t bins = n_win / 2 + 1;
+  const std::size_t columns = (s.frames() - n_win) / n_hop + 1;
+  const std::vector<double> window = make_window(cfg.window, n_win);
+  nsync::signal::Signal out(columns, bins * s.channels(), 1.0 / cfg.delta_t);
+  std::vector<double> x(n_win);
+  for (std::size_t col = 0; col < columns; ++col) {
+    for (std::size_t c = 0; c < s.channels(); ++c) {
+      for (std::size_t i = 0; i < n_win; ++i) {
+        x[i] = s(col * n_hop + i, c) * window[i];
+      }
+      const std::vector<Complex> spec = rfft_unplanned(x);
+      for (std::size_t k = 0; k < bins; ++k) {
+        const double m = std::abs(spec[k]);
+        out(col, c * bins + k) = cfg.log_magnitude ? std::log1p(m) : m;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Stft, SpectrogramMatchesPerChannelReferenceBitwise) {
+  using nsync::sensors::SideChannel;
+  struct Geometry {
+    const char* name;
+    StftConfig cfg;
+    double fs;
+    std::size_t channels;
+  };
+  // The six Table III geometries at the evaluation rates (n_win 20 or 33,
+  // PWR with the boxcar window), a power-of-two window, and log1p
+  // magnitudes on the odd-length AUD window.
+  std::vector<Geometry> geometries;
+  const std::pair<SideChannel, std::size_t> roster[] = {
+      {SideChannel::kAcc, 6}, {SideChannel::kTmp, 1}, {SideChannel::kMag, 3},
+      {SideChannel::kAud, 2}, {SideChannel::kEpt, 1}, {SideChannel::kPwr, 1}};
+  for (const auto& [ch, channels] : roster) {
+    geometries.push_back({"table3", nsync::eval::table3_stft(ch),
+                          nsync::eval::eval_channel_rate(ch), channels});
+  }
+  StftConfig pow2;
+  pow2.delta_f = 16.0;  // 64-sample window at 1024 Hz
+  pow2.delta_t = 1.0 / 64.0;
+  geometries.push_back({"pow2", pow2, 1024.0, 3});
+  StftConfig log_aud = nsync::eval::table3_stft(SideChannel::kAud);
+  log_aud.log_magnitude = true;
+  geometries.push_back({"log1p", log_aud, 4000.0, 2});
+
+  const simd::Isa saved = simd::active_isa();
+  for (const Geometry& g : geometries) {
+    nsync::signal::Rng rng(g.channels * 1000 +
+                           static_cast<std::uint64_t>(g.fs));
+    nsync::signal::Signal s(static_cast<std::size_t>(2.0 * g.fs), g.channels,
+                            g.fs);
+    for (std::size_t n = 0; n < s.frames(); ++n) {
+      for (std::size_t c = 0; c < g.channels; ++c) s(n, c) = rng.normal();
+    }
+    for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+      if (!simd::set_backend(isa)) continue;
+      const auto got = spectrogram(s, g.cfg);
+      const auto want = reference_spectrogram(s, g.cfg);
+      ASSERT_EQ(got.frames(), want.frames()) << g.name;
+      ASSERT_EQ(got.channels(), want.channels()) << g.name;
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.frames() * got.channels() * sizeof(double)),
+                0)
+          << g.name << " fs=" << g.fs << " C=" << g.channels
+          << " isa=" << simd::isa_name(isa);
+    }
+  }
+  simd::set_backend(saved);
 }
 
 TEST(Stft, ErrorsOnShortSignalOrBadConfig) {
