@@ -13,10 +13,14 @@
 //      deliberately bypassing the CRC gate so the deep session/channel
 //      decoding gets fuzzed rather than just the checksum.
 //   3. decode_session_spec — the payload of a per-session spec file, the
-//      one part of a checkpoint restore(path) reads from beside it.
+//      one part of a checkpoint restore(path) reads from beside it.  An
+//      accepted spec must re-encode to exactly the input bytes.
+//
+// tests/golden/session.spec (and its bare payload) seeds the corpus.
 //
 // Build: cmake -DNSYNC_BUILD_FUZZERS=ON (requires Clang; see
 // fuzz/CMakeLists.txt).  Run: ./fuzz/fuzz_checkpoint -max_total_time=60
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -49,10 +53,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   try {
     const nsync::engine::SessionSpec spec =
         nsync::engine::decode_session_spec(bytes);
-    // Round-trip: an accepted spec re-encodes to bytes that decode again.
+    // The decoder accepts only canonical encodings: re-encoding gives
+    // back exactly the input.
     nsync::signal::ByteWriter w;
     nsync::engine::save_session_spec(w, spec);
-    (void)nsync::engine::decode_session_spec(w.data());
+    if (!std::ranges::equal(w.data(), bytes)) {
+      __builtin_trap();
+    }
   } catch (const nsync::signal::CheckpointError&) {
     // Expected for malformed input.
   }

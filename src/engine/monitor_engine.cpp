@@ -299,18 +299,16 @@ constexpr std::uint8_t kSpecsInTable = 1;
 
 void MonitorEngine::encode_spec(nsync::signal::ByteWriter& w,
                                 const Session& s) {
-  // Field for field what save_session_spec writes for the admitted spec
-  // (the policy slot always holds the effective policy), built from the
-  // live monitors instead of a SessionSpec copy.
+  // save_session_spec's field list over the live monitors (the policy
+  // slot holds the effective policy), with no SessionSpec copy.
   const std::size_t begin = w.data().size();
-  w.str(s.name);
-  w.str(s.model);
-  save_fusion_policy(w, *s.policy);
-  w.pod<std::uint64_t>(s.channels.size());
-  for (const auto& c : s.channels) {
-    save_channel_spec(w, c.name, SignalView(c.monitor.reference()),
-                      c.monitor.config(), c.monitor.thresholds());
-  }
+  FieldWriter io(w);
+  session_fields(io, s.name, s.model, *s.policy, s.channels,
+                 [&w](const Channel& c) {
+                   save_channel_spec(w, c.name, c.monitor.reference(),
+                                     c.monitor.config(),
+                                     c.monitor.thresholds());
+                 });
   if (!s.spec_ref) {
     const auto bytes = w.data().subspan(begin);
     s.spec_ref = SpecRef{bytes.size(),

@@ -17,67 +17,83 @@ using nsync::signal::CheckpointError;
 using nsync::signal::CheckpointErrorKind;
 using nsync::signal::SignalView;
 
+std::uint8_t FieldReader::checked_flag(const char* what) {
+  const auto v = r_.pod<std::uint8_t>();
+  if (v > 1) out_of_range(what, v);
+  return v;
+}
+
+void FieldReader::out_of_range(const char* what, std::uint64_t v) {
+  throw CheckpointError(CheckpointErrorKind::kCorrupt,
+                        std::string(what) + " " + std::to_string(v) +
+                            " out of range");
+}
+
+namespace {
+
+template <class Io>
+void nsync_config_fields(Io& io, FieldRef<Io, core::NsyncConfig> cfg) {
+  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
+                "size_t fields are u64 on the wire");
+  io.enumeration(cfg.sync, core::SyncMethod::kDwm, core::SyncMethod::kDtw,
+                 "sync method");
+  io.pod(cfg.dwm.n_win);
+  io.pod(cfg.dwm.n_hop);
+  io.pod(cfg.dwm.n_ext);
+  io.pod(cfg.dwm.n_sigma);
+  io.pod(cfg.dwm.eta);
+  io.flag(cfg.dwm.tde.use_fft, "use_fft flag");
+  io.pod(cfg.dtw_radius);
+  io.enumeration(cfg.metric, core::DistanceMetric::kCorrelation,
+                 core::DistanceMetric::kMae, "distance metric");
+  io.pod(cfg.filter_window);
+  io.pod(cfg.r);
+  io.pod(cfg.health.history);
+  io.pod(cfg.health.degraded_fraction);
+  io.pod(cfg.health.offline_consecutive);
+  io.pod(cfg.health.recovery_consecutive);
+}
+
+template <class Io>
+void thresholds_fields(Io& io, FieldRef<Io, core::Thresholds> t) {
+  io.pod(t.c_c);
+  io.pod(t.h_c);
+  io.pod(t.v_c);
+}
+
+/// name | reference signal | config | thresholds, each piece by reference.
+template <class Io>
+void channel_fields(Io& io, auto& name, auto& reference, auto& config,
+                    auto& thresholds) {
+  io.str(name);
+  io.signal(reference);
+  nsync_config_fields(io, config);
+  thresholds_fields(io, thresholds);
+}
+
+}  // namespace
+
 void save_nsync_config(ByteWriter& w, const core::NsyncConfig& cfg) {
-  w.pod<std::uint32_t>(static_cast<std::uint32_t>(cfg.sync));
-  w.pod<std::uint64_t>(cfg.dwm.n_win);
-  w.pod<std::uint64_t>(cfg.dwm.n_hop);
-  w.pod<std::uint64_t>(cfg.dwm.n_ext);
-  w.pod<double>(cfg.dwm.n_sigma);
-  w.pod<double>(cfg.dwm.eta);
-  w.pod<std::uint8_t>(cfg.dwm.tde.use_fft ? 1 : 0);
-  w.pod<std::uint64_t>(cfg.dtw_radius);
-  w.pod<std::uint32_t>(static_cast<std::uint32_t>(cfg.metric));
-  w.pod<std::uint64_t>(cfg.filter_window);
-  w.pod<double>(cfg.r);
-  w.pod<std::uint64_t>(cfg.health.history);
-  w.pod<double>(cfg.health.degraded_fraction);
-  w.pod<std::uint64_t>(cfg.health.offline_consecutive);
-  w.pod<std::uint64_t>(cfg.health.recovery_consecutive);
+  FieldWriter io(w);
+  nsync_config_fields(io, cfg);
 }
 
 core::NsyncConfig load_nsync_config(ByteReader& r) {
   core::NsyncConfig cfg;
-  const auto sync = r.pod<std::uint32_t>();
-  if (sync > static_cast<std::uint32_t>(core::SyncMethod::kDtw)) {
-    throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                          "session codec: unknown sync method " +
-                              std::to_string(sync));
-  }
-  cfg.sync = static_cast<core::SyncMethod>(sync);
-  cfg.dwm.n_win = r.pod<std::uint64_t>();
-  cfg.dwm.n_hop = r.pod<std::uint64_t>();
-  cfg.dwm.n_ext = r.pod<std::uint64_t>();
-  cfg.dwm.n_sigma = r.pod<double>();
-  cfg.dwm.eta = r.pod<double>();
-  cfg.dwm.tde.use_fft = r.pod<std::uint8_t>() != 0;
-  cfg.dtw_radius = r.pod<std::uint64_t>();
-  const auto metric = r.pod<std::uint32_t>();
-  if (metric > static_cast<std::uint32_t>(core::DistanceMetric::kCorrelation)) {
-    throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                          "session codec: unknown distance metric " +
-                              std::to_string(metric));
-  }
-  cfg.metric = static_cast<core::DistanceMetric>(metric);
-  cfg.filter_window = r.pod<std::uint64_t>();
-  cfg.r = r.pod<double>();
-  cfg.health.history = r.pod<std::uint64_t>();
-  cfg.health.degraded_fraction = r.pod<double>();
-  cfg.health.offline_consecutive = r.pod<std::uint64_t>();
-  cfg.health.recovery_consecutive = r.pod<std::uint64_t>();
+  FieldReader io(r);
+  nsync_config_fields(io, cfg);
   return cfg;
 }
 
 void save_thresholds(ByteWriter& w, const core::Thresholds& t) {
-  w.pod<double>(t.c_c);
-  w.pod<double>(t.h_c);
-  w.pod<double>(t.v_c);
+  FieldWriter io(w);
+  thresholds_fields(io, t);
 }
 
 core::Thresholds load_thresholds(ByteReader& r) {
   core::Thresholds t;
-  t.c_c = r.pod<double>();
-  t.h_c = r.pod<double>();
-  t.v_c = r.pod<double>();
+  FieldReader io(r);
+  thresholds_fields(io, t);
   return t;
 }
 
@@ -85,23 +101,19 @@ void save_channel_spec(ByteWriter& w, const std::string& name,
                        const SignalView& reference,
                        const core::NsyncConfig& config,
                        const core::Thresholds& thresholds) {
-  w.str(name);
-  w.signal(reference);
-  save_nsync_config(w, config);
-  save_thresholds(w, thresholds);
+  FieldWriter io(w);
+  channel_fields(io, name, reference, config, thresholds);
 }
 
 void save_channel_spec(ByteWriter& w, const ChannelSpec& spec) {
-  save_channel_spec(w, spec.name, SignalView(spec.reference), spec.config,
-                    spec.thresholds);
+  FieldWriter io(w);
+  channel_fields(io, spec.name, spec.reference, spec.config, spec.thresholds);
 }
 
 ChannelSpec load_channel_spec(ByteReader& r) {
   ChannelSpec spec;
-  spec.name = r.str();
-  spec.reference = r.signal();
-  spec.config = load_nsync_config(r);
-  spec.thresholds = load_thresholds(r);
+  FieldReader io(r);
+  channel_fields(io, spec.name, spec.reference, spec.config, spec.thresholds);
   return spec;
 }
 
@@ -152,17 +164,6 @@ std::shared_ptr<const core::FusionPolicy> load_fusion_policy(ByteReader& r) {
             std::to_string(kFusionPolicyVersion) + ")");
   }
   const auto kind = r.pod<std::uint8_t>();
-  if (kind == static_cast<std::uint8_t>(core::FusionPolicyKind::kVoting)) {
-    // Explicit voting form: accepted for symmetry, never emitted.
-    const auto rule = r.pod<std::uint32_t>();
-    if (rule > static_cast<std::uint32_t>(core::FusionRule::kAll)) {
-      throw CheckpointError(
-          CheckpointErrorKind::kCorrupt,
-          "session codec: unknown fusion rule " + std::to_string(rule));
-    }
-    return std::make_shared<core::VotingPolicy>(
-        static_cast<core::FusionRule>(rule));
-  }
   if (kind != static_cast<std::uint8_t>(core::FusionPolicyKind::kWeighted)) {
     throw CheckpointError(
         CheckpointErrorKind::kCorrupt,
@@ -207,39 +208,26 @@ std::shared_ptr<const core::FusionPolicy> load_fusion_policy(ByteReader& r) {
 }
 
 void save_session_spec(ByteWriter& w, const SessionSpec& spec) {
-  w.str(spec.name);
-  w.str(spec.model);
-  if (spec.policy) {
-    save_fusion_policy(w, *spec.policy);
-  } else {
-    w.pod<std::uint32_t>(static_cast<std::uint32_t>(spec.rule));
-  }
-  w.pod<std::uint64_t>(spec.channels.size());
-  for (const auto& c : spec.channels) save_channel_spec(w, c);
+  const core::VotingPolicy voting(spec.rule);
+  FieldWriter io(w);
+  session_fields(io, spec.name, spec.model,
+                 spec.policy ? *spec.policy : voting, spec.channels,
+                 [&w](const ChannelSpec& c) { save_channel_spec(w, c); });
 }
 
 SessionSpec load_session_spec(ByteReader& r) {
   SessionSpec spec;
-  spec.name = r.str();
-  spec.model = r.str();
-  spec.policy = load_fusion_policy(r);
-  if (const auto* voting =
-          dynamic_cast<const core::VotingPolicy*>(spec.policy.get())) {
-    spec.rule = voting->rule();
-  } else {
-    spec.rule = core::FusionRule::kAny;
-  }
-  const auto n_channels = r.pod<std::uint64_t>();
-  if (n_channels == 0 || n_channels > r.remaining()) {
+  FieldReader io(r);
+  session_fields(io, spec.name, spec.model, spec.policy, spec.channels,
+                 [&r](ChannelSpec& c) { c = load_channel_spec(r); });
+  if (spec.channels.empty()) {
     throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                          "session codec: implausible channel count in "
-                          "session '" +
-                              spec.name + "'");
+                          "session codec: session '" + spec.name +
+                              "' has no channels");
   }
-  spec.channels.reserve(n_channels);
-  for (std::uint64_t i = 0; i < n_channels; ++i) {
-    spec.channels.push_back(load_channel_spec(r));
-  }
+  const auto* voting =
+      dynamic_cast<const core::VotingPolicy*>(spec.policy.get());
+  spec.rule = voting != nullptr ? voting->rule() : core::FusionRule::kAny;
   return spec;
 }
 

@@ -1,5 +1,7 @@
 #include "engine/wire_protocol.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <utility>
 
@@ -14,400 +16,176 @@ using nsync::signal::ByteReader;
 using nsync::signal::ByteWriter;
 using nsync::signal::CheckpointError;
 
-void save_payload(ByteWriter& w, const Hello& m) {
-  w.pod<std::uint32_t>(m.version);
-  w.str(m.client);
+// One field list per payload, in wire order; FieldWriter runs it to
+// encode and FieldReader to decode (see session_codec.hpp).
+
+template <class Io>
+void fields(Io& io, FieldRef<Io, Hello> m) {
+  io.pod(m.version);
+  io.str(m.client);
 }
 
-Hello load_hello(ByteReader& r) {
-  Hello m;
-  m.version = r.pod<std::uint32_t>();
-  m.client = r.str();
-  return m;
+template <class Io>
+void fields(Io& io, FieldRef<Io, HelloOk> m) {
+  io.pod(m.version);
+  io.pod(m.shards);
+  io.pod(m.sessions);
 }
 
-void save_payload(ByteWriter& w, const HelloOk& m) {
-  w.pod<std::uint32_t>(m.version);
-  w.pod<std::uint64_t>(m.shards);
-  w.pod<std::uint64_t>(m.sessions);
+template <class Io>
+void fields(Io& io, FieldRef<Io, AddSession> m) {
+  io.spec(m.spec);
 }
 
-HelloOk load_hello_ok(ByteReader& r) {
-  HelloOk m;
-  m.version = r.pod<std::uint32_t>();
-  m.shards = r.pod<std::uint64_t>();
-  m.sessions = r.pod<std::uint64_t>();
-  return m;
+template <class Io>
+void fields(Io& io, FieldRef<Io, AddSessionOk> m) {
+  io.pod(m.session);
+  io.pod(m.shard);
 }
 
-void save_payload(ByteWriter& w, const AddSession& m) {
-  save_session_spec(w, m.spec);
+template <class Io>
+void fields(Io& io, FieldRef<Io, Feed> m) {
+  io.pod(m.session);
+  io.str(m.channel);
+  io.signal(m.frames);
 }
 
-AddSession load_add_session(ByteReader& r) {
-  AddSession m;
-  m.spec = load_session_spec(r);
-  return m;
+template <class Io>
+void fields(Io& io, FieldRef<Io, FeedOk> m) {
+  io.pod(m.accepted_frames);
+  io.pod(m.shed_frames);
+  io.pod(m.queued_frames);
 }
 
-void save_payload(ByteWriter& w, const AddSessionOk& m) {
-  w.pod<std::uint64_t>(m.session);
-  w.pod<std::uint64_t>(m.shard);
+template <class Io>
+void fields(Io& io, FieldRef<Io, PollStats> m) {
+  io.flag(m.include_sessions, "POLL_STATS include_sessions flag");
 }
 
-AddSessionOk load_add_session_ok(ByteReader& r) {
-  AddSessionOk m;
-  m.session = r.pod<std::uint64_t>();
-  m.shard = r.pod<std::uint64_t>();
-  return m;
+template <class Io>
+void fields(Io& io, FieldRef<Io, StatsShard> s) {
+  io.pod(s.shard);
+  io.pod(s.sessions);
+  io.pod(s.queued_frames);
+  io.pod(s.peak_queued_frames);
+  io.pod(s.enqueued_frames);
+  io.pod(s.shed_frames);
+  io.pod(s.rejected_frames);
+  io.pod(s.batches);
+  io.pod(s.polls);
+  io.pod(s.windows);
+  io.pod(s.feed_errors);
+  io.flag(s.failed, "STATS shard failed flag");
+  io.pod(s.restarts);
+  io.pod(s.discarded_frames);
+  io.pod(s.checkpoints_written);
+  io.pod(s.latency_samples);
+  io.pod(s.p50_feed_to_verdict_us);
+  io.pod(s.p99_feed_to_verdict_us);
+  io.flag(s.in_flight, "STATS shard in_flight flag");
 }
 
-void save_payload(ByteWriter& w, const Feed& m) {
-  w.pod<std::uint64_t>(m.session);
-  w.str(m.channel);
-  w.signal(nsync::signal::SignalView(m.frames));
+template <class Io>
+void fields(Io& io, FieldRef<Io, StatsChannel> c) {
+  io.str(c.name);
+  io.flag(c.alarm, "STATS channel alarm flag");
+  io.enumeration(c.health, core::ChannelHealth::kHealthy,
+                 core::ChannelHealth::kOffline, "STATS channel health");
+  io.pod(c.score);
+  io.pod(c.weight);
+  io.pod(c.windows);
+  io.pod(c.frames_fed);
 }
 
-Feed load_feed(ByteReader& r) {
-  Feed m;
-  m.session = r.pod<std::uint64_t>();
-  m.channel = r.str();
-  m.frames = r.signal();
-  return m;
+template <class Io>
+void fields(Io& io, FieldRef<Io, StatsBaseline> b) {
+  io.pod(b.shard);
+  io.str(b.model);
+  io.str(b.profile);
+  io.pod(b.prints);
+  io.pod(b.frozen);
 }
 
-void save_payload(ByteWriter& w, const FeedOk& m) {
-  w.pod<std::uint64_t>(m.accepted_frames);
-  w.pod<std::uint64_t>(m.shed_frames);
-  w.pod<std::uint64_t>(m.queued_frames);
+template <class Io>
+void fields(Io& io, FieldRef<Io, StatsSession> s) {
+  io.str(s.name);
+  io.flag(s.evicted, "STATS session evicted flag");
+  io.flag(s.intrusion, "STATS session intrusion flag");
+  io.pod(s.first_alarm_window);
+  io.str(s.policy);
+  io.pod(s.fused_score);
+  io.pod(s.windows);
+  io.pod(s.frames_fed);
+  io.list(s.channels, "STATS session channel count",
+          [&](auto& c) { fields(io, c); });
 }
 
-FeedOk load_feed_ok(ByteReader& r) {
-  FeedOk m;
-  m.accepted_frames = r.pod<std::uint64_t>();
-  m.shed_frames = r.pod<std::uint64_t>();
-  m.queued_frames = r.pod<std::uint64_t>();
-  return m;
+template <class Io>
+void fields(Io& io, FieldRef<Io, Stats> m) {
+  io.pod(m.shards);
+  io.pod(m.sessions);
+  io.pod(m.evicted);
+  io.pod(m.windows);
+  io.pod(m.shed_frames);
+  io.pod(m.rejected_frames);
+  io.pod(m.queued_frames);
+  io.flag(m.busy, "STATS busy flag");
+  io.pod(m.failed_shards);
+  io.list(m.per_shard, "STATS shard count", [&](auto& s) { fields(io, s); });
+  io.list(m.baselines, "STATS baseline count",
+          [&](auto& b) { fields(io, b); });
+  io.list(m.sessions_detail, "STATS session count",
+          [&](auto& s) { fields(io, s); });
 }
 
-void save_payload(ByteWriter& w, const PollStats& m) {
-  w.pod<std::uint8_t>(m.include_sessions);
+template <class Io>
+void fields(Io& io, FieldRef<Io, Evict> m) {
+  io.pod(m.session);
 }
 
-PollStats load_poll_stats(ByteReader& r) {
-  PollStats m;
-  m.include_sessions = r.pod<std::uint8_t>();
-  if (m.include_sessions > 1) {
-    throw CheckpointError(nsync::signal::CheckpointErrorKind::kCorrupt,
-                          "POLL_STATS include_sessions flag out of range");
-  }
-  return m;
+template <class Io>
+void fields(Io&, FieldRef<Io, EvictOk>) {}
+
+template <class Io>
+void fields(Io& io, FieldRef<Io, Ping> m) {
+  io.pod(m.nonce);
 }
 
-void save_payload(ByteWriter& w, const StatsShard& s) {
-  w.pod<std::uint64_t>(s.shard);
-  w.pod<std::uint64_t>(s.sessions);
-  w.pod<std::uint64_t>(s.queued_frames);
-  w.pod<std::uint64_t>(s.peak_queued_frames);
-  w.pod<std::uint64_t>(s.enqueued_frames);
-  w.pod<std::uint64_t>(s.shed_frames);
-  w.pod<std::uint64_t>(s.rejected_frames);
-  w.pod<std::uint64_t>(s.batches);
-  w.pod<std::uint64_t>(s.polls);
-  w.pod<std::uint64_t>(s.windows);
-  w.pod<std::uint64_t>(s.feed_errors);
-  w.pod<std::uint8_t>(s.failed);
-  w.pod<std::uint64_t>(s.restarts);
-  w.pod<std::uint64_t>(s.discarded_frames);
-  w.pod<std::uint64_t>(s.checkpoints_written);
-  w.pod<std::uint64_t>(s.latency_samples);
-  w.pod<double>(s.p50_feed_to_verdict_us);
-  w.pod<double>(s.p99_feed_to_verdict_us);
-  w.pod<std::uint8_t>(s.in_flight);
+template <class Io>
+void fields(Io& io, FieldRef<Io, Pong> m) {
+  io.pod(m.nonce);
 }
 
-StatsShard load_stats_shard(ByteReader& r) {
-  StatsShard s;
-  s.shard = r.pod<std::uint64_t>();
-  s.sessions = r.pod<std::uint64_t>();
-  s.queued_frames = r.pod<std::uint64_t>();
-  s.peak_queued_frames = r.pod<std::uint64_t>();
-  s.enqueued_frames = r.pod<std::uint64_t>();
-  s.shed_frames = r.pod<std::uint64_t>();
-  s.rejected_frames = r.pod<std::uint64_t>();
-  s.batches = r.pod<std::uint64_t>();
-  s.polls = r.pod<std::uint64_t>();
-  s.windows = r.pod<std::uint64_t>();
-  s.feed_errors = r.pod<std::uint64_t>();
-  s.failed = r.pod<std::uint8_t>();
-  if (s.failed > 1) {
-    throw CheckpointError(nsync::signal::CheckpointErrorKind::kCorrupt,
-                          "STATS shard failed flag out of range");
-  }
-  s.restarts = r.pod<std::uint64_t>();
-  s.discarded_frames = r.pod<std::uint64_t>();
-  s.checkpoints_written = r.pod<std::uint64_t>();
-  s.latency_samples = r.pod<std::uint64_t>();
-  s.p50_feed_to_verdict_us = r.pod<double>();
-  s.p99_feed_to_verdict_us = r.pod<double>();
-  s.in_flight = r.pod<std::uint8_t>();
-  return s;
+template <class Io>
+void fields(Io& io, FieldRef<Io, Error> m) {
+  io.enumeration(m.code, ErrorCode::kBadFrame, ErrorCode::kShardFailed,
+                 "ERROR code");
+  io.str(m.message);
+  io.pod(m.retry_after_ms);
 }
 
-void save_payload(ByteWriter& w, const StatsChannel& c) {
-  w.str(c.name);
-  w.pod<std::uint8_t>(c.alarm);
-  w.pod<std::uint8_t>(c.health);
-  w.pod<double>(c.score);
-  w.pod<double>(c.weight);
-  w.pod<std::uint64_t>(c.windows);
-  w.pod<std::uint64_t>(c.frames_fed);
-}
+/// The MsgType of each Message alternative, in variant order: the one
+/// place a type byte is tied to its payload.
+constexpr std::array kTypes{
+    MsgType::kHello,        MsgType::kHelloOk,  MsgType::kAddSession,
+    MsgType::kAddSessionOk, MsgType::kFeed,     MsgType::kFeedOk,
+    MsgType::kPollStats,    MsgType::kStats,    MsgType::kEvict,
+    MsgType::kEvictOk,      MsgType::kPing,     MsgType::kPong,
+    MsgType::kError,
+};
+static_assert(kTypes.size() == std::variant_size_v<Message>);
 
-StatsChannel load_stats_channel(ByteReader& r) {
-  StatsChannel c;
-  c.name = r.str();
-  c.alarm = r.pod<std::uint8_t>();
-  c.health = r.pod<std::uint8_t>();
-  c.score = r.pod<double>();
-  c.weight = r.pod<double>();
-  c.windows = r.pod<std::uint64_t>();
-  c.frames_fed = r.pod<std::uint64_t>();
-  return c;
-}
-
-void save_payload(ByteWriter& w, const StatsBaseline& b) {
-  w.pod<std::uint64_t>(b.shard);
-  w.str(b.model);
-  w.str(b.profile);
-  w.pod<std::uint64_t>(b.prints);
-  w.pod<std::uint64_t>(b.frozen);
-}
-
-StatsBaseline load_stats_baseline(ByteReader& r) {
-  StatsBaseline b;
-  b.shard = r.pod<std::uint64_t>();
-  b.model = r.str();
-  b.profile = r.str();
-  b.prints = r.pod<std::uint64_t>();
-  b.frozen = r.pod<std::uint64_t>();
-  return b;
-}
-
-void save_payload(ByteWriter& w, const StatsSession& s) {
-  w.str(s.name);
-  w.pod<std::uint8_t>(s.evicted);
-  w.pod<std::uint8_t>(s.intrusion);
-  w.pod<std::int64_t>(s.first_alarm_window);
-  w.str(s.policy);
-  w.pod<double>(s.fused_score);
-  w.pod<std::uint64_t>(s.windows);
-  w.pod<std::uint64_t>(s.frames_fed);
-  w.pod<std::uint64_t>(static_cast<std::uint64_t>(s.channels.size()));
-  for (const StatsChannel& c : s.channels) save_payload(w, c);
-}
-
-StatsSession load_stats_session(ByteReader& r) {
-  StatsSession s;
-  s.name = r.str();
-  s.evicted = r.pod<std::uint8_t>();
-  s.intrusion = r.pod<std::uint8_t>();
-  s.first_alarm_window = r.pod<std::int64_t>();
-  s.policy = r.str();
-  s.fused_score = r.pod<double>();
-  s.windows = r.pod<std::uint64_t>();
-  s.frames_fed = r.pod<std::uint64_t>();
-  const auto n = r.pod<std::uint64_t>();
-  if (n > r.remaining()) {
-    throw CheckpointError(nsync::signal::CheckpointErrorKind::kCorrupt,
-                          "STATS session channel count exceeds payload");
-  }
-  s.channels.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    s.channels.push_back(load_stats_channel(r));
-  }
-  return s;
-}
-
-void save_payload(ByteWriter& w, const Stats& m) {
-  w.pod<std::uint64_t>(m.shards);
-  w.pod<std::uint64_t>(m.sessions);
-  w.pod<std::uint64_t>(m.evicted);
-  w.pod<std::uint64_t>(m.windows);
-  w.pod<std::uint64_t>(m.shed_frames);
-  w.pod<std::uint64_t>(m.rejected_frames);
-  w.pod<std::uint64_t>(m.queued_frames);
-  w.pod<std::uint8_t>(m.busy);
-  w.pod<std::uint64_t>(m.failed_shards);
-  w.pod<std::uint64_t>(static_cast<std::uint64_t>(m.per_shard.size()));
-  for (const StatsShard& s : m.per_shard) save_payload(w, s);
-  w.pod<std::uint64_t>(static_cast<std::uint64_t>(m.baselines.size()));
-  for (const StatsBaseline& b : m.baselines) save_payload(w, b);
-  w.pod<std::uint64_t>(static_cast<std::uint64_t>(m.sessions_detail.size()));
-  for (const StatsSession& s : m.sessions_detail) save_payload(w, s);
-}
-
-Stats load_stats(ByteReader& r) {
-  Stats m;
-  m.shards = r.pod<std::uint64_t>();
-  m.sessions = r.pod<std::uint64_t>();
-  m.evicted = r.pod<std::uint64_t>();
-  m.windows = r.pod<std::uint64_t>();
-  m.shed_frames = r.pod<std::uint64_t>();
-  m.rejected_frames = r.pod<std::uint64_t>();
-  m.queued_frames = r.pod<std::uint64_t>();
-  m.busy = r.pod<std::uint8_t>();
-  m.failed_shards = r.pod<std::uint64_t>();
-  const auto n_shards = r.pod<std::uint64_t>();
-  if (n_shards > r.remaining()) {
-    throw CheckpointError(nsync::signal::CheckpointErrorKind::kCorrupt,
-                          "STATS shard count exceeds payload");
-  }
-  m.per_shard.reserve(static_cast<std::size_t>(n_shards));
-  for (std::uint64_t i = 0; i < n_shards; ++i) {
-    m.per_shard.push_back(load_stats_shard(r));
-  }
-  const auto n_baselines = r.pod<std::uint64_t>();
-  if (n_baselines > r.remaining()) {
-    throw CheckpointError(nsync::signal::CheckpointErrorKind::kCorrupt,
-                          "STATS baseline count exceeds payload");
-  }
-  m.baselines.reserve(static_cast<std::size_t>(n_baselines));
-  for (std::uint64_t i = 0; i < n_baselines; ++i) {
-    m.baselines.push_back(load_stats_baseline(r));
-  }
-  const auto n_sessions = r.pod<std::uint64_t>();
-  if (n_sessions > r.remaining()) {
-    throw CheckpointError(nsync::signal::CheckpointErrorKind::kCorrupt,
-                          "STATS session count exceeds payload");
-  }
-  m.sessions_detail.reserve(static_cast<std::size_t>(n_sessions));
-  for (std::uint64_t i = 0; i < n_sessions; ++i) {
-    m.sessions_detail.push_back(load_stats_session(r));
-  }
-  return m;
-}
-
-void save_payload(ByteWriter& w, const Evict& m) {
-  w.pod<std::uint64_t>(m.session);
-}
-
-Evict load_evict(ByteReader& r) {
-  Evict m;
-  m.session = r.pod<std::uint64_t>();
-  return m;
-}
-
-void save_payload(ByteWriter&, const EvictOk&) {}
-
-void save_payload(ByteWriter& w, const Ping& m) {
-  w.pod<std::uint64_t>(m.nonce);
-}
-
-Ping load_ping(ByteReader& r) {
-  Ping m;
-  m.nonce = r.pod<std::uint64_t>();
-  return m;
-}
-
-void save_payload(ByteWriter& w, const Pong& m) {
-  w.pod<std::uint64_t>(m.nonce);
-}
-
-Pong load_pong(ByteReader& r) {
-  Pong m;
-  m.nonce = r.pod<std::uint64_t>();
-  return m;
-}
-
-void save_payload(ByteWriter& w, const Error& m) {
-  w.pod<std::uint32_t>(static_cast<std::uint32_t>(m.code));
-  w.str(m.message);
-  w.pod<std::uint32_t>(m.retry_after_ms);
-}
-
-Error load_error(ByteReader& r) {
-  const auto raw = r.pod<std::uint32_t>();
-  if (raw < static_cast<std::uint32_t>(ErrorCode::kBadFrame) ||
-      raw > static_cast<std::uint32_t>(ErrorCode::kShardFailed)) {
-    throw CheckpointError(nsync::signal::CheckpointErrorKind::kCorrupt,
-                          "ERROR code out of range");
-  }
-  Error m;
-  m.code = static_cast<ErrorCode>(raw);
-  m.message = r.str();
-  m.retry_after_ms = r.pod<std::uint32_t>();
-  return m;
-}
-
-/// Parses one payload of a known type; throws CheckpointError on any
-/// malformed content (including trailing bytes).
-Message load_payload(MsgType type, std::span<const std::uint8_t> payload) {
+/// Parses one payload into alternative `index`; throws CheckpointError on
+/// any malformed content (including trailing bytes).
+template <std::size_t... I>
+Message load_payload(std::size_t index, std::span<const std::uint8_t> payload,
+                     std::index_sequence<I...>) {
   ByteReader r(payload);
+  FieldReader io(r);
   Message m;
-  switch (type) {
-    case MsgType::kHello:
-      m = load_hello(r);
-      break;
-    case MsgType::kHelloOk:
-      m = load_hello_ok(r);
-      break;
-    case MsgType::kAddSession:
-      m = load_add_session(r);
-      break;
-    case MsgType::kAddSessionOk:
-      m = load_add_session_ok(r);
-      break;
-    case MsgType::kFeed:
-      m = load_feed(r);
-      break;
-    case MsgType::kFeedOk:
-      m = load_feed_ok(r);
-      break;
-    case MsgType::kPollStats:
-      m = load_poll_stats(r);
-      break;
-    case MsgType::kStats:
-      m = load_stats(r);
-      break;
-    case MsgType::kEvict:
-      m = load_evict(r);
-      break;
-    case MsgType::kEvictOk:
-      m = EvictOk{};
-      break;
-    case MsgType::kPing:
-      m = load_ping(r);
-      break;
-    case MsgType::kPong:
-      m = load_pong(r);
-      break;
-    case MsgType::kError:
-      m = load_error(r);
-      break;
-  }
+  ((I == index ? fields(io, m.emplace<I>()) : void()), ...);
   r.finish();
   return m;
-}
-
-bool known_type(std::uint8_t t) {
-  switch (static_cast<MsgType>(t)) {
-    case MsgType::kHello:
-    case MsgType::kAddSession:
-    case MsgType::kFeed:
-    case MsgType::kPollStats:
-    case MsgType::kEvict:
-    case MsgType::kPing:
-    case MsgType::kHelloOk:
-    case MsgType::kAddSessionOk:
-    case MsgType::kFeedOk:
-    case MsgType::kStats:
-    case MsgType::kEvictOk:
-    case MsgType::kPong:
-    case MsgType::kError:
-      return true;
-  }
-  return false;
 }
 
 std::uint32_t read_u32le(const std::uint8_t* p) {
@@ -470,30 +248,12 @@ std::string decode_status_name(DecodeStatus s) {
   return "unknown";
 }
 
-MsgType message_type(const Message& m) {
-  struct Visitor {
-    MsgType operator()(const Hello&) const { return MsgType::kHello; }
-    MsgType operator()(const HelloOk&) const { return MsgType::kHelloOk; }
-    MsgType operator()(const AddSession&) const { return MsgType::kAddSession; }
-    MsgType operator()(const AddSessionOk&) const {
-      return MsgType::kAddSessionOk;
-    }
-    MsgType operator()(const Feed&) const { return MsgType::kFeed; }
-    MsgType operator()(const FeedOk&) const { return MsgType::kFeedOk; }
-    MsgType operator()(const PollStats&) const { return MsgType::kPollStats; }
-    MsgType operator()(const Stats&) const { return MsgType::kStats; }
-    MsgType operator()(const Evict&) const { return MsgType::kEvict; }
-    MsgType operator()(const EvictOk&) const { return MsgType::kEvictOk; }
-    MsgType operator()(const Ping&) const { return MsgType::kPing; }
-    MsgType operator()(const Pong&) const { return MsgType::kPong; }
-    MsgType operator()(const Error&) const { return MsgType::kError; }
-  };
-  return std::visit(Visitor{}, m);
-}
+MsgType message_type(const Message& m) { return kTypes[m.index()]; }
 
 std::vector<std::uint8_t> encode(const Message& m) {
   ByteWriter pw;
-  std::visit([&pw](const auto& payload) { save_payload(pw, payload); }, m);
+  FieldWriter io(pw);
+  std::visit([&io](const auto& payload) { fields(io, payload); }, m);
   const std::vector<std::uint8_t> payload = pw.take();
   if (payload.size() > kMaxPayloadBytes) {
     throw CheckpointError(nsync::signal::CheckpointErrorKind::kCorrupt,
@@ -564,13 +324,16 @@ DecodeStatus FrameDecoder::next(Message& out, std::string* detail) {
   // this frame and leave the stream usable.
   pos_ += frame_bytes;
 
-  if (!known_type(type)) {
+  const auto index = static_cast<std::size_t>(
+      std::ranges::find(kTypes, static_cast<MsgType>(type)) - kTypes.begin());
+  if (index == kTypes.size()) {
     if (detail != nullptr) *detail = "unknown message type";
     return DecodeStatus::kBadType;
   }
   try {
-    out = load_payload(static_cast<MsgType>(type),
-                       std::span<const std::uint8_t>(payload, payload_len));
+    out = load_payload(index,
+                       std::span<const std::uint8_t>(payload, payload_len),
+                       std::make_index_sequence<kTypes.size()>{});
   } catch (const CheckpointError& e) {
     if (detail != nullptr) *detail = e.what();
     return DecodeStatus::kMalformed;

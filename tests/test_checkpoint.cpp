@@ -568,16 +568,23 @@ TEST(FusionPolicyCodec, CorruptPolicyBytesAreTypedCorrupt) {
       EXPECT_EQ(e.kind(), CheckpointErrorKind::kCorrupt);
     }
   }
-  // Marker + current version + unknown policy kind.
-  {
+  // Marker + current version + a kind with no encoding behind the marker:
+  // an unknown kind, or kVoting (a voting policy is only ever the bare
+  // rule u32), each followed by the rule an explicit voting form would
+  // have carried.
+  for (const std::uint8_t kind :
+       {std::uint8_t{9},
+        static_cast<std::uint8_t>(core::FusionPolicyKind::kVoting)}) {
     ByteWriter w;
     w.pod<std::uint32_t>(engine::kFusionPolicyMarker);
     w.pod<std::uint8_t>(engine::kFusionPolicyVersion);
-    w.pod<std::uint8_t>(9);
+    w.pod<std::uint8_t>(kind);
+    w.pod<std::uint32_t>(
+        static_cast<std::uint32_t>(core::FusionRule::kMajority));
     ByteReader r(w.data());
     try {
       (void)engine::load_fusion_policy(r);
-      FAIL() << "unknown policy kind accepted";
+      FAIL() << "policy kind " << int{kind} << " accepted";
     } catch (const CheckpointError& e) {
       EXPECT_EQ(e.kind(), CheckpointErrorKind::kCorrupt);
     }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -24,6 +25,7 @@
 #include "engine/sharded_fleet.hpp"
 #include "engine/wire_client.hpp"
 #include "engine/wire_protocol.hpp"
+#include "golden_messages.hpp"
 #include "signal/checkpoint.hpp"
 #include "signal/signal.hpp"
 
@@ -56,6 +58,22 @@ SessionSpec tiny_spec(const std::string& name) {
   ch.thresholds.v_c = 100.0;
   spec.channels.push_back(std::move(ch));
   return spec;
+}
+
+/// Payload offset of the one byte `change` moves in golden message `name`.
+std::size_t field_offset(const std::string& name,
+                         const std::function<void(wire::Message&)>& change) {
+  for (auto& [file, msg] : golden::golden_messages()) {
+    if (file != name) continue;
+    const std::vector<std::uint8_t> before = wire::encode(msg);
+    change(msg);
+    const std::vector<std::uint8_t> after = wire::encode(msg);
+    std::size_t off = wire::kHeaderBytes;
+    while (off < before.size() && before[off] == after[off]) ++off;
+    return off;
+  }
+  ADD_FAILURE() << "no golden message " << name;
+  return 0;
 }
 
 /// Decodes one complete frame or reports the status.
@@ -336,6 +354,60 @@ TEST(WireProtocol, MalformedPayloadSkipsFrameAndContinues) {
   EXPECT_FALSE(detail.empty());
   ASSERT_EQ(d.next(out), wire::DecodeStatus::kFrame);
   EXPECT_EQ(std::get<wire::Evict>(out).session, 9u);
+
+  // Committed golden frames with one flag or enum byte set out of range,
+  // CRC recomputed: each is frame-local kMalformed.
+  const auto stats = [](wire::Message& m) -> wire::Stats& {
+    return std::get<wire::Stats>(m);
+  };
+  struct Case {
+    const char* golden;
+    const char* field;
+    std::function<void(wire::Message&)> change;  // locates the byte
+    std::uint8_t bad;
+  };
+  const Case cases[] = {
+      {"stats.nsfp", "busy", [&](wire::Message& m) { stats(m).busy = 0; }, 2},
+      {"stats.nsfp", "in_flight",
+       [&](wire::Message& m) { stats(m).per_shard[0].in_flight = 0; }, 2},
+      {"stats.nsfp", "evicted",
+       [&](wire::Message& m) { stats(m).sessions_detail[0].evicted = 1; }, 2},
+      {"stats.nsfp", "intrusion",
+       [&](wire::Message& m) { stats(m).sessions_detail[0].intrusion = 0; },
+       2},
+      {"stats.nsfp", "alarm",
+       [&](wire::Message& m) {
+         stats(m).sessions_detail[0].channels[0].alarm = 0;
+       },
+       2},
+      {"stats.nsfp", "health",
+       [&](wire::Message& m) {
+         stats(m).sessions_detail[0].channels[1].health = 0;
+       },
+       static_cast<std::uint8_t>(core::ChannelHealth::kOffline) + 1},
+      {"add_session.nsfp", "use_fft",
+       [](wire::Message& m) {
+         std::get<wire::AddSession>(m).spec.channels[0].config.dwm.tde.use_fft =
+             false;
+       },
+       2},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::uint8_t> frame = golden::read_golden(c.golden);
+    frame[field_offset(c.golden, c.change)] = c.bad;
+    const std::size_t len = frame.size() - wire::kHeaderBytes - 4;
+    const std::uint32_t crc =
+        nsync::signal::crc32(frame.data() + wire::kHeaderBytes, len);
+    std::memcpy(frame.data() + frame.size() - 4, &crc, sizeof(crc));
+    wire::FrameDecoder fd;
+    fd.feed(frame);
+    fd.feed(good);
+    EXPECT_EQ(fd.next(out, &detail), wire::DecodeStatus::kMalformed)
+        << c.field;
+    EXPECT_NE(detail.find("out of range"), std::string::npos) << detail;
+    ASSERT_EQ(fd.next(out), wire::DecodeStatus::kFrame) << c.field;
+    EXPECT_EQ(std::get<wire::Evict>(out).session, 9u);
+  }
 }
 
 TEST(WireProtocol, PolicyUnknownSubVersionIsFrameLocalMalformed) {
