@@ -11,18 +11,24 @@
 //   1. unframe_checkpoint — the container framing (magic/version/CRC).
 //   2. MonitorEngine::restore_from_bytes — the structural parser,
 //      deliberately bypassing the CRC gate so the deep session/channel
-//      decoding gets fuzzed rather than just the checksum.
+//      decoding gets fuzzed rather than just the checksum.  An accepted
+//      payload must serialize back to exactly the input bytes: every
+//      layout is one field list (signal/fields.hpp), so the decoder may
+//      accept only what the encoder writes.
 //   3. decode_session_spec — the payload of a per-session spec file, the
 //      one part of a checkpoint restore(path) reads from beside it.  An
 //      accepted spec must re-encode to exactly the input bytes.
 //
-// tests/golden/session.spec (and its bare payload) seeds the corpus.
+// tests/golden/session.spec (and its bare payload), the ADD_SESSION
+// payloads, and the fleet checkpoint goldens (fleet.payload and the
+// framed fleet.nckp) seed the corpus.
 //
 // Build: cmake -DNSYNC_BUILD_FUZZERS=ON (requires Clang; see
 // fuzz/CMakeLists.txt).  Run: ./fuzz/fuzz_checkpoint -max_total_time=60
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 
 #include "engine/monitor_engine.hpp"
@@ -39,15 +45,24 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     // Expected for malformed input.
   }
 
-  try {
-    nsync::engine::MonitorEngine engine =
-        nsync::engine::MonitorEngine::restore_from_bytes(bytes);
-    // Round-trip: any state we accepted must serialize and restore again.
-    const auto payload = engine.serialize();
-    (void)engine.snapshots();
-    (void)nsync::engine::MonitorEngine::restore_from_bytes(payload);
-  } catch (const nsync::signal::CheckpointError&) {
-    // Expected for malformed input.
+  // A payload carrying a baseline registry restores only into an adaptive
+  // engine (kMismatch otherwise), so that is the second try.
+  using nsync::engine::MonitorEngineOptions;
+  MonitorEngineOptions adaptive;
+  adaptive.baseline.adaptive = true;
+  for (const auto& options : {MonitorEngineOptions{}, adaptive}) {
+    try {
+      nsync::engine::MonitorEngine engine =
+          nsync::engine::MonitorEngine::restore_from_bytes(bytes, options);
+      (void)engine.snapshots();
+      // The payload decoder accepts only canonical encodings too.
+      if (!std::ranges::equal(engine.serialize(), bytes)) {
+        __builtin_trap();
+      }
+      break;
+    } catch (const nsync::signal::CheckpointError&) {
+      // Expected for malformed input.
+    }
   }
 
   try {

@@ -5,10 +5,15 @@
 #include <stdexcept>
 
 #include "signal/checkpoint.hpp"
+#include "signal/fields.hpp"
 #include "signal/stats.hpp"
 
 namespace nsync::core {
 
+using nsync::signal::CheckpointError;
+using nsync::signal::CheckpointErrorKind;
+using nsync::signal::FieldReader;
+using nsync::signal::FieldWriter;
 using nsync::signal::SignalView;
 
 StreamingMinFilter::StreamingMinFilter(std::size_t window) : window_(window) {
@@ -44,56 +49,49 @@ void StreamingMinFilter::reset() {
   next_ = 0;
 }
 
-void StreamingMinFilter::save_state(nsync::signal::ByteWriter& w) const {
-  using std::uint64_t;
-  w.pod<uint64_t>(window_);
-  w.pod<uint64_t>(next_);
-  // Write the live deque entries front to back; the restored ring is
-  // normalized to head 0, which changes nothing observable (the deque is
-  // only ever addressed relative to head).
-  w.pod<uint64_t>(size_);
-  const std::size_t cap = ring_.size();
-  for (std::size_t i = 0; i < size_; ++i) {
-    const Entry& e = ring_[(head_ + i) % cap];
-    w.pod<uint64_t>(e.index);
-    w.pod<double>(e.value);
-  }
-}
-
-void StreamingMinFilter::restore_state(nsync::signal::ByteReader& r) {
-  using nsync::signal::CheckpointError;
-  using nsync::signal::CheckpointErrorKind;
-  const auto window = r.pod<std::uint64_t>();
-  if (window != window_) {
-    throw CheckpointError(CheckpointErrorKind::kMismatch,
-                          "StreamingMinFilter: serialized window " +
-                              std::to_string(window) + " != constructed " +
-                              std::to_string(window_));
-  }
-  const auto next = r.pod<std::uint64_t>();
-  const auto size = r.pod<std::uint64_t>();
-  if (size > ring_.size() || (next > 0 && size == 0) || size > next) {
+// Writes the live deque entries front to back; a restored ring is
+// normalized to head 0, which changes nothing observable (the deque is
+// only ever addressed relative to head).
+template <class Io, class Self>
+void StreamingMinFilter::fields(Io& io, Self& f) {
+  io.expect(f.window_, "StreamingMinFilter window");
+  io.pod(f.next_);
+  io.pod(f.size_);
+  if (f.size_ > f.ring_.size()) {
     throw CheckpointError(CheckpointErrorKind::kCorrupt,
                           "StreamingMinFilter: implausible deque size");
   }
-  std::size_t prev_index = 0;
-  for (std::size_t i = 0; i < size; ++i) {
-    Entry e;
-    e.index = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    e.value = r.pod<double>();
-    // Deque invariant: strictly increasing stream indices, all inside the
-    // trailing window.
-    if (e.index >= next || (i > 0 && e.index <= prev_index) ||
-        e.index + window_ < next) {
+  for (std::size_t i = 0; i < f.size_; ++i) {
+    auto& e = f.ring_[(f.head_ + i) % f.ring_.size()];
+    io.pod(e.index);
+    io.pod(e.value);
+  }
+}
+
+void StreamingMinFilter::save_state(nsync::signal::ByteWriter& w) const {
+  FieldWriter io(w);
+  fields(io, *this);
+}
+
+void StreamingMinFilter::restore_state(nsync::signal::ByteReader& r) {
+  StreamingMinFilter f(window_);
+  FieldReader io(r);
+  fields(io, f);
+  if ((f.next_ > 0 && f.size_ == 0) || f.size_ > f.next_) {
+    throw CheckpointError(CheckpointErrorKind::kCorrupt,
+                          "StreamingMinFilter: implausible deque size");
+  }
+  // Deque invariant: strictly increasing stream indices, all inside the
+  // trailing window.
+  for (std::size_t i = 0; i < f.size_; ++i) {
+    const Entry& e = f.ring_[i];
+    if (e.index >= f.next_ || (i > 0 && e.index <= f.ring_[i - 1].index) ||
+        e.index + window_ < f.next_) {
       throw CheckpointError(CheckpointErrorKind::kCorrupt,
                             "StreamingMinFilter: broken deque invariant");
     }
-    prev_index = e.index;
-    ring_[i] = e;
   }
-  head_ = 0;
-  size_ = static_cast<std::size_t>(size);
-  next_ = static_cast<std::size_t>(next);
+  *this = std::move(f);
 }
 
 DetectionCore::DetectionCore(const DwmParams& dwm, DistanceMetric metric,
@@ -209,117 +207,68 @@ bool DetectionCore::apply_window(double h_disp, double v_dist, bool ok) {
   return ok;
 }
 
-void DetectionCore::save_state(nsync::signal::ByteWriter& w) const {
-  using std::uint64_t;
+template <class Io, class Self>
+void DetectionCore::fields(Io& io, Self& c) {
   // Configuration fingerprint: restore targets must be constructed with
   // the same window geometry, metric and filter width, or the replayed
   // stream would diverge from the saved one.
-  w.pod<uint64_t>(dwm_.n_win);
-  w.pod<uint64_t>(dwm_.n_hop);
-  w.pod<std::uint32_t>(static_cast<std::uint32_t>(metric_));
-  w.pod<uint64_t>(filter_window_);
+  io.expect(c.dwm_.n_win, "DetectionCore window width");
+  io.expect(c.dwm_.n_hop, "DetectionCore hop");
+  io.expect(static_cast<std::uint32_t>(c.metric_), "DetectionCore metric");
+  io.expect(c.filter_window_, "DetectionCore filter window");
 
-  w.pod<std::uint8_t>(armed_ ? 1 : 0);
-  w.pod<double>(thresholds_.c_c);
-  w.pod<double>(thresholds_.h_c);
-  w.pod<double>(thresholds_.v_c);
+  io.flag(c.armed_, "DetectionCore armed flag");
+  thresholds_fields(io, c.thresholds_);
 
-  w.f64_array(features_.c_disp);
-  w.f64_array(features_.h_dist_f);
-  w.f64_array(features_.v_dist_f);
-  w.f64_array(v_dist_);
-  w.u8_array(valid_);
+  io.f64s(c.features_.c_disp);
+  io.f64s(c.features_.h_dist_f);
+  io.f64s(c.features_.v_dist_f);
+  io.f64s(c.v_dist_);
+  io.flags(c.valid_, "DetectionCore valid flag");
 
-  w.pod<std::uint8_t>(detection_.intrusion ? 1 : 0);
-  w.pod<std::uint8_t>(detection_.by_c_disp ? 1 : 0);
-  w.pod<std::uint8_t>(detection_.by_h_dist ? 1 : 0);
-  w.pod<std::uint8_t>(detection_.by_v_dist ? 1 : 0);
-  w.pod<std::int64_t>(detection_.first_alarm_window);
+  io.flag(c.detection_.intrusion, "DetectionCore intrusion flag");
+  io.flag(c.detection_.by_c_disp, "DetectionCore by_c_disp flag");
+  io.flag(c.detection_.by_h_dist, "DetectionCore by_h_dist flag");
+  io.flag(c.detection_.by_v_dist, "DetectionCore by_v_dist flag");
+  io.pod(c.detection_.first_alarm_window);
 
-  h_min_.save_state(w);
-  v_min_.save_state(w);
-  w.pod<double>(c_disp_acc_);
-  w.pod<double>(h_prev_);
-  w.pod<double>(v_prev_);
+  io.state(c.h_min_);
+  io.state(c.v_min_);
+  io.pod(c.c_disp_acc_);
+  io.pod(c.h_prev_);
+  io.pod(c.v_prev_);
+}
+
+void DetectionCore::save_state(nsync::signal::ByteWriter& w) const {
+  FieldWriter io(w);
+  fields(io, *this);
 }
 
 void DetectionCore::restore_state(nsync::signal::ByteReader& r) {
-  using nsync::signal::CheckpointError;
-  using nsync::signal::CheckpointErrorKind;
-  const auto n_win = r.pod<std::uint64_t>();
-  const auto n_hop = r.pod<std::uint64_t>();
-  const auto metric = r.pod<std::uint32_t>();
-  const auto filter_window = r.pod<std::uint64_t>();
-  if (n_win != dwm_.n_win || n_hop != dwm_.n_hop ||
-      metric != static_cast<std::uint32_t>(metric_) ||
-      filter_window != filter_window_) {
-    throw CheckpointError(
-        CheckpointErrorKind::kMismatch,
-        "DetectionCore: serialized geometry/metric/filter differ from the "
-        "constructed configuration");
-  }
-
-  const bool armed = r.pod<std::uint8_t>() != 0;
-  Thresholds thresholds;
-  thresholds.c_c = r.pod<double>();
-  thresholds.h_c = r.pod<double>();
-  thresholds.v_c = r.pod<double>();
-
-  DetectionFeatures features;
-  features.c_disp = r.f64_array();
-  features.h_dist_f = r.f64_array();
-  features.v_dist_f = r.f64_array();
-  std::vector<double> v_dist = r.f64_array();
-  std::vector<std::uint8_t> valid = r.u8_array();
-  const std::size_t windows = valid.size();
-  if (features.c_disp.size() != windows ||
-      features.h_dist_f.size() != windows ||
-      features.v_dist_f.size() != windows || v_dist.size() != windows) {
+  DetectionCore c(dwm_, metric_, filter_window_);
+  FieldReader io(r);
+  fields(io, c);
+  const std::size_t windows = c.valid_.size();
+  if (c.features_.c_disp.size() != windows ||
+      c.features_.h_dist_f.size() != windows ||
+      c.features_.v_dist_f.size() != windows || c.v_dist_.size() != windows) {
     throw CheckpointError(CheckpointErrorKind::kCorrupt,
                           "DetectionCore: per-window arrays disagree on the "
                           "number of windows");
   }
-
-  Detection detection;
-  detection.intrusion = r.pod<std::uint8_t>() != 0;
-  detection.by_c_disp = r.pod<std::uint8_t>() != 0;
-  detection.by_h_dist = r.pod<std::uint8_t>() != 0;
-  detection.by_v_dist = r.pod<std::uint8_t>() != 0;
-  detection.first_alarm_window =
-      static_cast<std::ptrdiff_t>(r.pod<std::int64_t>());
-  if (detection.first_alarm_window < -1 ||
-      detection.first_alarm_window >= static_cast<std::ptrdiff_t>(windows) ||
-      (detection.intrusion != (detection.first_alarm_window >= 0))) {
+  const Detection& d = c.detection_;
+  if (d.first_alarm_window < -1 ||
+      d.first_alarm_window >= static_cast<std::ptrdiff_t>(windows) ||
+      (d.intrusion != (d.first_alarm_window >= 0))) {
     throw CheckpointError(CheckpointErrorKind::kCorrupt,
                           "DetectionCore: inconsistent latched verdict");
   }
-
-  // Restore the min filters into scratch copies first so a malformed
-  // filter blob cannot leave this core half-updated.
-  StreamingMinFilter h_min(filter_window_);
-  StreamingMinFilter v_min(filter_window_);
-  h_min.restore_state(r);
-  v_min.restore_state(r);
-  if (h_min.samples() != windows || v_min.samples() != windows) {
+  if (c.h_min_.samples() != windows || c.v_min_.samples() != windows) {
     throw CheckpointError(CheckpointErrorKind::kCorrupt,
                           "DetectionCore: filter stream position disagrees "
                           "with the window count");
   }
-  const double c_disp_acc = r.pod<double>();
-  const double h_prev = r.pod<double>();
-  const double v_prev = r.pod<double>();
-
-  armed_ = armed;
-  thresholds_ = thresholds;
-  features_ = std::move(features);
-  v_dist_ = std::move(v_dist);
-  valid_ = std::move(valid);
-  detection_ = detection;
-  h_min_ = std::move(h_min);
-  v_min_ = std::move(v_min);
-  c_disp_acc_ = c_disp_acc;
-  h_prev_ = h_prev;
-  v_prev_ = v_prev;
+  *this = std::move(c);
 }
 
 void DetectionCore::reserve(std::size_t n_windows) {

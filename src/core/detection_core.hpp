@@ -67,12 +67,19 @@ class StreamingMinFilter {
   [[nodiscard]] std::size_t samples() const { return next_; }
 
   /// Serializes the deque contents and stream position (checkpointing).
+  /// Save and restore run one field list (signal/fields.hpp).
   void save_state(nsync::signal::ByteWriter& w) const;
   /// Restores state written by save_state.  Throws CheckpointError:
-  /// kMismatch on a different filter window, kCorrupt on malformed state.
+  /// kMismatch on a different filter window, kCorrupt on malformed state
+  /// (a deque that breaks its invariants); on throw, *this is unchanged.
   void restore_state(nsync::signal::ByteReader& r);
 
  private:
+  /// The one field list of the persisted state (signal/fields.hpp); `Self`
+  /// is const for encoding.
+  template <class Io, class Self>
+  static void fields(Io& io, Self& f);
+
   struct Entry {
     std::size_t index = 0;
     double value = 0.0;
@@ -141,16 +148,20 @@ class DetectionCore {
   /// Serializes every window of accumulated state — features, masks,
   /// carried values, min-filter deques, latched verdict — such that a
   /// restored core continues the stream bitwise identically to one that
-  /// never stopped.
+  /// never stopped.  Save and restore run one field list
+  /// (signal/fields.hpp).
   void save_state(nsync::signal::ByteWriter& w) const;
   /// Restores state written by save_state into a core constructed with
   /// the same parameters.  Throws CheckpointError: kMismatch when the
   /// serialized geometry/metric/filter differ from this core's, kCorrupt
-  /// on internally inconsistent state.
+  /// on internally inconsistent state — including an armed, valid,
+  /// intrusion or by_* byte other than 0/1.  On throw, *this is unchanged.
   void restore_state(nsync::signal::ByteReader& r);
 
  private:
   bool apply_window(double h_disp, double v_dist, bool ok);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& c);
 
   DwmParams dwm_;
   DistanceMetric metric_;

@@ -48,6 +48,20 @@ struct FeatureMaxima {
   double v_max = 0.0;
 };
 
+/// Field lists (signal/fields.hpp) of the two triples, as raw-bit doubles.
+template <class Io>
+void thresholds_fields(Io& io, auto& t) {
+  io.pod(t.c_c);
+  io.pod(t.h_c);
+  io.pod(t.v_c);
+}
+template <class Io>
+void maxima_fields(Io& io, auto& m) {
+  io.pod(m.c_max);
+  io.pod(m.h_max);
+  io.pod(m.v_max);
+}
+
 /// Maxima of one training signal's features (0 when a feature is empty).
 [[nodiscard]] FeatureMaxima feature_maxima(const DetectionFeatures& f);
 

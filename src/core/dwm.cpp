@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "signal/checkpoint.hpp"
+#include "signal/fields.hpp"
 #include "signal/stats.hpp"
 
 namespace nsync::core {
@@ -174,74 +175,50 @@ bool DwmSynchronizer::process_next_window() {
   return true;
 }
 
-void DwmSynchronizer::save_state(nsync::signal::ByteWriter& w) const {
+// Fingerprints come from this synchronizer; the streaming state comes by
+// reference (the live members, or fresh values to validate).
+template <class Io>
+void DwmSynchronizer::fields(Io& io, auto& observed, auto& result,
+                             auto& h_low_prev, auto& exhausted) const {
   // Reference fingerprint: enough to reject a restore against a different
   // reference without storing the (potentially large) signal twice.
-  w.pod<std::uint64_t>(reference_.frames());
-  w.pod<std::uint64_t>(reference_.channels());
-  w.pod<double>(reference_.sample_rate());
-  w.pod<std::uint32_t>(reference_crc_);
+  io.expect(reference_.frames(), "DwmSynchronizer reference length");
+  io.expect(reference_.channels(), "DwmSynchronizer reference width");
+  io.expect(reference_.sample_rate(), "DwmSynchronizer reference rate");
+  io.expect(reference_crc_, "DwmSynchronizer reference CRC");
   // Parameter fingerprint.
-  w.pod<std::uint64_t>(params_.n_win);
-  w.pod<std::uint64_t>(params_.n_hop);
-  w.pod<std::uint64_t>(params_.n_ext);
-  w.pod<double>(params_.n_sigma);
-  w.pod<double>(params_.eta);
-  w.pod<std::uint8_t>(params_.tde.use_fft ? 1 : 0);
+  io.expect(params_.n_win, "DwmSynchronizer n_win");
+  io.expect(params_.n_hop, "DwmSynchronizer n_hop");
+  io.expect(params_.n_ext, "DwmSynchronizer n_ext");
+  io.expect(params_.n_sigma, "DwmSynchronizer n_sigma");
+  io.expect(params_.eta, "DwmSynchronizer eta");
+  io.expect(static_cast<std::uint8_t>(params_.tde.use_fft),
+            "DwmSynchronizer use_fft");
 
-  observed_.save_state(w);
-  w.f64_array(result_.h_disp);
-  w.f64_array(result_.h_disp_low);
-  w.f64_array(result_.h_dist);
-  w.u8_array(result_.valid);
-  w.pod<double>(h_disp_low_prev_);
-  w.pod<std::uint8_t>(reference_exhausted_ ? 1 : 0);
+  io.state(observed);
+  io.f64s(result.h_disp);
+  io.f64s(result.h_disp_low);
+  io.f64s(result.h_dist);
+  io.flags(result.valid, "DwmSynchronizer valid flag");
+  io.pod(h_low_prev);
+  io.flag(exhausted, "DwmSynchronizer exhausted flag");
+}
+
+void DwmSynchronizer::save_state(nsync::signal::ByteWriter& w) const {
+  nsync::signal::FieldWriter io(w);
+  fields(io, observed_, result_, h_disp_low_prev_, reference_exhausted_);
 }
 
 void DwmSynchronizer::restore_state(nsync::signal::ByteReader& r) {
-  using nsync::signal::CheckpointError;
-  using nsync::signal::CheckpointErrorKind;
-  const auto ref_frames = r.pod<std::uint64_t>();
-  const auto ref_channels = r.pod<std::uint64_t>();
-  const auto ref_rate = r.pod<double>();
-  const auto ref_crc = r.pod<std::uint32_t>();
-  if (ref_frames != reference_.frames() ||
-      ref_channels != reference_.channels() ||
-      ref_rate != reference_.sample_rate() ||
-      ref_crc != reference_crc_) {
-    throw CheckpointError(CheckpointErrorKind::kMismatch,
-                          "DwmSynchronizer: checkpoint was taken against a "
-                          "different reference signal");
-  }
-  const auto n_win = r.pod<std::uint64_t>();
-  const auto n_hop = r.pod<std::uint64_t>();
-  const auto n_ext = r.pod<std::uint64_t>();
-  const auto n_sigma = r.pod<double>();
-  const auto eta = r.pod<double>();
-  const auto use_fft = r.pod<std::uint8_t>();
-  if (n_win != params_.n_win || n_hop != params_.n_hop ||
-      n_ext != params_.n_ext || n_sigma != params_.n_sigma ||
-      eta != params_.eta || use_fft != (params_.tde.use_fft ? 1 : 0)) {
-    throw CheckpointError(CheckpointErrorKind::kMismatch,
-                          "DwmSynchronizer: checkpoint was taken with "
-                          "different DWM parameters");
-  }
-
   nsync::signal::FrameRingBuffer observed(reference_.channels(),
                                           reference_.sample_rate());
-  observed.restore_state(r);
   DwmResult result;
-  result.h_disp = r.f64_array();
-  result.h_disp_low = r.f64_array();
-  result.h_dist = r.f64_array();
-  result.valid = r.u8_array();
-  const auto h_low_prev = r.pod<double>();
-  const auto exhausted = r.pod<std::uint8_t>();
+  double h_low_prev = 0.0;
+  bool exhausted = false;
+  nsync::signal::FieldReader io(r);
+  fields(io, observed, result, h_low_prev, exhausted);
 
   const std::size_t windows = result.h_disp.size();
-  const bool valid_flags =
-      std::all_of(result.valid.begin(), result.valid.end(),
-                  [](std::uint8_t v) { return v <= 1; });
   // Every processed window must have been complete: its last frame lies
   // below the retained stream end.  The retained start may be at most the
   // next window's origin (push() drops exactly up to there).
@@ -250,16 +227,17 @@ void DwmSynchronizer::restore_state(nsync::signal::ByteReader& r) {
       (windows - 1) * params_.n_hop + params_.n_win <= observed.end();
   if (result.h_disp_low.size() != windows ||
       result.h_dist.size() != windows || result.valid.size() != windows ||
-      !valid_flags || exhausted > 1 || !window_span_ok ||
-      (exhausted == 0 && observed.start() > windows * params_.n_hop)) {
-    throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                          "DwmSynchronizer: inconsistent window state");
+      !window_span_ok ||
+      (!exhausted && observed.start() > windows * params_.n_hop)) {
+    throw nsync::signal::CheckpointError(
+        nsync::signal::CheckpointErrorKind::kCorrupt,
+        "DwmSynchronizer: inconsistent window state");
   }
 
   observed_ = std::move(observed);
   result_ = std::move(result);
   h_disp_low_prev_ = h_low_prev;
-  reference_exhausted_ = exhausted != 0;
+  reference_exhausted_ = exhausted;
 }
 
 DwmResult DwmSynchronizer::align(const SignalView& a, const SignalView& b,

@@ -121,11 +121,13 @@ class DwmSynchronizer {
   /// result arrays, the inertial tracker — plus fingerprints of the
   /// reference and parameters (checkpointing).  The reference itself is
   /// not stored; the restoring synchronizer must be constructed with the
-  /// same reference, which the fingerprint enforces.
+  /// same reference, which the fingerprint enforces.  Save and restore
+  /// run one field list (signal/fields.hpp).
   void save_state(nsync::signal::ByteWriter& w) const;
   /// Restores state written by save_state.  Throws CheckpointError:
-  /// kMismatch when the fingerprints disagree with this synchronizer's
-  /// reference/params, kCorrupt on internally inconsistent state.  On
+  /// kMismatch when the fingerprints disagree bitwise with this
+  /// synchronizer's reference/params, kCorrupt on internally inconsistent
+  /// state (array lengths, a valid or exhausted byte other than 0/1).  On
   /// throw, this synchronizer is unchanged.
   void restore_state(nsync::signal::ByteReader& r);
 
@@ -141,6 +143,9 @@ class DwmSynchronizer {
                   bool fingerprint);
 
   bool process_next_window();
+  template <class Io>
+  void fields(Io& io, auto& observed, auto& result, auto& h_low_prev,
+              auto& exhausted) const;
 
   nsync::signal::Signal reference_;          // b
   nsync::signal::FrameRingBuffer observed_;  // sliding suffix of a

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "signal/checkpoint.hpp"
+#include "signal/fields.hpp"
 
 namespace nsync::core {
 
@@ -97,73 +98,49 @@ ChannelHealth ChannelHealthMonitor::observe(bool valid) {
   return state_;
 }
 
-void ChannelHealthMonitor::save_state(nsync::signal::ByteWriter& w) const {
-  using std::uint64_t;
+template <class Io, class Self>
+void ChannelHealthMonitor::fields(Io& io, Self& m) {
   // Policy fingerprint.
-  w.pod<uint64_t>(policy_.history);
-  w.pod<double>(policy_.degraded_fraction);
-  w.pod<uint64_t>(policy_.offline_consecutive);
-  w.pod<uint64_t>(policy_.recovery_consecutive);
+  io.expect(m.policy_.history, "ChannelHealthMonitor history");
+  io.expect(m.policy_.degraded_fraction,
+            "ChannelHealthMonitor degraded fraction");
+  io.expect(m.policy_.offline_consecutive,
+            "ChannelHealthMonitor offline streak");
+  io.expect(m.policy_.recovery_consecutive,
+            "ChannelHealthMonitor recovery streak");
 
-  w.pod<std::uint8_t>(static_cast<std::uint8_t>(state_));
-  w.u8_array(history_);
-  w.pod<uint64_t>(head_);
-  w.pod<uint64_t>(filled_);
-  w.pod<uint64_t>(invalid_in_history_);
-  w.pod<uint64_t>(invalid_streak_);
-  w.pod<uint64_t>(valid_streak_);
-  w.pod<uint64_t>(observed_);
-  w.pod<uint64_t>(invalid_total_);
+  io.template enumeration<std::uint8_t>(m.state_, ChannelHealth::kHealthy,
+                                        ChannelHealth::kOffline,
+                                        "ChannelHealthMonitor state");
+  io.flags(m.history_, "ChannelHealthMonitor history bit");
+  io.pod(m.head_);
+  io.pod(m.filled_);
+  io.pod(m.invalid_in_history_);
+  io.pod(m.invalid_streak_);
+  io.pod(m.valid_streak_);
+  io.pod(m.observed_);
+  io.pod(m.invalid_total_);
+}
+
+void ChannelHealthMonitor::save_state(nsync::signal::ByteWriter& w) const {
+  nsync::signal::FieldWriter io(w);
+  fields(io, *this);
 }
 
 void ChannelHealthMonitor::restore_state(nsync::signal::ByteReader& r) {
-  using nsync::signal::CheckpointError;
-  using nsync::signal::CheckpointErrorKind;
-  const auto history = r.pod<std::uint64_t>();
-  const auto degraded_fraction = r.pod<double>();
-  const auto offline_consecutive = r.pod<std::uint64_t>();
-  const auto recovery_consecutive = r.pod<std::uint64_t>();
-  if (history != policy_.history ||
-      degraded_fraction != policy_.degraded_fraction ||
-      offline_consecutive != policy_.offline_consecutive ||
-      recovery_consecutive != policy_.recovery_consecutive) {
-    throw CheckpointError(
-        CheckpointErrorKind::kMismatch,
-        "ChannelHealthMonitor: serialized policy differs from this "
-        "monitor's");
+  ChannelHealthMonitor m(policy_);
+  nsync::signal::FieldReader io(r);
+  fields(io, m);
+  if (m.history_.size() != history_.size() || m.head_ >= m.history_.size() ||
+      m.filled_ > m.history_.size() || m.invalid_in_history_ > m.filled_ ||
+      m.filled_ > m.observed_ || m.invalid_total_ > m.observed_ ||
+      m.invalid_in_history_ > m.invalid_total_ ||
+      std::max(m.valid_streak_, m.invalid_streak_) > m.observed_) {
+    throw nsync::signal::CheckpointError(
+        nsync::signal::CheckpointErrorKind::kCorrupt,
+        "ChannelHealthMonitor: inconsistent counters");
   }
-
-  const auto state = r.pod<std::uint8_t>();
-  std::vector<std::uint8_t> bits = r.u8_array();
-  const auto head = r.pod<std::uint64_t>();
-  const auto filled = r.pod<std::uint64_t>();
-  const auto invalid_in_history = r.pod<std::uint64_t>();
-  const auto invalid_streak = r.pod<std::uint64_t>();
-  const auto valid_streak = r.pod<std::uint64_t>();
-  const auto observed = r.pod<std::uint64_t>();
-  const auto invalid_total = r.pod<std::uint64_t>();
-  const bool bits_are_flags =
-      std::all_of(bits.begin(), bits.end(),
-                  [](std::uint8_t b) { return b <= 1; });
-  if (state > static_cast<std::uint8_t>(ChannelHealth::kOffline) ||
-      bits.size() != history_.size() || head >= bits.size() ||
-      filled > bits.size() || invalid_in_history > filled ||
-      filled > observed || invalid_total > observed ||
-      invalid_in_history > invalid_total ||
-      std::max(valid_streak, invalid_streak) > observed || !bits_are_flags) {
-    throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                          "ChannelHealthMonitor: inconsistent counters");
-  }
-
-  state_ = static_cast<ChannelHealth>(state);
-  history_ = std::move(bits);
-  head_ = static_cast<std::size_t>(head);
-  filled_ = static_cast<std::size_t>(filled);
-  invalid_in_history_ = static_cast<std::size_t>(invalid_in_history);
-  invalid_streak_ = static_cast<std::size_t>(invalid_streak);
-  valid_streak_ = static_cast<std::size_t>(valid_streak);
-  observed_ = static_cast<std::size_t>(observed);
-  invalid_total_ = static_cast<std::size_t>(invalid_total);
+  *this = std::move(m);
 }
 
 ChannelHealth replay_health(const std::vector<std::uint8_t>& valid,

@@ -92,6 +92,11 @@ class ChannelHealthMonitor {
   void restore_state(nsync::signal::ByteReader& r);
 
  private:
+  /// The one field list of the persisted state (signal/fields.hpp); `Self`
+  /// is const for encoding.
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m);
+
   HealthPolicy policy_;
   ChannelHealth state_ = ChannelHealth::kHealthy;
   std::vector<std::uint8_t> history_;  // circular buffer of validity bits

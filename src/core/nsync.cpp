@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "signal/checkpoint.hpp"
+#include "signal/fields.hpp"
 #include "signal/stats.hpp"
 
 namespace nsync::core {
@@ -162,52 +163,44 @@ void RealtimeMonitor::reserve_windows(std::size_t n_windows) {
   core_.reserve(n_windows);
 }
 
+template <class Io, class Self>
+void RealtimeMonitor::fields(Io& io, Self& m) {
+  io.state(m.sync_);
+  io.state(m.core_);
+  io.state(m.health_);
+  maxima_fields(io, m.benign_max_);
+  io.pod(m.benign_windows_);
+}
+
 void RealtimeMonitor::save_state(nsync::signal::ByteWriter& w) const {
-  sync_.save_state(w);
-  core_.save_state(w);
-  health_.save_state(w);
-  w.pod<double>(benign_max_.c_max);
-  w.pod<double>(benign_max_.h_max);
-  w.pod<double>(benign_max_.v_max);
-  w.pod<std::uint64_t>(benign_windows_);
+  nsync::signal::FieldWriter io(w);
+  fields(io, *this);
 }
 
 void RealtimeMonitor::restore_state(nsync::signal::ByteReader& r) {
-  // Restore into copies so a failure partway through (e.g. the core
+  // Restore into a copy so a failure partway through (e.g. the core
   // section is corrupt after the synchronizer already parsed) leaves this
   // monitor untouched.
-  DwmSynchronizer sync = sync_;
-  DetectionCore core = core_;
-  ChannelHealthMonitor health = health_;
-  sync.restore_state(r);
-  core.restore_state(r);
-  health.restore_state(r);
-  FeatureMaxima benign_max;
-  benign_max.c_max = r.pod<double>();
-  benign_max.h_max = r.pod<double>();
-  benign_max.v_max = r.pod<double>();
-  const auto benign_windows = r.pod<std::uint64_t>();
+  RealtimeMonitor m = *this;
+  nsync::signal::FieldReader io(r);
+  fields(io, m);
   // The three machines advance in lockstep — one core step and one health
   // observation per synchronizer window.
-  if (core.windows() != sync.windows() ||
-      health.observed() != sync.windows()) {
+  const std::size_t windows = m.sync_.windows();
+  if (m.core_.windows() != windows || m.health_.observed() != windows) {
     throw nsync::signal::CheckpointError(
         nsync::signal::CheckpointErrorKind::kCorrupt,
         "RealtimeMonitor: synchronizer/core/health window counts disagree");
   }
-  if (!std::isfinite(benign_max.c_max) || !std::isfinite(benign_max.h_max) ||
-      !std::isfinite(benign_max.v_max) || benign_max.c_max < 0.0 ||
-      benign_max.h_max < 0.0 || benign_max.v_max < 0.0 ||
-      benign_windows > sync.windows()) {
+  const FeatureMaxima& b = m.benign_max_;
+  if (!std::isfinite(b.c_max) || !std::isfinite(b.h_max) ||
+      !std::isfinite(b.v_max) || b.c_max < 0.0 || b.h_max < 0.0 ||
+      b.v_max < 0.0 || m.benign_windows_ > windows) {
     throw nsync::signal::CheckpointError(
         nsync::signal::CheckpointErrorKind::kCorrupt,
         "RealtimeMonitor: implausible benign-baseline accumulator");
   }
-  sync_ = std::move(sync);
-  core_ = std::move(core);
-  health_ = std::move(health);
-  benign_max_ = benign_max;
-  benign_windows_ = benign_windows;
+  *this = std::move(m);
 }
 
 }  // namespace nsync::core

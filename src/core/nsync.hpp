@@ -189,6 +189,11 @@ class RealtimeMonitor {
   void restore_state(nsync::signal::ByteReader& r);
 
  private:
+  /// The one field list of the persisted state (signal/fields.hpp); `Self`
+  /// is const for encoding.
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m);
+
   DwmSynchronizer sync_;
   NsyncConfig config_;
   DetectionCore core_;

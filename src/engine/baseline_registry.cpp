@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 
 #include "signal/checkpoint.hpp"
+#include "signal/fields.hpp"
 
 namespace nsync::engine {
 
@@ -13,6 +15,8 @@ using nsync::signal::ByteReader;
 using nsync::signal::ByteWriter;
 using nsync::signal::CheckpointError;
 using nsync::signal::CheckpointErrorKind;
+using nsync::signal::FieldReader;
+using nsync::signal::FieldWriter;
 
 namespace {
 
@@ -30,20 +34,6 @@ constexpr std::uint32_t kFormatVersion = 1;
 [[nodiscard]] bool maxima_ok(const core::FeatureMaxima& m) {
   return std::isfinite(m.c_max) && m.c_max >= 0.0 && std::isfinite(m.h_max) &&
          m.h_max >= 0.0 && std::isfinite(m.v_max) && m.v_max >= 0.0;
-}
-
-void save_thresholds(ByteWriter& w, const core::Thresholds& t) {
-  w.pod<double>(t.c_c);
-  w.pod<double>(t.h_c);
-  w.pod<double>(t.v_c);
-}
-
-[[nodiscard]] core::Thresholds load_thresholds(ByteReader& r) {
-  core::Thresholds t;
-  t.c_c = r.pod<double>();
-  t.h_c = r.pod<double>();
-  t.v_c = r.pod<double>();
-  return t;
 }
 
 /// One component's bounded move toward the re-learned target: at most
@@ -205,93 +195,71 @@ std::uint64_t BaselineRegistry::generation() const {
   return generation_;
 }
 
+// The NBRG section: format version | policy fingerprint | u64 key count |
+// per key (ascending): model | profile | anchor | current | prints |
+// frozen | u64 ring length | recent maxima, oldest first.  `entries` is the
+// live map, or a vector of (key, baseline) pairs to validate.
+template <class Io>
+void BaselineRegistry::fields(Io& io, auto& entries) const {
+  io.section(kSecBaselineRegistry, [&](auto& s) {
+    std::uint32_t version = kFormatVersion;
+    s.pod(version);
+    if (version != kFormatVersion) {
+      throw CheckpointError(CheckpointErrorKind::kBadVersion,
+                            "BaselineRegistry: format version " +
+                                std::to_string(version) + ", expected " +
+                                std::to_string(kFormatVersion));
+    }
+    // Policy fingerprint.
+    s.expect(policy_.history, "BaselineRegistry history");
+    s.expect(policy_.min_prints, "BaselineRegistry min_prints");
+    s.expect(policy_.max_step, "BaselineRegistry max_step");
+    s.expect(policy_.max_drift, "BaselineRegistry max_drift");
+    s.expect(policy_.r, "BaselineRegistry r");
+    s.list(entries, "BaselineRegistry key count", [&](auto& e) {
+      s.str(e.first.first);
+      s.str(e.first.second);
+      auto& b = e.second;
+      core::thresholds_fields(s, b.anchor);
+      core::thresholds_fields(s, b.current);
+      s.pod(b.prints);
+      s.pod(b.frozen);
+      s.list(b.recent, "BaselineRegistry ring length",
+             [&](auto& m) { core::maxima_fields(s, m); });
+    });
+  });
+}
+
 void BaselineRegistry::save_state(ByteWriter& w) const {
   const std::scoped_lock lock(mu_);
-  const std::size_t token = w.begin_section(kSecBaselineRegistry);
-  w.pod<std::uint32_t>(kFormatVersion);
-  // Policy fingerprint.
-  w.pod<std::uint64_t>(policy_.history);
-  w.pod<std::uint64_t>(policy_.min_prints);
-  w.pod<double>(policy_.max_step);
-  w.pod<double>(policy_.max_drift);
-  w.pod<double>(policy_.r);
-
-  w.pod<std::uint64_t>(baselines_.size());
-  for (const auto& [key, b] : baselines_) {
-    w.str(key.first);
-    w.str(key.second);
-    save_thresholds(w, b.anchor);
-    save_thresholds(w, b.current);
-    w.pod<std::uint64_t>(b.prints);
-    w.pod<std::uint64_t>(b.frozen);
-    w.pod<std::uint64_t>(b.recent.size());
-    for (const auto& m : b.recent) {
-      w.pod<double>(m.c_max);
-      w.pod<double>(m.h_max);
-      w.pod<double>(m.v_max);
-    }
-  }
-  w.end_section(token);
+  FieldWriter io(w);
+  fields(io, baselines_);
 }
 
 void BaselineRegistry::restore_state(ByteReader& r) {
-  ByteReader s = r.section(kSecBaselineRegistry);
-  const auto version = s.pod<std::uint32_t>();
-  if (version != kFormatVersion) {
-    throw CheckpointError(CheckpointErrorKind::kBadVersion,
-                          "BaselineRegistry: format version " +
-                              std::to_string(version) + ", expected " +
-                              std::to_string(kFormatVersion));
-  }
-  const auto history = s.pod<std::uint64_t>();
-  const auto min_prints = s.pod<std::uint64_t>();
-  const auto max_step = s.pod<double>();
-  const auto max_drift = s.pod<double>();
-  const auto rr = s.pod<double>();
-  if (history != policy_.history || min_prints != policy_.min_prints ||
-      max_step != policy_.max_step || max_drift != policy_.max_drift ||
-      rr != policy_.r) {
-    throw CheckpointError(
-        CheckpointErrorKind::kMismatch,
-        "BaselineRegistry: serialized policy differs from this registry's");
-  }
-
-  const auto count = s.pod<std::uint64_t>();
-  std::map<Key, DeviceBaseline> loaded;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Key key;
-    key.first = s.str();
-    key.second = s.str();
-    DeviceBaseline b;
-    b.anchor = load_thresholds(s);
-    b.current = load_thresholds(s);
-    b.prints = s.pod<std::uint64_t>();
-    b.frozen = s.pod<std::uint64_t>();
-    const auto ring = s.pod<std::uint64_t>();
+  std::vector<std::pair<Key, DeviceBaseline>> entries;
+  FieldReader io(r);
+  fields(io, entries);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const auto& [key, b] = entries[i];
+    // Strictly ascending keys: the one encoding save_state writes, which
+    // also rules out duplicates.
+    if (i > 0 && !(entries[i - 1].first < key)) {
+      throw CheckpointError(CheckpointErrorKind::kCorrupt,
+                            "BaselineRegistry: keys out of order at " +
+                                key.first + "/" + key.second);
+    }
     if (!thresholds_ok(b.anchor) || !thresholds_ok(b.current) ||
-        ring > policy_.history || ring > b.prints) {
+        b.recent.size() > policy_.history || b.recent.size() > b.prints ||
+        !std::ranges::all_of(b.recent, maxima_ok)) {
       throw CheckpointError(CheckpointErrorKind::kCorrupt,
                             "BaselineRegistry: implausible baseline for " +
                                 key.first + "/" + key.second);
     }
-    b.recent.reserve(static_cast<std::size_t>(ring));
-    for (std::uint64_t j = 0; j < ring; ++j) {
-      core::FeatureMaxima m;
-      m.c_max = s.pod<double>();
-      m.h_max = s.pod<double>();
-      m.v_max = s.pod<double>();
-      if (!maxima_ok(m)) {
-        throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                              "BaselineRegistry: non-finite feature maxima");
-      }
-      b.recent.push_back(m);
-    }
-    if (!loaded.emplace(std::move(key), std::move(b)).second) {
-      throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                            "BaselineRegistry: duplicate baseline key");
-    }
   }
-  s.finish();
+  std::map<Key, DeviceBaseline> loaded(
+      std::make_move_iterator(entries.begin()),
+      std::make_move_iterator(entries.end()));
 
   const std::scoped_lock lock(mu_);
   baselines_ = std::move(loaded);

@@ -40,10 +40,13 @@
 //      (bounded) threshold — the adversarial test in
 //      tests/test_baseline_registry.cpp pins this.
 //
-// Persistence: the registry serializes through the PR-5 ByteWriter /
-// ByteReader codec into its own "NBRG" section with an independent format
-// version, embeds into fleet checkpoints (crash consistency), and
-// round-trips standalone `.nbrg` files via the atomic NCKP container
+// Persistence: the registry serializes into its own "NBRG" section with
+// an independent format version, written once as a field list that
+// save_state and restore_state both run (signal/fields.hpp).  Keys are
+// stored in strictly ascending (model, profile) order, the only order
+// restore accepts, so one registry has exactly one encoding.  The section
+// embeds into fleet checkpoints (crash consistency) and round-trips
+// standalone `.nbrg` files via the atomic NCKP container
 // (write_checkpoint_file) for operator-visible per-device state.
 #ifndef NSYNC_ENGINE_BASELINE_REGISTRY_HPP
 #define NSYNC_ENGINE_BASELINE_REGISTRY_HPP
@@ -141,7 +144,8 @@ class BaselineRegistry {
   /// Restores state written by save_state.  Throws CheckpointError:
   /// kBadVersion on a format bump, kMismatch when the serialized policy
   /// differs from this registry's, kCorrupt/kTruncated on malformed
-  /// payloads.  On throw this registry is unchanged.
+  /// payloads (keys not strictly ascending among them).  On throw this
+  /// registry is unchanged.
   void restore_state(nsync::signal::ByteReader& r);
 
   /// Atomically writes the registry to `path` inside the NCKP container.
@@ -155,6 +159,8 @@ class BaselineRegistry {
 
   static void fold_locked(DeviceBaseline& b, const AdaptationPolicy& policy,
                           const core::FeatureMaxima& maxima);
+  template <class Io>
+  void fields(Io& io, auto& entries) const;
 
   AdaptationPolicy policy_;
   mutable std::mutex mu_;

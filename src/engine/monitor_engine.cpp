@@ -10,6 +10,7 @@
 
 #include "engine/session_codec.hpp"
 #include "signal/checkpoint.hpp"
+#include "signal/fields.hpp"
 
 namespace nsync::engine {
 
@@ -280,6 +281,11 @@ std::vector<SessionSnapshot> MonitorEngine::snapshots() const {
 
 namespace {
 
+using nsync::signal::ByteReader;
+using nsync::signal::ByteWriter;
+using nsync::signal::CheckpointError;
+using nsync::signal::CheckpointErrorKind;
+
 // Checkpoint section ids (outer structure of the fleet payload).  The
 // fleet section id carries the payload layout version: "\x01FLT" payloads
 // stored each channel's spec inline, "\x02FLT" ones reference specs by
@@ -294,6 +300,86 @@ constexpr std::uint32_t kSecSpec = 0x43505301;       // "\x01SPC"
 // Where the specs of a payload live (the byte after the registry).
 constexpr std::uint8_t kSpecsInFiles = 0;
 constexpr std::uint8_t kSpecsInTable = 1;
+
+/// A channel section's body: the monitor's streaming state, then the
+/// staged frames.
+template <class Io>
+void channel_state_fields(Io& io, auto& c) {
+  io.state(c.monitor);
+  io.state(c.staging);
+}
+
+/// One session's state section: name | eviction flag, then for a live
+/// session spec ref | frames fed | fused verdict | u64 channel count |
+/// channel sections.  A tombstone ends after the flag: the name keeps the
+/// id slot occupied, nothing else survives eviction.  The spec is
+/// referenced, not stored: restore finds its bytes (spec file or spec
+/// table) and rejects any whose size or CRC differ.  Decoding keeps each
+/// channel section's body as bytes, because the monitors it restores into
+/// are built from the spec, which comes later.
+template <class Io>
+void session_state_fields(Io& io, auto& s) {
+  io.section(kSecSession, [&](auto& f) {
+    f.str(s.name);
+    f.flag(s.evicted, "MonitorEngine checkpoint: eviction flag");
+    if (s.evicted) return;
+    f.pod(s.spec_ref->bytes);
+    f.pod(s.spec_ref->crc);
+    f.pod(s.frames_fed);
+    f.flag(s.intrusion, "MonitorEngine checkpoint: intrusion flag");
+    f.pod(s.first_alarm_window);
+    f.list(s.channels, "MonitorEngine checkpoint: channel count",
+           [&](auto& c) {
+             f.codec(
+                 c,
+                 [](ByteWriter& w, const auto& channel) {
+                   FieldWriter(w).section(kSecChannel, [&](auto& cf) {
+                     channel_state_fields(cf, channel);
+                   });
+                 },
+                 [](ByteReader& r) {
+                   ByteReader body = r.section(kSecChannel);
+                   return body.bytes(body.remaining());
+                 });
+           });
+  });
+}
+
+/// The fleet section: u64 session count | session sections | registry
+/// flag [| NBRG section] | spec-location byte [| spec table section].
+/// `registry` is null when the engine is not adaptive; `table` is the
+/// spec table section's bytes (encode) or a reader left on it (decode).
+template <class Io>
+void fleet_fields(Io& io, auto& sessions, auto* registry, auto& specs_at,
+                  auto& table) {
+  io.section(kSecFleet, [&](auto& f) {
+    f.list(sessions, "MonitorEngine checkpoint: session count",
+           [&](auto& s) { session_state_fields(f, s); });
+    // The adapted baseline state rides inside the same payload as the
+    // session state: one atomic file, so a crash can never split "session
+    // evicted" from "its print folded into the baseline".
+    bool has_registry = registry != nullptr;
+    f.flag(has_registry, "MonitorEngine checkpoint: registry flag");
+    if (has_registry) {
+      if (registry == nullptr) {
+        throw CheckpointError(
+            CheckpointErrorKind::kMismatch,
+            "MonitorEngine checkpoint: payload carries a baseline registry "
+            "but the engine is not configured adaptive");
+      }
+      f.state(*registry);
+    }
+    f.flag(specs_at, "MonitorEngine checkpoint: spec-table flag");
+    if (specs_at == kSpecsInTable) {
+      f.codec(
+          table,
+          [](ByteWriter& w, std::span<const std::uint8_t> bytes) {
+            w.bytes(bytes.data(), bytes.size());
+          },
+          [](ByteReader& r) { return r.section(kSecSpecTable); });
+    }
+  });
+}
 
 }  // namespace
 
@@ -316,62 +402,22 @@ void MonitorEngine::encode_spec(nsync::signal::ByteWriter& w,
   }
 }
 
-void MonitorEngine::save_session(nsync::signal::ByteWriter& w,
-                                 const Session& s) {
-  const std::size_t tok = w.begin_section(kSecSession);
-  w.str(s.name);
-  w.pod<std::uint8_t>(s.evicted ? 1 : 0);
-  if (s.evicted) {
-    // Tombstone: the name keeps the id slot occupied, nothing else
-    // survives eviction.
-    w.end_section(tok);
-    return;
-  }
-  // The spec is referenced, not stored: restore finds its bytes (spec file
-  // or spec table) and rejects any whose size or CRC differ.
-  w.pod<std::uint64_t>(s.spec_ref->bytes);
-  w.pod<std::uint32_t>(s.spec_ref->crc);
-  w.pod<std::uint64_t>(s.frames_fed);
-  w.pod<std::uint8_t>(s.intrusion ? 1 : 0);
-  w.pod<std::int64_t>(s.first_alarm_window);
-  w.pod<std::uint64_t>(s.channels.size());
-  for (const auto& c : s.channels) {
-    const std::size_t ctok = w.begin_section(kSecChannel);
-    c.monitor.save_state(w);
-    c.staging.save_state(w);
-    w.end_section(ctok);
-  }
-  w.end_section(tok);
-}
-
-void MonitorEngine::save_registry(nsync::signal::ByteWriter& w) const {
-  // The adapted baseline state rides inside the same payload as the
-  // session state: one atomic file, so a crash can never split "session
-  // evicted" from "its print folded into the baseline".
-  w.pod<std::uint8_t>(registry_ ? 1 : 0);
-  if (registry_) registry_->save_state(w);
-}
-
 std::vector<std::uint8_t> MonitorEngine::serialize() const {
-  nsync::signal::ByteWriter w;
-  nsync::signal::ByteWriter table;
-  const std::size_t tok = w.begin_section(kSecFleet);
-  w.pod<std::uint64_t>(sessions_.size());
+  // The spec table: one section per live session, in session order.
+  ByteWriter table;
   const std::size_t table_tok = table.begin_section(kSecSpecTable);
   for (const Session& s : sessions_) {
-    if (!s.evicted) {
-      const std::size_t spec_tok = table.begin_section(kSecSpec);
-      encode_spec(table, s);
-      table.end_section(spec_tok);
-    }
-    save_session(w, s);
+    if (s.evicted) continue;
+    const std::size_t spec_tok = table.begin_section(kSecSpec);
+    encode_spec(table, s);
+    table.end_section(spec_tok);
   }
   table.end_section(table_tok);
-  save_registry(w);
-  // The spec table: one section per live session, in session order.
-  w.pod<std::uint8_t>(kSpecsInTable);
-  w.bytes(table.data().data(), table.data().size());
-  w.end_section(tok);
+  ByteWriter w;
+  FieldWriter io(w);
+  const std::uint8_t specs_at = kSpecsInTable;
+  const std::span<const std::uint8_t> bytes = table.data();
+  fleet_fields(io, sessions_, registry_.get(), specs_at, bytes);
   return w.take();
 }
 
@@ -381,31 +427,29 @@ std::string MonitorEngine::spec_path(const std::string& checkpoint_path,
 }
 
 void MonitorEngine::checkpoint(const std::string& path) const {
-  nsync::signal::ByteWriter w;
-  const std::size_t tok = w.begin_section(kSecFleet);
-  w.pod<std::uint64_t>(sessions_.size());
   // Sessions written as tombstones whose spec file is still on disk.
   std::vector<std::size_t> tombstoned;
   for (std::size_t id = 0; id < sessions_.size(); ++id) {
     const Session& s = sessions_[id];
     if (s.evicted) {
       if (s.spec_file == spec_path(path, id)) tombstoned.push_back(id);
-    } else {
-      // Spec once: written before the state that references it, so the
-      // state file on disk never names a spec file that is not there.
-      const std::string spec = spec_path(path, id);
-      if (s.spec_file != spec) {
-        nsync::signal::ByteWriter sw;
-        encode_spec(sw, s);
-        nsync::signal::write_checkpoint_file(spec, sw.data());
-        s.spec_file = spec;
-      }
+      continue;
     }
-    save_session(w, s);
+    // Spec once: written before the state that references it, so the
+    // state file on disk never names a spec file that is not there.
+    const std::string spec = spec_path(path, id);
+    if (s.spec_file != spec) {
+      ByteWriter sw;
+      encode_spec(sw, s);
+      nsync::signal::write_checkpoint_file(spec, sw.data());
+      s.spec_file = spec;
+    }
   }
-  save_registry(w);
-  w.pod<std::uint8_t>(kSpecsInFiles);
-  w.end_section(tok);
+  ByteWriter w;
+  FieldWriter io(w);
+  const std::uint8_t specs_at = kSpecsInFiles;
+  const std::span<const std::uint8_t> no_table;
+  fleet_fields(io, sessions_, registry_.get(), specs_at, no_table);
   nsync::signal::write_checkpoint_file(path, w.data());
   // The tombstones are durable now; only from here on may an evicted
   // session's spec file go (a crash before this point restores a state
@@ -440,23 +484,22 @@ std::string MonitorEngine::baseline_path() const {
 MonitorEngine MonitorEngine::restore_payload(
     std::span<const std::uint8_t> payload, MonitorEngineOptions options,
     const std::string* checkpoint_path) {
-  using nsync::signal::ByteReader;
-  using nsync::signal::CheckpointError;
-  using nsync::signal::CheckpointErrorKind;
   MonitorEngine engine(std::move(options));
   // Restored sessions arm their serialized thresholds verbatim; resolving
   // them against the registry would change the replayed verdicts.
   engine.resolve_on_admission_ = false;
-  // A session's state section, parsed ahead of its spec (the spec bytes
+  // A session's state section, decoded ahead of its spec (the spec bytes
   // come after every session: table at the payload end, or a file).
+  // Field names match Session's, so session_state_fields decodes into it;
+  // spec_ref starts engaged for the same reason.
   struct PendingSession {
     std::string name;
     bool evicted = false;
-    SpecRef ref;
-    std::uint64_t frames_fed = 0;
+    std::optional<SpecRef> spec_ref = SpecRef{};
+    std::size_t frames_fed = 0;
     bool intrusion = false;
-    std::int64_t first_alarm_window = -1;
-    std::vector<ByteReader> channels;  // each positioned at its state
+    std::ptrdiff_t first_alarm_window = -1;
+    std::vector<std::span<const std::uint8_t>> channels;  // section bodies
   };
   try {
     std::uint32_t top_id = 0;
@@ -470,95 +513,44 @@ MonitorEngine MonitorEngine::restore_payload(
                             "build reads layout 2");
     }
     ByteReader top(payload);
-    ByteReader fleet = top.section(kSecFleet);
-    top.finish();
-    const auto n_sessions = fleet.pod<std::uint64_t>();
-    if (n_sessions > fleet.remaining()) {
-      throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                            "MonitorEngine checkpoint: implausible session "
-                            "count " +
-                                std::to_string(n_sessions));
-    }
+    FieldReader io(top);
     std::vector<PendingSession> pending;
-    pending.reserve(n_sessions);
+    std::uint8_t specs_at = kSpecsInFiles;
+    ByteReader table_section(std::span<const std::uint8_t>{});
+    // The embedded registry is crash-consistent with the session state and
+    // overrides any .nbrg file the constructor bootstrapped from.
+    fleet_fields(io, pending, engine.registry_.get(), specs_at,
+                 table_section);
+    top.finish();
     std::size_t live = 0;
-    for (std::uint64_t i = 0; i < n_sessions; ++i) {
-      ByteReader sr = fleet.section(kSecSession);
-      PendingSession& p = pending.emplace_back();
-      p.name = sr.str();
-      const auto evicted = sr.pod<std::uint8_t>();
-      if (evicted > 1) {
-        throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                              "MonitorEngine checkpoint: bad eviction flag "
-                              "in session '" +
-                                  p.name + "'");
-      }
-      p.evicted = evicted == 1;
-      if (p.evicted) {
-        sr.finish();
-        continue;
-      }
+    for (const PendingSession& p : pending) {
+      if (p.evicted) continue;
       ++live;
-      p.ref.bytes = sr.pod<std::uint64_t>();
-      p.ref.crc = sr.pod<std::uint32_t>();
-      p.frames_fed = sr.pod<std::uint64_t>();
-      const auto intrusion = sr.pod<std::uint8_t>();
-      p.first_alarm_window = sr.pod<std::int64_t>();
-      if (intrusion > 1 || p.first_alarm_window < -1 ||
-          (intrusion == 0 && p.first_alarm_window != -1)) {
+      if (p.first_alarm_window < -1 ||
+          (!p.intrusion && p.first_alarm_window != -1)) {
         throw CheckpointError(CheckpointErrorKind::kCorrupt,
                               "MonitorEngine checkpoint: inconsistent fused "
                               "verdict in session '" +
                                   p.name + "'");
       }
-      p.intrusion = intrusion != 0;
-      const auto n_channels = sr.pod<std::uint64_t>();
-      if (n_channels == 0 || n_channels > sr.remaining()) {
+      if (p.channels.empty()) {
         throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                              "MonitorEngine checkpoint: implausible channel "
-                              "count in session '" +
-                                  p.name + "'");
+                              "MonitorEngine checkpoint: session '" + p.name +
+                                  "' has no channels");
       }
-      p.channels.reserve(n_channels);
-      for (std::uint64_t j = 0; j < n_channels; ++j) {
-        p.channels.push_back(sr.section(kSecChannel));
-      }
-      sr.finish();
     }
-    const auto has_registry = fleet.pod<std::uint8_t>();
-    if (has_registry > 1) {
-      throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                            "MonitorEngine checkpoint: bad registry flag");
-    }
-    if (has_registry == 1) {
-      if (engine.registry_ == nullptr) {
-        throw CheckpointError(
-            CheckpointErrorKind::kMismatch,
-            "MonitorEngine checkpoint: payload carries a baseline registry "
-            "but the engine is not configured adaptive");
-      }
-      // The embedded copy is crash-consistent with the session state and
-      // overrides any .nbrg file the constructor bootstrapped from.
-      engine.registry_->restore_state(fleet);
-    }
-    const auto specs_at = fleet.pod<std::uint8_t>();
     std::vector<ByteReader> table;
     if (specs_at == kSpecsInTable) {
-      ByteReader tr = fleet.section(kSecSpecTable);
       table.reserve(live);
       for (std::size_t k = 0; k < live; ++k) {
-        table.push_back(tr.section(kSecSpec));
+        table.push_back(table_section.section(kSecSpec));
       }
-      tr.finish();
-    } else if (specs_at != kSpecsInFiles) {
-      throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                            "MonitorEngine checkpoint: bad spec-table flag");
-    } else if (checkpoint_path == nullptr && live > 0) {
+      table_section.finish();
+    } else if (checkpoint_path == nullptr) {
       throw CheckpointError(CheckpointErrorKind::kIo,
                             "MonitorEngine checkpoint: specs live in spec "
                             "files; restore(path) reads them");
     }
-    fleet.finish();
 
     std::size_t next_spec = 0;
     for (std::size_t id = 0; id < pending.size(); ++id) {
@@ -575,9 +567,9 @@ MonitorEngine MonitorEngine::restore_payload(
       if (specs_at == kSpecsInTable) {
         ByteReader& entry = table[next_spec++];
         spec_bytes = entry.bytes(entry.remaining());
-        if (spec_bytes.size() != p.ref.bytes ||
+        if (spec_bytes.size() != p.spec_ref->bytes ||
             nsync::signal::crc32(spec_bytes.data(), spec_bytes.size()) !=
-                p.ref.crc) {
+                p.spec_ref->crc) {
           throw CheckpointError(CheckpointErrorKind::kMismatch,
                                 "MonitorEngine checkpoint: spec table entry "
                                 "of session '" +
@@ -585,8 +577,8 @@ MonitorEngine MonitorEngine::restore_payload(
         }
       } else {
         spec_file = spec_path(*checkpoint_path, id);
-        file_bytes = nsync::signal::read_checkpoint_file(spec_file, p.ref.bytes,
-                                                         p.ref.crc);
+        file_bytes = nsync::signal::read_checkpoint_file(
+            spec_file, p.spec_ref->bytes, p.spec_ref->crc);
         spec_bytes = file_bytes;
       }
       SessionSpec spec = decode_session_spec(spec_bytes);
@@ -600,14 +592,25 @@ MonitorEngine MonitorEngine::restore_payload(
       s.frames_fed = p.frames_fed;
       s.intrusion = p.intrusion;
       s.first_alarm_window = p.first_alarm_window;
-      s.spec_ref = p.ref;
+      s.spec_ref = p.spec_ref;
       s.spec_file = std::move(spec_file);
       for (std::size_t j = 0; j < p.channels.size(); ++j) {
         Channel& c = s.channels[j];
-        ByteReader& cr = p.channels[j];
-        c.monitor.restore_state(cr);
-        c.staging.restore_state(cr);
+        const core::Thresholds armed = c.monitor.thresholds();
+        ByteReader cr(p.channels[j]);
+        FieldReader cio(cr);
+        channel_state_fields(cio, c);
         cr.finish();
+        // The spec is the one record of a channel's thresholds; a state
+        // armed with others is not the state of this spec.
+        const core::Thresholds& restored = c.monitor.thresholds();
+        if (std::memcmp(&armed, &restored, sizeof(armed)) != 0) {
+          throw CheckpointError(CheckpointErrorKind::kMismatch,
+                                "MonitorEngine checkpoint: channel '" +
+                                    c.name + "' of session '" + s.name +
+                                    "' is armed with other thresholds than "
+                                    "its spec");
+        }
       }
     }
   } catch (const CheckpointError&) {

@@ -225,8 +225,11 @@ class MonitorEngine {
   /// Rebuilds a fleet from a serialize() payload.  Throws CheckpointError
   /// (kTruncated/kCorrupt/kMismatch, kBadVersion for the pre-spec-file
   /// layout) on malformed input; never applies a partial restore (the
-  /// engine is built fresh or not at all).  A payload whose specs live in
-  /// spec files (a checkpoint() file's) needs restore(path): kIo.
+  /// engine is built fresh or not at all).  Accepts only canonical bytes:
+  /// serialize() of the result reproduces `payload` exactly.  A channel
+  /// state armed with other thresholds than its spec is kMismatch.  A
+  /// payload whose specs live in spec files (a checkpoint() file's) needs
+  /// restore(path): kIo.
   [[nodiscard]] static MonitorEngine restore_from_bytes(
       std::span<const std::uint8_t> payload, MonitorEngineOptions options = {});
 
@@ -307,10 +310,6 @@ class MonitorEngine {
   /// Appends the session's spec in save_session_spec encoding to `w` and
   /// records its SpecRef if not yet known.  The session must be live.
   static void encode_spec(nsync::signal::ByteWriter& w, const Session& s);
-  /// Streaming state + SpecRef (or the tombstone).
-  static void save_session(nsync::signal::ByteWriter& w, const Session& s);
-  /// Registry + spec-table flag: the common tail of both payload forms.
-  void save_registry(nsync::signal::ByteWriter& w) const;
   /// Shared by restore() and restore_from_bytes(): `checkpoint_path` is
   /// where spec files are looked up when the payload has no spec table
   /// (nullptr: none may be looked up).

@@ -17,24 +17,10 @@ using nsync::signal::CheckpointError;
 using nsync::signal::CheckpointErrorKind;
 using nsync::signal::SignalView;
 
-std::uint8_t FieldReader::checked_flag(const char* what) {
-  const auto v = r_.pod<std::uint8_t>();
-  if (v > 1) out_of_range(what, v);
-  return v;
-}
-
-void FieldReader::out_of_range(const char* what, std::uint64_t v) {
-  throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                        std::string(what) + " " + std::to_string(v) +
-                            " out of range");
-}
-
 namespace {
 
 template <class Io>
 void nsync_config_fields(Io& io, FieldRef<Io, core::NsyncConfig> cfg) {
-  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
-                "size_t fields are u64 on the wire");
   io.enumeration(cfg.sync, core::SyncMethod::kDwm, core::SyncMethod::kDtw,
                  "sync method");
   io.pod(cfg.dwm.n_win);
@@ -54,13 +40,6 @@ void nsync_config_fields(Io& io, FieldRef<Io, core::NsyncConfig> cfg) {
   io.pod(cfg.health.recovery_consecutive);
 }
 
-template <class Io>
-void thresholds_fields(Io& io, FieldRef<Io, core::Thresholds> t) {
-  io.pod(t.c_c);
-  io.pod(t.h_c);
-  io.pod(t.v_c);
-}
-
 /// name | reference signal | config | thresholds, each piece by reference.
 template <class Io>
 void channel_fields(Io& io, auto& name, auto& reference, auto& config,
@@ -68,7 +47,7 @@ void channel_fields(Io& io, auto& name, auto& reference, auto& config,
   io.str(name);
   io.signal(reference);
   nsync_config_fields(io, config);
-  thresholds_fields(io, thresholds);
+  core::thresholds_fields(io, thresholds);
 }
 
 }  // namespace
@@ -87,13 +66,13 @@ core::NsyncConfig load_nsync_config(ByteReader& r) {
 
 void save_thresholds(ByteWriter& w, const core::Thresholds& t) {
   FieldWriter io(w);
-  thresholds_fields(io, t);
+  core::thresholds_fields(io, t);
 }
 
 core::Thresholds load_thresholds(ByteReader& r) {
   core::Thresholds t;
   FieldReader io(r);
-  thresholds_fields(io, t);
+  core::thresholds_fields(io, t);
   return t;
 }
 

@@ -8,18 +8,17 @@
 //     from a client to the fleet daemon.
 //
 // Every layout is written down once, as a `template <class Io>` field
-// list naming its fields in wire order.  FieldWriter runs a list to encode
-// over a ByteWriter, FieldReader runs the same list to decode over a
-// ByteReader, so the two directions cannot drift.  The reader's typed
-// helpers hold the validation and so apply to every field by
-// construction: a flag is 0 or 1, an enum lies within its range, a count
-// fits in the remaining bytes.  The NSFP payloads (wire_protocol.cpp) are
-// field lists over the same adapters.  Both adapters are thin inline
-// wrappers: no virtual call or type erasure per field.
+// list naming its fields in wire order, run by the FieldWriter /
+// FieldReader pair of signal/fields.hpp — the same adapters that run the
+// NSFP payloads (wire_protocol.cpp), the NCKP state sections and NBRG.
+// The reader's typed helpers hold the validation and so apply to every
+// field by construction: a flag is 0 or 1, an enum lies within its range,
+// a count fits in the remaining bytes.
 //
 // The fusion policy slot stays hand-written (save/load_fusion_policy): a
 // voting policy is the bare rule u32, any other policy a marker plus a
 // versioned section, which is a tagged union rather than a field list.
+// The session field list takes it through the adapters' codec() op.
 //
 // All loaders throw signal::CheckpointError (kCorrupt/kTruncated) on
 // malformed input and never partially construct a spec.  The bytes are
@@ -31,13 +30,13 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/fusion.hpp"
 #include "core/nsync.hpp"
 #include "engine/monitor_engine.hpp"
 #include "signal/checkpoint.hpp"
+#include "signal/fields.hpp"
 #include "signal/signal.hpp"
 
 namespace nsync::engine {
@@ -95,95 +94,9 @@ void save_session_spec(nsync::signal::ByteWriter& w, const SessionSpec& spec);
 
 // --- Field lists -------------------------------------------------------------
 
-/// The unsigned integer a field is stored as: its own type, or an enum's
-/// underlying type.
-template <class T>
-using WireInt = std::make_unsigned_t<typename std::conditional_t<
-    std::is_enum_v<T>, std::underlying_type<T>, std::type_identity<T>>::type>;
-
-/// How a field list sees a value: read-only when encoding.
-template <class Io, class T>
-using FieldRef = std::conditional_t<Io::kDecodes, T&, const T&>;
-
-/// Runs field lists to encode.
-class FieldWriter {
- public:
-  static constexpr bool kDecodes = false;
-
-  explicit FieldWriter(nsync::signal::ByteWriter& w) : w_(w) {}
-
-  /// A fixed-width field, stored in its own width.
-  template <class T>
-  void pod(const T& v) {
-    w_.pod<T>(v);
-  }
-  void flag(bool v, const char*) { w_.pod<std::uint8_t>(v ? 1 : 0); }
-  void flag(std::uint8_t v, const char*) { w_.pod<std::uint8_t>(v); }
-  template <class T, class E>
-  void enumeration(const T& v, E, E, const char*) {
-    w_.pod<WireInt<T>>(static_cast<WireInt<T>>(v));
-  }
-  void str(const std::string& s) { w_.str(s); }
-  void signal(const nsync::signal::SignalView& s) { w_.signal(s); }
-  /// u64 element count, then `each(element)` for every element.
-  template <class T, class Each>
-  void list(const std::vector<T>& v, const char*, Each&& each) {
-    w_.pod<std::uint64_t>(v.size());
-    for (const T& x : v) each(x);
-  }
-  void policy(const core::FusionPolicy& p) { save_fusion_policy(w_, p); }
-  void spec(const SessionSpec& s) { save_session_spec(w_, s); }
-
- private:
-  nsync::signal::ByteWriter& w_;
-};
-
-/// Runs field lists to decode, validating every checked field.
-class FieldReader {
- public:
-  static constexpr bool kDecodes = true;
-
-  explicit FieldReader(nsync::signal::ByteReader& r) : r_(r) {}
-
-  template <class T>
-  void pod(T& v) {
-    v = r_.pod<T>();
-  }
-  /// A u8 that must be 0 or 1.
-  void flag(bool& v, const char* what) { v = checked_flag(what) == 1; }
-  void flag(std::uint8_t& v, const char* what) { v = checked_flag(what); }
-  /// An enum (or an integer holding one) that must lie in [first, last].
-  template <class T, class E>
-  void enumeration(T& v, E first, E last, const char* what) {
-    using Wire = WireInt<T>;
-    const Wire raw = r_.pod<Wire>();
-    if (raw < static_cast<Wire>(first) || raw > static_cast<Wire>(last)) {
-      out_of_range(what, raw);
-    }
-    v = static_cast<T>(raw);
-  }
-  void str(std::string& s) { s = r_.str(); }
-  void signal(nsync::signal::Signal& s) { s = r_.signal(); }
-  /// A u64 count no larger than the remaining bytes, then each element.
-  template <class T, class Each>
-  void list(std::vector<T>& v, const char* what, Each&& each) {
-    const auto n = r_.pod<std::uint64_t>();
-    if (n > r_.remaining()) out_of_range(what, n);
-    v.clear();
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) each(v.emplace_back());
-  }
-  void policy(std::shared_ptr<const core::FusionPolicy>& p) {
-    p = load_fusion_policy(r_);
-  }
-  void spec(SessionSpec& s) { s = load_session_spec(r_); }
-
- private:
-  std::uint8_t checked_flag(const char* what);
-  [[noreturn]] static void out_of_range(const char* what, std::uint64_t v);
-
-  nsync::signal::ByteReader& r_;
-};
+using nsync::signal::FieldReader;
+using nsync::signal::FieldRef;
+using nsync::signal::FieldWriter;
 
 /// name | model | fusion policy | u64 channel count | channels.  The
 /// pieces come by reference and `each_channel(c)` codes one element of
@@ -194,7 +107,7 @@ void session_fields(Io& io, auto& name, auto& model, auto& policy,
                     auto& channels, auto each_channel) {
   io.str(name);
   io.str(model);
-  io.policy(policy);
+  io.codec(policy, save_fusion_policy, load_fusion_policy);
   io.list(channels, "session channel count", each_channel);
 }
 

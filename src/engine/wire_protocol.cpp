@@ -17,7 +17,7 @@ using nsync::signal::ByteWriter;
 using nsync::signal::CheckpointError;
 
 // One field list per payload, in wire order; FieldWriter runs it to
-// encode and FieldReader to decode (see session_codec.hpp).
+// encode and FieldReader to decode (see signal/fields.hpp).
 
 template <class Io>
 void fields(Io& io, FieldRef<Io, Hello> m) {
@@ -34,7 +34,7 @@ void fields(Io& io, FieldRef<Io, HelloOk> m) {
 
 template <class Io>
 void fields(Io& io, FieldRef<Io, AddSession> m) {
-  io.spec(m.spec);
+  io.codec(m.spec, save_session_spec, load_session_spec);
 }
 
 template <class Io>

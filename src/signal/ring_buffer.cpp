@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "signal/checkpoint.hpp"
+#include "signal/fields.hpp"
 
 namespace nsync::signal {
 
@@ -68,28 +70,31 @@ SignalView FrameRingBuffer::view(std::size_t n1, std::size_t n2) const {
                     channels_, sample_rate_);
 }
 
+// The fingerprint comes from this buffer; start, end and the retained
+// samples (a view of the live frames, or a fresh vector) come by reference.
+template <class Io>
+void FrameRingBuffer::fields(Io& io, auto& start, auto& end,
+                             auto& retained) const {
+  io.expect(channels_, "FrameRingBuffer channel count");
+  io.expect(sample_rate_, "FrameRingBuffer sample rate");
+  io.pod(start);
+  io.pod(end);
+  io.f64s(retained);
+}
+
 void FrameRingBuffer::save_state(ByteWriter& w) const {
-  w.pod<std::uint64_t>(channels_);
-  w.pod<double>(sample_rate_);
-  w.pod<std::uint64_t>(start_);
-  w.pod<std::uint64_t>(end_);
-  w.f64_array({data_.data() + head_ * channels_,
-               retained_frames() * channels_});
+  FieldWriter io(w);
+  const std::span<const double> live(data_.data() + head_ * channels_,
+                                     retained_frames() * channels_);
+  fields(io, start_, end_, live);
 }
 
 void FrameRingBuffer::restore_state(ByteReader& r) {
-  const auto channels = r.pod<std::uint64_t>();
-  const auto rate = r.pod<double>();
-  if (channels != channels_ || rate != sample_rate_) {
-    throw CheckpointError(
-        CheckpointErrorKind::kMismatch,
-        "FrameRingBuffer: serialized stream has " + std::to_string(channels) +
-            " channels @ " + std::to_string(rate) + " Hz, this buffer " +
-            std::to_string(channels_) + " @ " + std::to_string(sample_rate_));
-  }
-  const auto start = r.pod<std::uint64_t>();
-  const auto end = r.pod<std::uint64_t>();
-  std::vector<double> retained = r.f64_array();
+  std::size_t start = 0;
+  std::size_t end = 0;
+  std::vector<double> retained;
+  FieldReader io(r);
+  fields(io, start, end, retained);
   // Division form: `(end - start) * channels_` wraps for a forged blob
   // with a huge [start, end) span over an empty retained vector.
   if (start > end || retained.size() % channels_ != 0 ||
@@ -100,8 +105,8 @@ void FrameRingBuffer::restore_state(ByteReader& r) {
   }
   data_ = std::move(retained);
   head_ = 0;
-  start_ = static_cast<std::size_t>(start);
-  end_ = static_cast<std::size_t>(end);
+  start_ = start;
+  end_ = end;
 }
 
 }  // namespace nsync::signal

@@ -74,8 +74,9 @@ class FrameRingBuffer {
   }
 
   /// Serializes the logical stream position and the retained frames
-  /// (checkpointing).  The physical head offset is not stored; restored
-  /// buffers are normalized to head 0.
+  /// (checkpointing; save and restore run one field list, see
+  /// signal/fields.hpp).  The physical head offset is not stored;
+  /// restored buffers are normalized to head 0.
   void save_state(ByteWriter& w) const;
 
   /// Restores state written by save_state into this buffer, replacing its
@@ -86,6 +87,8 @@ class FrameRingBuffer {
 
  private:
   void compact();
+  template <class Io>
+  void fields(Io& io, auto& start, auto& end, auto& retained) const;
 
   std::vector<double> data_;  // row-major; frame f lives at head_ + (f - start_)
   std::size_t head_ = 0;      // offset (in frames) of start_ within data_

@@ -1,11 +1,13 @@
 #include "golden_messages.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <stdexcept>
 
 #include "core/fusion.hpp"
+#include "dsp/simd/simd.hpp"
 
 namespace nsync::golden {
 
@@ -171,6 +173,116 @@ std::vector<std::uint8_t> golden_spec_file(const std::string& dir) {
   if (!in) throw std::runtime_error("checkpoint wrote no spec file");
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
+}
+
+namespace {
+
+/// A print that is not the reference: another exact-fraction sequence.
+Signal tampered_signal(std::size_t frames) {
+  Signal s(frames, 1, 100.0);
+  for (std::size_t n = 0; n < frames; ++n) {
+    s(n, 0) = static_cast<double>((n * 53 + 7) % 89) / 32.0 - 1.25;
+  }
+  return s;
+}
+
+/// `n` flat frames: every window over them is degenerate.
+Signal flat(std::size_t n) {
+  Signal s(n, 1, 100.0);
+  for (std::size_t i = 0; i < n; ++i) s(i, 0) = 0.25;
+  return s;
+}
+
+/// Pins the scalar SIMD backend for a scope.
+class ScalarBackend {
+ public:
+  ScalarBackend() : saved_(dsp::simd::active_isa()) {
+    dsp::simd::set_backend(dsp::simd::Isa::kScalar);
+  }
+  ~ScalarBackend() { dsp::simd::set_backend(saved_); }
+  ScalarBackend(const ScalarBackend&) = delete;
+  ScalarBackend& operator=(const ScalarBackend&) = delete;
+
+ private:
+  dsp::simd::Isa saved_;
+};
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read " + path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+}  // namespace
+
+engine::MonitorEngineOptions golden_engine_options(const std::string& dir) {
+  engine::MonitorEngineOptions options;
+  options.baseline.adaptive = true;
+  options.baseline.dir = dir;
+  options.baseline.filename = kRegistryFileName;
+  return options;
+}
+
+engine::MonitorEngine golden_engine(const std::string& dir) {
+  const ScalarBackend scalar;
+  engine::MonitorEngine fleet(golden_engine_options(dir));
+
+  // Session 0: the reference itself, evicted benign and healthy, so the
+  // end-of-print fold fills the recent ring of (UM3, ACC) and (UM3, AUD).
+  engine::SessionSpec benign = golden_spec(true);
+  benign.name = "printer-b";
+  benign.policy = nullptr;
+  benign.rule = core::FusionRule::kAll;
+  const std::size_t b = fleet.add_session(benign);
+  for (const auto& c : benign.channels) {
+    fleet.feed(b, c.name, c.reference.slice(0, 160));
+    fleet.feed(b, c.name, c.reference.slice(160, 256));
+  }
+  (void)fleet.poll_inline();
+  (void)fleet.evict_session(b);
+
+  // Session 1: the weighted policy over a tampered print.
+  const engine::SessionSpec weighted = golden_spec(true);
+  const std::size_t w = fleet.add_session(weighted);
+  for (const auto& c : weighted.channels) {
+    fleet.feed(w, c.name, tampered_signal(224));
+  }
+  (void)fleet.poll_inline();
+
+  // Session 2: one channel on another model, half real frames then flat
+  // ones (invalid windows, degraded health), plus frames left staged.
+  engine::SessionSpec faulty;
+  faulty.name = "printer-f";
+  faulty.model = "RM3";
+  faulty.rule = core::FusionRule::kMajority;
+  faulty.channels.push_back(golden_spec(true).channels[0]);
+  engine::ChannelSpec& acc = faulty.channels[0];
+  acc.config.health.history = 4;
+  acc.config.health.degraded_fraction = 0.5;
+  const std::size_t f = fleet.add_session(faulty);
+  fleet.feed(f, "ACC", acc.reference.slice(0, 128));
+  fleet.feed(f, "ACC", flat(96));
+  (void)fleet.poll_inline();
+  fleet.feed(f, "ACC", flat(19));
+  return fleet;
+}
+
+NamedFiles checkpoint_files(const engine::MonitorEngine& fleet,
+                            const std::string& dir) {
+  const std::string path = dir + "/" + kStateFileName;
+  fleet.checkpoint(path);
+  NamedFiles out;
+  out.emplace_back(kStateFileName, read_file(path));
+  for (std::size_t id = 0; id < fleet.sessions(); ++id) {
+    if (fleet.snapshot(id).evicted) continue;
+    out.emplace_back(engine::MonitorEngine::spec_path(kStateFileName, id),
+                     read_file(engine::MonitorEngine::spec_path(path, id)));
+  }
+  out.emplace_back(kRegistryFileName, read_file(fleet.baseline_path()));
+  out.emplace_back(kPayloadFileName, fleet.serialize());
+  std::ranges::sort(out);
+  return out;
 }
 
 std::vector<std::uint8_t> read_golden(const std::string& name) {

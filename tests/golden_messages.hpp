@@ -36,6 +36,39 @@ inline constexpr const char* kSpecFileName = "session.spec";
 [[nodiscard]] std::vector<std::uint8_t> golden_spec_file(
     const std::string& dir);
 
+/// File names of the checkpoint goldens: the state file
+/// MonitorEngine::checkpoint writes (its spec files are
+/// MonitorEngine::spec_path(kStateFileName, id)), the serialize()
+/// payload (spec-table form, no NCKP framing) and the exported registry.
+inline constexpr const char* kStateFileName = "fleet.nckp";
+inline constexpr const char* kPayloadFileName = "fleet.payload";
+inline constexpr const char* kRegistryFileName = "baselines.nbrg";
+
+/// (file name, bytes) pairs.
+using NamedFiles =
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>>;
+
+/// The options the checkpoint goldens are written and restored with: an
+/// adaptive registry (default policy) exported into `dir`.
+[[nodiscard]] engine::MonitorEngineOptions golden_engine_options(
+    const std::string& dir);
+
+/// The fleet behind the checkpoint goldens, built under the scalar SIMD
+/// backend so its bytes do not depend on the host ISA.  Session 0 is a
+/// benign print evicted into a tombstone (its fold leaves a non-empty
+/// `recent` ring on two registry keys); session 1 runs the weighted
+/// policy over a tampered print and latches an intrusion; session 2 goes
+/// degraded on flat frames and keeps frames staged.  Registry exports go
+/// to `dir`.
+[[nodiscard]] engine::MonitorEngine golden_engine(const std::string& dir);
+
+/// Checkpoints `engine` to `<dir>/kStateFileName` and returns the files
+/// that wrote — the state file, one spec file per live session and the
+/// registry export (read from engine.baseline_path()) — plus the
+/// serialize() payload, in file-name order.
+[[nodiscard]] NamedFiles checkpoint_files(const engine::MonitorEngine& engine,
+                                          const std::string& dir);
+
 /// A committed golden file from tests/golden/, read whole.
 [[nodiscard]] std::vector<std::uint8_t> read_golden(const std::string& name);
 

@@ -3,11 +3,13 @@
 //   make_goldens tests/golden
 //
 // One complete NSFP frame per message type (ADD_SESSION twice: bare
-// voting rule and trained weighted policy) plus the spec file
-// MonitorEngine::checkpoint writes for one session.  The files pin the
+// voting rule and trained weighted policy), the spec file
+// MonitorEngine::checkpoint writes for one session, and the checkpoint
+// goldens: a three-session fleet's state file with its spec files, its
+// serialize() payload and its exported .nbrg registry.  The files pin the
 // persisted formats; regenerate them only together with a deliberate
-// format change (a kProtocolVersion or checkpoint version bump), and
-// review the diff.
+// format change (a kProtocolVersion, NCKP, fleet-layout or NBRG version
+// bump), and review the diff.
 #include <unistd.h>
 
 #include <cstdio>
@@ -49,8 +51,11 @@ int main(int argc, char** argv) {
     std::filesystem::create_directories(scratch);
     const std::vector<std::uint8_t> spec =
         nsync::golden::golden_spec_file(scratch.string());
-    std::filesystem::remove_all(scratch);
     put(dir / nsync::golden::kSpecFileName, spec);
+    const auto files = nsync::golden::checkpoint_files(
+        nsync::golden::golden_engine(scratch.string()), scratch.string());
+    std::filesystem::remove_all(scratch);
+    for (const auto& [name, bytes] : files) put(dir / name, bytes);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "make_goldens: %s\n", e.what());
     return 1;

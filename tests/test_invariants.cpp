@@ -95,7 +95,10 @@ TEST_P(DwmShiftNoiseGrid, RecoversShiftUnderMeasurementNoise) {
         static_cast<std::ptrdiff_t>(n) + shift, 0,
         static_cast<std::ptrdiff_t>(b.frames() - 1)));
     for (std::size_t c = 0; c < 2; ++c) {
-      a(n, c) = b(src, c) + rng.normal(0.0, noise_sigma);
+      // No draw at all when noise-free: std::normal_distribution requires
+      // a positive standard deviation.
+      a(n, c) = noise_sigma > 0.0 ? b(src, c) + rng.normal(0.0, noise_sigma)
+                                  : b(src, c);
     }
   }
   core::DwmParams p;
