@@ -11,7 +11,7 @@
 // bitwise identical across all shard counts (pinned by tests/
 // test_sharded_fleet.cpp), so the sweep measures pure scheduling.
 // Worker rows also report the fleet's p50/p99 feed→verdict latency from
-// the per-shard log2 histograms.
+// the per-shard log-linear histograms (within ~3 % of the true quantile).
 //
 // A second section drives the fleet past its load-shed threshold: a small
 // queue with the drop-oldest policy, fed with no pacing, shows how
@@ -24,6 +24,7 @@
 //        --chunk n         frames per feed() call (default 256)
 //        --no-saturation   skip the load-shed section
 //        --json path       machine-readable results (BENCH_fleet.json)
+//        --context k=v     extra provenance for the JSON context block
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -35,9 +36,11 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/nsync.hpp"
+#include "dsp/simd/simd.hpp"
 #include "engine/sharded_fleet.hpp"
 #include "eval/table.hpp"
 #include "signal/rng.hpp"
@@ -195,7 +198,9 @@ std::vector<std::size_t> parse_list(const std::string& s) {
   return out;
 }
 
-void emit_json(const std::string& path, std::size_t frames_per_channel, std::size_t chunk,
+void emit_json(const std::string& path,
+               const std::vector<std::pair<std::string, std::string>>& context,
+               std::size_t frames_per_channel, std::size_t chunk,
                const std::vector<Result>& scaling,
                const std::vector<Result>& saturation) {
   const auto emit = [](std::ofstream& out, const std::vector<Result>& rs) {
@@ -210,9 +215,18 @@ void emit_json(const std::string& path, std::size_t frames_per_channel, std::siz
     }
   };
   std::ofstream out(path);
-  out << "{\n  \"benchmark\": \"fleet\",\n  \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency()
-      << ",\n  \"frames_per_channel\": " << frames_per_channel
+  // Every row is one run (reps 1); its latencies are quantiles of the
+  // run's per-batch histogram, not a median over runs.
+  out << "{\n  \"benchmark\": \"fleet\",\n  \"context\": {";
+  for (const auto& [key, value] : context) {
+    out << "\"" << key << "\": \"" << value << "\", ";
+  }
+  out << "\"hardware_concurrency\": " << std::thread::hardware_concurrency()
+      << ", \"simd_isa\": \""
+      << dsp::simd::isa_name(dsp::simd::active_isa())
+      << "\", \"reps\": 1, \"latency\": \"log-linear histogram, bucket "
+         "midpoint\"},\n  \"frames_per_channel\": "
+      << frames_per_channel
       << ",\n  \"chunk\": " << chunk << ",\n  \"scaling\": [\n";
   emit(out, scaling);
   out << "  ],\n  \"saturation\": [\n";
@@ -230,6 +244,7 @@ int main(int argc, char** argv) {
   std::size_t chunk = 256;
   bool saturation_section = true;
   std::string json_path;
+  std::vector<std::pair<std::string, std::string>> context;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -252,11 +267,22 @@ int main(int argc, char** argv) {
       saturation_section = false;
     } else if (arg == "--json") {
       json_path = next();
+    } else if (arg == "--context") {
+      const std::string kv = next();
+      const auto eq = kv.find('=');
+      if (eq == std::string::npos || eq == 0 ||
+          kv.find_first_of("\"\\") != std::string::npos) {
+        std::cerr << "--context needs key=value without quotes or "
+                     "backslashes, got '"
+                  << kv << "'\n";
+        return 2;
+      }
+      context.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--sessions a,b,c] [--shards a,b,c]"
                    " [--frames n] [--chunk n] [--no-saturation]"
-                   " [--json path]\n";
+                   " [--json path] [--context key=value]...\n";
       return 0;
     } else {
       std::cerr << "unknown flag " << arg << "\n";
@@ -367,7 +393,8 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    emit_json(json_path, frames_per_channel, chunk, scaling, saturation);
+    emit_json(json_path, context, frames_per_channel, chunk, scaling,
+              saturation);
   }
   return 0;
 }

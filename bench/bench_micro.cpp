@@ -177,11 +177,37 @@ NSYNC_BENCHMARK(BM_Rfft)
     ->Arg(16384)
     ->Arg(32768);
 
-void BM_CrossCorrelateRfft(benchmark::State& state) {
-  // The correlation kernel under TDE, on its workspace (zero-alloc) path.
+void BM_Irfft(benchmark::State& state) {
+  // Inverse real transform on BM_Rfft's sizes and signal.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto x = random_series(n, 31);
-  const auto y = random_series(n / 4, 32);
+  std::vector<double> data(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    data[i] = std::sin(0.1 * static_cast<double>(i));
+  }
+  const auto bins = dsp::rfft(data);
+  for (auto _ : state) {
+    auto back = dsp::irfft(bins, n);
+    benchmark::DoNotOptimize(back);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  // Traffic model: read n/2+1 complex bins, write n reals.
+  set_roofline(state, rfft_flops(n),
+               static_cast<double>(n * 8 + (n / 2 + 1) * 16));
+}
+NSYNC_BENCHMARK(BM_Irfft)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Arg(32768);
+
+void BM_CrossCorrelateRfft(benchmark::State& state) {
+  // The correlation kernel under TDE, on its workspace (zero-alloc) path,
+  // for an nx-sample x and an ny-sample template.
+  const auto nx = static_cast<std::size_t>(state.range(0));
+  const auto ny = static_cast<std::size_t>(state.range(1));
+  const auto x = random_series(nx, 31);
+  const auto y = random_series(ny, 32);
   std::vector<double> out(x.size() - y.size() + 1);
   dsp::CorrelationWorkspace ws;
   for (auto _ : state) {
@@ -194,7 +220,16 @@ void BM_CrossCorrelateRfft(benchmark::State& state) {
   set_roofline(state, 3.0 * rfft_flops(m) + 6.0 * static_cast<double>(m / 2 + 1),
                static_cast<double>((x.size() + y.size() + out.size()) * 8));
 }
-NSYNC_BENCHMARK(BM_CrossCorrelateRfft)->Arg(1024)->Arg(4096)->Arg(16384);
+// y = n/4 at three powers of two, then the TDEB window shapes (extended
+// window / template) DWM runs at the Table IV rates.
+NSYNC_BENCHMARK(BM_CrossCorrelateRfft)
+    ->Args({1024, 256})
+    ->Args({4096, 1024})
+    ->Args({16384, 4096})
+    ->Args({480, 400})
+    ->Args({3200, 1600})
+    ->Args({4800, 4000})
+    ->Args({32000, 16000});
 
 void BM_CrossCorrelateComplex(benchmark::State& state) {
   // Pre-rfft implementation (full complex FFTs, allocating) for reference.

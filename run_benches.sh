@@ -14,9 +14,10 @@
 # JSON context (`simd_isa`), which is how BENCH_micro_scalar.json and
 # BENCH_micro.json are told apart.
 #
-# Provenance: bench_micro and bench_ext_checkpoint also get the git SHA
-# of the checkout (suffixed -dirty when the tree has uncommitted changes)
-# and the CMake build type of ./build in their JSON context.
+# Provenance: bench_micro, bench_ext_checkpoint and bench_ext_multi_session
+# also get the git SHA of the checkout (suffixed -dirty when the tree has
+# uncommitted changes) and the CMake build type of ./build in their JSON
+# context.
 #
 # Spread: bench_micro runs every case MICRO_REPS times and reports only
 # the aggregates (mean, median, stddev, cv and bench_micro's own `mad`,
@@ -54,6 +55,8 @@ for b in "$@"; do
   fi
   if [ "$b" = "bench_ext_multi_session" ]; then
     EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_fleet.json}"
+    EXTRA_FLAGS="$EXTRA_FLAGS --context git_sha=${GIT_SHA}"
+    EXTRA_FLAGS="$EXTRA_FLAGS --context build_type=${BUILD_TYPE}"
   fi
   if [ "$b" = "bench_ext_checkpoint" ]; then
     EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_checkpoint.json}"

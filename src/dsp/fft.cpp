@@ -247,17 +247,29 @@ std::vector<Complex> bluestein(std::span<const Complex> input, bool inverse) {
   return out;
 }
 
-// The butterfly stages of run_radix2_split (and the inverse's 1/n), for
-// planes that already hold their input in bit-reversed order.
+// The butterfly stages of run_radix2_split, for planes that already hold
+// their input in bit-reversed order, two stages per sweep: pairs
+// (2, 4), (8, 16), ... and, for an odd stage count, one last single stage
+// of span n.  No 1/n scaling; the inverse callers apply it.
 void run_radix2_passes(double* re, double* im, const Radix2Plan& plan,
                        bool inverse) {
   const std::size_t n = plan.n;
   const auto& k = simd::ops();
-  for (std::size_t len = 2; len <= n; len <<= 1) {
+  std::size_t len = 2;
+  for (; 2 * len <= n; len <<= 2) {
+    k.radix2_pass_pair(re, im, n, len, plan.stage_twr(len),
+                       plan.stage_twi(len), inverse);
+  }
+  if (len <= n) {
     k.radix2_pass(re, im, n, len, plan.stage_twr(len), plan.stage_twi(len),
                   inverse);
   }
-  if (inverse) k.divide2(re, im, n, static_cast<double>(n));
+}
+
+// The inverse transform's 1/n.  n is a power of two, so the reciprocal is
+// exact and the multiply gives the bits of a division by n.
+void scale_inverse(double* re, double* im, std::size_t n) {
+  simd::ops().scale2(re, im, n, 1.0 / static_cast<double>(n));
 }
 
 // re[i] = xy[2 * bitrev[i]], im[i] = xy[2 * bitrev[i] + 1]: the even/odd
@@ -272,6 +284,33 @@ void gather_pairs_bitrev(const double* xy, const Radix2Plan& plan, double* re,
     re[i] = pair[0];
     im[i] = pair[1];
   }
+}
+
+// The same pack for a sequence of `len` <= 2 * plan.n samples read
+// through `at(j)` and zero-padded to 2 * plan.n, so no padded copy is
+// ever built: slot i takes pair bitrev[i] while that pair lies inside the
+// data and +0.0 past it.  The load index is clamped and the value then
+// selected, so the loop has no data-dependent branch (bit-reversed order
+// would mispredict it); an odd len's last sample is patched in after.
+template <class At>
+void gather_pack_bitrev(std::size_t len, At at, const Radix2Plan& plan,
+                        double* re, double* im) {
+  const std::size_t* bitrev = plan.bitrev.data();
+  const std::size_t pairs = len / 2;
+  if (pairs == 0) {
+    std::fill_n(re, plan.n, 0.0);
+    std::fill_n(im, plan.n, 0.0);
+  } else {
+    for (std::size_t i = 0; i < plan.n; ++i) {
+      const std::size_t b = bitrev[i];
+      const std::size_t j = 2 * std::min(b, pairs - 1);
+      const double even = at(j);
+      const double odd = at(j + 1);
+      re[i] = b < pairs ? even : 0.0;
+      im[i] = b < pairs ? odd : 0.0;
+    }
+  }
+  if (len % 2 == 1) re[bitrev[pairs]] = at(len - 1);
 }
 
 }  // namespace
@@ -293,6 +332,7 @@ void run_radix2_split(double* re, double* im, const Radix2Plan& plan,
     }
   }
   run_radix2_passes(re, im, plan, inverse);
+  if (inverse) scale_inverse(re, im, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -366,7 +406,10 @@ void irfft_pow2_split(std::span<const Complex> bins, std::span<double> out,
   k.irfft_untangle(bins.data(), plan.tw_re.data(), plan.tw_im.data(), h,
                    out.data());
   gather_pairs_bitrev(out.data(), *plan.half, half_re, half_im);
-  if (h > 1) run_radix2_passes(half_re, half_im, *plan.half, /*inverse=*/true);
+  if (h > 1) {
+    run_radix2_passes(half_re, half_im, *plan.half, /*inverse=*/true);
+    scale_inverse(half_re, half_im, h);
+  }
   k.interleave(half_re, half_im, h, out.data());
 }
 
@@ -500,6 +543,14 @@ std::vector<double> rfft_magnitude(std::span<const double> input) {
   return out;
 }
 
+// pack -> stages -> product -> stages -> tail over the workspace's four
+// half planes.  Per element this is the arithmetic of two rfft_pow2_split
+// calls, the bin-wise product and irfft_pow2_split, in the same order, so
+// every output bit is theirs; what is gone is data movement: the padded
+// copies (the pack reads x and reversed y in place), the stores of the
+// two spectra (the product untangles both in registers), and the
+// inverse's full 1/h pass and interleave (the tail reads only the n_out
+// valid lags and scales each by the exact reciprocal 1/h).
 void cross_correlate_valid_into(std::span<const double> x,
                                 std::span<const double> y,
                                 std::span<double> out,
@@ -520,42 +571,51 @@ void cross_correlate_valid_into(std::span<const double> x,
   const std::size_t h = m / 2;
   if (!ws.plan || ws.plan->n != m) ws.plan = plan_cache().rfft(m);
   const RfftPlan& plan = *ws.plan;
-  ws.x_pad.resize(m);
-  ws.y_pad.resize(m);
-  ws.spec_x.resize(h + 1);
-  ws.spec_y.resize(h + 1);
-  ws.half_re.resize(h);
-  ws.half_im.resize(h);
-  // Touch each pad element exactly once: copy the data region, zero only
-  // the padding tail (assign() would memset the whole buffer and then
-  // rewrite the front, costing an extra pass over 2*m doubles per call).
-  std::copy(x.begin(), x.end(), ws.x_pad.begin());
-  std::fill(ws.x_pad.begin() + static_cast<std::ptrdiff_t>(nx), ws.x_pad.end(),
-            0.0);
-  // Time-reverse y so the convolution computes correlation.
-  for (std::size_t i = 0; i < ny; ++i) ws.y_pad[i] = y[ny - 1 - i];
-  std::fill(ws.y_pad.begin() + static_cast<std::ptrdiff_t>(ny), ws.y_pad.end(),
-            0.0);
-  detail::rfft_pow2_split(ws.x_pad, ws.spec_x, ws.half_re.data(),
-                          ws.half_im.data(), plan);
-  detail::rfft_pow2_split(ws.y_pad, ws.spec_y, ws.half_re.data(),
-                          ws.half_im.data(), plan);
-  simd::ops().cmul_inplace(ws.spec_x.data(), ws.spec_y.data(), h + 1);
-  detail::irfft_pow2_split(ws.spec_x, ws.x_pad, ws.half_re.data(),
-                           ws.half_im.data(), plan);
-  for (std::size_t k = 0; k < n_out; ++k) {
-    out[k] = ws.x_pad[k + ny - 1];
+  const Radix2Plan& half = *plan.half;
+  const auto& k = simd::ops();
+  ws.planes.resize(2 * m);
+  ws.spec.resize(h + 1);
+  double* xr = ws.planes.data();
+  double* xi = xr + h;
+  double* yr = xi + h;
+  double* yi = yr + h;
+  // Pack x, and y time-reversed so the convolution computes correlation.
+  gather_pack_bitrev(
+      nx, [&](std::size_t j) { return x[j]; }, half, xr, xi);
+  gather_pack_bitrev(
+      ny, [&](std::size_t j) { return y[ny - 1 - j]; }, half, yr, yi);
+  if (h > 1) {
+    run_radix2_passes(xr, xi, half, /*inverse=*/false);
+    run_radix2_passes(yr, yi, half, /*inverse=*/false);
   }
+  k.rfft_untangle_product(xr, xi, yr, yi, plan.tw_re.data(), plan.tw_im.data(),
+                          h, ws.spec.data());
+  // The y planes are free now: they hold the inverse untangle's
+  // interleaved pairs, which the gather feeds back into the x planes.
+  k.irfft_untangle(ws.spec.data(), plan.tw_re.data(), plan.tw_im.data(), h,
+                   yr);
+  gather_pairs_bitrev(yr, half, xr, xi);
+  if (h > 1) run_radix2_passes(xr, xi, half, /*inverse=*/true);
+  // Lag k is sample k + ny - 1 of the interleaved (xr, xi) pairs, times
+  // the exact 1/h (h = 1 skipped the passes and their scale: x * 1 = x).
+  const double s = 1.0 / static_cast<double>(h);
+  std::size_t idx = ny - 1;
+  std::size_t lag = 0;
+  if (idx % 2 == 1) {
+    out[lag++] = xi[idx / 2] * s;
+    ++idx;
+  }
+  for (; lag + 1 < n_out; lag += 2, idx += 2) {
+    out[lag] = xr[idx / 2] * s;
+    out[lag + 1] = xi[idx / 2] * s;
+  }
+  if (lag < n_out) out[lag] = xr[idx / 2] * s;
 }
 
 void CorrelationWorkspace::reserve(std::size_t nx) {
   const std::size_t m = correlation_fft_size(nx);
-  x_pad.reserve(m);
-  y_pad.reserve(m);
-  spec_x.reserve(m / 2 + 1);
-  spec_y.reserve(m / 2 + 1);
-  half_re.reserve(m / 2);
-  half_im.reserve(m / 2);
+  planes.reserve(2 * m);
+  spec.reserve(m / 2 + 1);
   if (!plan || plan->n != m) plan = plan_cache().rfft(m);
 }
 

@@ -8,11 +8,15 @@
 // For power-of-two N the pack gathers the even/odd sample pairs straight
 // into bit-reversed order, so the half-size transform runs only its
 // butterfly stages (no separate in-place permutation pass); irfft does
-// the same gather after its untangle.  Other even N run the same trick
-// with a Bluestein half transform, and odd N one N-point Bluestein
-// transform.  The N/2+1 non-negative-frequency bins feed the spectrogram
-// pipeline (Table III of the paper) and the fast TDE cross-correlation;
-// both run every channel through this one single-lane forward transform.
+// the same gather after its untangle.  Every radix-2 transform runs its
+// butterfly stages two per sweep over the planes (one sweep loads and
+// stores each element once for both stages), and every radix-2 inverse
+// scales by the exact reciprocal 1/n of its power-of-two size.  Other
+// even N run the same trick with a Bluestein half transform, and odd N
+// one N-point Bluestein transform.  The N/2+1 non-negative-frequency
+// bins feed the spectrogram pipeline (Table III of the paper) and the
+// fast TDE cross-correlation; both run every channel through this one
+// single-lane forward transform.
 //
 // All entry points share a process-wide, thread-safe plan cache: radix-2
 // twiddle factors and bit-reversal permutations are computed once per
@@ -27,7 +31,7 @@
 // cache's lock nor a reference count (shard threads would contend on
 // both).
 //
-// The butterfly, untangle, and bin-product inner loops run through
+// The butterfly, untangle, bin-product and scaling inner loops run through
 // the runtime-dispatched SIMD kernel table (dsp/simd/simd.hpp): AVX2 on
 // x86-64 hosts that support it, the always-built scalar backend
 // everywhere else.  Both backends are bitwise-identical for these kernels
@@ -105,12 +109,12 @@ struct RfftPlan;
 /// (no allocation once at capacity); a default-constructed workspace is
 /// valid for any input.
 struct CorrelationWorkspace {
-  std::vector<double> x_pad;    ///< zero-padded x (and irfft output)
-  std::vector<double> y_pad;    ///< zero-padded, time-reversed y
-  std::vector<Complex> spec_x;   ///< rfft(x_pad), then the bin product
-  std::vector<Complex> spec_y;   ///< rfft(y_pad)
-  std::vector<double> half_re;   ///< half-size staging plane (real)
-  std::vector<double> half_im;   ///< half-size staging plane (imag)
+  /// Four half planes of correlation_fft_size(nx)/2 doubles, back to
+  /// back: x's packed transform (re, im), then time-reversed y's.  The y
+  /// pair doubles as the inverse untangle's interleaved staging, and the
+  /// x pair ends up holding the (unscaled) correlation.
+  std::vector<double> planes;
+  std::vector<Complex> spec;  ///< the n/2+1 bins of rfft(x) * rfft(y)
   /// Plan of the last transform size; refetched from the shared cache
   /// only when the size changes.
   std::shared_ptr<const detail::RfftPlan> plan;
@@ -128,13 +132,17 @@ struct CorrelationWorkspace {
 /// kernels (two rfft + one irfft) at m = correlation_fft_size(x.size()):
 /// the circular wrap of a transform that short lands only on lags outside
 /// the valid range, so every returned lag is the linear correlation.
+/// The workspace variant fuses that composition into pack -> stages ->
+/// product -> stages -> tail without changing any output bit (see
+/// cross_correlate_valid_into in fft.cpp and DESIGN.md section 3.2).
 [[nodiscard]] std::vector<double> cross_correlate_valid(
     std::span<const double> x, std::span<const double> y);
 
 /// Same as cross_correlate_valid, writing into `out` (which must have
 /// exactly x.size() - y.size() + 1 elements) and using `ws` for all
 /// scratch.  Performs no heap allocation once `ws` has reached
-/// steady-state size for the padded transform length.
+/// steady-state size for the transform length.  Reads x and y in place:
+/// no padded copy of either is made.
 void cross_correlate_valid_into(std::span<const double> x,
                                 std::span<const double> y,
                                 std::span<double> out,

@@ -80,10 +80,13 @@ std::shared_ptr<const RfftPlan> get_rfft_plan(std::size_t n);
 
 /// In-place radix-2 FFT over split planes of plan.n complex elements
 /// (bit-reversal swap pass, butterfly stages through the SIMD dispatch
-/// table, and the 1/n scaling when inverse).  Bitwise identical to the
-/// historical interleaved std::complex implementation.  The complex fft()
-/// and Bluestein paths use it; rfft/irfft fold the permutation into
-/// their pack instead and run only the butterfly stages.
+/// table two per sweep, and the 1/n scaling when inverse).  Bitwise
+/// identical to the historical interleaved std::complex implementation:
+/// a stage-pair sweep gives every element the same two butterflies as
+/// two single passes, and n is a power of two, so multiplying by the
+/// exact 1/n rounds the same real number as dividing by n.  The complex
+/// fft() and Bluestein paths use it; rfft/irfft and the correlation fold
+/// the permutation into their pack instead and run only the stages.
 void run_radix2_split(double* re, double* im, const Radix2Plan& plan,
                       bool inverse);
 

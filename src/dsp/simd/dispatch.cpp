@@ -16,8 +16,9 @@ namespace {
 
 // Field order must match struct Ops exactly.
 #define NSYNC_SIMD_OPS_ENTRIES(ns)                                        \
-  ns::radix2_pass, ns::divide2, ns::cmul_inplace, ns::cmul_split_inplace,  \
-      ns::rfft_untangle, ns::irfft_untangle, ns::deinterleave,             \
+  ns::radix2_pass, ns::radix2_pass_pair, ns::scale2,                      \
+      ns::cmul_split_inplace, ns::rfft_untangle, ns::rfft_untangle_product, \
+      ns::irfft_untangle, ns::deinterleave,                                \
       ns::interleave, ns::subtract_scalar, ns::normalize_windows,          \
       ns::clamp_weight_argmax, ns::channel_sums, ns::sum,                  \
       ns::centered_energy, ns::subtract_scalar_energy,                     \

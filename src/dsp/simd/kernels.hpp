@@ -20,13 +20,19 @@
 #define NSYNC_SIMD_DECLARE_KERNELS                                           \
   void radix2_pass(double* re, double* im, std::size_t n, std::size_t len,   \
                    const double* twr, const double* twi, bool inverse);      \
-  void divide2(double* re, double* im, std::size_t n, double d);             \
-  void cmul_inplace(Complex* a, const Complex* b, std::size_t n);            \
+  void radix2_pass_pair(double* re, double* im, std::size_t n,               \
+                        std::size_t len, const double* twr,                  \
+                        const double* twi, bool inverse);                    \
+  void scale2(double* re, double* im, std::size_t n, double s);              \
   void cmul_split_inplace(double* ar, double* ai, const double* br,          \
                           const double* bi, std::size_t n);                  \
   void rfft_untangle(const double* hre, const double* him,                   \
                      const double* twr, const double* twi, std::size_t h,    \
                      Complex* out);                                          \
+  void rfft_untangle_product(const double* xr, const double* xi,             \
+                             const double* yr, const double* yi,             \
+                             const double* twr, const double* twi,           \
+                             std::size_t h, Complex* out);                   \
   void irfft_untangle(const Complex* bins, const double* twr,                \
                       const double* twi, std::size_t h, double* out);        \
   void deinterleave(const double* xy, std::size_t n, double* re,             \

@@ -57,6 +57,85 @@ inline void join_pairs(__m256d even, __m256d odd, __m256d& lo, __m256d& hi) {
   hi = _mm256_permute2f128_pd(t0, t1, 0x31);
 }
 
+/// One radix-2 butterfly per lane, the scalar formula:
+/// t = v * w, then (u, v) <- (u + t, u - t).
+inline void butterfly(__m256d& ur, __m256d& ui, __m256d& vr, __m256d& vi,
+                      __m256d wr, __m256d wi) {
+  const __m256d tr =
+      _mm256_sub_pd(_mm256_mul_pd(vr, wr), _mm256_mul_pd(vi, wi));
+  const __m256d ti =
+      _mm256_add_pd(_mm256_mul_pd(vr, wi), _mm256_mul_pd(vi, wr));
+  const __m256d ar = ur;
+  const __m256d ai = ui;
+  ur = _mm256_add_pd(ar, tr);
+  ui = _mm256_add_pd(ai, ti);
+  vr = _mm256_sub_pd(ar, tr);
+  vi = _mm256_sub_pd(ai, ti);
+}
+
+/// 4x4 transpose of rows r0..r3 (its own inverse).
+inline void transpose4(__m256d& r0, __m256d& r1, __m256d& r2, __m256d& r3) {
+  const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
+  const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
+  const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+  const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+  r0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+  r1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+  r2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+  r3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+/// rfft_untangle's bins k .. k+3 (1 <= k, k + 4 <= h) of the half
+/// transform (hre, him), written exactly as the scalar formula.
+inline void untangle4(const double* hre, const double* him, const double* twr,
+                      const double* twi, std::size_t h, std::size_t k,
+                      __m256d& o_re, __m256d& o_im) {
+  const __m256d halfc = _mm256_set1_pd(0.5);
+  const __m256d neghalf = _mm256_set1_pd(-0.5);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d zr = _mm256_loadu_pd(hre + k);
+  const __m256d zi = _mm256_loadu_pd(him + k);
+  const __m256d cr = reverse(_mm256_loadu_pd(hre + (h - k - 3)));
+  const __m256d ci = reverse(_mm256_loadu_pd(him + (h - k - 3)));
+  const __m256d er = _mm256_mul_pd(halfc, _mm256_add_pd(zr, cr));
+  const __m256d ei = _mm256_mul_pd(halfc, _mm256_sub_pd(zi, ci));
+  const __m256d dr = _mm256_sub_pd(zr, cr);
+  const __m256d di = _mm256_add_pd(zi, ci);
+  // odd = (0,-0.5) * d, written exactly as the scalar formula
+  // 0.0*dr - (-0.5)*di / 0.0*di + (-0.5)*dr.
+  const __m256d odd_r =
+      _mm256_sub_pd(_mm256_mul_pd(zero, dr), _mm256_mul_pd(neghalf, di));
+  const __m256d odd_i =
+      _mm256_add_pd(_mm256_mul_pd(zero, di), _mm256_mul_pd(neghalf, dr));
+  const __m256d wr = _mm256_loadu_pd(twr + k);
+  const __m256d wi = _mm256_loadu_pd(twi + k);
+  o_re = _mm256_add_pd(
+      er, _mm256_sub_pd(_mm256_mul_pd(wr, odd_r), _mm256_mul_pd(wi, odd_i)));
+  o_im = _mm256_add_pd(
+      ei, _mm256_add_pd(_mm256_mul_pd(wr, odd_i), _mm256_mul_pd(wi, odd_r)));
+}
+
+/// Scalar rfft_untangle bin k (the vector kernels' tails).
+inline Complex untangle_bin(const double* hre, const double* him,
+                            const double* twr, const double* twi,
+                            std::size_t h, std::size_t k) {
+  const double sr = hre[k] + hre[h - k];
+  const double si = him[k] - him[h - k];
+  const double er = 0.5 * sr;
+  const double ei = 0.5 * si;
+  const double dr = hre[k] - hre[h - k];
+  const double di = him[k] + him[h - k];
+  const double odd_r = 0.0 * dr - (-0.5) * di;
+  const double odd_i = 0.0 * di + (-0.5) * dr;
+  return Complex(er + (twr[k] * odd_r - twi[k] * odd_i),
+                 ei + (twr[k] * odd_i + twi[k] * odd_r));
+}
+
+/// a * b with the naive formula (ar*br - ai*bi, ar*bi + ai*br).
+inline Complex cmul(double ar, double ai, double br, double bi) {
+  return Complex(ar * br - ai * bi, ar * bi + ai * br);
+}
+
 /// In-register inclusive scan [v0, v0+v1, v0+v1+v2, v0+v1+v2+v3]
 /// (reassociates — only used by the ULP-bounded prefix_sums).
 inline __m256d inclusive_scan(__m256d v) {
@@ -71,66 +150,15 @@ inline __m256d inclusive_scan(__m256d v) {
 
 void radix2_pass(double* re, double* im, std::size_t n, std::size_t len,
                  const double* twr, const double* twi, bool inverse) {
-  if (n < 8) {  // n = 2 or 4: too small to fill a register productively
+  if (len < 8) {
+    // Spans 2 and 4 run inside radix2_pass_pair's transposed sweep; a
+    // single pass at them is left only for n <= 8 (the pair kernel's
+    // fallback), too small to fill a register.
     scalar::radix2_pass(re, im, n, len, twr, twi, inverse);
     return;
   }
   const std::size_t half = len / 2;
-  if (len == 2) {
-    // Blocks are adjacent (u, v) pairs; deinterleave 4 blocks at a time.
-    const __m256d wr = _mm256_set1_pd(twr[0]);
-    const __m256d wi = _mm256_set1_pd(inverse ? -twi[0] : twi[0]);
-    for (std::size_t i = 0; i < n; i += 8) {
-      __m256d ur, vr, ui, vi, lo, hi;
-      split_pairs(_mm256_loadu_pd(re + i), _mm256_loadu_pd(re + i + 4), ur,
-                  vr);
-      split_pairs(_mm256_loadu_pd(im + i), _mm256_loadu_pd(im + i + 4), ui,
-                  vi);
-      const __m256d tr =
-          _mm256_sub_pd(_mm256_mul_pd(vr, wr), _mm256_mul_pd(vi, wi));
-      const __m256d ti =
-          _mm256_add_pd(_mm256_mul_pd(vr, wi), _mm256_mul_pd(vi, wr));
-      join_pairs(_mm256_add_pd(ur, tr), _mm256_sub_pd(ur, tr), lo, hi);
-      _mm256_storeu_pd(re + i, lo);
-      _mm256_storeu_pd(re + i + 4, hi);
-      join_pairs(_mm256_add_pd(ui, ti), _mm256_sub_pd(ui, ti), lo, hi);
-      _mm256_storeu_pd(im + i, lo);
-      _mm256_storeu_pd(im + i + 4, hi);
-    }
-    return;
-  }
-  if (len == 4) {
-    // Block layout [u0 u1 v0 v1]; two blocks per iteration, the twiddle
-    // pair broadcast across both 128-bit halves.
-    const __m256d wr =
-        _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(twr));
-    const __m256d wi = neg_if(
-        _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(twi)), inverse);
-    for (std::size_t i = 0; i < n; i += 8) {
-      const __m256d a0r = _mm256_loadu_pd(re + i);
-      const __m256d a1r = _mm256_loadu_pd(re + i + 4);
-      const __m256d a0i = _mm256_loadu_pd(im + i);
-      const __m256d a1i = _mm256_loadu_pd(im + i + 4);
-      const __m256d ur = _mm256_permute2f128_pd(a0r, a1r, 0x20);
-      const __m256d vr = _mm256_permute2f128_pd(a0r, a1r, 0x31);
-      const __m256d ui = _mm256_permute2f128_pd(a0i, a1i, 0x20);
-      const __m256d vi = _mm256_permute2f128_pd(a0i, a1i, 0x31);
-      const __m256d tr =
-          _mm256_sub_pd(_mm256_mul_pd(vr, wr), _mm256_mul_pd(vi, wi));
-      const __m256d ti =
-          _mm256_add_pd(_mm256_mul_pd(vr, wi), _mm256_mul_pd(vi, wr));
-      const __m256d nur = _mm256_add_pd(ur, tr);
-      const __m256d nvr = _mm256_sub_pd(ur, tr);
-      const __m256d nui = _mm256_add_pd(ui, ti);
-      const __m256d nvi = _mm256_sub_pd(ui, ti);
-      _mm256_storeu_pd(re + i, _mm256_permute2f128_pd(nur, nvr, 0x20));
-      _mm256_storeu_pd(re + i + 4, _mm256_permute2f128_pd(nur, nvr, 0x31));
-      _mm256_storeu_pd(im + i, _mm256_permute2f128_pd(nui, nvi, 0x20));
-      _mm256_storeu_pd(im + i + 4, _mm256_permute2f128_pd(nui, nvi, 0x31));
-    }
-    return;
-  }
-  // len >= 8: half is a multiple of 4, plain 4-wide k loop, no tail.
+  // half is a multiple of 4: plain 4-wide k loop, no tail.
   for (std::size_t i = 0; i < n; i += len) {
     for (std::size_t k = 0; k < half; k += 4) {
       const __m256d wr = _mm256_loadu_pd(twr + k);
@@ -139,56 +167,104 @@ void radix2_pass(double* re, double* im, std::size_t n, std::size_t len,
       double* ima = im + i + k;
       double* reb = rea + half;
       double* imb = ima + half;
-      const __m256d vr = _mm256_loadu_pd(reb);
-      const __m256d vi = _mm256_loadu_pd(imb);
-      const __m256d tr =
-          _mm256_sub_pd(_mm256_mul_pd(vr, wr), _mm256_mul_pd(vi, wi));
-      const __m256d ti =
-          _mm256_add_pd(_mm256_mul_pd(vr, wi), _mm256_mul_pd(vi, wr));
-      const __m256d ur = _mm256_loadu_pd(rea);
-      const __m256d ui = _mm256_loadu_pd(ima);
-      _mm256_storeu_pd(rea, _mm256_add_pd(ur, tr));
-      _mm256_storeu_pd(ima, _mm256_add_pd(ui, ti));
-      _mm256_storeu_pd(reb, _mm256_sub_pd(ur, tr));
-      _mm256_storeu_pd(imb, _mm256_sub_pd(ui, ti));
+      __m256d ur = _mm256_loadu_pd(rea), ui = _mm256_loadu_pd(ima);
+      __m256d vr = _mm256_loadu_pd(reb), vi = _mm256_loadu_pd(imb);
+      butterfly(ur, ui, vr, vi, wr, wi);
+      _mm256_storeu_pd(rea, ur);
+      _mm256_storeu_pd(ima, ui);
+      _mm256_storeu_pd(reb, vr);
+      _mm256_storeu_pd(imb, vi);
     }
   }
 }
 
-void divide2(double* re, double* im, std::size_t n, double d) {
-  const __m256d dv = _mm256_set1_pd(d);
+void radix2_pass_pair(double* re, double* im, std::size_t n, std::size_t len,
+                      const double* twr, const double* twi, bool inverse) {
+  const std::size_t q = len / 2;  // quarter of a 2*len block
+  if (n < 16 || q == 2) {
+    // Too small for the 4x4 transpose, or a quarter of two lanes: the
+    // two single stages are the same arithmetic.
+    radix2_pass(re, im, n, len, twr, twi, inverse);
+    radix2_pass(re, im, n, 2 * len, twr + q, twi + q, inverse);
+    return;
+  }
+  if (q == 1) {
+    // Stages 2 and 4: blocks of four elements [x0 x1 x2 x3].  Transpose
+    // four blocks so each register holds one x_j of all four, run the
+    // butterflies (x0,x1), (x2,x3) with w2[0], then (x0,x2) with w4[0]
+    // and (x1,x3) with w4[1], and transpose back.
+    const __m256d war = _mm256_set1_pd(twr[0]);
+    const __m256d wai = _mm256_set1_pd(inverse ? -twi[0] : twi[0]);
+    const __m256d w0r = _mm256_set1_pd(twr[1]);
+    const __m256d w0i = _mm256_set1_pd(inverse ? -twi[1] : twi[1]);
+    const __m256d w1r = _mm256_set1_pd(twr[2]);
+    const __m256d w1i = _mm256_set1_pd(inverse ? -twi[2] : twi[2]);
+    for (std::size_t i = 0; i < n; i += 16) {
+      __m256d r0 = _mm256_loadu_pd(re + i), r1 = _mm256_loadu_pd(re + i + 4),
+              r2 = _mm256_loadu_pd(re + i + 8),
+              r3 = _mm256_loadu_pd(re + i + 12);
+      __m256d i0 = _mm256_loadu_pd(im + i), i1 = _mm256_loadu_pd(im + i + 4),
+              i2 = _mm256_loadu_pd(im + i + 8),
+              i3 = _mm256_loadu_pd(im + i + 12);
+      transpose4(r0, r1, r2, r3);
+      transpose4(i0, i1, i2, i3);
+      butterfly(r0, i0, r1, i1, war, wai);
+      butterfly(r2, i2, r3, i3, war, wai);
+      butterfly(r0, i0, r2, i2, w0r, w0i);
+      butterfly(r1, i1, r3, i3, w1r, w1i);
+      transpose4(r0, r1, r2, r3);
+      transpose4(i0, i1, i2, i3);
+      _mm256_storeu_pd(re + i, r0);
+      _mm256_storeu_pd(re + i + 4, r1);
+      _mm256_storeu_pd(re + i + 8, r2);
+      _mm256_storeu_pd(re + i + 12, r3);
+      _mm256_storeu_pd(im + i, i0);
+      _mm256_storeu_pd(im + i + 4, i1);
+      _mm256_storeu_pd(im + i + 8, i2);
+      _mm256_storeu_pd(im + i + 12, i3);
+    }
+    return;
+  }
+  // q >= 4 is a multiple of 4: four quarter rows of a 2*len block, four
+  // lanes of k at a time, no tail.
+  const double* tbr = twr + q;
+  const double* tbi = twi + q;
+  for (std::size_t i = 0; i < n; i += 2 * len) {
+    for (std::size_t k = 0; k < q; k += 4) {
+      const __m256d war = _mm256_loadu_pd(twr + k);
+      const __m256d wai = neg_if(_mm256_loadu_pd(twi + k), inverse);
+      double* r = re + i + k;
+      double* m = im + i + k;
+      __m256d r0 = _mm256_loadu_pd(r), r1 = _mm256_loadu_pd(r + q),
+              r2 = _mm256_loadu_pd(r + 2 * q), r3 = _mm256_loadu_pd(r + 3 * q);
+      __m256d i0 = _mm256_loadu_pd(m), i1 = _mm256_loadu_pd(m + q),
+              i2 = _mm256_loadu_pd(m + 2 * q), i3 = _mm256_loadu_pd(m + 3 * q);
+      butterfly(r0, i0, r1, i1, war, wai);
+      butterfly(r2, i2, r3, i3, war, wai);
+      butterfly(r0, i0, r2, i2, _mm256_loadu_pd(tbr + k),
+                neg_if(_mm256_loadu_pd(tbi + k), inverse));
+      butterfly(r1, i1, r3, i3, _mm256_loadu_pd(tbr + k + q),
+                neg_if(_mm256_loadu_pd(tbi + k + q), inverse));
+      _mm256_storeu_pd(r, r0);
+      _mm256_storeu_pd(r + q, r1);
+      _mm256_storeu_pd(r + 2 * q, r2);
+      _mm256_storeu_pd(r + 3 * q, r3);
+      _mm256_storeu_pd(m, i0);
+      _mm256_storeu_pd(m + q, i1);
+      _mm256_storeu_pd(m + 2 * q, i2);
+      _mm256_storeu_pd(m + 3 * q, i3);
+    }
+  }
+}
+
+void scale2(double* re, double* im, std::size_t n, double s) {
+  const __m256d sv = _mm256_set1_pd(s);
   for (double* p : {re, im}) {
     std::size_t i = 0;
     for (; i + 4 <= n; i += 4) {
-      _mm256_storeu_pd(p + i, _mm256_div_pd(_mm256_loadu_pd(p + i), dv));
+      _mm256_storeu_pd(p + i, _mm256_mul_pd(_mm256_loadu_pd(p + i), sv));
     }
-    for (; i < n; ++i) p[i] /= d;
-  }
-}
-
-void cmul_inplace(Complex* a, const Complex* b, std::size_t n) {
-  // Two complexes per register.  addsub computes
-  // [ar*br - ai*bi, ai*br + ar*bi]; the imaginary part is the scalar
-  // formula with the addends swapped, and IEEE addition is commutative,
-  // so this is still bitwise.
-  double* ap = reinterpret_cast<double*>(a);
-  const double* bp = reinterpret_cast<const double*>(b);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d av = _mm256_loadu_pd(ap + 2 * i);
-    const __m256d bv = _mm256_loadu_pd(bp + 2 * i);
-    const __m256d br = _mm256_movedup_pd(bv);
-    const __m256d bi = _mm256_permute_pd(bv, 0xF);
-    const __m256d as = _mm256_permute_pd(av, 0x5);
-    _mm256_storeu_pd(ap + 2 * i, _mm256_addsub_pd(_mm256_mul_pd(av, br),
-                                                  _mm256_mul_pd(as, bi)));
-  }
-  for (; i < n; ++i) {
-    const double ar = a[i].real();
-    const double ai = a[i].imag();
-    const double br_s = b[i].real();
-    const double bi_s = b[i].imag();
-    a[i] = Complex(ar * br_s - ai * bi_s, ar * bi_s + ai * br_s);
+    for (; i < n; ++i) p[i] *= s;
   }
 }
 
@@ -215,48 +291,42 @@ void cmul_split_inplace(double* ar, double* ai, const double* br,
 
 void rfft_untangle(const double* hre, const double* him, const double* twr,
                    const double* twi, std::size_t h, Complex* out) {
-  const __m256d halfc = _mm256_set1_pd(0.5);
-  const __m256d neghalf = _mm256_set1_pd(-0.5);
-  const __m256d zero = _mm256_setzero_pd();
   double* outp = reinterpret_cast<double*>(out);
   std::size_t k = 1;
   for (; k + 4 <= h; k += 4) {
-    const __m256d zr = _mm256_loadu_pd(hre + k);
-    const __m256d zi = _mm256_loadu_pd(him + k);
-    const __m256d cr = reverse(_mm256_loadu_pd(hre + (h - k - 3)));
-    const __m256d ci = reverse(_mm256_loadu_pd(him + (h - k - 3)));
-    const __m256d er = _mm256_mul_pd(halfc, _mm256_add_pd(zr, cr));
-    const __m256d ei = _mm256_mul_pd(halfc, _mm256_sub_pd(zi, ci));
-    const __m256d dr = _mm256_sub_pd(zr, cr);
-    const __m256d di = _mm256_add_pd(zi, ci);
-    // odd = (0,-0.5) * d, written exactly as the scalar formula
-    // 0.0*dr - (-0.5)*di / 0.0*di + (-0.5)*dr.
-    const __m256d odd_r =
-        _mm256_sub_pd(_mm256_mul_pd(zero, dr), _mm256_mul_pd(neghalf, di));
-    const __m256d odd_i =
-        _mm256_add_pd(_mm256_mul_pd(zero, di), _mm256_mul_pd(neghalf, dr));
-    const __m256d wr = _mm256_loadu_pd(twr + k);
-    const __m256d wi = _mm256_loadu_pd(twi + k);
-    const __m256d o_re = _mm256_add_pd(
-        er, _mm256_sub_pd(_mm256_mul_pd(wr, odd_r), _mm256_mul_pd(wi, odd_i)));
-    const __m256d o_im = _mm256_add_pd(
-        ei, _mm256_add_pd(_mm256_mul_pd(wr, odd_i), _mm256_mul_pd(wi, odd_r)));
-    __m256d lo, hi;
+    __m256d o_re, o_im, lo, hi;
+    untangle4(hre, him, twr, twi, h, k, o_re, o_im);
     join_pairs(o_re, o_im, lo, hi);
     _mm256_storeu_pd(outp + 2 * k, lo);
     _mm256_storeu_pd(outp + 2 * k + 4, hi);
   }
+  for (; k < h; ++k) out[k] = untangle_bin(hre, him, twr, twi, h, k);
+}
+
+void rfft_untangle_product(const double* xr, const double* xi,
+                           const double* yr, const double* yi,
+                           const double* twr, const double* twi,
+                           std::size_t h, Complex* out) {
+  out[0] = cmul(xr[0] + xi[0], 0.0, yr[0] + yi[0], 0.0);
+  out[h] = cmul(xr[0] - xi[0], 0.0, yr[0] - yi[0], 0.0);
+  double* outp = reinterpret_cast<double*>(out);
+  std::size_t k = 1;
+  for (; k + 4 <= h; k += 4) {
+    __m256d ar, ai, br, bi, lo, hi;
+    untangle4(xr, xi, twr, twi, h, k, ar, ai);
+    untangle4(yr, yi, twr, twi, h, k, br, bi);
+    const __m256d pr =
+        _mm256_sub_pd(_mm256_mul_pd(ar, br), _mm256_mul_pd(ai, bi));
+    const __m256d pi =
+        _mm256_add_pd(_mm256_mul_pd(ar, bi), _mm256_mul_pd(ai, br));
+    join_pairs(pr, pi, lo, hi);
+    _mm256_storeu_pd(outp + 2 * k, lo);
+    _mm256_storeu_pd(outp + 2 * k + 4, hi);
+  }
   for (; k < h; ++k) {
-    const double sr = hre[k] + hre[h - k];
-    const double si = him[k] - him[h - k];
-    const double er = 0.5 * sr;
-    const double ei = 0.5 * si;
-    const double dr = hre[k] - hre[h - k];
-    const double di = him[k] + him[h - k];
-    const double odd_r = 0.0 * dr - (-0.5) * di;
-    const double odd_i = 0.0 * di + (-0.5) * dr;
-    out[k] = Complex(er + (twr[k] * odd_r - twi[k] * odd_i),
-                     ei + (twr[k] * odd_i + twi[k] * odd_r));
+    const Complex a = untangle_bin(xr, xi, twr, twi, h, k);
+    const Complex b = untangle_bin(yr, yi, twr, twi, h, k);
+    out[k] = cmul(a.real(), a.imag(), b.real(), b.imag());
   }
 }
 

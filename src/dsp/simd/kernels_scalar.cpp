@@ -18,40 +18,88 @@
 
 namespace nsync::dsp::simd::scalar {
 
+namespace {
+
+// One radix-2 butterfly: t = v * w, then (u, v) <- (u + t, u - t).
+inline void butterfly(double& ur, double& ui, double& vr, double& vi,
+                      double wr, double wi) {
+  const double tr = vr * wr - vi * wi;
+  const double ti = vr * wi + vi * wr;
+  const double ar = ur;
+  const double ai = ui;
+  ur = ar + tr;
+  ui = ai + ti;
+  vr = ar - tr;
+  vi = ai - ti;
+}
+
+// Bin k (1 <= k < h) of the real transform whose h-point half transform
+// sits in (hre, him):
+//   0.5 * (z_k + conj(z_{h-k})) + tw_k * (0, -0.5) * (z_k - conj(z_{h-k}))
+inline Complex untangle_bin(const double* hre, const double* him,
+                            const double* twr, const double* twi,
+                            std::size_t h, std::size_t k) {
+  // even = 0.5 * (z_k + conj(z_{h-k}))
+  const double sr = hre[k] + hre[h - k];
+  const double si = him[k] - him[h - k];
+  const double er = 0.5 * sr;
+  const double ei = 0.5 * si;
+  // odd = (0, -0.5) * (z_k - conj(z_{h-k}))
+  const double dr = hre[k] - hre[h - k];
+  const double di = him[k] + him[h - k];
+  const double odd_r = 0.0 * dr - (-0.5) * di;
+  const double odd_i = 0.0 * di + (-0.5) * dr;
+  // out = even + tw_k * odd
+  return Complex(er + (twr[k] * odd_r - twi[k] * odd_i),
+                 ei + (twr[k] * odd_i + twi[k] * odd_r));
+}
+
+// a * b with the naive formula (ar*br - ai*bi, ar*bi + ai*br).
+inline Complex cmul(double ar, double ai, double br, double bi) {
+  return Complex(ar * br - ai * bi, ar * bi + ai * br);
+}
+
+}  // namespace
+
 void radix2_pass(double* re, double* im, std::size_t n, std::size_t len,
                  const double* twr, const double* twi, bool inverse) {
   const std::size_t half = len / 2;
   for (std::size_t i = 0; i < n; i += len) {
     for (std::size_t k = 0; k < half; ++k) {
-      const double wr = twr[k];
-      const double wi = inverse ? -twi[k] : twi[k];
-      const double vr = re[i + k + half];
-      const double vi = im[i + k + half];
-      const double tr = vr * wr - vi * wi;
-      const double ti = vr * wi + vi * wr;
-      const double ur = re[i + k];
-      const double ui = im[i + k];
-      re[i + k] = ur + tr;
-      im[i + k] = ui + ti;
-      re[i + k + half] = ur - tr;
-      im[i + k + half] = ui - ti;
+      butterfly(re[i + k], im[i + k], re[i + k + half], im[i + k + half],
+                twr[k], inverse ? -twi[k] : twi[k]);
     }
   }
 }
 
-void divide2(double* re, double* im, std::size_t n, double d) {
-  for (std::size_t i = 0; i < n; ++i) re[i] /= d;
-  for (std::size_t i = 0; i < n; ++i) im[i] /= d;
+void radix2_pass_pair(double* re, double* im, std::size_t n, std::size_t len,
+                      const double* twr, const double* twi, bool inverse) {
+  // Quarter q of a 2*len block: stage len pairs (0,1) and (2,3) with
+  // twiddle k, stage 2*len pairs (0,2) with k and (1,3) with k + q.
+  const std::size_t q = len / 2;
+  const double* tbr = twr + q;
+  const double* tbi = twi + q;
+  for (std::size_t i = 0; i < n; i += 2 * len) {
+    for (std::size_t k = 0; k < q; ++k) {
+      double* r = re + i + k;
+      double* m = im + i + k;
+      double r0 = r[0], r1 = r[q], r2 = r[2 * q], r3 = r[3 * q];
+      double i0 = m[0], i1 = m[q], i2 = m[2 * q], i3 = m[3 * q];
+      const double wai = inverse ? -twi[k] : twi[k];
+      butterfly(r0, i0, r1, i1, twr[k], wai);
+      butterfly(r2, i2, r3, i3, twr[k], wai);
+      butterfly(r0, i0, r2, i2, tbr[k], inverse ? -tbi[k] : tbi[k]);
+      butterfly(r1, i1, r3, i3, tbr[k + q],
+                inverse ? -tbi[k + q] : tbi[k + q]);
+      r[0] = r0, r[q] = r1, r[2 * q] = r2, r[3 * q] = r3;
+      m[0] = i0, m[q] = i1, m[2 * q] = i2, m[3 * q] = i3;
+    }
+  }
 }
 
-void cmul_inplace(Complex* a, const Complex* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ar = a[i].real();
-    const double ai = a[i].imag();
-    const double br = b[i].real();
-    const double bi = b[i].imag();
-    a[i] = Complex(ar * br - ai * bi, ar * bi + ai * br);
-  }
+void scale2(double* re, double* im, std::size_t n, double s) {
+  for (std::size_t i = 0; i < n; ++i) re[i] *= s;
+  for (std::size_t i = 0; i < n; ++i) im[i] *= s;
 }
 
 void cmul_split_inplace(double* ar, double* ai, const double* br,
@@ -67,19 +115,20 @@ void cmul_split_inplace(double* ar, double* ai, const double* br,
 void rfft_untangle(const double* hre, const double* him, const double* twr,
                    const double* twi, std::size_t h, Complex* out) {
   for (std::size_t k = 1; k < h; ++k) {
-    // even = 0.5 * (z_k + conj(z_{h-k}))
-    const double sr = hre[k] + hre[h - k];
-    const double si = him[k] - him[h - k];
-    const double er = 0.5 * sr;
-    const double ei = 0.5 * si;
-    // odd = (0, -0.5) * (z_k - conj(z_{h-k}))
-    const double dr = hre[k] - hre[h - k];
-    const double di = him[k] + him[h - k];
-    const double odd_r = 0.0 * dr - (-0.5) * di;
-    const double odd_i = 0.0 * di + (-0.5) * dr;
-    // out = even + tw_k * odd
-    out[k] = Complex(er + (twr[k] * odd_r - twi[k] * odd_i),
-                     ei + (twr[k] * odd_i + twi[k] * odd_r));
+    out[k] = untangle_bin(hre, him, twr, twi, h, k);
+  }
+}
+
+void rfft_untangle_product(const double* xr, const double* xi,
+                           const double* yr, const double* yi,
+                           const double* twr, const double* twi,
+                           std::size_t h, Complex* out) {
+  out[0] = cmul(xr[0] + xi[0], 0.0, yr[0] + yi[0], 0.0);
+  out[h] = cmul(xr[0] - xi[0], 0.0, yr[0] - yi[0], 0.0);
+  for (std::size_t k = 1; k < h; ++k) {
+    const Complex a = untangle_bin(xr, xi, twr, twi, h, k);
+    const Complex b = untangle_bin(yr, yi, twr, twi, h, k);
+    out[k] = cmul(a.real(), a.imag(), b.real(), b.imag());
   }
 }
 

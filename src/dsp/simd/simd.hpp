@@ -15,8 +15,9 @@
 //    computed with exactly the scalar backend's operation sequence, no
 //    FMA contraction and no reassociation — so the AVX2 and scalar
 //    backends produce bit-identical results.  This covers the radix-2
-//    butterfly passes, the rfft/irfft untangling epilogues, complex bin
-//    products (the Bluestein chirp and kernel multiplies among them),
+//    butterfly passes (single and stage-pair), the rfft/irfft untangling
+//    epilogues, the fused correlation untangle-and-product, complex bin
+//    products (the Bluestein chirp and kernel multiplies), the 1/n scale,
 //    (de)interleaves, centered copies, window normalization, per-channel
 //    sums and the TDEB clamp+bias+argmax epilogue.
 //  * "ULP-bounded" kernels reassociate a reduction (vector partial
@@ -71,13 +72,21 @@ struct Ops {
   void (*radix2_pass)(double* re, double* im, std::size_t n, std::size_t len,
                       const double* twr, const double* twi, bool inverse);
 
-  /// x[i] /= d for both planes (the inverse-FFT 1/n normalization;
-  /// division, not multiplication by the reciprocal, to match the scalar
-  /// path bit for bit).
-  void (*divide2)(double* re, double* im, std::size_t n, double d);
+  /// Stages `len` and `2*len` in one sweep (n % (2*len) == 0): each block
+  /// of 2*len elements is loaded once, both stages' butterflies run on it,
+  /// and it is stored once.  `twr`/`twi` hold stage len's len/2 twiddles
+  /// followed by stage 2*len's len twiddles (the plan's concatenated
+  /// layout).  Every element sees the same two butterflies, with the same
+  /// operands, as two radix2_pass calls, so the result is bitwise theirs.
+  void (*radix2_pass_pair)(double* re, double* im, std::size_t n,
+                           std::size_t len, const double* twr,
+                           const double* twi, bool inverse);
 
-  /// a[i] *= b[i], interleaved std::complex layout (spectrum bin product).
-  void (*cmul_inplace)(Complex* a, const Complex* b, std::size_t n);
+  /// x[i] *= s for both planes: the inverse-FFT normalization, called
+  /// with s = 1/n for a power-of-two n.  2^-p is exact, so x * 2^-p and
+  /// x / 2^p round the same real number and are the same double for
+  /// every x (subnormal results and signed zeros included).
+  void (*scale2)(double* re, double* im, std::size_t n, double s);
 
   /// Split-layout bin product: (ar,ai)[i] *= (br,bi)[i].
   void (*cmul_split_inplace)(double* ar, double* ai, const double* br,
@@ -89,6 +98,18 @@ struct Ops {
   void (*rfft_untangle)(const double* hre, const double* him,
                         const double* twr, const double* twi, std::size_t h,
                         Complex* out);
+
+  /// Correlation bin product, k = 0 .. h: untangles the half-size
+  /// transforms (xr,xi) and (yr,yi) into X[k] and Y[k] exactly as
+  /// rfft_untangle does (X[0] = (xr0+xi0, 0), X[h] = (xr0-xi0, 0)) and
+  /// writes out[k] = X[k] * Y[k] with the naive complex product
+  /// (Xr*Yr - Xi*Yi, Xr*Yi + Xi*Yr).  Bitwise equal to two untangles
+  /// into spectra followed by a bin-wise multiply; only the stores of the
+  /// two spectra are gone.
+  void (*rfft_untangle_product)(const double* xr, const double* xi,
+                                const double* yr, const double* yi,
+                                const double* twr, const double* twi,
+                                std::size_t h, Complex* out);
 
   /// Inverse epilogue, natural order k = 0 .. h-1 (bins has h+1 entries),
   /// stored as interleaved pairs out[2k] = Re half[k], out[2k+1] = Im:

@@ -1,6 +1,7 @@
 #include "engine/sharded_fleet.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -23,10 +24,17 @@ void LatencyHistogram::record(std::chrono::nanoseconds latency) {
   const auto us = static_cast<std::uint64_t>(
       std::max<std::int64_t>(0, latency.count() / 1000));
   std::size_t bucket = 0;
-  while (bucket + 1 < buckets_.size() && (1ull << (bucket + 1)) <= us) {
-    ++bucket;
+  if (us < kSub) {
+    bucket = static_cast<std::size_t>(us);
+  } else {
+    // us in octave [2^e, 2^(e+1)), e >= kSubBits: its top kSubBits + 1
+    // bits pick the octave's sub-bucket.
+    const auto shift =
+        static_cast<unsigned>(std::bit_width(us)) - 1 - kSubBits;
+    bucket = static_cast<std::size_t>(kSub * (1 + shift) + (us >> shift) -
+                                      kSub);
   }
-  ++buckets_[bucket];
+  ++buckets_[std::min(bucket, buckets_.size() - 1)];
   ++count_;
 }
 
@@ -42,13 +50,16 @@ double LatencyHistogram::quantile_us(double q) const {
   q = std::clamp(q, 0.0, 1.0);
   const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(count_ - 1));
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+  std::size_t i = 0;
+  for (; i + 1 < buckets_.size(); ++i) {
     seen += buckets_[i];
-    if (seen > rank) {
-      return static_cast<double>(1ull << (i + 1));  // bucket upper bound
-    }
+    if (seen > rank) break;
   }
-  return static_cast<double>(1ull << buckets_.size());
+  // Bucket i covers [lo, lo + width): width 1 below kSub, else 2^shift.
+  const std::uint64_t shift = i < kSub ? 0 : i / kSub - 1;
+  const std::uint64_t lo = i < kSub ? i : (kSub + i % kSub) << shift;
+  return static_cast<double>(lo) +
+         0.5 * static_cast<double>(std::uint64_t{1} << shift);
 }
 
 std::string feed_status_name(FeedStatus s) {
@@ -169,22 +180,17 @@ void ShardedFleet::process_batches(std::size_t index, Shard& shard,
   // periodic write: a restore must not resurrect a session the caller was
   // told is gone.
   checkpoint_shard(index, shard, /*polled=*/true, /*durable=*/evicted_any);
-  const auto now = std::chrono::steady_clock::now();
-  for (const auto& b : batches) {
-    if (b.kind == FrameBatch::Kind::kFeed) {
-      shard.counters.latency.record(now - b.enqueued_at);
-    }
-  }
   // Only the sessions this round fed or evicted changed.
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  publish(shard, touched);
+  publish(shard, touched, batches);
   for (const auto& b : batches) {
     if (b.kind == FrameBatch::Kind::kBarrier) b.reached->set_value();
   }
 }
 
-void ShardedFleet::publish(Shard& shard, std::span<const std::size_t> touched) {
+void ShardedFleet::publish(Shard& shard, std::span<const std::size_t> touched,
+                           std::span<const FrameBatch> fed) {
   std::vector<std::pair<std::size_t, SessionSnapshot>> snaps;
   snaps.reserve(touched.size());
   for (const std::size_t local : touched) {
@@ -201,7 +207,13 @@ void ShardedFleet::publish(Shard& shard, std::span<const std::size_t> touched) {
       baselines->push_back({model, profile, reg->baseline(model, profile)});
     }
   }
+  const auto now = std::chrono::steady_clock::now();
   const std::scoped_lock lock(shard.view_mu);
+  for (const auto& b : fed) {
+    if (b.kind == FrameBatch::Kind::kFeed) {
+      shard.view.latency.record(now - b.enqueued_at);
+    }
+  }
   for (auto& [local, snap] : snaps) {
     if (snap.evicted) {
       shard.view.sessions.erase(local);
@@ -543,10 +555,12 @@ FleetStats ShardedFleet::stats() const {
     s.discarded_frames = shard.discarded_frames.load(std::memory_order_relaxed);
     if (s.failed) ++out.failed_shards;
     ShardCounters c;
+    LatencyHistogram latency;
     {
       const std::scoped_lock lock(shard.view_mu);
       s.failure_reason = shard.view.failure_reason;
       c = shard.view.counters;
+      latency = shard.view.latency;
     }
     s.batches = c.batches;
     s.polls = c.polls;
@@ -554,10 +568,10 @@ FleetStats ShardedFleet::stats() const {
     s.feed_errors = c.feed_errors;
     s.checkpoints_written = c.checkpoints_written;
     s.checkpoint_writes = c.checkpoint_writes;
-    s.latency_samples = c.latency.count();
-    s.p50_feed_to_verdict_us = c.latency.quantile_us(0.50);
-    s.p99_feed_to_verdict_us = c.latency.quantile_us(0.99);
-    merged.merge(c.latency);
+    s.latency_samples = latency.count();
+    s.p50_feed_to_verdict_us = latency.quantile_us(0.50);
+    s.p99_feed_to_verdict_us = latency.quantile_us(0.99);
+    merged.merge(latency);
     out.windows += s.windows;
     out.shed_frames += s.queue.shed_frames;
     out.rejected_frames += s.queue.rejected_frames;

@@ -67,19 +67,28 @@
 
 namespace nsync::engine {
 
-/// Log2-bucketed latency histogram (microseconds).  Cheap enough to
-/// update per batch on the worker; quantiles are bucket upper bounds, so
-/// p99 is conservative within a factor of 2.
+/// Log-linear latency histogram (microseconds).  Values below 16 us get
+/// one bucket each; every octave [2^e, 2^(e+1)) above that is split into
+/// 16 equal buckets, so a bucket is at most 1/16 of its lower bound wide
+/// and its midpoint, which quantile_us() reports, lies within 1/32
+/// (3.2 %) of every value in it.  Fixed-size and allocation-free;
+/// merge() adds bucket counts, so a merged histogram equals one that
+/// recorded the union.  Values past 2^36 us (19 h) land in the last
+/// bucket.
 class LatencyHistogram {
  public:
   void record(std::chrono::nanoseconds latency);
   void merge(const LatencyHistogram& other);
   [[nodiscard]] std::uint64_t count() const { return count_; }
-  /// Approximate quantile in microseconds (q in [0,1]); 0 when empty.
+  /// Midpoint of the bucket holding the floor(q * (count - 1))-th
+  /// smallest sample, in microseconds (q in [0,1]); 0 when empty.
   [[nodiscard]] double quantile_us(double q) const;
 
  private:
-  std::array<std::uint64_t, 40> buckets_{};
+  static constexpr unsigned kSubBits = 4;  // 16 buckets per octave
+  static constexpr std::uint64_t kSub = std::uint64_t{1} << kSubBits;
+  static constexpr std::size_t kOctaves = 32;
+  std::array<std::uint64_t, kSub * (kOctaves + 1)> buckets_{};
   std::uint64_t count_ = 0;
 };
 
@@ -287,7 +296,6 @@ class ShardedFleet {
     std::uint64_t feed_errors = 0;
     std::uint64_t checkpoints_written = 0;  // periodic writes
     std::uint64_t checkpoint_writes = 0;    // every write
-    LatencyHistogram latency;
   };
 
   /// A shard as observers see it: snapshot(), stats() and baselines() read
@@ -299,6 +307,9 @@ class ShardedFleet {
   struct ShardView {
     std::map<std::size_t, SessionSnapshot> sessions;  // live, by local id
     ShardCounters counters;
+    /// Feed-to-verdict latency of every FEED batch, recorded in place
+    /// by publish() so the per-round counter copy stays small.
+    LatencyHistogram latency;
     std::vector<ShardBaselineEntry> baselines;
     std::string failure_reason;
   };
@@ -358,9 +369,11 @@ class ShardedFleet {
   bool supervise_failure(std::size_t index, Shard& shard,
                          const std::string& what);
   /// Republishes shard.view: the snapshots of the `touched` local
-  /// sessions, the counters, and the baselines if the registry changed.
-  /// Caller holds shard.mu.
-  static void publish(Shard& shard, std::span<const std::size_t> touched);
+  /// sessions, the counters, and the baselines if the registry changed,
+  /// and records the feed-to-verdict latency of every kFeed batch in
+  /// `fed`.  Caller holds shard.mu.
+  static void publish(Shard& shard, std::span<const std::size_t> touched,
+                      std::span<const FrameBatch> fed = {});
   /// publish() of every session, replacing the view's session set (after
   /// the engine was built or replaced).  Caller holds shard.mu.
   static void publish_all(Shard& shard);

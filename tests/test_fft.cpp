@@ -4,13 +4,17 @@
 // cache (cached vs uncached equivalence, Bluestein plans, concurrency).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <limits>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "dsp/fft.hpp"
+#include "dsp/fft_internal.hpp"
 #include "dsp/reference/reference.hpp"
 #include "dsp/simd/simd.hpp"
 #include "runtime/thread_pool.hpp"
@@ -345,7 +349,7 @@ TEST(CrossCorrelateValid, ExactAtTransformWrapBoundaries) {
         const auto y = random_real(ny, 82 + ny);
         std::vector<double> out(nx - ny + 1);
         cross_correlate_valid_into(x, y, out, ws);
-        EXPECT_EQ(ws.x_pad.size(), correlation_fft_size(nx))
+        EXPECT_EQ(ws.plan->n, correlation_fft_size(nx))
             << "nx " << nx << " ny " << ny;
         for (std::size_t lag = 0; lag < out.size(); ++lag) {
           double acc = 0.0;
@@ -356,6 +360,97 @@ TEST(CrossCorrelateValid, ExactAtTransformWrapBoundaries) {
       }
     }
   }
+}
+
+// Finite data with the awkward values mixed in: -0.0, +0.0, subnormals
+// and large magnitudes next to N(0, 1) draws.
+std::vector<double> awkward_real(std::size_t n, std::uint64_t seed) {
+  nsync::signal::Rng rng(seed);
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (rng.uniform_int(0, 8)) {
+      case 0:
+        v[i] = -0.0;
+        break;
+      case 1:
+        v[i] = 0.0;
+        break;
+      case 2:
+        v[i] = std::numeric_limits<double>::denorm_min() *
+               static_cast<double>(rng.uniform_int(1, 4096)) *
+               (rng.normal() < 0 ? -1.0 : 1.0);
+        break;
+      case 3:
+        v[i] = rng.normal() * 1e100;
+        break;
+      default:
+        v[i] = rng.normal();
+    }
+  }
+  return v;
+}
+
+// The correlation as the composition it replaced: pad x and reversed y
+// to m, two rfft_pow2_split calls, the naive bin product, one
+// irfft_pow2_split, then the valid slice.
+std::vector<double> unfused_correlation(std::span<const double> x,
+                                        std::span<const double> y) {
+  const std::size_t nx = x.size();
+  const std::size_t ny = y.size();
+  const std::size_t m = correlation_fft_size(nx);
+  const std::size_t h = m / 2;
+  const auto plan = detail::get_rfft_plan(m);
+  std::vector<double> x_pad(m, 0.0), y_pad(m, 0.0), re(h), im(h);
+  std::copy(x.begin(), x.end(), x_pad.begin());
+  for (std::size_t i = 0; i < ny; ++i) y_pad[i] = y[ny - 1 - i];
+  std::vector<Complex> sx(h + 1), sy(h + 1);
+  detail::rfft_pow2_split(x_pad, sx, re.data(), im.data(), *plan);
+  detail::rfft_pow2_split(y_pad, sy, re.data(), im.data(), *plan);
+  for (std::size_t k = 0; k <= h; ++k) {
+    const double ar = sx[k].real(), ai = sx[k].imag();
+    const double br = sy[k].real(), bi = sy[k].imag();
+    sx[k] = Complex(ar * br - ai * bi, ar * bi + ai * br);
+  }
+  detail::irfft_pow2_split(sx, x_pad, re.data(), im.data(), *plan);
+  return {x_pad.begin() + static_cast<std::ptrdiff_t>(ny - 1),
+          x_pad.begin() + static_cast<std::ptrdiff_t>(nx)};
+}
+
+TEST(CrossCorrelateValid, MatchesUnfusedCompositionBitwise) {
+  // The fused pack -> stages -> product -> stages -> tail must return the
+  // bits of the composition, under every backend: every nx up to 1100
+  // (odd included) against ny = 1, odd and even middles and ny = nx, and
+  // the four TDEB shapes with their odd neighbours.
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  for (std::size_t nx = 1; nx <= 1100; ++nx) {
+    for (const std::size_t ny :
+         {std::size_t{1}, nx, (nx + 1) / 2, 1 + (nx * 37) % nx}) {
+      shapes.emplace_back(nx, ny);
+    }
+  }
+  for (const auto& [nx, ny] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {480, 400}, {3200, 1600}, {4800, 4000}, {32000, 16000},
+           {481, 401}, {3201, 1601}, {4801, 4001}, {32001, 16001}}) {
+    shapes.emplace_back(nx, ny);
+  }
+  const simd::Isa saved = simd::active_isa();
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+    if (!simd::set_backend(isa)) continue;
+    CorrelationWorkspace ws;
+    for (const auto& [nx, ny] : shapes) {
+      const auto x = awkward_real(nx, 0x5A00 + nx);
+      const auto y = awkward_real(ny, 0x6B00 + ny);
+      const std::vector<double> ref = unfused_correlation(x, y);
+      std::vector<double> out(nx - ny + 1);
+      cross_correlate_valid_into(x, y, out, ws);
+      ASSERT_EQ(ref.size(), out.size());
+      ASSERT_EQ(std::memcmp(ref.data(), out.data(),
+                            out.size() * sizeof(double)),
+                0)
+          << "nx " << nx << " ny " << ny << " isa " << simd::isa_name(isa);
+    }
+  }
+  simd::set_backend(saved);
 }
 
 // --------------------------------------------------------------------------

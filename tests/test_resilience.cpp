@@ -6,6 +6,8 @@
 // parity through a fault-injecting proxy.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -401,10 +403,20 @@ TEST(Resilience, WriteDeadlineClosesSlowConsumer) {
   // a single reply.  Replies back up until the server's write cannot
   // complete within the deadline; the server must close us rather than
   // wedge the connection thread.
+  //
+  // The small MSS bounds how much the server must write before a write
+  // blocks.  Linux sizes a new connection's send buffer from the peer's
+  // MSS, and loopback's ~64 KiB MSS gives it megabytes: ~6.5 MB of pings
+  // on an idle host, and under a loaded `ctest -j8` the server's
+  // connection thread got through only ~3.9 MB in the 10 s bound.  At
+  // 536 bytes a server write blocks after about 2 MB of pings, idle or
+  // loaded.
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   const int rcv = 2048;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcv, sizeof(rcv));
+  const int mss = 536;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_MAXSEG, &mss, sizeof(mss));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -412,14 +424,39 @@ TEST(Resilience, WriteDeadlineClosesSlowConsumer) {
   ASSERT_EQ(
       ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
       0);
+  // Keep the pressure on: whenever the socket takes more, send more pings
+  // (never reading) until the server times a write out or closes us.
+  // Stopping at the first EAGAIN is not enough: under load the replies to
+  // what was sent by then can all fit in the socket buffers, and then no
+  // server write ever blocks.  A send the full buffer cuts short resumes
+  // mid-frame (`off`): restarting the ping would corrupt the stream, and
+  // the server would close us for a bad frame instead.
   const std::vector<std::uint8_t> ping = wire::encode(wire::Ping{99});
-  for (int i = 0; i < 200000; ++i) {
-    const ssize_t w = ::send(fd, ping.data(), ping.size(), MSG_DONTWAIT);
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (w < 0) break;
+  std::size_t off = 0;
+  const auto timed_out = [&] { return server.stats().write_timeouts >= 1; };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(10000);
+  bool peer_closed = false;
+  while (!peer_closed && !timed_out() &&
+         std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, POLLOUT, 0};
+    if (::poll(&pfd, 1, 50) <= 0) continue;
+    if ((pfd.revents & (POLLERR | POLLHUP)) != 0) break;
+    while (std::chrono::steady_clock::now() < deadline) {
+      const ssize_t w = ::send(fd, ping.data() + off, ping.size() - off,
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (w >= 0) {
+        off = (off + static_cast<std::size_t>(w)) % ping.size();
+        continue;
+      }
+      peer_closed = errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR;
+      break;
+    }
   }
-  EXPECT_TRUE(wait_for([&] { return server.stats().write_timeouts >= 1; },
-                       std::chrono::milliseconds(10000)))
+  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+      deadline - std::chrono::steady_clock::now());
+  EXPECT_TRUE(wait_for(timed_out,
+                       std::max(left, std::chrono::milliseconds(0))))
       << "server never timed out the slow consumer's reply write";
   ::close(fd);
   server.stop();

@@ -270,6 +270,52 @@ class TempDir {
 
 // --- Shard-count invariance -------------------------------------------------
 
+// ---------------------------------------------------------------------------
+// LatencyHistogram: log-linear buckets, <= 6 % relative error.
+
+TEST(LatencyHistogram, ConstantLatencyReadsWithinSixPercent) {
+  for (const std::int64_t us : {20, 700, 70000, 1500000}) {
+    engine::LatencyHistogram h;
+    for (int i = 0; i < 1000; ++i) h.record(std::chrono::microseconds(us));
+    EXPECT_EQ(h.count(), 1000u);
+    for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+      EXPECT_NEAR(h.quantile_us(q), static_cast<double>(us),
+                  0.06 * static_cast<double>(us))
+          << us << " us, q " << q;
+    }
+  }
+  EXPECT_EQ(engine::LatencyHistogram{}.quantile_us(0.5), 0.0);
+}
+
+TEST(LatencyHistogram, UniformQuantilesWithinSixPercent) {
+  // 1 .. 200 ms in 1 us steps: the exact q-quantile is 1000 + q * 199999.
+  engine::LatencyHistogram h;
+  for (std::int64_t us = 1000; us < 201000; ++us) {
+    h.record(std::chrono::microseconds(us));
+  }
+  for (const double q : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
+    const double exact = 1000.0 + q * 199999.0;
+    EXPECT_NEAR(h.quantile_us(q), exact, 0.06 * exact) << "q " << q;
+  }
+}
+
+TEST(LatencyHistogram, MergeEqualsRecordingTheUnion) {
+  Rng rng(2024);
+  engine::LatencyHistogram a, b, all;
+  for (int i = 0; i < 5000; ++i) {
+    const auto ns = std::chrono::nanoseconds(
+        static_cast<std::int64_t>(rng.exponential(1.0 / 3e7)));
+    (i % 3 == 0 ? a : b).record(ns);
+    all.record(ns);
+  }
+  a.merge(b);
+  EXPECT_EQ(a.count(), all.count());
+  for (int i = 0; i <= 100; ++i) {
+    const double q = i / 100.0;
+    EXPECT_EQ(a.quantile_us(q), all.quantile_us(q)) << "q " << q;
+  }
+}
+
 TEST(ShardedFleet, VerdictsBitwiseInvariantAcrossShardCounts) {
   const Fixture fx(4, /*attack_session=*/1);
   const std::vector<Verdict> baseline = run_monitor_engine(fx);

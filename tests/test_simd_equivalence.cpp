@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -326,6 +328,83 @@ TEST(SimdBitwise, RfftIrfftMatchUnfusedCompositionAllPow2) {
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(out[i], out_ref[i])
             << "irfft n=" << n << " i=" << i << " " << simd::isa_name(isa);
+      }
+    }
+  }
+}
+
+TEST(SimdBitwise, Radix2PassPairMatchesTwoSinglePasses) {
+  // One sweep of stages len and 2*len must leave the bits of two single
+  // passes, for every power-of-two n up to 2^14, every len the pair can
+  // take (2*len <= n), both directions and every backend.
+  BackendGuard guard;
+  for (const simd::Isa isa : available_backends()) {
+    ASSERT_TRUE(simd::set_backend(isa));
+    const auto& k = simd::ops();
+    for (std::size_t n = 4; n <= (std::size_t{1} << 14); n <<= 1) {
+      const auto plan = nsync::dsp::detail::get_rfft_plan(2 * n);
+      const auto& r2 = *plan->half;  // the n-point radix-2 plan
+      const std::vector<double> re0 = random_vector(n, 0xA100 + n);
+      const std::vector<double> im0 = random_vector(n, 0xB100 + n);
+      for (std::size_t len = 2; 2 * len <= n; len <<= 1) {
+        for (const bool inverse : {false, true}) {
+          std::vector<double> pr = re0, pi = im0, sr = re0, si = im0;
+          k.radix2_pass_pair(pr.data(), pi.data(), n, len, r2.stage_twr(len),
+                             r2.stage_twi(len), inverse);
+          k.radix2_pass(sr.data(), si.data(), n, len, r2.stage_twr(len),
+                        r2.stage_twi(len), inverse);
+          k.radix2_pass(sr.data(), si.data(), n, 2 * len,
+                        r2.stage_twr(2 * len), r2.stage_twi(2 * len),
+                        inverse);
+          EXPECT_EQ(std::memcmp(pr.data(), sr.data(), n * sizeof(double)), 0)
+              << "re n=" << n << " len=" << len << " inverse=" << inverse
+              << " " << simd::isa_name(isa);
+          EXPECT_EQ(std::memcmp(pi.data(), si.data(), n * sizeof(double)), 0)
+              << "im n=" << n << " len=" << len << " inverse=" << inverse
+              << " " << simd::isa_name(isa);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdBitwise, Scale2ByReciprocalEqualsDivisionAllPow2) {
+  // The inverse transforms scale by multiplying with 1/n where they used
+  // to divide by n.  For n = 2^p the reciprocal is exact, so both round
+  // the same real number: the bits must match division for random,
+  // subnormal, tiny-normal, huge and signed-zero values at every p.
+  BackendGuard guard;
+  std::vector<double> v = random_vector(61, 0x5CA1E);
+  for (double& x : v) {  // spread exponents over the whole double range
+    x = std::ldexp(x, std::clamp(static_cast<int>(x * 250.0), -1060, 1000));
+  }
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double min_normal = std::numeric_limits<double>::min();
+  for (const double x :
+       {0.0, -0.0, tiny, -tiny, 3.0 * tiny, -77.0 * tiny, min_normal,
+        -min_normal, 1.5 * min_normal, std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(), 1.0, -1.0}) {
+    v.push_back(x);
+  }
+  for (int i = 0; i < 40; ++i) {
+    v.push_back(tiny * static_cast<double>(1 + 97 * i) * (i % 2 ? -1.0 : 1.0));
+  }
+  const std::size_t len = v.size();
+  for (const simd::Isa isa : available_backends()) {
+    ASSERT_TRUE(simd::set_backend(isa));
+    for (int p = 0; p < 63; ++p) {
+      const double n = std::ldexp(1.0, p);
+      std::vector<double> re = v;
+      std::vector<double> im(v.rbegin(), v.rend());
+      simd::ops().scale2(re.data(), im.data(), len, 1.0 / n);
+      for (std::size_t i = 0; i < len; ++i) {
+        const double want_re = v[i] / n;
+        const double want_im = v[len - 1 - i] / n;
+        EXPECT_EQ(std::memcmp(&re[i], &want_re, sizeof(double)), 0)
+            << "p=" << p << " x=" << v[i] << " " << simd::isa_name(isa);
+        EXPECT_EQ(std::memcmp(&im[i], &want_im, sizeof(double)), 0)
+            << "p=" << p << " x=" << v[len - 1 - i] << " "
+            << simd::isa_name(isa);
       }
     }
   }

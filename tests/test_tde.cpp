@@ -10,6 +10,7 @@
 #include "core/dwm.hpp"
 #include "core/tde.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/fft_internal.hpp"
 #include "eval/setup.hpp"
 #include "sensors/side_channel.hpp"
 #include "signal/rng.hpp"
@@ -261,7 +262,7 @@ TEST(TdeCorrelationSize, BatchedScoresExactAtTransformWrapBoundaries) {
         const Signal x = random_signal(nx, 3, 101 + nx);
         const Signal y = random_signal(ny, 3, 102 + ny);
         const auto fast = similarity_scores_into(x, y, {}, ws);
-        EXPECT_EQ(ws.pearson.corr.x_pad.size(), dsp::correlation_fft_size(nx))
+        EXPECT_EQ(ws.pearson.corr.plan->n, dsp::correlation_fft_size(nx))
             << "nx " << nx << " ny " << ny;
         const auto direct = brute_force_similarity(x, y);
         ASSERT_EQ(fast.size(), direct.size());
@@ -296,7 +297,7 @@ TEST(TdeCorrelationSize, DwmWindowsOfEveryTable4RateUseTheNxSize) {
         const Signal x = random_signal(nx, channels, 7);
         const Signal y = random_signal(p.n_win, channels, 8);
         (void)similarity_scores_into(x, y, {}, ws);
-        EXPECT_EQ(ws.pearson.corr.x_pad.size(), m) << eval::printer_name(printer) << " rate " << rate
+        EXPECT_EQ(ws.pearson.corr.plan->n, m) << eval::printer_name(printer) << " rate " << rate
                            << " channels " << channels;
       }
     }
