@@ -1,8 +1,9 @@
 // google-benchmark micro benchmarks for the hot paths: FFT (cached vs
 // uncached plans, complex vs real-input), sliding correlation (naive vs
 // FFT — the TDE ablation), one DWM window step, the steady-state DWM
-// streaming loop, Table III spectrograms, FastDTW, and end-to-end dataset
-// generation across runtime pool sizes.
+// streaming loop, Table III spectrograms, FastDTW, the CRC-32 that
+// checksums frames and checkpoints, and end-to-end dataset generation
+// across runtime pool sizes.
 //
 // Accepts `--json <path>` in addition to the standard benchmark flags:
 // shorthand for --benchmark_out=<path> --benchmark_out_format=json, used
@@ -23,6 +24,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -40,6 +42,7 @@
 #include "eval/dataset.hpp"
 #include "eval/setup.hpp"
 #include "runtime/thread_pool.hpp"
+#include "signal/checkpoint.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 
@@ -327,6 +330,22 @@ void BM_TdebEpilogue(benchmark::State& state) {
                static_cast<double>(n * 16));
 }
 NSYNC_BENCHMARK(BM_TdebEpilogue)->Arg(801)->Arg(4096)->Arg(16384);
+
+void BM_Crc32(benchmark::State& state) {
+  // signal::crc32 through the dispatched crc32_update kernel, from a small
+  // NSFP frame (64 B) to one print_churn spec file (2 MiB).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  signal::Rng rng(23);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (auto _ : state) {
+    auto crc = signal::crc32(bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+NSYNC_BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(65536)->Arg(2097152);
 
 void BM_DwmWindowStep(benchmark::State& state) {
   // One TDEB evaluation: an nx-frame extended reference window against an

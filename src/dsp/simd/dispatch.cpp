@@ -22,7 +22,7 @@ namespace {
       ns::interleave, ns::subtract_scalar, ns::normalize_windows,          \
       ns::clamp_weight_argmax, ns::channel_sums, ns::sum,                  \
       ns::centered_energy, ns::subtract_scalar_energy,                     \
-      ns::pearson_accumulate, ns::prefix_sums
+      ns::pearson_accumulate, ns::prefix_sums, ns::crc32_update
 
 const Ops kScalarOps{Isa::kScalar, "scalar", NSYNC_SIMD_OPS_ENTRIES(scalar)};
 #if defined(NSYNC_SIMD_HAVE_AVX2)
@@ -86,7 +86,8 @@ bool backend_available(Isa isa) {
       return true;
     case Isa::kAvx2:
 #if defined(NSYNC_SIMD_HAVE_AVX2)
-      return __builtin_cpu_supports("avx2");
+      return __builtin_cpu_supports("avx2") &&
+             __builtin_cpu_supports("pclmul");
 #else
       return false;
 #endif

@@ -4,10 +4,10 @@
 // namespace; dispatch.cpp wires them into simd::Ops tables.  The scalar
 // backend is the reference — its bodies are literal transcriptions of the
 // loops that used to live inline in fft.cpp / xcorr.cpp / stats.cpp /
-// tde.cpp, so the scalar backend is bitwise identical to the pre-dispatch
-// implementation.  Vector backends must match it per the contract in
-// simd.hpp (bitwise for lane-parallel kernels, bounded-ULP for
-// reassociating reductions).
+// tde.cpp / checkpoint.cpp, so the scalar backend is bitwise identical to
+// the pre-dispatch implementation.  Vector backends must match it per the
+// contract in simd.hpp (bitwise for lane-parallel kernels, bounded-ULP for
+// reassociating reductions, exact for the CRC-32).
 //
 // The signature list is kept in one macro so the backends cannot drift
 // apart.
@@ -55,7 +55,9 @@
   void pearson_accumulate(const double* u, const double* v, double mu,       \
                           double mv, std::size_t n, double* num,             \
                           double* du2, double* dv2);                         \
-  void prefix_sums(const double* x, double* ps, double* ps2, std::size_t n);
+  void prefix_sums(const double* x, double* ps, double* ps2, std::size_t n); \
+  std::uint32_t crc32_update(std::uint32_t state, const std::uint8_t* p,     \
+                             std::size_t n);
 // clang-format on
 
 namespace nsync::dsp::simd {

@@ -1,15 +1,16 @@
 // AVX2 backend.
 //
-// This translation unit is compiled with `-mavx2 -ffp-contract=off` and
-// deliberately WITHOUT `-mfma`: the equivalence contract in simd.hpp
-// promises that lane-parallel kernels are bitwise identical to the scalar
-// backend, and a fused multiply-add would change the rounding of every
-// `a*b - c*d` complex product.  Each vector body below performs exactly
-// the scalar backend's operation sequence per lane — including the
-// "useless" multiplies by 0.0 and the full multiply by the k = 0 twiddle
-// (1.0, -0.0) — so the only kernels that can diverge are the explicitly
-// ULP-bounded reductions at the bottom of the file (partial accumulators
-// / in-register scans reassociate; see simd.hpp).
+// This translation unit is compiled with `-mavx2 -mpclmul
+// -ffp-contract=off` and deliberately WITHOUT `-mfma`: the equivalence
+// contract in simd.hpp promises that lane-parallel kernels are bitwise
+// identical to the scalar backend, and a fused multiply-add would change
+// the rounding of every `a*b - c*d` complex product.  Each vector body
+// below performs exactly the scalar backend's operation sequence per lane
+// — including the "useless" multiplies by 0.0 and the full multiply by
+// the k = 0 twiddle (1.0, -0.0) — so the only kernels that can diverge
+// are the explicitly ULP-bounded reductions near the bottom of the file
+// (partial accumulators / in-register scans reassociate; see simd.hpp).
+// The CRC-32 fold at the very bottom is integer arithmetic and exact.
 //
 // NaN/signed-zero gotchas encoded here (do not "fix" the operand order):
 //  * `_mm256_max_pd(a, b)` returns b when either input is NaN, while
@@ -27,6 +28,7 @@
 #include <immintrin.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace nsync::dsp::simd::avx2 {
@@ -643,6 +645,85 @@ void prefix_sums(const double* x, double* ps, double* ps2, std::size_t n) {
     ps[i + 1] = ps[i] + x[i];
     ps2[i + 1] = ps2[i] + x[i] * x[i];
   }
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32 by carry-less multiplication folding (Gopal et al., "Fast CRC
+// Computation for Generic Polynomials Using PCLMULQDQ Instruction", Intel
+// 2009), in the bit-reflected domain of the IEEE polynomial
+// P = 0x104C11DB7.  Each fold constant is (x^d mod P), bit-reflected and
+// shifted left by one, for the distance d named beside it.
+
+namespace {
+
+// x.lo·k.lo ⊕ x.hi·k.hi ⊕ next (carry-less products): moves the 128
+// bits of `x` forward by the distance `k` encodes and adds them onto the
+// block `next`.
+inline __m128i fold16(__m128i x, __m128i k, __m128i next) {
+  const __m128i lo = _mm_clmulepi64_si128(x, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(x, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(lo, hi), next);
+}
+
+inline __m128i load16(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// CRC register after p[0..n), n a multiple of 16 and at least 64.
+std::uint32_t crc32_fold(std::uint32_t state, const std::uint8_t* p,
+                         std::size_t n) {
+  // lo: d = 4·128 + 32, hi: d = 4·128 − 32 (fold across 64 bytes).
+  const __m128i k64 = _mm_set_epi64x(0x1C6E41596, 0x154442BD4);
+  // lo: d = 128 + 32, hi: d = 128 − 32 (fold across 16 bytes).
+  const __m128i k16 = _mm_set_epi64x(0x0CCAA009E, 0x1751997D0);
+  // d = 64 (fold the last 64 bits to 32 + 32).
+  const __m128i k8 = _mm_set_epi64x(0, 0x163CD6124);
+  // lo: P reflected; hi: μ = floor(x^64 / P) reflected (Barrett).
+  const __m128i poly_mu = _mm_set_epi64x(0x1F7011641, 0x1DB710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+  __m128i a0 = _mm_xor_si128(load16(p),
+                             _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i a1 = load16(p + 16);
+  __m128i a2 = load16(p + 32);
+  __m128i a3 = load16(p + 48);
+  p += 64;
+  n -= 64;
+  // Four independent accumulators keep the multiplier pipeline full.
+  for (; n >= 64; p += 64, n -= 64) {
+    a0 = fold16(a0, k64, load16(p));
+    a1 = fold16(a1, k64, load16(p + 16));
+    a2 = fold16(a2, k64, load16(p + 32));
+    a3 = fold16(a3, k64, load16(p + 48));
+  }
+  __m128i x = fold16(a0, k16, a1);
+  x = fold16(x, k16, a2);
+  x = fold16(x, k16, a3);
+  for (; n >= 16; p += 16, n -= 16) {
+    x = fold16(x, k16, load16(p));
+  }
+  // 128 -> 64 bits: the low half moves forward by 64 onto the high half.
+  x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(x, k16, 0x10));
+  // 64 -> 32 + 32 bits.
+  x = _mm_xor_si128(_mm_srli_si128(x, 4),
+                    _mm_clmulepi64_si128(_mm_and_si128(x, low32), k8, 0x00));
+  // Barrett reduction: t = ((x mod x^32)·μ mod x^32)·P leaves the
+  // remainder in bits 32..63 of x ⊕ t.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, t), 1));
+}
+
+}  // namespace
+
+std::uint32_t crc32_update(std::uint32_t state, const std::uint8_t* p,
+                           std::size_t n) {
+  // The fold starts from four 16-byte blocks; shorter inputs, and the
+  // bytes past the last whole 16-byte block, go through the table.
+  if (n < 64) return scalar::crc32_update(state, p, n);
+  const std::size_t folded = n & ~std::size_t{15};
+  return scalar::crc32_update(crc32_fold(state, p, folded), p + folded,
+                              n - folded);
 }
 
 }  // namespace nsync::dsp::simd::avx2

@@ -1,18 +1,21 @@
 // Scalar reference backend.
 //
 // These bodies are literal transcriptions of the loops that previously
-// lived inline in dsp/fft.cpp, dsp/xcorr.cpp, signal/stats.cpp and
-// core/tde.cpp.  Complex arithmetic is written out per component exactly
-// as libstdc++'s std::complex<double> operators evaluate it for finite
-// operands (naive product formula, component-wise scalar ops), so routing
-// the old call sites through this backend changes no bits.  Every other
-// backend is validated against these functions.
+// lived inline in dsp/fft.cpp, dsp/xcorr.cpp, signal/stats.cpp,
+// core/tde.cpp and signal/checkpoint.cpp.  Complex arithmetic is written
+// out per component exactly as libstdc++'s std::complex<double> operators
+// evaluate it for finite operands (naive product formula, component-wise
+// scalar ops), so routing the old call sites through this backend changes
+// no bits.  Every other backend is validated against these functions.
 //
 // Do not "simplify" the arithmetic here: expressions like the full
 // multiply by the k = 0 twiddle (1.0, -0.0) or `0.0 * dr - (-0.5) * di`
 // are load-bearing — they reproduce the exact rounding and signed-zero
 // behavior of the original std::complex formulas.
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "dsp/simd/kernels.hpp"
 
@@ -58,6 +61,34 @@ inline Complex untangle_bin(const double* hre, const double* him,
 inline Complex cmul(double ar, double ai, double br, double bi) {
   return Complex(ar * br - ai * bi, ar * bi + ai * br);
 }
+
+static_assert(std::endian::native == std::endian::little,
+              "crc32_update loads input words little-endian");
+
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// Slice-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320):
+// t[0] is the classic byte table; t[k][i] is the CRC of byte i followed by
+// k zero bytes, so eight input bytes fold into the state with eight
+// independent lookups instead of a serial chain of eight.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 }  // namespace
 
@@ -259,6 +290,28 @@ void prefix_sums(const double* x, double* ps, double* ps2, std::size_t n) {
     ps[i + 1] = ps[i] + x[i];
     ps2[i + 1] = ps2[i] + x[i] * x[i];
   }
+}
+
+std::uint32_t crc32_update(std::uint32_t state, const std::uint8_t* p,
+                           std::size_t n) {
+  const CrcTables& t = kCrcTables;
+  for (; n >= 8; p += 8, n -= 8) {
+    // memcpy: no alignment requirement on `p`; little-endian host
+    // (asserted above), so byte 0 lands in the low bits of `lo`.
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    std::memcpy(&lo, p, sizeof(lo));
+    std::memcpy(&hi, p + 4, sizeof(hi));
+    lo ^= state;
+    state = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+            t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+            t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    state = t[0][(state ^ *p) & 0xFFu] ^ (state >> 8);
+  }
+  return state;
 }
 
 }  // namespace nsync::dsp::simd::scalar

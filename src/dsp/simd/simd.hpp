@@ -1,12 +1,14 @@
-// Runtime CPU-dispatched SIMD kernels for the DSP hot loops.
+// Runtime CPU-dispatched SIMD kernels for the DSP hot loops and the
+// CRC-32 that checksums every persisted and transmitted byte.
 //
 // Every arithmetic-dense inner loop of the rfft → cross-correlation →
-// sliding-Pearson → TDEB chain, and of the spectrogram's per-channel
-// rfft, is routed through a table of function pointers (`Ops`) resolved
-// once at startup: an AVX2 backend on x86-64 hosts that support it, and
-// a portable scalar backend that is always built, runs everywhere else,
-// and is the reference implementation.  All transforms are single-lane
-// (one signal per call), so no kernel here interleaves lanes.
+// sliding-Pearson → TDEB chain, of the spectrogram's per-channel rfft,
+// and the CRC-32 byte loop, is routed through a table of function
+// pointers (`Ops`) resolved once at startup: an AVX2 backend on x86-64
+// hosts that support it, and a portable scalar backend that is always
+// built, runs everywhere else, and is the reference implementation.  All
+// transforms are single-lane (one signal per call), so no kernel here
+// interleaves lanes.
 //
 // Equivalence contract (pinned by tests/test_simd_equivalence.cpp, see
 // DESIGN.md "SIMD dispatch layer" for the per-kernel table):
@@ -19,7 +21,9 @@
 //    epilogues, the fused correlation untangle-and-product, complex bin
 //    products (the Bluestein chirp and kernel multiplies), the 1/n scale,
 //    (de)interleaves, centered copies, window normalization, per-channel
-//    sums and the TDEB clamp+bias+argmax epilogue.
+//    sums and the TDEB clamp+bias+argmax epilogue.  The integer CRC-32
+//    kernel is exact by construction: every backend returns the same
+//    32-bit state.
 //  * "ULP-bounded" kernels reassociate a reduction (vector partial
 //    accumulators, vectorized prefix scan).  Their divergence from the
 //    scalar backend is bounded by standard summation-error analysis:
@@ -38,6 +42,7 @@
 #include <algorithm>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 namespace nsync::dsp::simd {
 
@@ -172,6 +177,18 @@ struct Ops {
   /// The AVX2 backend uses an in-register inclusive scan (reassociates).
   void (*prefix_sums)(const double* x, double* ps, double* ps2,
                       std::size_t n);
+
+  // --- byte kernels (exact) --------------------------------------------
+
+  /// Advances the reflected CRC-32/IEEE register (polynomial 0xEDB88320)
+  /// over p[0..n).  `state` is the raw register, neither pre- nor
+  /// post-inverted: the checksum of a buffer is
+  /// crc32_update(0xFFFFFFFF, p, n) ^ 0xFFFFFFFF, and feeding a buffer in
+  /// pieces gives the state of feeding it whole.  The scalar backend is a
+  /// slicing-by-8 table; AVX2 folds 64-byte blocks with PCLMULQDQ and
+  /// leaves the last < 16 bytes to the table.
+  std::uint32_t (*crc32_update)(std::uint32_t state, const std::uint8_t* p,
+                                std::size_t n);
 };
 
 /// The active backend's kernel table.
@@ -188,7 +205,8 @@ const char* isa_name(Isa isa);
 /// what startup resolution picks unless NSYNC_SIMD overrides it.
 Isa best_supported_isa();
 
-/// True when `isa`'s kernels are compiled in and the host supports them.
+/// True when `isa`'s kernels are compiled in and the host supports them
+/// (AVX2 also needs PCLMULQDQ, which its CRC-32 kernel uses).
 bool backend_available(Isa isa);
 
 /// Switches the active backend; returns false (no change) when the

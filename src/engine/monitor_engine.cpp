@@ -16,20 +16,20 @@ namespace nsync::engine {
 
 using nsync::signal::SignalView;
 
-MonitorEngine::Channel::Channel(std::string channel_name,
-                                const ChannelSpec& spec)
-    : name(std::move(channel_name)),
-      monitor(spec.reference, spec.config, spec.thresholds),
-      staging(spec.reference.channels(), spec.reference.sample_rate()) {
+MonitorEngine::Channel::Channel(ChannelSpec&& spec)
+    : name(std::move(spec.name)),
+      monitor(std::move(spec.reference), spec.config, spec.thresholds),
+      staging(monitor.reference().channels(),
+              monitor.reference().sample_rate()) {
   // Size everything for the full print up front: the reference bounds how
   // many windows DWM can ever produce, so the feed/poll loop allocates
   // nothing from the first window on.  Staging gets room for one window
   // plus one hop, so feeds of up to that many frames between drains never
   // grow it.
   const auto& dwm = spec.config.dwm;
-  if (spec.reference.frames() >= dwm.n_win) {
-    monitor.reserve_windows((spec.reference.frames() - dwm.n_win) / dwm.n_hop +
-                            1);
+  const std::size_t ref_frames = monitor.reference().frames();
+  if (ref_frames >= dwm.n_win) {
+    monitor.reserve_windows((ref_frames - dwm.n_win) / dwm.n_hop + 1);
   }
   staging.reserve_frames(dwm.n_win + dwm.n_hop);
 }
@@ -80,7 +80,7 @@ std::size_t MonitorEngine::add_session(SessionSpec spec) {
             "MonitorEngine::add_session: duplicate channel '" + c.name + "'");
       }
     }
-    s.channels.emplace_back(c.name, c);
+    s.channels.emplace_back(std::move(c));
   }
   scores_.reserve(s.channels.size());
   verdict_.channels.reserve(s.channels.size());

@@ -265,7 +265,9 @@ class MonitorEngine {
     core::RealtimeMonitor monitor;
     nsync::signal::FrameRingBuffer staging;
 
-    Channel(std::string channel_name, const ChannelSpec& spec);
+    /// Takes the spec's name and reference by move: admission owns its
+    /// SessionSpec, so the reference is never copied into the monitor.
+    explicit Channel(ChannelSpec&& spec);
   };
 
   /// Byte size + CRC-32 of a session's encoded spec: how a checkpoint

@@ -7,6 +7,7 @@
 #include "baselines/gao.hpp"
 #include "baselines/gatlin.hpp"
 #include "baselines/moore.hpp"
+#include "dsp/simd/simd.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace nsync::eval {
@@ -14,6 +15,18 @@ namespace nsync::eval {
 namespace {
 // Prevents the optimizer from discarding timed work.
 volatile std::size_t benchmark_sink_ = 0;
+
+// Advances a CRC-32 register over the raw bytes of one print's
+// backend-invariant score arrays (see NsyncResult::score_crc).
+std::uint32_t crc_scores(std::uint32_t state, const core::Analysis& a) {
+  for (const std::vector<double>* v :
+       {&a.h_disp, &a.features.c_disp, &a.features.h_dist_f}) {
+    state = dsp::simd::ops().crc32_update(
+        state, reinterpret_cast<const std::uint8_t*>(v->data()),
+        v->size() * sizeof(double));
+  }
+  return state;
+}
 }  // namespace
 
 using core::NsyncConfig;
@@ -40,19 +53,22 @@ NsyncResult run_nsync(const ChannelData& data, PrinterKind printer,
       [&](std::size_t i) { return ids.analyze(data.train[i].signal); });
   ids.fit_from_analyses(analyses);
 
-  const std::vector<core::Detection> detections = runtime::parallel_transform(
-      data.test.size(), [&](std::size_t i) {
-        return ids.detect(ids.analyze(data.test[i].sig.signal));
-      });
+  const std::vector<core::Analysis> tested = runtime::parallel_transform(
+      data.test.size(),
+      [&](std::size_t i) { return ids.analyze(data.test[i].sig.signal); });
   NsyncResult out;
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const core::Analysis& a : analyses) crc = crc_scores(crc, a);
   for (std::size_t i = 0; i < data.test.size(); ++i) {
-    const core::Detection& d = detections[i];
+    crc = crc_scores(crc, tested[i]);
+    const core::Detection d = ids.detect(tested[i]);
     const bool malicious = data.test[i].malicious;
     out.overall.add(d.intrusion, malicious);
     out.c_disp.add(d.by_c_disp, malicious);
     out.h_dist.add(d.by_h_dist, malicious);
     out.v_dist.add(d.by_v_dist, malicious);
   }
+  out.score_crc = crc ^ 0xFFFFFFFFu;
   return out;
 }
 

@@ -3,6 +3,7 @@
 #ifndef NSYNC_EVAL_EXPERIMENTS_HPP
 #define NSYNC_EVAL_EXPERIMENTS_HPP
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -21,6 +22,14 @@ struct NsyncResult {
   Confusion c_disp;
   Confusion h_dist;
   Confusion v_dist;
+  /// CRC-32 over the raw bytes of every print's h_disp, c_disp and
+  /// h_dist_f (train prints, then test prints, each in index order): a
+  /// bitwise fingerprint of the scores behind the confusions, so a
+  /// backend or refactor diff sees drift the rounded FPR/TPR hides.
+  /// v_dist_f is left out: its correlation distance runs through the
+  /// ULP-bounded pearson_accumulate kernel, so its last bits differ
+  /// between SIMD backends by contract (dsp/simd/simd.hpp).
+  std::uint32_t score_crc = 0;
 };
 
 /// Runs NSYNC with the given synchronizer over one (channel, transform)

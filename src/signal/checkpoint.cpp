@@ -11,7 +11,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <string_view>
+#include <utility>
+
+#include "dsp/simd/simd.hpp"
 
 namespace nsync::signal {
 
@@ -50,56 +54,10 @@ std::string checkpoint_error_kind_name(CheckpointErrorKind k) {
   return "checkpoint error";
 }
 
-namespace {
-
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-// Slice-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320):
-// t[0] is the classic byte table; t[k][i] is the CRC of byte i followed by
-// k zero bytes, so eight input bytes fold into the state with eight
-// independent lookups instead of a serial chain of eight.
-const CrcTables& crc_tables() {
-  static const CrcTables tables = [] {
-    CrcTables t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[0][i] = c;
-    }
-    for (std::size_t i = 0; i < 256; ++i) {
-      for (std::size_t k = 1; k < 8; ++k) {
-        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
-      }
-    }
-    return t;
-  }();
-  return tables;
-}
-
-}  // namespace
-
 std::uint32_t crc32(const void* data, std::size_t bytes) {
-  const CrcTables& t = crc_tables();
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (; bytes >= 8; p += 8, bytes -= 8) {
-    // memcpy: no alignment requirement on `data`; little-endian host
-    // (asserted above), so byte 0 lands in the low bits of `lo`.
-    std::uint32_t lo = 0;
-    std::uint32_t hi = 0;
-    std::memcpy(&lo, p, sizeof(lo));
-    std::memcpy(&hi, p + 4, sizeof(hi));
-    lo ^= crc;
-    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-  }
-  for (; bytes > 0; ++p, --bytes) {
-    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return nsync::dsp::simd::ops().crc32_update(
+             0xFFFFFFFFu, static_cast<const std::uint8_t*>(data), bytes) ^
+         0xFFFFFFFFu;
 }
 
 // ---------------------------------------------------------------------------
@@ -213,10 +171,8 @@ Signal ByteReader::signal() {
     throw CheckpointError(CheckpointErrorKind::kCorrupt,
                           "implausible serialized signal header");
   }
-  Signal s = Signal::empty(static_cast<std::size_t>(channels), rate);
-  s.append(SignalView(samples.data(), static_cast<std::size_t>(frames),
-                      static_cast<std::size_t>(channels), rate));
-  return s;
+  return Signal::from_frames(std::move(samples),
+                             static_cast<std::size_t>(channels), rate);
 }
 
 ByteReader ByteReader::section(std::uint32_t expected_id) {
@@ -244,15 +200,38 @@ void ByteReader::finish() const {
 // ---------------------------------------------------------------------------
 // Container framing
 
+namespace {
+
+using FrameHeader = std::array<std::uint8_t, kHeaderBytes>;
+using FrameFooter = std::array<std::uint8_t, kFooterBytes>;
+
+[[nodiscard]] FrameHeader frame_header(std::uint64_t payload_bytes) {
+  FrameHeader h{};
+  std::memcpy(h.data(), kMagic.data(), kMagic.size());
+  std::memcpy(h.data() + 4, &kVersion, sizeof(kVersion));
+  std::memcpy(h.data() + 8, &payload_bytes, sizeof(payload_bytes));
+  return h;
+}
+
+[[nodiscard]] FrameFooter frame_footer(std::span<const std::uint8_t> payload) {
+  const std::uint32_t crc = crc32(payload.data(), payload.size());
+  FrameFooter f{};
+  std::memcpy(f.data(), &crc, sizeof(crc));
+  return f;
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> frame_checkpoint(
     std::span<const std::uint8_t> payload) {
-  ByteWriter w;
-  w.bytes(kMagic.data(), kMagic.size());
-  w.pod<std::uint32_t>(kVersion);
-  w.pod<std::uint64_t>(payload.size());
-  w.bytes(payload.data(), payload.size());
-  w.pod<std::uint32_t>(crc32(payload.data(), payload.size()));
-  return w.take();
+  const FrameHeader header = frame_header(payload.size());
+  const FrameFooter footer = frame_footer(payload);
+  std::vector<std::uint8_t> file;
+  file.reserve(header.size() + payload.size() + footer.size());
+  file.insert(file.end(), header.begin(), header.end());
+  file.insert(file.end(), payload.begin(), payload.end());
+  file.insert(file.end(), footer.begin(), footer.end());
+  return file;
 }
 
 std::span<const std::uint8_t> unframe_checkpoint(
@@ -300,8 +279,13 @@ std::span<const std::uint8_t> unframe_checkpoint(
 // ---------------------------------------------------------------------------
 // Atomic file replacement (POSIX)
 
-void atomic_write_file(const std::string& path,
-                       std::span<const std::uint8_t> bytes) {
+namespace {
+
+// atomic_write_file of the concatenation of `parts`, written one after
+// the other into the tmp file without joining them in memory first.
+void atomic_write_parts(
+    const std::string& path,
+    std::initializer_list<std::span<const std::uint8_t>> parts) {
   // Unique tmp name per writer (pid + process-wide counter) with O_EXCL:
   // two concurrent writers each assemble a complete file privately and
   // race only on the atomic rename, so the loser can never leave a torn
@@ -314,18 +298,21 @@ void atomic_write_file(const std::string& path,
     throw CheckpointError(CheckpointErrorKind::kIo,
                           errno_message("cannot create '" + tmp + "'"));
   }
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ::ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string msg = errno_message("write to '" + tmp + "' failed");
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw CheckpointError(CheckpointErrorKind::kIo, msg);
+  for (const std::span<const std::uint8_t> bytes : parts) {
+    std::size_t written = 0;
+    while (written < bytes.size()) {
+      const ::ssize_t n =
+          ::write(fd, bytes.data() + written, bytes.size() - written);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        const std::string msg =
+            errno_message("write to '" + tmp + "' failed");
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        throw CheckpointError(CheckpointErrorKind::kIo, msg);
+      }
+      written += static_cast<std::size_t>(n);
     }
-    written += static_cast<std::size_t>(n);
   }
   if (::fsync(fd) != 0) {
     const std::string msg = errno_message("fsync of '" + tmp + "' failed");
@@ -359,10 +346,18 @@ void atomic_write_file(const std::string& path,
   }
 }
 
+}  // namespace
+
+void atomic_write_file(const std::string& path,
+                       std::span<const std::uint8_t> bytes) {
+  atomic_write_parts(path, {bytes});
+}
+
 void write_checkpoint_file(const std::string& path,
                            std::span<const std::uint8_t> payload) {
-  const std::vector<std::uint8_t> file = frame_checkpoint(payload);
-  atomic_write_file(path, file);
+  const FrameHeader header = frame_header(payload.size());
+  const FrameFooter footer = frame_footer(payload);
+  atomic_write_parts(path, {header, payload, footer});
 }
 
 namespace {

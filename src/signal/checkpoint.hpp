@@ -68,7 +68,8 @@ class CheckpointError : public std::runtime_error {
   CheckpointErrorKind kind_;
 };
 
-/// CRC-32 (IEEE 802.3, reflected) over a byte range.
+/// CRC-32 (IEEE 802.3, reflected) over a byte range, through the active
+/// SIMD backend's crc32_update kernel (every backend gives the same bits).
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t bytes);
 
 /// Append-only little-endian encoder.  All multi-byte values are written
@@ -179,7 +180,9 @@ class ByteReader {
 void atomic_write_file(const std::string& path,
                        std::span<const std::uint8_t> bytes);
 
-/// frame_checkpoint + atomic_write_file.
+/// atomic_write_file of frame_checkpoint(payload), with the header,
+/// payload and footer written straight into the tmp file (no framed copy
+/// of the payload is built).
 void write_checkpoint_file(const std::string& path,
                            std::span<const std::uint8_t> payload);
 

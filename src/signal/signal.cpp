@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace nsync::signal {
 
@@ -77,14 +78,24 @@ Signal Signal::empty(std::size_t channels, double sample_rate) {
 }
 
 Signal Signal::from_samples(std::vector<double> samples, double sample_rate) {
-  Signal s;
-  s.frames_ = samples.size();
-  s.channels_ = 1;
-  s.sample_rate_ = sample_rate;
-  s.data_ = std::move(samples);
+  return from_frames(std::move(samples), 1, sample_rate);
+}
+
+Signal Signal::from_frames(std::vector<double> data, std::size_t channels,
+                           double sample_rate) {
+  if (channels == 0 || data.size() % channels != 0) {
+    throw std::invalid_argument(
+        "Signal::from_frames: data is not whole frames of a positive "
+        "channel count");
+  }
   if (sample_rate <= 0.0) {
     throw std::invalid_argument("Signal: sample rate must be positive");
   }
+  Signal s;
+  s.frames_ = data.size() / channels;
+  s.channels_ = channels;
+  s.sample_rate_ = sample_rate;
+  s.data_ = std::move(data);
   return s;
 }
 

@@ -129,6 +129,12 @@ class Signal {
   /// Builds a single-channel signal from a vector of samples.
   static Signal from_samples(std::vector<double> samples, double sample_rate);
 
+  /// Takes ownership of row-major frames x channels data (no copy).
+  /// Throws when `channels` is 0, `data.size()` is not a multiple of it,
+  /// or the rate is not positive.
+  static Signal from_frames(std::vector<double> data, std::size_t channels,
+                            double sample_rate);
+
   /// Builds a multichannel signal from channel-major data:
   /// `channels[c][n]` becomes x[n, c].  All channels must share a length.
   static Signal from_channels(const std::vector<std::vector<double>>& channels,

@@ -222,7 +222,9 @@ void expect_engine_drains_are_allocation_free(
     g_counting.store(false, std::memory_order_relaxed);
     windows += done;
     // One window per channel per hop once the first window is complete.
-    if (round >= 1) EXPECT_EQ(done, names.size()) << "round " << round;
+    if (round >= 1) {
+      EXPECT_EQ(done, names.size()) << "round " << round;
+    }
     EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
         << "round " << round;
   }

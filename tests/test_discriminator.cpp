@@ -79,9 +79,9 @@ TEST(LearnThresholds, RZeroIsTrainingMax) {
 }
 
 TEST(LearnThresholds, Validation) {
-  EXPECT_THROW(learn_thresholds({}, 0.3), std::invalid_argument);
+  EXPECT_THROW((void)learn_thresholds({}, 0.3), std::invalid_argument);
   const std::vector<FeatureMaxima> one = {{1.0, 1.0, 1.0}};
-  EXPECT_THROW(learn_thresholds(one, -0.1), std::invalid_argument);
+  EXPECT_THROW((void)learn_thresholds(one, -0.1), std::invalid_argument);
   // A single training signal is legal; the relative-margin floor keeps
   // the threshold strictly above the benign max (range = 0 no longer
   // collapses the margin).
@@ -191,7 +191,9 @@ TEST_P(OccSweep, HigherRNeverIncreasesDetections) {
   const Detection d_low = discriminate(probe, t_low);
   const Detection d_high = discriminate(probe, t_high);
   // If the strict thresholds alarm, the loose ones must too.
-  if (d_high.intrusion) EXPECT_TRUE(d_low.intrusion);
+  if (d_high.intrusion) {
+    EXPECT_TRUE(d_low.intrusion);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Margins, OccSweep,

@@ -19,7 +19,7 @@ TEST(Metrics, NamesRoundTrip) {
     EXPECT_EQ(parse_distance_metric(distance_metric_name(m)), m);
   }
   EXPECT_EQ(parse_distance_metric("L2"), DistanceMetric::kEuclidean);
-  EXPECT_THROW(parse_distance_metric("hamming"), std::invalid_argument);
+  EXPECT_THROW((void)parse_distance_metric("hamming"), std::invalid_argument);
 }
 
 TEST(VectorDistance, KnownValues) {
@@ -74,8 +74,8 @@ TEST(VectorDistance, DegenerateInputs) {
   const std::vector<double> zero = {0.0, 0.0};
   const std::vector<double> w = {1.0, 1.0};
   EXPECT_NEAR(vector_distance(zero, w, DistanceMetric::kCosine), 1.0, 1e-12);
-  EXPECT_THROW(vector_distance(flat, std::vector<double>{1.0},
-                               DistanceMetric::kMae),
+  EXPECT_THROW((void)vector_distance(flat, std::vector<double>{1.0},
+                                     DistanceMetric::kMae),
                std::invalid_argument);
 }
 
@@ -100,9 +100,9 @@ TEST(WindowDistance, ShapeMismatchThrows) {
   Signal a(4, 2, 10.0);
   Signal b(4, 3, 10.0);
   Signal c(5, 2, 10.0);
-  EXPECT_THROW(window_distance(a, b, DistanceMetric::kMae),
+  EXPECT_THROW((void)window_distance(a, b, DistanceMetric::kMae),
                std::invalid_argument);
-  EXPECT_THROW(window_distance(a, c, DistanceMetric::kMae),
+  EXPECT_THROW((void)window_distance(a, c, DistanceMetric::kMae),
                std::invalid_argument);
 }
 

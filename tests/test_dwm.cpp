@@ -92,7 +92,7 @@ TEST(DwmParams, FromSecondsConvertsTableIV) {
   EXPECT_EQ(p.n_hop, 200u);
   EXPECT_EQ(p.n_ext, 200u);
   EXPECT_NEAR(p.n_sigma, 100.0, 1e-9);
-  EXPECT_THROW(DwmParams::from_seconds(4.0, 2.0, 2.0, 1.0, 0.1, 0.0),
+  EXPECT_THROW((void)DwmParams::from_seconds(4.0, 2.0, 2.0, 1.0, 0.1, 0.0),
                std::invalid_argument);
 }
 
@@ -287,7 +287,7 @@ TEST(DwmRing, CompletedWindowsStayReadableUntilNextPush) {
   }
   // Frames behind the processing frontier are genuinely gone.
   if (stream.windows() > 2) {
-    EXPECT_THROW(stream.observed().view(0, p.n_win), std::out_of_range);
+    EXPECT_THROW((void)stream.observed().view(0, p.n_win), std::out_of_range);
   }
 }
 

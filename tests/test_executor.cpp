@@ -128,7 +128,9 @@ TEST(Executor, LayerEventsInOrder) {
   ASSERT_EQ(t.layer_events.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(t.layer_events[i].layer, i);
-    if (i > 0) EXPECT_GT(t.layer_events[i].time, t.layer_events[i - 1].time);
+    if (i > 0) {
+      EXPECT_GT(t.layer_events[i].time, t.layer_events[i - 1].time);
+    }
   }
   EXPECT_DOUBLE_EQ(t.layer.back(), 2.0);
 }

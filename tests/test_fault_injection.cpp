@@ -772,7 +772,9 @@ TEST_F(FaultEndToEnd, FusionDropsOfflineChannelFromTheVote) {
   const core::FusionDetection d = fused.detect(attacked);
   EXPECT_EQ(d.online_channels, 1u);
   for (const auto& [name, h] : d.health) {
-    if (name == "B") EXPECT_EQ(h, ChannelHealth::kOffline);
+    if (name == "B") {
+      EXPECT_EQ(h, ChannelHealth::kOffline);
+    }
   }
   EXPECT_TRUE(d.intrusion) << "surviving channel's alarm was vetoed";
 

@@ -87,7 +87,7 @@ TEST_F(FusionFixture, RegistrationAndIntrospection) {
   EXPECT_EQ(ids.channels(), 1u);
   EXPECT_THROW(ids.add_channel("A", ref_a_, small_config()),
                std::invalid_argument);
-  EXPECT_THROW(ids.member("Z"), std::invalid_argument);
+  EXPECT_THROW((void)ids.member("Z"), std::invalid_argument);
   EXPECT_EQ(fusion_rule_name(FusionRule::kMajority), "majority");
 }
 

@@ -107,9 +107,15 @@ TEST(Serialization, RoundTripPreservesSemantics) {
   for (std::size_t i = 0; i < p1.size(); ++i) {
     EXPECT_EQ(p1[i].type, p2[i].type) << "command " << i;
     EXPECT_EQ(p1[i].x.has_value(), p2[i].x.has_value());
-    if (p1[i].x) EXPECT_NEAR(*p1[i].x, *p2[i].x, 1e-5);
-    if (p1[i].e) EXPECT_NEAR(*p1[i].e, *p2[i].e, 1e-5);
-    if (p1[i].f) EXPECT_NEAR(*p1[i].f, *p2[i].f, 1e-5);
+    if (p1[i].x) {
+      EXPECT_NEAR(*p1[i].x, *p2[i].x, 1e-5);
+    }
+    if (p1[i].e) {
+      EXPECT_NEAR(*p1[i].e, *p2[i].e, 1e-5);
+    }
+    if (p1[i].f) {
+      EXPECT_NEAR(*p1[i].f, *p2[i].f, 1e-5);
+    }
   }
 }
 

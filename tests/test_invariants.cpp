@@ -76,8 +76,8 @@ INSTANTIATE_TEST_SUITE_P(
                       core::DistanceMetric::kEuclidean,
                       core::DistanceMetric::kManhattan,
                       core::DistanceMetric::kMae),
-    [](const ::testing::TestParamInfo<core::DistanceMetric>& info) {
-      return core::distance_metric_name(info.param);
+    [](const ::testing::TestParamInfo<core::DistanceMetric>& p) {
+      return core::distance_metric_name(p.param);
     });
 
 // ------------------------------------------- DWM shift x noise recovery --

@@ -72,11 +72,11 @@ TEST(Trapezoid, SpeedIsDerivativeOfDistance) {
 }
 
 TEST(Trapezoid, RejectsBadInputs) {
-  EXPECT_THROW(make_trapezoid(-1.0, 0.0, 0.0, 10.0, 100.0),
+  EXPECT_THROW((void)make_trapezoid(-1.0, 0.0, 0.0, 10.0, 100.0),
                std::invalid_argument);
-  EXPECT_THROW(make_trapezoid(1.0, 0.0, 0.0, 0.0, 100.0),
+  EXPECT_THROW((void)make_trapezoid(1.0, 0.0, 0.0, 0.0, 100.0),
                std::invalid_argument);
-  EXPECT_THROW(make_trapezoid(1.0, 0.0, 0.0, 10.0, -5.0),
+  EXPECT_THROW((void)make_trapezoid(1.0, 0.0, 0.0, 10.0, -5.0),
                std::invalid_argument);
 }
 

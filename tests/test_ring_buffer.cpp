@@ -85,10 +85,10 @@ TEST(FrameRingBuffer, ViewBoundsAreEnforced) {
   FrameRingBuffer rb(1, 100.0);
   rb.append(s);
   rb.drop_before(10);
-  EXPECT_THROW(rb.view(9, 20), std::out_of_range);   // before start
-  EXPECT_THROW(rb.view(10, 41), std::out_of_range);  // past end
-  EXPECT_THROW(rb.view(30, 20), std::out_of_range);  // inverted
-  EXPECT_NO_THROW(rb.view(10, 40));
+  EXPECT_THROW((void)rb.view(9, 20), std::out_of_range);   // before start
+  EXPECT_THROW((void)rb.view(10, 41), std::out_of_range);  // past end
+  EXPECT_THROW((void)rb.view(30, 20), std::out_of_range);  // inverted
+  EXPECT_NO_THROW((void)rb.view(10, 40));
   EXPECT_EQ(rb.view(15, 15).frames(), 0u);  // empty range is fine
 }
 

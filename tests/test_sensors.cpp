@@ -57,7 +57,7 @@ TEST(SideChannelMeta, TableIIValues) {
   EXPECT_DOUBLE_EQ(side_channel_paper_rate(SideChannel::kAud), 48000.0);
   EXPECT_EQ(side_channel_bits(SideChannel::kEpt), 24);
   EXPECT_EQ(parse_side_channel("aud"), SideChannel::kAud);
-  EXPECT_THROW(parse_side_channel("XYZ"), std::invalid_argument);
+  EXPECT_THROW((void)parse_side_channel("XYZ"), std::invalid_argument);
 }
 
 TEST(SensorRig, RatesFollowConfig) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "signal/signal.hpp"
 
@@ -32,6 +34,21 @@ TEST(Signal, FromSamplesBuildsSingleChannel) {
   EXPECT_EQ(s.frames(), 3u);
   EXPECT_EQ(s.channels(), 1u);
   EXPECT_DOUBLE_EQ(s(1, 0), 2.0);
+}
+
+TEST(Signal, FromFramesAdoptsRowMajorStorage) {
+  std::vector<double> data = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  const double* storage = data.data();
+  Signal s = Signal::from_frames(std::move(data), 3, 8.0);
+  EXPECT_EQ(s.frames(), 2u);
+  EXPECT_EQ(s.channels(), 3u);
+  EXPECT_DOUBLE_EQ(s.sample_rate(), 8.0);
+  EXPECT_DOUBLE_EQ(s(1, 0), 4.0);
+  EXPECT_EQ(s.data(), storage);  // moved in, not copied
+  EXPECT_THROW(Signal::from_frames({1.0, 2.0, 3.0}, 2, 8.0),
+               std::invalid_argument);
+  EXPECT_THROW(Signal::from_frames({1.0, 2.0}, 0, 8.0), std::invalid_argument);
+  EXPECT_THROW(Signal::from_frames({1.0, 2.0}, 2, 0.0), std::invalid_argument);
 }
 
 TEST(Signal, FromChannelsInterleavesRowMajor) {

@@ -28,6 +28,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/nsync.hpp"
@@ -406,6 +407,90 @@ TEST(SimdBitwise, Scale2ByReciprocalEqualsDivisionAllPow2) {
             << "p=" << p << " x=" << v[len - 1 - i] << " "
             << simd::isa_name(isa);
       }
+    }
+  }
+}
+
+/// The CRC-32 register advanced one bit at a time: the definition every
+/// backend's crc32_update must reproduce.
+std::uint32_t crc32_bitwise_step(std::uint32_t state, std::uint8_t byte) {
+  state ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    state = (state & 1u) ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+  }
+  return state;
+}
+
+TEST(SimdBitwise, Crc32MatchesTableEveryLengthAndOffset) {
+  // Every backend against the bit-at-a-time definition: every length
+  // 0..4200 (the fold's 64-byte entry, 16-byte steps and < 16-byte table
+  // tail all meet every residue) at every start offset 0..15, for random,
+  // all-zero and all-ones bytes; then 2 MiB and 8 MiB buffers, the known
+  // answer, and split feeding.
+  BackendGuard guard;
+  using Update = std::uint32_t (*)(std::uint32_t, const std::uint8_t*,
+                                   std::size_t);
+  std::vector<std::pair<simd::Isa, Update>> kernels;
+  for (const simd::Isa isa : available_backends()) {
+    ASSERT_TRUE(simd::set_backend(isa));
+    kernels.emplace_back(isa, simd::ops().crc32_update);
+  }
+  constexpr std::uint32_t kInit = 0xFFFFFFFFu;
+  constexpr std::size_t kMaxLen = 4200;
+  constexpr std::size_t kOffsets = 16;
+  Rng rng(0xC3C32);
+  std::vector<std::uint8_t> noise(kMaxLen + kOffsets);
+  for (auto& b : noise) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  std::vector<std::uint8_t> zeros(kMaxLen + kOffsets, 0x00);
+  std::vector<std::uint8_t> ones(kMaxLen + kOffsets, 0xFF);
+  for (const auto* fill : {&noise, &zeros, &ones}) {
+    for (std::size_t offset = 0; offset < kOffsets; ++offset) {
+      const std::uint8_t* p = fill->data() + offset;
+      // The reference's running state is every prefix's register.
+      std::uint32_t want = kInit;
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        for (const auto& [isa, update] : kernels) {
+          ASSERT_EQ(update(kInit, p, len), want)
+              << simd::isa_name(isa) << " fill " << int{(*fill)[0]}
+              << " offset " << offset << " length " << len;
+        }
+        if (len < kMaxLen) want = crc32_bitwise_step(want, p[len]);
+      }
+    }
+  }
+
+  for (const std::size_t mib : {2, 8}) {
+    std::vector<std::uint8_t> big(mib << 20);
+    for (auto& b : big) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    std::uint32_t want = kInit;
+    for (const std::uint8_t b : big) want = crc32_bitwise_step(want, b);
+    for (const auto& [isa, update] : kernels) {
+      EXPECT_EQ(update(kInit, big.data(), big.size()), want)
+          << simd::isa_name(isa) << " " << mib << " MiB";
+    }
+  }
+
+  const char* check = "123456789";
+  for (const auto& [isa, update] : kernels) {
+    EXPECT_EQ(update(kInit, reinterpret_cast<const std::uint8_t*>(check), 9) ^
+                  0xFFFFFFFFu,
+              0xCBF43926u)
+        << simd::isa_name(isa);
+  }
+
+  // Feeding a buffer in two pieces leaves the register of feeding it whole.
+  std::vector<std::uint8_t> buf(1 << 16);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(buf.size())));
+    const auto cut = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n)));
+    for (const auto& [isa, update] : kernels) {
+      EXPECT_EQ(update(update(kInit, buf.data(), cut), buf.data() + cut,
+                       n - cut),
+                update(kInit, buf.data(), n))
+          << simd::isa_name(isa) << " n " << n << " cut " << cut;
     }
   }
 }

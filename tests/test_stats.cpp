@@ -33,10 +33,10 @@ TEST(Stats, Rms) {
 
 TEST(Stats, MinMaxArgThrowOnEmpty) {
   const std::vector<double> empty;
-  EXPECT_THROW(min_value(empty), std::invalid_argument);
-  EXPECT_THROW(max_value(empty), std::invalid_argument);
-  EXPECT_THROW(argmax(empty), std::invalid_argument);
-  EXPECT_THROW(argmin(empty), std::invalid_argument);
+  EXPECT_THROW((void)min_value(empty), std::invalid_argument);
+  EXPECT_THROW((void)max_value(empty), std::invalid_argument);
+  EXPECT_THROW((void)argmax(empty), std::invalid_argument);
+  EXPECT_THROW((void)argmin(empty), std::invalid_argument);
 }
 
 TEST(Stats, ArgmaxFirstOccurrence) {
@@ -62,7 +62,7 @@ TEST(Stats, PearsonZeroVarianceIsZero) {
 TEST(Stats, PearsonLengthMismatchThrows) {
   const std::vector<double> u = {1.0, 2.0};
   const std::vector<double> v = {1.0, 2.0, 3.0};
-  EXPECT_THROW(pearson(u, v), std::invalid_argument);
+  EXPECT_THROW((void)pearson(u, v), std::invalid_argument);
 }
 
 TEST(Stats, PearsonGainAndOffsetInvariance) {
