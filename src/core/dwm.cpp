@@ -72,21 +72,24 @@ std::size_t DwmSynchronizer::push(const SignalView& frames) {
   if (frames.channels() != reference_.channels()) {
     throw std::invalid_argument("DwmSynchronizer::push: channel mismatch");
   }
-  // Frames before the next unprocessed window can never be read again —
-  // neither by a future window (they start at n_hop multiples >= here)
-  // nor by a caller inspecting the windows this push completes.  Once the
-  // reference is exhausted no window will ever complete, so everything
-  // retained is dead.  Dropping on entry (not after the processing loop)
-  // keeps the frames of this push's own windows readable until next time.
-  observed_.drop_before(reference_exhausted_
-                            ? observed_.end()
-                            : result_.h_disp.size() * params_.n_hop);
+  // Dropping on entry (not after the processing loop) keeps the frames of
+  // this push's own windows readable until next time.
+  drop_consumed();
   observed_.append(frames);
   std::size_t processed = 0;
   while (!reference_exhausted_ && process_next_window()) {
     ++processed;
   }
   return processed;
+}
+
+void DwmSynchronizer::drop_consumed() {
+  // Frames before the next unprocessed window can never be read again —
+  // future windows start at n_hop multiples >= here.  Once the reference
+  // is exhausted no window will ever complete, so everything is dead.
+  observed_.drop_before(reference_exhausted_
+                            ? observed_.end()
+                            : result_.h_disp.size() * params_.n_hop);
 }
 
 void DwmSynchronizer::reserve_windows(std::size_t n_windows) {

@@ -89,6 +89,13 @@ class DwmSynchronizer {
   /// the next push.
   std::size_t push(const nsync::signal::SignalView& frames);
 
+  /// Drops every observed frame no future window reads: those before the
+  /// next window's origin, or all of them once the reference is
+  /// exhausted.  push() does this on entry; a caller done with this
+  /// push's windows calls it early, so dead frames are neither held nor
+  /// checkpointed until the next push.
+  void drop_consumed();
+
   /// Pre-allocates the result arrays for `n_windows` windows, the
   /// observed buffer for the corresponding retained span and the TDEB
   /// workspace for the unclamped window shape, so no window step after

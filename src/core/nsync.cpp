@@ -155,6 +155,10 @@ std::size_t RealtimeMonitor::push(const SignalView& frames) {
       ++benign_windows_;
     }
   }
+  // The core has read this push's windows: keep only the frames a future
+  // window reads, so a checkpoint taken before the next push stores (and
+  // checksums, and fsyncs) no dead frames.
+  sync_.drop_consumed();
   return after - before;
 }
 

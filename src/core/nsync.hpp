@@ -122,7 +122,8 @@ class RealtimeMonitor {
 
   /// Feeds observed frames; processes every completed window and updates
   /// the detection state.  Returns the number of windows processed by this
-  /// call.  Once an intrusion has been flagged the state latches.
+  /// call.  Once an intrusion has been flagged the state latches.  On
+  /// return the synchronizer holds only frames a future window reads.
   std::size_t push(const nsync::signal::SignalView& frames);
 
   /// Pre-allocates synchronizer and core storage for `n_windows` windows so

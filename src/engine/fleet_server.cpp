@@ -159,7 +159,7 @@ struct RequestVisitor {
     return ok;
   }
 
-  Message operator()(const wire::AddSession& a) const {
+  Message operator()(wire::AddSession&& a) const {
     try {
       // Idempotent re-attach: a reconnecting client re-issues its specs
       // after a resync; a live session with the same name answers with
@@ -178,8 +178,7 @@ struct RequestVisitor {
       }
       // The decoder validated structure; add_session validates semantics
       // (empty specs, non-DWM configs, ...).
-      SessionSpec spec = a.spec;
-      const std::size_t id = fleet.add_session(std::move(spec));
+      const std::size_t id = fleet.add_session(std::move(a.spec));
       wire::AddSessionOk ok;
       ok.session = id;
       ok.shard = fleet.shard_of(id);
@@ -191,10 +190,9 @@ struct RequestVisitor {
     }
   }
 
-  Message operator()(const wire::Feed& f) const {
-    const FeedResult r = fleet.feed(
-        static_cast<std::size_t>(f.session), f.channel,
-        nsync::signal::SignalView(f.frames));
+  Message operator()(wire::Feed&& f) const {
+    const FeedResult r = fleet.feed(static_cast<std::size_t>(f.session),
+                                    f.channel, std::move(f.frames));
     switch (r.status) {
       case FeedStatus::kOk:
       case FeedStatus::kShed: {
@@ -294,8 +292,8 @@ FleetServer::FleetServer(ShardedFleet& fleet, FleetServerOptions options)
 FleetServer::~FleetServer() { stop(); }
 
 wire::Message FleetServer::handle(ShardedFleet& fleet,
-                                  const wire::Message& request) {
-  return std::visit(RequestVisitor{fleet}, request);
+                                  wire::Message request) {
+  return std::visit(RequestVisitor{fleet}, std::move(request));
 }
 
 void FleetServer::start() {
@@ -526,7 +524,7 @@ void FleetServer::serve_connection(int fd) {
       bool close_after = false;
       switch (st) {
         case wire::DecodeStatus::kFrame:
-          reply = handle(fleet_, request);
+          reply = handle(fleet_, std::move(request));
           break;
         case wire::DecodeStatus::kBadType:
           reply = make_error(ErrorCode::kBadType, detail);

@@ -108,9 +108,12 @@ class FleetServer {
 
   /// Maps one decoded request onto the fleet and returns the reply
   /// message.  Pure dispatch — no socket involved — so tests can exercise
-  /// the full request surface without a transport.
+  /// the full request surface without a transport.  Takes the request by
+  /// value: an ADD_SESSION spec moves into the fleet and FEED frames into
+  /// the shard queue, so a caller that moves its request in copies
+  /// neither.
   [[nodiscard]] static wire::Message handle(ShardedFleet& fleet,
-                                            const wire::Message& request);
+                                            wire::Message request);
 
  private:
   void accept_loop();

@@ -387,7 +387,6 @@ void MonitorEngine::encode_spec(nsync::signal::ByteWriter& w,
                                 const Session& s) {
   // save_session_spec's field list over the live monitors (the policy
   // slot holds the effective policy), with no SessionSpec copy.
-  const std::size_t begin = w.data().size();
   FieldWriter io(w);
   session_fields(io, s.name, s.model, *s.policy, s.channels,
                  [&w](const Channel& c) {
@@ -395,11 +394,6 @@ void MonitorEngine::encode_spec(nsync::signal::ByteWriter& w,
                                      c.monitor.config(),
                                      c.monitor.thresholds());
                  });
-  if (!s.spec_ref) {
-    const auto bytes = w.data().subspan(begin);
-    s.spec_ref = SpecRef{bytes.size(),
-                         nsync::signal::crc32(bytes.data(), bytes.size())};
-  }
 }
 
 std::vector<std::uint8_t> MonitorEngine::serialize() const {
@@ -409,8 +403,14 @@ std::vector<std::uint8_t> MonitorEngine::serialize() const {
   for (const Session& s : sessions_) {
     if (s.evicted) continue;
     const std::size_t spec_tok = table.begin_section(kSecSpec);
+    const std::size_t begin = table.data().size();
     encode_spec(table, s);
     table.end_section(spec_tok);
+    if (!s.spec_ref) {
+      const auto bytes = table.data().subspan(begin);
+      s.spec_ref = SpecRef{bytes.size(),
+                           nsync::signal::crc32(bytes.data(), bytes.size())};
+    }
   }
   table.end_section(table_tok);
   ByteWriter w;
@@ -439,9 +439,14 @@ void MonitorEngine::checkpoint(const std::string& path) const {
     // state file on disk never names a spec file that is not there.
     const std::string spec = spec_path(path, id);
     if (s.spec_file != spec) {
-      ByteWriter sw;
+      // The reference samples are written from the monitors, not staged
+      // in the buffer, and one CRC pass serves the SpecRef and the footer.
+      ByteWriter sw(ByteWriter::Arrays::kReference);
       encode_spec(sw, s);
-      nsync::signal::write_checkpoint_file(spec, sw.data());
+      const auto pieces = sw.pieces();
+      const std::uint32_t crc = nsync::signal::crc32(pieces);
+      if (!s.spec_ref) s.spec_ref = SpecRef{sw.size(), crc};
+      nsync::signal::write_checkpoint_file(spec, pieces, crc);
       s.spec_file = spec;
     }
   }

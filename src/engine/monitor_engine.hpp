@@ -309,8 +309,8 @@ class MonitorEngine {
   /// the fused verdict.
   std::size_t drain(Session& s);
   static SessionSnapshot make_snapshot(const Session& s);
-  /// Appends the session's spec in save_session_spec encoding to `w` and
-  /// records its SpecRef if not yet known.  The session must be live.
+  /// Appends the session's spec in save_session_spec encoding to `w`.
+  /// The session must be live.
   static void encode_spec(nsync::signal::ByteWriter& w, const Session& s);
   /// Shared by restore() and restore_from_bytes(): `checkpoint_path` is
   /// where spec files are looked up when the payload has no spec table

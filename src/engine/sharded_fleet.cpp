@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -413,6 +412,17 @@ std::size_t ShardedFleet::shard_of(std::size_t session) const {
 
 FeedResult ShardedFleet::feed(std::size_t session, const std::string& channel,
                               const SignalView& frames) {
+  return feed_frames(session, channel, frames, nullptr);
+}
+
+FeedResult ShardedFleet::feed(std::size_t session, const std::string& channel,
+                              Signal&& frames) {
+  return feed_frames(session, channel, SignalView(frames), &frames);
+}
+
+FeedResult ShardedFleet::feed_frames(std::size_t session,
+                                     const std::string& channel,
+                                     const SignalView& frames, Signal* owned) {
   FeedResult result;
   std::size_t shard_idx = 0;
   std::size_t local = 0;
@@ -462,10 +472,7 @@ FeedResult ShardedFleet::feed(std::size_t session, const std::string& channel,
   FrameBatch batch;
   batch.session = local;
   batch.channel = channel;
-  batch.frames = Signal(frames.frames(), frames.channels(),
-                        frames.sample_rate());
-  std::memcpy(batch.frames.data(), frames.data(),
-              frames.frames() * frames.channels() * sizeof(double));
+  batch.frames = owned != nullptr ? std::move(*owned) : frames.to_signal();
   batch.enqueued_at = std::chrono::steady_clock::now();
   const FrameQueue::PushResult push = shard.queue->push(std::move(batch));
   result.queued_frames = push.queued_frames;

@@ -257,6 +257,10 @@ class ShardedFleet {
   /// be surfaced as a typed wire reply.
   FeedResult feed(std::size_t session, const std::string& channel,
                   const nsync::signal::SignalView& frames);
+  /// feed() of frames the caller hands over: a sharded fleet queues them
+  /// as they are instead of copying them into the batch.
+  FeedResult feed(std::size_t session, const std::string& channel,
+                  nsync::signal::Signal&& frames);
 
   /// Blocks until every accepted frame has been processed (all queues
   /// empty and all workers idle).  In inline mode this runs the drain.
@@ -288,6 +292,12 @@ class ShardedFleet {
       const std::string& dir, ShardedFleetOptions options);
 
  private:
+  /// Both feed() overloads: `frames` views `owned` when the caller handed
+  /// its frames over (moved into the batch), else they are copied.
+  FeedResult feed_frames(std::size_t session, const std::string& channel,
+                         const nsync::signal::SignalView& frames,
+                         nsync::signal::Signal* owned);
+
   /// Worker-side counters of one shard.
   struct ShardCounters {
     std::uint64_t batches = 0;

@@ -1,17 +1,19 @@
 #include "signal/checkpoint.hpp"
 
 #include <fcntl.h>
+#include <limits.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <initializer_list>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
 
@@ -60,6 +62,15 @@ std::uint32_t crc32(const void* data, std::size_t bytes) {
          0xFFFFFFFFu;
 }
 
+std::uint32_t crc32(BytePieces pieces) {
+  const auto& ops = nsync::dsp::simd::ops();
+  std::uint32_t state = 0xFFFFFFFFu;
+  for (const std::span<const std::uint8_t> piece : pieces) {
+    state = ops.crc32_update(state, piece.data(), piece.size());
+  }
+  return state ^ 0xFFFFFFFFu;
+}
+
 // ---------------------------------------------------------------------------
 // ByteWriter
 
@@ -70,6 +81,14 @@ void ByteWriter::append(const void* data, std::size_t n) {
 
 void ByteWriter::f64_array(std::span<const double> values) {
   pod<std::uint64_t>(values.size());
+  if (arrays_ == Arrays::kReference && !values.empty()) {
+    const std::span<const std::uint8_t> bytes(
+        reinterpret_cast<const std::uint8_t*>(values.data()),
+        values.size_bytes());
+    references_.push_back({buf_.size(), bytes});
+    referenced_bytes_ += bytes.size();
+    return;
+  }
   append(values.data(), values.size() * sizeof(double));
 }
 
@@ -98,8 +117,39 @@ std::size_t ByteWriter::begin_section(std::uint32_t id) {
 }
 
 void ByteWriter::end_section(std::size_t token) {
-  const std::uint64_t length = buf_.size() - token - sizeof(std::uint64_t);
+  std::uint64_t length = buf_.size() - token - sizeof(std::uint64_t);
+  // Arrays referenced inside the section (after its length field).
+  for (const Reference& r : references_) {
+    if (r.at > token) length += r.bytes.size();
+  }
   std::memcpy(buf_.data() + token, &length, sizeof(length));
+}
+
+std::span<const std::uint8_t> ByteWriter::data() const {
+  if (!references_.empty()) {
+    throw std::logic_error(
+        "ByteWriter::data: the encoding references arrays; use pieces()");
+  }
+  return buf_;
+}
+
+std::vector<std::uint8_t> ByteWriter::take() {
+  (void)data();  // throws for an encoding that references arrays
+  return std::move(buf_);
+}
+
+std::vector<std::span<const std::uint8_t>> ByteWriter::pieces() const {
+  std::vector<std::span<const std::uint8_t>> out;
+  out.reserve(2 * references_.size() + 1);
+  const std::span<const std::uint8_t> buf(buf_);
+  std::size_t from = 0;
+  for (const Reference& r : references_) {
+    if (r.at > from) out.push_back(buf.subspan(from, r.at - from));
+    out.push_back(r.bytes);
+    from = r.at;
+  }
+  if (buf.size() > from) out.push_back(buf.subspan(from));
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -213,11 +263,52 @@ using FrameFooter = std::array<std::uint8_t, kFooterBytes>;
   return h;
 }
 
-[[nodiscard]] FrameFooter frame_footer(std::span<const std::uint8_t> payload) {
-  const std::uint32_t crc = crc32(payload.data(), payload.size());
+[[nodiscard]] FrameFooter frame_footer(std::uint32_t payload_crc) {
   FrameFooter f{};
-  std::memcpy(f.data(), &crc, sizeof(crc));
+  std::memcpy(f.data(), &payload_crc, sizeof(payload_crc));
   return f;
+}
+
+// Validates the framing of a `size`-byte file whose first
+// min(size, kHeaderBytes) bytes are at `head`: everything but the CRC.
+void check_header(const std::uint8_t* head, std::size_t size) {
+  if (size < kMagic.size()) {
+    throw CheckpointError(CheckpointErrorKind::kTruncated,
+                          "file shorter than the magic");
+  }
+  if (std::memcmp(head, kMagic.data(), kMagic.size()) != 0) {
+    throw CheckpointError(CheckpointErrorKind::kBadMagic,
+                          "not an NCKP checkpoint file");
+  }
+  if (size < kHeaderBytes + kFooterBytes) {
+    throw CheckpointError(CheckpointErrorKind::kTruncated,
+                          "file shorter than the fixed header + footer");
+  }
+  std::uint32_t version = 0;
+  std::memcpy(&version, head + 4, sizeof(version));
+  if (version != kVersion) {
+    throw CheckpointError(CheckpointErrorKind::kBadVersion,
+                          "format version " + std::to_string(version) +
+                              ", this build reads version " +
+                              std::to_string(kVersion));
+  }
+  std::uint64_t payload_bytes = 0;
+  std::memcpy(&payload_bytes, head + 8, sizeof(payload_bytes));
+  if (payload_bytes != size - kHeaderBytes - kFooterBytes) {
+    throw CheckpointError(
+        CheckpointErrorKind::kTruncated,
+        "declared payload of " + std::to_string(payload_bytes) +
+            " bytes does not match file size " + std::to_string(size));
+  }
+}
+
+void check_crc(const std::uint8_t* footer, std::uint32_t payload_crc) {
+  std::uint32_t stored_crc = 0;
+  std::memcpy(&stored_crc, footer, sizeof(stored_crc));
+  if (stored_crc != payload_crc) {
+    throw CheckpointError(CheckpointErrorKind::kCorrupt,
+                          "payload CRC mismatch");
+  }
 }
 
 }  // namespace
@@ -225,7 +316,8 @@ using FrameFooter = std::array<std::uint8_t, kFooterBytes>;
 std::vector<std::uint8_t> frame_checkpoint(
     std::span<const std::uint8_t> payload) {
   const FrameHeader header = frame_header(payload.size());
-  const FrameFooter footer = frame_footer(payload);
+  const FrameFooter footer =
+      frame_footer(crc32(payload.data(), payload.size()));
   std::vector<std::uint8_t> file;
   file.reserve(header.size() + payload.size() + footer.size());
   file.insert(file.end(), header.begin(), header.end());
@@ -236,43 +328,11 @@ std::vector<std::uint8_t> frame_checkpoint(
 
 std::span<const std::uint8_t> unframe_checkpoint(
     std::span<const std::uint8_t> file) {
-  if (file.size() < kMagic.size()) {
-    throw CheckpointError(CheckpointErrorKind::kTruncated,
-                          "file shorter than the magic");
-  }
-  if (std::memcmp(file.data(), kMagic.data(), kMagic.size()) != 0) {
-    throw CheckpointError(CheckpointErrorKind::kBadMagic,
-                          "not an NCKP checkpoint file");
-  }
-  if (file.size() < kHeaderBytes + kFooterBytes) {
-    throw CheckpointError(CheckpointErrorKind::kTruncated,
-                          "file shorter than the fixed header + footer");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, file.data() + 4, sizeof(version));
-  if (version != kVersion) {
-    throw CheckpointError(CheckpointErrorKind::kBadVersion,
-                          "format version " + std::to_string(version) +
-                              ", this build reads version " +
-                              std::to_string(kVersion));
-  }
-  std::uint64_t payload_bytes = 0;
-  std::memcpy(&payload_bytes, file.data() + 8, sizeof(payload_bytes));
-  if (payload_bytes != file.size() - kHeaderBytes - kFooterBytes) {
-    throw CheckpointError(
-        CheckpointErrorKind::kTruncated,
-        "declared payload of " + std::to_string(payload_bytes) +
-            " bytes does not match file size " + std::to_string(file.size()));
-  }
+  check_header(file.data(), file.size());
   const std::span<const std::uint8_t> payload =
-      file.subspan(kHeaderBytes, static_cast<std::size_t>(payload_bytes));
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, file.data() + file.size() - kFooterBytes,
-              sizeof(stored_crc));
-  if (stored_crc != crc32(payload.data(), payload.size())) {
-    throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                          "payload CRC mismatch");
-  }
+      file.subspan(kHeaderBytes, file.size() - kHeaderBytes - kFooterBytes);
+  check_crc(file.data() + file.size() - kFooterBytes,
+            crc32(payload.data(), payload.size()));
   return payload;
 }
 
@@ -281,11 +341,46 @@ std::span<const std::uint8_t> unframe_checkpoint(
 
 namespace {
 
-// atomic_write_file of the concatenation of `parts`, written one after
-// the other into the tmp file without joining them in memory first.
-void atomic_write_parts(
-    const std::string& path,
-    std::initializer_list<std::span<const std::uint8_t>> parts) {
+// Skips `n` bytes a readv/writev moved, starting at iov[first]: entries
+// it covered (and empty ones after them) advance `first`, a partly moved
+// entry is trimmed so the next call resumes inside it.
+void consume(std::span<::iovec> iov, std::size_t& first, std::size_t n) {
+  while (first < iov.size() && n >= iov[first].iov_len) {
+    n -= iov[first].iov_len;
+    ++first;
+  }
+  if (n > 0) {
+    iov[first].iov_base = static_cast<std::uint8_t*>(iov[first].iov_base) + n;
+    iov[first].iov_len -= n;
+  }
+}
+
+// Writes every byte of `parts`, in order, with as few writev calls as the
+// kernel allows.  Returns false with errno set on failure.
+[[nodiscard]] bool write_all(int fd, BytePieces parts) {
+  std::vector<::iovec> iov;
+  iov.reserve(parts.size());
+  for (const std::span<const std::uint8_t> part : parts) {
+    if (part.empty()) continue;
+    iov.push_back({const_cast<std::uint8_t*>(part.data()), part.size()});
+  }
+  std::size_t first = 0;
+  while (first < iov.size()) {
+    const auto count =
+        static_cast<int>(std::min<std::size_t>(iov.size() - first, IOV_MAX));
+    const ::ssize_t n = ::writev(fd, iov.data() + first, count);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    consume(iov, first, static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+// atomic_write_file of the concatenation of `parts`, written into the tmp
+// file without joining them in memory first.
+void atomic_write_parts(const std::string& path, BytePieces parts) {
   // Unique tmp name per writer (pid + process-wide counter) with O_EXCL:
   // two concurrent writers each assemble a complete file privately and
   // race only on the atomic rename, so the loser can never leave a torn
@@ -298,21 +393,11 @@ void atomic_write_parts(
     throw CheckpointError(CheckpointErrorKind::kIo,
                           errno_message("cannot create '" + tmp + "'"));
   }
-  for (const std::span<const std::uint8_t> bytes : parts) {
-    std::size_t written = 0;
-    while (written < bytes.size()) {
-      const ::ssize_t n =
-          ::write(fd, bytes.data() + written, bytes.size() - written);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        const std::string msg =
-            errno_message("write to '" + tmp + "' failed");
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        throw CheckpointError(CheckpointErrorKind::kIo, msg);
-      }
-      written += static_cast<std::size_t>(n);
-    }
+  if (!write_all(fd, parts)) {
+    const std::string msg = errno_message("write to '" + tmp + "' failed");
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw CheckpointError(CheckpointErrorKind::kIo, msg);
   }
   if (::fsync(fd) != 0) {
     const std::string msg = errno_message("fsync of '" + tmp + "' failed");
@@ -350,66 +435,119 @@ void atomic_write_parts(
 
 void atomic_write_file(const std::string& path,
                        std::span<const std::uint8_t> bytes) {
-  atomic_write_parts(path, {bytes});
+  atomic_write_parts(path, {&bytes, 1});
 }
 
 void write_checkpoint_file(const std::string& path,
                            std::span<const std::uint8_t> payload) {
-  const FrameHeader header = frame_header(payload.size());
-  const FrameFooter footer = frame_footer(payload);
-  atomic_write_parts(path, {header, payload, footer});
+  write_checkpoint_file(path, {&payload, 1},
+                        crc32(payload.data(), payload.size()));
+}
+
+void write_checkpoint_file(const std::string& path, BytePieces pieces,
+                           std::uint32_t payload_crc) {
+  std::size_t payload_bytes = 0;
+  for (const std::span<const std::uint8_t> piece : pieces) {
+    payload_bytes += piece.size();
+  }
+  const FrameHeader header = frame_header(payload_bytes);
+  const FrameFooter footer = frame_footer(payload_crc);
+  std::vector<std::span<const std::uint8_t>> parts;
+  parts.reserve(pieces.size() + 2);
+  parts.emplace_back(header);
+  parts.insert(parts.end(), pieces.begin(), pieces.end());
+  parts.emplace_back(footer);
+  atomic_write_parts(path, parts);
 }
 
 namespace {
 
-[[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+// A checkpoint file read into place: the payload straight into the
+// vector read_checkpoint_file returns, the framing beside it.
+struct FileParts {
+  std::size_t size = 0;  // of the whole file
+  FrameHeader header{};  // its first min(size, kHeaderBytes) bytes
+  // Only when size >= kHeaderBytes + kFooterBytes:
+  std::vector<std::uint8_t> payload;
+  FrameFooter footer{};
+};
+
+[[nodiscard]] FileParts read_parts(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
     throw CheckpointError(CheckpointErrorKind::kIo,
                           errno_message("cannot open '" + path + "'"));
   }
-  std::vector<std::uint8_t> bytes;
-  std::array<std::uint8_t, 1 << 16> chunk;
-  std::size_t n = 0;
-  while ((n = std::fread(chunk.data(), 1, chunk.size(), f)) > 0) {
-    bytes.insert(bytes.end(), chunk.data(), chunk.data() + n);
+  FileParts parts;
+  struct ::stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const std::string msg = errno_message("cannot stat '" + path + "'");
+    ::close(fd);
+    throw CheckpointError(CheckpointErrorKind::kIo, msg);
   }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    throw CheckpointError(CheckpointErrorKind::kIo,
-                          "read of '" + path + "' failed");
+  parts.size = static_cast<std::size_t>(st.st_size);
+  std::array<::iovec, 3> iov{};
+  std::size_t count = 1;
+  iov[0] = {parts.header.data(), std::min(parts.size, kHeaderBytes)};
+  if (parts.size >= kHeaderBytes + kFooterBytes) {
+    parts.payload.resize(parts.size - kHeaderBytes - kFooterBytes);
+    iov[1] = {parts.payload.data(), parts.payload.size()};
+    iov[2] = {parts.footer.data(), parts.footer.size()};
+    count = 3;
   }
-  return bytes;
+  const std::span<::iovec> want(iov.data(), count);
+  std::size_t first = 0;
+  consume(want, first, 0);  // an empty file reads nothing
+  while (first < count) {
+    const ::ssize_t n =
+        ::readv(fd, iov.data() + first, static_cast<int>(count - first));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      // An error, or a file that shrank since fstat.
+      const std::string msg =
+          n < 0 ? errno_message("read of '" + path + "' failed")
+                : "read of '" + path + "' failed: file shrank while read";
+      ::close(fd);
+      throw CheckpointError(CheckpointErrorKind::kIo, msg);
+    }
+    consume(want, first, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return parts;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> read_checkpoint_file(const std::string& path) {
-  const std::vector<std::uint8_t> bytes = read_file(path);
-  const std::span<const std::uint8_t> payload = unframe_checkpoint(bytes);
-  return {payload.begin(), payload.end()};
+  FileParts parts = read_parts(path);
+  check_header(parts.header.data(), parts.size);
+  check_crc(parts.footer.data(),
+            crc32(parts.payload.data(), parts.payload.size()));
+  return std::move(parts.payload);
 }
 
 std::vector<std::uint8_t> read_checkpoint_file(const std::string& path,
                                                std::uint64_t payload_bytes,
                                                std::uint32_t payload_crc) {
-  const std::vector<std::uint8_t> bytes = read_file(path);
+  FileParts parts = read_parts(path);
   // The reference is checked before the framing, so any edit to the
   // payload reads as "not the file the referrer wrote" (kMismatch), not
-  // as generic corruption.
+  // as generic corruption.  One CRC pass serves both checks.
   // Subtraction form: `payload_bytes` comes from the referring file and
   // must not be able to wrap the size check.
-  if (bytes.size() < kHeaderBytes + kFooterBytes ||
-      payload_bytes != bytes.size() - kHeaderBytes - kFooterBytes ||
-      crc32(bytes.data() + kHeaderBytes, static_cast<std::size_t>(
-                                             payload_bytes)) != payload_crc) {
+  const bool same_size =
+      parts.size >= kHeaderBytes + kFooterBytes &&
+      payload_bytes == parts.size - kHeaderBytes - kFooterBytes;
+  const std::uint32_t crc =
+      same_size ? crc32(parts.payload.data(), parts.payload.size()) : 0;
+  if (!same_size || crc != payload_crc) {
     throw CheckpointError(CheckpointErrorKind::kMismatch,
                           "'" + path + "' is not the file its checkpoint "
                           "references (size or CRC differs)");
   }
-  const std::span<const std::uint8_t> payload = unframe_checkpoint(bytes);
-  return {payload.begin(), payload.end()};
+  check_header(parts.header.data(), parts.size);
+  check_crc(parts.footer.data(), crc);
+  return std::move(parts.payload);
 }
 
 std::size_t remove_stale_tmp_files(const std::string& path) {

@@ -72,11 +72,27 @@ class CheckpointError : public std::runtime_error {
 /// SIMD backend's crc32_update kernel (every backend gives the same bits).
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t bytes);
 
+/// A byte string held as consecutive pieces (ByteWriter::pieces()).
+using BytePieces = std::span<const std::span<const std::uint8_t>>;
+
+/// CRC-32 of the concatenation of `pieces`, in one pass over each.
+[[nodiscard]] std::uint32_t crc32(BytePieces pieces);
+
 /// Append-only little-endian encoder.  All multi-byte values are written
 /// via memcpy of their object representation (the build asserts a
 /// little-endian host, matching the NSIG signal format).
+///
+/// A referencing writer (Arrays::kReference) stores each f64_array()'s
+/// values — a signal's samples — as a reference to the caller's array
+/// instead of copying them: the encoding is then pieces(), buffered runs
+/// with the referenced arrays between them, and stays valid only while
+/// those arrays do.  A copying writer's encoding is data().
 class ByteWriter {
  public:
+  enum class Arrays { kCopy, kReference };
+
+  explicit ByteWriter(Arrays arrays = Arrays::kCopy) : arrays_(arrays) {}
+
   template <typename T>
   void pod(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>,
@@ -101,13 +117,32 @@ class ByteWriter {
   [[nodiscard]] std::size_t begin_section(std::uint32_t id);
   void end_section(std::size_t token);
 
-  [[nodiscard]] std::span<const std::uint8_t> data() const { return buf_; }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
+  /// The encoding of a writer that references nothing (throws
+  /// std::logic_error otherwise: the buffer lacks the referenced arrays).
+  [[nodiscard]] std::span<const std::uint8_t> data() const;
+  [[nodiscard]] std::vector<std::uint8_t> take();
+
+  /// Bytes encoded so far, referenced arrays included.
+  [[nodiscard]] std::size_t size() const {
+    return buf_.size() + referenced_bytes_;
+  }
+  /// The encoding as consecutive non-empty pieces, in order.
+  [[nodiscard]] std::vector<std::span<const std::uint8_t>> pieces() const;
 
  private:
   void append(const void* data, std::size_t n);
 
+  /// An array referenced at buffer offset `at` (between buf_[at - 1] and
+  /// buf_[at]).
+  struct Reference {
+    std::size_t at = 0;
+    std::span<const std::uint8_t> bytes;
+  };
+
   std::vector<std::uint8_t> buf_;
+  Arrays arrays_;
+  std::vector<Reference> references_;
+  std::size_t referenced_bytes_ = 0;
 };
 
 /// Bounds-checked decoder over a byte span.  Every read validates that
@@ -186,7 +221,15 @@ void atomic_write_file(const std::string& path,
 void write_checkpoint_file(const std::string& path,
                            std::span<const std::uint8_t> payload);
 
-/// Reads `path`, validates the container, returns a copy of the payload.
+/// write_checkpoint_file of the concatenation of `pieces`, whose CRC-32
+/// the caller already holds (crc32(pieces)): the header, every piece and
+/// the footer go to the tmp file in one writev, and no byte of the
+/// payload is copied or checksummed here.
+void write_checkpoint_file(const std::string& path, BytePieces pieces,
+                           std::uint32_t payload_crc);
+
+/// Reads `path`, validates the container, returns the payload (read
+/// straight into the returned vector; the framing is read beside it).
 [[nodiscard]] std::vector<std::uint8_t> read_checkpoint_file(
     const std::string& path);
 
@@ -194,7 +237,8 @@ void write_checkpoint_file(const std::string& path,
 /// size and CRC-32 of its payload.  Throws kMismatch when the file's
 /// payload is not exactly that one (checked before the framing, so an
 /// edited payload is a mismatch, not corruption), kIo when unreadable,
-/// and the framing errors otherwise.
+/// and the framing errors otherwise.  The payload is checksummed once,
+/// for both the reference and the footer.
 [[nodiscard]] std::vector<std::uint8_t> read_checkpoint_file(
     const std::string& path, std::uint64_t payload_bytes,
     std::uint32_t payload_crc);

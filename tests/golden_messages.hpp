@@ -43,6 +43,11 @@ inline constexpr const char* kSpecFileName = "session.spec";
 inline constexpr const char* kStateFileName = "fleet.nckp";
 inline constexpr const char* kPayloadFileName = "fleet.payload";
 inline constexpr const char* kRegistryFileName = "baselines.nbrg";
+/// Subdirectory holding the state file and payload as written before
+/// synchronizers dropped consumed frames at the end of each push (their
+/// rings keep the last push's frames).  Restore-only fixtures: make_goldens
+/// does not write them.
+inline constexpr const char* kFullRingDir = "full_ring";
 
 /// (file name, bytes) pairs.
 using NamedFiles =

@@ -9,7 +9,11 @@
 // serialize() payload and its exported .nbrg registry.  The files pin the
 // persisted formats; regenerate them only together with a deliberate
 // format change (a kProtocolVersion, NCKP, fleet-layout or NBRG version
-// bump), and review the diff.
+// bump) or a deliberate change in what the fleet keeps as state, and
+// review the diff.  When state content changes under an unchanged layout,
+// keep the replaced state file and payload as restore-only fixtures (as
+// tests/golden/full_ring/ holds the pair whose rings still kept consumed
+// frames), so older checkpoint directories stay covered.
 #include <unistd.h>
 
 #include <cstdio>

@@ -16,11 +16,17 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/detection_core.hpp"
+#include "core/dwm.hpp"
 #include "core/fusion.hpp"
 #include "core/health.hpp"
 #include "core/nsync.hpp"
@@ -1419,6 +1425,299 @@ TEST_F(CheckpointFleetTest, RestoreRemovesWhatCrashesLeftBehind) {
   EXPECT_FALSE(std::filesystem::exists(stale_spec));
   EXPECT_TRUE(std::filesystem::exists(own));
   EXPECT_TRUE(std::filesystem::exists(foreign));
+}
+
+// ---------------------------------------------------------------------------
+// Write only what restore reads
+
+TEST(Container, FileReadersKeepTheFramingErrorOrder) {
+  const ScratchDir dir("readers");
+  const std::string path = dir.file("x.nckp");
+  const std::vector<std::uint8_t> payload = {9, 8, 7, 6, 5, 4, 3};
+  const std::vector<std::uint8_t> file =
+      nsync::signal::frame_checkpoint(payload);
+  const std::uint32_t crc = nsync::signal::crc32(payload.data(), 7);
+  // The error kind a read throws; nullopt when it accepts.
+  using Outcome = std::optional<CheckpointErrorKind>;
+  const Outcome mismatch = CheckpointErrorKind::kMismatch;
+  const auto outcome = [](auto&& read) -> Outcome {
+    try {
+      (void)read();
+    } catch (const CheckpointError& e) {
+      return e.kind();
+    }
+    return std::nullopt;
+  };
+  const auto plain_error = [&](std::span<const std::uint8_t> bytes) {
+    put_file(path, bytes);
+    return outcome([&] { return nsync::signal::read_checkpoint_file(path); });
+  };
+  const auto referred_error = [&](std::span<const std::uint8_t> bytes) {
+    put_file(path, bytes);
+    return outcome([&] {
+      return nsync::signal::read_checkpoint_file(path, payload.size(), crc);
+    });
+  };
+  const auto unframe_error = [&](std::span<const std::uint8_t> bytes) {
+    return outcome([&] { return nsync::signal::unframe_checkpoint(bytes); });
+  };
+
+  put_file(path, file);
+  EXPECT_EQ(nsync::signal::read_checkpoint_file(path), payload);
+  EXPECT_EQ(nsync::signal::read_checkpoint_file(path, payload.size(), crc),
+            payload);
+
+  // Every prefix: the plain reader reports what the framing check does;
+  // the referring reader sees a file whose size is not the referenced one.
+  for (std::size_t n = 0; n < file.size(); ++n) {
+    const std::span<const std::uint8_t> prefix(file.data(), n);
+    EXPECT_EQ(plain_error(prefix), unframe_error(prefix)) << n;
+    EXPECT_EQ(referred_error(prefix), mismatch) << n;
+  }
+  // One flipped bit in every byte.  Header and footer edits keep the
+  // payload the referenced one, so both readers report the framing error;
+  // a payload edit is corruption to the plain reader and a mismatch to
+  // the referring one (checked first).
+  for (std::size_t at = 0; at < file.size(); ++at) {
+    std::vector<std::uint8_t> edited = file;
+    edited[at] ^= 0x01;
+    const bool in_payload = at >= 16 && at < 16 + payload.size();
+    EXPECT_EQ(plain_error(edited), unframe_error(edited)) << at;
+    EXPECT_EQ(referred_error(edited),
+              in_payload ? mismatch : unframe_error(edited))
+        << at;
+  }
+  // A referrer naming another size or CRC: kMismatch on an intact file.
+  put_file(path, file);
+  EXPECT_EQ(outcome([&] {
+              return nsync::signal::read_checkpoint_file(
+                  path, payload.size() + 1, crc);
+            }),
+            mismatch);
+  EXPECT_EQ(outcome([&] {
+              return nsync::signal::read_checkpoint_file(path, payload.size(),
+                                                         crc ^ 1u);
+            }),
+            mismatch);
+  // A missing file is kIo for both.
+  const std::string missing = dir.file("missing.nckp");
+  const Outcome io = CheckpointErrorKind::kIo;
+  EXPECT_EQ(
+      outcome([&] { return nsync::signal::read_checkpoint_file(missing); }),
+      io);
+  EXPECT_EQ(outcome([&] {
+              return nsync::signal::read_checkpoint_file(
+                  missing, payload.size(), crc);
+            }),
+            io);
+}
+
+TEST(ByteCodec, ReferencingWriterEncodesTheSameBytes) {
+  const std::vector<double> big = {1.5, -2.25, 3.0, 0.125, -0.5};
+  const std::vector<double> small = {42.0};
+  const auto encode = [&](ByteWriter& w) {
+    w.pod<std::uint32_t>(7);
+    const std::size_t outer = w.begin_section(0x11223344);
+    w.f64_array(big);
+    w.str("between");
+    const std::size_t inner = w.begin_section(0x55667788);
+    w.f64_array(small);
+    w.f64_array({});
+    w.end_section(inner);
+    w.f64_array(big);  // two arrays back to back
+    w.f64_array(small);
+    w.end_section(outer);
+    w.pod<std::uint8_t>(1);
+  };
+  ByteWriter copied;
+  encode(copied);
+  ByteWriter referenced(ByteWriter::Arrays::kReference);
+  encode(referenced);
+
+  const auto pieces = referenced.pieces();
+  std::vector<std::uint8_t> joined;
+  for (const auto piece : pieces) {
+    EXPECT_FALSE(piece.empty());
+    joined.insert(joined.end(), piece.begin(), piece.end());
+  }
+  const std::span<const std::uint8_t> want = copied.data();
+  EXPECT_TRUE(std::equal(joined.begin(), joined.end(), want.begin(),
+                         want.end()));
+  EXPECT_EQ(referenced.size(), want.size());
+  // Arrays are referenced, not copied: the buffered runs are short.
+  EXPECT_EQ(pieces[1].data(),
+            reinterpret_cast<const std::uint8_t*>(big.data()));
+  const std::uint32_t crc = nsync::signal::crc32(pieces);
+  EXPECT_EQ(crc, nsync::signal::crc32(want.data(), want.size()));
+  // The buffer alone is not the encoding.
+  EXPECT_THROW((void)referenced.data(), std::logic_error);
+
+  // The pieces write equals the buffered write byte for byte.
+  const ScratchDir dir("pieces");
+  nsync::signal::write_checkpoint_file(dir.file("buffered.nckp"), want);
+  nsync::signal::write_checkpoint_file(dir.file("pieces.nckp"), pieces, crc);
+  EXPECT_EQ(file_bytes(dir.file("pieces.nckp")),
+            file_bytes(dir.file("buffered.nckp")));
+  EXPECT_TRUE(std::ranges::equal(
+      nsync::signal::read_checkpoint_file(dir.file("pieces.nckp")), want));
+}
+
+/// The SpecRef (payload bytes, CRC) a checkpoint() state file names for
+/// each session, in session order (tombstones have none: nullopt).
+std::vector<std::optional<std::pair<std::uint64_t, std::uint32_t>>>
+state_spec_refs(const std::string& state_path) {
+  constexpr std::uint32_t kSecFleet = 0x544C4602;    // "\x02FLT"
+  constexpr std::uint32_t kSecSession = 0x53455301;  // "\x01SES"
+  const std::vector<std::uint8_t> payload =
+      nsync::signal::read_checkpoint_file(state_path);
+  ByteReader top(payload);
+  ByteReader fleet = top.section(kSecFleet);
+  const auto sessions = fleet.pod<std::uint64_t>();
+  std::vector<std::optional<std::pair<std::uint64_t, std::uint32_t>>> out;
+  for (std::uint64_t i = 0; i < sessions; ++i) {
+    ByteReader s = fleet.section(kSecSession);
+    (void)s.str();
+    if (s.pod<std::uint8_t>() != 0) {
+      out.emplace_back();
+      continue;
+    }
+    const auto bytes = s.pod<std::uint64_t>();
+    const auto crc = s.pod<std::uint32_t>();
+    out.emplace_back(std::pair{bytes, crc});
+  }
+  return out;
+}
+
+TEST_F(CheckpointFleetTest, SpecFilesWrittenFromTheReferencesMatchTheBuffered) {
+  // A raw three-channel session (widths 1, 3 and 2 at different rates)
+  // and a weighted-policy session: each spec file equals the buffered
+  // write of its save_session_spec encoding, and the state file names it
+  // by that payload's size and CRC.
+  SessionSpec raw;
+  raw.name = "raw-3ch";
+  raw.rule = core::FusionRule::kMajority;
+  for (const auto& [name, width, rate] :
+       {std::tuple<const char*, std::size_t, double>{"MAG", 1, 50.0},
+        {"ACC", 3, 100.0},
+        {"AUD", 2, 200.0}}) {
+    Rng rng(width * 31 + 7);
+    Signal ref(700, width, rate);
+    for (std::size_t n = 0; n < ref.frames(); ++n) {
+      for (std::size_t c = 0; c < width; ++c) ref(n, c) = rng.normal();
+    }
+    ChannelSpec c;
+    c.name = name;
+    c.reference = std::move(ref);
+    c.config = cfg_;
+    c.thresholds = thresholds_;
+    raw.channels.push_back(std::move(c));
+  }
+  SessionSpec weighted = make_session("weighted");
+  core::WeightedPolicyConfig wcfg;
+  wcfg.threshold = 0.8125;
+  weighted.policy = std::make_shared<core::WeightedPolicy>(
+      wcfg, std::vector<std::pair<std::string, double>>{{"ACC", 0.75},
+                                                        {"AUD", 0.25}});
+
+  const ScratchDir dir("from-refs");
+  const std::string path = dir.file("fleet.nckp");
+  MonitorEngine eng;
+  const std::vector<const SessionSpec*> specs = {&raw, &weighted};
+  for (std::size_t id = 0; id < specs.size(); ++id) {
+    eng.add_session(*specs[id]);
+    for (const ChannelSpec& c : specs[id]->channels) {
+      eng.feed(id, c.name, SignalView(c.reference).slice(0, 300));
+    }
+  }
+  (void)eng.poll_inline();
+  eng.checkpoint(path);
+
+  const auto refs = state_spec_refs(path);
+  ASSERT_EQ(refs.size(), specs.size());
+  for (std::size_t id = 0; id < specs.size(); ++id) {
+    SCOPED_TRACE(specs[id]->name);
+    ByteWriter w;
+    engine::save_session_spec(w, *specs[id]);
+    const std::string buffered = dir.file("buffered.spec");
+    nsync::signal::write_checkpoint_file(buffered, w.data());
+    const std::string spec_file = MonitorEngine::spec_path(path, id);
+    EXPECT_EQ(file_bytes(spec_file), file_bytes(buffered));
+
+    const std::vector<std::uint8_t> payload =
+        nsync::signal::read_checkpoint_file(spec_file);
+    ASSERT_TRUE(refs[id].has_value());
+    EXPECT_EQ(refs[id]->first, payload.size());
+    EXPECT_EQ(refs[id]->second,
+              nsync::signal::crc32(payload.data(), payload.size()));
+  }
+  // serialize() names the specs by the same references: the state file
+  // and spec files restore to exactly the in-memory form.
+  EXPECT_TRUE(MonitorEngine::restore(path).serialize() == eng.serialize());
+}
+
+TEST_F(CheckpointFleetTest, DrainedStateIsTheSameWhateverTheFeedChunking) {
+  // The synchronizer ring keeps only frames a future window reads, so
+  // what a drained engine serializes depends on the frames fed, not on
+  // how they were chunked.
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<std::vector<std::uint8_t>> halfway;
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{113},
+                                  std::size_t{1200}}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    MonitorEngine eng = make_engine();
+    if (chunk <= 113) {
+      feed_rounds(eng, chunk, 0, 5 * 113 / chunk);
+      halfway.push_back(eng.serialize());
+      feed_rounds(eng, chunk, 5 * 113 / chunk, rounds_for(chunk));
+    } else {
+      feed_rounds(eng, chunk, 0, rounds_for(chunk));
+    }
+    payloads.push_back(eng.serialize());
+  }
+  EXPECT_TRUE(halfway[0] == halfway[1]);
+  EXPECT_TRUE(payloads[0] == payloads[1]);
+  EXPECT_TRUE(payloads[0] == payloads[2]);
+}
+
+TEST_F(CheckpointFleetTest, SerializedRingHoldsOnlyFramesAFutureWindowReads) {
+  // Whatever the push size, after every push the serialized ring holds
+  // fewer than n_win frames (another window would have completed
+  // otherwise; n_win + n_hop bounds it with room to spare), and none once
+  // the reference is exhausted.  The stream runs past the reference end.
+  Signal stream = benign_observation(reference_, 70);
+  const Signal tail = benign_observation(reference_, 71);
+  for (std::size_t n = 0; n < tail.frames(); ++n) {
+    stream.append_frame(std::span<const double>(
+        tail.data() + n * tail.channels(), tail.channels()));
+  }
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{7}, std::size_t{113}, std::size_t{1200},
+        stream.frames()}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    RealtimeMonitor monitor(reference_, cfg_, thresholds_);
+    bool exhausted_seen = false;
+    for (std::size_t lo = 0; lo < stream.frames(); lo += chunk) {
+      const std::size_t hi = std::min(lo + chunk, stream.frames());
+      (void)monitor.push(SignalView(stream).slice(lo, hi));
+      ByteWriter w;
+      monitor.save_state(w);
+      // The monitor's state opens with its synchronizer's.
+      core::DwmSynchronizer probe(reference_, cfg_.dwm);
+      ByteReader r(w.data());
+      probe.restore_state(r);
+      const std::size_t ring = probe.observed().retained_frames();
+      ASSERT_EQ(probe.observed().end(), hi);
+      if (probe.reference_exhausted()) {
+        exhausted_seen = true;
+        ASSERT_EQ(ring, 0u) << "after frame " << hi;
+      } else {
+        ASSERT_LT(ring, cfg_.dwm.n_win) << "after frame " << hi;
+        ASSERT_EQ(probe.observed().start(),
+                  probe.windows() * cfg_.dwm.n_hop);
+      }
+    }
+    EXPECT_TRUE(exhausted_seen);
+  }
 }
 
 TEST(SpecOnceCheckpoint, PeriodicCheckpointOfPrintChurnSessionsIsSmall) {

@@ -5,7 +5,9 @@
 // in tests/golden/ were produced by make_goldens from the same
 // canonical-message builder this test uses, so any codec change that
 // moves a byte fails here.  A deliberate format change bumps the version
-// and regenerates the files (see DESIGN.md §4).
+// and regenerates the files (see DESIGN.md §4).  tests/golden/full_ring/
+// keeps an older state file and payload of the same fleet, whose rings
+// still held consumed frames: restore-only, they must still resume.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -70,6 +72,21 @@ golden::NamedFiles committed_checkpoint_files() {
   golden::NamedFiles files =
       golden::checkpoint_files(golden::golden_engine(dir.str()), dir.str());
   for (auto& [name, bytes] : files) bytes = golden::read_golden(name);
+  return files;
+}
+
+/// The same fleet as written before synchronizers dropped consumed frames
+/// at the end of each push: a state file and payload whose rings still
+/// hold the frames of the last push's windows, beside today's spec files
+/// and registry export (which did not change).
+golden::NamedFiles full_ring_checkpoint_files() {
+  golden::NamedFiles files = committed_checkpoint_files();
+  for (auto& [name, bytes] : files) {
+    if (name == golden::kStateFileName || name == golden::kPayloadFileName) {
+      bytes = golden::read_golden(std::string(golden::kFullRingDir) + "/" +
+                                  name);
+    }
+  }
   return files;
 }
 
@@ -237,9 +254,12 @@ TEST(GoldenFormats, GeneratorReproducesTheCommittedCheckpoints) {
       committed_checkpoint_files());
 }
 
-TEST(GoldenFormats, CommittedCheckpointsRestoreAndReserializeExactly) {
-  const golden::NamedFiles committed = committed_checkpoint_files();
+namespace {
 
+/// Restores `committed` (state file with spec files and registry export,
+/// then the serialize() payload and the registry on their own) and
+/// checks that writing them again reproduces every byte.
+void expect_restore_reserializes_exactly(const golden::NamedFiles& committed) {
   // The state file with its spec files and registry export.  Copies:
   // restore(path) deletes spec files the state does not reference.
   const TempDir in("in");
@@ -274,6 +294,26 @@ TEST(GoldenFormats, CommittedCheckpointsRestoreAndReserializeExactly) {
   expect_same_bytes({std::istreambuf_iterator<char>(again),
                      std::istreambuf_iterator<char>()},
                     nbrg, "BaselineRegistry load/save round trip");
+}
+
+}  // namespace
+
+TEST(GoldenFormats, CommittedCheckpointsRestoreAndReserializeExactly) {
+  {
+    SCOPED_TRACE("today's checkpoint");
+    expect_restore_reserializes_exactly(committed_checkpoint_files());
+  }
+  {
+    // A checkpoint directory written before rings dropped consumed frames
+    // at the end of a push still resumes: restore accepts a ring that
+    // starts anywhere up to the next window's origin.
+    SCOPED_TRACE("full-ring checkpoint");
+    const golden::NamedFiles full_ring = full_ring_checkpoint_files();
+    ASSERT_GT(bytes_of(full_ring, golden::kStateFileName).size(),
+              bytes_of(committed_checkpoint_files(), golden::kStateFileName)
+                  .size());
+    expect_restore_reserializes_exactly(full_ring);
+  }
 }
 
 TEST(GoldenFormats, DetectionCoreFlagBytesAboveOneAreCorrupt) {

@@ -1,7 +1,9 @@
 // Unit and property tests for the descriptive statistics helpers.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -111,6 +113,38 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PearsonProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 // Property: variance is translation invariant and scales quadratically.
+TEST(Stats, FiniteWindowFindsEveryNonFiniteSampleAtEveryPosition) {
+  // Every finite edge value — signed zeros, subnormals, the largest
+  // magnitudes — stays finite; one NaN or infinity anywhere does not.
+  const double kEdges[] = {0.0,     -0.0,     DBL_TRUE_MIN, -DBL_TRUE_MIN,
+                           DBL_MIN, -DBL_MIN, DBL_MAX,      -DBL_MAX};
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (const std::size_t channels : {std::size_t{1}, std::size_t{6}}) {
+    for (std::size_t frames = 1; frames <= 70; ++frames) {
+      const std::size_t n = frames * channels;
+      std::vector<double> x(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = kEdges[i % std::size(kEdges)];
+      }
+      const SignalView view(x.data(), frames, channels, 1.0);
+      ASSERT_TRUE(finite_window(view)) << frames << "x" << channels;
+      for (const double bad : kBad) {
+        for (std::size_t at = 0; at < n; ++at) {
+          const double keep = x[at];
+          x[at] = bad;
+          ASSERT_FALSE(finite_window(view))
+              << bad << " at " << at << " of " << frames << "x" << channels;
+          x[at] = keep;
+        }
+      }
+    }
+  }
+  // No samples at all: vacuously finite.
+  EXPECT_TRUE(finite_window(SignalView(nullptr, 0, 1, 1.0)));
+}
+
 class VarianceProperty : public ::testing::TestWithParam<double> {};
 
 TEST_P(VarianceProperty, ScalesQuadratically) {
