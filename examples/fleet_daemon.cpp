@@ -207,7 +207,13 @@ int main(int argc, char** argv) {
               << restored.sessions - restored.evicted << " live) across "
               << shards << " shards from " << checkpoint_dir << "\n";
   } else {
-    fleet = std::make_unique<engine::ShardedFleet>(fopts);
+    try {
+      fleet = std::make_unique<engine::ShardedFleet>(fopts);
+    } catch (const signal::CheckpointError& e) {
+      std::cerr << "fleet_daemon: cannot checkpoint to " << checkpoint_dir
+                << ": " << e.what() << "\n";
+      return 2;
+    }
   }
 
   engine::FleetServerOptions sopts;

@@ -54,7 +54,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     try {
       nsync::engine::MonitorEngine engine =
           nsync::engine::MonitorEngine::restore_from_bytes(bytes, options);
-      (void)engine.snapshots();
+      for (std::size_t i = 0; i < engine.sessions(); ++i) {
+        (void)engine.snapshot(i);
+      }
       // The payload decoder accepts only canonical encodings too.
       if (!std::ranges::equal(engine.serialize(), bytes)) {
         __builtin_trap();

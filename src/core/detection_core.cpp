@@ -43,12 +43,6 @@ double StreamingMinFilter::push(double x) {
   return ring_[head_].value;
 }
 
-void StreamingMinFilter::reset() {
-  head_ = 0;
-  size_ = 0;
-  next_ = 0;
-}
-
 // Writes the live deque entries front to back; a restored ring is
 // normalized to head 0, which changes nothing observable (the deque is
 // only ever addressed relative to head).

@@ -59,11 +59,8 @@ class StreamingMinFilter {
   /// Consumes the next sample and returns the filtered value.
   double push(double x);
 
-  /// Forgets all history (the stream restarts at index 0).
-  void reset();
-
   [[nodiscard]] std::size_t window() const { return window_; }
-  /// Samples consumed since construction / reset().
+  /// Samples consumed since construction.
   [[nodiscard]] std::size_t samples() const { return next_; }
 
   /// Serializes the deque contents and stream position (checkpointing).

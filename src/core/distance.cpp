@@ -1,7 +1,6 @@
 #include "core/distance.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <stdexcept>
 
@@ -20,20 +19,6 @@ std::string distance_metric_name(DistanceMetric m) {
     case DistanceMetric::kMae: return "mae";
   }
   return "unknown";
-}
-
-DistanceMetric parse_distance_metric(const std::string& name) {
-  std::string s;
-  for (char c : name) {
-    s.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  if (s == "correlation" || s == "corr") return DistanceMetric::kCorrelation;
-  if (s == "cosine" || s == "cos") return DistanceMetric::kCosine;
-  if (s == "euclidean" || s == "l2") return DistanceMetric::kEuclidean;
-  if (s == "manhattan" || s == "l1") return DistanceMetric::kManhattan;
-  if (s == "mae") return DistanceMetric::kMae;
-  throw std::invalid_argument("parse_distance_metric: unknown metric '" +
-                              name + "'");
 }
 
 double vector_distance(std::span<const double> u, std::span<const double> v,
@@ -104,23 +89,6 @@ double window_distance(const SignalView& u, const SignalView& v,
       ws.v[n] = v(n, c);
     }
     acc += vector_distance(ws.u, ws.v, metric);
-  }
-  return acc / static_cast<double>(u.channels());
-}
-
-double window_similarity(const SignalView& u, const SignalView& v) {
-  if (u.frames() != v.frames() || u.channels() != v.channels()) {
-    throw std::invalid_argument("window_similarity: shape mismatch");
-  }
-  if (u.channels() == 0 || u.frames() == 0) return 0.0;
-  double acc = 0.0;
-  std::vector<double> cu(u.frames()), cv(v.frames());
-  for (std::size_t c = 0; c < u.channels(); ++c) {
-    for (std::size_t n = 0; n < u.frames(); ++n) {
-      cu[n] = u(n, c);
-      cv[n] = v(n, c);
-    }
-    acc += nsync::signal::pearson(cu, cv);
   }
   return acc / static_cast<double>(u.channels());
 }

@@ -31,7 +31,6 @@ enum class DistanceMetric {
 };
 
 [[nodiscard]] std::string distance_metric_name(DistanceMetric m);
-[[nodiscard]] DistanceMetric parse_distance_metric(const std::string& name);
 
 /// Distance between two equal-length 1-D vectors.
 [[nodiscard]] double vector_distance(std::span<const double> u,
@@ -66,11 +65,6 @@ struct DistanceWorkspace {
                                      const nsync::signal::SignalView& v,
                                      DistanceMetric metric,
                                      DistanceWorkspace& ws);
-
-/// Window similarity: per-channel Pearson correlation averaged across
-/// channels (Eq. 3 extended per Section V-B).  Shape must match.
-[[nodiscard]] double window_similarity(const nsync::signal::SignalView& u,
-                                       const nsync::signal::SignalView& v);
 
 }  // namespace nsync::core
 

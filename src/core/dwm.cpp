@@ -14,22 +14,6 @@ namespace nsync::core {
 using nsync::signal::Signal;
 using nsync::signal::SignalView;
 
-DwmParams DwmParams::from_seconds(double t_win, double t_hop, double t_ext,
-                                  double t_sigma, double eta,
-                                  double sample_rate) {
-  if (sample_rate <= 0.0) {
-    throw std::invalid_argument("DwmParams::from_seconds: bad sample rate");
-  }
-  DwmParams p;
-  p.n_win = static_cast<std::size_t>(std::llround(t_win * sample_rate));
-  p.n_hop = static_cast<std::size_t>(std::llround(t_hop * sample_rate));
-  p.n_ext = static_cast<std::size_t>(std::llround(t_ext * sample_rate));
-  p.n_sigma = t_sigma * sample_rate;
-  p.eta = eta;
-  p.validate();
-  return p;
-}
-
 void DwmParams::validate() const {
   if (n_win < 2) {
     throw std::invalid_argument("DwmParams: n_win must be >= 2");

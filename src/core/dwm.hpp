@@ -39,13 +39,6 @@ struct DwmParams {
   double eta = 0.1;         ///< inertial gain of the low-frequency tracker
   TdeOptions tde;
 
-  /// Builds parameters from the time-domain values of Table IV and a
-  /// sampling rate.  Enforces the paper's constraints (t_hop <= t_win,
-  /// positive values) and rounds to whole samples.
-  [[nodiscard]] static DwmParams from_seconds(double t_win, double t_hop,
-                                              double t_ext, double t_sigma,
-                                              double eta, double sample_rate);
-
   /// Throws std::invalid_argument when any field is out of range.
   void validate() const;
 };

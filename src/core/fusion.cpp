@@ -264,9 +264,6 @@ void WeightedPolicy::fit(std::span<const std::string> channel_names,
   trained_ = true;
 }
 
-FusionIds::FusionIds(FusionRule rule)
-    : rule_(rule), policy_(std::make_shared<VotingPolicy>(rule)) {}
-
 FusionIds::FusionIds(std::shared_ptr<FusionPolicy> policy)
     : policy_(std::move(policy)) {
   if (!policy_) {

@@ -311,7 +311,7 @@ struct FusionDetection {
 ///
 /// Usage mirrors NsyncIds but with per-channel signal maps (key = channel
 /// name, e.g. "ACC"):
-///   FusionIds ids(rule);             // or FusionIds(policy)
+///   FusionIds ids(std::make_shared<VotingPolicy>(rule));
 ///   ids.add_channel("ACC", acc_reference, acc_config);
 ///   ids.add_channel("AUD", aud_reference, aud_config);
 ///   ids.fit(training_runs);          // vector of per-channel maps
@@ -320,8 +320,6 @@ class FusionIds {
  public:
   using SignalMap = std::map<std::string, nsync::signal::Signal>;
 
-  /// Voting fusion by `rule` (the historical constructor).
-  explicit FusionIds(FusionRule rule);
   /// Fusion by an explicit policy.  fit() trains the policy (weighted
   /// policies learn their reliability weights from the calibration runs);
   /// throws std::invalid_argument on a null policy.

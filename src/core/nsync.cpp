@@ -14,14 +14,6 @@ namespace nsync::core {
 using nsync::signal::Signal;
 using nsync::signal::SignalView;
 
-std::string sync_method_name(SyncMethod m) {
-  switch (m) {
-    case SyncMethod::kDwm: return "DWM";
-    case SyncMethod::kDtw: return "DTW";
-  }
-  return "unknown";
-}
-
 NsyncIds::NsyncIds(Signal reference, NsyncConfig config)
     : reference_(std::move(reference)), config_(config) {
   if (reference_.frames() == 0) {

@@ -26,8 +26,6 @@ enum class SyncMethod {
   kDtw,  ///< FastDTW (the prior art)
 };
 
-[[nodiscard]] std::string sync_method_name(SyncMethod m);
-
 struct NsyncConfig {
   SyncMethod sync = SyncMethod::kDwm;
   DwmParams dwm;                  ///< used when sync == kDwm

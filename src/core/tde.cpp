@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "dsp/simd/simd.hpp"
-#include "signal/stats.hpp"
 
 namespace nsync::core {
 
@@ -74,19 +73,6 @@ void TdeWorkspace::reserve(std::size_t nx, std::size_t ny,
     y_chan.reserve(ny);
   }
   if (opts.use_fft) pearson.reserve(nx, ny);
-}
-
-std::vector<double> similarity_scores(const SignalView& x, const SignalView& y,
-                                      const TdeOptions& opts) {
-  thread_local TdeWorkspace ws;
-  const auto scores = similarity_scores_into(x, y, opts, ws);
-  return {scores.begin(), scores.end()};
-}
-
-std::size_t estimate_delay(const SignalView& x, const SignalView& y,
-                           const TdeOptions& opts) {
-  thread_local TdeWorkspace ws;
-  return nsync::signal::argmax(similarity_scores_into(x, y, opts, ws));
 }
 
 std::vector<double> bias_scores(std::vector<double> scores, double center,

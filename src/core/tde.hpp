@@ -70,22 +70,13 @@ struct TdeWorkspace {
 
 /// Similarity array s[n] = f(x[n : n+Ny], y), n = 0 .. Nx - Ny (Eq. 1).
 /// Multichannel inputs are scored per channel and averaged (Section V-B).
-/// Throws std::invalid_argument when shapes are incompatible.
-[[nodiscard]] std::vector<double> similarity_scores(
-    const nsync::signal::SignalView& x, const nsync::signal::SignalView& y,
-    const TdeOptions& opts = {});
-
-/// Workspace variant: fills ws.scores with the similarity array and
-/// returns a span over it (valid until the workspace is reused).  No heap
-/// allocation at steady state; bitwise identical to similarity_scores.
+/// Fills ws.scores and returns a span over it (valid until the workspace
+/// is reused); no heap allocation at steady state.  The delay estimate
+/// n_delay (Eq. 2) is the argmax of these scores.  Throws
+/// std::invalid_argument when shapes are incompatible.
 std::span<const double> similarity_scores_into(
     const nsync::signal::SignalView& x, const nsync::signal::SignalView& y,
     const TdeOptions& opts, TdeWorkspace& ws);
-
-/// n_delay = argmax_n s[n] (Eq. 2).
-[[nodiscard]] std::size_t estimate_delay(const nsync::signal::SignalView& x,
-                                         const nsync::signal::SignalView& y,
-                                         const TdeOptions& opts = {});
 
 /// Multiplies `scores` by a Gaussian of std `sigma_samples` centered at
 /// `center` (TDEB bias).  Returns the biased copy.

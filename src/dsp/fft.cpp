@@ -1,7 +1,6 @@
 #include "dsp/fft.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -80,12 +79,8 @@ class PlanCache {
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
       const auto it = radix2_.find(n);
-      if (it != radix2_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
+      if (it != radix2_.end()) return it->second;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
     auto plan = build_radix2_plan(n);  // built outside any lock
     std::unique_lock<std::shared_mutex> lock(mu_);
     const auto [it, inserted] = radix2_.emplace(n, std::move(plan));
@@ -99,12 +94,8 @@ class PlanCache {
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
       const auto it = bluestein_.find(key);
-      if (it != bluestein_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
+      if (it != bluestein_.end()) return it->second;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
     auto plan = build_bluestein_plan(n, inverse);
     std::unique_lock<std::shared_mutex> lock(mu_);
     const auto [it, inserted] = bluestein_.emplace(key, std::move(plan));
@@ -116,12 +107,8 @@ class PlanCache {
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
       const auto it = rfft_.find(n);
-      if (it != rfft_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
+      if (it != rfft_.end()) return it->second;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
     auto plan = std::make_shared<RfftPlan>();
     plan->n = n;
     if (n % 2 == 0 && is_power_of_two(n)) {
@@ -145,26 +132,6 @@ class PlanCache {
     const auto [it, inserted] = rfft_.emplace(n, std::move(plan));
     (void)inserted;  // a racing builder may have won; use its plan
     return it->second;
-  }
-
-  [[nodiscard]] FftCacheStats stats() {
-    FftCacheStats s;
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    s.radix2_plans = radix2_.size();
-    s.rfft_plans = rfft_.size();
-    s.bluestein_plans = bluestein_.size();
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  void clear() {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    radix2_.clear();
-    rfft_.clear();
-    bluestein_.clear();
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -202,8 +169,6 @@ class PlanCache {
   std::unordered_map<std::size_t, std::shared_ptr<const RfftPlan>> rfft_;
   std::unordered_map<std::size_t, std::shared_ptr<const BluesteinPlan>>
       bluestein_;
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
 };
 
 PlanCache& plan_cache() {
@@ -618,23 +583,5 @@ void CorrelationWorkspace::reserve(std::size_t nx) {
   spec.reserve(m / 2 + 1);
   if (!plan || plan->n != m) plan = plan_cache().rfft(m);
 }
-
-std::vector<double> cross_correlate_valid(std::span<const double> x,
-                                          std::span<const double> y) {
-  if (y.empty() || x.size() < y.size()) {
-    throw std::invalid_argument(
-        "cross_correlate_valid: need x.size() >= y.size() >= 1");
-  }
-  // Per-thread scratch: this runs once per TDE window, so the padded
-  // buffers are reused across millions of calls instead of reallocated.
-  thread_local CorrelationWorkspace ws;
-  std::vector<double> out(x.size() - y.size() + 1);
-  cross_correlate_valid_into(x, y, out, ws);
-  return out;
-}
-
-FftCacheStats fft_plan_cache_stats() { return plan_cache().stats(); }
-
-void fft_plan_cache_clear() { plan_cache().clear(); }
 
 }  // namespace nsync::dsp

@@ -125,45 +125,22 @@ struct CorrelationWorkspace {
   void reserve(std::size_t nx);
 };
 
-/// Linear cross-correlation of x with y via FFT zero-padding:
+/// Linear cross-correlation of x with y via FFT zero-padding, into `out`:
 ///   out[k] = sum_n x[n + k] * y[n],  k = 0 .. x.size() - y.size()
-/// Requires x.size() >= y.size().  This is the unnormalized numerator used
-/// by the fast sliding-correlation TDE path.  Runs on the real-FFT
-/// kernels (two rfft + one irfft) at m = correlation_fft_size(x.size()):
-/// the circular wrap of a transform that short lands only on lags outside
-/// the valid range, so every returned lag is the linear correlation.
-/// The workspace variant fuses that composition into pack -> stages ->
-/// product -> stages -> tail without changing any output bit (see
-/// cross_correlate_valid_into in fft.cpp and DESIGN.md section 3.2).
-[[nodiscard]] std::vector<double> cross_correlate_valid(
-    std::span<const double> x, std::span<const double> y);
-
-/// Same as cross_correlate_valid, writing into `out` (which must have
-/// exactly x.size() - y.size() + 1 elements) and using `ws` for all
-/// scratch.  Performs no heap allocation once `ws` has reached
-/// steady-state size for the transform length.  Reads x and y in place:
-/// no padded copy of either is made.
+/// Requires x.size() >= y.size() >= 1 and exactly x.size() - y.size() + 1
+/// elements in `out`.  This is the unnormalized numerator used by the
+/// fast sliding-correlation TDE path.  It computes the real-FFT
+/// composition (two rfft + one irfft at m = correlation_fft_size(x.size()),
+/// whose circular wrap lands only on lags outside the valid range) fused
+/// into pack -> stages -> product -> stages -> tail, without changing any
+/// output bit of that composition (see fft.cpp and DESIGN.md section 3.2).
+/// Uses `ws` for all scratch and performs no heap allocation once `ws`
+/// has reached steady-state size for the transform length.  Reads x and
+/// y in place: no padded copy of either is made.
 void cross_correlate_valid_into(std::span<const double> x,
                                 std::span<const double> y,
                                 std::span<double> out,
                                 CorrelationWorkspace& ws);
-
-/// Counters for the process-wide FFT plan cache (all sizes since start
-/// or the last fft_plan_cache_clear()).
-struct FftCacheStats {
-  std::size_t radix2_plans = 0;     ///< distinct radix-2 sizes planned
-  /// Distinct real-FFT sizes planned (any n; each also plans its radix-2
-  /// half or its Bluestein stage).
-  std::size_t rfft_plans = 0;
-  std::size_t bluestein_plans = 0;  ///< distinct (size, direction) pairs
-  std::size_t hits = 0;             ///< lookups served from the cache
-  std::size_t misses = 0;           ///< lookups that had to build a plan
-};
-
-[[nodiscard]] FftCacheStats fft_plan_cache_stats();
-
-/// Drops every cached plan and resets the counters (for tests).
-void fft_plan_cache_clear();
 
 }  // namespace nsync::dsp
 

@@ -21,8 +21,8 @@ namespace {
       ns::irfft_untangle, ns::deinterleave,                                \
       ns::interleave, ns::subtract_scalar, ns::normalize_windows,          \
       ns::clamp_weight_argmax, ns::channel_sums, ns::sum,                  \
-      ns::centered_energy, ns::subtract_scalar_energy,                     \
-      ns::pearson_accumulate, ns::prefix_sums, ns::crc32_update
+      ns::subtract_scalar_energy, ns::pearson_accumulate, ns::prefix_sums, \
+      ns::crc32_update
 
 const Ops kScalarOps{Isa::kScalar, "scalar", NSYNC_SIMD_OPS_ENTRIES(scalar)};
 #if defined(NSYNC_SIMD_HAVE_AVX2)

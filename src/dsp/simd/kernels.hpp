@@ -49,7 +49,6 @@
   void channel_sums(const double* data, std::size_t frames,                  \
                     std::size_t channels, double* sums);                     \
   double sum(const double* x, std::size_t n);                                \
-  double centered_energy(const double* x, double mu, std::size_t n);         \
   double subtract_scalar_energy(const double* src, double mu, double* dst,   \
                                 std::size_t n);                              \
   void pearson_accumulate(const double* u, const double* v, double mu,       \

@@ -560,22 +560,6 @@ double sum(const double* x, std::size_t n) {
   return total;
 }
 
-double centered_energy(const double* x, double mu, std::size_t n) {
-  const __m256d mv = _mm256_set1_pd(mu);
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(x + i), mv);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-  }
-  double total = hsum(acc);
-  for (; i < n; ++i) {
-    const double d = x[i] - mu;
-    total += d * d;
-  }
-  return total;
-}
-
 double subtract_scalar_energy(const double* src, double mu, double* dst,
                               std::size_t n) {
   const __m256d mv = _mm256_set1_pd(mu);

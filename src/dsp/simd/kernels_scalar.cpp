@@ -248,15 +248,6 @@ double sum(const double* x, std::size_t n) {
   return acc;
 }
 
-double centered_energy(const double* x, double mu, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = x[i] - mu;
-    acc += d * d;
-  }
-  return acc;
-}
-
 double subtract_scalar_energy(const double* src, double mu, double* dst,
                               std::size_t n) {
   double acc = 0.0;

@@ -160,9 +160,6 @@ struct Ops {
   /// sum(x[0..n)).  The AVX2 backend uses 4 partial accumulators.
   double (*sum)(const double* x, std::size_t n);
 
-  /// sum((x[i]-mu)^2).
-  double (*centered_energy)(const double* x, double mu, std::size_t n);
-
   /// dst[i] = src[i] - mu; returns sum(dst[i]^2).
   double (*subtract_scalar_energy)(const double* src, double mu, double* dst,
                                    std::size_t n);

@@ -27,10 +27,6 @@ std::size_t stft_hop_samples(const StftConfig& cfg, double fs) {
       1, static_cast<std::size_t>(std::llround(fs * cfg.delta_t)));
 }
 
-std::size_t stft_bins(const StftConfig& cfg, double fs) {
-  return stft_window_samples(cfg, fs) / 2 + 1;
-}
-
 namespace detail {
 
 StftColumn::StftColumn(const StftConfig& cfg, std::size_t n_win,

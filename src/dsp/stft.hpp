@@ -29,10 +29,6 @@ struct StftConfig {
   bool log_magnitude = false;
 };
 
-/// Number of frequency bins the STFT produces per input channel for a
-/// signal sampled at `fs`:  floor(round(fs / delta_f) / 2) + 1.
-[[nodiscard]] std::size_t stft_bins(const StftConfig& cfg, double fs);
-
 /// Window length in samples: round(fs / delta_f).
 [[nodiscard]] std::size_t stft_window_samples(const StftConfig& cfg, double fs);
 
@@ -41,9 +37,10 @@ struct StftConfig {
 
 /// Computes the magnitude spectrogram of a multichannel signal.
 ///
-/// The output signal has sample rate 1/delta_t and
-/// `stft_bins(...) * s.channels()` channels laid out bin-major per input
-/// channel: output channel (c * bins + k) holds bin k of input channel c.
+/// The output signal has sample rate 1/delta_t and `bins * s.channels()`
+/// channels, bins = stft_window_samples(...) / 2 + 1, laid out bin-major
+/// per input channel: output channel (c * bins + k) holds bin k of input
+/// channel c.
 /// Throws std::invalid_argument when the signal is shorter than one window.
 [[nodiscard]] nsync::signal::Signal spectrogram(
     const nsync::signal::SignalView& s, const StftConfig& cfg);

@@ -1,7 +1,6 @@
 #include "dsp/windows.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -14,38 +13,6 @@ namespace nsync::dsp {
 
 namespace {
 constexpr double kPi = std::numbers::pi;
-}
-
-WindowType parse_window_type(const std::string& name) {
-  std::string s;
-  s.reserve(name.size());
-  for (char c : name) {
-    if (std::isalnum(static_cast<unsigned char>(c)) != 0) {
-      s.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-  }
-  if (s == "boxcar" || s == "rect" || s == "rectangular") {
-    return WindowType::kBoxcar;
-  }
-  if (s == "hann" || s == "hanning") return WindowType::kHann;
-  if (s == "blackmanharris" || s == "bh") return WindowType::kBlackmanHarris;
-  if (s == "gaussian" || s == "gauss") return WindowType::kGaussian;
-  throw std::invalid_argument("parse_window_type: unknown window '" + name +
-                              "'");
-}
-
-std::string window_type_name(WindowType type) {
-  switch (type) {
-    case WindowType::kBoxcar:
-      return "boxcar";
-    case WindowType::kHann:
-      return "hann";
-    case WindowType::kBlackmanHarris:
-      return "blackmanharris";
-    case WindowType::kGaussian:
-      return "gaussian";
-  }
-  return "unknown";
 }
 
 std::vector<double> make_window(WindowType type, std::size_t n) {

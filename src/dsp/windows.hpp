@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace nsync::dsp {
@@ -17,13 +16,6 @@ enum class WindowType {
   kBlackmanHarris,  ///< 4-term Blackman-Harris (paper's "BH")
   kGaussian,        ///< Gaussian; sigma defaults to N/6
 };
-
-/// Parses "boxcar" / "hann" / "blackmanharris" / "gaussian" (case
-/// insensitive); throws std::invalid_argument otherwise.
-[[nodiscard]] WindowType parse_window_type(const std::string& name);
-
-/// Human-readable name of a window type.
-[[nodiscard]] std::string window_type_name(WindowType type);
 
 /// Returns an N-point window of the requested type.
 [[nodiscard]] std::vector<double> make_window(WindowType type, std::size_t n);

@@ -88,20 +88,6 @@ BaselineRegistry::BaselineRegistry(const BaselineRegistry& other)
   baselines_ = other.baselines_;
 }
 
-BaselineRegistry& BaselineRegistry::operator=(const BaselineRegistry& other) {
-  if (this == &other) return *this;
-  std::map<Key, DeviceBaseline> copy;
-  {
-    const std::scoped_lock lock(other.mu_);
-    copy = other.baselines_;
-  }
-  const std::scoped_lock lock(mu_);
-  policy_ = other.policy_;
-  baselines_ = std::move(copy);
-  ++generation_;
-  return *this;
-}
-
 core::Thresholds BaselineRegistry::resolve(const std::string& model,
                                            const std::string& profile,
                                            const core::Thresholds& trained) {
@@ -159,12 +145,6 @@ void BaselineRegistry::fold_locked(DeviceBaseline& b,
                                  policy);
 }
 
-bool BaselineRegistry::contains(const std::string& model,
-                                const std::string& profile) const {
-  const std::scoped_lock lock(mu_);
-  return baselines_.find(Key{model, profile}) != baselines_.end();
-}
-
 DeviceBaseline BaselineRegistry::baseline(const std::string& model,
                                           const std::string& profile) const {
   const std::scoped_lock lock(mu_);
@@ -183,11 +163,6 @@ std::vector<std::pair<std::string, std::string>> BaselineRegistry::keys()
   out.reserve(baselines_.size());
   for (const auto& [key, unused] : baselines_) out.push_back(key);
   return out;
-}
-
-std::size_t BaselineRegistry::size() const {
-  const std::scoped_lock lock(mu_);
-  return baselines_.size();
 }
 
 std::uint64_t BaselineRegistry::generation() const {

@@ -105,7 +105,7 @@ class BaselineRegistry {
   explicit BaselineRegistry(AdaptationPolicy policy = {});
 
   BaselineRegistry(const BaselineRegistry& other);
-  BaselineRegistry& operator=(const BaselineRegistry& other);
+  BaselineRegistry& operator=(const BaselineRegistry&) = delete;
 
   /// Returns the thresholds to arm for (model, profile).  First contact
   /// seeds the baseline: `trained` becomes both the immutable anchor and
@@ -124,17 +124,14 @@ class BaselineRegistry {
   bool fold(const std::string& model, const std::string& profile,
             const core::FeatureMaxima& maxima, bool eligible);
 
-  [[nodiscard]] bool contains(const std::string& model,
-                              const std::string& profile) const;
   /// Throws std::out_of_range for an unknown key.
   [[nodiscard]] DeviceBaseline baseline(const std::string& model,
                                         const std::string& profile) const;
   /// All (model, profile) keys, sorted (deterministic enumeration).
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> keys() const;
-  [[nodiscard]] std::size_t size() const;
   [[nodiscard]] const AdaptationPolicy& policy() const { return policy_; }
   /// Bumped by every call that changes the serialized state (a first-
-  /// contact resolve, any fold, restore_state, assignment), so callers can
+  /// contact resolve, any fold, restore_state), so callers can
   /// tell whether an exported copy is stale without comparing bytes.
   [[nodiscard]] std::uint64_t generation() const;
 

@@ -5,15 +5,6 @@
 
 namespace nsync::engine {
 
-std::string overflow_policy_name(OverflowPolicy p) {
-  switch (p) {
-    case OverflowPolicy::kBlock: return "block";
-    case OverflowPolicy::kDropOldest: return "drop-oldest";
-    case OverflowPolicy::kReject: return "reject";
-  }
-  return "?";
-}
-
 FrameQueue::FrameQueue(std::size_t capacity_frames, OverflowPolicy policy)
     : capacity_frames_(capacity_frames), policy_(policy) {}
 

@@ -49,8 +49,6 @@ enum class OverflowPolicy : std::uint8_t {
   kReject = 2,
 };
 
-[[nodiscard]] std::string overflow_policy_name(OverflowPolicy p);
-
 /// One enqueued unit of work for a shard worker: a batch of frames for
 /// one channel of one (shard-local) session, or a control command that
 /// must stay ordered relative to the feeds around it — an eviction, or a

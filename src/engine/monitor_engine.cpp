@@ -272,13 +272,6 @@ SessionSnapshot MonitorEngine::snapshot(std::size_t session) const {
   return make_snapshot(session_at(session));
 }
 
-std::vector<SessionSnapshot> MonitorEngine::snapshots() const {
-  std::vector<SessionSnapshot> out;
-  out.reserve(sessions_.size());
-  for (const Session& s : sessions_) out.push_back(make_snapshot(s));
-  return out;
-}
-
 namespace {
 
 using nsync::signal::ByteReader;

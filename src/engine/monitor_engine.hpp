@@ -188,7 +188,6 @@ class MonitorEngine {
   std::size_t evict_session(std::size_t session);
 
   [[nodiscard]] SessionSnapshot snapshot(std::size_t session) const;
-  [[nodiscard]] std::vector<SessionSnapshot> snapshots() const;
 
   // --- Crash-safe checkpointing -------------------------------------------
   //

@@ -244,30 +244,6 @@ ResilientWireClient::FeedOutcome ResilientWireClient::feed(
   }
 }
 
-void ResilientWireClient::evict(std::uint64_t session) {
-  std::size_t attempt = 0;
-  for (;;) {
-    SessionState& st = state(session);
-    if (st.evicted) return;
-    try {
-      ensure_connected();
-      conn_->evict(st.server_id);
-      st.evicted = true;
-      return;
-    } catch (const WireError& e) {
-      if (e.code() == wire::ErrorCode::kEvicted) {
-        // A retried evict whose first reply was lost, or another client
-        // got there first — either way the goal state holds.
-        st.evicted = true;
-        return;
-      }
-      throw;
-    } catch (const std::exception&) {
-      handle_transport_error(attempt, "evict");
-    }
-  }
-}
-
 wire::Stats ResilientWireClient::poll_stats(bool include_sessions) {
   std::size_t attempt = 0;
   for (;;) {
@@ -278,20 +254,6 @@ wire::Stats ResilientWireClient::poll_stats(bool include_sessions) {
       throw;
     } catch (const std::exception&) {
       handle_transport_error(attempt, "poll_stats");
-    }
-  }
-}
-
-wire::Pong ResilientWireClient::ping(std::uint64_t nonce) {
-  std::size_t attempt = 0;
-  for (;;) {
-    try {
-      ensure_connected();
-      return conn_->ping(nonce);
-    } catch (const WireError&) {
-      throw;
-    } catch (const std::exception&) {
-      handle_transport_error(attempt, "ping");
     }
   }
 }

@@ -75,7 +75,7 @@ class ResilientWireClient {
   ResilientWireClient(const ResilientWireClient&) = delete;
   ResilientWireClient& operator=(const ResilientWireClient&) = delete;
   ResilientWireClient(ResilientWireClient&&) = default;
-  ResilientWireClient& operator=(ResilientWireClient&&) = default;
+  ResilientWireClient& operator=(ResilientWireClient&&) = delete;
 
   /// Forces a (re)connect + handshake now and returns the server's HELLO
   /// reply (fleet summary).  Normally lazy: every call connects on
@@ -117,12 +117,7 @@ class ResilientWireClient {
   /// attaching to a resumed daemon.
   void refresh_offsets();
 
-  /// Evicts the session; a typed kEvicted reply (someone got there first,
-  /// or a retried evict whose first reply was lost) counts as success.
-  void evict(std::uint64_t session);
-
   wire::Stats poll_stats(bool include_sessions = false);
-  wire::Pong ping(std::uint64_t nonce);
 
   struct Telemetry {
     std::uint64_t connects = 0;

@@ -52,30 +52,6 @@ void channel_fields(Io& io, auto& name, auto& reference, auto& config,
 
 }  // namespace
 
-void save_nsync_config(ByteWriter& w, const core::NsyncConfig& cfg) {
-  FieldWriter io(w);
-  nsync_config_fields(io, cfg);
-}
-
-core::NsyncConfig load_nsync_config(ByteReader& r) {
-  core::NsyncConfig cfg;
-  FieldReader io(r);
-  nsync_config_fields(io, cfg);
-  return cfg;
-}
-
-void save_thresholds(ByteWriter& w, const core::Thresholds& t) {
-  FieldWriter io(w);
-  core::thresholds_fields(io, t);
-}
-
-core::Thresholds load_thresholds(ByteReader& r) {
-  core::Thresholds t;
-  FieldReader io(r);
-  core::thresholds_fields(io, t);
-  return t;
-}
-
 void save_channel_spec(ByteWriter& w, const std::string& name,
                        const SignalView& reference,
                        const core::NsyncConfig& config,

@@ -41,15 +41,6 @@
 
 namespace nsync::engine {
 
-/// NsyncConfig as a fixed field sequence (enums range-checked on load).
-void save_nsync_config(nsync::signal::ByteWriter& w,
-                       const core::NsyncConfig& cfg);
-[[nodiscard]] core::NsyncConfig load_nsync_config(nsync::signal::ByteReader& r);
-
-/// OCC thresholds (three raw-bit doubles).
-void save_thresholds(nsync::signal::ByteWriter& w, const core::Thresholds& t);
-[[nodiscard]] core::Thresholds load_thresholds(nsync::signal::ByteReader& r);
-
 /// One channel's full spec: name | reference signal | config | thresholds.
 /// The field overload lets MonitorEngine serialize from its live monitor
 /// without materializing a ChannelSpec copy.

@@ -61,20 +61,6 @@ double LatencyHistogram::quantile_us(double q) const {
          0.5 * static_cast<double>(std::uint64_t{1} << shift);
 }
 
-std::string feed_status_name(FeedStatus s) {
-  switch (s) {
-    case FeedStatus::kOk: return "ok";
-    case FeedStatus::kShed: return "shed";
-    case FeedStatus::kRejected: return "rejected";
-    case FeedStatus::kUnknownSession: return "unknown-session";
-    case FeedStatus::kUnknownChannel: return "unknown-channel";
-    case FeedStatus::kChannelMismatch: return "channel-mismatch";
-    case FeedStatus::kEvicted: return "evicted";
-    case FeedStatus::kShardFailed: return "shard-failed";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // Construction / teardown
 
@@ -96,6 +82,13 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options)
   for (std::size_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->engine = std::make_unique<MonitorEngine>(engine_options(i));
+    // Every shard's file exists before a worker starts, so any directory
+    // a crash leaves holds the full set and restore() can keep treating a
+    // missing shard file as a lost one.
+    if (!options_.checkpoint_dir.empty()) {
+      shard->engine->checkpoint(options_.checkpoint_dir + "/" +
+                                shard_checkpoint_filename(i));
+    }
     shards_.push_back(std::move(shard));
   }
   start_workers();

@@ -104,8 +104,6 @@ enum class FeedStatus : std::uint8_t {
   kShardFailed,      ///< the session's shard worker died (supervision)
 };
 
-[[nodiscard]] std::string feed_status_name(FeedStatus s);
-
 struct FeedResult {
   FeedStatus status = FeedStatus::kOk;
   std::size_t accepted_frames = 0;
@@ -127,7 +125,8 @@ struct ShardStats {
   std::string failure_reason;     ///< what() of the escaped exception
   std::uint64_t checkpoints_written = 0;  ///< by the periodic policy
   /// Every shard checkpoint written: the periodic ones plus the
-  /// synchronous admission, eviction and checkpoint_all() ones.
+  /// synchronous admission, eviction and checkpoint_all() ones.  The
+  /// empty state the constructor writes is not counted.
   std::uint64_t checkpoint_writes = 0;
   std::uint64_t latency_samples = 0;
   double p50_feed_to_verdict_us = 0.0;
@@ -162,7 +161,8 @@ struct ShardedFleetOptions {
   /// When non-empty, shard i periodically checkpoints to
   /// `<checkpoint_dir>/fleet.<i>.nckp`, and add_session/evict become
   /// durable (synchronous checkpoint of the affected shard).  The
-  /// directory must already exist.
+  /// directory must already exist; the constructor writes every shard's
+  /// empty state into it.
   std::string checkpoint_dir;
   /// Periodic write after this many drain rounds of a shard (counting from
   /// its previous write of any kind).  0 disables the periodic policy.

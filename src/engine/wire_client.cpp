@@ -123,16 +123,6 @@ WireClient::WireClient(WireClient&& other) noexcept
       options_(other.options_),
       decoder_(std::move(other.decoder_)) {}
 
-WireClient& WireClient::operator=(WireClient&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    options_ = other.options_;
-    decoder_ = std::move(other.decoder_);
-  }
-  return *this;
-}
-
 WireClient::~WireClient() { close(); }
 
 void WireClient::close() {
@@ -281,17 +271,6 @@ void WireClient::evict(std::uint64_t session) {
   wire::Evict m;
   m.session = session;
   expect<wire::EvictOk>(request(m));
-}
-
-wire::Pong WireClient::ping(std::uint64_t nonce) {
-  wire::Ping m;
-  m.nonce = nonce;
-  wire::Pong pong = expect<wire::Pong>(request(m));
-  if (pong.nonce != nonce) {
-    close();
-    throw std::runtime_error("WireClient: PONG nonce mismatch");
-  }
-  return pong;
 }
 
 }  // namespace nsync::engine

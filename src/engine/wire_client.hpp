@@ -1,7 +1,7 @@
 // WireClient — blocking NSFP client for the fleet daemon.
 //
 // One connection, synchronous request/reply.  The typed helpers (hello,
-// add_session, feed, poll_stats, evict, ping) unwrap the expected reply
+// add_session, feed, poll_stats, evict) unwrap the expected reply
 // and throw WireError when the daemon answers with a typed ERROR, so
 // callers see `catch (const WireError& e) { e.code() ... }` instead of
 // decoding frames by hand.  Transport failures and framing violations
@@ -66,7 +66,7 @@ class WireClient {
                                               WireClientOptions options = {});
 
   WireClient(WireClient&& other) noexcept;
-  WireClient& operator=(WireClient&& other) noexcept;
+  WireClient& operator=(WireClient&&) = delete;
   WireClient(const WireClient&) = delete;
   WireClient& operator=(const WireClient&) = delete;
   ~WireClient();
@@ -84,8 +84,6 @@ class WireClient {
                     const nsync::signal::SignalView& frames);
   wire::Stats poll_stats(bool include_sessions = false);
   void evict(std::uint64_t session);
-  /// Keepalive round trip; throws if the echoed nonce differs.
-  wire::Pong ping(std::uint64_t nonce);
 
  private:
   WireClient(int fd, WireClientOptions options)

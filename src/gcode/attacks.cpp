@@ -204,35 +204,6 @@ Program attack_layer_height(const Polygon& outline, SlicerConfig cfg,
   return out;
 }
 
-Program attack_temperature(const Program& benign, double factor) {
-  if (factor <= 0.0) {
-    throw std::invalid_argument("attack_temperature: bad factor");
-  }
-  Program out = benign;
-  out.set_name(benign.name() + " [attack: Temp" + std::to_string(factor) +
-               "]");
-  for (auto& c : out.commands()) {
-    if ((c.type == CommandType::kSetHotendTemp ||
-         c.type == CommandType::kWaitHotendTemp) &&
-        c.s) {
-      *c.s *= factor;
-    }
-  }
-  return out;
-}
-
-Program attack_fan_off(const Program& benign) {
-  Program out = benign;
-  out.set_name(benign.name() + " [attack: FanOff]");
-  for (auto& c : out.commands()) {
-    if (c.type == CommandType::kFanOn) {
-      c.type = CommandType::kFanOff;
-      c.s.reset();
-    }
-  }
-  return out;
-}
-
 Program apply_attack(AttackType type, const Program& benign,
                      const Polygon& outline, const SlicerConfig& cfg) {
   switch (type) {

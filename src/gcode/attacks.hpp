@@ -71,23 +71,6 @@ enum class AttackType {
                                    const Polygon& outline,
                                    const SlicerConfig& cfg);
 
-// ---------------------------------------------------------------------
-// Extended attacks (beyond Table I) — thermal/cooling sabotage in the
-// style of dr0wned [6]: structural weakening through process parameters
-// that leave the toolpath untouched.
-// ---------------------------------------------------------------------
-
-/// Scales every hotend temperature command (M104/M109) by `factor`
-/// (default -10 %): under-extrusion and poor layer bonding without any
-/// geometric change.
-[[nodiscard]] Program attack_temperature(const Program& benign,
-                                         double factor = 0.9);
-
-/// Disables part cooling: M106 commands become M107 (fan off).  Warps
-/// overhangs and small features; acoustically removes the fan's broadband
-/// noise.
-[[nodiscard]] Program attack_fan_off(const Program& benign);
-
 }  // namespace nsync::gcode
 
 #endif  // NSYNC_GCODE_ATTACKS_HPP

@@ -11,30 +11,6 @@ namespace {
 constexpr double kPi = std::numbers::pi;
 }
 
-double Polygon::signed_area() const {
-  if (vertices_.size() < 3) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < vertices_.size(); ++i) {
-    const auto& p = vertices_[i];
-    const auto& q = vertices_[(i + 1) % vertices_.size()];
-    acc += p.x * q.y - q.x * p.y;
-  }
-  return 0.5 * acc;
-}
-
-double Polygon::area() const { return std::abs(signed_area()); }
-
-double Polygon::perimeter() const {
-  if (vertices_.size() < 2) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < vertices_.size(); ++i) {
-    const auto& p = vertices_[i];
-    const auto& q = vertices_[(i + 1) % vertices_.size()];
-    acc += std::hypot(q.x - p.x, q.y - p.y);
-  }
-  return acc;
-}
-
 Point2 Polygon::centroid() const {
   Point2 c;
   if (vertices_.empty()) return c;
@@ -45,21 +21,6 @@ Point2 Polygon::centroid() const {
   c.x /= static_cast<double>(vertices_.size());
   c.y /= static_cast<double>(vertices_.size());
   return c;
-}
-
-bool Polygon::contains(Point2 p) const {
-  bool inside = false;
-  const std::size_t n = vertices_.size();
-  for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
-    const auto& a = vertices_[i];
-    const auto& b = vertices_[j];
-    const bool crosses = (a.y > p.y) != (b.y > p.y);
-    if (crosses) {
-      const double xint = (b.x - a.x) * (p.y - a.y) / (b.y - a.y) + a.x;
-      if (p.x < xint) inside = !inside;
-    }
-  }
-  return inside;
 }
 
 Polygon Polygon::scaled(double factor, Point2 center) const {
@@ -205,27 +166,6 @@ Polygon gear_outline(std::size_t teeth, double root_radius, double tip_radius,
         center + tip_half + 2.0 * root_half - 1e-3);
   }
   return Polygon(std::move(v));
-}
-
-Polygon circle_outline(double radius, std::size_t points) {
-  if (radius <= 0.0 || points < 3) {
-    throw std::invalid_argument("circle_outline: invalid parameters");
-  }
-  std::vector<Point2> v(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double a = 2.0 * kPi * static_cast<double>(i) /
-                     static_cast<double>(points);
-    v[i] = {radius * std::cos(a), radius * std::sin(a)};
-  }
-  return Polygon(std::move(v));
-}
-
-Polygon rect_outline(double width, double height) {
-  if (width <= 0.0 || height <= 0.0) {
-    throw std::invalid_argument("rect_outline: invalid parameters");
-  }
-  const double w = width / 2.0, h = height / 2.0;
-  return Polygon({{-w, -h}, {w, -h}, {w, h}, {-w, h}});
 }
 
 }  // namespace nsync::gcode

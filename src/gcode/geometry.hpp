@@ -1,6 +1,6 @@
-// 2-D geometry used by the slicer-lite: polygons, point-in-polygon,
-// scanline clipping, insetting, and the parametric part outlines (the
-// paper's test object is a 60 mm gear; we also provide a ring and a box).
+// 2-D geometry used by the slicer-lite: polygons, scanline clipping,
+// insetting, and the parametric outline of the paper's test object (a
+// 60 mm gear).
 #ifndef NSYNC_GCODE_GEOMETRY_HPP
 #define NSYNC_GCODE_GEOMETRY_HPP
 
@@ -28,16 +28,8 @@ class Polygon {
   [[nodiscard]] std::size_t size() const { return vertices_.size(); }
   [[nodiscard]] bool empty() const { return vertices_.empty(); }
 
-  /// Signed area (positive for counter-clockwise winding).
-  [[nodiscard]] double signed_area() const;
-  /// |signed_area()|.
-  [[nodiscard]] double area() const;
-  /// Perimeter length.
-  [[nodiscard]] double perimeter() const;
   /// Vertex centroid.
   [[nodiscard]] Point2 centroid() const;
-  /// Even-odd point-in-polygon test.
-  [[nodiscard]] bool contains(Point2 p) const;
   /// Uniform scale about a center point.
   [[nodiscard]] Polygon scaled(double factor, Point2 center) const;
   /// Translation.
@@ -81,12 +73,6 @@ struct Segment2 {
                                    double tip_radius,
                                    double tip_fraction = 0.35,
                                    std::size_t arc_points = 3);
-
-/// Regular polygon approximating a circle.
-[[nodiscard]] Polygon circle_outline(double radius, std::size_t points = 64);
-
-/// Axis-aligned rectangle centered at the origin.
-[[nodiscard]] Polygon rect_outline(double width, double height);
 
 }  // namespace nsync::gcode
 

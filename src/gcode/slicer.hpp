@@ -55,10 +55,6 @@ struct SlicerConfig {
 /// height, empty outline, ...).
 [[nodiscard]] Program slice(const Polygon& outline, const SlicerConfig& cfg);
 
-/// Convenience: the paper's test object, a gear with `diameter` mm outer
-/// diameter (60 mm in the paper), sliced with `cfg`.
-[[nodiscard]] Program slice_gear(double diameter, const SlicerConfig& cfg);
-
 }  // namespace nsync::gcode
 
 #endif  // NSYNC_GCODE_SLICER_HPP

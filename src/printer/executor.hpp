@@ -62,8 +62,8 @@ struct ExecutorConfig {
 };
 
 /// Executes `plan` on machine `m` with time noise drawn from `rng`.
-/// Pass TimeNoiseConfig::none() in `m.time_noise` for a noise-free
-/// reference run.  Throws std::domain_error if the toolpath leaves a delta
+/// A `m.time_noise` with every source at 0 gives a noise-free reference
+/// run.  Throws std::domain_error if the toolpath leaves a delta
 /// machine's reachable volume.
 [[nodiscard]] MotionTrace execute_plan(const MotionPlan& plan,
                                        const MachineConfig& m,

@@ -43,17 +43,6 @@ struct TimeNoiseConfig {
   double drift_amplitude = 0.004;
   /// Period of the drift modulation in seconds.
   double drift_period = 40.0;
-
-  /// Disables every noise source (for deterministic tests/references).
-  [[nodiscard]] static TimeNoiseConfig none() {
-    TimeNoiseConfig c;
-    c.duration_jitter_std = 0.0;
-    c.gap_probability = 0.0;
-    c.gap_mean = 0.0;
-    c.start_offset_std = 0.0;
-    c.drift_amplitude = 0.0;
-    return c;
-  }
 };
 
 /// Printer description: kinematics, dynamic limits, drivetrain and a simple

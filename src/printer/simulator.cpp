@@ -10,14 +10,4 @@ MotionTrace simulate_print(const gcode::Program& program,
   return execute_plan(plan, m, cfg, rng);
 }
 
-MotionTrace simulate_print_noiseless(const gcode::Program& program,
-                                     const MachineConfig& m,
-                                     const ExecutorConfig& cfg) {
-  MachineConfig quiet = m;
-  quiet.time_noise = TimeNoiseConfig::none();
-  const MotionPlan plan = plan_program(program, quiet);
-  nsync::signal::Rng rng(0);
-  return execute_plan(plan, quiet, cfg, rng);
-}
-
 }  // namespace nsync::printer

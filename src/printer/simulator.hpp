@@ -21,13 +21,6 @@ namespace nsync::printer {
                                          const ExecutorConfig& cfg,
                                          std::uint64_t seed);
 
-/// Noise-free execution (TimeNoiseConfig::none()), used for reference
-/// signals derived "by simulating a process with its G-code file"
-/// (Section IV, acquisition of reference signals).
-[[nodiscard]] MotionTrace simulate_print_noiseless(
-    const gcode::Program& program, const MachineConfig& m,
-    const ExecutorConfig& cfg);
-
 }  // namespace nsync::printer
 
 #endif  // NSYNC_PRINTER_SIMULATOR_HPP

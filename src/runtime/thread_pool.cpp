@@ -153,6 +153,4 @@ void set_worker_count(std::size_t workers) {
   global_pool_ = std::make_unique<ThreadPool>(n);
 }
 
-std::size_t worker_count() { return global_pool().workers(); }
-
 }  // namespace nsync::runtime

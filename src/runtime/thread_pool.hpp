@@ -85,9 +85,6 @@ class ThreadPool {
 /// main() before the pipeline starts, as the bench binaries do.
 void set_worker_count(std::size_t workers);
 
-/// Current global pool size.
-[[nodiscard]] std::size_t worker_count();
-
 /// The process-wide pool used by the free-function helpers below.
 [[nodiscard]] ThreadPool& global_pool();
 

@@ -10,19 +10,6 @@ namespace nsync::sensors {
 using nsync::signal::Signal;
 using nsync::signal::SignalView;
 
-std::string fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDropout: return "dropout";
-    case FaultKind::kStuckAt: return "stuck-at";
-    case FaultKind::kSaturation: return "saturation";
-    case FaultKind::kNanBurst: return "nan-burst";
-    case FaultKind::kGainStep: return "gain-step";
-    case FaultKind::kFrameDuplication: return "frame-duplication";
-    case FaultKind::kClockSkew: return "clock-skew";
-  }
-  return "unknown";
-}
-
 void FaultConfig::validate() const {
   auto check_prob = [](double p, const char* name) {
     if (p < 0.0 || p > 1.0 || !std::isfinite(p)) {

@@ -45,8 +45,6 @@ enum class FaultKind {
   kClockSkew,   ///< sampling-clock rate error (resampled timeline)
 };
 
-[[nodiscard]] std::string fault_kind_name(FaultKind kind);
-
 /// All fault probabilities default to 0 (a default FaultConfig is a
 /// transparent pass-through), so callers enable exactly the regimes they
 /// want to study.

@@ -1,7 +1,6 @@
 #include "sensors/side_channel.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <stdexcept>
 
 namespace nsync::sensors {
@@ -23,18 +22,6 @@ std::string side_channel_name(SideChannel ch) {
     case SideChannel::kPwr: return "PWR";
   }
   return "???";
-}
-
-SideChannel parse_side_channel(const std::string& name) {
-  std::string s;
-  for (char c : name) {
-    s.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
-  }
-  for (SideChannel ch : all_side_channels()) {
-    if (side_channel_name(ch) == s) return ch;
-  }
-  throw std::invalid_argument("parse_side_channel: unknown channel '" + name +
-                              "'");
 }
 
 std::size_t side_channel_components(SideChannel ch) {

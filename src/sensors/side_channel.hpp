@@ -24,9 +24,6 @@ enum class SideChannel {
 /// Table II ID string ("ACC", "TMP", ...).
 [[nodiscard]] std::string side_channel_name(SideChannel ch);
 
-/// Parses "ACC"/"acc"/... ; throws std::invalid_argument on unknown names.
-[[nodiscard]] SideChannel parse_side_channel(const std::string& name);
-
 /// Number of sensor channels for each side channel (Table II "CHs").
 [[nodiscard]] std::size_t side_channel_components(SideChannel ch);
 

@@ -378,8 +378,8 @@ void consume(std::span<::iovec> iov, std::size_t& first, std::size_t n) {
   return true;
 }
 
-// atomic_write_file of the concatenation of `parts`, written into the tmp
-// file without joining them in memory first.
+// Atomically replaces `path` with the concatenation of `parts`, written
+// into the tmp file without joining them in memory first.
 void atomic_write_parts(const std::string& path, BytePieces parts) {
   // Unique tmp name per writer (pid + process-wide counter) with O_EXCL:
   // two concurrent writers each assemble a complete file privately and
@@ -432,11 +432,6 @@ void atomic_write_parts(const std::string& path, BytePieces parts) {
 }
 
 }  // namespace
-
-void atomic_write_file(const std::string& path,
-                       std::span<const std::uint8_t> bytes) {
-  atomic_write_parts(path, {&bytes, 1});
-}
 
 void write_checkpoint_file(const std::string& path,
                            std::span<const std::uint8_t> payload) {
@@ -564,7 +559,7 @@ std::size_t remove_stale_tmp_files(const std::string& path) {
   std::error_code ec;
   for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
        it.increment(ec)) {
-    // "<name>.<pid>.<n>.tmp", as atomic_write_file names its tmp files.
+    // "<name>.<pid>.<n>.tmp", as atomic_write_parts names its tmp files.
     const std::string name = it->path().filename().string();
     std::string_view rest(name);
     if (!rest.ends_with(".tmp")) continue;

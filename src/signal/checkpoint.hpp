@@ -206,18 +206,13 @@ class ByteReader {
 [[nodiscard]] std::span<const std::uint8_t> unframe_checkpoint(
     std::span<const std::uint8_t> file);
 
-/// Atomically replaces `path` with `bytes`: writes a per-writer-unique
-/// "<path>.<pid>.<n>.tmp" (O_EXCL), fsyncs it, then renames over `path`
-/// (and fsyncs the directory).  On any failure the tmp file is removed
-/// and the previous `path` contents are untouched; concurrent callers
-/// race only on the final rename, each with a complete file.  Throws
-/// CheckpointError(kIo).
-void atomic_write_file(const std::string& path,
-                       std::span<const std::uint8_t> bytes);
-
-/// atomic_write_file of frame_checkpoint(payload), with the header,
-/// payload and footer written straight into the tmp file (no framed copy
-/// of the payload is built).
+/// Atomically replaces `path` with frame_checkpoint(payload): writes a
+/// per-writer-unique "<path>.<pid>.<n>.tmp" (O_EXCL) with the header,
+/// payload and footer straight from their buffers (no framed copy of the
+/// payload is built), fsyncs it, then renames over `path` (and fsyncs the
+/// directory).  On any failure the tmp file is removed and the previous
+/// `path` contents are untouched; concurrent callers race only on the
+/// final rename, each with a complete file.  Throws CheckpointError(kIo).
 void write_checkpoint_file(const std::string& path,
                            std::span<const std::uint8_t> payload);
 
@@ -243,7 +238,7 @@ void write_checkpoint_file(const std::string& path, BytePieces pieces,
     const std::string& path, std::uint64_t payload_bytes,
     std::uint32_t payload_crc);
 
-/// Deletes the leftovers of atomic_write_file calls that died mid-write
+/// Deletes the leftovers of write_checkpoint_file calls that died mid-write
 /// (a SIGKILL between create and rename): files in the directory of
 /// `path` named "<name>.<pid>.<n>.tmp" where <name> is `path`'s file name
 /// or starts with it plus "." (files written beside it), and <pid> is not

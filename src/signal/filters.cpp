@@ -15,33 +15,20 @@ void check_window(std::size_t window, const char* who) {
   }
 }
 
-// Sliding-extremum via a monotonic deque (O(n) total).
-template <typename Compare>
-std::vector<double> trailing_extremum(std::span<const double> v,
-                                      std::size_t window, Compare keep_back) {
+}  // namespace
+
+std::vector<double> min_filter(std::span<const double> v, std::size_t window) {
+  check_window(window, "min_filter");
+  // Sliding minimum via a monotonic deque (O(n) total).
   std::vector<double> out(v.size());
-  std::deque<std::size_t> dq;  // indexes, extremum at front
+  std::deque<std::size_t> dq;  // indexes, minimum at front
   for (std::size_t i = 0; i < v.size(); ++i) {
-    while (!dq.empty() && !keep_back(v[dq.back()], v[i])) dq.pop_back();
+    while (!dq.empty() && !(v[dq.back()] < v[i])) dq.pop_back();
     dq.push_back(i);
     if (dq.front() + window <= i) dq.pop_front();
     out[i] = v[dq.front()];
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<double> min_filter(std::span<const double> v, std::size_t window) {
-  check_window(window, "min_filter");
-  return trailing_extremum(v, window,
-                           [](double back, double x) { return back < x; });
-}
-
-std::vector<double> max_filter(std::span<const double> v, std::size_t window) {
-  check_window(window, "max_filter");
-  return trailing_extremum(v, window,
-                           [](double back, double x) { return back > x; });
 }
 
 std::vector<double> moving_average(std::span<const double> v,
@@ -80,26 +67,6 @@ std::vector<double> median_filter(std::span<const double> v,
   return out;
 }
 
-std::vector<double> diff(std::span<const double> v, double initial) {
-  std::vector<double> out(v.size());
-  double prev = initial;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out[i] = v[i] - prev;
-    prev = v[i];
-  }
-  return out;
-}
-
-std::vector<double> cumulative_sum(std::span<const double> v) {
-  std::vector<double> out(v.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    acc += v[i];
-    out[i] = acc;
-  }
-  return out;
-}
-
 std::vector<double> cumulative_abs_diff(std::span<const double> v,
                                         double initial) {
   std::vector<double> out(v.size());
@@ -109,20 +76,6 @@ std::vector<double> cumulative_abs_diff(std::span<const double> v,
     acc += std::abs(v[i] - prev);
     prev = v[i];
     out[i] = acc;
-  }
-  return out;
-}
-
-std::vector<double> one_pole_lowpass(std::span<const double> v, double alpha) {
-  if (alpha <= 0.0 || alpha > 1.0) {
-    throw std::invalid_argument("one_pole_lowpass: alpha must be in (0, 1]");
-  }
-  std::vector<double> out(v.size());
-  if (v.empty()) return out;
-  double y = v[0];
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    y = alpha * v[i] + (1.0 - alpha) * y;
-    out[i] = y;
   }
   return out;
 }

@@ -1,6 +1,6 @@
 // 1-D filters used by the NSYNC discriminator and the sensor models:
 // trailing minimum filter (spike suppression, Eq. 21-22), moving average,
-// median filter, first difference, cumulative sum, and a one-pole low pass.
+// median filter and cumulative absolute difference (Eq. 17).
 #ifndef NSYNC_SIGNAL_FILTERS_HPP
 #define NSYNC_SIGNAL_FILTERS_HPP
 
@@ -19,10 +19,6 @@ namespace nsync::signal {
 [[nodiscard]] std::vector<double> min_filter(std::span<const double> v,
                                              std::size_t window);
 
-/// Trailing maximum filter, same window convention as min_filter.
-[[nodiscard]] std::vector<double> max_filter(std::span<const double> v,
-                                             std::size_t window);
-
 /// Trailing moving average with the same window convention as min_filter.
 [[nodiscard]] std::vector<double> moving_average(std::span<const double> v,
                                                  std::size_t window);
@@ -31,24 +27,10 @@ namespace nsync::signal {
 [[nodiscard]] std::vector<double> median_filter(std::span<const double> v,
                                                 std::size_t window);
 
-/// First difference: out[i] = v[i] - v[i-1], with out[0] = v[0] - `initial`.
-/// The paper defines h_disp[-1] = 0 for the CADHD sum, matching
-/// `initial = 0`.
-[[nodiscard]] std::vector<double> diff(std::span<const double> v,
-                                       double initial = 0.0);
-
-/// Cumulative sum: out[i] = sum(v[0..i]).
-[[nodiscard]] std::vector<double> cumulative_sum(std::span<const double> v);
-
 /// Cumulative absolute difference (Eq. 17):
 ///   out[i] = sum_{j<=i} |v[j] - v[j-1]|  with v[-1] = `initial`.
 [[nodiscard]] std::vector<double> cumulative_abs_diff(
     std::span<const double> v, double initial = 0.0);
-
-/// One-pole low-pass filter: y[i] = alpha * x[i] + (1 - alpha) * y[i-1],
-/// y[-1] = x[0].  `alpha` must lie in (0, 1].
-[[nodiscard]] std::vector<double> one_pole_lowpass(std::span<const double> v,
-                                                   double alpha);
 
 }  // namespace nsync::signal
 

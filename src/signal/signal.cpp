@@ -77,10 +77,6 @@ Signal Signal::empty(std::size_t channels, double sample_rate) {
   return Signal(0, channels, sample_rate);
 }
 
-Signal Signal::from_samples(std::vector<double> samples, double sample_rate) {
-  return from_frames(std::move(samples), 1, sample_rate);
-}
-
 Signal Signal::from_frames(std::vector<double> data, std::size_t channels,
                            double sample_rate) {
   if (channels == 0 || data.size() % channels != 0) {
@@ -99,49 +95,7 @@ Signal Signal::from_frames(std::vector<double> data, std::size_t channels,
   return s;
 }
 
-Signal Signal::from_channels(const std::vector<std::vector<double>>& channels,
-                             double sample_rate) {
-  if (channels.empty()) {
-    throw std::invalid_argument("Signal::from_channels: no channels");
-  }
-  const std::size_t frames = channels.front().size();
-  for (const auto& ch : channels) {
-    if (ch.size() != frames) {
-      throw std::invalid_argument(
-          "Signal::from_channels: channels have unequal lengths");
-    }
-  }
-  Signal s(frames, channels.size(), sample_rate);
-  for (std::size_t c = 0; c < channels.size(); ++c) {
-    for (std::size_t n = 0; n < frames; ++n) {
-      s(n, c) = channels[c][n];
-    }
-  }
-  return s;
-}
-
-double& Signal::at(std::size_t frame, std::size_t channel) {
-  if (frame >= frames_ || channel >= channels_) {
-    throw std::out_of_range("Signal::at: index out of range");
-  }
-  return data_[frame * channels_ + channel];
-}
-
-double Signal::at(std::size_t frame, std::size_t channel) const {
-  if (frame >= frames_ || channel >= channels_) {
-    throw std::out_of_range("Signal::at: index out of range");
-  }
-  return data_[frame * channels_ + channel];
-}
-
 std::span<double> Signal::frame(std::size_t n) {
-  if (n >= frames_) {
-    throw std::out_of_range("Signal::frame: index out of range");
-  }
-  return {data_.data() + n * channels_, channels_};
-}
-
-std::span<const double> Signal::frame(std::size_t n) const {
   if (n >= frames_) {
     throw std::out_of_range("Signal::frame: index out of range");
   }
@@ -158,16 +112,6 @@ void Signal::append_frame(std::span<const double> values) {
   grow_for(1);
   data_.insert(data_.end(), values.begin(), values.end());
   ++frames_;
-}
-
-void Signal::append(const SignalView& other) {
-  if (other.channels() != channels_) {
-    throw std::invalid_argument("Signal::append: channel mismatch");
-  }
-  grow_for(other.frames());
-  data_.insert(data_.end(), other.data(),
-               other.data() + other.frames() * other.channels());
-  frames_ += other.frames();
 }
 
 }  // namespace nsync::signal

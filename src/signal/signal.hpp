@@ -126,19 +126,11 @@ class Signal {
   /// Creates an empty (zero-frame) signal with a fixed channel count.
   static Signal empty(std::size_t channels, double sample_rate);
 
-  /// Builds a single-channel signal from a vector of samples.
-  static Signal from_samples(std::vector<double> samples, double sample_rate);
-
   /// Takes ownership of row-major frames x channels data (no copy).
   /// Throws when `channels` is 0, `data.size()` is not a multiple of it,
   /// or the rate is not positive.
   static Signal from_frames(std::vector<double> data, std::size_t channels,
                             double sample_rate);
-
-  /// Builds a multichannel signal from channel-major data:
-  /// `channels[c][n]` becomes x[n, c].  All channels must share a length.
-  static Signal from_channels(const std::vector<std::vector<double>>& channels,
-                              double sample_rate);
 
   [[nodiscard]] std::size_t frames() const { return frames_; }
   [[nodiscard]] std::size_t channels() const { return channels_; }
@@ -152,10 +144,6 @@ class Signal {
   [[nodiscard]] const double* data() const { return data_.data(); }
   [[nodiscard]] double* data() { return data_.data(); }
 
-  /// x[n, c] with bounds checking (mutable / const).
-  [[nodiscard]] double& at(std::size_t frame, std::size_t channel);
-  [[nodiscard]] double at(std::size_t frame, std::size_t channel) const;
-
   /// x[n, c] without bounds checking.
   double& operator()(std::size_t frame, std::size_t channel) {
     return data_[frame * channels_ + channel];
@@ -164,17 +152,13 @@ class Signal {
     return data_[frame * channels_ + channel];
   }
 
-  /// The n-th frame as a mutable / const span.
+  /// The n-th frame as a mutable span.
   [[nodiscard]] std::span<double> frame(std::size_t n);
-  [[nodiscard]] std::span<const double> frame(std::size_t n) const;
 
   /// Appends one frame; `values.size()` must equal channels().  Storage
   /// grows geometrically (see reserve_frames), so appending N frames one
   /// at a time costs O(N) total copies.
   void append_frame(std::span<const double> values);
-
-  /// Appends all frames of `other`; channel counts must match.
-  void append(const SignalView& other);
 
   /// x[n1:n2] as a non-owning view.
   [[nodiscard]] SignalView slice(std::size_t n1, std::size_t n2) const {

@@ -15,43 +15,9 @@ double mean(std::span<const double> v) {
   return simd::ops().sum(v.data(), v.size()) / static_cast<double>(v.size());
 }
 
-double variance(std::span<const double> v) {
-  if (v.size() < 2) return 0.0;
-  const double mu = mean(v);
-  return simd::ops().centered_energy(v.data(), mu, v.size()) /
-         static_cast<double>(v.size());
-}
-
-double stddev(std::span<const double> v) { return std::sqrt(variance(v)); }
-
-double rms(std::span<const double> v) {
-  if (v.empty()) return 0.0;
-  // Centered energy about 0 is exactly the sum of squares (x - 0.0 == x
-  // bitwise for every finite x, including -0.0).
-  const double acc = simd::ops().centered_energy(v.data(), 0.0, v.size());
-  return std::sqrt(acc / static_cast<double>(v.size()));
-}
-
-double min_value(std::span<const double> v) {
-  if (v.empty()) throw std::invalid_argument("min_value: empty input");
-  return *std::min_element(v.begin(), v.end());
-}
-
 double max_value(std::span<const double> v) {
   if (v.empty()) throw std::invalid_argument("max_value: empty input");
   return *std::max_element(v.begin(), v.end());
-}
-
-std::size_t argmax(std::span<const double> v) {
-  if (v.empty()) throw std::invalid_argument("argmax: empty input");
-  return static_cast<std::size_t>(
-      std::distance(v.begin(), std::max_element(v.begin(), v.end())));
-}
-
-std::size_t argmin(std::span<const double> v) {
-  if (v.empty()) throw std::invalid_argument("argmin: empty input");
-  return static_cast<std::size_t>(
-      std::distance(v.begin(), std::min_element(v.begin(), v.end())));
 }
 
 double pearson(std::span<const double> u, std::span<const double> v) {
@@ -114,32 +80,6 @@ std::vector<double> channel_means(const SignalView& s) {
   if (s.frames() == 0) return out;
   simd::ops().channel_sums(s.data(), s.frames(), s.channels(), out.data());
   for (auto& x : out) x /= static_cast<double>(s.frames());
-  return out;
-}
-
-std::vector<double> channel_stddevs(const SignalView& s) {
-  std::vector<double> out(s.channels(), 0.0);
-  if (s.frames() < 2) return out;
-  const auto mus = channel_means(s);
-  for (std::size_t n = 0; n < s.frames(); ++n) {
-    for (std::size_t c = 0; c < s.channels(); ++c) {
-      const double d = s(n, c) - mus[c];
-      out[c] += d * d;
-    }
-  }
-  for (auto& x : out) {
-    x = std::sqrt(x / static_cast<double>(s.frames()));
-  }
-  return out;
-}
-
-std::vector<double> channel_peaks(const SignalView& s) {
-  std::vector<double> out(s.channels(), 0.0);
-  for (std::size_t n = 0; n < s.frames(); ++n) {
-    for (std::size_t c = 0; c < s.channels(); ++c) {
-      out[c] = std::max(out[c], std::abs(s(n, c)));
-    }
-  }
   return out;
 }
 

@@ -1,6 +1,6 @@
 // Basic descriptive statistics over 1-D sample arrays and per-channel
-// statistics over multichannel signals.  The mean/variance/energy and
-// Pearson accumulation loops run through the runtime-dispatched SIMD
+// statistics over multichannel signals.  The mean and Pearson
+// accumulation loops run through the runtime-dispatched SIMD
 // moments kernels (dsp/simd/simd.hpp), shared with dsp/xcorr.cpp; under
 // a vector backend these reductions reassociate and may differ from the
 // scalar backend by a few ULPs.
@@ -18,26 +18,8 @@ namespace nsync::signal {
 /// Arithmetic mean of `v` (0 for an empty span).
 [[nodiscard]] double mean(std::span<const double> v);
 
-/// Population variance of `v` (0 for fewer than 2 samples).
-[[nodiscard]] double variance(std::span<const double> v);
-
-/// Population standard deviation of `v`.
-[[nodiscard]] double stddev(std::span<const double> v);
-
-/// Root-mean-square of `v`.
-[[nodiscard]] double rms(std::span<const double> v);
-
-/// Minimum value (throws std::invalid_argument on an empty span).
-[[nodiscard]] double min_value(std::span<const double> v);
-
 /// Maximum value (throws std::invalid_argument on an empty span).
 [[nodiscard]] double max_value(std::span<const double> v);
-
-/// Index of the maximum value (first occurrence); throws on empty input.
-[[nodiscard]] std::size_t argmax(std::span<const double> v);
-
-/// Index of the minimum value (first occurrence); throws on empty input.
-[[nodiscard]] std::size_t argmin(std::span<const double> v);
 
 /// Pearson correlation coefficient between `u` and `v` (Eq. 3 of the paper).
 /// Returns 0 when either vector is degenerate — its centered energy is
@@ -59,12 +41,6 @@ namespace nsync::signal {
 
 /// Per-channel means of a multichannel signal.
 [[nodiscard]] std::vector<double> channel_means(const SignalView& s);
-
-/// Per-channel standard deviations of a multichannel signal.
-[[nodiscard]] std::vector<double> channel_stddevs(const SignalView& s);
-
-/// Per-channel peak absolute values.
-[[nodiscard]] std::vector<double> channel_peaks(const SignalView& s);
 
 }  // namespace nsync::signal
 

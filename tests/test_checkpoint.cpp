@@ -40,6 +40,7 @@
 #include "signal/checkpoint.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
+#include "test_support.hpp"
 
 namespace nsync {
 namespace {
@@ -66,6 +67,7 @@ using nsync::signal::CheckpointErrorKind;
 using nsync::signal::Rng;
 using nsync::signal::Signal;
 using nsync::signal::SignalView;
+using nsync::test_support::snapshots;
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
@@ -862,7 +864,7 @@ TEST_F(CheckpointFleetTest, KilledAndRestoredFleetIsBitwiseIdentical) {
     MonitorEngine baseline = make_engine();
     feed_rounds(baseline, chunk, 0, rounds);
     const std::vector<std::uint8_t> baseline_bytes = baseline.serialize();
-    const std::vector<SessionSnapshot> baseline_snaps = baseline.snapshots();
+    const std::vector<SessionSnapshot> baseline_snaps = snapshots(baseline);
 
     // Chunk-size invariance: once the whole stream is in, every chunk
     // schedule reaches the same detections, health states and verdicts
@@ -893,7 +895,7 @@ TEST_F(CheckpointFleetTest, KilledAndRestoredFleetIsBitwiseIdentical) {
       // verdict — is byte-for-byte the uninterrupted run's.
       EXPECT_TRUE(revived.serialize() == baseline_bytes)
           << "restored fleet state diverged from the uninterrupted run";
-      expect_snapshots_equal(revived.snapshots(), baseline_snaps, "revived");
+      expect_snapshots_equal(snapshots(revived), baseline_snaps, "revived");
     }
   }
 
@@ -901,7 +903,7 @@ TEST_F(CheckpointFleetTest, KilledAndRestoredFleetIsBitwiseIdentical) {
   // benign, session 1 alarmed with its AUD channel offline.
   MonitorEngine eng = make_engine();
   feed_rounds(eng, 113, 0, rounds_for(113));
-  const auto snaps = eng.snapshots();
+  const auto snaps = snapshots(eng);
   EXPECT_FALSE(snaps[0].intrusion);
   EXPECT_TRUE(snaps[1].intrusion);
   EXPECT_GE(snaps[1].first_alarm_window, 0);
@@ -1047,7 +1049,7 @@ TEST_F(CheckpointFleetTest, WeightedSessionKillAndRestoreReplaysBitwise) {
   MonitorEngine baseline = make_weighted_engine();
   feed_rounds(baseline, chunk, 0, rounds);
   const std::vector<std::uint8_t> baseline_bytes = baseline.serialize();
-  const std::vector<SessionSnapshot> baseline_snaps = baseline.snapshots();
+  const std::vector<SessionSnapshot> baseline_snaps = snapshots(baseline);
   EXPECT_EQ(baseline_snaps[0].policy, "weighted");
   EXPECT_FALSE(baseline_snaps[0].intrusion);
   EXPECT_TRUE(baseline_snaps[1].intrusion);
@@ -1070,7 +1072,7 @@ TEST_F(CheckpointFleetTest, WeightedSessionKillAndRestoreReplaysBitwise) {
     feed_rounds(revived, chunk, kill, rounds);
     EXPECT_TRUE(revived.serialize() == baseline_bytes)
         << "restored weighted fleet diverged from the uninterrupted run";
-    const std::vector<SessionSnapshot> revived_snaps = revived.snapshots();
+    const std::vector<SessionSnapshot> revived_snaps = snapshots(revived);
     expect_snapshots_equal(revived_snaps, baseline_snaps, "weighted revived");
     for (std::size_t s = 0; s < revived_snaps.size(); ++s) {
       EXPECT_EQ(revived_snaps[s].fused_score, baseline_snaps[s].fused_score);
@@ -1173,7 +1175,7 @@ TEST_F(CheckpointFleetTest, CorruptedCheckpointNeverPartiallyRestores) {
     mangled[i] ^= 0x40;
     try {
       MonitorEngine restored = MonitorEngine::restore_from_bytes(mangled);
-      (void)restored.snapshots();  // fully usable if accepted
+      (void)snapshots(restored);  // fully usable if accepted
     } catch (const CheckpointError&) {
       // The expected outcome for most flips.
     }

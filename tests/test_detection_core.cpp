@@ -85,15 +85,6 @@ TEST(StreamingMinFilter, MonotoneDecreasingAndIncreasingStreams) {
   }
 }
 
-TEST(StreamingMinFilter, ResetForgetsHistory) {
-  StreamingMinFilter f(3);
-  f.push(-5.0);
-  f.push(-4.0);
-  f.reset();
-  EXPECT_EQ(f.samples(), 0u);
-  EXPECT_EQ(f.push(2.0), 2.0);  // the old minimum is gone
-}
-
 TEST(StreamingMinFilter, RejectsZeroWindow) {
   EXPECT_THROW(StreamingMinFilter(0), std::invalid_argument);
 }

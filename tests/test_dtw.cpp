@@ -13,7 +13,7 @@ using nsync::signal::Rng;
 using nsync::signal::Signal;
 
 Signal from_values(const std::vector<double>& v) {
-  return Signal::from_samples(v, 100.0);
+  return Signal::from_frames(v, 1, 100.0);
 }
 
 Signal smooth_noise(std::size_t frames, std::size_t channels,

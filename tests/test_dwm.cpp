@@ -86,16 +86,6 @@ TEST(DwmParams, ValidationCatchesEveryField) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
-TEST(DwmParams, FromSecondsConvertsTableIV) {
-  const DwmParams p = DwmParams::from_seconds(4.0, 2.0, 2.0, 1.0, 0.1, 100.0);
-  EXPECT_EQ(p.n_win, 400u);
-  EXPECT_EQ(p.n_hop, 200u);
-  EXPECT_EQ(p.n_ext, 200u);
-  EXPECT_NEAR(p.n_sigma, 100.0, 1e-9);
-  EXPECT_THROW((void)DwmParams::from_seconds(4.0, 2.0, 2.0, 1.0, 0.1, 0.0),
-               std::invalid_argument);
-}
-
 TEST(Dwm, IdenticalSignalsYieldZeroDisplacement) {
   const Signal b = make_reference(1200, 1);
   const DwmResult r = DwmSynchronizer::align(b, b, test_params());

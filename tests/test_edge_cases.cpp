@@ -54,7 +54,7 @@ TEST(DaqEdge, FrameLargerThanSignal) {
 }
 
 TEST(DaqEdge, QuantizeExtremeValues) {
-  Signal s = Signal::from_samples({1e9, -1e9, 0.0}, 10.0);
+  Signal s = Signal::from_frames({1e9, -1e9, 0.0}, 1, 10.0);
   const Signal q = sensors::quantize(s, 16, 1.0);
   // Values far outside full scale still land on the grid (no clipping in
   // this model; the ADC step is what matters for comparison metrics).

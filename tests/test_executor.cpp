@@ -6,13 +6,16 @@
 
 #include "gcode/parser.hpp"
 #include "printer/simulator.hpp"
+#include "test_support.hpp"
 
 namespace nsync::printer {
 namespace {
 
+using test_support::simulate_print_noiseless;
+
 MachineConfig quiet_machine() {
   MachineConfig m = ultimaker3();
-  m.time_noise = TimeNoiseConfig::none();
+  m.time_noise = test_support::no_time_noise();
   return m;
 }
 
@@ -137,7 +140,7 @@ TEST(Executor, LayerEventsInOrder) {
 
 TEST(Executor, DeltaKinematicsMotorsMove) {
   MachineConfig m = rostock_max_v3();
-  m.time_noise = TimeNoiseConfig::none();
+  m.time_noise = test_support::no_time_noise();
   const auto p = gcode::parse_program("G1 X20 Y0 F3000\n");
   const MotionTrace t = simulate_print_noiseless(p, m, fast_exec());
   // A pure X move on a delta moves all three carriages.

@@ -23,6 +23,7 @@
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 #include "signal/stats.hpp"
+#include "test_support.hpp"
 
 namespace nsync {
 namespace {
@@ -163,7 +164,7 @@ TEST(FaultInjector, SeededDeterminism) {
     for (std::size_t pos = 0; pos < in.frames(); pos += 300) {
       const std::size_t end = std::min(pos + 300, in.frames());
       const Signal chunk = inj.apply(SignalView(in).slice(pos, end));
-      out.append(chunk);
+      test_support::append(out, chunk);
     }
     return std::make_pair(std::move(out), inj.events());
   };
@@ -336,7 +337,7 @@ TEST(FaultInjector, ClockSkewIsSeamlessAcrossChunks) {
   Signal got = Signal::empty(in.channels(), in.sample_rate());
   for (std::size_t pos = 0; pos < in.frames(); pos += 17) {
     const std::size_t end = std::min(pos + 17, in.frames());
-    got.append(chunked.apply(SignalView(in).slice(pos, end)));
+    test_support::append(got, chunked.apply(SignalView(in).slice(pos, end)));
   }
   ASSERT_EQ(got.frames(), ref.frames());
   for (std::size_t n = 0; n < ref.frames(); ++n) {
@@ -739,7 +740,8 @@ TEST_F(FaultEndToEnd, FusionDropsOfflineChannelFromTheVote) {
 
   const Signal ref_b = make_reference(1500, 111, 2);
   auto build = [&] {
-    core::FusionIds fused(core::FusionRule::kAll);
+    core::FusionIds fused(
+        std::make_shared<core::VotingPolicy>(core::FusionRule::kAll));
     fused.add_channel("A", reference_, cfg);
     fused.add_channel("B", ref_b, cfg);
     std::vector<core::FusionIds::SignalMap> train;

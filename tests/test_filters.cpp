@@ -48,13 +48,6 @@ TEST(MinFilter, RejectsZeroWindow) {
                std::invalid_argument);
 }
 
-TEST(MaxFilter, MirrorsMinFilter) {
-  const std::vector<double> v = {1.0, 3.0, 2.0, 0.0};
-  const auto f = max_filter(v, 2);
-  const std::vector<double> expected = {1.0, 3.0, 3.0, 2.0};
-  EXPECT_EQ(f, expected);
-}
-
 // Property: the deque implementation agrees with a brute-force window min.
 class MinFilterProperty
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
@@ -106,16 +99,6 @@ TEST(MedianFilter, RequiresOddWindow) {
                std::invalid_argument);
 }
 
-TEST(Diff, InverseOfCumulativeSum) {
-  const std::vector<double> v = {1.0, -2.0, 3.0, 0.5};
-  const auto cs = cumulative_sum(v);
-  const auto back = diff(cs, 0.0);
-  ASSERT_EQ(back.size(), v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    EXPECT_NEAR(back[i], v[i], 1e-12);
-  }
-}
-
 TEST(CumulativeAbsDiff, MatchesEq17) {
   // c[i] = sum_{j<=i} |v[j] - v[j-1]|, v[-1] = 0 (Eq. 17).
   const std::vector<double> v = {2.0, 2.0, -1.0, 4.0};
@@ -134,22 +117,6 @@ TEST(CumulativeAbsDiff, MonotoneNondecreasing) {
   for (std::size_t i = 1; i < c.size(); ++i) {
     EXPECT_GE(c[i], c[i - 1]);
   }
-}
-
-TEST(OnePoleLowpass, StepResponseConverges) {
-  std::vector<double> v(200, 1.0);
-  const auto f = one_pole_lowpass(v, 0.1);
-  EXPECT_NEAR(f.back(), 1.0, 1e-6);
-  // Monotone rise.
-  for (std::size_t i = 1; i < f.size(); ++i) {
-    EXPECT_GE(f[i] + 1e-15, f[i - 1]);
-  }
-}
-
-TEST(OnePoleLowpass, RejectsBadAlpha) {
-  const std::vector<double> v = {1.0};
-  EXPECT_THROW(one_pole_lowpass(v, 0.0), std::invalid_argument);
-  EXPECT_THROW(one_pole_lowpass(v, 1.5), std::invalid_argument);
 }
 
 }  // namespace

@@ -70,7 +70,7 @@ class FusionFixture : public ::testing::Test {
   }
 
   FusionIds make(FusionRule rule) {
-    FusionIds ids(rule);
+    FusionIds ids(std::make_shared<VotingPolicy>(rule));
     ids.add_channel("A", ref_a_, small_config());
     ids.add_channel("B", ref_b_, small_config());
     ids.fit(train_);
@@ -82,7 +82,7 @@ class FusionFixture : public ::testing::Test {
 };
 
 TEST_F(FusionFixture, RegistrationAndIntrospection) {
-  FusionIds ids(FusionRule::kAny);
+  FusionIds ids(std::make_shared<VotingPolicy>(FusionRule::kAny));
   ids.add_channel("A", ref_a_, small_config());
   EXPECT_EQ(ids.channels(), 1u);
   EXPECT_THROW(ids.add_channel("A", ref_a_, small_config()),
@@ -134,14 +134,14 @@ TEST_F(FusionFixture, MissingChannelThrows) {
   incomplete["A"] = observe(ref_a_, 906, false);
   EXPECT_THROW(ids.detect(incomplete), std::invalid_argument);
 
-  FusionIds unfit(FusionRule::kAny);
+  FusionIds unfit(std::make_shared<VotingPolicy>(FusionRule::kAny));
   unfit.add_channel("A", ref_a_, small_config());
   std::vector<FusionIds::SignalMap> bad_train = {{}};
   EXPECT_THROW(unfit.fit(bad_train), std::invalid_argument);
 }
 
 TEST_F(FusionFixture, EmptyFusionRejected) {
-  FusionIds ids(FusionRule::kAny);
+  FusionIds ids(std::make_shared<VotingPolicy>(FusionRule::kAny));
   std::vector<FusionIds::SignalMap> empty_train = {};
   EXPECT_THROW(ids.fit(empty_train), std::logic_error);
   FusionIds::SignalMap obs;

@@ -125,7 +125,8 @@ CoreFlagOffsets core_flag_offsets(const std::vector<std::uint8_t>& payload,
   prefix.pod<std::uint32_t>(static_cast<std::uint32_t>(ch.config.metric));
   prefix.pod<std::uint64_t>(ch.config.filter_window);
   prefix.pod<std::uint8_t>(1);
-  save_thresholds(prefix, ch.thresholds);
+  nsync::signal::FieldWriter io(prefix);
+  core::thresholds_fields(io, ch.thresholds);
   const auto hit = std::ranges::search(payload, prefix.data());
   if (hit.empty()) throw std::runtime_error("no DetectionCore state found");
   CoreFlagOffsets at;
@@ -243,7 +244,7 @@ TEST(GoldenFormats, CheckpointFixtureCoversEveryStateSection) {
 
   const BaselineRegistry* registry = fleet.baseline_registry();
   ASSERT_NE(registry, nullptr);
-  EXPECT_GE(registry->size(), 2u);
+  EXPECT_GE(registry->keys().size(), 2u);
   EXPECT_FALSE(registry->baseline("UM3", "ACC").recent.empty());
 }
 
@@ -386,7 +387,7 @@ TEST(GoldenFormats, RegistryKeysMustBeStrictlyAscending) {
     nsync::signal::ByteReader r(w.data());
     registry.restore_state(r);
     r.finish();
-    return registry.size();
+    return registry.keys().size();
   };
   EXPECT_EQ(restore({0, 1, 2}), 3u);  // the committed order
   for (const std::vector<std::size_t>& order :

@@ -21,14 +21,6 @@ TEST(Machines, FactoryConfigsAreSane) {
   EXPECT_GT(rm3.delta.arm_length, rm3.delta.tower_radius / 2.0);
 }
 
-TEST(Machines, NoiseConfigNoneDisablesEverything) {
-  const TimeNoiseConfig n = TimeNoiseConfig::none();
-  EXPECT_DOUBLE_EQ(n.duration_jitter_std, 0.0);
-  EXPECT_DOUBLE_EQ(n.gap_probability, 0.0);
-  EXPECT_DOUBLE_EQ(n.start_offset_std, 0.0);
-  EXPECT_DOUBLE_EQ(n.drift_amplitude, 0.0);
-}
-
 TEST(Kinematics, CartesianIsIdentity) {
   const auto mp = motor_positions(ultimaker3(), 12.0, -3.0, 7.5);
   EXPECT_DOUBLE_EQ(mp[0], 12.0);

@@ -1,12 +1,10 @@
-// Tests for signal-based layer-change detection and the extended attacks.
+// Tests for signal-based layer-change detection.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "baselines/layer_detect.hpp"
 #include "eval/dataset.hpp"
-#include "gcode/attacks.hpp"
-#include "gcode/slicer.hpp"
 #include "signal/rng.hpp"
 
 namespace nsync {
@@ -97,44 +95,6 @@ TEST(LayerDetect, RecoversSimulatorLayersFromAcc) {
   const double err =
       baselines::layer_timing_error(detected, process.layer_times, 1);
   EXPECT_LT(err, 0.4);
-}
-
-// ------------------------------------------------------ extended attacks --
-
-TEST(ExtendedAttacks, TemperatureScalesThermalCommands) {
-  gcode::SlicerConfig cfg;
-  cfg.object_height = 0.4;
-  const gcode::Program benign = gcode::slice(gcode::circle_outline(6.0), cfg);
-  const gcode::Program cold = gcode::attack_temperature(benign, 0.9);
-  ASSERT_EQ(cold.size(), benign.size());
-  bool saw_temp = false;
-  for (std::size_t i = 0; i < benign.size(); ++i) {
-    if (benign[i].type == gcode::CommandType::kWaitHotendTemp) {
-      saw_temp = true;
-      EXPECT_NEAR(*cold[i].s, *benign[i].s * 0.9, 1e-9);
-    }
-    if (benign[i].is_move()) {
-      EXPECT_EQ(benign[i].x, cold[i].x);  // toolpath untouched
-    }
-  }
-  EXPECT_TRUE(saw_temp);
-  EXPECT_THROW(gcode::attack_temperature(benign, 0.0), std::invalid_argument);
-}
-
-TEST(ExtendedAttacks, FanOffRemovesCooling) {
-  gcode::SlicerConfig cfg;
-  cfg.object_height = 0.4;
-  const gcode::Program benign = gcode::slice(gcode::circle_outline(6.0), cfg);
-  const gcode::Program hot = gcode::attack_fan_off(benign);
-  for (const auto& c : hot.commands()) {
-    EXPECT_NE(c.type, gcode::CommandType::kFanOn);
-  }
-  // The benign program did turn the fan on.
-  bool benign_has_fan = false;
-  for (const auto& c : benign.commands()) {
-    benign_has_fan |= c.type == gcode::CommandType::kFanOn;
-  }
-  EXPECT_TRUE(benign_has_fan);
 }
 
 }  // namespace

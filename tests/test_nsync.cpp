@@ -152,8 +152,6 @@ TEST_F(NsyncFixture, ConfigValidation) {
   EXPECT_THROW(NsyncIds(reference_, cfg), std::invalid_argument);
   Signal empty;
   EXPECT_THROW(NsyncIds(empty, dwm_config()), std::invalid_argument);
-  EXPECT_EQ(sync_method_name(SyncMethod::kDwm), "DWM");
-  EXPECT_EQ(sync_method_name(SyncMethod::kDtw), "DTW");
 }
 
 TEST_F(NsyncFixture, RealtimeMonitorMatchesOfflineOnBenign) {

@@ -5,6 +5,7 @@
 
 #include "core/online_dtw.hpp"
 #include "signal/rng.hpp"
+#include "test_support.hpp"
 
 namespace nsync::core {
 namespace {
@@ -98,7 +99,7 @@ TEST(OnlineDtw, ReachesReferenceEnd) {
   // the alignment must reach the reference end and flag exhaustion.
   const Signal b = band_noise(120, 7);
   Signal a = b;
-  a.append(band_noise(200, 8).view());
+  test_support::append(a, band_noise(200, 8));
   OnlineDtw dtw(b, 10);
   dtw.push(a);
   EXPECT_TRUE(dtw.reference_exhausted());

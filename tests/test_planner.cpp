@@ -6,6 +6,7 @@
 
 #include "gcode/parser.hpp"
 #include "printer/planner.hpp"
+#include "test_support.hpp"
 
 namespace nsync::printer {
 namespace {
@@ -82,7 +83,7 @@ TEST(Trapezoid, RejectsBadInputs) {
 
 MachineConfig test_machine() {
   MachineConfig m = ultimaker3();
-  m.time_noise = TimeNoiseConfig::none();
+  m.time_noise = test_support::no_time_noise();
   return m;
 }
 

@@ -11,6 +11,7 @@
 #include "printer/planner.hpp"
 #include "printer/simulator.hpp"
 #include "signal/rng.hpp"
+#include "test_support.hpp"
 
 namespace nsync {
 namespace {
@@ -96,7 +97,7 @@ class RandomProgramPlanning : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(RandomProgramPlanning, PlansAreAlwaysConsistent) {
   const Program p = random_program(GetParam(), 120);
   printer::MachineConfig m = printer::ultimaker3();
-  m.time_noise = printer::TimeNoiseConfig::none();
+  m.time_noise = test_support::no_time_noise();
   const printer::MotionPlan plan = plan_program(p, m);
 
   const printer::MotionSegment* prev = nullptr;
@@ -159,11 +160,11 @@ TEST_P(SlicerRoundTrip, SerializeParsePreservesPlannedTiming) {
   gcode::SlicerConfig cfg;
   cfg.object_height = 0.6;
   cfg.layer_height = GetParam();
-  const Program original = gcode::slice(gcode::circle_outline(6.0), cfg);
+  const Program original = gcode::slice(test_support::circle_outline(6.0), cfg);
   const Program reparsed = gcode::parse_program(gcode::to_gcode(original));
 
   printer::MachineConfig m = printer::ultimaker3();
-  m.time_noise = printer::TimeNoiseConfig::none();
+  m.time_noise = test_support::no_time_noise();
   const double t1 =
       plan_program(original, m).nominal_motion_duration();
   const double t2 =
@@ -198,12 +199,12 @@ TEST(EndToEnd, NoiselessTraceIsCanonicalTimeBase) {
   // duration of noisy runs on average (gaps only ever add time).
   gcode::SlicerConfig cfg;
   cfg.object_height = 0.4;
-  const Program p = gcode::slice(gcode::circle_outline(6.0), cfg);
+  const Program p = gcode::slice(test_support::circle_outline(6.0), cfg);
   const printer::MachineConfig m = printer::ultimaker3();
   printer::ExecutorConfig exec;
   exec.sample_rate = 400.0;
   const double quiet =
-      printer::simulate_print_noiseless(p, m, exec).duration();
+      test_support::simulate_print_noiseless(p, m, exec).duration();
   double noisy_sum = 0.0;
   const int runs = 5;
   for (int s = 0; s < runs; ++s) {

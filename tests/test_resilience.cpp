@@ -35,6 +35,7 @@
 #include "engine/wire_protocol.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
+#include "test_support.hpp"
 
 using namespace nsync;
 using namespace nsync::engine;
@@ -208,7 +209,9 @@ std::vector<Verdict> run_monitor_engine(const Fixture& fx) {
     eng.poll_inline();
   }
   std::vector<Verdict> out;
-  for (const auto& snap : eng.snapshots()) out.push_back(to_verdict(snap));
+  for (const auto& snap : test_support::snapshots(eng)) {
+    out.push_back(to_verdict(snap));
+  }
   return out;
 }
 
@@ -280,6 +283,11 @@ TEST(Backoff, JitterScheduleIsSeededDeterministicAndBounded) {
   EXPECT_NE(sa, sc) << "different seeds must decorrelate";
 }
 
+/// PING round trip through the raw request path: the echoed nonce.
+std::uint64_t ping(WireClient& client, std::uint64_t nonce) {
+  return std::get<wire::Pong>(client.request(wire::Ping{nonce})).nonce;
+}
+
 // --- Keepalive and admission ------------------------------------------------
 
 TEST(Resilience, PingPongRoundTripsNonce) {
@@ -291,8 +299,7 @@ TEST(Resilience, PingPongRoundTripsNonce) {
   server.start();
 
   WireClient client = WireClient::connect_uds(sock);
-  const wire::Pong pong = client.ping(0xFEEDFACECAFEBEEFull);
-  EXPECT_EQ(pong.nonce, 0xFEEDFACECAFEBEEFull);
+  EXPECT_EQ(ping(client, 0xFEEDFACECAFEBEEFull), 0xFEEDFACECAFEBEEFull);
   // Frame-local: the stream stays usable afterwards.
   EXPECT_EQ(client.hello("after-ping").sessions, 0u);
 
@@ -300,7 +307,7 @@ TEST(Resilience, PingPongRoundTripsNonce) {
   const wire::Message reply = client.request(wire::Pong{1});
   ASSERT_TRUE(std::holds_alternative<wire::Error>(reply));
   EXPECT_EQ(std::get<wire::Error>(reply).code, wire::ErrorCode::kBadType);
-  EXPECT_EQ(client.ping(7).nonce, 7u);
+  EXPECT_EQ(ping(client, 7), 7u);
   server.stop();
 }
 
@@ -343,7 +350,7 @@ TEST(Resilience, IdleDeadlineReapsHalfOpenByteAtATimeClient) {
   // A live client is unaffected as long as it keeps talking.
   WireClient client = WireClient::connect_uds(sock);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(client.ping(static_cast<std::uint64_t>(i)).nonce,
+    EXPECT_EQ(ping(client, static_cast<std::uint64_t>(i)),
               static_cast<std::uint64_t>(i));
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
   }
@@ -523,7 +530,7 @@ TEST(Resilience, EvictThenFeedAndDoubleEvictAreFrameLocalTypedErrors) {
     EXPECT_EQ(e.code(), wire::ErrorCode::kEvicted);
   }
   // The connection survived all of it.
-  EXPECT_EQ(client.ping(3).nonce, 3u);
+  EXPECT_EQ(ping(client, 3), 3u);
   EXPECT_EQ(client.hello("still-alive").sessions, 1u);
   server.stop();
 }

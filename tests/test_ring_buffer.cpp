@@ -8,6 +8,7 @@
 #include "signal/ring_buffer.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
+#include "test_support.hpp"
 
 namespace nsync::signal {
 namespace {
@@ -182,7 +183,7 @@ TEST(SignalGrowth, ReserveFramesMakesAppendsAllocationStable) {
   const std::size_t cap = s.capacity_frames();
   EXPECT_GE(cap, 1000u);
   const Signal chunk = random_signal(100, 3, 11);
-  for (int i = 0; i < 10; ++i) s.append(chunk);
+  for (int i = 0; i < 10; ++i) test_support::append(s, chunk);
   EXPECT_EQ(s.frames(), 1000u);
   EXPECT_EQ(s.capacity_frames(), cap);
   // The deprecated-style alias keeps compiling for older call sites.

@@ -128,11 +128,11 @@ TEST(Runtime, ParallelTransformBoolUsesUnpackedStorage) {
 
 TEST(Runtime, SetWorkerCountResizesGlobalPool) {
   set_worker_count(3);
-  EXPECT_EQ(worker_count(), 3u);
+  EXPECT_EQ(global_pool().workers(), 3u);
   set_worker_count(1);
-  EXPECT_EQ(worker_count(), 1u);
+  EXPECT_EQ(global_pool().workers(), 1u);
   set_worker_count(0);  // restore automatic sizing
-  EXPECT_EQ(worker_count(), default_worker_count());
+  EXPECT_EQ(global_pool().workers(), default_worker_count());
 }
 
 TEST(Runtime, DefaultWorkerCountHonorsEnvVar) {

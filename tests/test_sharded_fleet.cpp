@@ -31,6 +31,7 @@
 #include "signal/checkpoint.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
+#include "test_support.hpp"
 
 using namespace nsync;
 using engine::FeedStatus;
@@ -38,6 +39,7 @@ using engine::MonitorEngine;
 using engine::OverflowPolicy;
 using engine::ShardedFleet;
 using engine::ShardedFleetOptions;
+using test_support::snapshots;
 using nsync::signal::CheckpointError;
 using nsync::signal::CheckpointErrorKind;
 using nsync::signal::Rng;
@@ -225,7 +227,7 @@ std::vector<Verdict> run_monitor_engine(const Fixture& fx) {
     eng.poll_inline();
   });
   std::vector<Verdict> out;
-  for (const auto& snap : eng.snapshots()) out.push_back(to_verdict(snap));
+  for (const auto& snap : snapshots(eng)) out.push_back(to_verdict(snap));
   return out;
 }
 
@@ -625,6 +627,27 @@ TEST(ShardedFleet, AdmissionIsDurableWithoutExplicitCheckpoint) {
   }
 }
 
+TEST(ShardedFleet, ShardThatNeverHeldASessionResumes) {
+  // What a SIGKILL right after the acknowledgement leaves: one session on
+  // shard 0, and shard 1 has never admitted or polled anything.
+  TempDir dir("never-used");
+  TempDir copy("never-used-copy");
+  ShardedFleetOptions opts;
+  opts.shards = 2;
+  opts.checkpoint_dir = dir.str();
+  const Fixture fx(1, /*attack_session=*/99);
+  ShardedFleet fleet(opts);
+  fleet.add_session(fx.spec(0));
+  std::filesystem::copy(dir.str(), copy.str(),
+                        std::filesystem::copy_options::recursive |
+                            std::filesystem::copy_options::overwrite_existing);
+  const std::unique_ptr<ShardedFleet> restored =
+      ShardedFleet::restore(copy.str(), opts);
+  ASSERT_EQ(restored->sessions(), 1u);
+  EXPECT_EQ(restored->snapshot(0).name, "printer-0");
+  EXPECT_EQ(restored->shard_of(0), 0u);
+}
+
 TEST(ShardedFleet, EvictionSurvivesRestore) {
   TempDir dir("evict");
   ShardedFleetOptions opts;
@@ -889,7 +912,7 @@ TEST(ShardedFleet, WeightedSessionsAreShardInvariant) {
     eng.feed(s, ch, v);
     eng.poll_inline();
   });
-  const std::vector<engine::SessionSnapshot> baseline = eng.snapshots();
+  const std::vector<engine::SessionSnapshot> baseline = snapshots(eng);
   EXPECT_EQ(baseline[0].policy, "weighted");
   EXPECT_FALSE(baseline[0].intrusion);
   EXPECT_TRUE(baseline[1].intrusion);

@@ -29,13 +29,6 @@ TEST(Signal, ConstructionRejectsBadArguments) {
   EXPECT_THROW(Signal(10, 2, -5.0), std::invalid_argument);
 }
 
-TEST(Signal, FromSamplesBuildsSingleChannel) {
-  Signal s = Signal::from_samples({1.0, 2.0, 3.0}, 10.0);
-  EXPECT_EQ(s.frames(), 3u);
-  EXPECT_EQ(s.channels(), 1u);
-  EXPECT_DOUBLE_EQ(s(1, 0), 2.0);
-}
-
 TEST(Signal, FromFramesAdoptsRowMajorStorage) {
   std::vector<double> data = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
   const double* storage = data.data();
@@ -51,29 +44,12 @@ TEST(Signal, FromFramesAdoptsRowMajorStorage) {
   EXPECT_THROW(Signal::from_frames({1.0, 2.0}, 2, 0.0), std::invalid_argument);
 }
 
-TEST(Signal, FromChannelsInterleavesRowMajor) {
-  Signal s = Signal::from_channels({{1.0, 2.0}, {3.0, 4.0}}, 5.0);
-  EXPECT_EQ(s.frames(), 2u);
-  EXPECT_EQ(s.channels(), 2u);
-  EXPECT_DOUBLE_EQ(s(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(s(0, 1), 3.0);
-  EXPECT_DOUBLE_EQ(s(1, 0), 2.0);
-  EXPECT_DOUBLE_EQ(s(1, 1), 4.0);
-}
-
-TEST(Signal, FromChannelsRejectsRaggedInput) {
-  EXPECT_THROW(Signal::from_channels({{1.0, 2.0}, {3.0}}, 5.0),
-               std::invalid_argument);
-  EXPECT_THROW(Signal::from_channels({}, 5.0), std::invalid_argument);
-}
-
 TEST(Signal, AtBoundsChecking) {
   Signal s(4, 2, 10.0);
-  EXPECT_NO_THROW(static_cast<void>(s.at(3, 1)));
-  EXPECT_THROW(static_cast<void>(s.at(4, 0)), std::out_of_range);
-  EXPECT_THROW(static_cast<void>(s.at(0, 2)), std::out_of_range);
-  const Signal& cs = s;
-  EXPECT_THROW(static_cast<void>(cs.at(4, 0)), std::out_of_range);
+  const SignalView v = s.view();
+  EXPECT_NO_THROW(static_cast<void>(v.at(3, 1)));
+  EXPECT_THROW(static_cast<void>(v.at(4, 0)), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(v.at(0, 2)), std::out_of_range);
 }
 
 TEST(Signal, AppendFrameGrowsSignal) {
@@ -93,16 +69,6 @@ TEST(Signal, AppendFrameRejectsChannelMismatch) {
   EXPECT_THROW(s.append_frame(row), std::invalid_argument);
 }
 
-TEST(Signal, AppendSignalConcatenates) {
-  Signal a = Signal::from_channels({{1.0, 2.0}}, 10.0);
-  Signal b = Signal::from_channels({{3.0}}, 10.0);
-  a.append(b.view());
-  EXPECT_EQ(a.frames(), 3u);
-  EXPECT_DOUBLE_EQ(a(2, 0), 3.0);
-  Signal c(1, 2, 10.0);
-  EXPECT_THROW(a.append(c.view()), std::invalid_argument);
-}
-
 TEST(Signal, FrameSpanIsMutable) {
   Signal s(3, 2, 10.0);
   auto f = s.frame(1);
@@ -114,7 +80,7 @@ TEST(Signal, FrameSpanIsMutable) {
 }
 
 TEST(SignalView, SliceIsZeroCopy) {
-  Signal s = Signal::from_samples({0.0, 1.0, 2.0, 3.0, 4.0}, 10.0);
+  Signal s = Signal::from_frames({0.0, 1.0, 2.0, 3.0, 4.0}, 1, 10.0);
   SignalView v = s.slice(1, 4);
   EXPECT_EQ(v.frames(), 3u);
   EXPECT_DOUBLE_EQ(v(0, 0), 1.0);
@@ -130,7 +96,7 @@ TEST(SignalView, SliceRejectsBadRanges) {
 }
 
 TEST(SignalView, ClampedSliceNeverThrows) {
-  Signal s = Signal::from_samples({0.0, 1.0, 2.0, 3.0}, 10.0);
+  Signal s = Signal::from_frames({0.0, 1.0, 2.0, 3.0}, 1, 10.0);
   SignalView v = s.view().clamped_slice(-5, 2);
   EXPECT_EQ(v.frames(), 2u);
   EXPECT_DOUBLE_EQ(v(0, 0), 0.0);
@@ -144,7 +110,7 @@ TEST(SignalView, ClampedSliceNeverThrows) {
 }
 
 TEST(SignalView, ChannelExtraction) {
-  Signal s = Signal::from_channels({{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}}, 10.0);
+  Signal s = Signal::from_frames({1.0, 4.0, 2.0, 5.0, 3.0, 6.0}, 2, 10.0);
   const auto c1 = s.channel(1);
   ASSERT_EQ(c1.size(), 3u);
   EXPECT_DOUBLE_EQ(c1[0], 4.0);
@@ -153,7 +119,7 @@ TEST(SignalView, ChannelExtraction) {
 }
 
 TEST(SignalView, ToSignalDeepCopies) {
-  Signal s = Signal::from_samples({1.0, 2.0, 3.0}, 10.0);
+  Signal s = Signal::from_frames({1.0, 2.0, 3.0}, 1, 10.0);
   Signal copy = s.slice(1, 3).to_signal();
   EXPECT_EQ(copy.frames(), 2u);
   copy(0, 0) = 99.0;

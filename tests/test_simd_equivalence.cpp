@@ -41,6 +41,7 @@
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 #include "signal/stats.hpp"
+#include "test_support.hpp"
 
 namespace nsync {
 namespace {
@@ -195,12 +196,14 @@ TEST(SimdBitwise, CrossCorrelateValidIdenticalAcrossBackends) {
   for (const std::size_t ny : {std::size_t{7}, std::size_t{32}}) {
     const std::vector<double> x = random_vector(257, 0xC0 + ny);
     const std::vector<double> y = random_vector(ny, 0xD0 + ny);
+    nsync::dsp::CorrelationWorkspace ws;
     ASSERT_TRUE(simd::set_backend(simd::Isa::kScalar));
-    const std::vector<double> ref = nsync::dsp::cross_correlate_valid(x, y);
+    std::vector<double> ref(x.size() - y.size() + 1);
+    nsync::dsp::cross_correlate_valid_into(x, y, ref, ws);
     for (const simd::Isa isa : backends) {
       ASSERT_TRUE(simd::set_backend(isa));
-      const std::vector<double> got = nsync::dsp::cross_correlate_valid(x, y);
-      ASSERT_EQ(got.size(), ref.size());
+      std::vector<double> got(ref.size());
+      nsync::dsp::cross_correlate_valid_into(x, y, got, ws);
       for (std::size_t i = 0; i < ref.size(); ++i) {
         EXPECT_EQ(got[i], ref[i]) << "i=" << i
                                   << " isa=" << simd::isa_name(isa);
@@ -262,16 +265,11 @@ TEST(SimdBitwise, MultichannelTdeIsChannelAverageOfSlidingPearson) {
       }
       for (auto& v : avg) v *= 1.0 / static_cast<double>(C);
 
-      const std::vector<double> staged =
-          nsync::core::similarity_scores(SignalView(x), SignalView(y));
       TdeWorkspace ws;
       const auto fused = nsync::core::similarity_scores_into(
           SignalView(x), SignalView(y), TdeOptions{}, ws);
-      ASSERT_EQ(staged.size(), n_out);
       ASSERT_EQ(fused.size(), n_out);
       for (std::size_t n = 0; n < n_out; ++n) {
-        EXPECT_EQ(staged[n], avg[n])
-            << "C=" << C << " n=" << n << " " << simd::isa_name(isa);
         EXPECT_EQ(fused[n], avg[n])
             << "C=" << C << " n=" << n << " " << simd::isa_name(isa);
       }
@@ -512,14 +510,10 @@ TEST(SimdUlpBounded, StatsMomentsCloseAcrossBackends) {
   const std::vector<double> v = random_vector(4096, 0x52);
   ASSERT_TRUE(simd::set_backend(simd::Isa::kScalar));
   const double mean_ref = nsync::signal::mean(u);
-  const double var_ref = nsync::signal::variance(u);
-  const double rms_ref = nsync::signal::rms(u);
   const double pear_ref = nsync::signal::pearson(u, v);
   for (const simd::Isa isa : backends) {
     ASSERT_TRUE(simd::set_backend(isa));
     expect_ulp_close(nsync::signal::mean(u), mean_ref, 1.0, "mean");
-    expect_ulp_close(nsync::signal::variance(u), var_ref, var_ref, "variance");
-    expect_ulp_close(nsync::signal::rms(u), rms_ref, rms_ref, "rms");
     expect_ulp_close(nsync::signal::pearson(u, v), pear_ref, 1.0, "pearson");
   }
 }
@@ -683,7 +677,7 @@ TEST_F(SimdFleetTest, FleetVerdictsIdenticalAcrossBackends) {
     ASSERT_TRUE(simd::set_backend(isa));
     MonitorEngine eng = make_engine();
     feed_rounds(eng, benign, malicious, chunk, 0, rounds);
-    const auto snaps = eng.snapshots();
+    const auto snaps = test_support::snapshots(eng);
     ASSERT_EQ(snaps.size(), 2u);
     EXPECT_FALSE(snaps[0].intrusion) << simd::isa_name(isa);
     EXPECT_TRUE(snaps[1].intrusion) << simd::isa_name(isa);
@@ -730,7 +724,7 @@ TEST_F(SimdFleetTest, CheckpointWrittenUnderOneBackendRestoresUnderAnother) {
   ASSERT_TRUE(simd::set_backend(simd::Isa::kScalar));
   MonitorEngine revived = MonitorEngine::restore(path);
   feed_rounds(revived, benign, malicious, chunk, kill, rounds);
-  const auto snaps = revived.snapshots();
+  const auto snaps = test_support::snapshots(revived);
   ASSERT_EQ(snaps.size(), 2u);
   EXPECT_FALSE(snaps[0].intrusion);
   EXPECT_TRUE(snaps[1].intrusion);

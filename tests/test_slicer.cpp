@@ -4,9 +4,12 @@
 #include <cmath>
 
 #include "gcode/slicer.hpp"
+#include "test_support.hpp"
 
 namespace nsync::gcode {
 namespace {
+
+using test_support::circle_outline;
 
 SlicerConfig small_config() {
   SlicerConfig cfg;
@@ -164,14 +167,6 @@ TEST(Slicer, RejectsBadConfigs) {
   EXPECT_THROW(slice(c, cfg), std::invalid_argument);
   EXPECT_THROW(slice(Polygon({{0, 0}, {1, 1}}), small_config()),
                std::invalid_argument);
-}
-
-TEST(SliceGear, ProducesNamedProgram) {
-  SlicerConfig cfg = small_config();
-  const Program p = slice_gear(20.0, cfg);
-  EXPECT_NE(p.name().find("gear"), std::string::npos);
-  EXPECT_GT(p.stats().total_extrusion, 0.0);
-  EXPECT_THROW(slice_gear(-3.0, cfg), std::invalid_argument);
 }
 
 class LayerHeightSweep : public ::testing::TestWithParam<double> {};

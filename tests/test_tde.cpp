@@ -14,7 +14,6 @@
 #include "eval/setup.hpp"
 #include "sensors/side_channel.hpp"
 #include "signal/rng.hpp"
-#include "signal/stats.hpp"
 
 namespace nsync::core {
 namespace {
@@ -34,19 +33,37 @@ Signal random_signal(std::size_t frames, std::size_t channels,
   return s;
 }
 
+/// similarity_scores_into on a fresh workspace, copied out.
+std::vector<double> scores_of(const nsync::signal::SignalView& x,
+                              const nsync::signal::SignalView& y,
+                              const TdeOptions& opts = {}) {
+  TdeWorkspace ws;
+  const auto s = similarity_scores_into(x, y, opts, ws);
+  return {s.begin(), s.end()};
+}
+
+/// n_delay = argmax_n s[n] (Eq. 2), first occurrence.
+std::size_t delay_of(const nsync::signal::SignalView& x,
+                     const nsync::signal::SignalView& y,
+                     const TdeOptions& opts = {}) {
+  const auto s = scores_of(x, y, opts);
+  return static_cast<std::size_t>(
+      std::max_element(s.begin(), s.end()) - s.begin());
+}
+
 TEST(Tde, ScoresHaveExpectedLength) {
   const Signal x = random_signal(100, 2, 1);
   const Signal y = random_signal(30, 2, 2);
-  const auto s = similarity_scores(x, y);
+  const auto s = scores_of(x, y);
   EXPECT_EQ(s.size(), 71u);  // Nx - Ny + 1
 }
 
 TEST(Tde, ShapeChecks) {
   const Signal x = random_signal(10, 2, 1);
   const Signal y3 = random_signal(5, 3, 2);
-  EXPECT_THROW(similarity_scores(x, y3), std::invalid_argument);
+  EXPECT_THROW(scores_of(x, y3), std::invalid_argument);
   const Signal y_long = random_signal(20, 2, 3);
-  EXPECT_THROW(similarity_scores(x, y_long), std::invalid_argument);
+  EXPECT_THROW(scores_of(x, y_long), std::invalid_argument);
 }
 
 class TdeDelayProperty : public ::testing::TestWithParam<std::size_t> {};
@@ -60,11 +77,11 @@ TEST_P(TdeDelayProperty, RecoversExactEmbeddedDelay) {
       x(delay + n, c) = y(n, c);
     }
   }
-  EXPECT_EQ(estimate_delay(x, y), delay);
+  EXPECT_EQ(delay_of(x, y), delay);
   // Naive and FFT TDE paths agree.
   TdeOptions naive;
   naive.use_fft = false;
-  EXPECT_EQ(estimate_delay(x, y, naive), delay);
+  EXPECT_EQ(delay_of(x, y, naive), delay);
 }
 
 INSTANTIATE_TEST_SUITE_P(Delays, TdeDelayProperty,
@@ -91,7 +108,7 @@ TEST(Tde, MultichannelAveragingUsesAllChannels) {
     x(20 + n, 0) = y(n, 0);
     x(20 + n, 1) = y(n, 1);
   }
-  EXPECT_EQ(estimate_delay(x, y), 20u);
+  EXPECT_EQ(delay_of(x, y), 20u);
 }
 
 TEST(Tdeb, BiasScoresPeaksAtCenter) {
@@ -149,8 +166,9 @@ TEST(Tdeb, StrongTrueMatchOverridesBias) {
 }
 
 // --------------------------------------------------------------------------
-// The fused workspace tier must be bitwise identical to the allocating
-// tier: same per-element arithmetic order, same first-occurrence argmax.
+// A workspace carried across calls scores bitwise like a fresh one, and
+// the fused TDEB estimate matches the staged pipeline: same per-element
+// arithmetic order, same first-occurrence argmax.
 // --------------------------------------------------------------------------
 
 TEST(TdeWorkspaceTier, SimilarityScoresAreBitwiseEqual) {
@@ -158,7 +176,7 @@ TEST(TdeWorkspaceTier, SimilarityScoresAreBitwiseEqual) {
   for (const std::size_t channels : {1u, 3u}) {
     const Signal x = random_signal(200, channels, 91 + channels);
     const Signal y = random_signal(40, channels, 92 + channels);
-    const auto staged = similarity_scores(x, y);
+    const auto staged = scores_of(x, y);
     const auto fused = similarity_scores_into(x, y, {}, ws);
     ASSERT_EQ(staged.size(), fused.size());
     for (std::size_t n = 0; n < staged.size(); ++n) {
@@ -178,10 +196,11 @@ TEST(TdeWorkspaceTier, FusedBiasedEstimateMatchesStagedPipeline) {
     const double center = static_cast<double>(20 + 17 * seed % 200);
     const double sigma = 5.0 + static_cast<double>(seed);
 
-    auto scores = similarity_scores(x, y);
+    auto scores = scores_of(x, y);
     for (auto& s : scores) s = std::max(s, 0.0);
     const auto biased = bias_scores(std::move(scores), center, sigma);
-    const std::size_t staged = nsync::signal::argmax(biased);
+    const std::size_t staged = static_cast<std::size_t>(
+        std::max_element(biased.begin(), biased.end()) - biased.begin());
 
     EXPECT_EQ(estimate_delay_biased(x, y, center, sigma), staged)
         << "seed " << seed;
@@ -270,8 +289,8 @@ TEST(TdeCorrelationSize, BatchedScoresExactAtTransformWrapBoundaries) {
           EXPECT_NEAR(fast[n], direct[n], 1e-9)
               << "nx " << nx << " ny " << ny << " lag " << n;
         }
-        // The allocating tier runs the same size.
-        const auto staged = similarity_scores(x, y);
+        // A fresh workspace runs the same size.
+        const auto staged = scores_of(x, y);
         for (std::size_t n = 0; n < direct.size(); ++n) {
           EXPECT_NEAR(staged[n], direct[n], 1e-9)
               << "nx " << nx << " ny " << ny << " lag " << n;
