@@ -36,12 +36,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/nsync.hpp"
-#include "dsp/simd/simd.hpp"
 #include "engine/monitor_engine.hpp"
 #include "eval/options.hpp"
 #include "eval/table.hpp"
@@ -156,7 +155,7 @@ int main(int argc, char** argv) {
   std::size_t reps = 5;
   std::string dir = ".";
   std::string json_path;
-  std::vector<std::pair<std::string, std::string>> context;
+  bench::Context context;
 
   // Malformed numbers (eval::parse_u64 throws) and --reps 0 exit 2.
   try {
@@ -185,16 +184,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--json") {
         json_path = next();
       } else if (arg == "--context") {
-        const std::string kv = next();
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos || eq == 0 ||
-            kv.find_first_of("\"\\") != std::string::npos) {
-          std::cerr << "--context needs key=value without quotes or "
-                       "backslashes, got '"
-                    << kv << "'\n";
-          return 2;
-        }
-        context.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
+        context.add(next());
       } else if (arg == "--help" || arg == "-h") {
         std::cout << "usage: " << argv[0]
                   << " [--sessions a,b,c] [--frames n] [--reps n]"
@@ -254,11 +244,11 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < n_sessions; ++s) {
       for (std::size_t c = 0; c < channel_names.size(); ++c) {
         const Signal& sig = streams[s][c];
-        eng.feed(s, channel_names[c],
-                 signal::SignalView(sig).slice(0, sig.frames() / 2));
+        windows += eng.feed(s, channel_names[c],
+                            signal::SignalView(sig).slice(0, sig.frames() / 2));
       }
     }
-    windows += eng.poll_inline();
+    (void)eng.poll_inline();
 
     Result r;
     r.sessions = n_sessions;
@@ -293,15 +283,10 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    out << "{\n  \"benchmark\": \"checkpoint\",\n  \"context\": {";
-    for (const auto& [key, value] : context) {
-      out << "\"" << key << "\": \"" << value << "\", ";
-    }
-    out << "\"hardware_concurrency\": " << std::thread::hardware_concurrency()
-        << ", \"simd_isa\": \""
-        << dsp::simd::isa_name(dsp::simd::active_isa())
-        << "\", \"reps\": " << reps << ", \"statistic\": \"median\"},\n"
-        << "  \"frames_per_channel\": " << frames_per_channel
+    out << "{\n  \"benchmark\": \"checkpoint\",\n  ";
+    context.write(out, "\"reps\": " + std::to_string(reps) +
+                           ", \"statistic\": \"median\"");
+    out << ",\n  \"frames_per_channel\": " << frames_per_channel
         << ",\n  \"results\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       const Result& r = results[i];

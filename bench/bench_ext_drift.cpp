@@ -14,6 +14,10 @@
 //
 //   ./bench_ext_drift [--prints n] [--frames n] [--attack-every k]
 //                     [--drifts a,b,c] [--r x] [--json path]
+//                     [--context key=value]...
+//
+// --context adds provenance to the JSON context block (run_benches.sh
+// passes git_sha and build_type).
 #include <cmath>
 #include <cstddef>
 #include <fstream>
@@ -22,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "eval/drift.hpp"
 #include "eval/table.hpp"
 
@@ -52,10 +57,13 @@ struct Point {
   DriftScenarioResult res;
 };
 
-void emit_json(const std::string& path, const DriftScenarioConfig& base,
+void emit_json(const std::string& path, const bench::Context& context,
+               const DriftScenarioConfig& base,
                const std::vector<Point>& points) {
   std::ofstream out(path);
-  out << "{\n  \"benchmark\": \"drift\",\n  \"prints\": " << base.prints
+  out << "{\n  \"benchmark\": \"drift\",\n  ";
+  context.write(out, "\"reps\": 1");
+  out << ",\n  \"prints\": " << base.prints
       << ",\n  \"frames\": " << base.frames << ",\n  \"attack_every\": "
       << base.attack_every << ",\n  \"r\": " << base.r
       << ",\n  \"points\": [\n";
@@ -92,6 +100,7 @@ int main(int argc, char** argv) {
   // attack from riding the baseline out of detection range.
   std::vector<double> total_drifts = {0.0, 0.06, 0.12, 0.18, 0.24};
   std::string json_path;
+  bench::Context context;
   bool trace = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -116,12 +125,15 @@ int main(int argc, char** argv) {
       base.policy.r = base.r;
     } else if (arg == "--json") {
       json_path = next();
+    } else if (arg == "--context") {
+      context.add(next());
     } else if (arg == "--trace") {
       trace = true;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--prints n] [--frames n] [--attack-every k]"
-                   " [--drifts a,b,c] [--r x] [--json path] [--trace]\n";
+                   " [--drifts a,b,c] [--r x] [--json path] [--trace]"
+                   " [--context key=value]...\n";
       return 0;
     } else {
       std::cerr << "unknown flag " << arg << "\n";
@@ -176,6 +188,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  if (!json_path.empty()) emit_json(json_path, base, points);
+  if (!json_path.empty()) emit_json(json_path, context, base, points);
   return 0;
 }

@@ -12,6 +12,10 @@
 // points a 2-of-3 vote offers, so weighted TPR should dominate.
 //
 //   ./bench_ext_fusion [common eval flags] [--json path]
+//                      [--context key=value]...
+//
+// --context adds provenance to the JSON context block (run_benches.sh
+// passes git_sha and build_type).
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -20,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/fusion.hpp"
 #include "eval/dataset.hpp"
 #include "eval/experiments.hpp"
@@ -85,10 +90,13 @@ struct PrinterSweep {
   std::vector<SweepRow> rows;
 };
 
-void emit_json(const std::string& path, const EvalScale& scale,
+void emit_json(const std::string& path, const bench::Context& context,
+               const EvalScale& scale,
                const std::vector<PrinterSweep>& sweeps) {
   std::ofstream out(path);
-  out << "{\n  \"benchmark\": \"fusion\",\n  \"seed\": " << scale.seed
+  out << "{\n  \"benchmark\": \"fusion\",\n  ";
+  context.write(out, "\"reps\": 1");
+  out << ",\n  \"seed\": " << scale.seed
       << ",\n  \"criterion\": \"weighted_tpr >= majority_tpr at matched"
          " FPR on every point\",\n  \"printers\": [\n";
   for (std::size_t s = 0; s < sweeps.size(); ++s) {
@@ -116,12 +124,16 @@ void emit_json(const std::string& path, const EvalScale& scale,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Extract the bench-local --json flag before the shared parser sees it.
+  // Extract the bench-local --json and --context flags before the shared
+  // parser sees them.
   std::string json_path;
+  bench::Context context;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     if (std::string(argv[i]) == "--json" && i + 1 < argc) {
       json_path = argv[++i];
+    } else if (std::string(argv[i]) == "--context" && i + 1 < argc) {
+      context.add(argv[++i]);
     } else {
       args.push_back(argv[i]);
     }
@@ -135,7 +147,9 @@ int main(int argc, char** argv) {
   }
   if (opt.help) {
     std::cout << CliOptions::usage(argv[0]) << "  --json path        write "
-              << "BENCH_fusion.json-style results\n";
+              << "BENCH_fusion.json-style results\n"
+              << "  --context k=v      provenance for the JSON context "
+                 "block (repeatable)\n";
     return 0;
   }
   opt.configure_runtime();
@@ -262,6 +276,6 @@ int main(int argc, char** argv) {
   std::cout << "\nFault sweep — weighted TPR at the majority arm's FPR\n";
   matched.print(std::cout);
 
-  if (!json_path.empty()) emit_json(json_path, opt.scale, sweeps);
+  if (!json_path.empty()) emit_json(json_path, context, opt.scale, sweeps);
   return 0;
 }

@@ -4,22 +4,21 @@
 // Simulates a fleet of concurrent print-monitoring sessions — each with
 // two side channels streaming frames in acquisition-sized chunks — and
 // measures aggregate windows/sec as the session count and the shard count
-// vary.  Every row runs the same ShardedFleet loop: shard count 0 is the
-// inline path (one engine, no threads, no queues; flush() drains), shard
-// counts >= 1 give each shard a private engine on a dedicated worker
-// thread fed through a bounded MPSC queue.  Per-session verdicts are
-// bitwise identical across all shard counts (pinned by tests/
-// test_sharded_fleet.cpp), so the sweep measures pure scheduling.
-// Worker rows also report the fleet's p50/p99 feed→verdict latency from
-// the per-shard log-linear histograms (within ~3 % of the true quantile).
+// vary.  Every row runs the same ShardedFleet loop: each shard owns a
+// private engine on a dedicated worker thread fed through a bounded MPSC
+// queue.  Per-session verdicts are bitwise identical across all shard
+// counts (pinned by tests/test_sharded_fleet.cpp), so the sweep measures
+// pure scheduling.  Every row also reports the fleet's p50/p99
+// feed→verdict latency from the per-shard log-linear histograms (within
+// ~3 % of the true quantile).
 //
 // A second section drives the fleet past its load-shed threshold: a small
 // queue with the drop-oldest policy, fed with no pacing, shows how
 // throughput and shed accounting behave at saturation.
 //
 // Flags: --sessions a,b,c  session counts to sweep (default 1,8,32)
-//        --shards a,b,c    shard counts to sweep (default 0,1,2,4;
-//                          0 = inline, no worker threads)
+//        --shards a,b,c    shard counts to sweep, each >= 1 (default
+//                          1,2,4)
 //        --frames n        observed frames per channel (default 12288)
 //        --chunk n         frames per feed() call (default 256)
 //        --no-saturation   skip the load-shed section
@@ -39,8 +38,8 @@
 #include <utility>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/nsync.hpp"
-#include "dsp/simd/simd.hpp"
 #include "engine/sharded_fleet.hpp"
 #include "eval/table.hpp"
 #include "signal/rng.hpp"
@@ -130,11 +129,11 @@ engine::SessionSpec make_spec(const Fixture& fx, std::size_t s) {
 }
 
 struct Result {
-  std::size_t shards = 0;  ///< 0 = inline, no worker threads
+  std::size_t shards = 0;
   std::size_t sessions = 0;
   std::size_t windows = 0;
   double seconds = 0.0;
-  double p50_us = 0.0;  ///< feed→verdict latency (worker rows only)
+  double p50_us = 0.0;  ///< feed→verdict latency
   double p99_us = 0.0;
   std::uint64_t shed_frames = 0;
   std::size_t alarms = 0;
@@ -143,8 +142,8 @@ struct Result {
   }
 };
 
-/// Feed from this thread, process on the shard workers (inline at shard
-/// count 0), flush() as the barrier.  Options beyond the shard count let the
+/// Feed from this thread, process on the shard workers, flush() as the
+/// barrier.  Options beyond the shard count let the
 /// saturation section shrink the queue and switch the overflow policy.
 Result run_sharded(const Fixture& fx,
                    const std::vector<std::vector<Signal>>& streams,
@@ -198,8 +197,7 @@ std::vector<std::size_t> parse_list(const std::string& s) {
   return out;
 }
 
-void emit_json(const std::string& path,
-               const std::vector<std::pair<std::string, std::string>>& context,
+void emit_json(const std::string& path, const bench::Context& context,
                std::size_t frames_per_channel, std::size_t chunk,
                const std::vector<Result>& scaling,
                const std::vector<Result>& saturation) {
@@ -217,16 +215,11 @@ void emit_json(const std::string& path,
   std::ofstream out(path);
   // Every row is one run (reps 1); its latencies are quantiles of the
   // run's per-batch histogram, not a median over runs.
-  out << "{\n  \"benchmark\": \"fleet\",\n  \"context\": {";
-  for (const auto& [key, value] : context) {
-    out << "\"" << key << "\": \"" << value << "\", ";
-  }
-  out << "\"hardware_concurrency\": " << std::thread::hardware_concurrency()
-      << ", \"simd_isa\": \""
-      << dsp::simd::isa_name(dsp::simd::active_isa())
-      << "\", \"reps\": 1, \"latency\": \"log-linear histogram, bucket "
-         "midpoint\"},\n  \"frames_per_channel\": "
-      << frames_per_channel
+  out << "{\n  \"benchmark\": \"fleet\",\n  ";
+  context.write(out,
+                "\"reps\": 1, \"latency\": \"log-linear histogram, bucket "
+                "midpoint\"");
+  out << ",\n  \"frames_per_channel\": " << frames_per_channel
       << ",\n  \"chunk\": " << chunk << ",\n  \"scaling\": [\n";
   emit(out, scaling);
   out << "  ],\n  \"saturation\": [\n";
@@ -239,12 +232,12 @@ void emit_json(const std::string& path,
 
 int main(int argc, char** argv) {
   std::vector<std::size_t> session_counts = {1, 8, 32};
-  std::vector<std::size_t> shard_counts = {0, 1, 2, 4};
+  std::vector<std::size_t> shard_counts = {1, 2, 4};
   std::size_t frames_per_channel = 12288;
   std::size_t chunk = 256;
   bool saturation_section = true;
   std::string json_path;
-  std::vector<std::pair<std::string, std::string>> context;
+  bench::Context context;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -268,16 +261,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       json_path = next();
     } else if (arg == "--context") {
-      const std::string kv = next();
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0 ||
-          kv.find_first_of("\"\\") != std::string::npos) {
-        std::cerr << "--context needs key=value without quotes or "
-                     "backslashes, got '"
-                  << kv << "'\n";
-        return 2;
-      }
-      context.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
+      context.add(next());
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--sessions a,b,c] [--shards a,b,c]"
@@ -288,6 +272,11 @@ int main(int argc, char** argv) {
       std::cerr << "unknown flag " << arg << "\n";
       return 2;
     }
+  }
+  if (std::find(shard_counts.begin(), shard_counts.end(), 0) !=
+      shard_counts.end()) {
+    std::cerr << "--shards: every shard count must be at least 1\n";
+    return 2;
   }
   std::cout << "EXTENSION: sharded fleet multi-session throughput\n"
             << "(hardware_concurrency="
@@ -341,20 +330,16 @@ int main(int argc, char** argv) {
       fopts.shards = n_shards;
       const Result r = run_sharded(fx, streams, chunk, fopts);
       scaling.push_back(r);
-      table.add_row(
-          {n_shards == 0 ? "inline" : std::to_string(n_shards),
-           std::to_string(r.sessions), std::to_string(r.windows),
-           eval::fmt(r.seconds, 3), eval::fmt(r.windows_per_sec(), 0),
-           n_shards == 0 ? "-" : eval::fmt(r.p50_us, 0),
-           n_shards == 0 ? "-" : eval::fmt(r.p99_us, 0),
-           std::to_string(r.alarms)});
+      table.add_row({std::to_string(n_shards), std::to_string(r.sessions),
+                     std::to_string(r.windows), eval::fmt(r.seconds, 3),
+                     eval::fmt(r.windows_per_sec(), 0), eval::fmt(r.p50_us, 0),
+                     eval::fmt(r.p99_us, 0), std::to_string(r.alarms)});
     }
   }
   table.print(std::cout);
-  std::cout << "\n(benign streams: Alarms should be 0; \"inline\" is the\n"
-               " fleet without worker threads; aggregate windows/sec should\n"
-               " grow with shard count until the physical core count is\n"
-               " reached — on a single-core host all rows are flat)\n";
+  std::cout << "\n(benign streams: Alarms should be 0; aggregate windows/sec\n"
+               " should grow with shard count until the physical core count\n"
+               " is reached — on a single-core host all rows are flat)\n";
 
   std::vector<Result> saturation;
   if (saturation_section) {
@@ -375,7 +360,7 @@ int main(int argc, char** argv) {
     eval::AsciiTable sat({"Shards", "Sessions", "Windows", "Seconds",
                           "Windows/sec", "Shed frames", "p99us"});
     for (std::size_t n_shards : shard_counts) {
-      if (n_shards == 0 || n_shards > n_sessions) continue;
+      if (n_shards > n_sessions) continue;
       engine::ShardedFleetOptions fopts;
       fopts.shards = n_shards;
       fopts.queue_capacity_frames = 2048;

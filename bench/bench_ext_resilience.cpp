@@ -19,6 +19,9 @@
 //        --polls n    latency samples per part-B phase (default 400)
 //        --frames n   observed frames per channel (default 4096)
 //        --json path  machine-readable results (BENCH_resilience.json)
+//        --context k=v  extra provenance for the JSON context block
+//                     (repeatable; run_benches.sh passes git_sha and
+//                     build_type)
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -36,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/nsync.hpp"
 #include "engine/chaos/chaos_proxy.hpp"
 #include "engine/fleet_server.hpp"
@@ -177,6 +181,7 @@ int main(int argc, char** argv) {
   std::size_t polls = 400;
   std::size_t frames_per_channel = 4096;
   std::string json_path;
+  bench::Context context;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -195,13 +200,15 @@ int main(int argc, char** argv) {
       frames_per_channel = static_cast<std::size_t>(std::stoul(next()));
     } else if (arg == "--json") {
       json_path = next();
+    } else if (arg == "--context") {
+      context.add(next());
     } else if (arg == "--threads") {
       nsync::runtime::set_worker_count(
           static_cast<std::size_t>(std::stoul(next())));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--kills n] [--polls n] [--frames n] [--json path]"
-                   " [--threads n]\n";
+                   " [--threads n] [--context key=value]...\n";
       return 0;
     } else {
       std::cerr << "unknown flag " << arg << "\n";
@@ -376,8 +383,9 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    out << "{\n  \"benchmark\": \"resilience\",\n  \"frames_per_channel\": "
-        << frames_per_channel << ",\n  \"reconnect\": {\n    \"kills\": "
+    out << "{\n  \"benchmark\": \"resilience\",\n  ";
+    context.write(out, "\"reps\": 1");
+    out << ",\n  \"frames_per_channel\": " << frames_per_channel << ",\n  \"reconnect\": {\n    \"kills\": "
         << recovery_ms.size() << ",\n    \"recovery_ms\": [";
     for (std::size_t i = 0; i < recovery_ms.size(); ++i) {
       out << (i ? ", " : "") << recovery_ms[i];

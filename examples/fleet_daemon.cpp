@@ -109,6 +109,9 @@ int main(int argc, char** argv) {
         tcp_port = static_cast<std::uint16_t>(number(UINT16_MAX));
       } else if (arg == "--shards") {
         shards = number(SIZE_MAX);
+        if (shards == 0) {
+          throw std::invalid_argument("--shards: must be at least 1");
+        }
       } else if (arg == "--checkpoint" && i + 1 < argc) {
         checkpoint_dir = argv[++i];
       } else if (arg == "--resume") {

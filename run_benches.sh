@@ -14,10 +14,11 @@
 # JSON context (`simd_isa`), which is how BENCH_micro_scalar.json and
 # BENCH_micro.json are told apart.
 #
-# Provenance: bench_micro, bench_ext_checkpoint and bench_ext_multi_session
-# also get the git SHA of the checkout (suffixed -dirty when the tree has
-# uncommitted changes) and the CMake build type of ./build in their JSON
-# context.
+# Provenance: every bench that writes a BENCH_*.json (bench_micro and the
+# bench_ext_checkpoint, _multi_session, _drift, _fusion and _resilience
+# extensions) also gets the git SHA of the checkout (suffixed -dirty when
+# the tree has uncommitted changes) and the CMake build type of ./build in
+# its JSON context.
 #
 # Spread: bench_micro runs every case MICRO_REPS times and reports only
 # the aggregates (mean, median, stddev, cv and bench_micro's own `mad`,
@@ -30,6 +31,7 @@ if ! git diff --quiet HEAD 2>/dev/null; then
 fi
 BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt 2>/dev/null)
 BUILD_TYPE=${BUILD_TYPE:-unknown}
+CONTEXT_FLAGS="--context git_sha=${GIT_SHA} --context build_type=${BUILD_TYPE}"
 THREAD_FLAGS=""
 if [ -n "${NSYNC_THREADS:-}" ]; then
   THREAD_FLAGS="--threads ${NSYNC_THREADS}"
@@ -53,24 +55,16 @@ for b in "$@"; do
     EXTRA_FLAGS="$EXTRA_FLAGS --benchmark_repetitions=${MICRO_REPS}"
     EXTRA_FLAGS="$EXTRA_FLAGS --benchmark_report_aggregates_only=true"
   fi
-  if [ "$b" = "bench_ext_multi_session" ]; then
-    EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_fleet.json}"
-    EXTRA_FLAGS="$EXTRA_FLAGS --context git_sha=${GIT_SHA}"
-    EXTRA_FLAGS="$EXTRA_FLAGS --context build_type=${BUILD_TYPE}"
-  fi
-  if [ "$b" = "bench_ext_checkpoint" ]; then
-    EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_checkpoint.json}"
-    EXTRA_FLAGS="$EXTRA_FLAGS --context git_sha=${GIT_SHA}"
-    EXTRA_FLAGS="$EXTRA_FLAGS --context build_type=${BUILD_TYPE}"
-  fi
-  if [ "$b" = "bench_ext_drift" ]; then
-    EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_drift.json}"
-  fi
-  if [ "$b" = "bench_ext_fusion" ]; then
-    EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_fusion.json}"
-  fi
-  if [ "$b" = "bench_ext_resilience" ]; then
-    EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-BENCH_resilience.json}"
+  case "$b" in
+    bench_ext_multi_session) JSON=BENCH_fleet.json ;;
+    bench_ext_checkpoint) JSON=BENCH_checkpoint.json ;;
+    bench_ext_drift) JSON=BENCH_drift.json ;;
+    bench_ext_fusion) JSON=BENCH_fusion.json ;;
+    bench_ext_resilience) JSON=BENCH_resilience.json ;;
+    *) JSON="" ;;
+  esac
+  if [ -n "$JSON" ]; then
+    EXTRA_FLAGS="--json ${NSYNC_BENCH_JSON:-$JSON} $CONTEXT_FLAGS"
   fi
   # The fleet benches run no thread-pool work and take no --threads.
   BENCH_THREAD_FLAGS="$THREAD_FLAGS"

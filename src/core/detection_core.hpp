@@ -59,7 +59,6 @@ class StreamingMinFilter {
   /// Consumes the next sample and returns the filtered value.
   double push(double x);
 
-  [[nodiscard]] std::size_t window() const { return window_; }
   /// Samples consumed since construction.
   [[nodiscard]] std::size_t samples() const { return next_; }
 

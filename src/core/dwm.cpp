@@ -59,6 +59,10 @@ std::size_t DwmSynchronizer::push(const SignalView& frames) {
   // Dropping on entry (not after the processing loop) keeps the frames of
   // this push's own windows readable until next time.
   drop_consumed();
+  // Fewer than n_win live frames and a smaller dead prefix stay behind a
+  // push, so once the ring has room for them beside this chunk, pushes
+  // of up to this many frames never grow it again.
+  observed_.reserve_frames(2 * params_.n_win + frames.frames());
   observed_.append(frames);
   std::size_t processed = 0;
   while (!reference_exhausted_ && process_next_window()) {

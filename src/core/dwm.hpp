@@ -106,7 +106,6 @@ class DwmSynchronizer {
   [[nodiscard]] std::size_t windows() const { return result_.h_disp.size(); }
 
   [[nodiscard]] const DwmResult& result() const { return result_; }
-  [[nodiscard]] const DwmParams& params() const { return params_; }
   [[nodiscard]] const nsync::signal::Signal& reference() const {
     return reference_;
   }

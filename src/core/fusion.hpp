@@ -350,9 +350,6 @@ class FusionIds {
   [[nodiscard]] FusionDetection detect_analyses(
       const std::map<std::string, Analysis>& analyses) const;
 
-  /// The voting rule when the policy is a VotingPolicy; kAny otherwise
-  /// (kept for introspection by rule-era callers).
-  [[nodiscard]] FusionRule rule() const { return rule_; }
   [[nodiscard]] const FusionPolicy& policy() const { return *policy_; }
   /// Access to a member IDS (for thresholds introspection).
   [[nodiscard]] const NsyncIds& member(const std::string& name) const;

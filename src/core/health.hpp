@@ -72,16 +72,10 @@ class ChannelHealthMonitor {
   [[nodiscard]] double invalid_fraction() const;
   /// Windows observed so far.
   [[nodiscard]] std::size_t observed() const { return observed_; }
-  /// Total invalid windows seen (not just recent history).
-  [[nodiscard]] std::size_t invalid_total() const { return invalid_total_; }
   /// Current run of consecutive valid windows (the recovery-hysteresis
   /// counter; exposed so restore-equivalence tests can assert the streak
   /// resumed rather than reset).
   [[nodiscard]] std::size_t valid_streak() const { return valid_streak_; }
-  /// Current run of consecutive invalid windows (the offline-demotion
-  /// counter).
-  [[nodiscard]] std::size_t invalid_streak() const { return invalid_streak_; }
-  [[nodiscard]] const HealthPolicy& policy() const { return policy_; }
 
   /// Serializes the state machine — state, sliding history, hysteresis
   /// streaks, lifetime counters (checkpointing).

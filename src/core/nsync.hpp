@@ -134,6 +134,10 @@ class RealtimeMonitor {
   }
   [[nodiscard]] bool intrusion() const { return core_.detection().intrusion; }
   [[nodiscard]] std::size_t windows() const { return sync_.windows(); }
+  /// Frames ever pushed, also those after the reference was exhausted.
+  [[nodiscard]] std::size_t frames_pushed() const {
+    return sync_.observed().end();
+  }
   /// Features accumulated so far (c_disp / filtered distances per window).
   [[nodiscard]] const DetectionFeatures& features() const {
     return core_.features();
@@ -149,9 +153,6 @@ class RealtimeMonitor {
   /// core/health.hpp).  The fusion layer uses this to drop offline
   /// channels from the vote.
   [[nodiscard]] ChannelHealth health() const { return health_.state(); }
-  [[nodiscard]] const ChannelHealthMonitor& health_monitor() const {
-    return health_;
-  }
 
   /// The configuration this monitor was constructed with (checkpointing
   /// needs it to rebuild an identical monitor before restore_state).

@@ -33,7 +33,6 @@ class Matrix {
   double operator()(std::size_t r, std::size_t c) const {
     return data_[r * cols_ + c];
   }
-  [[nodiscard]] const std::vector<double>& data() const { return data_; }
 
  private:
   std::size_t rows_ = 0;
@@ -80,9 +79,6 @@ class Pca {
   [[nodiscard]] const std::vector<double>& explained_variance() const {
     return explained_variance_;
   }
-  [[nodiscard]] const std::vector<double>& mean() const { return mean_; }
-  /// components()(i, c): weight of input channel c in component i.
-  [[nodiscard]] const Matrix& component_matrix() const { return components_; }
 
  private:
   std::vector<double> mean_;

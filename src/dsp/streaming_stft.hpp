@@ -36,7 +36,6 @@ class StreamingStft {
   }
 
   [[nodiscard]] std::size_t columns() const { return output_.frames(); }
-  [[nodiscard]] std::size_t bins() const { return bins_; }
   [[nodiscard]] std::size_t window_samples() const { return n_win_; }
   [[nodiscard]] std::size_t hop_samples() const { return n_hop_; }
 

@@ -129,7 +129,6 @@ class BaselineRegistry {
                                         const std::string& profile) const;
   /// All (model, profile) keys, sorted (deterministic enumeration).
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> keys() const;
-  [[nodiscard]] const AdaptationPolicy& policy() const { return policy_; }
   /// Bumped by every call that changes the serialized state (a first-
   /// contact resolve, any fold, restore_state), so callers can
   /// tell whether an exported copy is stale without comparing bytes.

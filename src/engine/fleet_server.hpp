@@ -98,11 +98,6 @@ class FleetServer {
   /// Bound TCP port (useful with tcp_port = 0 → kernel-assigned).
   [[nodiscard]] std::uint16_t bound_tcp_port() const { return bound_port_; }
 
-  /// Connections accepted so far.
-  [[nodiscard]] std::size_t connections_accepted() const {
-    return connections_accepted_.load();
-  }
-
   /// Snapshot of the transport-level counters.
   [[nodiscard]] FleetServerStats stats() const;
 

@@ -18,20 +18,15 @@ using nsync::signal::SignalView;
 
 MonitorEngine::Channel::Channel(ChannelSpec&& spec)
     : name(std::move(spec.name)),
-      monitor(std::move(spec.reference), spec.config, spec.thresholds),
-      staging(monitor.reference().channels(),
-              monitor.reference().sample_rate()) {
+      monitor(std::move(spec.reference), spec.config, spec.thresholds) {
   // Size everything for the full print up front: the reference bounds how
   // many windows DWM can ever produce, so the feed/poll loop allocates
-  // nothing from the first window on.  Staging gets room for one window
-  // plus one hop, so feeds of up to that many frames between drains never
-  // grow it.
+  // nothing from the first window on.
   const auto& dwm = spec.config.dwm;
   const std::size_t ref_frames = monitor.reference().frames();
   if (ref_frames >= dwm.n_win) {
     monitor.reserve_windows((ref_frames - dwm.n_win) / dwm.n_hop + 1);
   }
-  staging.reserve_frames(dwm.n_win + dwm.n_hop);
 }
 
 MonitorEngine::MonitorEngine(MonitorEngineOptions options)
@@ -127,39 +122,26 @@ std::size_t MonitorEngine::feed(std::size_t session,
                                 channel + "' in session '" + s.name + "' (id " +
                                 std::to_string(session) + ")");
   }
-  target->staging.append(frames);
-  s.frames_fed += frames.frames();
-  if (options_.max_pending_frames > 0 &&
-      target->staging.retained_frames() >= options_.max_pending_frames) {
-    return drain(s);
-  }
-  return 0;
+  const std::size_t windows = target->monitor.push(frames);
+  if (windows > 0) s.unscored = true;
+  return windows;
 }
 
-std::size_t MonitorEngine::drain(Session& s) {
-  std::size_t windows = 0;
-  for (auto& c : s.channels) {
-    const std::size_t begin = c.staging.start();
-    const std::size_t end = c.staging.end();
-    if (end > begin) {
-      windows += c.monitor.push(c.staging.view(begin, end));
-      c.staging.drop_before(end);
-    }
+void MonitorEngine::score(Session& s) {
+  if (!s.unscored) return;
+  s.unscored = false;
+  if (s.intrusion) return;
+  // Refresh the fused verdict through the session's policy — the same
+  // health-aware fusion as the batch FusionIds: offline channels neither
+  // alarm nor count toward the denominator (nor the weighted mean).  The
+  // verdict and its alarm window latch.  Scores and verdict are engine
+  // scratch, sized at admission, so a refresh allocates nothing.
+  channel_scores(s, scores_);
+  s.policy->evaluate_into(scores_, verdict_);
+  if (verdict_.intrusion) {
+    s.intrusion = true;
+    s.first_alarm_window = verdict_.first_alarm_window;
   }
-  if (windows > 0 && !s.intrusion) {
-    // Refresh the fused verdict through the session's policy — the same
-    // health-aware fusion as the batch FusionIds: offline channels neither
-    // alarm nor count toward the denominator (nor the weighted mean).  The
-    // verdict and its alarm window latch.  Scores and verdict are engine
-    // scratch, sized at admission, so a drain allocates nothing.
-    channel_scores(s, scores_);
-    s.policy->evaluate_into(scores_, verdict_);
-    if (verdict_.intrusion) {
-      s.intrusion = true;
-      s.first_alarm_window = verdict_.first_alarm_window;
-    }
-  }
-  return windows;
 }
 
 void MonitorEngine::channel_scores(const Session& s,
@@ -178,23 +160,23 @@ void MonitorEngine::channel_scores(const Session& s,
 }
 
 std::size_t MonitorEngine::poll_inline() {
-  std::size_t windows = 0;
-  for (Session& s : sessions_) windows += drain(s);
-  return windows;
+  for (Session& s : sessions_) score(s);
+  return 0;
 }
 
 std::size_t MonitorEngine::poll_session(std::size_t session) {
-  return drain(session_at(session));
+  score(session_at(session));
+  return 0;
 }
 
-std::size_t MonitorEngine::evict_session(std::size_t session) {
+void MonitorEngine::evict_session(std::size_t session) {
   Session& s = session_at(session);
-  if (s.evicted) return 0;
-  // Drain whatever is still staged so the end-of-print fold below sees
-  // the whole fed stream.  This makes the folded maxima a pure function
-  // of the frames fed before the eviction, independent of batch/drain
-  // timing — required for deterministic crash replay of adapted state.
-  const std::size_t windows = drain(s);
+  if (s.evicted) return;
+  // The fused verdict sees every fed window before the fold below reads
+  // it, so the fold's eligibility is a pure function of the frames fed
+  // before the eviction, independent of poll timing — required for
+  // deterministic crash replay of adapted state.
+  score(s);
   // End-of-print baseline fold, gated on the session-level anti-poisoning
   // rule: only a benign fused verdict with every channel healthy may
   // update the device baseline.  Ineligible prints are counted as frozen.
@@ -215,12 +197,10 @@ std::size_t MonitorEngine::evict_session(std::size_t session) {
   // The dynamic state is discarded with the monitors, so the latched
   // verdict goes too — a restore from a checkpoint holding the tombstone
   // must see the same (empty) state as this process does.
-  s.frames_fed = 0;
   s.intrusion = false;
   s.first_alarm_window = -1;
   s.policy.reset();
   s.evicted = true;
-  return windows;
 }
 
 SessionSnapshot MonitorEngine::make_snapshot(const Session& s) {
@@ -229,7 +209,6 @@ SessionSnapshot MonitorEngine::make_snapshot(const Session& s) {
   out.evicted = s.evicted;
   out.intrusion = s.intrusion;
   out.first_alarm_window = s.first_alarm_window;
-  out.frames_fed = s.frames_fed;
   out.windows = std::numeric_limits<std::size_t>::max();
   // Live fused telemetry: evaluate the policy over the current scores so
   // operators see the fused score and per-channel weights even before (or
@@ -256,11 +235,11 @@ SessionSnapshot MonitorEngine::make_snapshot(const Session& s) {
       cs.score = v.channels[i].score;
       cs.weight = v.channels[i].weight;
     }
-    cs.width = c.staging.channels();
-    cs.sample_rate = c.staging.sample_rate();
+    cs.width = c.monitor.reference().channels();
+    cs.sample_rate = c.monitor.reference().sample_rate();
     cs.windows = c.monitor.windows();
-    cs.pending_frames = c.staging.retained_frames();
-    cs.frames_fed = c.staging.end();
+    cs.frames_fed = c.monitor.frames_pushed();
+    out.frames_fed += cs.frames_fed;
     out.windows = std::min(out.windows, cs.windows);
     out.channels.push_back(std::move(cs));
   }
@@ -281,10 +260,10 @@ using nsync::signal::CheckpointErrorKind;
 
 // Checkpoint section ids (outer structure of the fleet payload).  The
 // fleet section id carries the payload layout version: "\x01FLT" payloads
-// stored each channel's spec inline, "\x02FLT" ones reference specs by
-// SpecRef and keep the bytes in spec files or the trailing spec table.
-constexpr std::uint32_t kSecFleetV1 = 0x544C4601;  // "\x01FLT"
-constexpr std::uint32_t kSecFleet = 0x544C4602;    // "\x02FLT"
+// stored each channel's spec inline, "\x02FLT" ones referenced specs by
+// SpecRef and kept a staging ring per channel, "\x03FLT" ones store each
+// channel's monitor state only.
+constexpr std::uint32_t kSecFleet = 0x544C4603;    // "\x03FLT"
 constexpr std::uint32_t kSecSession = 0x53455301;  // "\x01SES"
 constexpr std::uint32_t kSecChannel = 0x43484E01;  // "\x01CHN"
 constexpr std::uint32_t kSecSpecTable = 0x42545301;  // "\x01STB"
@@ -294,16 +273,14 @@ constexpr std::uint32_t kSecSpec = 0x43505301;       // "\x01SPC"
 constexpr std::uint8_t kSpecsInFiles = 0;
 constexpr std::uint8_t kSpecsInTable = 1;
 
-/// A channel section's body: the monitor's streaming state, then the
-/// staged frames.
+/// A channel section's body: the monitor's streaming state.
 template <class Io>
 void channel_state_fields(Io& io, auto& c) {
   io.state(c.monitor);
-  io.state(c.staging);
 }
 
 /// One session's state section: name | eviction flag, then for a live
-/// session spec ref | frames fed | fused verdict | u64 channel count |
+/// session spec ref | fused verdict | u64 channel count |
 /// channel sections.  A tombstone ends after the flag: the name keeps the
 /// id slot occupied, nothing else survives eviction.  The spec is
 /// referenced, not stored: restore finds its bytes (spec file or spec
@@ -318,7 +295,6 @@ void session_state_fields(Io& io, auto& s) {
     if (s.evicted) return;
     f.pod(s.spec_ref->bytes);
     f.pod(s.spec_ref->crc);
-    f.pod(s.frames_fed);
     f.flag(s.intrusion, "MonitorEngine checkpoint: intrusion flag");
     f.pod(s.first_alarm_window);
     f.list(s.channels, "MonitorEngine checkpoint: channel count",
@@ -494,7 +470,6 @@ MonitorEngine MonitorEngine::restore_payload(
     std::string name;
     bool evicted = false;
     std::optional<SpecRef> spec_ref = SpecRef{};
-    std::size_t frames_fed = 0;
     bool intrusion = false;
     std::ptrdiff_t first_alarm_window = -1;
     std::vector<std::span<const std::uint8_t>> channels;  // section bodies
@@ -504,11 +479,11 @@ MonitorEngine MonitorEngine::restore_payload(
     if (payload.size() >= sizeof(top_id)) {
       std::memcpy(&top_id, payload.data(), sizeof(top_id));
     }
-    if (top_id == kSecFleetV1) {
+    if ((top_id >> 8) == (kSecFleet >> 8) && top_id != kSecFleet) {
       throw CheckpointError(CheckpointErrorKind::kBadVersion,
-                            "MonitorEngine checkpoint: fleet layout 1 (specs "
-                            "inline per channel) predates spec files; this "
-                            "build reads layout 2");
+                            "MonitorEngine checkpoint: fleet layout " +
+                                std::to_string(top_id & 0xFF) +
+                                "; this build reads layout 3");
     }
     ByteReader top(payload);
     FieldReader io(top);
@@ -587,8 +562,11 @@ MonitorEngine MonitorEngine::restore_payload(
       }
       const std::size_t sid = engine.add_session(std::move(spec));
       Session& s = engine.sessions_[sid];
-      s.frames_fed = p.frames_fed;
       s.intrusion = p.intrusion;
+      // Windows the checkpoint holds may have been fed after the last
+      // refresh; scoring them at the next poll is what the uninterrupted
+      // run does there, and a state already scored scores the same.
+      s.unscored = true;
       s.first_alarm_window = p.first_alarm_window;
       s.spec_ref = p.spec_ref;
       s.spec_file = std::move(spec_file);

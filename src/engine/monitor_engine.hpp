@@ -7,13 +7,12 @@
 // fusion rule over the per-channel verdicts (the same vote as the batch
 // FusionIds, via core::fused_intrusion).
 //
-// Frames arrive via feed(), which only appends to a per-channel staging
-// ring buffer.  The window processing happens in poll_inline(), which
-// drains every session's staged frames through its monitors on the calling
-// thread, one session after another (poll_session() drains one).  Memory
-// stays bounded: the monitors' synchronizer buffers are rings, and a
-// session whose staging exceeds Options::max_pending_frames is drained
-// inline by feed() itself instead of growing without limit.
+// Frames arrive via feed(), which pushes them straight into the channel's
+// RealtimeMonitor: every window they complete is processed on the spot.
+// The fused verdict is refreshed at poll time: poll_inline() scores every
+// session that processed windows since its last refresh, poll_session()
+// one.  Memory stays bounded: the monitors' synchronizer buffers are rings
+// that keep only the frames a future window reads.
 //
 // The engine is a plain single-owner container: it holds no locks and
 // starts no threads.  ShardedFleet (engine/sharded_fleet.hpp) runs one
@@ -35,7 +34,6 @@
 #include "core/health.hpp"
 #include "core/nsync.hpp"
 #include "engine/baseline_registry.hpp"
-#include "signal/ring_buffer.hpp"
 #include "signal/signal.hpp"
 
 namespace nsync::signal {
@@ -92,9 +90,8 @@ struct ChannelSnapshot {
   std::size_t width = 0;           ///< samples per frame (signal channels)
   double sample_rate = 0.0;        ///< frames per second
   std::size_t windows = 0;         ///< windows processed so far
-  std::size_t pending_frames = 0;  ///< staged frames awaiting a drain
-  /// Total frames ever fed to this channel (processed + pending).  After a
-  /// restore this tells the feeder where to resume its stream.
+  /// Total frames ever fed to this channel.  After a restore this tells
+  /// the feeder where to resume its stream.
   std::size_t frames_fed = 0;
 };
 
@@ -140,18 +137,13 @@ struct BaselineOptions {
   AdaptationPolicy policy;
 };
 
-/// Engine tuning knobs.
+/// Engine options.
 struct MonitorEngineOptions {
-  /// A channel whose staging buffer reaches this many frames is drained
-  /// inline by feed() (that session only), bounding per-session memory
-  /// even when the caller never polls.  0 disables the backstop.
-  std::size_t max_pending_frames = 65536;
-
   /// Per-device baseline adaptation (off by default).
   BaselineOptions baseline;
 };
 
-/// N streaming sessions, drained on the calling thread.
+/// N streaming sessions, processed on the calling thread.
 ///
 /// Thread safety: one owner drives the engine, and the owner serializes
 /// access.
@@ -165,27 +157,26 @@ class MonitorEngine {
 
   [[nodiscard]] std::size_t sessions() const { return sessions_.size(); }
 
-  /// Stages observed frames for one channel of one session.  Returns the
-  /// number of windows processed inline (0 unless the max_pending_frames
-  /// backstop tripped).
+  /// Pushes observed frames through one channel's monitor and returns the
+  /// number of windows they completed.  The session's fused verdict sees
+  /// those windows at its next poll.
   std::size_t feed(std::size_t session, const std::string& channel,
                    const nsync::signal::SignalView& frames);
 
-  /// Drains every session's staged frames through its monitors, one
-  /// session after another on the calling thread.  Returns the total
-  /// number of windows processed across the fleet.
+  /// Refreshes the fused verdict of every session that processed windows
+  /// since its last refresh.  Windows are counted by feed(), so this
+  /// returns 0.
   std::size_t poll_inline();
 
-  /// Drains one session only.
+  /// poll_inline() for one session only.
   std::size_t poll_session(std::size_t session);
 
-  /// Releases a session's monitors, staging buffers and reference signals,
-  /// leaving a named tombstone so session ids stay stable (they are never
-  /// reused).  Evicted sessions are skipped by poll_inline() and serialized as
-  /// stubs; feeding one throws std::invalid_argument.  Idempotent.
-  /// Returns the number of windows its final drain processed (0 when the
-  /// session was already evicted).
-  std::size_t evict_session(std::size_t session);
+  /// Refreshes the session's fused verdict, then releases its monitors and
+  /// reference signals, leaving a named tombstone so session ids stay
+  /// stable (they are never reused).  Evicted sessions are skipped by
+  /// poll_inline() and serialized as stubs; feeding one throws
+  /// std::invalid_argument.  Idempotent.
+  void evict_session(std::size_t session);
 
   [[nodiscard]] SessionSnapshot snapshot(std::size_t session) const;
 
@@ -195,7 +186,7 @@ class MonitorEngine {
   // reference signals, configs, resolved thresholds, effective fusion
   // policy; immutable from admission on and ~94 % of the bytes for raw
   // channels — and its streaming state (synchronizer rings, detection
-  // cores, health machines, staging buffers, fused verdict).  The state
+  // cores, health machines, fused verdict).  The state
   // section names its spec by byte size + CRC-32 only; the spec bytes
   // (save_session_spec encoding) live either
   //   * in spec files beside the checkpoint, spec_path(path, id), each
@@ -262,7 +253,6 @@ class MonitorEngine {
   struct Channel {
     std::string name;
     core::RealtimeMonitor monitor;
-    nsync::signal::FrameRingBuffer staging;
 
     /// Takes the spec's name and reference by move: admission owns its
     /// SessionSpec, so the reference is never copied into the monitor.
@@ -284,10 +274,13 @@ class MonitorEngine {
     /// with the rest of the dynamic state.
     std::shared_ptr<const core::FusionPolicy> policy;
     std::vector<Channel> channels;
-    std::size_t frames_fed = 0;
     bool intrusion = false;
     std::ptrdiff_t first_alarm_window = -1;
     bool evicted = false;
+    /// feed() processed windows the fused verdict has not seen yet.  Not
+    /// checkpointed: restore sets it on every live session, and one more
+    /// evaluation of an unchanged state changes nothing.
+    bool unscored = false;
     // Checkpoint bookkeeping.  Mutable: checkpoint() and
     // serialize() are const (they change no fleet state) but remember what
     // they computed and wrote.  spec_ref is set once — the spec never
@@ -304,9 +297,9 @@ class MonitorEngine {
   /// its storage.
   static void channel_scores(const Session& s,
                              std::vector<core::ChannelScore>& out);
-  /// Pushes all staged frames of `s` through its monitors and refreshes
-  /// the fused verdict.
-  std::size_t drain(Session& s);
+  /// Refreshes the fused verdict of `s` if feed() processed windows since
+  /// the last refresh.
+  void score(Session& s);
   static SessionSnapshot make_snapshot(const Session& s);
   /// Appends the session's spec in save_session_spec encoding to `w`.
   /// The session must be live.
@@ -335,8 +328,8 @@ class MonitorEngine {
   // Registry generation last exported to baseline_path(); max = never.
   mutable std::uint64_t exported_generation_ =
       std::numeric_limits<std::uint64_t>::max();
-  // drain() scratch: the score vector and fused verdict of the session
-  // being drained, kept across drains so the warm path allocates nothing.
+  // score() scratch: the score vector and fused verdict of the session
+  // being scored, kept across polls so the warm path allocates nothing.
   std::vector<core::ChannelScore> scores_;
   core::FusedVerdict verdict_;
 };

@@ -64,9 +64,19 @@ double LatencyHistogram::quantile_us(double q) const {
 // ---------------------------------------------------------------------------
 // Construction / teardown
 
+namespace {
+
+ShardedFleetOptions with_shards(ShardedFleetOptions options) {
+  if (options.shards == 0) {
+    throw std::invalid_argument("ShardedFleet: shards must be at least 1");
+  }
+  return options;
+}
+
+}  // namespace
+
 MonitorEngineOptions ShardedFleet::engine_options(std::size_t shard) const {
   MonitorEngineOptions opts;
-  opts.max_pending_frames = options_.max_pending_frames;
   opts.baseline = options_.baseline;
   if (opts.baseline.adaptive) {
     opts.baseline.filename =
@@ -76,8 +86,8 @@ MonitorEngineOptions ShardedFleet::engine_options(std::size_t shard) const {
 }
 
 ShardedFleet::ShardedFleet(ShardedFleetOptions options)
-    : options_(std::move(options)) {
-  const std::size_t n = effective_shards();
+    : options_(with_shards(std::move(options))) {
+  const std::size_t n = options_.shards;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -101,7 +111,6 @@ void ShardedFleet::start_workers() {
       const std::scoped_lock lock(s->mu);
       publish_all(*s);
     }
-    if (options_.shards == 0) continue;  // inline mode: no queues, no threads
     s->queue = std::make_unique<FrameQueue>(options_.queue_capacity_frames,
                                             options_.overflow);
     s->worker = std::thread([this, i, s] { worker_loop(i, *s); });
@@ -109,9 +118,7 @@ void ShardedFleet::start_workers() {
 }
 
 ShardedFleet::~ShardedFleet() {
-  for (auto& shard : shards_) {
-    if (shard->queue) shard->queue->close();
-  }
+  for (auto& shard : shards_) shard->queue->close();
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
@@ -150,12 +157,11 @@ void ShardedFleet::process_batches(std::size_t index, Shard& shard,
     if (options_.worker_fault_hook) options_.worker_fault_hook(index, b);
     touched.push_back(b.session);
     if (b.kind == FrameBatch::Kind::kEvict) {
-      windows += shard.engine->evict_session(b.session);
+      shard.engine->evict_session(b.session);
       evicted_any = true;
       continue;
     }
     try {
-      // Non-zero when the max_pending_frames backstop drained inline.
       windows += shard.engine->feed(b.session, b.channel, b.frames.view());
     } catch (const std::exception&) {
       // feed() validated at ingest; an engine-side failure here is a
@@ -165,7 +171,10 @@ void ShardedFleet::process_batches(std::size_t index, Shard& shard,
       ++shard.counters.feed_errors;
     }
   }
-  shard.counters.windows += windows + shard.engine->poll_inline();
+  // Windows were processed and counted by the feeds; the poll refreshes
+  // the fused verdicts of the sessions they touched.
+  shard.engine->poll_inline();
+  shard.counters.windows += windows;
   ++shard.counters.polls;
   shard.counters.batches += batches.size();
   // Make eviction durable on the spot instead of waiting for the next
@@ -310,7 +319,7 @@ std::size_t ShardedFleet::add_session(SessionSpec spec) {
     const std::shared_lock lock(registry_mu_);
     id = registry_.size();
   }
-  const std::size_t S = effective_shards();
+  const std::size_t S = options_.shards;
   info.shard = id % S;
   info.local = id / S;
   Shard& shard = *shards_[info.shard];
@@ -342,13 +351,6 @@ bool ShardedFleet::evict_session(std::size_t session) {
   if (info.evicted) return false;
   info.evicted = true;
   Shard& shard = *shards_[info.shard];
-  if (options_.shards == 0) {
-    const std::scoped_lock lock(shard.mu);
-    shard.counters.windows += shard.engine->evict_session(info.local);
-    checkpoint_shard(info.shard, shard, /*polled=*/false, /*durable=*/true);
-    publish(shard, std::span(&info.local, 1));
-    return true;
-  }
   FrameBatch evict;
   evict.kind = FrameBatch::Kind::kEvict;
   evict.session = info.local;
@@ -368,7 +370,6 @@ std::optional<std::size_t> ShardedFleet::find_live_session(
 }
 
 void ShardedFleet::settle(std::size_t session) {
-  if (options_.shards == 0) return;  // inline feeds apply synchronously
   Shard& shard = *shards_[shard_of(session)];
   FrameBatch barrier;
   barrier.kind = FrameBatch::Kind::kBarrier;
@@ -454,14 +455,6 @@ FeedResult ShardedFleet::feed_frames(std::size_t session,
     return result;
   }
 
-  if (options_.shards == 0) {
-    const std::scoped_lock lock(shard.mu);
-    shard.counters.windows += shard.engine->feed(local, channel, frames);
-    publish(shard, std::span(&local, 1));
-    result.accepted_frames = frames.frames();
-    return result;
-  }
-
   FrameBatch batch;
   batch.session = local;
   batch.channel = channel;
@@ -485,18 +478,7 @@ FeedResult ShardedFleet::feed_frames(std::size_t session,
 }
 
 void ShardedFleet::flush() {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    if (shard.queue) {
-      shard.queue->wait_idle();
-    } else {
-      const std::scoped_lock lock(shard.mu);
-      shard.counters.windows += shard.engine->poll_inline();
-      ++shard.counters.polls;
-      checkpoint_shard(i, shard, /*polled=*/true, /*durable=*/false);
-      publish_all(shard);
-    }
-  }
+  for (auto& shard : shards_) shard->queue->wait_idle();
 }
 
 // ---------------------------------------------------------------------------
@@ -549,7 +531,7 @@ FleetStats ShardedFleet::stats() const {
     const Shard& shard = *shards_[i];
     ShardStats s;
     s.shard = i;
-    if (shard.queue) s.queue = shard.queue->stats();
+    s.queue = shard.queue->stats();
     s.failed = shard.failed.load(std::memory_order_acquire);
     s.restarts = shard.restarts.load(std::memory_order_relaxed);
     s.discarded_frames = shard.discarded_frames.load(std::memory_order_relaxed);
@@ -641,8 +623,8 @@ std::unique_ptr<ShardedFleet> ShardedFleet::restore(
 
 ShardedFleet::ShardedFleet(ShardedFleetOptions options,
                            const std::string& restore_dir)
-    : options_(std::move(options)) {
-  const std::size_t S = effective_shards();
+    : options_(with_shards(std::move(options))) {
+  const std::size_t S = options_.shards;
   shards_.reserve(S);
   for (std::size_t i = 0; i < S; ++i) {
     auto shard = std::make_unique<Shard>();

@@ -10,9 +10,6 @@
 //          (feed)  ──► FrameQueue[shard 1] ──► worker 1 ──► MonitorEngine 1
 //                       ...                                 ...
 //
-// shards = 0 is the inline path: one engine, no threads, no queues; feed()
-// applies directly and flush() drains.
-//
 // Sessions are assigned round-robin by global id: session g lives on shard
 // g % N at local id g / N.  The mapping is stable for the life of the id
 // (ids are never reused; eviction leaves a tombstone), which is also what
@@ -150,14 +147,12 @@ struct FleetStats {
 };
 
 struct ShardedFleetOptions {
-  /// Worker shards.  0 selects the inline A/B path: one engine, no
-  /// threads, no queues; feed() applies directly and flush() drains.
+  /// Worker shards, each with its own queue and thread.  At least 1: the
+  /// constructor throws std::invalid_argument on 0.
   std::size_t shards = 1;
   /// Per-shard queue high-water mark in frames (0 = unbounded).
   std::size_t queue_capacity_frames = 1u << 20;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
-  /// Forwarded to each shard engine (inline-drain backstop).
-  std::size_t max_pending_frames = 65536;
   /// When non-empty, shard i periodically checkpoints to
   /// `<checkpoint_dir>/fleet.<i>.nckp`, and add_session/evict become
   /// durable (synchronous checkpoint of the affected shard).  The
@@ -238,32 +233,32 @@ class ShardedFleet {
 
   /// Returns once the session's shard worker has applied and published
   /// every batch queued before this call, so a snapshot taken afterwards
-  /// counts every frame whose feed() was accepted before it.  No-op in
-  /// inline mode.  The wire layer calls it when a reconnecting client
-  /// re-attaches, before the client reads its resume offsets.
+  /// counts every frame whose feed() was accepted before it.  The wire
+  /// layer calls it when a reconnecting client re-attaches, before the
+  /// client reads its resume offsets.
   void settle(std::size_t session);
 
   /// Ids ever issued (including evicted sessions).
   [[nodiscard]] std::size_t sessions() const;
 
-  /// Configured shard count (0 = inline mode).
+  /// Configured shard count.
   [[nodiscard]] std::size_t shards() const { return options_.shards; }
 
   /// Shard a session id maps to.
   [[nodiscard]] std::size_t shard_of(std::size_t session) const;
 
-  /// Validates and stages frames for one channel of one session.  Never
-  /// throws on data-plane errors — the outcome is in the result, ready to
-  /// be surfaced as a typed wire reply.
+  /// Validates frames for one channel of one session and queues them on
+  /// its shard.  Never throws on data-plane errors — the outcome is in the
+  /// result, ready to be surfaced as a typed wire reply.
   FeedResult feed(std::size_t session, const std::string& channel,
                   const nsync::signal::SignalView& frames);
-  /// feed() of frames the caller hands over: a sharded fleet queues them
-  /// as they are instead of copying them into the batch.
+  /// feed() of frames the caller hands over: the fleet queues them as
+  /// they are instead of copying them into the batch.
   FeedResult feed(std::size_t session, const std::string& channel,
                   nsync::signal::Signal&& frames);
 
   /// Blocks until every accepted frame has been processed (all queues
-  /// empty and all workers idle).  In inline mode this runs the drain.
+  /// empty and all workers idle).
   void flush();
 
   [[nodiscard]] SessionSnapshot snapshot(std::size_t session) const;
@@ -310,8 +305,8 @@ class ShardedFleet {
 
   /// A shard as observers see it: snapshot(), stats() and baselines() read
   /// only this.  Republished at the end of every worker round and by every
-  /// operation that changes the engine outside one (admission; feed,
-  /// evict and flush in inline mode), so readers never wait for a round to
+  /// operation that changes the engine outside one (admission,
+  /// checkpoint_all(), a restart), so readers never wait for a round to
   /// finish: a reading linearizes at the end of the last completed round,
   /// the state they would have seen by locking the shard between rounds.
   struct ShardView {
@@ -327,7 +322,7 @@ class ShardedFleet {
   struct Shard {
     std::unique_ptr<MonitorEngine> engine;  // engine ops serialize on mu
     mutable std::mutex mu;
-    std::unique_ptr<FrameQueue> queue;  // null in inline mode
+    std::unique_ptr<FrameQueue> queue;
     std::thread worker;
     ShardCounters counters;  // guarded by mu
     std::size_t polls_since_write = 0;  // guarded by mu
@@ -387,9 +382,6 @@ class ShardedFleet {
   /// publish() of every session, replacing the view's session set (after
   /// the engine was built or replaced).  Caller holds shard.mu.
   static void publish_all(Shard& shard);
-  [[nodiscard]] std::size_t effective_shards() const {
-    return options_.shards == 0 ? 1 : options_.shards;
-  }
 
   ShardedFleetOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -135,8 +135,6 @@ class FaultInjector {
   [[nodiscard]] double drift_gain() const { return drift_gain_; }
   [[nodiscard]] double drift_offset() const { return drift_offset_; }
 
-  [[nodiscard]] const FaultConfig& config() const { return cfg_; }
-
  private:
   void corrupt_in_place(nsync::signal::Signal& chunk, std::size_t base_frame);
   [[nodiscard]] nsync::signal::Signal resample_skewed(

@@ -62,11 +62,6 @@ class SensorRig {
                                              const printer::MotionTrace& trace,
                                              nsync::signal::Rng& rng) const;
 
-  [[nodiscard]] const printer::MachineConfig& machine() const {
-    return machine_;
-  }
-  [[nodiscard]] const RigConfig& config() const { return config_; }
-
  private:
   printer::MachineConfig machine_;
   RigConfig config_;

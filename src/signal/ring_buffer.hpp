@@ -32,9 +32,6 @@ class FrameRingBuffer {
   /// non-positive rate.
   FrameRingBuffer(std::size_t channels, double sample_rate);
 
-  [[nodiscard]] std::size_t channels() const { return channels_; }
-  [[nodiscard]] double sample_rate() const { return sample_rate_; }
-
   /// Logical index of the first retained frame.
   [[nodiscard]] std::size_t start() const { return start_; }
   /// Logical index one past the last appended frame (= total frames ever
@@ -61,12 +58,6 @@ class FrameRingBuffer {
   /// Contiguous view over logical frames [n1, n2).  Throws
   /// std::out_of_range unless start() <= n1 <= n2 <= end().
   [[nodiscard]] SignalView view(std::size_t n1, std::size_t n2) const;
-
-  /// View over everything still retained ([start(), end())).
-  [[nodiscard]] SignalView retained() const {
-    return SignalView(data_.data() + head_ * channels_, retained_frames(),
-                      channels_, sample_rate_);
-  }
 
   /// Pre-allocates room for `frames` retained frames.
   void reserve_frames(std::size_t frames) {

@@ -70,8 +70,6 @@ class Rng {
     engine_ = engine;
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
 };

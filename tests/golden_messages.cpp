@@ -251,7 +251,8 @@ engine::MonitorEngine golden_engine(const std::string& dir) {
   (void)fleet.poll_inline();
 
   // Session 2: one channel on another model, half real frames then flat
-  // ones (invalid windows, degraded health), plus frames left staged.
+  // ones (invalid windows, degraded health), plus frames fed after the
+  // last poll.
   engine::SessionSpec faulty;
   faulty.name = "printer-f";
   faulty.model = "RM3";

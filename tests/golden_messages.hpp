@@ -43,10 +43,10 @@ inline constexpr const char* kSpecFileName = "session.spec";
 inline constexpr const char* kStateFileName = "fleet.nckp";
 inline constexpr const char* kPayloadFileName = "fleet.payload";
 inline constexpr const char* kRegistryFileName = "baselines.nbrg";
-/// Subdirectory holding the state file and payload as written before
-/// synchronizers dropped consumed frames at the end of each push (their
-/// rings keep the last push's frames).  Restore-only fixtures: make_goldens
-/// does not write them.
+/// Subdirectory holding a state file and payload of fleet layout 2 (a
+/// staging ring per channel; written before synchronizers dropped consumed
+/// frames at the end of each push).  Restore must refuse them as
+/// kBadVersion; make_goldens does not write them.
 inline constexpr const char* kFullRingDir = "full_ring";
 
 /// (file name, bytes) pairs.
@@ -63,7 +63,8 @@ using NamedFiles =
 /// benign print evicted into a tombstone (its fold leaves a non-empty
 /// `recent` ring on two registry keys); session 1 runs the weighted
 /// policy over a tampered print and latches an intrusion; session 2 goes
-/// degraded on flat frames and keeps frames staged.  Registry exports go
+/// degraded on flat frames and is fed once more after its last poll.
+/// Registry exports go
 /// to `dir`.
 [[nodiscard]] engine::MonitorEngine golden_engine(const std::string& dir);
 

@@ -11,9 +11,10 @@
 // format change (a kProtocolVersion, NCKP, fleet-layout or NBRG version
 // bump) or a deliberate change in what the fleet keeps as state, and
 // review the diff.  When state content changes under an unchanged layout,
-// keep the replaced state file and payload as restore-only fixtures (as
-// tests/golden/full_ring/ holds the pair whose rings still kept consumed
-// frames), so older checkpoint directories stay covered.
+// keep the replaced state file and payload as restore-only fixtures, so
+// older checkpoint directories stay covered; when the layout moves, keep
+// them as fixtures restore must refuse (tests/golden/full_ring/ holds a
+// layout-2 pair, rejected as kBadVersion).
 #include <unistd.h>
 
 #include <cstdio>

@@ -2,16 +2,19 @@
 // a synchronizer is warmed up (FFT plans built, workspaces at steady-state
 // size, results reserved), pushing one hop of frames — which scores one
 // full TDEB window — must not touch the heap.  One layer up, a
-// MonitorEngine sizes everything at admission, so no feed or drain
-// allocates from the first window on: staging, monitors and the fused
-// verdict refresh.  The offline spectrogram likewise allocates only its
-// output and per-call scratch, never per column.
+// MonitorEngine sizes everything at admission, so no feed or poll
+// allocates from the first window on: monitors and the fused verdict
+// refresh.  A feed larger than that reservation grows the synchronizer
+// ring once, never again for chunks of its size.  The offline
+// spectrogram likewise allocates only its output and per-call scratch,
+// never per column.
 //
 // The check replaces the global allocation functions with counting
 // versions; counting is enabled only around the measured pushes, so the
 // test harness's own allocations don't interfere.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
@@ -176,59 +179,75 @@ TEST(AllocHotPath, WarmRealtimeMonitorWindowPushIsAllocationFree) {
   }
 }
 
-/// Admits a two-channel session under `policy`, then checks that feeding
-/// one hop per channel plus poll_session() allocates nothing, from the
-/// first window on.
-void expect_engine_drains_are_allocation_free(
-    std::shared_ptr<const FusionPolicy> policy) {
+/// The engine tests' monitor shape: n_win 256, hop 128.
+NsyncConfig engine_config() {
   NsyncConfig cfg;
   cfg.sync = SyncMethod::kDwm;
   cfg.dwm.n_win = 256;
   cfg.dwm.n_hop = 128;
   cfg.dwm.n_ext = 64;
   cfg.dwm.n_sigma = 32.0;
+  return cfg;
+}
+
+/// One multichannel and one single-channel stream, so both the strided
+/// channel copy and the contiguous single-channel view run in the
+/// measured windows.
+const std::vector<std::string> kNames{"ACC", "AUD"};
+const std::vector<std::size_t> kWidths{2, 1};
+
+/// A two-channel session over 8000-frame references whose thresholds
+/// never latch (a latched session skips the fusion refresh).
+engine::SessionSpec quiet_session(std::shared_ptr<const FusionPolicy> policy) {
   Thresholds t;
-  t.c_c = 1e9;  // never latch: a latched session skips the fusion refresh
+  t.c_c = 1e9;
   t.h_c = 1e9;
   t.v_c = 1e9;
-
-  // One multichannel and one single-channel stream, so both the strided
-  // channel copy and the contiguous single-channel view run in the
-  // measured drains.
-  const std::vector<std::string> names{"ACC", "AUD"};
-  const std::vector<std::size_t> widths{2, 1};
   engine::SessionSpec spec;
   spec.name = "printer";
   spec.policy = std::move(policy);
+  for (std::size_t c = 0; c < kNames.size(); ++c) {
+    spec.channels.push_back({kNames[c],
+                             smoothed_noise(8000, kWidths[c], 5 + c),
+                             engine_config(), t});
+  }
+  return spec;
+}
+
+/// Admits a two-channel session under `policy`, then checks that feeding
+/// one hop per channel plus poll_session() allocates nothing, from the
+/// first window on.
+void expect_engine_drains_are_allocation_free(
+    std::shared_ptr<const FusionPolicy> policy) {
+  const NsyncConfig cfg = engine_config();
   std::vector<Signal> observed;
-  for (std::size_t c = 0; c < names.size(); ++c) {
-    spec.channels.push_back({names[c], smoothed_noise(8000, widths[c], 5 + c),
-                             cfg, t});
-    observed.push_back(smoothed_noise(4000, widths[c], 7 + c));
+  for (std::size_t c = 0; c < kNames.size(); ++c) {
+    observed.push_back(smoothed_noise(4000, kWidths[c], 7 + c));
   }
   engine::MonitorEngine eng;
-  const std::size_t id = eng.add_session(std::move(spec));
+  const std::size_t id = eng.add_session(quiet_session(std::move(policy)));
 
   std::size_t windows = 0;
   for (std::size_t round = 0; round < 12; ++round) {
     const std::size_t pos = round * cfg.dwm.n_hop;
     g_allocations.store(0, std::memory_order_relaxed);
     g_counting.store(true, std::memory_order_relaxed);
-    for (std::size_t c = 0; c < names.size(); ++c) {
-      (void)eng.feed(id, names[c],
-                     SignalView(observed[c]).slice(pos, pos + cfg.dwm.n_hop));
+    std::size_t done = 0;
+    for (std::size_t c = 0; c < kNames.size(); ++c) {
+      done += eng.feed(id, kNames[c],
+                       SignalView(observed[c]).slice(pos, pos + cfg.dwm.n_hop));
     }
-    const std::size_t done = eng.poll_session(id);
+    done += eng.poll_session(id);
     g_counting.store(false, std::memory_order_relaxed);
     windows += done;
     // One window per channel per hop once the first window is complete.
     if (round >= 1) {
-      EXPECT_EQ(done, names.size()) << "round " << round;
+      EXPECT_EQ(done, kNames.size()) << "round " << round;
     }
     EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
         << "round " << round;
   }
-  EXPECT_EQ(windows, 11 * names.size());
+  EXPECT_EQ(windows, 11 * kNames.size());
   EXPECT_FALSE(eng.snapshot(id).intrusion);
 }
 
@@ -243,6 +262,47 @@ TEST(AllocHotPath, EngineDrainUnderWeightedIsAllocationFree) {
           WeightedPolicyConfig{},
           std::vector<std::pair<std::string, double>>{{"ACC", 0.6},
                                                       {"AUD", 0.4}}));
+}
+
+TEST(AllocHotPath, DirectFeedsAllocateNothingAfterTheFirstRound) {
+  // feed() pushes each chunk straight into the synchronizer ring.  Every
+  // round feeds one chunk per channel and polls; after the first round no
+  // chunk size — single frames, odd mid-size chunks, chunks past the
+  // ring's up-front room of 2 (n_win + n_hop) frames — allocates.
+  const NsyncConfig cfg = engine_config();
+  const std::size_t past_reservation = 4 * (cfg.dwm.n_win + cfg.dwm.n_hop);
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{113}, std::size_t{1200},
+        past_reservation}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    std::vector<Signal> observed;
+    for (std::size_t c = 0; c < kNames.size(); ++c) {
+      observed.push_back(smoothed_noise(7000, kWidths[c], 7 + c));
+    }
+    engine::MonitorEngine eng;
+    const std::size_t id = eng.add_session(quiet_session(
+        std::make_shared<const VotingPolicy>(FusionRule::kMajority)));
+    std::size_t windows = 0;
+    std::size_t allocations = 0;
+    for (std::size_t pos = 0; pos < 7000; pos += chunk) {
+      const std::size_t hi = std::min<std::size_t>(pos + chunk, 7000);
+      g_allocations.store(0, std::memory_order_relaxed);
+      g_counting.store(true, std::memory_order_relaxed);
+      std::size_t done = 0;
+      for (std::size_t c = 0; c < kNames.size(); ++c) {
+        done += eng.feed(id, kNames[c], SignalView(observed[c]).slice(pos, hi));
+      }
+      done += eng.poll_inline();
+      g_counting.store(false, std::memory_order_relaxed);
+      if (pos > 0) {
+        allocations += g_allocations.load(std::memory_order_relaxed);
+        windows += done;
+      }
+    }
+    EXPECT_GT(windows, 0u);
+    EXPECT_EQ(allocations, 0u) << "over " << windows << " windows";
+    EXPECT_FALSE(eng.snapshot(id).intrusion);
+  }
 }
 
 /// Heap allocations made by one spectrogram() call.

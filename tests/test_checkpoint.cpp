@@ -739,21 +739,26 @@ class CheckpointFleetTest : public ::testing::Test {
     return eng;
   }
 
-  /// Feeds rounds [from, to) of the chunked schedule: round k feeds frames
-  /// [k*chunk, (k+1)*chunk) of every channel of every session, then polls.
+  /// Feeds round k of the chunked schedule without polling: frames
+  /// [k*chunk, (k+1)*chunk) of every channel of every session.
+  void feed_round(MonitorEngine& eng, std::size_t chunk, std::size_t k) const {
+    static const char* kNames[] = {"ACC", "AUD"};
+    for (std::size_t s = 0; s < streams_.size(); ++s) {
+      for (std::size_t c = 0; c < 2; ++c) {
+        const Signal& sig = streams_[s][c];
+        const std::size_t lo = k * chunk;
+        if (lo >= sig.frames()) continue;
+        const std::size_t hi = std::min(lo + chunk, sig.frames());
+        eng.feed(s, kNames[c], SignalView(sig).slice(lo, hi));
+      }
+    }
+  }
+
+  /// Feeds rounds [from, to) of the chunked schedule, polling after each.
   void feed_rounds(MonitorEngine& eng, std::size_t chunk, std::size_t from,
                    std::size_t to) const {
-    static const char* kNames[] = {"ACC", "AUD"};
     for (std::size_t k = from; k < to; ++k) {
-      for (std::size_t s = 0; s < streams_.size(); ++s) {
-        for (std::size_t c = 0; c < 2; ++c) {
-          const Signal& sig = streams_[s][c];
-          const std::size_t lo = k * chunk;
-          if (lo >= sig.frames()) continue;
-          const std::size_t hi = std::min(lo + chunk, sig.frames());
-          eng.feed(s, kNames[c], SignalView(sig).slice(lo, hi));
-        }
-      }
+      feed_round(eng, chunk, k);
       eng.poll_inline();
     }
   }
@@ -908,6 +913,52 @@ TEST_F(CheckpointFleetTest, KilledAndRestoredFleetIsBitwiseIdentical) {
   EXPECT_TRUE(snaps[1].intrusion);
   EXPECT_GE(snaps[1].first_alarm_window, 0);
   EXPECT_EQ(snaps[1].channels[1].health, ChannelHealth::kOffline);
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointFleetTest, CheckpointBetweenAFeedAndItsPollReplaysBitwise) {
+  // A checkpoint taken after a feed completed windows, before the poll
+  // that scores them, holds windows the fused verdict has not seen.  The
+  // restored engine scores them at its first poll, where the
+  // uninterrupted run does: after every poll, the latching one included,
+  // the verdicts, first_alarm_window and fused scores are the same.
+  const std::string path = temp_path("fleet-feed-poll.nckp");
+  const std::size_t chunk = 113;
+  const std::size_t rounds = rounds_for(chunk);
+  MonitorEngine baseline = make_engine();
+  std::vector<std::vector<SessionSnapshot>> after_poll;
+  std::size_t latch = rounds;
+  for (std::size_t k = 0; k < rounds; ++k) {
+    feed_rounds(baseline, chunk, k, k + 1);
+    after_poll.push_back(snapshots(baseline));
+    if (latch == rounds && after_poll.back()[1].intrusion) latch = k;
+  }
+  ASSERT_GT(latch, 0u) << "the attacked session must latch mid-print";
+  ASSERT_LT(latch, rounds);
+
+  for (std::size_t kill = 0; kill < rounds; ++kill) {
+    SCOPED_TRACE("checkpoint before the poll of round " +
+                 std::to_string(kill) + " (latch " + std::to_string(latch) +
+                 ")");
+    {
+      MonitorEngine victim = make_engine();
+      feed_rounds(victim, chunk, 0, kill);
+      feed_round(victim, chunk, kill);
+      victim.checkpoint(path);
+    }
+    MonitorEngine revived = MonitorEngine::restore(path);
+    for (std::size_t k = kill; k < rounds; ++k) {
+      if (k > kill) feed_round(revived, chunk, k);
+      revived.poll_inline();
+      const std::vector<SessionSnapshot> got = snapshots(revived);
+      expect_snapshots_equal(got, after_poll[k],
+                             "after the poll of round " + std::to_string(k));
+      for (std::size_t s = 0; s < got.size(); ++s) {
+        EXPECT_EQ(got[s].fused_score, after_poll[k][s].fused_score);
+      }
+    }
+    EXPECT_TRUE(revived.serialize() == baseline.serialize());
+  }
   std::remove(path.c_str());
 }
 
@@ -1096,7 +1147,7 @@ TEST_F(CheckpointFleetTest, PeriodicPolicyWritesAndRotatesAtomically) {
   // complete, loadable checkpoint set.
   static const char* kNames[] = {"ACC", "AUD"};
   constexpr std::size_t kChunk = 113;
-  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     ShardedFleetOptions opts;
     opts.shards = shards;
@@ -1137,23 +1188,11 @@ TEST_F(CheckpointFleetTest, PeriodicPolicyWritesAndRotatesAtomically) {
     };
 
     feed_fleet_rounds(0, 2);
-    if (shards == 0) {
-      EXPECT_EQ(periodic_writes(2), 0u);  // 2 polls < every 3
-    } else {
-      (void)periodic_writes(2);
-    }
+    (void)periodic_writes(2);
     feed_fleet_rounds(2, 3);
-    if (shards == 0) {
-      EXPECT_EQ(periodic_writes(3), 1u);
-    } else {
-      EXPECT_GE(periodic_writes(3), 2u);  // each shard polled >= 3 times
-    }
+    EXPECT_GE(periodic_writes(3), shards);  // each shard polled >= 3 times
     feed_fleet_rounds(3, 9);
-    if (shards == 0) {
-      EXPECT_EQ(periodic_writes(9), 3u);
-    } else {
-      EXPECT_GE(periodic_writes(9), 6u);
-    }
+    EXPECT_GE(periodic_writes(9), 3 * shards);
 
     const std::unique_ptr<ShardedFleet> restored =
         ShardedFleet::restore(opts.checkpoint_dir, opts);
@@ -1368,22 +1407,27 @@ TEST_F(CheckpointFleetTest, SpecFileFailuresAreTyped) {
 }
 
 TEST_F(CheckpointFleetTest, PreSpecFileFleetLayoutIsBadVersion) {
-  // A fleet payload from before spec files (section "\x01FLT", specs
-  // inline): an empty fleet without a registry, framed as it was written.
-  ByteWriter w;
-  const std::size_t tok = w.begin_section(0x544C4601);
-  w.pod<std::uint64_t>(0);  // sessions
-  w.pod<std::uint8_t>(0);   // no registry
-  w.end_section(tok);
-  const ScratchDir dir("layout1");
-  const std::string path = dir.file("fleet.nckp");
-  nsync::signal::write_checkpoint_file(path, w.data());
-  EXPECT_EQ(restore_error(path), CheckpointErrorKind::kBadVersion);
-  try {
-    (void)MonitorEngine::restore_from_bytes(w.data());
-    FAIL() << "layout-1 payload restored";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.kind(), CheckpointErrorKind::kBadVersion);
+  // Fleet payloads of older layouts: "\x01FLT" (specs inline, from before
+  // spec files) and "\x02FLT" (a staging ring per channel).  An empty
+  // fleet without a registry, framed as it was written, is refused with
+  // the typed version error.
+  for (const std::uint32_t id : {0x544C4601u, 0x544C4602u}) {
+    SCOPED_TRACE("layout " + std::to_string(id & 0xFF));
+    ByteWriter w;
+    const std::size_t tok = w.begin_section(id);
+    w.pod<std::uint64_t>(0);  // sessions
+    w.pod<std::uint8_t>(0);   // no registry
+    w.end_section(tok);
+    const ScratchDir dir("layout" + std::to_string(id & 0xFF));
+    const std::string path = dir.file("fleet.nckp");
+    nsync::signal::write_checkpoint_file(path, w.data());
+    EXPECT_EQ(restore_error(path), CheckpointErrorKind::kBadVersion);
+    try {
+      (void)MonitorEngine::restore_from_bytes(w.data());
+      ADD_FAILURE() << "old-layout payload restored";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.kind(), CheckpointErrorKind::kBadVersion);
+    }
   }
 }
 
@@ -1568,7 +1612,7 @@ TEST(ByteCodec, ReferencingWriterEncodesTheSameBytes) {
 /// each session, in session order (tombstones have none: nullopt).
 std::vector<std::optional<std::pair<std::uint64_t, std::uint32_t>>>
 state_spec_refs(const std::string& state_path) {
-  constexpr std::uint32_t kSecFleet = 0x544C4602;    // "\x02FLT"
+  constexpr std::uint32_t kSecFleet = 0x544C4603;    // "\x03FLT"
   constexpr std::uint32_t kSecSession = 0x53455301;  // "\x01SES"
   const std::vector<std::uint8_t> payload =
       nsync::signal::read_checkpoint_file(state_path);

@@ -6,8 +6,8 @@
 // canonical-message builder this test uses, so any codec change that
 // moves a byte fails here.  A deliberate format change bumps the version
 // and regenerates the files (see DESIGN.md §4).  tests/golden/full_ring/
-// keeps an older state file and payload of the same fleet, whose rings
-// still held consumed frames: restore-only, they must still resume.
+// keeps a state file and payload of the same fleet in fleet layout 2,
+// which restore must refuse as kBadVersion.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -72,21 +72,6 @@ golden::NamedFiles committed_checkpoint_files() {
   golden::NamedFiles files =
       golden::checkpoint_files(golden::golden_engine(dir.str()), dir.str());
   for (auto& [name, bytes] : files) bytes = golden::read_golden(name);
-  return files;
-}
-
-/// The same fleet as written before synchronizers dropped consumed frames
-/// at the end of each push: a state file and payload whose rings still
-/// hold the frames of the last push's windows, beside today's spec files
-/// and registry export (which did not change).
-golden::NamedFiles full_ring_checkpoint_files() {
-  golden::NamedFiles files = committed_checkpoint_files();
-  for (auto& [name, bytes] : files) {
-    if (name == golden::kStateFileName || name == golden::kPayloadFileName) {
-      bytes = golden::read_golden(std::string(golden::kFullRingDir) + "/" +
-                                  name);
-    }
-  }
   return files;
 }
 
@@ -239,7 +224,7 @@ TEST(GoldenFormats, CheckpointFixtureCoversEveryStateSection) {
 
   const ChannelSnapshot faulty = fleet.snapshot(2).channels.at(0);
   EXPECT_NE(faulty.health, core::ChannelHealth::kHealthy);
-  EXPECT_GT(faulty.pending_frames, 0u);
+  EXPECT_EQ(faulty.frames_fed, 128u + 96u + 19u);
   EXPECT_GT(faulty.windows, 0u);
 
   const BaselineRegistry* registry = fleet.baseline_registry();
@@ -305,15 +290,41 @@ TEST(GoldenFormats, CommittedCheckpointsRestoreAndReserializeExactly) {
     expect_restore_reserializes_exactly(committed_checkpoint_files());
   }
   {
-    // A checkpoint directory written before rings dropped consumed frames
-    // at the end of a push still resumes: restore accepts a ring that
-    // starts anywhere up to the next window's origin.
-    SCOPED_TRACE("full-ring checkpoint");
-    const golden::NamedFiles full_ring = full_ring_checkpoint_files();
-    ASSERT_GT(bytes_of(full_ring, golden::kStateFileName).size(),
-              bytes_of(committed_checkpoint_files(), golden::kStateFileName)
-                  .size());
-    expect_restore_reserializes_exactly(full_ring);
+    // Fleet layout 2 kept a staging ring per channel.  Its state file,
+    // beside today's spec files and registry export, and its payload are
+    // refused with the typed version error, never misread.
+    SCOPED_TRACE("layout-2 checkpoint");
+    const auto expect_bad_version = [](auto&& restore) {
+      try {
+        restore();
+        ADD_FAILURE() << "layout-2 checkpoint accepted";
+      } catch (const nsync::signal::CheckpointError& e) {
+        EXPECT_EQ(e.kind(), nsync::signal::CheckpointErrorKind::kBadVersion)
+            << e.what();
+      }
+    };
+    const TempDir in("layout2");
+    for (const auto& [name, bytes] : committed_checkpoint_files()) {
+      if (name == golden::kPayloadFileName) continue;
+      const std::vector<std::uint8_t> file =
+          name == golden::kStateFileName
+              ? golden::read_golden(std::string(golden::kFullRingDir) + "/" +
+                                    name)
+              : bytes;
+      std::ofstream(in.file(name), std::ios::binary)
+          .write(reinterpret_cast<const char*>(file.data()),
+                 static_cast<std::streamsize>(file.size()));
+    }
+    expect_bad_version([&] {
+      (void)MonitorEngine::restore(in.file(golden::kStateFileName),
+                                   golden::golden_engine_options(in.str()));
+    });
+    const std::vector<std::uint8_t> payload = golden::read_golden(
+        std::string(golden::kFullRingDir) + "/" + golden::kPayloadFileName);
+    expect_bad_version([&] {
+      (void)MonitorEngine::restore_from_bytes(
+          payload, golden::golden_engine_options(""));
+    });
   }
 }
 

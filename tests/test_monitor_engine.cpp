@@ -1,6 +1,6 @@
 // Tests for the multi-session MonitorEngine: session lifecycle, feed/poll
-// semantics, equivalence with standalone RealtimeMonitors, fused verdicts
-// and the bounded-staging backstop.
+// semantics, equivalence with standalone RealtimeMonitors and fused
+// verdicts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -204,7 +204,8 @@ TEST_F(MonitorEngineTest, SessionMatchesStandaloneMonitorsBitwise) {
   EXPECT_EQ(snap.alarming_channels, 1u);
   EXPECT_EQ(snap.online_channels, 2u);
   EXPECT_EQ(snap.frames_fed, acc.frames() + aud.frames());
-  EXPECT_EQ(snap.channels[0].pending_frames, 0u);
+  EXPECT_EQ(snap.channels[0].frames_fed, acc.frames());
+  EXPECT_EQ(snap.channels[1].frames_fed, aud.frames());
 }
 
 TEST_F(MonitorEngineTest, ManySessionsIndependentAndParallelSafe) {
@@ -254,25 +255,32 @@ TEST_F(MonitorEngineTest, ManySessionsIndependentAndParallelSafe) {
   }
 }
 
-TEST_F(MonitorEngineTest, MaxPendingBackstopDrainsInline) {
-  MonitorEngineOptions opts;
-  opts.max_pending_frames = 256;
-  MonitorEngine eng(opts);
-  eng.add_session(make_session("bounded"));
-  const Signal obs = benign_observation(reference_, 60);
-  // Feed a large chunk without ever polling: the backstop must
-  // process windows inline and keep staging below the cap.
+TEST_F(MonitorEngineTest, FeedProcessesWindowsAndThePollScoresThem) {
+  MonitorEngine eng;
+  eng.add_session(make_session("direct"));
+  const Signal bad = malicious_observation(reference_, 60);
+  // Every window a feed completes is processed by that feed, without a
+  // poll; the fused verdict sees them only at the next poll.
   std::size_t windows = 0;
   constexpr std::size_t kChunk = 128;
-  for (std::size_t off = 0; off < obs.frames(); off += kChunk) {
-    const std::size_t hi = std::min(off + kChunk, obs.frames());
-    windows += eng.feed(0, "ACC", SignalView(obs).slice(off, hi));
+  for (std::size_t off = 0; off < bad.frames(); off += kChunk) {
+    const std::size_t hi = std::min(off + kChunk, bad.frames());
+    windows += eng.feed(0, "ACC", SignalView(bad).slice(off, hi));
   }
+  const SessionSnapshot fed = eng.snapshot(0);
   EXPECT_GT(windows, 0u);
-  const SessionSnapshot snap = eng.snapshot(0);
-  for (const auto& cs : snap.channels) {
-    EXPECT_LT(cs.pending_frames, 2 * opts.max_pending_frames);
-  }
+  EXPECT_EQ(windows, fed.channels[0].windows);
+  EXPECT_EQ(fed.channels[0].frames_fed, bad.frames());
+  EXPECT_EQ(fed.frames_fed, bad.frames());
+  ASSERT_TRUE(fed.channels[0].detection.intrusion);
+  EXPECT_FALSE(fed.intrusion) << "fused verdict refreshed before a poll";
+
+  EXPECT_EQ(eng.poll_inline(), 0u);  // windows were counted by feed()
+  const SessionSnapshot polled = eng.snapshot(0);
+  EXPECT_TRUE(polled.intrusion);
+  EXPECT_EQ(polled.first_alarm_window,
+            fed.channels[0].detection.first_alarm_window);
+  EXPECT_EQ(polled.channels[0].windows, windows);
 }
 
 TEST_F(MonitorEngineTest, AllFusionRulesLatch) {

@@ -29,8 +29,8 @@ TEST(FrameRingBuffer, ConstructionValidates) {
   EXPECT_THROW(FrameRingBuffer(0, 100.0), std::invalid_argument);
   EXPECT_THROW(FrameRingBuffer(2, 0.0), std::invalid_argument);
   const FrameRingBuffer rb(3, 250.0);
-  EXPECT_EQ(rb.channels(), 3u);
-  EXPECT_DOUBLE_EQ(rb.sample_rate(), 250.0);
+  EXPECT_EQ(rb.view(0, 0).channels(), 3u);
+  EXPECT_DOUBLE_EQ(rb.view(0, 0).sample_rate(), 250.0);
   EXPECT_EQ(rb.start(), 0u);
   EXPECT_EQ(rb.end(), 0u);
   EXPECT_EQ(rb.retained_frames(), 0u);
@@ -137,7 +137,7 @@ TEST(FrameRingBuffer, RetainedViewTracksLiveSpan) {
   FrameRingBuffer rb(2, 100.0);
   rb.append(s);
   rb.drop_before(10);
-  const SignalView live = rb.retained();
+  const SignalView live = rb.view(rb.start(), rb.end());
   EXPECT_EQ(live.frames(), 20u);
   EXPECT_DOUBLE_EQ(live(0, 0), s(10, 0));
   EXPECT_DOUBLE_EQ(live(19, 1), s(29, 1));

@@ -4,8 +4,8 @@
 // The load-bearing property is *bitwise shard invariance*: a session's
 // verdict trail (fused verdict, first_alarm_window, per-channel detection
 // flags, health, window counts) must be identical whether the fleet runs
-// on a plain MonitorEngine, the inline shards=0 path, or 1/2/8 worker
-// shards — sharding is pure scheduling.  The recovery matrix then pins
+// on a plain MonitorEngine or on 1/2/8 worker shards — sharding is pure
+// scheduling.  The recovery matrix then pins
 // the same property across a simulated crash at 25/50/75% of the stream
 // for each shard count, and the adaptive-rounds test across kill images
 // taken while per-device baselines adapt between prints.
@@ -19,6 +19,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -326,8 +327,8 @@ TEST(ShardedFleet, VerdictsBitwiseInvariantAcrossShardCounts) {
   EXPECT_TRUE(baseline[1].intrusion) << "attack session must alarm";
   EXPECT_GE(baseline[1].first_alarm_window, 0);
 
-  for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
-                                   std::size_t{2}, std::size_t{8}}) {
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     const std::vector<Verdict> got = run_sharded(fx, shards);
     ASSERT_EQ(got.size(), baseline.size()) << "shards=" << shards;
     for (std::size_t s = 0; s < got.size(); ++s) {
@@ -352,6 +353,16 @@ TEST(ShardedFleet, ShardMappingIsRoundRobin) {
   EXPECT_EQ(stats.per_shard[0].sessions, 2u);
   EXPECT_EQ(stats.per_shard[1].sessions, 2u);
   EXPECT_EQ(stats.per_shard[2].sessions, 1u);
+}
+
+TEST(ShardedFleet, ZeroShardsIsRefused) {
+  // Every shard runs a queue and a worker thread, so a fleet needs one.
+  ShardedFleetOptions opts;
+  opts.shards = 0;
+  EXPECT_THROW(ShardedFleet{opts}, std::invalid_argument);
+  TempDir dir("zero");
+  EXPECT_THROW((void)ShardedFleet::restore(dir.str(), opts),
+               std::invalid_argument);
 }
 
 // --- Admission / eviction ---------------------------------------------------
@@ -764,15 +775,14 @@ TEST(ShardedFleet, EvictionRoundWritesOneCheckpoint) {
   }
 }
 
-TEST(ShardedFleet, BackstopWindowsAreCounted) {
-  // A feed past max_pending_frames is drained inside the engine's feed();
-  // those windows count toward the stats like the ones a poll processes.
+TEST(ShardedFleet, FedWindowsAreCounted) {
+  // The engine's feed() processes the windows a batch completes; the
+  // shard counts them, so the stats agree with the sessions' own counts.
   const Fixture fx(2, /*attack_session=*/99);
-  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ShardedFleetOptions opts;
     opts.shards = shards;
-    opts.max_pending_frames = 256;
     ShardedFleet fleet(opts);
     for (std::size_t s = 0; s < fx.sessions(); ++s) {
       fleet.add_session(fx.spec(s));

@@ -6,14 +6,22 @@
 # Builds every example and bench/ binary, and benchmark/'s bench_e2e and
 # bench_e2e_traced, at -O0 with one section per function, linked with
 # --gc-sections: nothing is inlined away, and a binary keeps exactly the
-# functions it can reach.  A T/W symbol that a production archive defines
-# and no binary keeps is unreached.  Symbols are compared by demangled
+# functions it can reach.  -fkeep-inline-functions emits the inline
+# functions of every header too, so they are compared like the rest; only
+# inline special members (default, copy and move constructors, destructors
+# and assignments) are skipped, because GCC expands the implicitly
+# declared ones in place even at -O0 and no binary keeps a copy.  A T/W
+# symbol that a production archive defines and no binary keeps is
+# unreached.  Symbols are compared by demangled
 # signature and reported by qualified function name (a lambda counts as
 # its enclosing function).
 #
 # Exits 1 when an unreached first-party function is not listed in
 # tools/unreached_allowlist.txt, or when an allowlist line names a
-# function that is now reached or no longer defined.  The reference
+# function that is now reached or no longer defined.  A simd::Ops kernel
+# is only reached through the dispatch table, which the symbols cannot
+# show, so a field of struct Ops with no call site in src/ outside the
+# SIMD backends and the reference kernels fails too.  The reference
 # kernels (nsync_dsp_reference) and the chaos relay (nsync_chaos_proxy)
 # are test support and are not scanned; neither are nsync_baselines and
 # nsync_eval, which exist for the experiment binaries.  JOBS sets the
@@ -26,7 +34,7 @@ allowlist="$root/tools/unreached_allowlist.txt"
 jobs=${JOBS:-$(nproc)}
 
 flags=(-DCMAKE_BUILD_TYPE=None
-       "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fdata-sections"
+       "-DCMAKE_CXX_FLAGS=-O0 -fkeep-inline-functions -ffunction-sections -fdata-sections"
        "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
 gen=()
 command -v ninja > /dev/null && gen=(-G Ninja)
@@ -49,14 +57,30 @@ while IFS= read -r b; do bins+=("$b"); done < <(
   echo "$build/benchmark/bench_e2e"
   echo "$build/benchmark/bench_e2e_traced")
 
+# Kernels behind the dispatch table: each needs a `.field(` call site.
+ops_failed=0
+for field in $(awk '/^struct Ops \{/,/^\};/' "$root/src/dsp/simd/simd.hpp" \
+                 | grep -oE '\(\*[a-z0-9_]+\)' | tr -d '(*)'); do
+  if ! grep -rqE --include='*.cpp' --include='*.hpp' --exclude-dir=simd \
+       --exclude-dir=reference "\.\s*${field}\s*\(" "$root/src"; then
+    echo "unreached: nsync::dsp::simd::Ops::${field} (no call site outside" \
+         "src/dsp/simd/)"
+    ops_failed=1
+  fi
+done
+
+# "T|W signature" per defined function.
 text_symbols() {
   nm -C --defined-only "$@" 2> /dev/null \
-    | awk '$2 == "T" || $2 == "W" { sub(/^[0-9a-f]+ [TW] /, ""); print }' \
+    | awk '$2 == "T" || $2 == "W" { t = $2; sub(/^[0-9a-f]+ [TW] /, "");
+                                    print t " " $0 }' \
     | sort -u
 }
 
+scan_failed=0
 python3 - "$allowlist" <(text_symbols "${libs[@]}") \
-  <(text_symbols "${bins[@]}") <<'PY'
+  <(text_symbols "${bins[@]}") <<'PY' || scan_failed=1
+import re
 import sys
 
 
@@ -88,13 +112,21 @@ def qualified_name(sig):
     return sig[start:i].replace("[abi:cxx11]", "")
 
 
+SPECIAL_MEMBER = re.compile(
+    r"(?P<cls>(?:[\w:]+::)?(?P<short>\w+))::"
+    r"(?:~?(?P=short)|operator=)\((?:(?P=cls)(?: const&|&&))?\)")
+
+
 allow_path, lib_path, bin_path = sys.argv[1:]
 with open(bin_path) as f:
-    reached = set(f.read().splitlines())
+    reached = {line[2:] for line in f.read().splitlines()}
 unreached = {}
 defined = set()
 with open(lib_path) as f:
-    for sig in f.read().splitlines():
+    for line in f.read().splitlines():
+        kind, sig = line[0], line[2:]
+        if kind == "W" and SPECIAL_MEMBER.fullmatch(sig):
+            continue
         name = qualified_name(sig)
         if not name.startswith("nsync::"):
             continue
@@ -134,3 +166,4 @@ print(f"{count} unreached symbols under {len(unreached)} first-party names, "
       f"{len(allowed)} allowlisted")
 sys.exit(1 if failed else 0)
 PY
+exit $((scan_failed || ops_failed))
