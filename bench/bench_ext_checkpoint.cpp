@@ -110,12 +110,6 @@ std::vector<std::size_t> parse_list(const std::string& s) {
   return out;
 }
 
-double median_of(std::vector<double> x) {
-  std::sort(x.begin(), x.end());
-  const std::size_t mid = x.size() / 2;
-  return x.size() % 2 == 1 ? x[mid] : 0.5 * (x[mid - 1] + x[mid]);
-}
-
 /// Median and median absolute deviation of `reps` (>= 1) timed runs.
 struct Timing {
   double median_ms = 0.0;
@@ -131,11 +125,7 @@ Timing time_ms(std::size_t reps, F&& op) {
     const auto t1 = std::chrono::steady_clock::now();
     ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
-  Timing t;
-  t.median_ms = median_of(ms);
-  for (double& v : ms) v = std::abs(v - t.median_ms);
-  t.mad_ms = median_of(std::move(ms));
-  return t;
+  return {bench::median_of(ms), bench::median_abs_deviation(ms)};
 }
 
 struct Result {

@@ -16,11 +16,17 @@
 // queue with the drop-oldest policy, fed with no pacing, shows how
 // throughput and shed accounting behave at saturation.
 //
+// Every row runs `--reps` times, each on a fresh fleet and round-robin
+// over the rows, and reports the median of each quantity plus the median
+// absolute deviation of the time and the rate: how many cores a shared
+// host grants moves single runs far more than the shard count does.
+//
 // Flags: --sessions a,b,c  session counts to sweep (default 1,8,32)
 //        --shards a,b,c    shard counts to sweep, each >= 1 (default
 //                          1,2,4)
 //        --frames n        observed frames per channel (default 12288)
 //        --chunk n         frames per feed() call (default 256)
+//        --reps n          runs per row (>= 1, default 5)
 //        --no-saturation   skip the load-shed section
 //        --json path       machine-readable results (BENCH_fleet.json)
 //        --context k=v     extra provenance for the JSON context block
@@ -33,6 +39,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -41,6 +48,7 @@
 #include "bench_json.hpp"
 #include "core/nsync.hpp"
 #include "engine/sharded_fleet.hpp"
+#include "eval/options.hpp"
 #include "eval/table.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
@@ -128,27 +136,40 @@ engine::SessionSpec make_spec(const Fixture& fx, std::size_t s) {
   return spec;
 }
 
-struct Result {
-  std::size_t shards = 0;
-  std::size_t sessions = 0;
+/// One run of one row.
+struct Run {
   std::size_t windows = 0;
   double seconds = 0.0;
   double p50_us = 0.0;  ///< feed→verdict latency
   double p99_us = 0.0;
   std::uint64_t shed_frames = 0;
   std::size_t alarms = 0;
-  [[nodiscard]] double windows_per_sec() const {
-    return seconds > 0.0 ? static_cast<double>(windows) / seconds : 0.0;
-  }
 };
 
-/// Feed from this thread, process on the shard workers, flush() as the
-/// barrier.  Options beyond the shard count let the
-/// saturation section shrink the queue and switch the overflow policy.
-Result run_sharded(const Fixture& fx,
-                   const std::vector<std::vector<Signal>>& streams,
-                   std::size_t chunk, engine::ShardedFleetOptions fopts) {
-  const std::size_t n_sessions = streams.size();
+/// One row over its reps: the median of every quantity, the MAD of the
+/// time and the rate, and the most alarms any run raised.
+struct Result {
+  std::size_t shards = 0;
+  std::size_t sessions = 0;
+  double windows = 0.0;
+  double seconds = 0.0;
+  double seconds_mad = 0.0;
+  double windows_per_sec = 0.0;
+  double windows_per_sec_mad = 0.0;
+  double p50_us = 0.0;
+  double p99_us = 0.0;
+  double shed_frames = 0.0;
+  std::size_t alarms = 0;
+};
+
+/// Feeds the first `n_sessions` streams from this thread, processes them
+/// on the shard workers, flush() as the barrier.  Options beyond the shard
+/// count let the saturation section shrink the queue and switch the
+/// overflow policy.
+Run run_sharded(const Fixture& fx,
+                const std::vector<std::vector<Signal>>& streams,
+                std::size_t n_sessions, std::size_t chunk,
+                engine::ShardedFleetOptions fopts) {
   engine::ShardedFleet fleet(fopts);
   for (std::size_t s = 0; s < n_sessions; ++s) {
     fleet.add_session(make_spec(fx, s));
@@ -173,9 +194,7 @@ Result run_sharded(const Fixture& fx,
   const auto t1 = std::chrono::steady_clock::now();
 
   const engine::FleetStats stats = fleet.stats();
-  Result r;
-  r.shards = fopts.shards;
-  r.sessions = n_sessions;
+  Run r;
   r.windows = static_cast<std::size_t>(stats.windows);
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   r.p50_us = stats.p50_feed_to_verdict_us;
@@ -187,38 +206,94 @@ Result run_sharded(const Fixture& fx,
   return r;
 }
 
-std::vector<std::size_t> parse_list(const std::string& s) {
+/// One row of a table: a session count and the fleet it runs on.
+struct Row {
+  std::size_t sessions = 0;
+  engine::ShardedFleetOptions fopts;
+};
+
+/// `reps` runs of every row, each on a fresh fleet, summarized per row.
+/// The reps go round-robin over the rows, so a stretch in which the
+/// shared host grants fewer cores lands on every row alike instead of on
+/// all the reps of one.
+std::vector<Result> run_rows(const Fixture& fx,
+                             const std::vector<std::vector<Signal>>& streams,
+                             const std::vector<Row>& rows, std::size_t chunk,
+                             std::size_t reps) {
+  std::vector<std::vector<Run>> runs(rows.size());
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      runs[i].push_back(
+          run_sharded(fx, streams, rows[i].sessions, chunk, rows[i].fopts));
+    }
+  }
+  std::vector<Result> out;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto each = [&](auto field) {
+      std::vector<double> v;
+      for (const Run& r : runs[i]) v.push_back(static_cast<double>(field(r)));
+      return v;
+    };
+    const auto seconds = each([](const Run& r) { return r.seconds; });
+    const auto rate = each([](const Run& r) {
+      return r.seconds > 0.0 ? static_cast<double>(r.windows) / r.seconds
+                             : 0.0;
+    });
+    Result row;
+    row.shards = rows[i].fopts.shards;
+    row.sessions = rows[i].sessions;
+    row.windows =
+        bench::median_of(each([](const Run& r) { return r.windows; }));
+    row.seconds = bench::median_of(seconds);
+    row.seconds_mad = bench::median_abs_deviation(seconds);
+    row.windows_per_sec = bench::median_of(rate);
+    row.windows_per_sec_mad = bench::median_abs_deviation(rate);
+    row.p50_us = bench::median_of(each([](const Run& r) { return r.p50_us; }));
+    row.p99_us = bench::median_of(each([](const Run& r) { return r.p99_us; }));
+    row.shed_frames =
+        bench::median_of(each([](const Run& r) { return r.shed_frames; }));
+    for (const Run& r : runs[i]) row.alarms = std::max(row.alarms, r.alarms);
+    out.push_back(row);
+  }
+  return out;
+}
+
+std::vector<std::size_t> parse_list(const std::string& flag,
+                                    const std::string& s) {
   std::vector<std::size_t> out;
   std::stringstream ss(s);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    out.push_back(static_cast<std::size_t>(std::stoul(tok)));
+    out.push_back(
+        static_cast<std::size_t>(eval::parse_u64(flag, tok.c_str())));
   }
   return out;
 }
 
 void emit_json(const std::string& path, const bench::Context& context,
-               std::size_t frames_per_channel, std::size_t chunk,
-               const std::vector<Result>& scaling,
+               std::size_t reps, std::size_t frames_per_channel,
+               std::size_t chunk, const std::vector<Result>& scaling,
                const std::vector<Result>& saturation) {
   const auto emit = [](std::ofstream& out, const std::vector<Result>& rs) {
     for (std::size_t i = 0; i < rs.size(); ++i) {
       const Result& r = rs[i];
       out << "    {\"shards\": " << r.shards << ", \"sessions\": "
           << r.sessions << ", \"windows\": " << r.windows
-          << ", \"seconds\": " << r.seconds << ", \"windows_per_sec\": "
-          << r.windows_per_sec() << ", \"p50_us\": " << r.p50_us
-          << ", \"p99_us\": " << r.p99_us << ", \"shed_frames\": "
-          << r.shed_frames << "}" << (i + 1 < rs.size() ? "," : "") << "\n";
+          << ", \"seconds\": " << r.seconds << ", \"seconds_mad\": "
+          << r.seconds_mad << ", \"windows_per_sec\": " << r.windows_per_sec
+          << ", \"windows_per_sec_mad\": " << r.windows_per_sec_mad
+          << ", \"p50_us\": " << r.p50_us << ", \"p99_us\": " << r.p99_us
+          << ", \"shed_frames\": " << r.shed_frames << "}"
+          << (i + 1 < rs.size() ? "," : "") << "\n";
     }
   };
   std::ofstream out(path);
-  // Every row is one run (reps 1); its latencies are quantiles of the
-  // run's per-batch histogram, not a median over runs.
+  // Every value is the median over the reps; a run's latencies are
+  // quantiles of its per-batch histogram.
   out << "{\n  \"benchmark\": \"fleet\",\n  ";
-  context.write(out,
-                "\"reps\": 1, \"latency\": \"log-linear histogram, bucket "
-                "midpoint\"");
+  context.write(out, "\"reps\": " + std::to_string(reps) +
+                         ", \"statistic\": \"median\", \"latency\": "
+                         "\"log-linear histogram, bucket midpoint\"");
   out << ",\n  \"frames_per_channel\": " << frames_per_channel
       << ",\n  \"chunk\": " << chunk << ",\n  \"scaling\": [\n";
   emit(out, scaling);
@@ -235,43 +310,57 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> shard_counts = {1, 2, 4};
   std::size_t frames_per_channel = 12288;
   std::size_t chunk = 256;
+  std::size_t reps = 5;
   bool saturation_section = true;
   std::string json_path;
   bench::Context context;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
+  // Malformed numbers (eval::parse_u64 throws) and --reps 0 exit 2.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> std::string {
+        if (i + 1 >= argc) {
+          std::cerr << arg << " needs a value\n";
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      auto number = [&]() -> std::size_t {
+        return static_cast<std::size_t>(
+            eval::parse_u64(arg, i + 1 < argc ? argv[++i] : nullptr));
+      };
+      if (arg == "--sessions") {
+        session_counts = parse_list(arg, next());
+      } else if (arg == "--shards") {
+        shard_counts = parse_list(arg, next());
+      } else if (arg == "--frames") {
+        frames_per_channel = number();
+      } else if (arg == "--chunk") {
+        chunk = number();
+      } else if (arg == "--reps") {
+        reps = number();
+        if (reps == 0) throw std::invalid_argument("--reps must be >= 1");
+      } else if (arg == "--no-saturation") {
+        saturation_section = false;
+      } else if (arg == "--json") {
+        json_path = next();
+      } else if (arg == "--context") {
+        context.add(next());
+      } else if (arg == "--help" || arg == "-h") {
+        std::cout << "usage: " << argv[0]
+                  << " [--sessions a,b,c] [--shards a,b,c]"
+                     " [--frames n] [--chunk n] [--reps n] [--no-saturation]"
+                     " [--json path] [--context key=value]...\n";
+        return 0;
+      } else {
+        std::cerr << "unknown flag " << arg << "\n";
+        return 2;
       }
-      return argv[++i];
-    };
-    if (arg == "--sessions") {
-      session_counts = parse_list(next());
-    } else if (arg == "--shards") {
-      shard_counts = parse_list(next());
-    } else if (arg == "--frames") {
-      frames_per_channel = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--chunk") {
-      chunk = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--no-saturation") {
-      saturation_section = false;
-    } else if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--context") {
-      context.add(next());
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--sessions a,b,c] [--shards a,b,c]"
-                   " [--frames n] [--chunk n] [--no-saturation]"
-                   " [--json path] [--context key=value]...\n";
-      return 0;
-    } else {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 2;
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
   }
   if (std::find(shard_counts.begin(), shard_counts.end(), 0) !=
       shard_counts.end()) {
@@ -282,7 +371,7 @@ int main(int argc, char** argv) {
             << "(hardware_concurrency="
             << std::thread::hardware_concurrency() << ", "
             << frames_per_channel << " frames/channel, chunk=" << chunk
-            << ")\n\n";
+            << ", median of " << reps << " reps)\n\n";
 
   // One fleet-wide calibration: learn thresholds once on benign runs and
   // hand them to every session, as a deployment would.
@@ -311,30 +400,39 @@ int main(int argc, char** argv) {
     fx.references.push_back(std::move(ref));
   }
 
-  std::vector<Result> scaling;
-  eval::AsciiTable table({"Shards", "Sessions", "Windows", "Seconds",
-                          "Windows/sec", "p50us", "p99us", "Alarms"});
-  for (std::size_t n_sessions : session_counts) {
-    // Pre-generate every session's observation streams so the timed loop
-    // measures the engine, not the simulator.
-    std::vector<std::vector<Signal>> streams(n_sessions);
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      for (std::size_t c = 0; c < fx.channel_names.size(); ++c) {
-        streams[s].push_back(
-            benign_observation(fx.references[c], 1000 + 7 * s + c));
-      }
+  // Every session's observation streams, generated before any timing so
+  // the timed loops measure the engine, not the simulator.  An n-session
+  // row feeds the first n.
+  const std::size_t max_sessions =
+      *std::max_element(session_counts.begin(), session_counts.end());
+  std::vector<std::vector<Signal>> streams(max_sessions);
+  for (std::size_t s = 0; s < max_sessions; ++s) {
+    for (std::size_t c = 0; c < fx.channel_names.size(); ++c) {
+      streams[s].push_back(
+          benign_observation(fx.references[c], 1000 + 7 * s + c));
     }
+  }
+
+  std::vector<Row> scaling_rows;
+  for (std::size_t n_sessions : session_counts) {
     for (std::size_t n_shards : shard_counts) {
       if (n_shards > n_sessions) continue;  // idle shards measure nothing
-      engine::ShardedFleetOptions fopts;
-      fopts.shards = n_shards;
-      const Result r = run_sharded(fx, streams, chunk, fopts);
-      scaling.push_back(r);
-      table.add_row({std::to_string(n_shards), std::to_string(r.sessions),
-                     std::to_string(r.windows), eval::fmt(r.seconds, 3),
-                     eval::fmt(r.windows_per_sec(), 0), eval::fmt(r.p50_us, 0),
-                     eval::fmt(r.p99_us, 0), std::to_string(r.alarms)});
+      Row row;
+      row.sessions = n_sessions;
+      row.fopts.shards = n_shards;
+      scaling_rows.push_back(row);
     }
+  }
+  const std::vector<Result> scaling =
+      run_rows(fx, streams, scaling_rows, chunk, reps);
+  eval::AsciiTable table({"Shards", "Sessions", "Windows", "Seconds",
+                          "Windows/sec", "MAD", "p50us", "p99us", "Alarms"});
+  for (const Result& r : scaling) {
+    table.add_row({std::to_string(r.shards), std::to_string(r.sessions),
+                   eval::fmt(r.windows, 0), eval::fmt(r.seconds, 3),
+                   eval::fmt(r.windows_per_sec, 0),
+                   eval::fmt(r.windows_per_sec_mad, 0), eval::fmt(r.p50_us, 0),
+                   eval::fmt(r.p99_us, 0), std::to_string(r.alarms)});
   }
   table.print(std::cout);
   std::cout << "\n(benign streams: Alarms should be 0; aggregate windows/sec\n"
@@ -348,29 +446,25 @@ int main(int argc, char** argv) {
     // workers stay busy) while the shed counters account for every frame
     // that was sacrificed; with kBlock these rows would instead converge
     // to the scaling rows above.
-    const std::size_t n_sessions =
-        *std::max_element(session_counts.begin(), session_counts.end());
-    std::vector<std::vector<Signal>> streams(n_sessions);
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      for (std::size_t c = 0; c < fx.channel_names.size(); ++c) {
-        streams[s].push_back(
-            benign_observation(fx.references[c], 1000 + 7 * s + c));
-      }
-    }
-    eval::AsciiTable sat({"Shards", "Sessions", "Windows", "Seconds",
-                          "Windows/sec", "Shed frames", "p99us"});
+    std::vector<Row> rows;
     for (std::size_t n_shards : shard_counts) {
-      if (n_shards > n_sessions) continue;
-      engine::ShardedFleetOptions fopts;
-      fopts.shards = n_shards;
-      fopts.queue_capacity_frames = 2048;
-      fopts.overflow = engine::OverflowPolicy::kDropOldest;
-      Result r = run_sharded(fx, streams, chunk, fopts);
-      saturation.push_back(r);
-      sat.add_row({std::to_string(n_shards), std::to_string(r.sessions),
-                   std::to_string(r.windows), eval::fmt(r.seconds, 3),
-                   eval::fmt(r.windows_per_sec(), 0),
-                   std::to_string(r.shed_frames), eval::fmt(r.p99_us, 0)});
+      if (n_shards > max_sessions) continue;
+      Row row;
+      row.sessions = max_sessions;
+      row.fopts.shards = n_shards;
+      row.fopts.queue_capacity_frames = 2048;
+      row.fopts.overflow = engine::OverflowPolicy::kDropOldest;
+      rows.push_back(row);
+    }
+    saturation = run_rows(fx, streams, rows, chunk, reps);
+    eval::AsciiTable sat({"Shards", "Sessions", "Windows", "Seconds",
+                          "Windows/sec", "MAD", "Shed frames", "p99us"});
+    for (const Result& r : saturation) {
+      sat.add_row({std::to_string(r.shards), std::to_string(r.sessions),
+                   eval::fmt(r.windows, 0), eval::fmt(r.seconds, 3),
+                   eval::fmt(r.windows_per_sec, 0),
+                   eval::fmt(r.windows_per_sec_mad, 0),
+                   eval::fmt(r.shed_frames, 0), eval::fmt(r.p99_us, 0)});
     }
     std::cout << "\nLoad shedding past saturation (queue=2048 frames, "
                  "drop-oldest):\n";
@@ -378,7 +472,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    emit_json(json_path, context, frames_per_channel, chunk, scaling,
+    emit_json(json_path, context, reps, frames_per_channel, chunk, scaling,
               saturation);
   }
   return 0;

@@ -8,10 +8,13 @@
 //
 // The block holds the --context pairs (run_benches.sh passes git_sha and
 // build_type), then hardware_concurrency and the active SIMD ISA, then the
-// bench's own fields.
+// bench's own fields.  The repeated benches summarize their reps with
+// median_of and median_abs_deviation.
 #ifndef NSYNC_BENCH_BENCH_JSON_HPP
 #define NSYNC_BENCH_BENCH_JSON_HPP
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <ostream>
@@ -57,6 +60,24 @@ class Context {
  private:
   std::vector<std::pair<std::string, std::string>> pairs_;
 };
+
+/// Median of `x` (the mean of the middle two for an even count; 0 when
+/// empty).
+inline double median_of(std::vector<double> x) {
+  if (x.empty()) return 0.0;
+  std::sort(x.begin(), x.end());
+  const std::size_t mid = x.size() / 2;
+  return x.size() % 2 == 1 ? x[mid] : 0.5 * (x[mid - 1] + x[mid]);
+}
+
+/// Median absolute deviation: median(|x - median(x)|).
+inline double median_abs_deviation(const std::vector<double>& x) {
+  const double m = median_of(x);
+  std::vector<double> dev;
+  dev.reserve(x.size());
+  for (const double v : x) dev.push_back(std::abs(v - m));
+  return median_of(std::move(dev));
+}
 
 }  // namespace nsync::bench
 

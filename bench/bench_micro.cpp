@@ -1,9 +1,9 @@
 // google-benchmark micro benchmarks for the hot paths: FFT (cached vs
 // uncached plans, complex vs real-input), sliding correlation (naive vs
 // FFT — the TDE ablation), one DWM window step, the steady-state DWM
-// streaming loop, Table III spectrograms, FastDTW, the CRC-32 that
-// checksums frames and checkpoints, and end-to-end dataset generation
-// across runtime pool sizes.
+// streaming loop, Table III spectrograms and single spectrogram columns,
+// FastDTW, the CRC-32 that checksums frames and checkpoints, and
+// end-to-end dataset generation across runtime pool sizes.
 //
 // Accepts `--json <path>` in addition to the standard benchmark flags:
 // shorthand for --benchmark_out=<path> --benchmark_out_format=json, used
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/dtw.hpp"
 #include "core/dwm.hpp"
 #include "core/tde.hpp"
@@ -69,25 +70,9 @@ signal::Signal random_signal(std::size_t frames, std::size_t channels,
   return s;
 }
 
-double median_of(std::vector<double> x) {
-  std::sort(x.begin(), x.end());
-  const std::size_t mid = x.size() / 2;
-  return x.size() % 2 == 1 ? x[mid] : 0.5 * (x[mid - 1] + x[mid]);
-}
-
-/// Median absolute deviation of the repetition times: median(|t - median|).
-double median_abs_deviation(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  const double m = median_of(v);
-  std::vector<double> dev;
-  dev.reserve(v.size());
-  for (const double t : v) dev.push_back(std::abs(t - m));
-  return median_of(std::move(dev));
-}
-
 // BENCHMARK plus the `mad` aggregate.
 #define NSYNC_BENCHMARK(fn) \
-  BENCHMARK(fn)->ComputeStatistics("mad", median_abs_deviation)
+  BENCHMARK(fn)->ComputeStatistics("mad", bench::median_abs_deviation)
 
 /// Attaches roofline counters: `flops` (flop/s) from an analytic flop
 /// model of the kernel and bytes/s from its unavoidable memory traffic.
@@ -408,7 +393,7 @@ NSYNC_BENCHMARK(BM_DwmWindow);
 void BM_Spectrogram(benchmark::State& state, sensors::SideChannel ch,
                     std::size_t channels) {
   // The Table III STFT of 30 s of signal at the evaluation rate: every
-  // channel of every column through the cached single-lane rfft.
+  // channel of every column through the spectrogram column routine.
   const double fs = eval::eval_channel_rate(ch);
   auto s = random_signal(static_cast<std::size_t>(30.0 * fs), channels, 7);
   s.set_sample_rate(fs);
@@ -423,17 +408,46 @@ void BM_Spectrogram(benchmark::State& state, sensors::SideChannel ch,
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(columns * channels));
 }
-// ACC 400 Hz x6 and EPT 4 kHz x1 run 20- and 33-point windows one channel
-// at a time; AUD 4 kHz x2 is the largest share of offline_analyze's STFT.
+// ACC 400 Hz x6 and EPT 4 kHz x1 run 20- and 33-point windows (both summed
+// as a direct DFT) one channel at a time; AUD 4 kHz x2 is the largest share
+// of offline_analyze's STFT.
 BENCHMARK_CAPTURE(BM_Spectrogram, ACC_400Hz_x6, sensors::SideChannel::kAcc, 6)
-    ->ComputeStatistics("mad", median_abs_deviation)
+    ->ComputeStatistics("mad", bench::median_abs_deviation)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Spectrogram, AUD_4kHz_x2, sensors::SideChannel::kAud, 2)
-    ->ComputeStatistics("mad", median_abs_deviation)
+    ->ComputeStatistics("mad", bench::median_abs_deviation)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Spectrogram, EPT_4kHz_x1, sensors::SideChannel::kEpt, 1)
-    ->ComputeStatistics("mad", median_abs_deviation)
+    ->ComputeStatistics("mad", bench::median_abs_deviation)
     ->Unit(benchmark::kMillisecond);
+
+void BM_SpectrogramColumn(benchmark::State& state) {
+  // One channel of one Blackman-Harris spectrogram column of n samples, on
+  // the route the column takes for n (the label): a direct real DFT for
+  // non-powers of two up to detail::kStftDftMaxWindow, the cached rfft
+  // plan otherwise.  20 and 33 are the Table III windows at the evaluation
+  // rates, 200 and 400 paper-rate ones; these rows size the crossover.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto block = random_series(n, 5);
+  std::vector<double> row(n / 2 + 1);
+  dsp::detail::StftColumn column(dsp::StftConfig{}, n, 1);
+  for (auto _ : state) {
+    column.compute(block.data(), row.data());
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(dsp::detail::stft_uses_dft(n) ? "dft" : "rfft");
+  state.SetItemsProcessed(state.iterations());
+}
+NSYNC_BENCHMARK(BM_SpectrogramColumn)
+    ->Arg(20)
+    ->Arg(33)
+    ->Arg(40)
+    ->Arg(64)
+    ->Arg(100)
+    ->Arg(128)
+    ->Arg(200)
+    ->Arg(400);
 
 void BM_FastDtw(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -114,9 +114,12 @@ std::size_t estimate_delay_biased(const SignalView& x, const SignalView& y,
   //
   // The exp() weights are the expensive part and depend only on
   // (center, sigma, n_out), so they are cached in the workspace and
-  // reused verbatim while those stay unchanged (static callers; the DWM
-  // moves `center` per window and recomputes, exactly as the old inline
-  // loop did).
+  // reused verbatim while those stay unchanged.  In the DWM every
+  // unclamped window has center == n_ext and n_out == 2 * n_ext + 1, so
+  // the cache hits; only a window whose extended reference slice is
+  // clamped (near the start of the reference, where center moves, or at
+  // its end, where n_out shrinks) recomputes, with the same arithmetic as
+  // the old inline loop.
   const std::size_t n_out = scores.size();
   if (ws.bias_w.size() != n_out || ws.bias_center != center ||
       ws.bias_sigma != sigma_samples) {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "dsp/simd/simd.hpp"
+#include "dsp/windows.hpp"
 #include "signal/stats.hpp"
 
 namespace nsync::dsp {
@@ -185,6 +186,41 @@ std::vector<double> sliding_pearson_fft_complex(std::span<const double> x,
   }
   normalize_windows_ref(ps, ps2, ny, y_norm,
                         [&](std::size_t n) { return num[n]; }, out);
+  return out;
+}
+
+nsync::signal::Signal spectrogram_dft_reference(
+    const nsync::signal::SignalView& s, const StftConfig& cfg) {
+  const std::size_t n = stft_window_samples(cfg, s.sample_rate());
+  const std::size_t hop = stft_hop_samples(cfg, s.sample_rate());
+  if (s.frames() < n) {
+    throw std::invalid_argument(
+        "spectrogram_dft_reference: signal shorter than one window");
+  }
+  const std::size_t bins = n / 2 + 1;
+  const std::size_t columns = (s.frames() - n) / hop + 1;
+  const std::vector<double> window = make_window(cfg.window, n);
+  nsync::signal::Signal out(columns, bins * s.channels(), 1.0 / cfg.delta_t);
+  std::vector<double> x(n);
+  for (std::size_t col = 0; col < columns; ++col) {
+    for (std::size_t c = 0; c < s.channels(); ++c) {
+      for (std::size_t j = 0; j < n; ++j) {
+        x[j] = s(col * hop + j, c) * window[j];
+      }
+      for (std::size_t k = 0; k < bins; ++k) {
+        double re = 0.0;
+        double im = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+          const double ang = 2.0 * kPi * static_cast<double>((j * k) % n) /
+                             static_cast<double>(n);
+          re += x[j] * std::cos(ang);
+          im += x[j] * -std::sin(ang);
+        }
+        const double m = std::sqrt(re * re + im * im);
+        out(col, c * bins + k) = cfg.log_magnitude ? std::log1p(m) : m;
+      }
+    }
+  }
   return out;
 }
 

@@ -4,7 +4,9 @@
 // radix-2 FFT that recomputes its twiddle factors on every call, a real
 // FFT that routes non-power-of-two lengths through the complex fft(), and
 // a cross-correlation / sliding Pearson built on two full-size complex
-// FFTs instead of the real-FFT half-size trick.  The equivalence tests
+// FFTs instead of the real-FFT half-size trick; plus a spectrogram that
+// sums every window as a direct real DFT, the independent twin of the
+// small-window column route.  The equivalence tests
 // compare the production kernels against them, and bench_micro and
 // bench_ablation_tde_speed time them as baselines.  They are compiled
 // into nsync_dsp_reference, which is built only with NSYNC_BUILD_TESTS or
@@ -17,6 +19,8 @@
 #include <vector>
 
 #include "dsp/fft.hpp"
+#include "dsp/stft.hpp"
+#include "signal/signal.hpp"
 
 namespace nsync::dsp {
 
@@ -42,6 +46,16 @@ void fft_radix2_uncached(std::span<Complex> data, bool inverse = false);
 /// cross_correlate_valid_complex.  Requires x.size() >= y.size() >= 2.
 [[nodiscard]] std::vector<double> sliding_pearson_fft_complex(
     std::span<const double> x, std::span<const double> y);
+
+/// spectrogram() with every column of every channel computed as a direct
+/// real DFT, whatever n_win is: bin k of a windowed frame x is
+/// re = sum_j x_j cos(2 pi r/n), im = sum_j x_j * -sin(2 pi r/n) with
+/// r = jk mod n, both summed in j order from 0.0, and its magnitude is
+/// sqrt(re*re + im*im) (log1p'd when configured).  Written independently
+/// of detail::StftColumn but with its twiddle values and summation order,
+/// so the windows that column sums directly match it bitwise.
+[[nodiscard]] nsync::signal::Signal spectrogram_dft_reference(
+    const nsync::signal::SignalView& s, const StftConfig& cfg);
 
 }  // namespace nsync::dsp
 

@@ -20,7 +20,8 @@ namespace {
       ns::cmul_split_inplace, ns::rfft_untangle, ns::rfft_untangle_product, \
       ns::irfft_untangle, ns::deinterleave,                                \
       ns::interleave, ns::subtract_scalar, ns::normalize_windows,          \
-      ns::clamp_weight_argmax, ns::channel_sums, ns::sum,                  \
+      ns::clamp_weight_argmax, ns::real_dft_magnitude, ns::channel_sums,   \
+      ns::sum,                                                             \
       ns::subtract_scalar_energy, ns::pearson_accumulate, ns::prefix_sums, \
       ns::crc32_update
 

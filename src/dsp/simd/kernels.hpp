@@ -46,6 +46,8 @@
                          double* out, std::size_t n_out);                    \
   std::size_t clamp_weight_argmax(const double* scores, const double* w,     \
                                   std::size_t n);                            \
+  void real_dft_magnitude(const double* x, std::size_t n, const double* c,   \
+                          const double* s, std::size_t bins, double* out);   \
   void channel_sums(const double* data, std::size_t frames,                  \
                     std::size_t channels, double* sums);                     \
   double sum(const double* x, std::size_t n);                                \

@@ -514,6 +514,86 @@ std::size_t clamp_weight_argmax(const double* scores, const double* w,
   return best_j;
 }
 
+namespace {
+
+/// Bins [k, k + 4V) of real_dft_magnitude (V <= 4), V vectors of four
+/// bins held in registers across the whole j sum.  Lanes of the last
+/// vector outside `last` load zeros and are not stored.  Named
+/// accumulators, not an array, so they stay in registers.  Always
+/// inlined: when GCC called it out of line, real_dft_magnitude returned
+/// without a vzeroupper, and the dirty upper ymm halves slowed the
+/// caller's SSE code enough to triple the cost of a column.
+template <int V>
+[[gnu::always_inline]] inline void dft_magnitude_block(
+    const double* x, std::size_t n, const double* c, const double* s,
+    std::size_t bins, std::size_t k, __m256i last, double* out) {
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d re0 = zero, re1 = zero, re2 = zero, re3 = zero;
+  __m256d im0 = zero, im1 = zero, im2 = zero, im3 = zero;
+  const auto load = [last](const double* p, int v) {
+    return v + 1 < V ? _mm256_loadu_pd(p + 4 * v)
+                     : _mm256_maskload_pd(p + 4 * v, last);
+  };
+  for (std::size_t j = 0; j < n; ++j) {
+    const __m256d xj = _mm256_set1_pd(x[j]);
+    const double* cj = c + j * bins + k;
+    const double* sj = s + j * bins + k;
+    re0 = _mm256_add_pd(re0, _mm256_mul_pd(xj, load(cj, 0)));
+    im0 = _mm256_add_pd(im0, _mm256_mul_pd(xj, load(sj, 0)));
+    if constexpr (V > 1) {
+      re1 = _mm256_add_pd(re1, _mm256_mul_pd(xj, load(cj, 1)));
+      im1 = _mm256_add_pd(im1, _mm256_mul_pd(xj, load(sj, 1)));
+    }
+    if constexpr (V > 2) {
+      re2 = _mm256_add_pd(re2, _mm256_mul_pd(xj, load(cj, 2)));
+      im2 = _mm256_add_pd(im2, _mm256_mul_pd(xj, load(sj, 2)));
+    }
+    if constexpr (V > 3) {
+      re3 = _mm256_add_pd(re3, _mm256_mul_pd(xj, load(cj, 3)));
+      im3 = _mm256_add_pd(im3, _mm256_mul_pd(xj, load(sj, 3)));
+    }
+  }
+  const auto store = [&](__m256d re, __m256d im, int v) {
+    const __m256d mag = _mm256_sqrt_pd(
+        _mm256_add_pd(_mm256_mul_pd(re, re), _mm256_mul_pd(im, im)));
+    if (v + 1 < V) {
+      _mm256_storeu_pd(out + k + 4 * v, mag);
+    } else {
+      _mm256_maskstore_pd(out + k + 4 * v, last, mag);
+    }
+  };
+  store(re0, im0, 0);
+  if constexpr (V > 1) store(re1, im1, 1);
+  if constexpr (V > 2) store(re2, im2, 2);
+  if constexpr (V > 3) store(re3, im3, 3);
+}
+
+}  // namespace
+
+void real_dft_magnitude(const double* x, std::size_t n, const double* c,
+                        const double* s, std::size_t bins, double* out) {
+  // Blocks of four vectors (eight accumulators), the last one masked.
+  const __m256i all = _mm256_set1_epi64x(-1);
+  std::size_t k = 0;
+  while (bins - k > 16) {
+    dft_magnitude_block<4>(x, n, c, s, bins, k, all, out);
+    k += 16;
+  }
+  const std::size_t rest = bins - k;
+  if (rest > 0) {
+    const std::size_t vectors = (rest + 3) / 4;
+    const auto lanes = static_cast<long long>(rest - 4 * (vectors - 1));
+    const __m256i last = _mm256_cmpgt_epi64(_mm256_set1_epi64x(lanes),
+                                            _mm256_set_epi64x(3, 2, 1, 0));
+    switch (vectors) {
+      case 1: dft_magnitude_block<1>(x, n, c, s, bins, k, last, out); break;
+      case 2: dft_magnitude_block<2>(x, n, c, s, bins, k, last, out); break;
+      case 3: dft_magnitude_block<3>(x, n, c, s, bins, k, last, out); break;
+      default: dft_magnitude_block<4>(x, n, c, s, bins, k, last, out); break;
+    }
+  }
+}
+
 void channel_sums(const double* data, std::size_t frames,
                   std::size_t channels, double* sums) {
   std::size_t c = 0;

@@ -233,6 +233,19 @@ std::size_t clamp_weight_argmax(const double* scores, const double* w,
   return best;
 }
 
+void real_dft_magnitude(const double* x, std::size_t n, const double* c,
+                        const double* s, std::size_t bins, double* out) {
+  for (std::size_t k = 0; k < bins; ++k) {
+    double re = 0.0;
+    double im = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      re += x[j] * c[j * bins + k];
+      im += x[j] * s[j * bins + k];
+    }
+    out[k] = std::sqrt(re * re + im * im);
+  }
+}
+
 void channel_sums(const double* data, std::size_t frames,
                   std::size_t channels, double* sums) {
   for (std::size_t c = 0; c < channels; ++c) sums[c] = 0.0;

@@ -2,13 +2,13 @@
 // CRC-32 that checksums every persisted and transmitted byte.
 //
 // Every arithmetic-dense inner loop of the rfft → cross-correlation →
-// sliding-Pearson → TDEB chain, of the spectrogram's per-channel rfft,
-// and the CRC-32 byte loop, is routed through a table of function
-// pointers (`Ops`) resolved once at startup: an AVX2 backend on x86-64
-// hosts that support it, and a portable scalar backend that is always
-// built, runs everywhere else, and is the reference implementation.  All
-// transforms are single-lane (one signal per call), so no kernel here
-// interleaves lanes.
+// sliding-Pearson → TDEB chain, of the spectrogram's per-channel rfft
+// and small-window DFT, and the CRC-32 byte loop, is routed through a
+// table of function pointers (`Ops`) resolved once at startup: an AVX2
+// backend on x86-64 hosts that support it, and a portable scalar backend
+// that is always built, runs everywhere else, and is the reference
+// implementation.  All transforms are single-lane (one signal per call),
+// so no kernel here interleaves lanes.
 //
 // Equivalence contract (pinned by tests/test_simd_equivalence.cpp, see
 // DESIGN.md "SIMD dispatch layer" for the per-kernel table):
@@ -20,10 +20,10 @@
 //    butterfly passes (single and stage-pair), the rfft/irfft untangling
 //    epilogues, the fused correlation untangle-and-product, complex bin
 //    products (the Bluestein chirp and kernel multiplies), the 1/n scale,
-//    (de)interleaves, centered copies, window normalization, per-channel
-//    sums and the TDEB clamp+bias+argmax epilogue.  The integer CRC-32
-//    kernel is exact by construction: every backend returns the same
-//    32-bit state.
+//    (de)interleaves, centered copies, window normalization, the small
+//    spectrogram windows' direct DFT, per-channel sums and the TDEB
+//    clamp+bias+argmax epilogue.  The integer CRC-32 kernel is exact by
+//    construction: every backend returns the same 32-bit state.
 //  * "ULP-bounded" kernels reassociate a reduction (vector partial
 //    accumulators, vectorized prefix scan).  Their divergence from the
 //    scalar backend is bounded by standard summation-error analysis:
@@ -148,6 +148,15 @@ struct Ops {
   /// by the normalization guard upstream) and n >= 1.
   std::size_t (*clamp_weight_argmax)(const double* scores, const double* w,
                                      std::size_t n);
+
+  /// Direct real-DFT magnitudes of x[0..n): for k < bins,
+  ///   re_k = sum_j x[j] * c[j*bins + k],  im_k = sum_j x[j] * s[j*bins + k],
+  /// each summed from 0.0 in ascending j, and out[k] = sqrt(re_k*re_k +
+  /// im_k*im_k).  `c`/`s` are the spectrogram column's [j][k] cos and -sin
+  /// tables.  The AVX2 backend runs bins in lanes (no sum is split), so
+  /// it is bitwise the scalar loop.
+  void (*real_dft_magnitude)(const double* x, std::size_t n, const double* c,
+                             const double* s, std::size_t bins, double* out);
 
   /// Per-channel sums of row-major frames*channels data, accumulated in
   /// ascending frame order per channel (bitwise equal to a sequential

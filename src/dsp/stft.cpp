@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <stdexcept>
 
 #include "dsp/fft_internal.hpp"
+#include "dsp/simd/simd.hpp"
 
 namespace nsync::dsp {
 
@@ -29,30 +31,65 @@ std::size_t stft_hop_samples(const StftConfig& cfg, double fs) {
 
 namespace detail {
 
+bool stft_uses_dft(std::size_t n_win) {
+  return n_win <= kStftDftMaxWindow && !is_power_of_two(n_win);
+}
+
 StftColumn::StftColumn(const StftConfig& cfg, std::size_t n_win,
                        std::size_t channels)
     : channels_(channels),
       log_magnitude_(cfg.log_magnitude),
-      plan_(get_rfft_plan(n_win)),
+      plan_(stft_uses_dft(n_win) ? nullptr : get_rfft_plan(n_win)),
       window_(cached_window(cfg.window, n_win)),
       frame_(n_win),
-      re_(plan_->plane_size()),
-      im_(plan_->plane_size()),
-      bins_(n_win / 2 + 1) {}
+      re_(plan_ ? plan_->plane_size() : 0),
+      im_(re_.size()),
+      bins_(plan_ ? n_win / 2 + 1 : 0) {
+  if (plan_) return;
+  // Entry (j, k) is the twiddle of residue jk mod n, so the table needs
+  // one cos and one sin per residue and every entry of a residue is the
+  // same double.
+  const std::size_t n_bins = n_win / 2 + 1;
+  std::vector<double> c(n_win);
+  std::vector<double> s(n_win);
+  for (std::size_t r = 0; r < n_win; ++r) {
+    const double ang = 2.0 * std::numbers::pi * static_cast<double>(r) /
+                       static_cast<double>(n_win);
+    c[r] = std::cos(ang);
+    s[r] = -std::sin(ang);
+  }
+  cos_.resize(n_win * n_bins);
+  sin_.resize(n_win * n_bins);
+  for (std::size_t j = 0; j < n_win; ++j) {
+    for (std::size_t k = 0; k < n_bins; ++k) {
+      cos_[j * n_bins + k] = c[(j * k) % n_win];
+      sin_[j * n_bins + k] = s[(j * k) % n_win];
+    }
+  }
+}
 
 void StftColumn::compute(const double* block, double* row) {
   const std::size_t n_win = frame_.size();
-  const std::size_t n_bins = bins_.size();
+  const std::size_t n_bins = n_win / 2 + 1;
   const double* window = window_->data();
   for (std::size_t c = 0; c < channels_; ++c) {
     for (std::size_t i = 0; i < n_win; ++i) {
       frame_[i] = block[i * channels_ + c] * window[i];
     }
-    rfft_split(frame_, bins_, re_.data(), im_.data(), *plan_);
     double* out = row + c * n_bins;
-    for (std::size_t k = 0; k < n_bins; ++k) {
-      const double m = std::abs(bins_[k]);
-      out[k] = log_magnitude_ ? std::log1p(m) : m;
+    if (plan_) {
+      rfft_split(frame_, bins_, re_.data(), im_.data(), *plan_);
+      for (std::size_t k = 0; k < n_bins; ++k) {
+        const double re = bins_[k].real();
+        const double im = bins_[k].imag();
+        out[k] = std::sqrt(re * re + im * im);
+      }
+    } else {
+      simd::ops().real_dft_magnitude(frame_.data(), n_win, cos_.data(),
+                                     sin_.data(), n_bins, out);
+    }
+    if (log_magnitude_) {
+      for (std::size_t k = 0; k < n_bins; ++k) out[k] = std::log1p(out[k]);
     }
   }
 }

@@ -47,10 +47,27 @@ struct StftConfig {
 
 namespace detail {
 
+/// Largest window the spectrogram column computes as a direct real DFT
+/// instead of through the cached rfft plan.  Power-of-two windows always
+/// take the plan.  Up to this size the n * (n/2+1) products of the direct
+/// sum cost 1.8-6x less under AVX2 than a non-power-of-two window's
+/// Bluestein route (a chirp-z transform around two radix-2 convolution
+/// FFTs), and the two meet near 96; the scalar backend loses up to 1.6x
+/// on even n from 48 to 62.  bench_micro's BM_SpectrogramColumn rows
+/// measure it.  The Table III windows at the evaluation rates (20 and 33
+/// samples) are below it; the paper-rate windows (200 to 800) are not.
+inline constexpr std::size_t kStftDftMaxWindow = 64;
+
+/// True when StftColumn computes an n_win window by direct DFT.
+[[nodiscard]] bool stft_uses_dft(std::size_t n_win);
+
 /// The spectrogram column routine shared by spectrogram() and
 /// StreamingStft: windows each channel of an n_win-frame interleaved block,
-/// runs it through the cached single-lane rfft, and writes its bin
-/// magnitudes (log1p'd when configured).  Owns the plan, the window and
+/// transforms it and writes its bin magnitudes sqrt(re^2 + im^2) (log1p'd
+/// when configured).  Windows that stft_uses_dft() accepts are summed as a
+/// direct real DFT over a [j][k] cos/sin table
+/// (simd::Ops::real_dft_magnitude, each bin in j order); the others run
+/// the cached single-lane rfft.  Owns the table or plan, the window and
 /// every scratch buffer, so compute() allocates nothing.
 class StftColumn {
  public:
@@ -63,12 +80,15 @@ class StftColumn {
  private:
   std::size_t channels_;
   bool log_magnitude_;
-  std::shared_ptr<const RfftPlan> plan_;
+  std::shared_ptr<const RfftPlan> plan_;  ///< null on the DFT route
   std::shared_ptr<const std::vector<double>> window_;
+  /// DFT route: cos(2 pi jk/n) and -sin(2 pi jk/n) at [j * bins + k].
+  std::vector<double> cos_;
+  std::vector<double> sin_;
   std::vector<double> frame_;  ///< one windowed channel
-  std::vector<double> re_;     ///< split FFT planes
+  std::vector<double> re_;     ///< split FFT planes (rfft route)
   std::vector<double> im_;
-  std::vector<Complex> bins_;
+  std::vector<Complex> bins_;  ///< rfft route
 };
 
 }  // namespace detail

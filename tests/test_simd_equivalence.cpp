@@ -409,6 +409,41 @@ TEST(SimdBitwise, Scale2ByReciprocalEqualsDivisionAllPow2) {
   }
 }
 
+TEST(SimdBitwise, RealDftMagnitudeIdenticalAcrossBackends) {
+  // Every bin count 1..40 (full blocks of sixteen bins, then one to four
+  // vectors with one to four live lanes in the last) at a few lengths:
+  // each backend writes the bits of the per-bin j-order sum, and the
+  // store stops at `bins` (the sentinel past it survives).
+  BackendGuard guard;
+  for (std::size_t bins = 1; bins <= 40; ++bins) {
+    for (const std::size_t n : {1u, 7u, 33u}) {
+      const auto x = random_vector(n, 100 * bins + n);
+      const auto c = random_vector(n * bins, 7 * bins + n);
+      const auto s = random_vector(n * bins, 11 * bins + n);
+      std::vector<double> want(bins);
+      for (std::size_t k = 0; k < bins; ++k) {
+        double re = 0.0;
+        double im = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+          re += x[j] * c[j * bins + k];
+          im += x[j] * s[j * bins + k];
+        }
+        want[k] = std::sqrt(re * re + im * im);
+      }
+      for (const simd::Isa isa : available_backends()) {
+        ASSERT_TRUE(simd::set_backend(isa));
+        std::vector<double> got(bins + 1, -1.0);
+        simd::ops().real_dft_magnitude(x.data(), n, c.data(), s.data(), bins,
+                                       got.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), bins * sizeof(double)),
+                  0)
+            << "bins=" << bins << " n=" << n << " " << simd::isa_name(isa);
+        EXPECT_EQ(got[bins], -1.0) << "bins=" << bins << " n=" << n;
+      }
+    }
+  }
+}
+
 /// The CRC-32 register advanced one bit at a time: the definition every
 /// backend's crc32_update must reproduce.
 std::uint32_t crc32_bitwise_step(std::uint32_t state, std::uint8_t byte) {

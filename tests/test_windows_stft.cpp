@@ -148,7 +148,8 @@ TEST(Stft, LogMagnitudeCompresses) {
 }
 
 /// The spectrogram one column and one channel at a time through
-/// rfft_unplanned, the complex-fft() route the planned rfft replaced.
+/// rfft_unplanned, the complex-fft() route the planned rfft replaced, with
+/// the column's sqrt(re*re + im*im) magnitude.
 nsync::signal::Signal reference_spectrogram(const nsync::signal::Signal& s,
                                             const StftConfig& cfg) {
   const std::size_t n_win = stft_window_samples(cfg, s.sample_rate());
@@ -165,13 +166,43 @@ nsync::signal::Signal reference_spectrogram(const nsync::signal::Signal& s,
       }
       const std::vector<Complex> spec = rfft_unplanned(x);
       for (std::size_t k = 0; k < bins; ++k) {
-        const double m = std::abs(spec[k]);
+        const double re = spec[k].real();
+        const double im = spec[k].imag();
+        const double m = std::sqrt(re * re + im * im);
         out(col, c * bins + k) = cfg.log_magnitude ? std::log1p(m) : m;
       }
     }
   }
   return out;
 }
+
+bool same_bits(const nsync::signal::Signal& a, const nsync::signal::Signal& b) {
+  return a.frames() == b.frames() && a.channels() == b.channels() &&
+         std::memcmp(a.data(), b.data(),
+                     a.frames() * a.channels() * sizeof(double)) == 0;
+}
+
+nsync::signal::Signal random_signal(std::size_t frames, std::size_t channels,
+                                    std::uint64_t seed, double fs = 1000.0) {
+  nsync::signal::Rng rng(seed);
+  nsync::signal::Signal s(frames, channels, fs);
+  for (std::size_t n = 0; n < frames; ++n) {
+    for (std::size_t c = 0; c < channels; ++c) s(n, c) = rng.normal();
+  }
+  return s;
+}
+
+/// 20 Hz resolution at 80 columns/s: at rate_for(n) an n-sample window
+/// with a hop of about n/4 samples.
+StftConfig twenty_hz(bool log_magnitude = false) {
+  StftConfig cfg;
+  cfg.delta_f = 20.0;
+  cfg.delta_t = 1.0 / 80.0;
+  cfg.log_magnitude = log_magnitude;
+  return cfg;
+}
+
+double rate_for(std::size_t n) { return 20.0 * static_cast<double>(n); }
 
 TEST(Stft, SpectrogramMatchesPerChannelReferenceBitwise) {
   using nsync::sensors::SideChannel;
@@ -182,8 +213,12 @@ TEST(Stft, SpectrogramMatchesPerChannelReferenceBitwise) {
     std::size_t channels;
   };
   // The six Table III geometries at the evaluation rates (n_win 20 or 33,
-  // PWR with the boxcar window), a power-of-two window, and log1p
-  // magnitudes on the odd-length AUD window.
+  // PWR with the boxcar window), a power-of-two window, log1p magnitudes
+  // on the odd-length AUD window, and two windows above the direct-DFT
+  // crossover (100 samples, and AUD's 200 at the paper's 4 kHz rate
+  // resolution).  Windows the column sums as a direct DFT must match
+  // spectrogram_dft_reference bit for bit; the ones on the rfft plan must
+  // match the rfft_unplanned route bit for bit.
   std::vector<Geometry> geometries;
   const std::pair<SideChannel, std::size_t> roster[] = {
       {SideChannel::kAcc, 6}, {SideChannel::kTmp, 1}, {SideChannel::kMag, 3},
@@ -199,27 +234,104 @@ TEST(Stft, SpectrogramMatchesPerChannelReferenceBitwise) {
   StftConfig log_aud = nsync::eval::table3_stft(SideChannel::kAud);
   log_aud.log_magnitude = true;
   geometries.push_back({"log1p", log_aud, 4000.0, 2});
+  geometries.push_back({"bluestein", twenty_hz(), rate_for(100), 2});
+  StftConfig aud_200 = nsync::eval::table3_stft(SideChannel::kAud);
+  aud_200.delta_f = 20.0;  // 200-sample window at 4 kHz
+  geometries.push_back({"bluestein", aud_200, 4000.0, 1});
 
+  std::size_t dft = 0;
+  std::size_t planned = 0;
   const simd::Isa saved = simd::active_isa();
   for (const Geometry& g : geometries) {
-    nsync::signal::Rng rng(g.channels * 1000 +
-                           static_cast<std::uint64_t>(g.fs));
-    nsync::signal::Signal s(static_cast<std::size_t>(2.0 * g.fs), g.channels,
-                            g.fs);
-    for (std::size_t n = 0; n < s.frames(); ++n) {
-      for (std::size_t c = 0; c < g.channels; ++c) s(n, c) = rng.normal();
-    }
+    const auto s = random_signal(
+        static_cast<std::size_t>(2.0 * g.fs), g.channels,
+        g.channels * 1000 + static_cast<std::uint64_t>(g.fs), g.fs);
+    const bool direct =
+        detail::stft_uses_dft(stft_window_samples(g.cfg, g.fs));
+    (direct ? dft : planned) += 1;
+    const auto want = direct ? spectrogram_dft_reference(s, g.cfg)
+                             : reference_spectrogram(s, g.cfg);
     for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
       if (!simd::set_backend(isa)) continue;
-      const auto got = spectrogram(s, g.cfg);
-      const auto want = reference_spectrogram(s, g.cfg);
-      ASSERT_EQ(got.frames(), want.frames()) << g.name;
-      ASSERT_EQ(got.channels(), want.channels()) << g.name;
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            got.frames() * got.channels() * sizeof(double)),
-                0)
+      EXPECT_TRUE(same_bits(spectrogram(s, g.cfg), want))
           << g.name << " fs=" << g.fs << " C=" << g.channels
-          << " isa=" << simd::isa_name(isa);
+          << " isa=" << simd::isa_name(isa)
+          << (direct ? " (direct DFT)" : " (rfft plan)");
+    }
+  }
+  simd::set_backend(saved);
+  EXPECT_EQ(dft, 7u);  // the six Table III windows and log1p AUD
+  EXPECT_EQ(planned, 3u);
+}
+
+TEST(Stft, DirectDftMatchesUnplannedRfftWithinBound) {
+  // Every window the column sums directly agrees with the rfft_unplanned
+  // route to 1e-12 of the column's largest bin.  The two differ only in
+  // rounding: a direct sum of n products against a radix-2 / Bluestein
+  // factorization.
+  std::size_t served = 0;
+  for (std::size_t n = 2; n <= detail::kStftDftMaxWindow; ++n) {
+    if (!detail::stft_uses_dft(n)) continue;
+    ++served;
+    const StftConfig cfg = twenty_hz();
+    const double fs = rate_for(n);
+    ASSERT_EQ(stft_window_samples(cfg, fs), n);
+    const auto s = random_signal(6 * n, 2, 31 + n, fs);
+    const auto got = spectrogram(s, cfg);
+    const auto want = reference_spectrogram(s, cfg);
+    ASSERT_EQ(got.frames(), want.frames());
+    ASSERT_EQ(got.channels(), want.channels());
+    const std::size_t bins = n / 2 + 1;
+    for (std::size_t col = 0; col < got.frames(); ++col) {
+      for (std::size_t c = 0; c < s.channels(); ++c) {
+        double largest = 0.0;
+        for (std::size_t k = 0; k < bins; ++k) {
+          largest = std::max(largest, want(col, c * bins + k));
+        }
+        for (std::size_t k = 0; k < bins; ++k) {
+          EXPECT_LE(std::abs(got(col, c * bins + k) - want(col, c * bins + k)),
+                    1e-12 * largest)
+              << "n=" << n << " column " << col << " channel " << c
+              << " bin " << k;
+        }
+      }
+    }
+  }
+  // 2..64 less its six powers of two.
+  EXPECT_EQ(served, detail::kStftDftMaxWindow - 1 - 6);
+}
+
+TEST(Stft, SmallWindowsMatchAcrossBackendsAndStreamingBitwise) {
+  // n_win 2..64 on both routes, 1, 2 and 6 channels, linear and log1p:
+  // the scalar and AVX2 backends write the same bits, and StreamingStft
+  // fed in ragged chunks writes the same bits as spectrogram().
+  const simd::Isa saved = simd::active_isa();
+  for (std::size_t n = 2; n <= 64; ++n) {
+    for (const std::size_t channels : {1u, 2u, 6u}) {
+      for (const bool log_magnitude : {false, true}) {
+        const StftConfig cfg = twenty_hz(log_magnitude);
+        const double fs = rate_for(n);
+        const auto s = random_signal(5 * n + 7, channels, 1000 * n + channels,
+                                     fs);
+        ASSERT_TRUE(simd::set_backend(simd::Isa::kScalar));
+        const auto scalar = spectrogram(s, cfg);
+        if (simd::set_backend(simd::Isa::kAvx2)) {
+          EXPECT_TRUE(same_bits(spectrogram(s, cfg), scalar))
+              << "avx2 n=" << n << " C=" << channels
+              << " log=" << log_magnitude;
+        }
+        simd::set_backend(saved);
+        StreamingStft stream(cfg, fs, channels);
+        std::size_t pos = 0;
+        for (std::size_t chunk = 1; pos < s.frames(); chunk = chunk * 3 + 1) {
+          const std::size_t end = std::min(pos + chunk, s.frames());
+          stream.push(nsync::signal::SignalView(s).slice(pos, end));
+          pos = end;
+        }
+        EXPECT_TRUE(same_bits(stream.spectrogram(), scalar))
+            << "streaming n=" << n << " C=" << channels
+            << " log=" << log_magnitude;
+      }
     }
   }
   simd::set_backend(saved);
@@ -241,18 +353,6 @@ TEST(Stft, ErrorsOnShortSignalOrBadConfig) {
 
 using nsync::signal::Signal;
 using nsync::signal::SignalView;
-
-Signal random_signal(std::size_t frames, std::size_t channels,
-                     std::uint64_t seed, double fs = 1000.0) {
-  nsync::signal::Rng rng(seed);
-  Signal s(frames, channels, fs);
-  for (std::size_t n = 0; n < frames; ++n) {
-    for (std::size_t c = 0; c < channels; ++c) {
-      s(n, c) = rng.normal();
-    }
-  }
-  return s;
-}
 
 TEST(StreamingStft, MatchesOfflineSpectrogramExactly) {
   const Signal s = random_signal(4096, 2, 4);
