@@ -2,8 +2,9 @@
 // uncached plans, complex vs real-input), sliding correlation (naive vs
 // FFT — the TDE ablation), one DWM window step, the steady-state DWM
 // streaming loop, Table III spectrograms and single spectrogram columns,
-// FastDTW, the CRC-32 that checksums frames and checkpoints, and
-// end-to-end dataset generation across runtime pool sizes.
+// FastDTW, the CRC-32 that checksums frames and checkpoints, one session
+// refresh at growing print lengths, and end-to-end dataset generation
+// across runtime pool sizes.
 //
 // Accepts `--json <path>` in addition to the standard benchmark flags:
 // shorthand for --benchmark_out=<path> --benchmark_out_format=json, used
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,6 +42,7 @@
 #include "dsp/simd/simd.hpp"
 #include "dsp/stft.hpp"
 #include "dsp/xcorr.hpp"
+#include "engine/monitor_engine.hpp"
 #include "eval/dataset.hpp"
 #include "eval/setup.hpp"
 #include "runtime/thread_pool.hpp"
@@ -475,6 +478,68 @@ void BM_DwmAlign(benchmark::State& state) {
   }
 }
 NSYNC_BENCHMARK(BM_DwmAlign)->Arg(1024)->Arg(4096);
+
+/// A two-channel session that has streamed `windows` windows per channel,
+/// built once per size: narrow DWM windows so 72 000 of them stream in
+/// about a second.
+engine::MonitorEngine& streamed_session(std::size_t windows) {
+  static std::map<std::size_t, std::unique_ptr<engine::MonitorEngine>> cache;
+  auto& slot = cache[windows];
+  if (slot) return *slot;
+  core::NsyncConfig cfg;
+  cfg.sync = core::SyncMethod::kDwm;
+  cfg.dwm.n_win = 32;
+  cfg.dwm.n_hop = 16;
+  cfg.dwm.n_ext = 8;
+  cfg.dwm.n_sigma = 8.0;
+  const std::size_t frames = (windows - 1) * cfg.dwm.n_hop + cfg.dwm.n_win;
+  core::Thresholds quiet;
+  quiet.c_c = 1e9;
+  quiet.h_c = 1e9;
+  quiet.v_c = 1e9;
+  engine::SessionSpec spec;
+  spec.name = "printer";
+  const std::size_t widths[] = {2, 1};
+  const char* names[] = {"ACC", "AUD"};
+  for (std::size_t c = 0; c < 2; ++c) {
+    spec.channels.push_back(
+        {names[c], random_signal(frames + 8 * cfg.dwm.n_hop, widths[c], 40 + c),
+         cfg, quiet});
+  }
+  slot = std::make_unique<engine::MonitorEngine>();
+  slot->add_session(std::move(spec));
+  for (std::size_t c = 0; c < 2; ++c) {
+    slot->feed(0, names[c], random_signal(frames, widths[c], 50 + c));
+  }
+  slot->poll_session(0);
+  return *slot;
+}
+
+void BM_SessionRefresh(benchmark::State& state) {
+  // One snapshot_into() of a two-channel session (both channel scores
+  // and the fused verdict) after `windows` windows per channel.  Scores
+  // come from running feature maxima, so the time should not grow with
+  // the print.
+  const auto windows = static_cast<std::size_t>(state.range(0));
+  const engine::MonitorEngine& eng = streamed_session(windows);
+  engine::SessionSnapshot snap;
+  eng.snapshot_into(0, snap);
+  if (snap.windows + 2 < windows) {
+    state.SkipWithError("session streamed too few windows");
+    return;
+  }
+  for (auto _ : state) {
+    eng.snapshot_into(0, snap);
+    benchmark::DoNotOptimize(snap.fused_score);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+NSYNC_BENCHMARK(BM_SessionRefresh)
+    ->Arg(200)
+    ->Arg(3000)
+    ->Arg(36000)
+    ->Arg(72000);
 
 void BM_DatasetParallel(benchmark::State& state) {
   // End-to-end tiny-roster generation (26 simulated processes, ACC+AUD

@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -116,16 +117,26 @@ const char* health_name(std::uint8_t h) {
   return "?";
 }
 
-/// Machine-readable verdict line; stable across clean and
-/// killed-and-resumed daemon runs (the CI fleet-daemon and fleet-soak jobs
-/// diff these).
+/// A score as a hexfloat (%a): every bit of the double, so a diff of two
+/// verdict lines compares scores exactly.
+std::string hex_score(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+/// Machine-readable verdict line, fused and per-channel scores included;
+/// stable across clean and killed-and-resumed daemon runs (the CI
+/// fleet-daemon and fleet-soak jobs diff these).
 void print_verdict(const engine::wire::StatsSession& s) {
   std::cout << "verdict " << s.name << " "
             << (s.intrusion != 0 ? "INTRUSION" : "benign") << " window="
-            << s.first_alarm_window << " windows=" << s.windows;
+            << s.first_alarm_window << " windows=" << s.windows
+            << " fused=" << hex_score(s.fused_score);
   for (const auto& ch : s.channels) {
     std::cout << " " << ch.name << "=" << (ch.alarm != 0 ? "alarm" : "ok")
-              << "/" << health_name(ch.health);
+              << "/" << health_name(ch.health)
+              << " score=" << hex_score(ch.score);
   }
   std::cout << "\n";
 }

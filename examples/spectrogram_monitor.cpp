@@ -75,24 +75,19 @@ int main() {
 
   const auto chunk = static_cast<std::size_t>(0.05 * live_raw.sample_rate());
   std::size_t pos = 0;
-  std::size_t emitted_columns = 0;
   while (pos < live_raw.frames() && !monitor.intrusion()) {
     const std::size_t end = std::min(pos + chunk, live_raw.frames());
-    stft.push(signal::SignalView(live_raw).slice(pos, end));
-    pos = end;
     // Forward newly finished spectrogram columns to the monitor.
-    const auto& spec = stft.spectrogram();
-    if (spec.frames() > emitted_columns) {
-      monitor.push(signal::SignalView(spec).slice(emitted_columns,
-                                                  spec.frames()));
-      emitted_columns = spec.frames();
+    if (stft.push(signal::SignalView(live_raw).slice(pos, end)) > 0) {
+      monitor.push(stft.emitted());
     }
+    pos = end;
   }
 
   const double t = static_cast<double>(pos) / live_raw.sample_rate();
   if (monitor.intrusion()) {
     std::cout << "ALARM after " << t << " s of audio ("
-              << emitted_columns << " spectrogram columns, "
+              << stft.columns() << " spectrogram columns, "
               << monitor.windows() << " DWM windows)\n";
     return 0;
   }

@@ -170,6 +170,8 @@ bool DetectionCore::apply_window(double h_disp, double v_dist, bool ok) {
   features_.c_disp.push_back(c_disp_acc_);
   features_.h_dist_f.push_back(h_min_.push(std::abs(h_prev_)));
   features_.v_dist_f.push_back(v_min_.push(v_prev_));
+  fold_window(maxima_, features_.c_disp.back(), features_.h_dist_f.back(),
+              features_.v_dist_f.back());
   v_dist_.push_back(v_prev_);
   valid_.push_back(ok ? 1 : 0);
 
@@ -262,6 +264,7 @@ void DetectionCore::restore_state(nsync::signal::ByteReader& r) {
                           "DetectionCore: filter stream position disagrees "
                           "with the window count");
   }
+  c.maxima_ = feature_maxima(c.features_);
   *this = std::move(c);
 }
 

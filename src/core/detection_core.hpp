@@ -130,6 +130,10 @@ class DetectionCore {
   [[nodiscard]] std::size_t windows() const { return valid_.size(); }
   /// The three feature arrays, one entry per consumed window.
   [[nodiscard]] const DetectionFeatures& features() const { return features_; }
+  /// Running maxima of the three feature arrays: feature_maxima() of
+  /// features(), kept per window so a channel score never rescans them.
+  /// Not persisted; restore_state() rebuilds them from the arrays.
+  [[nodiscard]] const FeatureMaxima& maxima() const { return maxima_; }
   /// Carried vertical distances (the comparator output, Eq. 16).
   [[nodiscard]] const std::vector<double>& v_dist() const { return v_dist_; }
   /// Per-window validity (1 = scored, 0 = degenerate/held).
@@ -166,6 +170,7 @@ class DetectionCore {
   bool armed_ = false;
 
   DetectionFeatures features_;
+  FeatureMaxima maxima_;
   std::vector<double> v_dist_;
   std::vector<std::uint8_t> valid_;
   Detection detection_;

@@ -11,6 +11,7 @@
 #ifndef NSYNC_CORE_DISCRIMINATOR_HPP
 #define NSYNC_CORE_DISCRIMINATOR_HPP
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -41,7 +42,10 @@ struct Thresholds {
   double v_c = 0.0;
 };
 
-/// Per-signal training maxima (Eq. 23-25).
+/// Per-signal maxima of the three features (Eq. 23-25): each is the
+/// largest non-NaN value, floored at 0.  Training learns thresholds from
+/// them, and a detection core keeps them as running peaks, which is all
+/// a channel's anomaly score reads (core::channel_score).
 struct FeatureMaxima {
   double c_max = 0.0;
   double h_max = 0.0;
@@ -62,8 +66,17 @@ void maxima_fields(Io& io, auto& m) {
   io.pod(m.v_max);
 }
 
-/// Maxima of one training signal's features (0 when a feature is empty).
+/// Maxima of one signal's features (0 when a feature is empty).
 [[nodiscard]] FeatureMaxima feature_maxima(const DetectionFeatures& f);
+
+/// Folds one window's features into running maxima.  Applied window by
+/// window it reproduces feature_maxima() over the arrays exactly.
+inline void fold_window(FeatureMaxima& m, double c_disp, double h_dist_f,
+                        double v_dist_f) {
+  m.c_max = std::max(m.c_max, c_disp);
+  m.h_max = std::max(m.h_max, h_dist_f);
+  m.v_max = std::max(m.v_max, v_dist_f);
+}
 
 /// Relative floor on the Eq. 28 spread: per feature the margin is
 /// r * max(hi - lo, kMinRelativeSpread * hi).  Without it, identical

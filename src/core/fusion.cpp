@@ -41,18 +41,16 @@ double threshold_ratio(double feature, double threshold) {
   return feature > 0.0 ? kMaxChannelScore : 0.0;
 }
 
+double channel_score(const FeatureMaxima& peaks, const Thresholds& t) {
+  double score = 0.0;
+  score = std::max(score, threshold_ratio(peaks.c_max, t.c_c));
+  score = std::max(score, threshold_ratio(peaks.h_max, t.h_c));
+  score = std::max(score, threshold_ratio(peaks.v_max, t.v_c));
+  return score;
+}
+
 double channel_score(const DetectionFeatures& f, const Thresholds& t) {
-  double peak = 0.0;
-  for (const double v : f.c_disp) {
-    peak = std::max(peak, threshold_ratio(v, t.c_c));
-  }
-  for (const double v : f.h_dist_f) {
-    peak = std::max(peak, threshold_ratio(v, t.h_c));
-  }
-  for (const double v : f.v_dist_f) {
-    peak = std::max(peak, threshold_ratio(v, t.v_c));
-  }
-  return peak;
+  return channel_score(feature_maxima(f), t);
 }
 
 void FusionPolicy::fit(std::span<const std::string> /*channel_names*/,

@@ -93,11 +93,19 @@ inline constexpr double kMaxChannelScore = 1e9;
 /// strict `feature > threshold` alarm).
 [[nodiscard]] double threshold_ratio(double feature, double threshold);
 
-/// Normalized OCC margin of one channel: the maximum threshold_ratio over
-/// every window of every feature array.  Strictly greater than 1.0 iff
-/// discriminate(f, t) alarms; monotone in the number of windows processed,
-/// so streaming evaluations at different drain boundaries agree once they
-/// have seen the same windows.
+/// Normalized OCC margin of one channel from its feature maxima: the
+/// largest threshold_ratio of the three, floored at 0.  threshold_ratio is
+/// monotone in the feature for every threshold (0, negative and NaN
+/// included), so this is bitwise the maximum threshold_ratio over every
+/// window of every feature array.  Strictly greater than 1.0 iff
+/// discriminate() alarms on those windows; monotone in the number of
+/// windows processed, so streaming evaluations at different drain
+/// boundaries agree once they have seen the same windows.
+[[nodiscard]] double channel_score(const FeatureMaxima& peaks,
+                                   const Thresholds& t);
+
+/// channel_score() of whole feature arrays (batch callers): their
+/// feature_maxima() scored by the one formula above.
 [[nodiscard]] double channel_score(const DetectionFeatures& f,
                                    const Thresholds& t);
 

@@ -141,9 +141,7 @@ std::size_t RealtimeMonitor::push(const SignalView& frames) {
     if (ok && health_.state() == ChannelHealth::kHealthy &&
         !core_.detection().intrusion) {
       const DetectionFeatures& f = core_.features();
-      benign_max_.c_max = std::max(benign_max_.c_max, f.c_disp[i]);
-      benign_max_.h_max = std::max(benign_max_.h_max, f.h_dist_f[i]);
-      benign_max_.v_max = std::max(benign_max_.v_max, f.v_dist_f[i]);
+      fold_window(benign_max_, f.c_disp[i], f.h_dist_f[i], f.v_dist_f[i]);
       ++benign_windows_;
     }
   }

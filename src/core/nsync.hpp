@@ -143,6 +143,11 @@ class RealtimeMonitor {
     return core_.features();
   }
 
+  /// Running maxima of features(), the input of core::channel_score.
+  [[nodiscard]] const FeatureMaxima& feature_maxima() const {
+    return core_.maxima();
+  }
+
   /// Per-window validity mask (1 = scored, 0 = degenerate window whose
   /// features were carried forward from the last valid window).
   [[nodiscard]] const std::vector<std::uint8_t>& valid() const {

@@ -4,7 +4,6 @@
 
 namespace nsync::dsp {
 
-using nsync::signal::Signal;
 using nsync::signal::SignalView;
 
 StreamingStft::StreamingStft(const StftConfig& config, double input_rate,
@@ -12,12 +11,10 @@ StreamingStft::StreamingStft(const StftConfig& config, double input_rate,
     : channels_(input_channels),
       n_win_(stft_window_samples(config, input_rate)),
       n_hop_(stft_hop_samples(config, input_rate)),
-      bins_(n_win_ / 2 + 1),
+      row_width_(input_channels * (n_win_ / 2 + 1)),
+      column_rate_(1.0 / config.delta_t),
       input_buffer_(input_channels, input_rate),
-      output_(Signal::empty(input_channels * (n_win_ / 2 + 1),
-                            1.0 / config.delta_t)),
-      column_(config, n_win_, input_channels),
-      row_(input_channels * bins_) {
+      column_(config, n_win_, input_channels) {
   if (input_channels == 0) {
     throw std::invalid_argument("StreamingStft: need at least one channel");
   }
@@ -29,8 +26,10 @@ std::size_t StreamingStft::push(const SignalView& frames) {
   }
   input_buffer_.drop_before(next_start_);
   input_buffer_.append(frames);
+  emitted_.clear();
   std::size_t emitted = 0;
   while (emit_next_column()) ++emitted;
+  columns_ += emitted;
   return emitted;
 }
 
@@ -39,8 +38,9 @@ bool StreamingStft::emit_next_column() {
   const auto win = input_buffer_.view(next_start_, next_start_ + n_win_);
   // The same column routine as the offline spectrogram(), so columns are
   // byte-identical to it.
-  column_.compute(win.data(), row_.data());
-  output_.append_frame(row_);
+  const std::size_t at = emitted_.size();
+  emitted_.resize(at + row_width_);
+  column_.compute(win.data(), emitted_.data() + at);
   next_start_ += n_hop_;
   return true;
 }

@@ -477,6 +477,7 @@ void FleetServer::serve_connection(int fd) {
   using Clock = std::chrono::steady_clock;
   wire::FrameDecoder decoder;
   std::vector<std::uint8_t> rx(64 * 1024);
+  std::vector<std::uint8_t> tx;  // reply frames, one buffer reused
   bool open = true;
   Clock::time_point last_activity = Clock::now();
   while (open && !stopping_.load()) {
@@ -544,8 +545,8 @@ void FleetServer::serve_connection(int fd) {
           close_after = true;
           break;
       }
-      const std::vector<std::uint8_t> bytes = wire::encode(reply);
-      if (!write_reply(fd, bytes)) close_after = true;
+      wire::encode_into(reply, tx);
+      if (!write_reply(fd, tx)) close_after = true;
       if (close_after) open = false;
     }
   }

@@ -151,8 +151,8 @@ void MonitorEngine::channel_scores(const Session& s,
     const Channel& c = s.channels[i];
     core::ChannelScore& score = out[i];
     score.name = c.name;
-    score.score =
-        core::channel_score(c.monitor.features(), c.monitor.thresholds());
+    score.score = core::channel_score(c.monitor.feature_maxima(),
+                                      c.monitor.thresholds());
     score.alarm = c.monitor.intrusion();
     score.first_alarm_window = c.monitor.detection().first_alarm_window;
     score.health = c.monitor.health();
@@ -203,52 +203,55 @@ void MonitorEngine::evict_session(std::size_t session) {
   s.evicted = true;
 }
 
-SessionSnapshot MonitorEngine::make_snapshot(const Session& s) {
-  SessionSnapshot out;
+void MonitorEngine::snapshot_into(std::size_t session,
+                                  SessionSnapshot& out) const {
+  const Session& s = session_at(session);
   out.name = s.name;
   out.evicted = s.evicted;
   out.intrusion = s.intrusion;
   out.first_alarm_window = s.first_alarm_window;
-  out.windows = std::numeric_limits<std::size_t>::max();
+  out.policy.clear();
+  out.fused_score = 0.0;
+  out.alarming_channels = 0;
+  out.online_channels = 0;
+  out.frames_fed = 0;
+  out.windows =
+      s.channels.empty() ? 0 : std::numeric_limits<std::size_t>::max();
   // Live fused telemetry: evaluate the policy over the current scores so
   // operators see the fused score and per-channel weights even before (or
   // without) the verdict latching.
-  core::FusedVerdict v;
   if (s.policy) {
     out.policy = s.policy->name();
-    std::vector<core::ChannelScore> scores;
-    channel_scores(s, scores);
-    s.policy->evaluate_into(scores, v);
-    out.fused_score = v.score;
-    out.alarming_channels = v.alarming_channels;
-    out.online_channels = v.online_channels;
+    channel_scores(s, scores_);
+    s.policy->evaluate_into(scores_, verdict_);
+    out.fused_score = verdict_.score;
+    out.alarming_channels = verdict_.alarming_channels;
+    out.online_channels = verdict_.online_channels;
   }
-  out.channels.reserve(s.channels.size());
+  out.channels.resize(s.channels.size());
   for (std::size_t i = 0; i < s.channels.size(); ++i) {
     const Channel& c = s.channels[i];
-    ChannelSnapshot cs;
+    ChannelSnapshot& cs = out.channels[i];
     cs.name = c.name;
     cs.detection = c.monitor.detection();
     cs.health = c.monitor.health();
     cs.thresholds = c.monitor.thresholds();
-    if (i < v.channels.size()) {
-      cs.score = v.channels[i].score;
-      cs.weight = v.channels[i].weight;
-    }
+    const bool scored = s.policy && i < verdict_.channels.size();
+    cs.score = scored ? verdict_.channels[i].score : 0.0;
+    cs.weight = scored ? verdict_.channels[i].weight : 0.0;
     cs.width = c.monitor.reference().channels();
     cs.sample_rate = c.monitor.reference().sample_rate();
     cs.windows = c.monitor.windows();
     cs.frames_fed = c.monitor.frames_pushed();
     out.frames_fed += cs.frames_fed;
     out.windows = std::min(out.windows, cs.windows);
-    out.channels.push_back(std::move(cs));
   }
-  if (s.channels.empty()) out.windows = 0;
-  return out;
 }
 
 SessionSnapshot MonitorEngine::snapshot(std::size_t session) const {
-  return make_snapshot(session_at(session));
+  SessionSnapshot out;
+  snapshot_into(session, out);
+  return out;
 }
 
 namespace {

@@ -178,7 +178,13 @@ class MonitorEngine {
   /// std::invalid_argument.  Idempotent.
   void evict_session(std::size_t session);
 
+  /// Point-in-time view of one session.  Scores it from each channel's
+  /// running feature maxima, so the cost does not grow with the print.
   [[nodiscard]] SessionSnapshot snapshot(std::size_t session) const;
+  /// snapshot() into `out`: overwrites every field and reuses the storage
+  /// `out` already holds, so refreshing a snapshot of the same shape
+  /// allocates nothing.
+  void snapshot_into(std::size_t session, SessionSnapshot& out) const;
 
   // --- Crash-safe checkpointing -------------------------------------------
   //
@@ -300,7 +306,6 @@ class MonitorEngine {
   /// Refreshes the fused verdict of `s` if feed() processed windows since
   /// the last refresh.
   void score(Session& s);
-  static SessionSnapshot make_snapshot(const Session& s);
   /// Appends the session's spec in save_session_spec encoding to `w`.
   /// The session must be live.
   static void encode_spec(nsync::signal::ByteWriter& w, const Session& s);
@@ -328,10 +333,11 @@ class MonitorEngine {
   // Registry generation last exported to baseline_path(); max = never.
   mutable std::uint64_t exported_generation_ =
       std::numeric_limits<std::uint64_t>::max();
-  // score() scratch: the score vector and fused verdict of the session
-  // being scored, kept across polls so the warm path allocates nothing.
-  std::vector<core::ChannelScore> scores_;
-  core::FusedVerdict verdict_;
+  // score() and snapshot_into() scratch: the score vector and fused
+  // verdict of the session being scored, kept across calls so the warm
+  // path allocates nothing.  Mutable: a snapshot changes no engine state.
+  mutable std::vector<core::ChannelScore> scores_;
+  mutable core::FusedVerdict verdict_;
 };
 
 }  // namespace nsync::engine

@@ -149,9 +149,9 @@ void ShardedFleet::process_batches(std::size_t index, Shard& shard,
                                    const std::vector<FrameBatch>& batches) {
   bool evicted_any = false;
   std::size_t windows = 0;
-  std::vector<std::size_t> touched;
-  touched.reserve(batches.size());
   const std::scoped_lock lock(shard.mu);
+  std::vector<std::size_t>& touched = shard.touched;
+  touched.clear();
   for (const auto& b : batches) {
     if (b.kind == FrameBatch::Kind::kBarrier) continue;  // after publish
     if (options_.worker_fault_hook) options_.worker_fault_hook(index, b);
@@ -192,10 +192,12 @@ void ShardedFleet::process_batches(std::size_t index, Shard& shard,
 
 void ShardedFleet::publish(Shard& shard, std::span<const std::size_t> touched,
                            std::span<const FrameBatch> fed) {
-  std::vector<std::pair<std::size_t, SessionSnapshot>> snaps;
-  snaps.reserve(touched.size());
-  for (const std::size_t local : touched) {
-    snaps.emplace_back(local, shard.engine->snapshot(local));
+  // Refresh outside view_mu, into snapshots the worker owns: a slot holds
+  // whatever the view last handed back, so a refresh of a session already
+  // published reuses that storage and allocates nothing.
+  if (shard.fresh.size() < touched.size()) shard.fresh.resize(touched.size());
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    shard.engine->snapshot_into(touched[i], shard.fresh[i]);
   }
   // The registry changes only at admission (first-contact resolve) and
   // eviction (fold); copy it only then.
@@ -215,11 +217,14 @@ void ShardedFleet::publish(Shard& shard, std::span<const std::size_t> touched,
       shard.view.latency.record(now - b.enqueued_at);
     }
   }
-  for (auto& [local, snap] : snaps) {
+  // Swap each refreshed snapshot into its map node: O(1) per session
+  // under the lock, and the old snapshot goes back to the scratch slot.
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    SessionSnapshot& snap = shard.fresh[i];
     if (snap.evicted) {
-      shard.view.sessions.erase(local);
+      shard.view.sessions.erase(touched[i]);
     } else {
-      shard.view.sessions.insert_or_assign(local, std::move(snap));
+      std::swap(shard.view.sessions[touched[i]], snap);
     }
   }
   shard.view.counters = shard.counters;

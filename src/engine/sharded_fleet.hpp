@@ -328,6 +328,11 @@ class ShardedFleet {
     std::size_t polls_since_write = 0;  // guarded by mu
     // Registry generation the view's baselines were copied at (mu).
     std::uint64_t baselines_generation = 0;
+    // Worker-round scratch (mu): the sessions a round fed or evicted, and
+    // publish()'s refreshed snapshots.  A slot of `fresh` holds the
+    // snapshot the view handed back at the last swap.
+    std::vector<std::size_t> touched;
+    std::vector<SessionSnapshot> fresh;
     // Supervision state.  `failed` is atomic so the feed hot path can
     // check it without taking mu; the failure reason lives in the view.
     std::atomic<bool> failed{false};
@@ -376,7 +381,9 @@ class ShardedFleet {
   /// Republishes shard.view: the snapshots of the `touched` local
   /// sessions, the counters, and the baselines if the registry changed,
   /// and records the feed-to-verdict latency of every kFeed batch in
-  /// `fed`.  Caller holds shard.mu.
+  /// `fed`.  Each snapshot is refreshed into shard.fresh and swapped into
+  /// its view node, so view_mu is held for O(1) per session and a warm
+  /// round allocates nothing.  Caller holds shard.mu.
   static void publish(Shard& shard, std::span<const std::size_t> touched,
                       std::span<const FrameBatch> fed = {});
   /// publish() of every session, replacing the view's session set (after

@@ -250,25 +250,37 @@ std::string decode_status_name(DecodeStatus s) {
 
 MsgType message_type(const Message& m) { return kTypes[m.index()]; }
 
-std::vector<std::uint8_t> encode(const Message& m) {
-  ByteWriter pw;
-  FieldWriter io(pw);
+void encode_into(const Message& m, std::vector<std::uint8_t>& out) {
+  // Header first, with the payload length patched in once it is known:
+  // the payload is encoded straight into the frame.
+  ByteWriter w(std::move(out));
+  w.pod<std::uint32_t>(kMagic);
+  w.pod<std::uint8_t>(kProtocolVersion);
+  w.pod<std::uint8_t>(static_cast<std::uint8_t>(message_type(m)));
+  w.pod<std::uint16_t>(0);  // reserved
+  w.pod<std::uint32_t>(0);  // payload length
+  FieldWriter io(w);
   std::visit([&io](const auto& payload) { fields(io, payload); }, m);
-  const std::vector<std::uint8_t> payload = pw.take();
-  if (payload.size() > kMaxPayloadBytes) {
+  out = w.take();
+  const std::size_t payload = out.size() - kHeaderBytes;
+  if (payload > kMaxPayloadBytes) {
+    out.clear();
     throw CheckpointError(nsync::signal::CheckpointErrorKind::kCorrupt,
                           "wire payload exceeds kMaxPayloadBytes");
   }
+  const auto length = static_cast<std::uint32_t>(payload);
+  std::memcpy(out.data() + kHeaderBytes - sizeof(length), &length,
+              sizeof(length));
+  const std::uint32_t crc =
+      nsync::signal::crc32(out.data() + kHeaderBytes, payload);
+  const auto* crc_bytes = reinterpret_cast<const std::uint8_t*>(&crc);
+  out.insert(out.end(), crc_bytes, crc_bytes + sizeof(crc));
+}
 
-  ByteWriter fw;
-  fw.pod<std::uint32_t>(kMagic);
-  fw.pod<std::uint8_t>(kProtocolVersion);
-  fw.pod<std::uint8_t>(static_cast<std::uint8_t>(message_type(m)));
-  fw.pod<std::uint16_t>(0);  // reserved
-  fw.pod<std::uint32_t>(static_cast<std::uint32_t>(payload.size()));
-  fw.bytes(payload.data(), payload.size());
-  fw.pod<std::uint32_t>(nsync::signal::crc32(payload.data(), payload.size()));
-  return fw.take();
+std::vector<std::uint8_t> encode(const Message& m) {
+  std::vector<std::uint8_t> out;
+  encode_into(m, out);
+  return out;
 }
 
 void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {

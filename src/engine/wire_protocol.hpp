@@ -238,6 +238,10 @@ using Message =
 
 /// Encodes a message into one complete wire frame (header+payload+CRC).
 [[nodiscard]] std::vector<std::uint8_t> encode(const Message& m);
+/// encode() into `out`, replacing its contents and reusing its capacity:
+/// a buffer already as large as the frame is not reallocated.  On throw
+/// `out` is left empty.
+void encode_into(const Message& m, std::vector<std::uint8_t>& out);
 
 // --- Incremental decoder ---------------------------------------------------
 

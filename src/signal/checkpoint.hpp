@@ -92,6 +92,13 @@ class ByteWriter {
   enum class Arrays { kCopy, kReference };
 
   explicit ByteWriter(Arrays arrays = Arrays::kCopy) : arrays_(arrays) {}
+  /// A copying writer that encodes into `reuse`'s storage: its contents
+  /// are dropped, its capacity kept, and take() hands it back, so a
+  /// caller that recycles one buffer encodes without allocating.
+  explicit ByteWriter(std::vector<std::uint8_t>&& reuse)
+      : buf_(std::move(reuse)), arrays_(Arrays::kCopy) {
+    buf_.clear();
+  }
 
   template <typename T>
   void pod(const T& value) {

@@ -5,13 +5,16 @@
 // MonitorEngine sizes everything at admission, so no feed or poll
 // allocates from the first window on: monitors and the fused verdict
 // refresh.  A feed larger than that reservation grows the synchronizer
-// ring once, never again for chunks of its size.  The offline
-// spectrogram likewise allocates only its output and per-call scratch,
-// never per column.
+// ring once, never again for chunks of its size.  A session refresh costs
+// the same at any print length, and a warm ShardedFleet round (feed, poll,
+// publish) allocates nothing on its worker thread, nor does encoding a
+// reply into a warm buffer.  The offline spectrogram likewise allocates
+// only its output and per-call scratch, never per column.
 //
 // The check replaces the global allocation functions with counting
 // versions; counting is enabled only around the measured pushes, so the
-// test harness's own allocations don't interfere.
+// test harness's own allocations don't interfere.  A thread can opt out
+// (t_uncounted), so a fleet round counts only what its worker allocates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +31,8 @@
 #include "core/nsync.hpp"
 #include "dsp/stft.hpp"
 #include "engine/monitor_engine.hpp"
+#include "engine/sharded_fleet.hpp"
+#include "engine/wire_protocol.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
 
@@ -35,19 +40,22 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_allocations{0};
+thread_local bool t_uncounted = false;
 
-void* counted_alloc(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
+void count_allocation() {
+  if (g_counting.load(std::memory_order_relaxed) && !t_uncounted) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void* counted_alloc(std::size_t size) {
+  count_allocation();
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
+  count_allocation();
   void* p = nullptr;
   if (align < sizeof(void*)) align = sizeof(void*);
   if (posix_memalign(&p, align, size ? size : 1) != 0) {
@@ -303,6 +311,118 @@ TEST(AllocHotPath, DirectFeedsAllocateNothingAfterTheFirstRound) {
     EXPECT_EQ(allocations, 0u) << "over " << windows << " windows";
     EXPECT_FALSE(eng.snapshot(id).intrusion);
   }
+}
+
+/// Heap allocations of one warm session refresh (poll + snapshot_into)
+/// after `windows` windows per channel of a two-channel session, with
+/// windows narrow enough that thousands stream in milliseconds.
+std::size_t refresh_allocations(std::size_t windows) {
+  NsyncConfig cfg;
+  cfg.sync = SyncMethod::kDwm;
+  cfg.dwm.n_win = 32;
+  cfg.dwm.n_hop = 16;
+  cfg.dwm.n_ext = 8;
+  cfg.dwm.n_sigma = 8.0;
+  const std::size_t frames = (windows + 1) * cfg.dwm.n_hop + cfg.dwm.n_win;
+  engine::SessionSpec spec = quiet_session(
+      std::make_shared<const WeightedPolicy>(
+          WeightedPolicyConfig{},
+          std::vector<std::pair<std::string, double>>{{"ACC", 0.6},
+                                                      {"AUD", 0.4}}));
+  for (std::size_t c = 0; c < spec.channels.size(); ++c) {
+    spec.channels[c].config = cfg;
+    spec.channels[c].reference =
+        smoothed_noise(frames + 8 * cfg.dwm.n_hop, kWidths[c], 5 + c);
+  }
+  engine::MonitorEngine eng;
+  const std::size_t id = eng.add_session(std::move(spec));
+  std::vector<Signal> observed;
+  for (std::size_t c = 0; c < kNames.size(); ++c) {
+    observed.push_back(smoothed_noise(frames, kWidths[c], 7 + c));
+  }
+  const std::size_t head = frames - cfg.dwm.n_hop;
+  for (std::size_t c = 0; c < kNames.size(); ++c) {
+    eng.feed(id, kNames[c], SignalView(observed[c]).slice(0, head));
+  }
+  engine::SessionSnapshot snap;
+  eng.poll_session(id);
+  eng.snapshot_into(id, snap);
+  const std::size_t before = snap.windows;
+  // One more hop per channel, so the measured refresh has a window to
+  // score.
+  for (std::size_t c = 0; c < kNames.size(); ++c) {
+    eng.feed(id, kNames[c], SignalView(observed[c]).slice(head, frames));
+  }
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  eng.poll_session(id);
+  eng.snapshot_into(id, snap);
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_GE(before, windows);
+  EXPECT_GT(snap.windows, before);
+  EXPECT_FALSE(snap.intrusion);
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+TEST(AllocHotPath, SessionRefreshAllocatesTheSameAtTwentyTimesTheLength) {
+  // The refresh scores each channel from its running feature maxima, so
+  // a print 20x as long costs it no more: no allocation at either length.
+  const std::size_t short_allocs = refresh_allocations(200);
+  const std::size_t long_allocs = refresh_allocations(4000);
+  EXPECT_EQ(short_allocs, 0u);
+  EXPECT_EQ(long_allocs, short_allocs);
+}
+
+TEST(AllocHotPath, WarmShardRoundAllocatesNothingOnTheWorker) {
+  // One FEED per round, then flush(): the worker pops it, feeds the
+  // engine, polls and publishes.  After the session's first publishes
+  // the view hands back a snapshot of the same shape at every swap, so
+  // no round allocates.  The feeding thread's frame copies are the
+  // caller's, not the round's, and go uncounted.
+  const NsyncConfig cfg = engine_config();
+  std::vector<Signal> observed;
+  for (std::size_t c = 0; c < kNames.size(); ++c) {
+    observed.push_back(smoothed_noise(4000, kWidths[c], 7 + c));
+  }
+  engine::ShardedFleet fleet;
+  const std::size_t id = fleet.add_session(quiet_session(
+      std::make_shared<const VotingPolicy>(FusionRule::kMajority)));
+  constexpr std::size_t kWarmRounds = 4;
+  std::size_t allocations = 0;
+  t_uncounted = true;
+  for (std::size_t round = 0; round < 24; ++round) {
+    const std::size_t c = round % kNames.size();
+    const std::size_t pos = (round / kNames.size()) * cfg.dwm.n_hop;
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_counting.store(round >= kWarmRounds, std::memory_order_relaxed);
+    const engine::FeedResult r = fleet.feed(
+        id, kNames[c], SignalView(observed[c]).slice(pos, pos + cfg.dwm.n_hop));
+    fleet.flush();
+    g_counting.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(r.status, engine::FeedStatus::kOk) << "round " << round;
+    allocations += g_allocations.load(std::memory_order_relaxed);
+  }
+  t_uncounted = false;
+  EXPECT_EQ(allocations, 0u);
+  const engine::SessionSnapshot snap = fleet.snapshot(id);
+  EXPECT_EQ(snap.windows, 11u);
+  EXPECT_EQ(fleet.stats().windows, 11u * kNames.size());
+  EXPECT_FALSE(snap.intrusion);
+}
+
+TEST(AllocHotPath, EncodeIntoAWarmBufferAllocatesNothing) {
+  // The daemon encodes every reply into one buffer per connection; a
+  // FEED_OK into a buffer that already held one needs no new storage, and
+  // its bytes are encode()'s.
+  const engine::wire::Message reply = engine::wire::FeedOk{4096, 0, 17};
+  std::vector<std::uint8_t> buffer;
+  engine::wire::encode_into(reply, buffer);
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  engine::wire::encode_into(reply, buffer);
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(buffer, engine::wire::encode(reply));
 }
 
 /// Heap allocations made by one spectrogram() call.

@@ -3,16 +3,21 @@
 // threshold latching shared by the batch and streaming paths.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "core/detection_core.hpp"
 #include "core/discriminator.hpp"
+#include "core/fusion.hpp"
+#include "signal/checkpoint.hpp"
 #include "signal/filters.hpp"
 #include "signal/rng.hpp"
 #include "signal/signal.hpp"
+#include "test_support.hpp"
 
 namespace nsync::core {
 namespace {
@@ -203,6 +208,123 @@ TEST(DetectionCore, RandomMaskedScoredFeedMatchesDiscriminate) {
     EXPECT_EQ(dc.detection().by_v_dist, batch.by_v_dist) << "seed " << seed;
     EXPECT_EQ(dc.detection().first_alarm_window, batch.first_alarm_window)
         << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Running feature maxima: a channel score read from them is bitwise the
+// score of a rescan over every window, for any feature and threshold.
+// ---------------------------------------------------------------------------
+
+using test_support::rescan_channel_score;
+using test_support::same_bits;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Thresholds a score must handle: learned-looking ones, zero, negative,
+/// NaN, infinite, subnormal and mixtures.
+const std::array<Thresholds, 9> kScoreThresholds{{
+    {25.0, 6.0, 2.0},
+    {0.0, 0.0, 0.0},
+    {-1.0, -2.0, -0.5},
+    {kNaN, kNaN, kNaN},
+    {kInf, kInf, kInf},
+    {5e-324, 5e-324, 5e-324},
+    {0.0, kNaN, -1.0},
+    {kInf, 1e-300, 0.0},
+    {-0.0, 3.0, kNaN},
+}};
+
+/// One draw from a palette of awkward values, or a plain normal one.
+double awkward(Rng& rng, double scale) {
+  static constexpr std::array<double, 10> kPalette{
+      kNaN, kInf, -kInf, -0.0, 0.0, 5e-324, 1e308, -1e308, -3.0, 1e300};
+  if (rng.uniform() < 0.3) {
+    const auto k = static_cast<std::size_t>(rng.uniform() * kPalette.size());
+    return kPalette[std::min(k, kPalette.size() - 1)];
+  }
+  return rng.normal(0.0, scale);
+}
+
+/// Every threshold set, and the core's own armed ones: the score from the
+/// core's maxima, the batch helper over its arrays and the rescan agree.
+void expect_scores_match(const DetectionCore& dc, std::size_t step) {
+  for (std::size_t k = 0; k <= kScoreThresholds.size(); ++k) {
+    const Thresholds& t =
+        k < kScoreThresholds.size() ? kScoreThresholds[k] : dc.thresholds();
+    const double want = rescan_channel_score(dc.features(), t);
+    EXPECT_TRUE(same_bits(channel_score(dc.maxima(), t), want))
+        << "step " << step << " thresholds " << k;
+    EXPECT_TRUE(same_bits(channel_score(dc.features(), t), want))
+        << "step " << step << " thresholds " << k;
+  }
+}
+
+TEST(DetectionCore, RunningMaximaScoreMatchesFullRescanBitwise) {
+  // Generated streams with NaN, +-Inf, -0.0, subnormal and overflowing
+  // inputs (1e308 swings drive c_disp to +Inf); thresholds armed only
+  // after windows accumulated; a save/restore in mid-stream whose copy
+  // must keep scoring like the original.
+  std::size_t infinite_c_disp = 0;
+  std::size_t ceiling_scores = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    DetectionCore dc(params(), DistanceMetric::kCorrelation, 3);
+    std::optional<DetectionCore> restored;
+    for (std::size_t i = 0; i < 300; ++i) {
+      const double h = awkward(rng, 3.0);
+      const double v = awkward(rng, 1.0);
+      const bool valid = rng.uniform() > 0.2;
+      dc.step_scored(h, v, valid);
+      if (restored) restored->step_scored(h, v, valid);
+      if (i == 100) dc.set_thresholds(kScoreThresholds[seed]);
+      if (i == 180) {
+        nsync::signal::ByteWriter w;
+        dc.save_state(w);
+        const std::vector<std::uint8_t> bytes = w.take();
+        nsync::signal::ByteReader r(bytes);
+        restored.emplace(params(), DistanceMetric::kCorrelation, 3);
+        restored->restore_state(r);
+      }
+      expect_scores_match(dc, i);
+      if (restored) {
+        expect_scores_match(*restored, i);
+        EXPECT_TRUE(same_bits(channel_score(restored->maxima(), dc.thresholds()),
+                              channel_score(dc.maxima(), dc.thresholds())))
+            << "seed " << seed << " step " << i;
+      }
+      if (std::isinf(dc.features().c_disp.back())) ++infinite_c_disp;
+      if (channel_score(dc.maxima(), dc.thresholds()) == kMaxChannelScore) {
+        ++ceiling_scores;
+      }
+    }
+  }
+  // The awkward inputs reached the features and the clamp.
+  EXPECT_GT(infinite_c_disp, 0u);
+  EXPECT_GT(ceiling_scores, 0u);
+}
+
+TEST(DetectionCore, FoldedMaximaScoreNonFiniteFeaturesLikeTheRescan) {
+  // Feature values a core never writes itself (NaN, -Inf, negatives)
+  // folded straight into maxima: still bitwise the rescan at every prefix.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(100 + seed);
+    DetectionFeatures f;
+    FeatureMaxima running;
+    for (std::size_t i = 0; i < 40; ++i) {
+      f.c_disp.push_back(awkward(rng, 10.0));
+      f.h_dist_f.push_back(awkward(rng, 3.0));
+      f.v_dist_f.push_back(awkward(rng, 1.0));
+      fold_window(running, f.c_disp.back(), f.h_dist_f.back(),
+                  f.v_dist_f.back());
+      for (std::size_t k = 0; k < kScoreThresholds.size(); ++k) {
+        const Thresholds& t = kScoreThresholds[k];
+        EXPECT_TRUE(same_bits(channel_score(running, t),
+                              rescan_channel_score(f, t)))
+            << "seed " << seed << " window " << i << " thresholds " << k;
+      }
+    }
   }
 }
 

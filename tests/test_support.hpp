@@ -1,12 +1,15 @@
 // Test-only fixtures and oracles that no production binary needs: a
 // circle outline for small fast parts, polygon and sample measures,
-// appending a view to a signal, a noise-free print simulation, and every
-// session's snapshot of an engine.
+// appending a view to a signal, a noise-free print simulation, every
+// session's snapshot of an engine, and the whole-array channel score.
 #ifndef NSYNC_TESTS_TEST_SUPPORT_HPP
 #define NSYNC_TESTS_TEST_SUPPORT_HPP
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <numbers>
 #include <span>
 #include <stdexcept>
@@ -135,6 +138,29 @@ inline std::vector<engine::SessionSnapshot> snapshots(
     out.push_back(eng.snapshot(i));
   }
   return out;
+}
+
+/// The channel score as a rescan of every window: the largest
+/// threshold_ratio over each feature array, folded from 0 in array order.
+/// Oracle for core::channel_score, which reads only the feature maxima.
+inline double rescan_channel_score(const core::DetectionFeatures& f,
+                                   const core::Thresholds& t) {
+  double peak = 0.0;
+  for (const double v : f.c_disp) {
+    peak = std::max(peak, core::threshold_ratio(v, t.c_c));
+  }
+  for (const double v : f.h_dist_f) {
+    peak = std::max(peak, core::threshold_ratio(v, t.h_c));
+  }
+  for (const double v : f.v_dist_f) {
+    peak = std::max(peak, core::threshold_ratio(v, t.v_c));
+  }
+  return peak;
+}
+
+/// Bitwise equality of two doubles (tells -0.0 from 0.0, NaN == NaN).
+inline bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 }  // namespace nsync::test_support
