@@ -1,9 +1,9 @@
 #include "engine/fleet_server.hpp"
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -24,29 +24,39 @@ namespace {
 using wire::ErrorCode;
 using wire::Message;
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+/// Longest a connection thread blocks in read() before it rechecks
+/// stop() and the idle deadline.
+constexpr std::int64_t kReadTickMs = 100;
+
+/// Arms the blocking read()'s timeout (SO_RCVTIMEO); `ms` must be > 0,
+/// since a zero timeout means "never time out".
+void set_read_timeout(int fd, std::int64_t ms) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(ms / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
 enum class WriteOutcome : std::uint8_t { kOk, kTimeout, kPeerGone };
 
-/// Writes the whole buffer on a non-blocking fd, parking in poll(POLLOUT)
-/// when the socket buffer is full.  `timeout_ms == 0` waits indefinitely;
+/// Writes the whole buffer without blocking in send(), parking in
+/// poll(POLLOUT) when the socket buffer is full; `before_wait()` runs
+/// before each such park.  `timeout_ms == 0` waits indefinitely;
 /// otherwise the whole buffer must drain within the deadline or the call
-/// gives up — the slow-consumer guard.
+/// gives up — the slow-consumer guard.  Counts every send() that wrote
+/// bytes in `sends`.
+template <class BeforeWait>
 WriteOutcome write_all_deadline(int fd, const std::uint8_t* data,
-                                std::size_t n, std::uint32_t timeout_ms) {
+                                std::size_t n, std::uint32_t timeout_ms,
+                                std::uint64_t& sends,
+                                BeforeWait&& before_wait) {
   using Clock = std::chrono::steady_clock;
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(timeout_ms);
   while (n > 0) {
-#ifdef MSG_NOSIGNAL
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-#else
-    const ssize_t w = ::write(fd, data, n);
-#endif
+    const ssize_t w = ::send(fd, data, n, MSG_DONTWAIT | MSG_NOSIGNAL);
     if (w > 0) {
+      ++sends;
       data += w;
       n -= static_cast<std::size_t>(w);
       continue;
@@ -60,6 +70,7 @@ WriteOutcome write_all_deadline(int fd, const std::uint8_t* data,
         if (left.count() <= 0) return WriteOutcome::kTimeout;
         wait_ms = static_cast<int>(left.count());
       }
+      before_wait();
       pollfd pfd{};
       pfd.fd = fd;
       pfd.events = POLLOUT;
@@ -147,6 +158,8 @@ wire::Stats to_stats(const FleetStats& fs) {
 
 struct RequestVisitor {
   ShardedFleet& fleet;
+  /// Where FEEDs defer their shard wake-ups; nullptr wakes at once.
+  ShardedFleet::DeferredWakes* wakes = nullptr;
 
   Message operator()(const wire::Hello& h) const {
     if (h.version != wire::kProtocolVersion) {
@@ -191,8 +204,11 @@ struct RequestVisitor {
   }
 
   Message operator()(wire::Feed&& f) const {
-    const FeedResult r = fleet.feed(static_cast<std::size_t>(f.session),
-                                    f.channel, std::move(f.frames));
+    const auto session = static_cast<std::size_t>(f.session);
+    const FeedResult r =
+        wakes != nullptr
+            ? fleet.feed(session, f.channel, std::move(f.frames), *wakes)
+            : fleet.feed(session, f.channel, std::move(f.frames));
     switch (r.status) {
       case FeedStatus::kOk:
       case FeedStatus::kShed: {
@@ -407,7 +423,6 @@ void FleetServer::accept_loop() {
       }
       continue;
     }
-    set_nonblocking(fd);
     const std::scoped_lock lock(conns_mu_);
     reap_finished_locked();
     if (options_.max_connections > 0 &&
@@ -422,7 +437,8 @@ void FleetServer::accept_loop() {
                      options_.busy_retry_after_ms));
       const std::uint32_t budget =
           std::max<std::uint32_t>(options_.write_timeout_ms, 100);
-      write_all_deadline(fd, bytes.data(), bytes.size(), budget);
+      std::uint64_t sends = 0;
+      write_all_deadline(fd, bytes.data(), bytes.size(), budget, sends, [] {});
       // Half-close and drain: if the client's first request is already
       // sitting unread in our receive buffer, a bare close() turns into a
       // reset that can destroy the busy reply in flight.  Shut down the
@@ -459,9 +475,17 @@ void FleetServer::accept_loop() {
   }
 }
 
-bool FleetServer::write_reply(int fd, const std::vector<std::uint8_t>& bytes) {
-  switch (write_all_deadline(fd, bytes.data(), bytes.size(),
-                             options_.write_timeout_ms)) {
+bool FleetServer::write_reply(int fd, const std::vector<std::uint8_t>& bytes,
+                              ShardedFleet::DeferredWakes& wakes) {
+  std::uint64_t sends = 0;
+  // A reply that cannot go out at once may wait for the peer for up to
+  // write_timeout_ms: the shards its FEEDs went to must not wait with it.
+  const WriteOutcome outcome =
+      write_all_deadline(fd, bytes.data(), bytes.size(),
+                         options_.write_timeout_ms, sends,
+                         [&wakes] { wakes.release(); });
+  reply_sends_.fetch_add(sends);
+  switch (outcome) {
     case WriteOutcome::kOk:
       return true;
     case WriteOutcome::kTimeout:
@@ -477,13 +501,21 @@ void FleetServer::serve_connection(int fd) {
   using Clock = std::chrono::steady_clock;
   wire::FrameDecoder decoder;
   std::vector<std::uint8_t> rx(64 * 1024);
-  std::vector<std::uint8_t> tx;  // reply frames, one buffer reused
+  std::vector<std::uint8_t> tx;     // every reply of one read
+  std::vector<std::uint8_t> frame;  // one reply frame
+  // The FEEDs of one read wake their shards only once the read's replies
+  // are written (or when the scope ends, on every way out of this loop).
+  ShardedFleet::DeferredWakes wakes(fleet_);
+  const RequestVisitor visitor{fleet_, &wakes};
+  std::int64_t armed_timeout_ms = 0;  // SO_RCVTIMEO in force; 0 = none yet
   bool open = true;
   Clock::time_point last_activity = Clock::now();
   while (open && !stopping_.load()) {
-    // Poll in short ticks so stop() and the idle deadline are both
-    // honored; any byte from the peer resets the idle clock.
-    int tick_ms = 100;
+    // Block in read() for at most one tick, so stop() and the idle
+    // deadline are both honored; any byte from the peer resets the idle
+    // clock.  The timeout changes only near the idle deadline, so a busy
+    // connection pays one syscall per read.
+    std::int64_t tick_ms = kReadTickMs;
     if (options_.idle_timeout_ms > 0) {
       const auto idle_left =
           std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -494,27 +526,25 @@ void FleetServer::serve_connection(int fd) {
         idle_reaped_.fetch_add(1);
         break;
       }
-      tick_ms = static_cast<int>(
-          std::min<std::int64_t>(tick_ms, idle_left.count()));
+      tick_ms = std::min<std::int64_t>(tick_ms, idle_left.count());
     }
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, tick_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
+    if (tick_ms != armed_timeout_ms) {
+      set_read_timeout(fd, tick_ms);
+      armed_timeout_ms = tick_ms;
     }
-    if (ready == 0) continue;  // tick: recheck stopping_ / idle deadline
     const ssize_t n = ::read(fd, rx.data(), rx.size());
     if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-      continue;
+      continue;  // tick: recheck stopping_ / idle deadline
     }
-    if (n <= 0) break;  // peer closed or error
+    if (n <= 0) break;  // peer closed, shutdown() by stop(), or error
+    reads_.fetch_add(1);
     last_activity = Clock::now();
     decoder.feed(std::span<const std::uint8_t>(
         rx.data(), static_cast<std::size_t>(n)));
 
+    // Answer every complete frame of this read, then send the replies in
+    // one go.
+    tx.clear();
     while (open) {
       Message request;
       std::string detail;
@@ -522,10 +552,9 @@ void FleetServer::serve_connection(int fd) {
       if (st == wire::DecodeStatus::kNeedMore) break;
 
       Message reply;
-      bool close_after = false;
       switch (st) {
         case wire::DecodeStatus::kFrame:
-          reply = handle(fleet_, std::move(request));
+          reply = std::visit(visitor, std::move(request));
           break;
         case wire::DecodeStatus::kBadType:
           reply = make_error(ErrorCode::kBadType, detail);
@@ -535,20 +564,25 @@ void FleetServer::serve_connection(int fd) {
           break;
         case wire::DecodeStatus::kBadVersion:
           reply = make_error(ErrorCode::kBadVersion, detail);
-          close_after = true;
+          open = false;
           break;
         case wire::DecodeStatus::kBadMagic:
         case wire::DecodeStatus::kOversized:
         case wire::DecodeStatus::kBadCrc:
         default:
           reply = make_error(ErrorCode::kBadFrame, detail);
-          close_after = true;
+          open = false;
           break;
       }
-      wire::encode_into(reply, tx);
-      if (!write_reply(fd, tx)) close_after = true;
-      if (close_after) open = false;
+      wire::encode_into(reply, frame);
+      if (tx.empty()) {
+        tx.swap(frame);  // the usual one-reply read copies nothing
+      } else {
+        tx.insert(tx.end(), frame.begin(), frame.end());
+      }
     }
+    if (!tx.empty() && !write_reply(fd, tx, wakes)) open = false;
+    wakes.release();
   }
   ::close(fd);
 }
@@ -560,6 +594,8 @@ FleetServerStats FleetServer::stats() const {
   s.accept_errors = accept_errors_.load();
   s.idle_reaped = idle_reaped_.load();
   s.write_timeouts = write_timeouts_.load();
+  s.reads = reads_.load();
+  s.reply_sends = reply_sends_.load();
   {
     const std::scoped_lock lock(conns_mu_);
     for (const Connection& c : conns_) {

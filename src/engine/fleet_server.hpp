@@ -15,8 +15,16 @@
 // magic/version/CRC/length) get a final ERROR reply and the connection is
 // closed, because the byte stream can no longer be trusted.
 //
-// Resilience (deadline I/O): per-connection reads and writes run through
-// poll() with configurable deadlines.  A connection that stays silent past
+// Connection loop: each connection thread blocks in read() (SO_RCVTIMEO
+// ticks of 100 ms, shorter near the idle deadline), answers every complete
+// frame that read delivered, writes all the replies with one send(), and
+// only then wakes the shard workers its FEEDs went to
+// (ShardedFleet::DeferredWakes).  A FEED_OK still means "accepted into the
+// shard's queue".
+//
+// Resilience (deadline I/O): reads and writes run under configurable
+// deadlines; a reply send that would block parks in poll(POLLOUT) after
+// waking the read's shards.  A connection that stays silent past
 // idle_timeout_ms is reaped (half-open clients no longer leak a thread and
 // an fd forever), a reply write that cannot complete within
 // write_timeout_ms closes the slow consumer instead of wedging its thread,
@@ -74,6 +82,8 @@ struct FleetServerStats {
   std::uint64_t accept_errors = 0;              ///< accept() failures
   std::uint64_t idle_reaped = 0;     ///< connections closed by idle deadline
   std::uint64_t write_timeouts = 0;  ///< slow consumers closed mid-write
+  std::uint64_t reads = 0;        ///< connection read()s that returned bytes
+  std::uint64_t reply_sends = 0;  ///< reply send()s that wrote bytes
   std::size_t open_connections = 0;  ///< live connection threads right now
 };
 
@@ -114,9 +124,11 @@ class FleetServer {
   void accept_loop();
   void serve_connection(int fd);
   void reap_finished_locked();
-  /// Deadline-bounded full-buffer write; counts a write timeout and
-  /// returns false when the consumer cannot drain in time.
-  bool write_reply(int fd, const std::vector<std::uint8_t>& bytes);
+  /// Deadline-bounded full-buffer write; releases `wakes` before it waits
+  /// for the peer, counts a write timeout and returns false when the
+  /// consumer cannot drain in time.
+  bool write_reply(int fd, const std::vector<std::uint8_t>& bytes,
+                   ShardedFleet::DeferredWakes& wakes);
 
   ShardedFleet& fleet_;
   FleetServerOptions options_;
@@ -128,6 +140,8 @@ class FleetServer {
   std::atomic<std::uint64_t> accept_errors_{0};
   std::atomic<std::uint64_t> idle_reaped_{0};
   std::atomic<std::uint64_t> write_timeouts_{0};
+  std::atomic<std::uint64_t> reads_{0};
+  std::atomic<std::uint64_t> reply_sends_{0};
   std::thread accept_thread_;
   mutable std::mutex conns_mu_;
   struct Connection {

@@ -8,7 +8,7 @@ namespace nsync::engine {
 FrameQueue::FrameQueue(std::size_t capacity_frames, OverflowPolicy policy)
     : capacity_frames_(capacity_frames), policy_(policy) {}
 
-FrameQueue::PushResult FrameQueue::push(FrameBatch batch) {
+FrameQueue::PushResult FrameQueue::push(FrameBatch batch, Wake wake) {
   const std::size_t frames =
       batch.kind == FrameBatch::Kind::kFeed ? batch.frames.frames() : 0;
   std::unique_lock lock(mu_);
@@ -26,6 +26,13 @@ FrameQueue::PushResult FrameQueue::push(FrameBatch batch) {
   if (would_overflow()) {
     switch (policy_) {
       case OverflowPolicy::kBlock:
+        // Room only comes from the consumer: if deferred pushes left it
+        // asleep, waiting here would wait forever.
+        if (wake_owed_) {
+          wake_owed_ = false;
+          ++stats_.wakeups;
+          cv_items_.notify_one();
+        }
         cv_space_.wait(lock, [&] { return closed_ || !would_overflow(); });
         if (closed_) {
           stats_.closed_frames += frames;
@@ -67,9 +74,25 @@ FrameQueue::PushResult FrameQueue::push(FrameBatch batch) {
   items_.push_back(std::move(batch));
   result.accepted = true;
   result.queued_frames = queued_frames_;
+  if (wake == Wake::kDeferred) {
+    wake_owed_ = true;
+    return result;
+  }
+  wake_owed_ = false;
+  ++stats_.wakeups;
   lock.unlock();
   cv_items_.notify_one();
   return result;
+}
+
+void FrameQueue::wake() {
+  {
+    const std::scoped_lock lock(mu_);
+    if (!wake_owed_) return;
+    wake_owed_ = false;
+    ++stats_.wakeups;
+  }
+  cv_items_.notify_one();
 }
 
 bool FrameQueue::pop_all(std::vector<FrameBatch>& out) {
@@ -82,6 +105,7 @@ bool FrameQueue::pop_all(std::vector<FrameBatch>& out) {
   items_.clear();
   queued_frames_ = 0;
   in_flight_ = true;
+  wake_owed_ = false;  // the consumer has what the owed wake was for
   lock.unlock();
   // All blocked producers may now fit.
   cv_space_.notify_all();

@@ -24,6 +24,13 @@
 //
 // Every outcome lands in FrameQueueStats, so the daemon's POLL_STATS can
 // report exactly how much was queued, shed and rejected per shard.
+//
+// Wake-ups: a push normally signals the consumer at once.  A push with
+// Wake::kDeferred enqueues under the lock like any other but leaves the
+// signal owed; wake() pays it.  The fleet server uses this to write a
+// read's replies before it wakes the shards those FEEDs went to.  A kBlock
+// push that must wait for room pays an owed wake before it waits, so a
+// deferred backlog can never leave the consumer asleep on a full queue.
 #ifndef NSYNC_ENGINE_FRAME_QUEUE_HPP
 #define NSYNC_ENGINE_FRAME_QUEUE_HPP
 
@@ -82,6 +89,8 @@ struct FrameQueueStats {
   /// genuine overload, not phantom overload at every graceful drain.
   std::uint64_t closed_frames = 0;
   std::uint64_t closed_batches = 0;
+  /// Consumer wake-ups signalled by pushes and wake(), ever.
+  std::uint64_t wakeups = 0;
   bool in_flight = false;  ///< consumer is processing a popped batch
 };
 
@@ -96,12 +105,20 @@ class FrameQueue {
     std::size_t queued_frames = 0;  ///< backlog after the push
   };
 
+  /// When a push signals the consumer: at once, or at the next wake().
+  enum class Wake : std::uint8_t { kNow, kDeferred };
+
   /// Enqueues a batch according to the overflow policy.  A batch larger
   /// than the whole capacity is still accepted once the queue is empty
   /// (kBlock waits for that; the other policies apply their rule), so no
   /// single batch can wedge the queue.  Returns accepted=false only for
-  /// kReject overflow or a closed queue.
-  PushResult push(FrameBatch batch);
+  /// kReject overflow or a closed queue.  With Wake::kDeferred the caller
+  /// must call wake() once it is done pushing.
+  PushResult push(FrameBatch batch, Wake wake = Wake::kNow);
+
+  /// Signals the consumer if a deferred push still owes it a wake-up
+  /// (a consumer that popped the batch since owes nothing).
+  void wake();
 
   /// Blocks until at least one batch is available or the queue is closed;
   /// moves the entire backlog into `out` (cleared first) and marks the
@@ -143,6 +160,7 @@ class FrameQueue {
   FrameQueueStats stats_{};
   bool in_flight_ = false;
   bool closed_ = false;
+  bool wake_owed_ = false;  ///< a deferred push has not signalled yet
 };
 
 }  // namespace nsync::engine

@@ -78,7 +78,7 @@ std::size_t MonitorEngine::add_session(SessionSpec spec) {
     s.channels.emplace_back(std::move(c));
   }
   scores_.reserve(s.channels.size());
-  verdict_.channels.reserve(s.channels.size());
+  s.fused.channels.reserve(s.channels.size());
   sessions_.push_back(std::move(s));
   return sessions_.size() - 1;
 }
@@ -123,8 +123,22 @@ std::size_t MonitorEngine::feed(std::size_t session,
                                 std::to_string(session) + ")");
   }
   const std::size_t windows = target->monitor.push(frames);
-  if (windows > 0) s.unscored = true;
+  if (windows > 0) {
+    s.unscored = true;
+    s.fused_current = false;
+  }
   return windows;
+}
+
+const core::FusedVerdict& MonitorEngine::fused_verdict(const Session& s) const {
+  if (!s.fused_current) {
+    // Scores are engine scratch and the verdict the session's own, both
+    // sized at admission, so a refresh allocates nothing.
+    channel_scores(s, scores_);
+    s.policy->evaluate_into(scores_, s.fused);
+    s.fused_current = true;
+  }
+  return s.fused;
 }
 
 void MonitorEngine::score(Session& s) {
@@ -134,13 +148,11 @@ void MonitorEngine::score(Session& s) {
   // Refresh the fused verdict through the session's policy — the same
   // health-aware fusion as the batch FusionIds: offline channels neither
   // alarm nor count toward the denominator (nor the weighted mean).  The
-  // verdict and its alarm window latch.  Scores and verdict are engine
-  // scratch, sized at admission, so a refresh allocates nothing.
-  channel_scores(s, scores_);
-  s.policy->evaluate_into(scores_, verdict_);
-  if (verdict_.intrusion) {
+  // verdict and its alarm window latch.
+  const core::FusedVerdict& verdict = fused_verdict(s);
+  if (verdict.intrusion) {
     s.intrusion = true;
-    s.first_alarm_window = verdict_.first_alarm_window;
+    s.first_alarm_window = verdict.first_alarm_window;
   }
 }
 
@@ -217,16 +229,16 @@ void MonitorEngine::snapshot_into(std::size_t session,
   out.frames_fed = 0;
   out.windows =
       s.channels.empty() ? 0 : std::numeric_limits<std::size_t>::max();
-  // Live fused telemetry: evaluate the policy over the current scores so
-  // operators see the fused score and per-channel weights even before (or
-  // without) the verdict latching.
+  // Live fused telemetry: the policy's verdict over the current scores,
+  // so operators see the fused score and per-channel weights even before
+  // (or without) the verdict latching.
+  const core::FusedVerdict* verdict = nullptr;
   if (s.policy) {
     out.policy = s.policy->name();
-    channel_scores(s, scores_);
-    s.policy->evaluate_into(scores_, verdict_);
-    out.fused_score = verdict_.score;
-    out.alarming_channels = verdict_.alarming_channels;
-    out.online_channels = verdict_.online_channels;
+    verdict = &fused_verdict(s);
+    out.fused_score = verdict->score;
+    out.alarming_channels = verdict->alarming_channels;
+    out.online_channels = verdict->online_channels;
   }
   out.channels.resize(s.channels.size());
   for (std::size_t i = 0; i < s.channels.size(); ++i) {
@@ -236,9 +248,9 @@ void MonitorEngine::snapshot_into(std::size_t session,
     cs.detection = c.monitor.detection();
     cs.health = c.monitor.health();
     cs.thresholds = c.monitor.thresholds();
-    const bool scored = s.policy && i < verdict_.channels.size();
-    cs.score = scored ? verdict_.channels[i].score : 0.0;
-    cs.weight = scored ? verdict_.channels[i].weight : 0.0;
+    const bool scored = verdict != nullptr && i < verdict->channels.size();
+    cs.score = scored ? verdict->channels[i].score : 0.0;
+    cs.weight = scored ? verdict->channels[i].weight : 0.0;
     cs.width = c.monitor.reference().channels();
     cs.sample_rate = c.monitor.reference().sample_rate();
     cs.windows = c.monitor.windows();

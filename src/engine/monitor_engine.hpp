@@ -287,6 +287,15 @@ class MonitorEngine {
     /// checkpointed: restore sets it on every live session, and one more
     /// evaluation of an unchanged state changes nothing.
     bool unscored = false;
+    /// The policy's verdict over the session's current channel scores,
+    /// shared by score() and snapshot_into(); valid while `fused_current`.
+    /// Every input of channel_scores() — feature maxima, alarm bits, first
+    /// alarm windows, health — moves only when a window completes (or a
+    /// new Session is built at admission or restore), so feed() clears
+    /// the flag exactly when windows completed.  Mutable: a snapshot fills
+    /// the cache but changes no engine state.
+    mutable core::FusedVerdict fused;
+    mutable bool fused_current = false;
     // Checkpoint bookkeeping.  Mutable: checkpoint() and
     // serialize() are const (they change no fleet state) but remember what
     // they computed and wrote.  spec_ref is set once — the spec never
@@ -303,8 +312,12 @@ class MonitorEngine {
   /// its storage.
   static void channel_scores(const Session& s,
                              std::vector<core::ChannelScore>& out);
-  /// Refreshes the fused verdict of `s` if feed() processed windows since
-  /// the last refresh.
+  /// The session's fused verdict over its current channel scores,
+  /// evaluated only when they changed since the last call.  The session
+  /// must be live.
+  const core::FusedVerdict& fused_verdict(const Session& s) const;
+  /// Refreshes the latched verdict of `s` if feed() processed windows
+  /// since the last refresh.
   void score(Session& s);
   /// Appends the session's spec in save_session_spec encoding to `w`.
   /// The session must be live.
@@ -333,11 +346,10 @@ class MonitorEngine {
   // Registry generation last exported to baseline_path(); max = never.
   mutable std::uint64_t exported_generation_ =
       std::numeric_limits<std::uint64_t>::max();
-  // score() and snapshot_into() scratch: the score vector and fused
-  // verdict of the session being scored, kept across calls so the warm
-  // path allocates nothing.  Mutable: a snapshot changes no engine state.
+  // fused_verdict() scratch: the score vector of the session being
+  // evaluated, kept across calls so the warm path allocates nothing.
+  // Mutable: a snapshot changes no engine state.
   mutable std::vector<core::ChannelScore> scores_;
-  mutable core::FusedVerdict verdict_;
 };
 
 }  // namespace nsync::engine

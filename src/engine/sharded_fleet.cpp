@@ -419,9 +419,20 @@ FeedResult ShardedFleet::feed(std::size_t session, const std::string& channel,
   return feed_frames(session, channel, SignalView(frames), &frames);
 }
 
+FeedResult ShardedFleet::feed(std::size_t session, const std::string& channel,
+                              Signal&& frames, DeferredWakes& wakes) {
+  return feed_frames(session, channel, SignalView(frames), &frames, &wakes);
+}
+
+void ShardedFleet::DeferredWakes::release() {
+  for (const std::size_t shard : owed_) fleet_.shards_[shard]->queue->wake();
+  owed_.clear();
+}
+
 FeedResult ShardedFleet::feed_frames(std::size_t session,
                                      const std::string& channel,
-                                     const SignalView& frames, Signal* owned) {
+                                     const SignalView& frames, Signal* owned,
+                                     DeferredWakes* wakes) {
   FeedResult result;
   std::size_t shard_idx = 0;
   std::size_t local = 0;
@@ -465,7 +476,14 @@ FeedResult ShardedFleet::feed_frames(std::size_t session,
   batch.channel = channel;
   batch.frames = owned != nullptr ? std::move(*owned) : frames.to_signal();
   batch.enqueued_at = std::chrono::steady_clock::now();
-  const FrameQueue::PushResult push = shard.queue->push(std::move(batch));
+  const FrameQueue::PushResult push = shard.queue->push(
+      std::move(batch),
+      wakes != nullptr ? FrameQueue::Wake::kDeferred : FrameQueue::Wake::kNow);
+  if (wakes != nullptr && push.accepted &&
+      std::find(wakes->owed_.begin(), wakes->owed_.end(), shard_idx) ==
+          wakes->owed_.end()) {
+    wakes->owed_.push_back(shard_idx);
+  }
   result.queued_frames = push.queued_frames;
   if (!push.accepted) {
     // A push can also fail because supervision closed the queue between

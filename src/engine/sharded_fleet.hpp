@@ -247,6 +247,30 @@ class ShardedFleet {
   /// Shard a session id maps to.
   [[nodiscard]] std::size_t shard_of(std::size_t session) const;
 
+  /// Shard-worker wake-ups held back for a batch of feeds.  A feed made
+  /// through it is queued (and acknowledged) like any other, but its
+  /// shard's worker is signalled only at release(), once per shard, or
+  /// when the scope ends, whichever comes first.  The fleet server opens
+  /// one per connection and releases it after each read's replies are
+  /// written, so those replies never wait behind a worker wake-up.  Only
+  /// feeds defer: admission, eviction, settle() and checkpoints signal at
+  /// once, since their callers may wait on the worker.
+  class DeferredWakes {
+   public:
+    explicit DeferredWakes(ShardedFleet& fleet) : fleet_(fleet) {}
+    ~DeferredWakes() { release(); }
+    DeferredWakes(const DeferredWakes&) = delete;
+    DeferredWakes& operator=(const DeferredWakes&) = delete;
+
+    /// Signals every shard fed through this scope since the last release.
+    void release();
+
+   private:
+    friend class ShardedFleet;
+    ShardedFleet& fleet_;
+    std::vector<std::size_t> owed_;  ///< shard indices, each once
+  };
+
   /// Validates frames for one channel of one session and queues them on
   /// its shard.  Never throws on data-plane errors — the outcome is in the
   /// result, ready to be surfaced as a typed wire reply.
@@ -256,6 +280,9 @@ class ShardedFleet {
   /// they are instead of copying them into the batch.
   FeedResult feed(std::size_t session, const std::string& channel,
                   nsync::signal::Signal&& frames);
+  /// feed() of handed-over frames whose worker wake-up waits for `wakes`.
+  FeedResult feed(std::size_t session, const std::string& channel,
+                  nsync::signal::Signal&& frames, DeferredWakes& wakes);
 
   /// Blocks until every accepted frame has been processed (all queues
   /// empty and all workers idle).
@@ -287,11 +314,13 @@ class ShardedFleet {
       const std::string& dir, ShardedFleetOptions options);
 
  private:
-  /// Both feed() overloads: `frames` views `owned` when the caller handed
-  /// its frames over (moved into the batch), else they are copied.
+  /// Every feed() overload: `frames` views `owned` when the caller handed
+  /// its frames over (moved into the batch), else they are copied.  With
+  /// `wakes` the push defers its worker wake-up to that scope.
   FeedResult feed_frames(std::size_t session, const std::string& channel,
                          const nsync::signal::SignalView& frames,
-                         nsync::signal::Signal* owned);
+                         nsync::signal::Signal* owned,
+                         DeferredWakes* wakes = nullptr);
 
   /// Worker-side counters of one shard.
   struct ShardCounters {

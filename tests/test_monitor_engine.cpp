@@ -6,9 +6,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/fusion.hpp"
 #include "core/nsync.hpp"
 #include "engine/monitor_engine.hpp"
 #include "signal/rng.hpp"
@@ -298,6 +302,90 @@ TEST_F(MonitorEngineTest, AllFusionRulesLatch) {
     // Both channels see the same tampered stream, so every rule fires.
     EXPECT_TRUE(eng.snapshot(0).intrusion)
         << core::fusion_rule_name(rule);
+  }
+}
+
+/// The default any-channel vote, counting its evaluations.
+class CountingPolicy final : public core::FusionPolicy {
+ public:
+  [[nodiscard]] core::FusionPolicyKind kind() const override {
+    return vote_.kind();
+  }
+  [[nodiscard]] std::string name() const override { return vote_.name(); }
+  void evaluate_into(std::span<const core::ChannelScore> channels,
+                     core::FusedVerdict& out) const override {
+    ++evaluations;
+    vote_.evaluate_into(channels, out);
+  }
+
+  mutable std::size_t evaluations = 0;
+
+ private:
+  core::VotingPolicy vote_{core::FusionRule::kAny};
+};
+
+template <class T>
+bool same_bytes(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+TEST_F(MonitorEngineTest, FusedVerdictIsEvaluatedOnlyWhenItsScoresChange) {
+  const Signal obs = benign_observation(reference_, 61);
+  const SignalView view(obs);
+  auto counting = std::make_shared<CountingPolicy>();
+  SessionSpec spec = make_session("cached");
+  spec.policy = counting;
+  MonitorEngine eng;
+  eng.add_session(std::move(spec));
+
+  // A feed that completes windows: the round's poll evaluates the policy
+  // once and the snapshot after it reuses that verdict.
+  std::size_t fed = 400;
+  ASSERT_GT(eng.feed(0, "ACC", view.slice(0, fed)), 0u);
+  eng.poll_inline();
+  SessionSnapshot snap;
+  eng.snapshot_into(0, snap);
+  EXPECT_EQ(counting->evaluations, 1u);
+
+  // Frames that complete no window change no input of the verdict: no
+  // round or snapshot evaluates it again.  A frame that completes one
+  // costs exactly one evaluation.
+  std::size_t quiet_feeds = 0;
+  std::size_t window_feeds = 0;
+  for (; quiet_feeds < 4 || window_feeds < 2; ++fed) {
+    const std::size_t before = counting->evaluations;
+    const bool windowed = eng.feed(0, "ACC", view.slice(fed, fed + 1)) > 0;
+    eng.poll_inline();
+    eng.snapshot_into(0, snap);
+    EXPECT_EQ(counting->evaluations, before + (windowed ? 1 : 0))
+        << "after frame " << fed;
+    if (windowed) {
+      ++window_feeds;
+    } else {
+      ++quiet_feeds;
+    }
+  }
+
+  // The reused verdict is bitwise the one a fresh evaluation gives: an
+  // engine fed the same frames at once, whose first snapshot evaluates.
+  auto fresh_policy = std::make_shared<CountingPolicy>();
+  SessionSpec fresh_spec = make_session("cached");
+  fresh_spec.policy = fresh_policy;
+  MonitorEngine fresh;
+  fresh.add_session(std::move(fresh_spec));
+  fresh.feed(0, "ACC", view.slice(0, fed));
+  const SessionSnapshot want = fresh.snapshot(0);
+  EXPECT_EQ(fresh_policy->evaluations, 1u);
+  EXPECT_TRUE(same_bytes(snap.fused_score, want.fused_score));
+  EXPECT_EQ(snap.alarming_channels, want.alarming_channels);
+  EXPECT_EQ(snap.online_channels, want.online_channels);
+  ASSERT_EQ(snap.channels.size(), want.channels.size());
+  for (std::size_t i = 0; i < snap.channels.size(); ++i) {
+    EXPECT_TRUE(same_bytes(snap.channels[i].score, want.channels[i].score))
+        << snap.channels[i].name;
+    EXPECT_TRUE(same_bytes(snap.channels[i].weight, want.channels[i].weight))
+        << snap.channels[i].name;
+    EXPECT_EQ(snap.channels[i].windows, want.channels[i].windows);
   }
 }
 

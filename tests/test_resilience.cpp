@@ -469,6 +469,200 @@ TEST(Resilience, WriteDeadlineClosesSlowConsumer) {
   server.stop();
 }
 
+// --- The connection loop: one read, one send, then the wakes ---------------
+
+namespace {
+
+int connect_raw_uds(const std::string& sock) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// `count` FEED frames for channel ACC of `session`, back to back in one
+/// buffer; FEED i carries i + 1 frames (plus `extra`), so replies can be
+/// matched to requests by their accepted counts.
+std::vector<std::uint8_t> feed_burst(std::size_t session, std::size_t count,
+                                     std::size_t extra = 0) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i < count; ++i) {
+    wire::Feed f;
+    f.session = session;
+    f.channel = "ACC";
+    f.frames = Signal(i + 1 + extra, 2, 100.0);
+    const std::vector<std::uint8_t> frame = wire::encode(f);
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  return bytes;
+}
+
+/// Reads until `count` reply frames arrived (or 5 s passed).
+std::vector<wire::Message> read_replies(int fd, std::size_t count) {
+  wire::FrameDecoder decoder;
+  std::vector<wire::Message> out;
+  std::vector<std::uint8_t> buf(4096);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (out.size() < count && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 50) <= 0) continue;
+    const ssize_t n = ::read(fd, buf.data(), buf.size());
+    if (n <= 0) break;
+    decoder.feed(std::span<const std::uint8_t>(buf.data(),
+                                               static_cast<std::size_t>(n)));
+    wire::Message m;
+    while (decoder.next(m) == wire::DecodeStatus::kFrame) {
+      out.push_back(std::move(m));
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(FleetServerLoop, OneWriteOfEightFeedsIsAnsweredByOneSendAndOneWake) {
+  const std::string sock = unique_path("burst") + ".sock";
+  Fixture fx(1, /*attack_session=*/99);
+  ShardedFleet fleet;
+  const std::size_t session = fleet.add_session(fx.spec(0));
+  FleetServerOptions sopts;
+  sopts.uds_path = sock;
+  FleetServer server(fleet, sopts);
+  server.start();
+  const int fd = connect_raw_uds(sock);
+  ASSERT_GE(fd, 0);
+
+  const std::uint64_t wakes_before =
+      fleet.stats().per_shard[0].queue.wakeups;
+  const std::vector<std::uint8_t> burst = feed_burst(session, 8);
+  ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+  const std::vector<wire::Message> replies = read_replies(fd, 8);
+  ASSERT_EQ(replies.size(), 8u);
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    ASSERT_TRUE(std::holds_alternative<wire::FeedOk>(replies[i])) << i;
+    EXPECT_EQ(std::get<wire::FeedOk>(replies[i]).accepted_frames, i + 1)
+        << "replies out of request order";
+  }
+  // The deferred wake fired: every frame is processed with no further
+  // request on the wire.  The server counts its send before that wake.
+  constexpr std::size_t kBurstFrames = 8 * 9 / 2;
+  EXPECT_TRUE(wait_for(
+      [&] { return fleet.snapshot(session).frames_fed == kBurstFrames; }));
+  // A Unix-socket write this small arrives in one read.
+  EXPECT_EQ(server.stats().reads, 1u);
+  EXPECT_EQ(server.stats().reply_sends, 1u);
+  EXPECT_LE(fleet.stats().per_shard[0].queue.wakeups - wakes_before, 1u);
+  ::close(fd);
+  server.stop();
+}
+
+TEST(FleetServerLoop, FeedsOfAClientThatClosesAtOnceAreProcessed) {
+  const std::string sock = unique_path("hangup") + ".sock";
+  Fixture fx(1, /*attack_session=*/99);
+  ShardedFleet fleet;
+  const std::size_t session = fleet.add_session(fx.spec(0));
+  FleetServerOptions sopts;
+  sopts.uds_path = sock;
+  FleetServer server(fleet, sopts);
+  server.start();
+  const int fd = connect_raw_uds(sock);
+  ASSERT_GE(fd, 0);
+  const std::vector<std::uint8_t> burst = feed_burst(session, 8);
+  ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+  ::close(fd);  // the replies have nowhere to go
+  EXPECT_TRUE(wait_for(
+      [&] { return fleet.snapshot(session).frames_fed == 8u * 9 / 2; }));
+  server.stop();
+}
+
+TEST(FleetServerLoop, BlockQueueSmallerThanOneReadDoesNotDeadlock) {
+  const std::string sock = unique_path("tinyq") + ".sock";
+  Fixture fx(1, /*attack_session=*/99);
+  ShardedFleetOptions fopts;
+  fopts.queue_capacity_frames = 4;
+  fopts.overflow = OverflowPolicy::kBlock;
+  ShardedFleet fleet(fopts);
+  const std::size_t session = fleet.add_session(fx.spec(0));
+  FleetServerOptions sopts;
+  sopts.uds_path = sock;
+  FleetServer server(fleet, sopts);
+  server.start();
+  const int fd = connect_raw_uds(sock);
+  ASSERT_GE(fd, 0);
+  // 8 FEEDs of 3..10 frames: from the second on, every push must wait for
+  // the worker to make room, and the worker has not been woken yet.
+  const std::vector<std::uint8_t> burst = feed_burst(session, 8, 2);
+  ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+  const std::vector<wire::Message> replies = read_replies(fd, 8);
+  ASSERT_EQ(replies.size(), 8u) << "the connection deadlocked on its queue";
+  for (const wire::Message& m : replies) {
+    EXPECT_TRUE(std::holds_alternative<wire::FeedOk>(m));
+  }
+  EXPECT_TRUE(wait_for(
+      [&] { return fleet.snapshot(session).frames_fed == 8u * 9 / 2 + 16; }));
+  ::close(fd);
+  server.stop();
+}
+
+TEST(FleetServerLoop, StopReturnsPromptlyWhileAConnectionBlocksInRead) {
+  const std::string sock = unique_path("stopread") + ".sock";
+  ShardedFleet fleet;
+  FleetServerOptions sopts;
+  sopts.uds_path = sock;
+  FleetServer server(fleet, sopts);
+  server.start();
+  WireClient client = WireClient::connect_uds(sock);
+  EXPECT_EQ(ping(client, 5), 5u);
+  // The connection thread is now parked in read() on a silent client.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took, std::chrono::seconds(1));
+  EXPECT_EQ(server.stats().open_connections, 0u);
+}
+
+TEST(FleetServerLoop, IdleReapFiresWithinTheTimeoutPlusOneTick) {
+  const std::string sock = unique_path("idletick") + ".sock";
+  constexpr std::int64_t kIdleMs = 250;
+  constexpr std::int64_t kTickMs = 100;
+  ShardedFleet fleet;
+  FleetServerOptions sopts;
+  sopts.uds_path = sock;
+  sopts.idle_timeout_ms = kIdleMs;
+  FleetServer server(fleet, sopts);
+  server.start();
+  const auto t0 = std::chrono::steady_clock::now();
+  const int fd = connect_raw_uds(sock);
+  ASSERT_GE(fd, 0);
+  // Silent client: the server closes the connection, read() sees EOF.
+  pollfd pfd{fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::read(fd, &byte, 1), 0);
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  // The deadline counts from the accept, after t0; the server's clock
+  // rounds the time left down to whole milliseconds.
+  EXPECT_GE(took, kIdleMs - 1);
+  EXPECT_LE(took, kIdleMs + kTickMs);
+  ::close(fd);
+  EXPECT_TRUE(wait_for([&] { return server.stats().idle_reaped == 1; }));
+  server.stop();
+}
+
 // --- Session lifecycle over the wire ----------------------------------------
 
 TEST(Resilience, AddSessionReattachesByNameInsteadOfDuplicating) {

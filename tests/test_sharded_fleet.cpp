@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -516,6 +517,74 @@ TEST(FrameQueue, BlockPolicyClosedWhileWaitingCountsAsClosed) {
   EXPECT_EQ(st.rejected_batches, 0u);
   EXPECT_EQ(st.closed_frames, 16u);
   EXPECT_EQ(st.closed_batches, 1u);
+}
+
+TEST(FrameQueue, DeferredPushesOweOneWakeUntilWakeOrPop) {
+  using Wake = engine::FrameQueue::Wake;
+  engine::FrameQueue q(/*capacity_frames=*/0, OverflowPolicy::kBlock);
+  engine::FrameBatch b;
+  b.kind = engine::FrameBatch::Kind::kFeed;
+  b.frames = Signal(4, 1, 100.0);
+  for (int i = 0; i < 3; ++i) {
+    engine::FrameBatch copy = b;
+    ASSERT_TRUE(q.push(std::move(copy), Wake::kDeferred).accepted);
+  }
+  EXPECT_EQ(q.stats().wakeups, 0u);
+  q.wake();
+  EXPECT_EQ(q.stats().wakeups, 1u) << "three deferred pushes, one wake";
+  q.wake();
+  EXPECT_EQ(q.stats().wakeups, 1u) << "nothing owed after the wake";
+
+  // A consumer that popped the batches leaves nothing owed either.
+  std::vector<engine::FrameBatch> drained;
+  ASSERT_TRUE(q.pop_all(drained));
+  q.mark_processed();
+  engine::FrameBatch late = b;
+  ASSERT_TRUE(q.push(std::move(late), Wake::kDeferred).accepted);
+  ASSERT_TRUE(q.pop_all(drained));
+  q.mark_processed();
+  q.wake();
+  EXPECT_EQ(q.stats().wakeups, 1u);
+
+  engine::FrameBatch now = b;
+  ASSERT_TRUE(q.push(std::move(now)).accepted);
+  EXPECT_EQ(q.stats().wakeups, 2u) << "an immediate push signals at once";
+}
+
+TEST(FrameQueue, BlockedDeferredPushWakesTheConsumerBeforeWaiting) {
+  using Wake = engine::FrameQueue::Wake;
+  engine::FrameQueue q(/*capacity_frames=*/4, OverflowPolicy::kBlock);
+  std::size_t consumed = 0;
+  std::thread consumer([&] {
+    std::vector<engine::FrameBatch> batches;
+    while (q.pop_all(batches)) {
+      for (const auto& b : batches) consumed += b.frames.frames();
+      q.mark_processed();
+    }
+  });
+  // Every push after the first overflows the queue.  The first push left
+  // the consumer asleep; unless the blocked push wakes it, nothing ever
+  // makes room.
+  auto producer = std::async(std::launch::async, [&q] {
+    for (int i = 0; i < 8; ++i) {
+      engine::FrameBatch b;
+      b.kind = engine::FrameBatch::Kind::kFeed;
+      b.frames = Signal(3, 1, 100.0);
+      if (!q.push(std::move(b), Wake::kDeferred).accepted) return false;
+    }
+    q.wake();
+    return true;
+  });
+  const bool finished = producer.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  EXPECT_TRUE(finished) << "deferred kBlock pushes deadlocked";
+  if (finished) q.wait_idle();
+  q.close();  // releases a deadlocked producer too
+  EXPECT_EQ(producer.get(), finished);
+  consumer.join();
+  if (finished) {
+    EXPECT_EQ(consumed, 24u);
+  }
 }
 
 TEST(ShardedFleet, LoadShedAccountingBalances) {
