@@ -158,8 +158,8 @@ wire::Stats to_stats(const FleetStats& fs) {
 
 struct RequestVisitor {
   ShardedFleet& fleet;
-  /// Where FEEDs defer their shard wake-ups; nullptr wakes at once.
-  ShardedFleet::DeferredWakes* wakes = nullptr;
+  /// Where FEEDs defer their shard wake-ups.
+  ShardedFleet::DeferredWakes& wakes;
 
   Message operator()(const wire::Hello& h) const {
     if (h.version != wire::kProtocolVersion) {
@@ -206,9 +206,7 @@ struct RequestVisitor {
   Message operator()(wire::Feed&& f) const {
     const auto session = static_cast<std::size_t>(f.session);
     const FeedResult r =
-        wakes != nullptr
-            ? fleet.feed(session, f.channel, std::move(f.frames), *wakes)
-            : fleet.feed(session, f.channel, std::move(f.frames));
+        fleet.feed(session, f.channel, std::move(f.frames), wakes);
     switch (r.status) {
       case FeedStatus::kOk:
       case FeedStatus::kShed: {
@@ -309,7 +307,10 @@ FleetServer::~FleetServer() { stop(); }
 
 wire::Message FleetServer::handle(ShardedFleet& fleet,
                                   wire::Message request) {
-  return std::visit(RequestVisitor{fleet}, std::move(request));
+  // A FEED's shard is woken when this scope ends, before the reply is
+  // returned, so callers see the same queue state as an immediate wake.
+  ShardedFleet::DeferredWakes wakes(fleet);
+  return std::visit(RequestVisitor{fleet, wakes}, std::move(request));
 }
 
 void FleetServer::start() {
@@ -506,7 +507,7 @@ void FleetServer::serve_connection(int fd) {
   // The FEEDs of one read wake their shards only once the read's replies
   // are written (or when the scope ends, on every way out of this loop).
   ShardedFleet::DeferredWakes wakes(fleet_);
-  const RequestVisitor visitor{fleet_, &wakes};
+  const RequestVisitor visitor{fleet_, wakes};
   std::int64_t armed_timeout_ms = 0;  // SO_RCVTIMEO in force; 0 = none yet
   bool open = true;
   Clock::time_point last_activity = Clock::now();

@@ -24,15 +24,16 @@ FrameQueue::PushResult FrameQueue::push(FrameBatch batch, Wake wake) {
     return result;
   }
   if (would_overflow()) {
+    // Room only comes from the consumer: if deferred pushes left it
+    // asleep, a kBlock wait would wait forever, and the other policies
+    // would shed or refuse frames it could already have drained.
+    if (wake_owed_) {
+      wake_owed_ = false;
+      ++stats_.wakeups;
+      cv_items_.notify_one();
+    }
     switch (policy_) {
       case OverflowPolicy::kBlock:
-        // Room only comes from the consumer: if deferred pushes left it
-        // asleep, waiting here would wait forever.
-        if (wake_owed_) {
-          wake_owed_ = false;
-          ++stats_.wakeups;
-          cv_items_.notify_one();
-        }
         cv_space_.wait(lock, [&] { return closed_ || !would_overflow(); });
         if (closed_) {
           stats_.closed_frames += frames;

@@ -28,9 +28,11 @@
 // Wake-ups: a push normally signals the consumer at once.  A push with
 // Wake::kDeferred enqueues under the lock like any other but leaves the
 // signal owed; wake() pays it.  The fleet server uses this to write a
-// read's replies before it wakes the shards those FEEDs went to.  A kBlock
-// push that must wait for room pays an owed wake before it waits, so a
-// deferred backlog can never leave the consumer asleep on a full queue.
+// read's replies before it wakes the shards those FEEDs went to.  A push
+// that would overflow pays an owed wake before its policy acts, so a
+// deferred backlog can never leave the consumer asleep on a full queue:
+// kBlock does not wait forever, and kDropOldest/kReject shed or refuse
+// only what the woken consumer could not drain in time.
 #ifndef NSYNC_ENGINE_FRAME_QUEUE_HPP
 #define NSYNC_ENGINE_FRAME_QUEUE_HPP
 

@@ -212,6 +212,8 @@ void MonitorEngine::evict_session(std::size_t session) {
   s.intrusion = false;
   s.first_alarm_window = -1;
   s.policy.reset();
+  s.fused = {};
+  s.fused_current = false;
   s.evicted = true;
 }
 

@@ -252,7 +252,8 @@ class ShardedFleet {
   /// shard's worker is signalled only at release(), once per shard, or
   /// when the scope ends, whichever comes first.  The fleet server opens
   /// one per connection and releases it after each read's replies are
-  /// written, so those replies never wait behind a worker wake-up.  Only
+  /// written, so those replies never wait behind a worker wake-up
+  /// (FleetServer::handle opens one per request).  Only
   /// feeds defer: admission, eviction, settle() and checkpoints signal at
   /// once, since their callers may wait on the worker.
   class DeferredWakes {

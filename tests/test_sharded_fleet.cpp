@@ -587,6 +587,37 @@ TEST(FrameQueue, BlockedDeferredPushWakesTheConsumerBeforeWaiting) {
   }
 }
 
+TEST(FrameQueue, DeferredPushThatOverflowsWakesTheConsumerUnderEveryPolicy) {
+  using Wake = engine::FrameQueue::Wake;
+  auto batch = [] {
+    engine::FrameBatch b;
+    b.kind = engine::FrameBatch::Kind::kFeed;
+    b.frames = Signal(3, 1, 100.0);
+    return b;
+  };
+  for (const OverflowPolicy policy :
+       {OverflowPolicy::kDropOldest, OverflowPolicy::kReject}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    engine::FrameQueue q(/*capacity_frames=*/4, policy);
+    ASSERT_TRUE(q.push(batch(), Wake::kDeferred).accepted);
+    EXPECT_EQ(q.stats().wakeups, 0u);
+    // The second batch overflows: the consumer the first one left asleep
+    // is woken before the policy sheds or refuses anything.
+    const engine::FrameQueue::PushResult r = q.push(batch(), Wake::kDeferred);
+    EXPECT_EQ(q.stats().wakeups, 1u) << "an overflow pays the owed wake";
+    if (policy == OverflowPolicy::kDropOldest) {
+      EXPECT_TRUE(r.accepted);
+      EXPECT_EQ(r.shed_frames, 3u);
+      q.wake();
+      EXPECT_EQ(q.stats().wakeups, 2u) << "the accepted batch owes its own";
+    } else {
+      EXPECT_FALSE(r.accepted);
+      q.wake();
+      EXPECT_EQ(q.stats().wakeups, 1u) << "a refused batch owes nothing";
+    }
+  }
+}
+
 TEST(ShardedFleet, LoadShedAccountingBalances) {
   const Fixture fx(2, /*attack_session=*/99);
   ShardedFleetOptions opts;
